@@ -5,6 +5,10 @@ A cochain assigns a rational to each nondegenerate face (strictly increasing
 vertex sequence) of the simplex.  The coboundary is the Stokes dual of the
 de Rham differential, so that integration over faces is a chain map; the
 elementary forms give the section g with f o g = 1.
+
+f and g are linear maps on finite bases and are applied through cached
+tables: f by the face integrals of each monomial, g by the elementary form
+of each face.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .forms import Form, generator, integrate_face, wedge
-from .rationals import factorial, parse_rational, rational_str
+from .forms import Form, _check_face, generator, wedge
+from .rationals import exact, factorial, parse_rational, rational_str
 
 __all__ = [
     "Cochain",
@@ -44,17 +48,6 @@ def basis_faces(dim: int) -> tuple[Face, ...]:
     return tuple(out)
 
 
-def _check_face(face, dim: int) -> Face:
-    face = tuple(face)
-    if not face:
-        raise ValueError("face must be nonempty")
-    if any(face[i] >= face[i + 1] for i in range(len(face) - 1)):
-        raise ValueError(f"face {face} is not strictly increasing")
-    if face[0] < 0 or face[-1] > dim:
-        raise ValueError(f"face {face} out of range for dimension {dim}")
-    return face
-
-
 class Cochain:
     """Rational coefficients on nondegenerate faces; zeros never stored."""
 
@@ -66,7 +59,7 @@ class Cochain:
         clean: dict[Face, Fraction] = {}
         if coeffs:
             for face, coeff in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                coeff = Fraction(coeff)
+                coeff = exact(coeff)
                 if coeff == 0:
                     continue
                 face = _check_face(face, dim)
@@ -78,6 +71,16 @@ class Cochain:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, dim: int, coeffs: dict) -> "Cochain":
+        """Wrap a dict that is already clean: valid faces, nonzero Fraction
+        values, owned by the new Cochain alone."""
+        cochain = object.__new__(cls)
+        object.__setattr__(cochain, "dim", dim)
+        object.__setattr__(cochain, "coeffs", coeffs)
+        object.__setattr__(cochain, "_hash", None)
+        return cochain
 
     def __setattr__(self, name, value):
         raise AttributeError("Cochain is immutable")
@@ -109,7 +112,7 @@ class Cochain:
         return self + (-other)
 
     def __rmul__(self, scalar) -> "Cochain":
-        scalar = Fraction(scalar)
+        scalar = exact(scalar)
         if scalar == 0:
             return Cochain(self.dim)
         return Cochain(self.dim, {f: scalar * c for f, c in self.coeffs.items()})
@@ -133,11 +136,6 @@ class Cochain:
 
     def __repr__(self) -> str:
         return f"Cochain({self.dim}, {format_cochain(self)!r})"
-
-    def degree_part(self, k: int) -> "Cochain":
-        return Cochain(
-            self.dim, {f: c for f, c in self.coeffs.items() if len(f) == k + 1}
-        )
 
     def cochain_degrees(self) -> set[int]:
         return {len(f) - 1 for f in self.coeffs}
@@ -169,7 +167,11 @@ def elementary_form(face, dim: int) -> Form:
 
         k! sum_j (-1)^j t_{i_j} dt_{i_0} ... omit dt_{i_j} ... dt_{i_k}
     """
-    face = _check_face(face, dim)
+    return _elementary_form(_check_face(face, dim), dim)
+
+
+@lru_cache(maxsize=None)
+def _elementary_form(face: Face, dim: int) -> Form:
     k = len(face) - 1
     total = Form.zero(dim)
     for j, vertex in enumerate(face):
@@ -182,22 +184,60 @@ def elementary_form(face, dim: int) -> Form:
     return factorial(k) * total
 
 
+@lru_cache(maxsize=None)
+def _face_integrals(
+    dim: int, exps: tuple[int, ...], dts: tuple[int, ...]
+) -> tuple[tuple[Face, Fraction], ...]:
+    """The nonzero integrals of t^exps dt_dts over the faces of the simplex.
+
+    A face F = (i_0 < ... < i_k) contributes only when F holds every t_j
+    with a positive exponent and every dt_s, and dts is F minus exactly one
+    vertex i_m.  On F, dt_{F - i_m} = (-1)^m dt_{i_1} ... dt_{i_k}, and the
+    Dirichlet integral of the barycentric monomial gives
+
+        (-1)^m a_1! ... a_n! / (|a| + k)!
+    """
+    k = len(dts)
+    support = set(dts).union(j for j, e in enumerate(exps, 1) if e)
+    if len(support) > k + 1:
+        return ()
+    numer = 1
+    for e in exps:
+        numer *= factorial(e)
+    value = Fraction(numer, factorial(sum(exps) + k))
+    out = []
+    for vertex in range(dim + 1):
+        if vertex in dts or not support <= set(dts) | {vertex}:
+            continue
+        face = tuple(sorted(dts + (vertex,)))
+        out.append((face, -value if face.index(vertex) % 2 else value))
+    return tuple(out)
+
+
 def project_f(a: Form) -> Cochain:
     """Integrate over every face: the cochain side of the contraction."""
     out: dict[Face, Fraction] = {}
-    for face in basis_faces(a.dim):
-        value = integrate_face(a, face)
-        if value != 0:
-            out[face] = value
-    return Cochain(a.dim, out)
+    for (exps, dts), coeff in a.terms.items():
+        for face, value in _face_integrals(a.dim, exps, dts):
+            new = out.get(face, 0) + coeff * value
+            if new:
+                out[face] = new
+            else:
+                del out[face]
+    return Cochain._trusted(a.dim, out)
 
 
 def include_g(c: Cochain) -> Form:
     """Linear extension of face -> elementary form."""
-    total = Form.zero(c.dim)
+    out: dict = {}
     for face, coeff in c.coeffs.items():
-        total = total + coeff * elementary_form(face, c.dim)
-    return total
+        for key, value in _elementary_form(face, c.dim).terms.items():
+            new = out.get(key, 0) + coeff * value
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return Form._trusted(c.dim, out)
 
 
 def unit_cochain(dim: int) -> Cochain:

@@ -20,10 +20,10 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
-from .cochains import Cochain, elementary_form
+from .cochains import Cochain, include_g
 from .contraction import homotopy_H as _local_H
 from .forms import Form, differential, face_restrict, format_form, integrate_top, wedge
-from .rationals import parse_rational, rational_str
+from .rationals import exact, parse_rational, rational_str
 from .reporting import CheckRecord, VerificationReport
 from .tensorwords import Homog
 from .transfer import transferred_m, _relation_value
@@ -129,7 +129,21 @@ class OrderedComplex:
 def complex_from_data(data: dict) -> OrderedComplex:
     if not isinstance(data, dict) or "vertices" not in data or "simplices" not in data:
         raise ComplexFormatError('expected {"vertices": [...], "simplices": [[...]]}')
-    return OrderedComplex(data["vertices"], data["simplices"])
+    vertices, simplices = data["vertices"], data["simplices"]
+    if not isinstance(vertices, list) or any(isinstance(v, (list, dict)) for v in vertices):
+        raise ComplexFormatError('"vertices" must be a list of vertex labels')
+    if not isinstance(simplices, list):
+        raise ComplexFormatError('"simplices" must be a list of vertex index lists')
+    for simplex in simplices:
+        _check_simplex(simplex)
+    return OrderedComplex(vertices, simplices)
+
+
+def _check_simplex(value) -> None:
+    if not isinstance(value, list) or not all(
+        isinstance(i, int) and not isinstance(i, bool) for i in value
+    ):
+        raise ComplexFormatError(f"simplex {value!r} must be a list of vertex indices")
 
 
 def load_complex(text: str) -> OrderedComplex:
@@ -160,7 +174,7 @@ class GlobalCochain:
                 simplex = tuple(simplex)
                 if simplex not in known:
                     raise ValueError(f"simplex {list(simplex)} not in the complex")
-                coeff = Fraction(coeff)
+                coeff = exact(coeff)
                 if coeff == 0:
                     continue
                 new = clean.get(simplex, Fraction(0)) + coeff
@@ -204,7 +218,7 @@ class GlobalCochain:
         return self + (-other)
 
     def __rmul__(self, scalar) -> "GlobalCochain":
-        scalar = Fraction(scalar)
+        scalar = exact(scalar)
         if scalar == 0:
             return GlobalCochain(self.complex)
         return GlobalCochain(
@@ -360,15 +374,11 @@ class GlobalForm:
 
 def global_g(c: GlobalCochain) -> GlobalForm:
     """Levelwise inclusion by elementary forms."""
-    complex_ = c.complex
-    assign = {}
-    for simplex in complex_.simplices:
-        local = c.restrict_to(simplex)
-        total = Form.zero(len(simplex) - 1)
-        for face, coeff in local.coeffs.items():
-            total = total + coeff * elementary_form(face, len(simplex) - 1)
-        assign[simplex] = total
-    return GlobalForm(complex_, assign, validate=False)
+    return GlobalForm(
+        c.complex,
+        {s: include_g(c.restrict_to(s)) for s in c.complex.simplices},
+        validate=False,
+    )
 
 
 def global_f(a: GlobalForm) -> GlobalCochain:
@@ -659,15 +669,16 @@ def global_cochain_records(c: GlobalCochain) -> dict:
 
 
 def global_cochain_from_records(data: dict, complex_: OrderedComplex) -> GlobalCochain:
-    if not isinstance(data, dict) or "entries" not in data:
-        raise ComplexFormatError('expected {"entries": [{"simplex": ..., "coeff": ...}]}')
-    return GlobalCochain(
-        complex_,
-        [
-            (tuple(entry["simplex"]), parse_rational(entry["coeff"]))
-            for entry in data["entries"]
-        ],
-    )
+    shape = 'expected {"entries": [{"simplex": [...], "coeff": "p/q"}]}'
+    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
+        raise ComplexFormatError(shape)
+    pairs = []
+    for entry in data["entries"]:
+        if not isinstance(entry, dict) or "simplex" not in entry or "coeff" not in entry:
+            raise ComplexFormatError(f"{shape}, got entry {entry!r}")
+        _check_simplex(entry["simplex"])
+        pairs.append((tuple(entry["simplex"]), parse_rational(entry["coeff"])))
+    return GlobalCochain(complex_, pairs)
 
 
 def load_global_cochain(text: str, complex_: OrderedComplex) -> GlobalCochain:

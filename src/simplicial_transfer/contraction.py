@@ -35,7 +35,6 @@ from itertools import combinations
 from .cochains import (
     Cochain,
     basis_faces,
-    coboundary,
     elementary_form,
     include_g,
     project_f,
@@ -253,11 +252,3 @@ def check_contraction(n: int, max_poly_degree: int) -> ContractionReport:
         run(f"1 - eval@{i} = d h^{i} + h^{i} d", len(monomials), poincare_failures())
 
     return report
-
-
-def delta_is_stokes_dual(n: int, max_poly_degree: int) -> bool:
-    """Sanity helper: f o d = delta o f over the monomial basis."""
-    for m in monomial_basis(n, max_poly_degree):
-        if project_f(differential(m)) != coboundary(project_f(m)):
-            return False
-    return True

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 import re
 
-from .rationals import factorial, rational_str
+from .rationals import exact, factorial, rational_str
 
 __all__ = [
     "Form",
@@ -79,7 +79,7 @@ class Form:
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                coeff = Fraction(coeff)
+                coeff = exact(coeff)
                 if coeff == 0:
                     continue
                 exps, dts = key
@@ -92,6 +92,16 @@ class Form:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: dict) -> "Form":
+        """Wrap a dict that is already clean: tuple keys in normal form,
+        nonzero Fraction values, owned by the new Form alone."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "dim", dim)
+        object.__setattr__(form, "terms", terms)
+        object.__setattr__(form, "_hash", None)
+        return form
 
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
@@ -106,7 +116,7 @@ class Form:
 
     @classmethod
     def monomial(cls, dim: int, exps, dts, coeff=1) -> "Form":
-        return cls(dim, {(tuple(exps), tuple(dts)): Fraction(coeff)})
+        return cls(dim, {(tuple(exps), tuple(dts)): coeff})
 
     # -- linear structure ------------------------------------------------
 
@@ -120,19 +130,19 @@ class Form:
                 out.pop(key, None)
             else:
                 out[key] = new
-        return Form(self.dim, out)
+        return Form._trusted(self.dim, out)
 
     def __neg__(self) -> "Form":
-        return Form(self.dim, {k: -c for k, c in self.terms.items()})
+        return Form._trusted(self.dim, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def __rmul__(self, scalar) -> "Form":
-        scalar = Fraction(scalar)
+        scalar = exact(scalar)
         if scalar == 0:
             return Form(self.dim)
-        return Form(self.dim, {k: scalar * c for k, c in self.terms.items()})
+        return Form._trusted(self.dim, {k: scalar * c for k, c in self.terms.items()})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -159,21 +169,10 @@ class Form:
     def form_degrees(self) -> set[int]:
         return {len(dts) for _, dts in self.terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.form_degrees()) <= 1
-
     def homogeneous_degree(self) -> int | None:
         """Form degree when homogeneous and nonzero, else None."""
         degs = self.form_degrees()
         return degs.pop() if len(degs) == 1 else None
-
-    def degree_part(self, k: int) -> "Form":
-        return Form(
-            self.dim, {key: c for key, c in self.terms.items() if len(key[1]) == k}
-        )
-
-    def poly_degree(self) -> int:
-        return max((sum(exps) for exps, _ in self.terms), default=0)
 
 
 def generator(dim: int, kind: str, index: int) -> Form:
@@ -220,7 +219,7 @@ def wedge(a: Form, b: Form) -> Form:
                 out.pop(key, None)
             else:
                 out[key] = new
-    return Form(a.dim, out)
+    return Form._trusted(a.dim, out)
 
 
 def differential(a: Form) -> Form:
@@ -244,7 +243,7 @@ def differential(a: Form) -> Form:
                 out.pop(key, None)
             else:
                 out[key] = new
-    return Form(a.dim, out)
+    return Form._trusted(a.dim, out)
 
 
 def vertex_evaluate(a: Form, index: int) -> Fraction:

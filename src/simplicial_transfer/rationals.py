@@ -2,9 +2,11 @@
 
 Every scalar in this package is a ``fractions.Fraction``, which already
 guarantees the canonical-form invariants we rely on (lowest terms, positive
-denominator, zero stored as 0/1).  The Bernoulli convention throughout is
-B_n = B_n(0), so B_1 = -1/2; the higher interval products computed by the
-transfer engine are compared against B_n/n! under this convention.
+denominator, zero stored as 0/1).  The checking constructors of forms and
+cochains accept only ints and Fractions (see ``exact``).  The Bernoulli
+convention throughout is B_n = B_n(0), so B_1 = -1/2; the higher interval
+products computed by the transfer engine are compared against B_n/n! under
+this convention.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ __all__ = [
     "Rational",
     "rational_str",
     "parse_rational",
+    "exact",
     "factorial",
     "binomial",
     "bernoulli_number",
@@ -37,7 +40,22 @@ def rational_str(x: Fraction | int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """Parse ``p/q`` or ``p``; input that is not such a string (a JSON
+    number, say) raises ``ValueError``."""
+    if not isinstance(text, str):
+        raise ValueError(f"rational {text!r} must be a string such as \"1/2\"")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
+
+
+def exact(x) -> Fraction:
+    """``x`` as a Fraction.  Only ints and Fractions are exact scalars, so a
+    float, string or anything else raises ``TypeError``."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"coefficient {x!r} is not exact; use int or Fraction")
+    return Fraction(x)
 
 
 def factorial(n: int) -> int:

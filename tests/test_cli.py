@@ -112,3 +112,48 @@ def test_complex_bad_file(tmp_path, capsys):
     code, _, err = run(capsys, "complex", "--file", str(bad), "whitney-check")
     assert code == 2
     assert "bad complex file" in err
+
+
+def _complex_run(tmp_path, capsys, complex_data, *operation):
+    complex_file = tmp_path / "complex.json"
+    complex_file.write_text(json.dumps(complex_data))
+    return run(capsys, "complex", "--file", str(complex_file), *operation)
+
+
+def _cup_with(tmp_path, capsys, entries):
+    a_file = tmp_path / "a.json"
+    a_file.write_text(json.dumps({"entries": entries}))
+    return _complex_run(
+        tmp_path, capsys, {"vertices": [0, 1], "simplices": [[0, 1]]},
+        "cup", "--a", str(a_file), "--b", str(a_file),
+    )
+
+
+def _assert_one_line_usage_error(code, err, prefix):
+    assert code == 2
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cochain_coefficient_as_json_number(tmp_path, capsys):
+    code, _, err = _cup_with(tmp_path, capsys, [{"simplex": [0], "coeff": 0.1}])
+    _assert_one_line_usage_error(code, err, "bad cochain file")
+
+
+def test_cochain_entry_without_coeff(tmp_path, capsys):
+    code, _, err = _cup_with(tmp_path, capsys, [{"simplex": [0]}])
+    _assert_one_line_usage_error(code, err, "bad cochain file")
+
+
+def test_complex_vertices_not_a_list(tmp_path, capsys):
+    code, _, err = _complex_run(
+        tmp_path, capsys, {"vertices": 3, "simplices": [[0, 1]]}, "whitney-check"
+    )
+    _assert_one_line_usage_error(code, err, "bad complex file")
+
+
+def test_complex_non_integer_vertex_index(tmp_path, capsys):
+    code, _, err = _complex_run(
+        tmp_path, capsys, {"vertices": [0, 1], "simplices": [["a", "b"]]}, "whitney-check"
+    )
+    _assert_one_line_usage_error(code, err, "bad complex file")

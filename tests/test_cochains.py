@@ -126,3 +126,18 @@ def test_records_round_trip():
     ]
     assert cochain_from_records(records, 2) == c
     assert format_cochain(c) == "face=[2] coeff=-1; face=[0,1] coeff=3/2"
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", None, complex(1, 0)])
+def test_constructors_reject_inexact_scalars(bad):
+    with pytest.raises(TypeError):
+        Form(1, {((1,), ()): bad})
+    with pytest.raises(TypeError):
+        Form.monomial(1, (1,), (), bad)
+    with pytest.raises(TypeError):
+        bad * Form.one(1)
+    with pytest.raises(TypeError):
+        Cochain(1, {(0,): bad})
+    with pytest.raises(TypeError):
+        bad * Cochain.basis_element(1, (0,))
+    assert Form(1, {((1,), ()): True}) == Form.monomial(1, (1,), ())

@@ -213,3 +213,12 @@ def test_cochain_file_round_trip():
         load_global_cochain("[]", DELTA2)
     with pytest.raises(ValueError):
         load_global_cochain('{"entries": [{"simplex": [5], "coeff": "1"}]}', DELTA2)
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2", None])
+def test_global_cochain_rejects_inexact_scalars(bad):
+    with pytest.raises(TypeError):
+        GlobalCochain(DELTA1, {(0,): bad})
+    with pytest.raises(TypeError):
+        bad * chi(DELTA1, 0)
+    assert GlobalCochain(DELTA1, {(0,): 2}) == 2 * chi(DELTA1, 0)

@@ -107,6 +107,9 @@ def test_rational_round_trip():
     assert rational_str(Fraction(-7)) == "-7"
     assert parse_rational("3/2") == Fraction(3, 2)
     assert parse_rational("-7") == Fraction(-7)
+    for bad in (0.1, 3, None, "1/0", "x"):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
 
 
 @given(st.fractions(), st.fractions())
