@@ -272,7 +272,7 @@ def interval_basis_components(c: Cochain) -> tuple[Fraction, Fraction, Fraction]
 
 
 def cochain_from_interval_basis(c_one, c_t, c_dt) -> Cochain:
-    c_one, c_t, c_dt = Fraction(c_one), Fraction(c_t), Fraction(c_dt)
+    c_one, c_t, c_dt = exact(c_one), exact(c_t), exact(c_dt)
     return Cochain(1, {(0,): c_one, (1,): c_one + c_t, (0, 1): c_dt})
 
 

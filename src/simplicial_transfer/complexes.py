@@ -26,7 +26,7 @@ from .forms import Form, differential, face_restrict, format_form, integrate_top
 from .rationals import exact, parse_rational, rational_str
 from .reporting import CheckRecord, VerificationReport
 from .tensorwords import Homog
-from .transfer import transferred_m, _relation_value
+from .transfer import Contraction, transferred_m, _relation_value
 
 __all__ = [
     "OrderedComplex",
@@ -109,9 +109,6 @@ class OrderedComplex:
             h = hash((self.vertices, self.simplices))
             object.__setattr__(self, "_hash", h)
         return h
-
-    def dim_of(self, simplex: Simplex) -> int:
-        return len(simplex) - 1
 
     def star(self, simplices) -> set[Simplex]:
         """All simplices having some member of the given set as a face."""
@@ -443,30 +440,21 @@ def cup(a: GlobalCochain, b: GlobalCochain) -> GlobalCochain:
     return global_f(global_wedge(global_g(a), global_g(b)))
 
 
-class ComplexContraction:
-    """The levelwise contraction on a complex, exposing the same interface
-    as the single-simplex bundle so the transfer engine runs unchanged."""
+class ComplexContraction(Contraction):
+    """The levelwise contraction on a complex.  Every map acts simplex by
+    simplex, so the transfer engine runs on a complex exactly as on one
+    simplex; the basis letters are the indicator cochains of the simplices
+    of the closure, and f(1) must be the sum of the vertex indicators."""
 
     def __init__(self, complex_: OrderedComplex, koszul_signs: bool = True):
+        super().__init__(koszul_signs)
         self.complex = complex_
-        self.koszul_signs = koszul_signs
-        self._memo_G: dict = {}
 
     def d_A(self, x: GlobalForm) -> GlobalForm:
         return global_differential(x)
 
-    def m_A(self, degrees, values):
-        k = len(values)
-        if k == 1:
-            return self.d_A(values[0])
-        if k == 2:
-            sign = 1 if (degrees[0] + 1) % 2 == 0 else -1
-            prod = global_wedge(values[0], values[1])
-            return prod if sign == 1 else -prod
-        return self.zero_A()
-
-    def m_A_is_zero(self, k: int) -> bool:
-        return k >= 3
+    def wedge_A(self, x: GlobalForm, y: GlobalForm) -> GlobalForm:
+        return global_wedge(x, y)
 
     def one_A(self) -> GlobalForm:
         return GlobalForm.one(self.complex)
@@ -480,8 +468,8 @@ class ComplexContraction:
     def zero_B(self) -> GlobalCochain:
         return GlobalCochain(self.complex)
 
-    def unit_B(self) -> GlobalCochain:
-        return global_f(self.one_A())
+    def expected_unit(self) -> GlobalCochain:
+        return GlobalCochain.unit(self.complex)
 
     def f(self, x: GlobalForm) -> GlobalCochain:
         return global_f(x)
@@ -492,25 +480,11 @@ class ComplexContraction:
     def H(self, x: GlobalForm) -> GlobalForm:
         return global_H(x)
 
-    def b_basis(self) -> list[Homog]:
-        return [
-            Homog(GlobalCochain.basis_element(self.complex, s), len(s) - 2)
-            for s in self.complex.simplices
-        ]
+    def faces(self):
+        return self.complex.simplices
 
-    def letter_label(self, letter: Homog) -> str:
-        carrier = letter.carrier
-        if isinstance(carrier, GlobalCochain) and len(carrier.coeffs) == 1:
-            (simplex, coeff), = carrier.coeffs.items()
-            if coeff == 1:
-                return "x(" + ",".join(map(str, simplex)) + ")"
-        return repr(carrier)
-
-    def render_B(self, value) -> str:
-        return repr(value)
-
-    def render_A(self, value) -> str:
-        return repr(value)
+    def basis_element(self, simplex) -> GlobalCochain:
+        return GlobalCochain.basis_element(self.complex, simplex)
 
 
 def transferred_global_m(cochains, bundle=None) -> GlobalCochain:

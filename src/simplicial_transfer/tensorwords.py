@@ -20,6 +20,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Any, Callable, Sequence
 
+from .rationals import exact
+
 __all__ = [
     "Homog",
     "TensorSum",
@@ -29,6 +31,7 @@ __all__ = [
     "outer_shuffle",
     "deconcatenations",
     "compositions",
+    "split_word",
     "shuffle_span_membership",
     "formal_word",
 ]
@@ -64,7 +67,7 @@ class TensorSum:
         clean: dict[Any, Fraction] = {}
         if terms:
             for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                coeff = Fraction(coeff)
+                coeff = exact(coeff)
                 if coeff == 0:
                     continue
                 new = clean.get(key, Fraction(0)) + coeff
@@ -91,7 +94,7 @@ class TensorSum:
         return self + (-other)
 
     def __rmul__(self, scalar) -> "TensorSum":
-        scalar = Fraction(scalar)
+        scalar = exact(scalar)
         if scalar == 0:
             return TensorSum()
         return TensorSum({k: scalar * c for k, c in self.terms.items()})
@@ -142,7 +145,7 @@ def koszul_apply(
         if isinstance(image, Homog):
             slots.append([(Fraction(1), image)])
         else:
-            slots.append([(Fraction(c), h) for c, h in image])
+            slots.append([(exact(c), h) for c, h in image])
     out = TensorSum()
     for combo in product(*slots):
         coeff = Fraction(sign)
@@ -218,20 +221,22 @@ def compositions(n: int, k: int):
         yield tuple(bounds[i + 1] - bounds[i] for i in range(k))
 
 
+def split_word(word: Word, sizes: Sequence[int]) -> tuple[Word, ...]:
+    """Cut a word into consecutive blocks of the given sizes."""
+    blocks = []
+    start = 0
+    for size in sizes:
+        blocks.append(word[start : start + size])
+        start += size
+    return tuple(blocks)
+
+
 def deconcatenations(word: Word, k: int) -> TensorSum:
     """Sum of all splittings of a word into k nonempty blocks; no signs."""
     n = len(word)
     if not 1 <= k <= n:
         raise ValueError(f"cannot split a word of length {n} into {k} blocks")
-    out: dict[tuple, Fraction] = {}
-    for comp in compositions(n, k):
-        blocks = []
-        start = 0
-        for size in comp:
-            blocks.append(word[start : start + size])
-            start += size
-        out[tuple(blocks)] = out.get(tuple(blocks), Fraction(0)) + 1
-    return TensorSum(out)
+    return TensorSum({split_word(word, comp): 1 for comp in compositions(n, k)})
 
 
 # -- span membership for split shuffles ----------------------------------

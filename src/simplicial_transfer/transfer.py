@@ -10,17 +10,18 @@ grading (degree = form degree - 1) the binary operation is
 an operation of degree +1, and all operations of arity >= 3 vanish.  The
 transferred n-ary cochain operations are
 
-    m_n = sum over trees with n leaves of the tree operation,
+    m_n = sum over trees with n leaves of the tree operation.
 
-equivalently, by grouping trees at the root,
+Only trees with binary vertices contribute, so grouping them at the root
+cuts the word once:
 
-    m_n = sum_{k, n_1+...+n_k=n} f o m_k o (G_{n_1} x ... x G_{n_k}),
-    G_n  = sum_{k, n_1+...+n_k=n} H o m_k o (G_{n_1} x ... x G_{n_k}),
+    m_n = f(sum_{i=1}^{n-1} m_2(G_i(b_1..b_i), G_{n-i}(b_{i+1}..b_n))),
+    G_n = H(sum_{i=1}^{n-1} m_2(G_i(b_1..b_i), G_{n-i}(b_{i+1}..b_n))),
 
 with G_1 = g and m_1 the cochain coboundary.  Both routes are implemented;
-their agreement is itself one of the checked identities.  The blocks
-G_{n_i} have even parity and degree zero, so no slot signs arise in the
-recursion itself; all other slotwise applications are Koszul-signed.
+their agreement is itself one of the checked identities.  The blocks G_i
+have even parity and degree zero, so no slot signs arise in the recursion
+itself; all other slotwise applications are Koszul-signed.
 
 The identity batteries here are the arbiter for every sign convention in the
 package: associativity-up-to-homotopy, the morphism relations, vanishing on
@@ -48,10 +49,11 @@ from .forms import Form, differential, format_form, integrate_top, wedge
 from .rationals import UniPoly, bernoulli_number, bernoulli_polynomial, binomial
 from .rationals import factorial, rational_str
 from .reporting import CheckRecord, VerificationReport
-from .tensorwords import Homog, compositions, shuffle
+from .tensorwords import Homog, shuffle, word_degree
 from .trees import enumerate_trees, evaluate_tree_m
 
 __all__ = [
+    "Contraction",
     "SimplexContraction",
     "transferred_m",
     "transferred_m_trees",
@@ -67,35 +69,71 @@ __all__ = [
 ]
 
 
-class SimplexContraction:
-    """The contraction data on a fixed simplex dimension, packaged for the
-    transfer engine.
+class Contraction:
+    """Contraction data packaged for the transfer engine.
+
+    A bundle supplies its maps: the algebra side (``d_A``, ``wedge_A``,
+    ``one_A``, ``zero_A``), the cochain side (``d_B``, ``zero_B`` and the
+    ``expected_unit`` that f(1) must equal), the contraction (``f``, ``g``,
+    ``H``), and the cochain basis (``faces`` and ``basis_element``).  The
+    operations, the unit, the basis letters and their labels are shared.
 
     ``koszul_signs=False`` drops every slotwise sign; it exists only so the
     verification commands can demonstrate a failing battery.
     """
 
-    def __init__(self, dim: int, koszul_signs: bool = True):
-        self.dim = dim
+    def __init__(self, koszul_signs: bool = True):
         self.koszul_signs = koszul_signs
         self._memo_G: dict = {}
+
+    def m_A(self, degrees, values):
+        """The algebra-side operation of any arity: the differential, the
+        signed product, and zero from arity 3 on."""
+        k = len(values)
+        if k == 1:
+            return self.d_A(values[0])
+        if k == 2:
+            prod = self.wedge_A(values[0], values[1])
+            return prod if degrees[0] % 2 else -prod
+        return self.zero_A()
+
+    def unit_B(self):
+        return self.f(self.one_A())
+
+    def b_basis(self) -> list[Homog]:
+        return [
+            Homog(self.basis_element(face), len(face) - 2) for face in self.faces()
+        ]
+
+    def letter_label(self, letter: Homog) -> str:
+        carrier = letter.carrier
+        coeffs = getattr(carrier, "coeffs", {})
+        if len(coeffs) == 1:
+            (face, coeff), = coeffs.items()
+            if coeff == 1:
+                return "x(" + ",".join(map(str, face)) + ")"
+        return repr(carrier)
+
+    def render_B(self, value) -> str:
+        return repr(value)
+
+    def render_A(self, value) -> str:
+        return repr(value)
+
+
+class SimplexContraction(Contraction):
+    """The contraction data on a fixed simplex dimension."""
+
+    def __init__(self, dim: int, koszul_signs: bool = True):
+        super().__init__(koszul_signs)
+        self.dim = dim
 
     # algebra side
     def d_A(self, x: Form) -> Form:
         return differential(x)
 
-    def m_A(self, degrees, values):
-        k = len(values)
-        if k == 1:
-            return self.d_A(values[0])
-        if k == 2:
-            sign = 1 if (degrees[0] + 1) % 2 == 0 else -1
-            prod = wedge(values[0], values[1])
-            return prod if sign == 1 else -prod
-        return self.zero_A()
-
-    def m_A_is_zero(self, k: int) -> bool:
-        return k >= 3
+    def wedge_A(self, x: Form, y: Form) -> Form:
+        return wedge(x, y)
 
     def one_A(self) -> Form:
         return Form.one(self.dim)
@@ -110,8 +148,8 @@ class SimplexContraction:
     def zero_B(self) -> Cochain:
         return Cochain.zero(self.dim)
 
-    def unit_B(self) -> Cochain:
-        return project_f(self.one_A())
+    def expected_unit(self) -> Cochain:
+        return unit_cochain(self.dim)
 
     # contraction maps
     def f(self, x: Form) -> Cochain:
@@ -123,20 +161,12 @@ class SimplexContraction:
     def H(self, x: Form) -> Form:
         return homotopy_H(x)
 
-    # bases and labels
-    def b_basis(self) -> list[Homog]:
-        return [
-            Homog(Cochain.basis_element(self.dim, face), len(face) - 2)
-            for face in basis_faces(self.dim)
-        ]
+    # basis and rendering
+    def faces(self):
+        return basis_faces(self.dim)
 
-    def letter_label(self, letter: Homog) -> str:
-        carrier = letter.carrier
-        if isinstance(carrier, Cochain) and len(carrier.coeffs) == 1:
-            (face, coeff), = carrier.coeffs.items()
-            if coeff == 1:
-                return "x(" + ",".join(map(str, face)) + ")"
-        return repr(carrier)
+    def basis_element(self, face) -> Cochain:
+        return Cochain.basis_element(self.dim, face)
 
     def render_B(self, value) -> str:
         return format_cochain(value)
@@ -145,66 +175,48 @@ class SimplexContraction:
         return format_form(value)
 
 
-def _word_degrees(word) -> list[int]:
-    return [h.degree for h in word]
+def _cut_products(bundle, word: tuple[Homog, ...]):
+    """sum_{i=1}^{n-1} m_2(G(word[:i]), G(word[i:])), the sum over all trees
+    of the value just below the root: only binary vertices contribute, so
+    the root cuts the word once.  The right block is evaluated only where
+    the left one is nonzero."""
+    total = bundle.zero_A()
+    whole = word_degree(word)
+    left_degree = 0
+    for i in range(1, len(word)):
+        left_degree += word[i - 1].degree
+        left = morphism_G(bundle, word[:i])
+        if not left:
+            continue
+        right = morphism_G(bundle, word[i:])
+        if right:
+            total = total + bundle.m_A((left_degree, whole - left_degree), (left, right))
+    return total
 
 
 def morphism_G(bundle, word: tuple[Homog, ...]) -> "Form":
-    """The morphism component on a word of cochain letters; G_1 = g and the
-    higher components follow the homotopy-capped recursion."""
+    """The morphism component on a word of cochain letters; G_1 = g and
+    G_n = H(cut products), memoised per word."""
     n = len(word)
     if n == 0:
         raise ValueError("empty word")
     if n == 1:
         return bundle.g(word[0].carrier)
     cached = bundle._memo_G.get(word)
-    if cached is not None:
-        return cached
-    total = bundle.zero_A()
-    for k in range(2, n + 1):
-        if bundle.m_A_is_zero(k) and k > 2:
-            continue
-        for comp in compositions(n, k):
-            blocks = []
-            start = 0
-            for size in comp:
-                blocks.append(word[start : start + size])
-                start += size
-            values = [morphism_G(bundle, block) for block in blocks]
-            if any(not v for v in values):
-                continue
-            degrees = [sum(_word_degrees(block)) for block in blocks]
-            # the G blocks have even parity, so no slot sign arises
-            total = total + bundle.m_A(degrees, values)
-    result = bundle.H(total)
-    bundle._memo_G[word] = result
-    return result
+    if cached is None:
+        cached = bundle._memo_G[word] = bundle.H(_cut_products(bundle, word))
+    return cached
 
 
 def transferred_m(bundle, word: tuple[Homog, ...]):
     """The transferred n-ary operation on a word of cochain letters; arity 1
-    is the cochain differential."""
+    is the cochain differential and m_n = f(cut products) above."""
     n = len(word)
     if n == 0:
         raise ValueError("empty word")
     if n == 1:
         return bundle.d_B(word[0].carrier)
-    total = bundle.zero_A()
-    for k in range(2, n + 1):
-        if bundle.m_A_is_zero(k) and k > 2:
-            continue
-        for comp in compositions(n, k):
-            blocks = []
-            start = 0
-            for size in comp:
-                blocks.append(word[start : start + size])
-                start += size
-            values = [morphism_G(bundle, block) for block in blocks]
-            if any(not v for v in values):
-                continue
-            degrees = [sum(_word_degrees(block)) for block in blocks]
-            total = total + bundle.m_A(degrees, values)
-    return bundle.f(total)
+    return bundle.f(_cut_products(bundle, word))
 
 
 def transferred_m_trees(bundle, word: tuple[Homog, ...]):
@@ -220,33 +232,29 @@ def transferred_m_trees(bundle, word: tuple[Homog, ...]):
     return total
 
 
-def _insertion_sign(bundle, word, j: int) -> int:
-    """Koszul sign for sliding an odd operation past the first j letters."""
-    if not bundle.koszul_signs:
-        return 1
-    exponent = sum(word[i].degree for i in range(j))
-    return -1 if exponent % 2 else 1
-
-
-def _relation_value(bundle, word) -> "Cochain":
-    """Left side of the structure relation at the word's arity:
-
-        sum_{k,j} +- m_{n-k+1}(b_1..b_j, m_k(b_{j+1}..b_{j+k}), ..., b_n).
-    """
+def _insertions(bundle, word, outer, zero):
+    """sum_{k,j} +- outer(b_1..b_j, m_k(b_{j+1}..b_{j+k}), ..., b_n), with
+    ``outer`` either transferred_m or morphism_G and ``zero`` its zero; the
+    Koszul sign slides the odd m_k past b_1..b_j."""
     n = len(word)
-    total = bundle.zero_B()
+    total = zero
     for k in range(1, n + 1):
         for j in range(0, n - k + 1):
             inner_word = word[j : j + k]
             inner = transferred_m(bundle, inner_word)
             if not inner:
                 continue
-            inner_degree = sum(_word_degrees(inner_word)) + 1
-            outer_word = word[:j] + (Homog(inner, inner_degree),) + word[j + k :]
-            sign = _insertion_sign(bundle, word, j)
-            term = transferred_m(bundle, outer_word)
-            total = total + (term if sign == 1 else sign * term)
+            inner_letter = Homog(inner, word_degree(inner_word) + 1)
+            term = outer(bundle, word[:j] + (inner_letter,) + word[j + k :])
+            if bundle.koszul_signs and word_degree(word[:j]) % 2:
+                term = -term
+            total = total + term
     return total
+
+
+def _relation_value(bundle, word) -> "Cochain":
+    """Left side of the structure relation at the word's arity."""
+    return _insertions(bundle, word, transferred_m, bundle.zero_B())
 
 
 def _word_label(bundle, word) -> str:
@@ -298,35 +306,8 @@ def check_morphism(bundle, max_arity: int, basis=None) -> VerificationReport:
         count = 0
         for word in product(basis, repeat=n):
             count += 1
-            lhs = bundle.d_A(morphism_G(bundle, word))
-            for k in range(2, n + 1):
-                if bundle.m_A_is_zero(k) and k > 2:
-                    continue
-                for comp in compositions(n, k):
-                    blocks = []
-                    start = 0
-                    for size in comp:
-                        blocks.append(word[start : start + size])
-                        start += size
-                    values = [morphism_G(bundle, block) for block in blocks]
-                    if any(not v for v in values):
-                        continue
-                    degrees = [sum(_word_degrees(block)) for block in blocks]
-                    lhs = lhs + bundle.m_A(degrees, values)
-            rhs = bundle.zero_A()
-            for k in range(1, n + 1):
-                for j in range(0, n - k + 1):
-                    inner_word = word[j : j + k]
-                    inner = transferred_m(bundle, inner_word)
-                    if not inner:
-                        continue
-                    inner_degree = sum(_word_degrees(inner_word)) + 1
-                    outer_word = (
-                        word[:j] + (Homog(inner, inner_degree),) + word[j + k :]
-                    )
-                    sign = _insertion_sign(bundle, word, j)
-                    term = morphism_G(bundle, outer_word)
-                    rhs = rhs + (term if sign == 1 else sign * term)
+            lhs = bundle.d_A(morphism_G(bundle, word)) + _cut_products(bundle, word)
+            rhs = _insertions(bundle, word, morphism_G, bundle.zero_A())
             if lhs != rhs:
                 failure = (
                     f"word={_word_label(bundle, word)} "
@@ -414,9 +395,24 @@ def check_unital(bundle, max_arity: int) -> VerificationReport:
             CheckRecord(name=name, basis_size=size, passed=failure is None, counterexample=failure)
         )
 
-    unit_expected = unit_cochain(bundle.dim) if isinstance(e, Cochain) else None
+    def vanish_on_unit(what, outer, render, first_arity):
+        for n in range(first_arity, max_arity + 1):
+            failure = None
+            count = 0
+            for slot in range(n):
+                for rest in product(basis, repeat=n - 1):
+                    count += 1
+                    word = rest[:slot] + (e_letter,) + rest[slot:]
+                    value = outer(bundle, word)
+                    if value:
+                        failure = f"word={_word_label(bundle, word)} gives {render(value)}"
+                        break
+                if failure:
+                    break
+            record(f"{what} of arity {n} vanish on the unit", count, failure)
+
     failure = None
-    if unit_expected is not None and e != unit_expected:
+    if e != bundle.expected_unit():
         failure = f"f(1) = {bundle.render_B(e)}"
     record("unit is the sum of vertex indicators", 1, failure)
 
@@ -439,40 +435,14 @@ def check_unital(bundle, max_arity: int) -> VerificationReport:
             break
     record("binary unit laws", len(basis), failure)
 
-    for n in range(3, max_arity + 1):
-        failure = None
-        count = 0
-        for slot in range(n):
-            for rest in product(basis, repeat=n - 1):
-                count += 1
-                word = rest[:slot] + (e_letter,) + rest[slot:]
-                value = transferred_m(bundle, word)
-                if value:
-                    failure = f"word={_word_label(bundle, word)} gives {bundle.render_B(value)}"
-                    break
-            if failure:
-                break
-        record(f"operations of arity {n} vanish on the unit", count, failure)
+    vanish_on_unit("operations", transferred_m, bundle.render_B, 3)
 
     failure = None
     if morphism_G(bundle, (e_letter,)) != bundle.one_A():
         failure = "g does not send the unit to 1"
     record("morphism sends unit to 1", 1, failure)
 
-    for n in range(2, max_arity + 1):
-        failure = None
-        count = 0
-        for slot in range(n):
-            for rest in product(basis, repeat=n - 1):
-                count += 1
-                word = rest[:slot] + (e_letter,) + rest[slot:]
-                value = morphism_G(bundle, word)
-                if value:
-                    failure = f"word={_word_label(bundle, word)} gives {bundle.render_A(value)}"
-                    break
-            if failure:
-                break
-        record(f"morphism components of arity {n} vanish on the unit", count, failure)
+    vanish_on_unit("morphism components", morphism_G, bundle.render_A, 2)
 
     return report
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-from .tensorwords import Homog, compositions, koszul_sign
+from .tensorwords import Homog, compositions, koszul_sign, split_word
 
 __all__ = [
     "PlanarTree",
@@ -148,20 +148,10 @@ def tree_from_text(text: str) -> PlanarTree:
 # -- evaluation ----------------------------------------------------------
 
 
-def _split_word(tree: PlanarTree, word: tuple):
-    blocks = []
-    start = 0
-    for child in tree.children:
-        size = child.n_leaves
-        blocks.append(word[start : start + size])
-        start += size
-    return blocks
-
-
 def _eval_vertex(tree: PlanarTree, word: tuple[Homog, ...], bundle):
     """Value of the subtree composite up to (not including) the map attached
     to the outgoing edge; returns (parity, degree, value)."""
-    blocks = _split_word(tree, word)
+    blocks = split_word(word, [child.n_leaves for child in tree.children])
     parities: list[int] = []
     in_degrees: list[int] = []
     out_degrees: list[int] = []

@@ -27,6 +27,7 @@ from simplicial_transfer.forms import (
     monomial_basis,
     parse_form,
 )
+from simplicial_transfer.tensorwords import Homog, TensorSum, koszul_apply
 
 
 def chi(dim, *face):
@@ -140,4 +141,13 @@ def test_constructors_reject_inexact_scalars(bad):
         Cochain(1, {(0,): bad})
     with pytest.raises(TypeError):
         bad * Cochain.basis_element(1, (0,))
+    with pytest.raises(TypeError):
+        cochain_from_interval_basis(bad, 0, 0)
+    letter = Homog("a", 0)
+    with pytest.raises(TypeError):
+        TensorSum({(letter,): bad})
+    with pytest.raises(TypeError):
+        bad * TensorSum({(letter,): 1})
+    with pytest.raises(TypeError):
+        koszul_apply([(lambda h: [(bad, h)], 0)], (letter,))
     assert Form(1, {((1,), ()): True}) == Form.monomial(1, (1,), ())

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -28,8 +29,10 @@ from simplicial_transfer.tensorwords import Homog
 from simplicial_transfer.transfer import (
     check_a_infinity,
     check_c_infinity,
+    check_morphism,
     check_unital,
     transferred_m,
+    transferred_m_trees,
 )
 
 DELTA1 = OrderedComplex([0, 1], [[0, 1]])
@@ -185,6 +188,13 @@ def test_global_batteries_on_the_triangle():
     assert check_a_infinity(bundle, 3).all_passed
     assert check_c_infinity(bundle, 3).all_passed
     assert check_unital(bundle, 3).all_passed
+    assert check_morphism(bundle, 3).all_passed
+
+
+def test_global_tree_sum_agrees_with_recursion_on_the_boundary():
+    bundle = ComplexContraction(BOUNDARY2)
+    for word in product(bundle.b_basis(), repeat=3):
+        assert transferred_m(bundle, word) == transferred_m_trees(bundle, word)
 
 
 def test_global_unit_is_the_vertex_sum():

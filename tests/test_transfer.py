@@ -8,6 +8,7 @@ from simplicial_transfer.cochains import (
     interval_basis_components,
     unit_cochain,
 )
+from simplicial_transfer.complexes import ComplexContraction, OrderedComplex
 from simplicial_transfer.forms import parse_form
 from simplicial_transfer.rationals import UniPoly, bernoulli_number, factorial
 from simplicial_transfer.tensorwords import Homog
@@ -23,7 +24,12 @@ from simplicial_transfer.transfer import (
     transferred_m,
     transferred_m_trees,
 )
-from simplicial_transfer.trees import evaluate_tree_m, path_trees
+from simplicial_transfer.trees import (
+    enumerate_trees,
+    evaluate_tree_G,
+    evaluate_tree_m,
+    path_trees,
+)
 
 
 def interval_letters():
@@ -84,9 +90,19 @@ def test_tree_sum_agrees_with_recursion_on_the_triangle():
             assert transferred_m(bundle, word) == transferred_m_trees(bundle, word)
 
 
-def test_single_vertex_tree_matches_morphism_component():
-    from simplicial_transfer.trees import enumerate_trees, evaluate_tree_G
+@pytest.mark.parametrize("dim, max_arity", [(1, 4), (2, 3)])
+def test_morphism_components_equal_the_H_rooted_tree_sum(dim, max_arity):
+    bundle = SimplexContraction(dim)
+    basis = bundle.b_basis()
+    for n in range(2, max_arity + 1):
+        for word in product(basis, repeat=n):
+            total = bundle.zero_A()
+            for tree in enumerate_trees(n):
+                total = total + evaluate_tree_G(tree, word, bundle)
+            assert morphism_G(bundle, word) == total
 
+
+def test_single_vertex_tree_matches_morphism_component():
     bundle = SimplexContraction(1)
     (two_leaf,) = enumerate_trees(2)
     t, dt = interval_letters()
@@ -144,6 +160,27 @@ def test_unitality_interval():
     assert report.all_passed, report.to_text()
     bundle = SimplexContraction(1)
     assert bundle.unit_B() == unit_cochain(1)
+
+
+@pytest.mark.parametrize(
+    "make_bundle",
+    [
+        lambda: SimplexContraction(2),
+        lambda: ComplexContraction(OrderedComplex([0, 1, 2], [[0, 1], [1, 2]])),
+    ],
+    ids=["simplex", "complex"],
+)
+def test_wrong_unit_fails_the_unit_record(make_bundle):
+    bundle = make_bundle()
+    assert check_unital(bundle, 2).all_passed
+    bundle.unit_B = lambda: 2 * bundle.expected_unit()
+    (record,) = [
+        c
+        for c in check_unital(bundle, 2).checks
+        if c.name == "unit is the sum of vertex indicators"
+    ]
+    assert not record.passed
+    assert record.counterexample.startswith("f(1) = ")
 
 
 def test_broken_signs_fail_with_counterexample():

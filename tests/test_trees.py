@@ -154,9 +154,6 @@ class _TracingBundle:
     def m_A(self, degrees, values):
         return _Token(f"m{len(values)}({', '.join(values)})")
 
-    def m_A_is_zero(self, k):
-        return False
-
 
 def test_tree_evaluation_composition_pattern():
     # the 6-leaf tree with a 4-ary vertex feeding the middle slot of a
