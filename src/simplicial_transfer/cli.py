@@ -169,7 +169,7 @@ def cmd_complex(args, parser) -> int:
     except OSError as exc:
         print(f"cannot read complex file: {exc}", file=sys.stderr)
         return USAGE
-    except ComplexFormatError as exc:
+    except (ComplexFormatError, UnicodeDecodeError) as exc:
         print(f"bad complex file: {exc}", file=sys.stderr)
         return USAGE
 

@@ -7,20 +7,36 @@ simplex of the closure, compatibly with face restriction; cochains, forms,
 and the contraction maps are all levelwise, so the transfer engine runs on a
 complex exactly as it does on a single simplex.
 
-The product of two cochains is f(ga ^ gb).  It is graded commutative, local
-(supported on common stars), satisfies the Leibniz rule, and has the
-constant 0-cochain as identity, but it is not associative; the ternary
-transferred operation is the correcting homotopy, which the battery checks
-through the structure relation at arity three.
+The product of two cochains is f(ga ^ gb).  f reads only the top-degree part
+of the form on each simplex, so the product is bilinear in the Whitney
+structure constants of one n-simplex,
+
+    c_n(sigma, tau) = integral over the n-simplex of w_sigma ^ w_tau,
+    (a cup b)(s) = sum of a(sigma) b(tau) c_{dim s}(sigma, tau)
+
+over faces sigma, tau of s with deg sigma + deg tau = dim s, read in local
+positions of s.  The constant is nonzero exactly when sigma and tau share
+one vertex v and together span s, and then
+
+    c_n(sigma, tau) = (-1)^j sgn(sigma, tau - v) p! q! / (n + 1)!,
+
+with p = deg sigma, q = deg tau, j the position of v in tau, and sgn the
+sign of the permutation that sorts sigma followed by tau without v.  So the
+product of two indicator cochains lives on at most one simplex, their join.
+It is graded commutative, local (supported on common stars), satisfies the
+Leibniz rule, and has the constant 0-cochain as identity, but it is not
+associative; the ternary transferred operation is the correcting homotopy,
+which the battery checks through the structure relation at arity three.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
-from .cochains import Cochain, include_g
+from .cochains import Cochain, _elementary_form, include_g
 from .contraction import homotopy_H as _local_H
 from .forms import Form, differential, face_restrict, format_form, integrate_top, wedge
 from .rationals import exact, parse_rational, rational_str
@@ -65,7 +81,7 @@ class OrderedComplex:
     nonempty face of every maximal simplex.
     """
 
-    __slots__ = ("vertices", "maximal", "simplices", "_hash")
+    __slots__ = ("vertices", "maximal", "simplices", "_hash", "_cofaces")
 
     def __init__(self, vertices, maximal):
         vertices = tuple(vertices)
@@ -92,6 +108,7 @@ class OrderedComplex:
             self, "simplices", tuple(sorted(closure, key=lambda s: (len(s), s)))
         )
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_cofaces", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrderedComplex is immutable")
@@ -109,6 +126,23 @@ class OrderedComplex:
             h = hash((self.vertices, self.simplices))
             object.__setattr__(self, "_hash", h)
         return h
+
+    def cofaces(self) -> dict[Simplex, tuple[tuple[Simplex, int], ...]]:
+        """Every simplex of the closure mapped to its codimension-one cofaces,
+        each with the sign (-1)^j of the vertex position j it adds; built on
+        first use."""
+        table = self._cofaces
+        if table is None:
+            lists: dict[Simplex, list] = {s: [] for s in self.simplices}
+            for simplex in self.simplices:
+                if len(simplex) < 2:
+                    continue
+                for j in range(len(simplex)):
+                    face = simplex[:j] + simplex[j + 1 :]
+                    lists[face].append((simplex, -1 if j % 2 else 1))
+            table = {s: tuple(c) for s, c in lists.items()}
+            object.__setattr__(self, "_cofaces", table)
+        return table
 
     def star(self, simplices) -> set[Simplex]:
         """All simplices having some member of the given set as a face."""
@@ -143,13 +177,24 @@ def _check_simplex(value) -> None:
         raise ComplexFormatError(f"simplex {value!r} must be a list of vertex indices")
 
 
+def _load_json(text: str, build):
+    """build(json.loads(text)), with every failure to parse as
+    ComplexFormatError: malformed JSON, an integer literal too long to
+    convert, and nesting deeper than the recursion limit, which both the
+    decoder and the repr of a bad value in an error message can hit."""
+    try:
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ComplexFormatError(f"invalid JSON: {exc}") from exc
+        return build(data)
+    except RecursionError:
+        raise ComplexFormatError("JSON nested too deeply") from None
+
+
 def load_complex(text: str) -> OrderedComplex:
     """Parse the JSON complex format {"vertices": [...], "simplices": [[...]]}."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ComplexFormatError(f"invalid JSON: {exc}") from exc
-    return complex_from_data(data)
+    return _load_json(text, complex_from_data)
 
 
 def _positions(sub: Simplex, ambient: Simplex) -> Simplex:
@@ -417,27 +462,57 @@ def global_differential(a: GlobalForm) -> GlobalForm:
 
 
 def global_coboundary(c: GlobalCochain) -> GlobalCochain:
-    """(delta c)(v_0...v_k) = sum_j (-1)^j c(v_0...omit j...v_k)."""
-    out = {}
-    for simplex in c.complex.simplices:
-        if len(simplex) < 2:
-            continue
-        acc = Fraction(0)
-        for j in range(len(simplex)):
-            sub = simplex[:j] + simplex[j + 1 :]
-            coeff = c.coeffs.get(sub)
-            if coeff is not None:
-                acc += -coeff if j % 2 else coeff
-        if acc != 0:
-            out[simplex] = acc
+    """(delta c)(v_0...v_k) = sum_j (-1)^j c(v_0...omit j...v_k), computed
+    by pushing each coefficient of c to the cofaces of its simplex."""
+    cofaces = c.complex.cofaces()
+    out: dict[Simplex, Fraction] = {}
+    for simplex, coeff in c.coeffs.items():
+        for coface, sign in cofaces[simplex]:
+            new = out.get(coface, 0) + sign * coeff
+            if new:
+                out[coface] = new
+            else:
+                del out[coface]
     return GlobalCochain(c.complex, out)
 
 
+@lru_cache(maxsize=None)
+def _cup_constant(n: int, sigma: Simplex, tau: Simplex) -> Fraction:
+    """The Whitney structure constant: the integral of w_sigma ^ w_tau over
+    the n-simplex, for faces sigma, tau with deg sigma + deg tau = n."""
+    return integrate_top(wedge(_elementary_form(sigma, n), _elementary_form(tau, n)))
+
+
 def cup(a: GlobalCochain, b: GlobalCochain) -> GlobalCochain:
-    """The product f(ga ^ gb), computed simplexwise."""
+    """The product f(ga ^ gb), by bilinearity from the structure constants:
+
+        (a cup b)(s) = sum a(sigma) b(tau) c_{dim s}(pos sigma, pos tau)
+
+    over faces sigma, tau of s with deg sigma + deg tau = dim s.  The
+    constant is nonzero only when sigma and tau share exactly one vertex and
+    s is their union (see the module docstring), so each pair of simplices
+    contributes at most to their join, and only if it is in the complex."""
     if a.complex != b.complex:
         raise ValueError("complex mismatch")
-    return global_f(global_wedge(global_g(a), global_g(b)))
+    known = a.complex.cofaces()  # keyed by every simplex of the closure
+    out: dict[Simplex, Fraction] = {}
+    for sigma, x in a.coeffs.items():
+        for tau, y in b.coeffs.items():
+            union = set(sigma).union(tau)
+            if len(union) != len(sigma) + len(tau) - 1:
+                continue
+            simplex = tuple(sorted(union))
+            if simplex not in known:
+                continue
+            value = _cup_constant(
+                len(simplex) - 1, _positions(sigma, simplex), _positions(tau, simplex)
+            )
+            new = out.get(simplex, 0) + x * y * value
+            if new:
+                out[simplex] = new
+            else:
+                del out[simplex]
+    return GlobalCochain(a.complex, out)
 
 
 class ComplexContraction(Contraction):
@@ -656,8 +731,4 @@ def global_cochain_from_records(data: dict, complex_: OrderedComplex) -> GlobalC
 
 
 def load_global_cochain(text: str, complex_: OrderedComplex) -> GlobalCochain:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ComplexFormatError(f"invalid JSON: {exc}") from exc
-    return global_cochain_from_records(data, complex_)
+    return _load_json(text, lambda data: global_cochain_from_records(data, complex_))

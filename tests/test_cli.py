@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from simplicial_transfer.cli import main
 
@@ -157,3 +159,104 @@ def test_complex_non_integer_vertex_index(tmp_path, capsys):
         tmp_path, capsys, {"vertices": [0, 1], "simplices": [["a", "b"]]}, "whitney-check"
     )
     _assert_one_line_usage_error(code, err, "bad complex file")
+
+
+def test_complex_file_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"vertices": ["\u00e9"], "simplices": [[0]]}'.encode("latin-1"))
+    code, _, err = run(capsys, "complex", "--file", str(bad), "whitney-check")
+    _assert_one_line_usage_error(code, err, "bad complex file")
+
+
+def test_deeply_nested_complex_file(tmp_path, capsys):
+    deep = "[" * 200_000 + "]" * 200_000
+    (tmp_path / "complex.json").write_text('{"vertices": [0], "simplices": ' + deep + "}")
+    code, _, err = run(capsys, "complex", "--file", str(tmp_path / "complex.json"), "whitney-check")
+    _assert_one_line_usage_error(code, err, "bad complex file")
+
+
+def test_deeply_nested_cochain_file(tmp_path, capsys):
+    a_file = tmp_path / "a.json"
+    a_file.write_text('{"entries": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    code, _, err = _complex_run(
+        tmp_path, capsys, {"vertices": [0, 1], "simplices": [[0, 1]]},
+        "cup", "--a", str(a_file), "--b", str(a_file),
+    )
+    _assert_one_line_usage_error(code, err, "bad cochain file")
+
+
+# -- fuzzing the file loaders through main() --------------------------------
+
+_SCALARS = st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False) | st.text(max_size=4)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["vertices", "simplices", "entries", "simplex", "coeff"]) | st.text(max_size=3),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=12,
+)
+_FACE = st.lists(st.integers(-1, 5), min_size=1, max_size=4, unique=True).map(sorted)
+_NEAR_COMPLEX = st.fixed_dictionaries({
+    "vertices": st.lists(st.integers(0, 9), max_size=6, unique=True),
+    "simplices": st.lists(_FACE, max_size=4),
+})
+_NEAR_COCHAIN = st.fixed_dictionaries({
+    "entries": st.lists(
+        st.fixed_dictionaries({
+            "simplex": st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True).map(sorted),
+            "coeff": st.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,2})?", fullmatch=True) | _SCALARS,
+        }),
+        max_size=3,
+    ),
+})
+
+
+def _encode(value) -> bytes:
+    return json.dumps(value).encode("utf-8")
+
+
+def _files(near):
+    """Arbitrary bytes, arbitrary small JSON, or JSON close to the format."""
+    return st.one_of(st.binary(max_size=64), _JSON.map(_encode), near.map(_encode))
+
+
+_FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def _assert_clean_exit(code, out, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("bad ")
+    else:
+        assert out and not err
+
+
+@_FUZZ
+@given(_files(_NEAR_COMPLEX))
+def test_fuzzed_complex_file(tmp_path, capsys, payload):
+    complex_file = tmp_path / "complex.json"
+    complex_file.write_bytes(payload)
+    cochain = tmp_path / "a.json"
+    cochain.write_text(json.dumps({"entries": [{"simplex": [0], "coeff": "2"}]}))
+    code, out, err = run(
+        capsys, "complex", "--file", str(complex_file), "cup", "--a", str(cochain), "--b", str(cochain)
+    )
+    _assert_clean_exit(code, out, err)
+
+
+@_FUZZ
+@given(_files(_NEAR_COCHAIN))
+def test_fuzzed_cochain_file(tmp_path, capsys, payload):
+    cochain = tmp_path / "a.json"
+    cochain.write_bytes(payload)
+    code, out, err = _complex_run(
+        tmp_path, capsys, {"vertices": [0, 1, 2], "simplices": [[0, 1, 2]]},
+        "cup", "--a", str(cochain), "--b", str(cochain),
+    )
+    _assert_clean_exit(code, out, err)

@@ -3,11 +3,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplicial_transfer.complexes import (
     ComplexContraction,
     ComplexFormatError,
     GlobalCochain,
+    _cup_constant,
     GlobalForm,
     OrderedComplex,
     check_whitney_conditions,
@@ -24,7 +27,9 @@ from simplicial_transfer.complexes import (
     load_global_cochain,
     transferred_global_m,
 )
+from simplicial_transfer.cochains import basis_faces
 from simplicial_transfer.forms import parse_form
+from simplicial_transfer.rationals import factorial
 from simplicial_transfer.tensorwords import Homog
 from simplicial_transfer.transfer import (
     check_a_infinity,
@@ -39,6 +44,20 @@ DELTA1 = OrderedComplex([0, 1], [[0, 1]])
 DELTA2 = OrderedComplex([0, 1, 2], [[0, 1, 2]])
 BOUNDARY2 = OrderedComplex([0, 1, 2], [[0, 1], [0, 2], [1, 2]])
 PATH = OrderedComplex([0, 1, 2], [[0, 1], [1, 2]])
+BOUNDARY3 = OrderedComplex(
+    [0, 1, 2, 3], [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+)
+# antipodal pairs (0,1), (2,3), (4,5); a triangle picks one of each pair
+OCTAHEDRON = OrderedComplex(
+    range(6),
+    [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)],
+)
+# the minimal 7-vertex triangulation of the torus
+TORUS = OrderedComplex(
+    range(7),
+    [sorted({i, (i + 1) % 7, (i + 3) % 7}) for i in range(7)]
+    + [sorted({i, (i + 2) % 7, (i + 3) % 7}) for i in range(7)],
+)
 
 
 def chi(complex_, *simplex):
@@ -232,3 +251,128 @@ def test_global_cochain_rejects_inexact_scalars(bad):
     with pytest.raises(TypeError):
         bad * chi(DELTA1, 0)
     assert GlobalCochain(DELTA1, {(0,): 2}) == 2 * chi(DELTA1, 0)
+
+
+# -- the product from structure constants ----------------------------------
+
+
+def _cup_by_definition(a, b):
+    return global_f(global_wedge(global_g(a), global_g(b)))
+
+
+def _coboundary_by_definition(c):
+    """(delta c)(s) = sum_j (-1)^j c(s without its j-th vertex)."""
+    out = {}
+    for simplex in c.complex.simplices:
+        if len(simplex) > 1:
+            out[simplex] = sum(
+                (-1) ** j * c.coeffs.get(simplex[:j] + simplex[j + 1 :], 0)
+                for j in range(len(simplex))
+            )
+    return GlobalCochain(c.complex, out)
+
+
+def _basis(complex_):
+    return [GlobalCochain.basis_element(complex_, s) for s in complex_.simplices]
+
+
+def test_f_vectors_of_the_inline_surfaces():
+    def f_vector(complex_):
+        return [sum(len(s) == k for s in complex_.simplices) for k in (1, 2, 3)]
+
+    assert f_vector(OCTAHEDRON) == [6, 12, 8]
+    assert f_vector(TORUS) == [7, 21, 14]
+
+
+@pytest.mark.parametrize(
+    "complex_", [OCTAHEDRON, BOUNDARY3, PATH, DELTA2], ids=["octahedron", "boundary3", "path", "delta2"]
+)
+def test_cup_equals_f_of_wedge_on_every_basis_pair(complex_):
+    basis = _basis(complex_)
+    for a in basis:
+        for b in basis:
+            assert cup(a, b) == _cup_by_definition(a, b), (a, b)
+
+
+def _cochains(complex_):
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.dictionaries(st.sampled_from(complex_.simplices), coeffs, max_size=6).map(
+        lambda d: GlobalCochain(complex_, d)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cup_equals_f_of_wedge_on_mixed_cochains(data):
+    complex_ = data.draw(st.sampled_from([OCTAHEDRON, BOUNDARY3, DELTA2, TORUS]))
+    a = data.draw(_cochains(complex_))
+    b = data.draw(_cochains(complex_))
+    assert cup(a, b) == _cup_by_definition(a, b)
+
+
+def test_structure_constants_vanish_off_joins():
+    # the closed form in the module docstring, against the kernels
+    def sign(seq):
+        inversions = sum(x > y for i, x in enumerate(seq) for y in seq[i + 1 :])
+        return -1 if inversions % 2 else 1
+
+    for n in range(5):
+        for sigma in basis_faces(n):
+            for tau in basis_faces(n):
+                if len(sigma) + len(tau) - 2 != n:
+                    continue
+                shared = set(sigma) & set(tau)
+                expected = 0
+                if len(shared) == 1 and set(sigma) | set(tau) == set(range(n + 1)):
+                    (v,) = shared
+                    p, q = len(sigma) - 1, len(tau) - 1
+                    epsilon = (-1) ** tau.index(v) * sign(sigma + tuple(x for x in tau if x != v))
+                    expected = Fraction(epsilon * factorial(p) * factorial(q), factorial(n + 1))
+                assert _cup_constant(n, sigma, tau) == expected, (n, sigma, tau)
+
+
+@pytest.mark.parametrize(
+    "complex_", [OCTAHEDRON, BOUNDARY3, PATH, DELTA2, TORUS],
+    ids=["octahedron", "boundary3", "path", "delta2", "torus"],
+)
+def test_coboundary_equals_the_alternating_sum(complex_):
+    for c in _basis(complex_):
+        assert global_coboundary(c) == _coboundary_by_definition(c), c
+        assert not global_coboundary(global_coboundary(c))
+    unit = GlobalCochain.unit(complex_)
+    assert not global_coboundary(unit)
+
+
+def test_cofaces_are_the_codimension_one_cofaces_with_signs():
+    cofaces = DELTA2.cofaces()
+    assert cofaces is DELTA2.cofaces()
+    assert cofaces[(1,)] == (((0, 1), 1), ((1, 2), -1))
+    assert cofaces[(0, 2)] == (((0, 1, 2), -1),)
+    assert cofaces[(0, 1, 2)] == ()
+    for simplex, entries in TORUS.cofaces().items():
+        for coface, _ in entries:
+            assert set(simplex) < set(coface) and len(coface) == len(simplex) + 1
+
+
+def test_whitney_conditions_on_the_torus():
+    report = check_whitney_conditions(TORUS)
+    assert report.all_passed, report.to_text()
+    witness = [c for c in report.checks if c.name.startswith("nonassociativity witness with homotopy certificate (")]
+    assert len(witness) == 1 and witness[0].passed
+
+
+def test_deeply_nested_json_is_a_format_error():
+    deep = "[" * 200_000 + "]" * 200_000
+    with pytest.raises(ComplexFormatError, match="nested too deeply"):
+        load_complex(deep)
+    with pytest.raises(ComplexFormatError, match="nested too deeply"):
+        load_complex('{"vertices": [0], "simplices": [' + deep + "]}")
+    with pytest.raises(ComplexFormatError, match="nested too deeply"):
+        load_global_cochain(deep, DELTA2)
+    with pytest.raises(ComplexFormatError, match="nested too deeply"):
+        load_global_cochain('{"entries": [' + deep + "]}", DELTA2)
+
+
+def test_overlong_integer_literal_is_a_format_error():
+    with pytest.raises(ComplexFormatError, match="invalid JSON"):
+        load_complex('{"vertices": [' + "1" * 5000 + '], "simplices": []}')
