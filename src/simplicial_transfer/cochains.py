@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .forms import Form, _check_face, generator, wedge
+from .forms import Form, _accumulate, _check_face, generator, wedge
 from .rationals import exact, factorial, parse_rational, rational_str
 
 __all__ = [
@@ -231,12 +231,7 @@ def include_g(c: Cochain) -> Form:
     """Linear extension of face -> elementary form."""
     out: dict = {}
     for face, coeff in c.coeffs.items():
-        for key, value in _elementary_form(face, c.dim).terms.items():
-            new = out.get(key, 0) + coeff * value
-            if new:
-                out[key] = new
-            else:
-                del out[key]
+        _accumulate(out, _elementary_form(face, c.dim).terms.items(), coeff)
     return Form._trusted(c.dim, out)
 
 

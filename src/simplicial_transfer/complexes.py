@@ -613,13 +613,11 @@ def check_whitney_conditions(
     # locality: the product lives in the star of both supports
     failure = None
     count = 0
-    for a in basis:
-        star_a = complex_.star(a.support())
-        for b in basis:
+    stars = [complex_.star(c.support()) for c in basis]
+    for a, star_a in zip(basis, stars):
+        for b, star_b in zip(basis, stars):
             count += 1
-            prod = cup(a, b)
-            allowed = star_a & complex_.star(b.support())
-            if not prod.support() <= allowed:
+            if not cup(a, b).support() <= star_a & star_b:
                 failure = f"{label(a)} cup {label(b)} leaves the common star"
                 break
         if failure:

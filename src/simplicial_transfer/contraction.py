@@ -4,16 +4,29 @@ The building block is the dilation toward vertex e_i,
 
     phi_i(u, t_0..t_n) = ((1-u)t_0, ..., (1-u)t_i + u, ..., (1-u)t_n),
 
-whose pullback is computed in an internal extension of the form algebra by
-the auxiliary pair (u, du); the operator h^i extracts the du-linear part and
-integrates u over [0, 1].  The bare fiber integration (du written in front,
-plus sign) satisfies the Poincare identity only up to a global -1, because
-no orientation for the fiber is canonical; the shipped h^i includes the
-compensating sign so that
+whose pullback sends t_j to (1-u)t_j + delta_{ij} u and dt_j to
+(1-u)dt_j + (delta_{ij} - t_j) du.  The operator h^i takes the du-linear
+part of the pullback and integrates u over [0, 1].  The bare fiber
+integration (du written in front, plus sign) satisfies the Poincare identity
+only up to a global -1, because no orientation for the fiber is canonical;
+the shipped h^i includes the compensating sign so that
 
     1 - (evaluation at e_i) = d h^i + h^i d
 
 holds on the nose.  That normalization is asserted by the identity battery.
+
+Carried out on one monomial t^a dt_S with S = (s_1 < ... < s_k), k >= 1,
+this is a closed form.  Put a_i := 0 when i = 0, and
+B(p, q) = int_0^1 (1-u)^p u^q du = p! q! / (p+q+1)!.  Then
+
+    h^i(t^a dt_S) = sum_{r=1}^{k} (-1)^r sum_{m=0}^{a_i} C(a_i, m)
+                      B(|a| - a_i + m + k - 1, a_i - m)
+                      t^{a with a_i -> m} (delta_{i,s_r} - t_{s_r}) dt_{S - s_r},
+
+where the r-th dt factor supplies the du, the binomial sum expands
+((1-u)t_i + u)^{a_i}, and (-1)^r moves du to the front with the global
+sign.  h^i of a 0-form is 0.  The tests keep the pullback itself as the
+oracle.
 
 The degree-lowering operator assembles dilations weighted by elementary
 forms,
@@ -22,8 +35,9 @@ forms,
 
 where h^{i_0} acts first.  The (-1)^k is the orientation bookkeeping for
 iterated fiber integrations; both normalizations here are pinned down by the
-identity battery, not chosen freely.  The chain homotopy used by the
-transfer engine is H = -s.
+identity battery, not chosen freely.  A chain is h^{i_k} of the chain of its
+prefix face (i_0 < ... < i_{k-1}), so each face costs one application of h.
+The chain homotopy used by the transfer engine is H = -s.
 """
 
 from __future__ import annotations
@@ -41,12 +55,14 @@ from .cochains import (
 )
 from .forms import (
     Form,
+    _accumulate,
     differential,
     format_form,
     monomial_basis,
     vertex_evaluate,
     wedge,
 )
+from .rationals import binomial, factorial
 from .reporting import CheckRecord, ContractionReport
 
 __all__ = [
@@ -58,97 +74,46 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _dilation_images(n: int, i: int):
-    """Pullback images of the stored generators under the dilation toward
-    vertex i, inside the extended algebra where index n+1 plays (u, du)."""
-    ext = n + 1
-    u_exp = tuple(1 if j == ext else 0 for j in range(1, ext + 1))
-    zero = (0,) * ext
-
-    def var(j: int) -> tuple[int, ...]:
-        return tuple(1 if l == j else 0 for l in range(1, ext + 1))
-
-    t_img: dict[int, Form] = {}
-    dt_img: dict[int, Form] = {}
-    for j in range(1, n + 1):
-        tj = var(j)
-        tj_u = tuple(a + b for a, b in zip(tj, u_exp))
-        if j == i:
-            # t_i -> (1-u) t_i + u,  dt_i -> (1-u) dt_i + (1 - t_i) du
-            t_img[j] = Form(
-                ext, {(tj, ()): Fraction(1), (tj_u, ()): Fraction(-1), (u_exp, ()): Fraction(1)}
-            )
-            dt_img[j] = Form(
-                ext,
-                {
-                    (zero, (j,)): Fraction(1),
-                    (u_exp, (j,)): Fraction(-1),
-                    (zero, (ext,)): Fraction(1),
-                    (tj, (ext,)): Fraction(-1),
-                },
-            )
-        else:
-            # t_j -> (1-u) t_j,  dt_j -> (1-u) dt_j - t_j du
-            t_img[j] = Form(ext, {(tj, ()): Fraction(1), (tj_u, ()): Fraction(-1)})
-            dt_img[j] = Form(
-                ext,
-                {
-                    (zero, (j,)): Fraction(1),
-                    (u_exp, (j,)): Fraction(-1),
-                    (tj, (ext,)): Fraction(-1),
-                },
-            )
-    return t_img, dt_img
-
-
-@lru_cache(maxsize=None)
 def _h_monomial(n: int, i: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> Form:
+    """h^i(t^a dt_S) by the closed form of the module docstring."""
     if not dts:
         # a 0-form acquires no du part under the dilation
         return Form.zero(n)
-    t_img, dt_img = _dilation_images(n, i)
-    ext = n + 1
-    acc = Form.one(ext)
-    for pos, e in enumerate(exps):
-        img = t_img[pos + 1]
-        for _ in range(e):
-            acc = wedge(acc, img)
-    for s in dts:
-        acc = wedge(acc, dt_img[s])
-        if not acc:
-            break
+    a_i = exps[i - 1] if i else 0
+    rest = sum(exps) - a_i + len(dts) - 1
+    terms = []
+    for m in range(a_i + 1):
+        p, q = rest + m, a_i - m
+        weight = binomial(a_i, m) * Fraction(factorial(p) * factorial(q), factorial(p + q + 1))
+        base = exps[: i - 1] + (m,) + exps[i:] if i else exps
+        for r, s in enumerate(dts, 1):
+            signed = -weight if r % 2 else weight
+            others = dts[: r - 1] + dts[r:]
+            # the factor (delta_{i,s} - t_s) dt_{S - s}
+            terms.append(((base[: s - 1] + (base[s - 1] + 1,) + base[s:], others), -signed))
+            if s == i:
+                terms.append(((base, others), signed))
     out: dict = {}
-    for (ext_exps, ext_dts), coeff in acc.terms.items():
-        if ext not in ext_dts:
-            continue
-        u_power = ext_exps[-1]
-        rest = ext_dts[:-1]  # du carries the largest index, so it sits last
-        # rewrite dt_{rest} du = (-1)^{len(rest)} du dt_{rest}, integrate u,
-        # and apply the global orientation sign
-        sign = 1 if len(rest) % 2 else -1
-        key = (ext_exps[:-1], rest)
-        new = out.get(key, Fraction(0)) + sign * coeff / (u_power + 1)
-        if new == 0:
-            out.pop(key, None)
-        else:
-            out[key] = new
-    return Form(n, out)
+    _accumulate(out, terms, 1)
+    return Form._trusted(n, out)
 
 
 def h_operator(a: Form, i: int) -> Form:
     """Dilation homotopy toward vertex i; lowers form degree by one."""
     if not 0 <= i <= a.dim:
         raise ValueError(f"vertex index {i} out of range for dimension {a.dim}")
-    total = Form.zero(a.dim)
+    out: dict = {}
     for (exps, dts), coeff in a.terms.items():
-        total = total + coeff * _h_monomial(a.dim, i, exps, dts)
-    return total
+        _accumulate(out, _h_monomial(a.dim, i, exps, dts).terms.items(), coeff)
+    return Form._trusted(a.dim, out)
 
 
 @lru_cache(maxsize=None)
 def _s_monomial(n: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> Form:
-    total = Form.zero(n)
-    base = Form.monomial(n, exps, dts)
+    out: dict = {}
+    # chains[face] = h^{i_k}...h^{i_0}(m) for face = (i_0 < ... < i_k), kept
+    # only when nonzero; each longer chain is one h applied to its prefix's
+    chains = {(): Form.monomial(n, exps, dts)}
     for k in range(n):
         # The (-1)^k weight normalizes the orientation of the iterated
         # dilations: without it the homotopy identity and s o s = 0 fail on
@@ -156,24 +121,27 @@ def _s_monomial(n: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> Form:
         # equivalent to reversing each chain and weighting by the parity of
         # the reversal.
         sign = -1 if k % 2 else 1
+        longer = {}
         for face in combinations(range(n + 1), k + 1):
-            chain = base
-            for vertex in face:  # h^{i_0} acts first
-                chain = h_operator(chain, vertex)
-                if not chain:
-                    break
-            if not chain:
+            prefix = chains.get(face[:-1])
+            if prefix is None:
                 continue
-            total = total + sign * wedge(elementary_form(face, n), chain)
-    return total
+            chain = h_operator(prefix, face[-1])
+            if chain:
+                longer[face] = chain
+                _accumulate(out, wedge(elementary_form(face, n), chain).terms.items(), sign)
+        chains = longer
+        if not chains:
+            break
+    return Form._trusted(n, out)
 
 
 def s_operator(a: Form) -> Form:
     """Dupont's degree-lowering operator s_n; s_0 = 0."""
-    total = Form.zero(a.dim)
+    out: dict = {}
     for (exps, dts), coeff in a.terms.items():
-        total = total + coeff * _s_monomial(a.dim, exps, dts)
-    return total
+        _accumulate(out, _s_monomial(a.dim, exps, dts).terms.items(), coeff)
+    return Form._trusted(a.dim, out)
 
 
 def homotopy_H(a: Form) -> Form:

@@ -68,6 +68,21 @@ def _merge_dts(s: tuple[int, ...], t: tuple[int, ...]):
     return (-1 if inversions % 2 else 1), tuple(merged)
 
 
+def _accumulate(out: dict, terms, scale) -> None:
+    """Add scale * coeff into out[key] for each (key, coeff) in terms,
+    dropping keys whose sum cancels to zero.  With Fraction coefficients the
+    result is a clean term dict for ``Form._trusted``."""
+    for key, coeff in terms:
+        value = scale * coeff
+        held = out.get(key)
+        if held is not None:
+            value += held
+            if not value:
+                del out[key]
+                continue
+        out[key] = value
+
+
 class Form:
     """Sparse rational combination of simplex monomials; may mix form degrees."""
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial as _int_factorial
+import re
 
 __all__ = [
     "Rational",
@@ -39,10 +40,16 @@ def rational_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or ``p``; input that is not such a string (a JSON
-    number, say) raises ``ValueError``."""
-    if not isinstance(text, str):
+    """Parse ``p/q`` or ``p`` (decimal digits, optional sign, surrounding
+    whitespace ignored).  Anything else raises ``ValueError``: a JSON number,
+    a zero denominator, and the decimal, exponent and underscore forms that
+    ``Fraction`` would accept, since ``"1e1000000"`` expands to a
+    3.3-million-bit integer."""
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text.strip()):
         raise ValueError(f"rational {text!r} must be a string such as \"1/2\"")
     try:
         return Fraction(text.strip())

@@ -142,6 +142,11 @@ def test_cochain_coefficient_as_json_number(tmp_path, capsys):
     _assert_one_line_usage_error(code, err, "bad cochain file")
 
 
+def test_cochain_coefficient_in_exponent_notation(tmp_path, capsys):
+    code, _, err = _cup_with(tmp_path, capsys, [{"simplex": [0], "coeff": "1e1000000"}])
+    _assert_one_line_usage_error(code, err, "bad cochain file")
+
+
 def test_cochain_entry_without_coeff(tmp_path, capsys):
     code, _, err = _cup_with(tmp_path, capsys, [{"simplex": [0]}])
     _assert_one_line_usage_error(code, err, "bad cochain file")

@@ -115,3 +115,10 @@ def test_report_serialization():
     json.dumps(payload)  # serializable
     text = report.to_text()
     assert "f o g = 1" in text and "PASS" in text
+
+
+def test_check_contraction_on_the_4_simplex():
+    report = check_contraction(4, 2)
+    assert report.all_passed, [c.name for c in report.checks if not c.passed]
+    assert len(report.checks) == 11
+    assert report.checks[1].basis_size == 240

@@ -1,7 +1,9 @@
-"""The cached tables behind f and g against their uncached definitions, and
-the invariants of the trusted Form construction the kernels use."""
+"""The cached tables behind f, g, h^i and s against their uncached
+definitions, and the invariants of the trusted Form construction the kernels
+use."""
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from simplicial_transfer.cochains import (
     include_g,
     project_f,
 )
+from simplicial_transfer.contraction import _h_monomial, h_operator, s_operator
 from simplicial_transfer.forms import (
     Form,
     differential,
@@ -106,7 +109,87 @@ def _is_clean(form):
 @settings(max_examples=80, deadline=None)
 @given(_forms(2), _forms(2))
 def test_kernel_outputs_are_clean(a, b):
-    for result in (wedge(a, b), differential(a), a + b, a - a, -b, Fraction(2, 3) * a):
+    kernels = (wedge(a, b), differential(a), a + b, a - a, -b, Fraction(2, 3) * a)
+    homotopies = (h_operator(a, 0), h_operator(b, 2), s_operator(a), s_operator(a - a))
+    for result in kernels + homotopies:
         assert _is_clean(result)
         assert result == Form(result.dim, result.terms)
     assert not a - a
+
+
+def _dilation_images(n, i):
+    """Images of t_1..t_n, dt_1..dt_n under the dilation toward vertex i, in
+    the algebra of the (n+1)-simplex whose last index plays (u, du)."""
+    ext = n + 1
+
+    def var(*indices):
+        return tuple(indices.count(j) for j in range(1, ext + 1))
+
+    zero, u = var(), var(ext)
+    t_img, dt_img = {}, {}
+    for j in range(1, n + 1):
+        tj, tj_u = var(j), var(j, ext)
+        # t_j -> (1-u) t_j + delta_ij u,  dt_j -> (1-u) dt_j + (delta_ij - t_j) du
+        t_terms = {(tj, ()): 1, (tj_u, ()): -1}
+        dt_terms = {(zero, (j,)): 1, (u, (j,)): -1, (tj, (ext,)): -1}
+        if j == i:
+            t_terms[(u, ())] = 1
+            dt_terms[(zero, (ext,))] = 1
+        t_img[j], dt_img[j] = Form(ext, t_terms), Form(ext, dt_terms)
+    return t_img, dt_img
+
+
+def _pullback_h(n, i, exps, dts):
+    """h^i of one monomial by pulling it back along the dilation with wedges,
+    keeping the du-linear part and integrating u over [0, 1]."""
+    t_img, dt_img = _dilation_images(n, i)
+    ext = n + 1
+    acc = Form.one(ext)
+    for pos, e in enumerate(exps):
+        for _ in range(e):
+            acc = wedge(acc, t_img[pos + 1])
+    for s in dts:
+        acc = wedge(acc, dt_img[s])
+    out = {}
+    for (ext_exps, ext_dts), coeff in acc.terms.items():
+        if ext not in ext_dts:
+            continue
+        rest = ext_dts[:-1]  # du carries the largest index, so it sits last
+        # move du to the front, integrate u, and apply the global sign -1
+        sign = 1 if len(rest) % 2 else -1
+        key = (ext_exps[:-1], rest)
+        out[key] = out.get(key, 0) + sign * coeff / (ext_exps[-1] + 1)
+    return Form(n, out)
+
+
+def test_closed_form_h_matches_the_pullback():
+    cases = 0
+    for dim, max_degree in ((0, 4), (1, 4), (2, 4), (3, 4), (4, 2)):
+        for m in monomial_basis(dim, max_degree):
+            ((exps, dts),) = m.terms
+            for i in range(dim + 1):
+                assert _h_monomial(dim, i, exps, dts) == _pullback_h(dim, i, exps, dts), (m, i)
+                cases += 1
+    assert cases == 2521
+
+
+def _chain_by_chain_s(a):
+    """s_n(a) = sum_k (-1)^k sum_{i_0<...<i_k} w_{i_0..i_k} h^{i_k}...h^{i_0}(a),
+    every chain evaluated from a itself."""
+    n = a.dim
+    total = Form.zero(n)
+    for k in range(n):
+        for face in combinations(range(n + 1), k + 1):
+            chain = a
+            for vertex in face:
+                chain = h_operator(chain, vertex)
+            total = total + (-1) ** k * wedge(elementary_form(face, n), chain)
+    return total
+
+
+def test_prefix_shared_s_matches_chain_by_chain():
+    for dim, max_degree in ((0, 4), (1, 4), (2, 4), (3, 3)):
+        for m in monomial_basis(dim, max_degree):
+            assert s_operator(m) == _chain_by_chain_s(m), m
+    mixed = Form(3, {((1, 0, 2), (1, 3)): 2, ((0, 1, 0), (2,)): Fraction(-1, 3)})
+    assert s_operator(mixed) == _chain_by_chain_s(mixed)

@@ -107,7 +107,8 @@ def test_rational_round_trip():
     assert rational_str(Fraction(-7)) == "-7"
     assert parse_rational("3/2") == Fraction(3, 2)
     assert parse_rational("-7") == Fraction(-7)
-    for bad in (0.1, 3, None, "1/0", "x"):
+    assert parse_rational(" +12/8\n") == Fraction(3, 2)
+    for bad in (0.1, 3, None, "1/0", "x", "1e1000000", "1.5", "1_000", "1 / 2", "/2", "½", "١"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
