@@ -84,22 +84,15 @@ from .transfer import (
     transferred_m_trees,
 )
 from .complexes import (
-    ComplexContraction,
     ComplexFormatError,
     GlobalCochain,
-    GlobalForm,
     OrderedComplex,
     check_whitney_conditions,
     complex_from_data,
     cup,
-    global_H,
     global_coboundary,
     global_cochain_from_records,
     global_cochain_records,
-    global_differential,
-    global_f,
-    global_g,
-    global_wedge,
     load_complex,
     load_global_cochain,
     transferred_global_m,

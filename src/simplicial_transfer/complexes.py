@@ -1,11 +1,19 @@
-"""Finite ordered simplicial complexes: global cochains, compatible families
-of forms, the levelwise contraction, and the cup-like product.
+"""Finite ordered simplicial complexes: global cochains, the cup-like
+product, and the transferred operations assembled from single simplices.
 
 A complex is given by totally ordered vertices and maximal simplices; the
-closure stores every face.  A global form assigns a polynomial form to every
-simplex of the closure, compatibly with face restriction; cochains, forms,
-and the contraction maps are all levelwise, so the transfer engine runs on a
-complex exactly as it does on a single simplex.
+closure stores every face.  Forms, Whitney's inclusion g, integration f and
+Dupont's homotopy H are levelwise on a complex and natural for face
+inclusions (Dupont 1976; Cheng-Getzler, section 3), so every transferred
+operation commutes with restriction to a simplex.  Its value on a simplex s
+of dimension n is read off the standard n-simplex,
+
+    m_k(c_1, ..., c_k)(s) = m_k^n(c_1|s, ..., c_k|s)(0 1 ... n),
+
+where c|s is the cochain that c induces on s in local vertex positions and
+m_k^n is the operation of the single-simplex engine.  The left side of each
+structure relation is assembled the same way; no form on the whole complex
+is ever built.
 
 The product of two cochains is f(ga ^ gb).  f reads only the top-degree part
 of the form on each simplex, so the product is bilinear in the Whitney
@@ -36,29 +44,21 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .cochains import Cochain, _elementary_form, include_g
-from .contraction import homotopy_H as _local_H
-from .forms import Form, differential, face_restrict, format_form, integrate_top, wedge
+from .cochains import Cochain, _elementary_form
+from .forms import integrate_top, wedge
 from .rationals import exact, parse_rational, rational_str
 from .reporting import CheckRecord, VerificationReport
 from .tensorwords import Homog
-from .transfer import Contraction, transferred_m, _relation_value
+from .transfer import SimplexContraction, transferred_m, _relation_value
 
 __all__ = [
     "OrderedComplex",
     "GlobalCochain",
-    "GlobalForm",
     "ComplexFormatError",
     "load_complex",
     "complex_from_data",
-    "global_f",
-    "global_g",
-    "global_H",
     "global_coboundary",
-    "global_wedge",
-    "global_differential",
     "cup",
-    "ComplexContraction",
     "transferred_global_m",
     "check_whitney_conditions",
     "global_cochain_records",
@@ -296,11 +296,14 @@ class GlobalCochain:
 
     def restrict_to(self, simplex: Simplex) -> Cochain:
         """The local cochain induced on one simplex of the closure."""
+        vertices = set(simplex)
         out = {}
         for face, coeff in self.coeffs.items():
-            if set(face) <= set(simplex):
+            if vertices.issuperset(face):
                 out[_positions(face, simplex)] = coeff
-        return Cochain(len(simplex) - 1, out)
+        # positions of a face of an increasing simplex increase, and the
+        # coefficients are already clean
+        return Cochain._trusted(len(simplex) - 1, out)
 
     def __repr__(self) -> str:
         entries = ", ".join(
@@ -308,157 +311,6 @@ class GlobalCochain:
             for s, c in sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
         )
         return f"GlobalCochain({{{entries}}})"
-
-
-class GlobalForm:
-    """A polynomial form on every simplex of the closure, compatible with
-    face restriction; the invariant is checked on construction."""
-
-    __slots__ = ("complex", "assign", "_hash")
-
-    def __init__(self, complex_: OrderedComplex, assign, validate: bool = True):
-        cleaned: dict[Simplex, Form] = {}
-        for simplex in complex_.simplices:
-            form = assign.get(simplex)
-            if form is None:
-                form = Form.zero(len(simplex) - 1)
-            if form.dim != len(simplex) - 1:
-                raise ValueError(f"form on {list(simplex)} has wrong dimension")
-            cleaned[simplex] = form
-        object.__setattr__(self, "complex", complex_)
-        object.__setattr__(self, "assign", cleaned)
-        object.__setattr__(self, "_hash", None)
-        if validate:
-            self.validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GlobalForm is immutable")
-
-    def validate(self) -> None:
-        """Check compatibility: restricting the form on a simplex to any face
-        gives the form stored on the face."""
-        for simplex in self.complex.simplices:
-            form = self.assign[simplex]
-            if len(simplex) == 1:
-                continue
-            for k in range(1, len(simplex)):
-                for face in combinations(simplex, k):
-                    local_face = _positions(face, simplex)
-                    restricted = face_restrict(form, local_face)
-                    if restricted != self.assign[face]:
-                        raise ValueError(
-                            f"incompatible family: {list(simplex)} -> {list(face)}"
-                        )
-
-    @classmethod
-    def zero(cls, complex_: OrderedComplex) -> "GlobalForm":
-        return cls(complex_, {}, validate=False)
-
-    @classmethod
-    def one(cls, complex_: OrderedComplex) -> "GlobalForm":
-        return cls(
-            complex_,
-            {s: Form.one(len(s) - 1) for s in complex_.simplices},
-            validate=False,
-        )
-
-    def __add__(self, other: "GlobalForm") -> "GlobalForm":
-        if self.complex != other.complex:
-            raise ValueError("complex mismatch")
-        return GlobalForm(
-            self.complex,
-            {s: self.assign[s] + other.assign[s] for s in self.complex.simplices},
-            validate=False,
-        )
-
-    def __neg__(self) -> "GlobalForm":
-        return GlobalForm(
-            self.complex,
-            {s: -self.assign[s] for s in self.complex.simplices},
-            validate=False,
-        )
-
-    def __sub__(self, other: "GlobalForm") -> "GlobalForm":
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> "GlobalForm":
-        return GlobalForm(
-            self.complex,
-            {s: scalar * self.assign[s] for s in self.complex.simplices},
-            validate=False,
-        )
-
-    def __bool__(self) -> bool:
-        return any(self.assign.values())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GlobalForm)
-            and self.complex == other.complex
-            and self.assign == other.assign
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.assign.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __repr__(self) -> str:
-        entries = ", ".join(
-            f"{list(s)}: {format_form(f)}"
-            for s, f in sorted(self.assign.items(), key=lambda kv: (len(kv[0]), kv[0]))
-            if f
-        )
-        return f"GlobalForm({{{entries}}})"
-
-
-def global_g(c: GlobalCochain) -> GlobalForm:
-    """Levelwise inclusion by elementary forms."""
-    return GlobalForm(
-        c.complex,
-        {s: include_g(c.restrict_to(s)) for s in c.complex.simplices},
-        validate=False,
-    )
-
-
-def global_f(a: GlobalForm) -> GlobalCochain:
-    """Levelwise integration: the coefficient on a simplex is the integral
-    of its form over the whole simplex."""
-    out = {}
-    for simplex in a.complex.simplices:
-        value = integrate_top(a.assign[simplex])
-        if value != 0:
-            out[simplex] = value
-    return GlobalCochain(a.complex, out)
-
-
-def global_H(a: GlobalForm) -> GlobalForm:
-    """Levelwise contraction homotopy; the output family is revalidated."""
-    return GlobalForm(
-        a.complex,
-        {s: _local_H(a.assign[s]) for s in a.complex.simplices},
-        validate=True,
-    )
-
-
-def global_wedge(a: GlobalForm, b: GlobalForm) -> GlobalForm:
-    if a.complex != b.complex:
-        raise ValueError("complex mismatch")
-    return GlobalForm(
-        a.complex,
-        {s: wedge(a.assign[s], b.assign[s]) for s in a.complex.simplices},
-        validate=False,
-    )
-
-
-def global_differential(a: GlobalForm) -> GlobalForm:
-    return GlobalForm(
-        a.complex,
-        {s: differential(a.assign[s]) for s in a.complex.simplices},
-        validate=False,
-    )
 
 
 def global_coboundary(c: GlobalCochain) -> GlobalCochain:
@@ -515,68 +367,51 @@ def cup(a: GlobalCochain, b: GlobalCochain) -> GlobalCochain:
     return GlobalCochain(a.complex, out)
 
 
-class ComplexContraction(Contraction):
-    """The levelwise contraction on a complex.  Every map acts simplex by
-    simplex, so the transfer engine runs on a complex exactly as on one
-    simplex; the basis letters are the indicator cochains of the simplices
-    of the closure, and f(1) must be the sum of the vertex indicators."""
-
-    def __init__(self, complex_: OrderedComplex, koszul_signs: bool = True):
-        super().__init__(koszul_signs)
-        self.complex = complex_
-
-    def d_A(self, x: GlobalForm) -> GlobalForm:
-        return global_differential(x)
-
-    def wedge_A(self, x: GlobalForm, y: GlobalForm) -> GlobalForm:
-        return global_wedge(x, y)
-
-    def one_A(self) -> GlobalForm:
-        return GlobalForm.one(self.complex)
-
-    def zero_A(self) -> GlobalForm:
-        return GlobalForm.zero(self.complex)
-
-    def d_B(self, c: GlobalCochain) -> GlobalCochain:
-        return global_coboundary(c)
-
-    def zero_B(self) -> GlobalCochain:
-        return GlobalCochain(self.complex)
-
-    def expected_unit(self) -> GlobalCochain:
-        return GlobalCochain.unit(self.complex)
-
-    def f(self, x: GlobalForm) -> GlobalCochain:
-        return global_f(x)
-
-    def g(self, c: GlobalCochain) -> GlobalForm:
-        return global_g(c)
-
-    def H(self, x: GlobalForm) -> GlobalForm:
-        return global_H(x)
-
-    def faces(self):
-        return self.complex.simplices
-
-    def basis_element(self, simplex) -> GlobalCochain:
-        return GlobalCochain.basis_element(self.complex, simplex)
+def _levelwise(complex_: OrderedComplex, word, op) -> GlobalCochain:
+    """op(word) on the complex, assembled simplex by simplex by naturality:
+    the value on s is the top-face coefficient of op on the restricted word
+    over the standard simplex of dimension dim s.  op is transferred_m or
+    _relation_value; both are multilinear, so a simplex on which some letter
+    restricts to zero is skipped.  One single-simplex bundle per dimension
+    serves the whole call, so its memo is shared across simplices."""
+    bundles: dict[int, SimplexContraction] = {}
+    out = {}
+    for simplex in complex_.simplices:
+        local = []
+        for letter in word:
+            restricted = letter.carrier.restrict_to(simplex)
+            if not restricted:
+                break
+            local.append(Homog(restricted, letter.degree))
+        else:
+            n = len(simplex) - 1
+            bundle = bundles.get(n)
+            if bundle is None:
+                bundle = bundles[n] = SimplexContraction(n)
+            value = op(bundle, tuple(local)).coeffs.get(tuple(range(n + 1)))
+            if value:
+                out[simplex] = value
+    return GlobalCochain(complex_, out)
 
 
-def transferred_global_m(cochains, bundle=None) -> GlobalCochain:
-    """The transferred operation on a word of homogeneous global cochains."""
+def transferred_global_m(cochains) -> GlobalCochain:
+    """The transferred operation on a word of homogeneous global cochains;
+    a word holding a zero cochain gives zero, by multilinearity."""
     cochains = tuple(cochains)
     if not cochains:
         raise ValueError("empty word")
     complex_ = cochains[0].complex
-    if bundle is None:
-        bundle = ComplexContraction(complex_)
+    if any(c.complex != complex_ for c in cochains):
+        raise ValueError("complex mismatch")
+    if not all(cochains):
+        return GlobalCochain(complex_)
     word = []
     for c in cochains:
         degree = c.homogeneous_degree()
         if degree is None:
             raise ValueError("inputs must be homogeneous (or zero)")
         word.append(Homog(c, degree - 1))
-    return transferred_m(bundle, tuple(word))
+    return _levelwise(complex_, tuple(word), transferred_m)
 
 
 def check_whitney_conditions(
@@ -593,7 +428,6 @@ def check_whitney_conditions(
         require_nonassociativity_witness = any(
             len(s) >= 2 for s in complex_.simplices
         )
-    bundle = ComplexContraction(complex_)
     basis = [GlobalCochain.basis_element(complex_, s) for s in complex_.simplices]
     report = VerificationReport(
         family="cup product conditions",
@@ -690,7 +524,7 @@ def check_whitney_conditions(
     else:
         a, b, c = witness
         word = tuple(Homog(x, x.homogeneous_degree() - 1) for x in (a, b, c))
-        residual = _relation_value(bundle, word)
+        residual = _levelwise(complex_, word, _relation_value)
         failure = None
         if residual:
             failure = f"structure relation fails on the witness {tuple(map(label, witness))}"

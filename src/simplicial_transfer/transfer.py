@@ -75,7 +75,8 @@ class Contraction:
     A bundle supplies its maps: the algebra side (``d_A``, ``wedge_A``,
     ``one_A``, ``zero_A``), the cochain side (``d_B``, ``zero_B`` and the
     ``expected_unit`` that f(1) must equal), the contraction (``f``, ``g``,
-    ``H``), and the cochain basis (``faces`` and ``basis_element``).  The
+    ``H``), the cochain basis (``faces`` and ``basis_element``), and the
+    text renderers of counterexamples (``render_A``, ``render_B``).  The
     operations, the unit, the basis letters and their labels are shared.
 
     ``koszul_signs=False`` drops every slotwise sign; it exists only so the
@@ -107,18 +108,11 @@ class Contraction:
 
     def letter_label(self, letter: Homog) -> str:
         carrier = letter.carrier
-        coeffs = getattr(carrier, "coeffs", {})
-        if len(coeffs) == 1:
-            (face, coeff), = coeffs.items()
+        if len(carrier.coeffs) == 1:
+            (face, coeff), = carrier.coeffs.items()
             if coeff == 1:
                 return "x(" + ",".join(map(str, face)) + ")"
         return repr(carrier)
-
-    def render_B(self, value) -> str:
-        return repr(value)
-
-    def render_A(self, value) -> str:
-        return repr(value)
 
 
 class SimplexContraction(Contraction):

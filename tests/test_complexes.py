@@ -7,22 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplicial_transfer.complexes import (
-    ComplexContraction,
     ComplexFormatError,
     GlobalCochain,
     _cup_constant,
-    GlobalForm,
+    _levelwise,
     OrderedComplex,
     check_whitney_conditions,
     cup,
-    global_H,
     global_coboundary,
     global_cochain_from_records,
     global_cochain_records,
-    global_differential,
-    global_f,
-    global_g,
-    global_wedge,
     load_complex,
     load_global_cochain,
     transferred_global_m,
@@ -36,8 +30,19 @@ from simplicial_transfer.transfer import (
     check_c_infinity,
     check_morphism,
     check_unital,
+    _relation_value,
     transferred_m,
     transferred_m_trees,
+)
+
+from global_oracle import (
+    GlobalForm,
+    GlobalFormContraction,
+    global_H,
+    global_differential,
+    global_f,
+    global_g,
+    global_wedge,
 )
 
 DELTA1 = OrderedComplex([0, 1], [[0, 1]])
@@ -170,12 +175,29 @@ def test_transferred_global_operations():
         transferred_global_m([mixed])
 
 
+def test_a_zero_letter_gives_zero():
+    x0, zero = chi(BOUNDARY2, 0), GlobalCochain(BOUNDARY2)
+    for word in ([zero], [x0, zero], [zero, x0, chi(BOUNDARY2, 0, 1)]):
+        assert transferred_global_m(word) == zero
+
+
+def test_letters_on_different_complexes_are_rejected():
+    # the two complexes share their vertices, so restricting alone would
+    # accept the foreign letter
+    for word in (
+        [chi(DELTA2, 0), chi(BOUNDARY2, 0)],
+        [chi(DELTA2, 0), chi(DELTA2, 0, 1), chi(BOUNDARY2, 0, 1)],
+    ):
+        with pytest.raises(ValueError, match="complex mismatch"):
+            transferred_global_m(word)
+
+
 def test_global_m2_restricts_to_the_local_product():
     # on the full triangle the global binary operation restricted to the top
     # simplex agrees with the single-simplex operation
     from simplicial_transfer.transfer import SimplexContraction
 
-    bundle = ComplexContraction(DELTA2)
+    bundle = GlobalFormContraction(DELTA2)
     local = SimplexContraction(2)
     for a in bundle.b_basis():
         for b in bundle.b_basis():
@@ -190,7 +212,7 @@ def test_global_m2_restricts_to_the_local_product():
 def test_global_homotopy_identity_on_wedges():
     # nontrivial compatible families: products of two elementary-form images
     for X in (DELTA2, BOUNDARY2):
-        bundle = ComplexContraction(X)
+        bundle = GlobalFormContraction(X)
         basis = [GlobalCochain.basis_element(X, s) for s in X.simplices]
         for a in basis:
             for b in basis:
@@ -203,7 +225,7 @@ def test_global_homotopy_identity_on_wedges():
 
 
 def test_global_batteries_on_the_triangle():
-    bundle = ComplexContraction(DELTA2)
+    bundle = GlobalFormContraction(DELTA2)
     assert check_a_infinity(bundle, 3).all_passed
     assert check_c_infinity(bundle, 3).all_passed
     assert check_unital(bundle, 3).all_passed
@@ -211,18 +233,18 @@ def test_global_batteries_on_the_triangle():
 
 
 def test_global_tree_sum_agrees_with_recursion_on_the_boundary():
-    bundle = ComplexContraction(BOUNDARY2)
+    bundle = GlobalFormContraction(BOUNDARY2)
     for word in product(bundle.b_basis(), repeat=3):
         assert transferred_m(bundle, word) == transferred_m_trees(bundle, word)
 
 
 def test_global_unit_is_the_vertex_sum():
     for X in (DELTA2, BOUNDARY2, PATH):
-        assert ComplexContraction(X).unit_B() == GlobalCochain.unit(X)
+        assert GlobalFormContraction(X).unit_B() == GlobalCochain.unit(X)
 
 
 def test_global_batteries_on_the_boundary():
-    bundle = ComplexContraction(BOUNDARY2)
+    bundle = GlobalFormContraction(BOUNDARY2)
     assert check_a_infinity(bundle, 2).all_passed
 
 
@@ -359,6 +381,43 @@ def test_whitney_conditions_on_the_torus():
     assert report.all_passed, report.to_text()
     witness = [c for c in report.checks if c.name.startswith("nonassociativity witness with homotopy certificate (")]
     assert len(witness) == 1 and witness[0].passed
+
+
+# -- the levelwise assembly against the global-form oracle ------------------
+
+
+def _assert_levelwise_matches_the_oracle(complex_, words):
+    oracle = GlobalFormContraction(complex_)
+    for word in words:
+        cochains = [letter.carrier for letter in word]
+        assert transferred_global_m(cochains) == transferred_m(oracle, word), word
+        residual = _levelwise(complex_, word, _relation_value)
+        assert residual == _relation_value(oracle, word), word
+
+
+@pytest.mark.parametrize("complex_", [DELTA2, BOUNDARY2], ids=["delta2", "boundary2"])
+def test_levelwise_matches_the_oracle_to_arity_3(complex_):
+    basis = GlobalFormContraction(complex_).b_basis()
+    words = [w for n in (1, 2, 3) for w in product(basis, repeat=n)]
+    _assert_levelwise_matches_the_oracle(complex_, words)
+
+
+def test_levelwise_matches_the_oracle_on_the_octahedron():
+    basis = GlobalFormContraction(OCTAHEDRON).b_basis()
+    _assert_levelwise_matches_the_oracle(OCTAHEDRON, product(basis, repeat=2))
+
+
+def test_levelwise_matches_the_oracle_around_the_torus_witness():
+    # every arity-3 word in a vertex, an edge and a triangle around the
+    # whitney-check witness (x(0), x(0), x(0,1))
+    letters = [
+        Homog(chi(TORUS, *s), len(s) - 2) for s in ((0,), (1,), (0, 1), (0, 1, 3))
+    ]
+    x0, _, x01, _ = letters
+    assert cup(cup(x0.carrier, x0.carrier), x01.carrier) != cup(
+        x0.carrier, cup(x0.carrier, x01.carrier)
+    )
+    _assert_levelwise_matches_the_oracle(TORUS, product(letters, repeat=3))
 
 
 def test_deeply_nested_json_is_a_format_error():

@@ -8,7 +8,7 @@ from simplicial_transfer.cochains import (
     interval_basis_components,
     unit_cochain,
 )
-from simplicial_transfer.complexes import ComplexContraction, OrderedComplex
+from simplicial_transfer.complexes import OrderedComplex
 from simplicial_transfer.forms import parse_form
 from simplicial_transfer.rationals import UniPoly, bernoulli_number, factorial
 from simplicial_transfer.tensorwords import Homog
@@ -30,6 +30,8 @@ from simplicial_transfer.trees import (
     evaluate_tree_m,
     path_trees,
 )
+
+from global_oracle import GlobalFormContraction
 
 
 def interval_letters():
@@ -166,7 +168,7 @@ def test_unitality_interval():
     "make_bundle",
     [
         lambda: SimplexContraction(2),
-        lambda: ComplexContraction(OrderedComplex([0, 1, 2], [[0, 1], [1, 2]])),
+        lambda: GlobalFormContraction(OrderedComplex([0, 1, 2], [[0, 1], [1, 2]])),
     ],
     ids=["simplex", "complex"],
 )
