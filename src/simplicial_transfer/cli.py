@@ -1,14 +1,16 @@
 """Command-line drivers for the verification sweeps and table reproduction.
 
 Exit codes: 0 when every check passes, 1 on a verification failure, 2 on a
-usage or input error.  Reports are deterministic for fixed inputs and flags;
-JSON carries every rational as a string.
+usage or input error or when stdout closes before the report is written.
+Reports are deterministic for fixed inputs and flags; JSON carries every
+rational as a string.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .complexes import (
@@ -208,7 +210,18 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "complex": cmd_complex,
     }
-    return handlers[args.command](args, parser)
+    try:
+        code = handlers[args.command](args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left; route the rest of stdout to devnull so the flush
+        # at interpreter exit has nothing to complain about
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("stdout was closed before the report was written", file=sys.stderr)
+        return USAGE
+    return code
 
 
 if __name__ == "__main__":

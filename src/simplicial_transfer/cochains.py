@@ -97,19 +97,18 @@ class Cochain:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         out = dict(self.coeffs)
-        for face, coeff in other.coeffs.items():
-            new = out.get(face, Fraction(0)) + coeff
-            if new == 0:
-                out.pop(face, None)
-            else:
-                out[face] = new
-        return Cochain(self.dim, out)
+        _accumulate(out, other.coeffs.items(), 1)
+        return Cochain._trusted(self.dim, out)
 
     def __neg__(self) -> "Cochain":
-        return Cochain(self.dim, {f: -c for f, c in self.coeffs.items()})
+        return Cochain._trusted(self.dim, {f: -c for f, c in self.coeffs.items()})
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        out = dict(self.coeffs)
+        _accumulate(out, other.coeffs.items(), -1)
+        return Cochain._trusted(self.dim, out)
 
     def __rmul__(self, scalar) -> "Cochain":
         scalar = exact(scalar)

@@ -72,8 +72,9 @@ def _accumulate(out: dict, terms, scale) -> None:
     """Add scale * coeff into out[key] for each (key, coeff) in terms,
     dropping keys whose sum cancels to zero.  With Fraction coefficients the
     result is a clean term dict for ``Form._trusted``."""
+    unit = scale == 1
     for key, coeff in terms:
-        value = scale * coeff
+        value = coeff if unit else scale * coeff
         held = out.get(key)
         if held is not None:
             value += held
@@ -139,19 +140,18 @@ class Form:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = out.get(key, Fraction(0)) + coeff
-            if new == 0:
-                out.pop(key, None)
-            else:
-                out[key] = new
+        _accumulate(out, other.terms.items(), 1)
         return Form._trusted(self.dim, out)
 
     def __neg__(self) -> "Form":
         return Form._trusted(self.dim, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        out = dict(self.terms)
+        _accumulate(out, other.terms.items(), -1)
+        return Form._trusted(self.dim, out)
 
     def __rmul__(self, scalar) -> "Form":
         scalar = exact(scalar)

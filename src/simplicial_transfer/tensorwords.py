@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Any, Callable, Sequence
 
@@ -182,11 +183,15 @@ def _shuffle_terms(u: Sequence, v: Sequence, degree_of: Callable[[Any], int]):
         yield (-1 if exponent % 2 else 1), tuple(merged)
 
 
-def shuffle(u: Word, v: Word) -> TensorSum:
+def _homog_degree(h: Homog) -> int:
+    return h.degree
+
+
+def shuffle(u: Word, v: Word, degree_of: Callable[[Any], int] = _homog_degree) -> TensorSum:
     """Shuffle product of two words; the sign counts inversions weighted by
-    the letter degrees."""
+    the letter degrees, which ``degree_of`` reads off a letter."""
     out: dict[Word, Fraction] = {}
-    for sign, merged in _shuffle_terms(u, v, lambda h: h.degree):
+    for sign, merged in _shuffle_terms(u, v, degree_of):
         new = out.get(merged, Fraction(0)) + sign
         if new == 0:
             out.pop(merged, None)
@@ -370,7 +375,14 @@ def shuffle_span_membership(x: TensorSum, max_letters: int = 5) -> bool:
         flat = tuple(sorted((h for w in key for h in w), key=_letter_key))
         if flat != letters:
             raise ValueError("terms must share the letter multiset")
+    return not _reduce(_sorted_vec(x), _span_pivots(letters, k))
+
+
+@lru_cache(maxsize=256)
+def _span_pivots(letters: tuple, k: int) -> dict:
+    """Echelon pivots of the span generators for one letter multiset and
+    block count; shared by every call on the same pattern, so read only."""
     pivots: dict = {}
     for gen in _span_generators(letters, k):
         _echelon_insert(gen, pivots)
-    return not _reduce(_sorted_vec(x), pivots)
+    return pivots

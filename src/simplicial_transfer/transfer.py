@@ -23,6 +23,14 @@ their agreement is itself one of the checked identities.  The blocks G_i
 have even parity and degree zero, so no slot signs arise in the recursion
 itself; all other slotwise applications are Koszul-signed.
 
+Both m_n and G_n are multilinear, so they are fixed by their values on words
+of basis cochains.  A bundle interns each basis letter as a small int and
+memoises m_n and G_n per word of ids, so a memo key hashes in C and the memos
+hold basis words only.  Everything else is expanded in the basis: a letter
+handed to ``transferred_m`` or ``morphism_G``, and the inner m_k that the
+insertion sums of the batteries plug into an outer operation, which become
+sums of coefficient times the memoised value on a basis word.
+
 The identity batteries here are the arbiter for every sign convention in the
 package: associativity-up-to-homotopy, the morphism relations, vanishing on
 shuffles, and unitality are checked exactly on complete word bases.
@@ -49,7 +57,7 @@ from .forms import Form, differential, format_form, integrate_top, wedge
 from .rationals import UniPoly, bernoulli_number, bernoulli_polynomial, binomial
 from .rationals import factorial, rational_str
 from .reporting import CheckRecord, VerificationReport
-from .tensorwords import Homog, shuffle, word_degree
+from .tensorwords import Homog, shuffle
 from .trees import enumerate_trees, evaluate_tree_m
 
 __all__ = [
@@ -75,9 +83,15 @@ class Contraction:
     A bundle supplies its maps: the algebra side (``d_A``, ``wedge_A``,
     ``one_A``, ``zero_A``), the cochain side (``d_B``, ``zero_B`` and the
     ``expected_unit`` that f(1) must equal), the contraction (``f``, ``g``,
-    ``H``), the cochain basis (``faces`` and ``basis_element``), and the
-    text renderers of counterexamples (``render_A``, ``render_B``).  The
-    operations, the unit, the basis letters and their labels are shared.
+    ``H``), the cochain basis (``faces`` and ``basis_element``, with every
+    cochain-side value exposing its coordinates as ``coeffs``, a dict from
+    face to coefficient), and the text renderers of counterexamples
+    (``render_A``, ``render_B``).  The operations, the unit, the basis
+    letters and their labels are shared.
+
+    The bundle interns each basis letter it meets, a basis cochain with the
+    degree that drives signs, as a small int, and keeps its degree, g and
+    coboundary per id.  G_n and m_n are memoised per word of ids.
 
     ``koszul_signs=False`` drops every slotwise sign; it exists only so the
     verification commands can demonstrate a failing battery.
@@ -85,7 +99,13 @@ class Contraction:
 
     def __init__(self, koszul_signs: bool = True):
         self.koszul_signs = koszul_signs
+        self._ids: dict = {}  # (face, degree) -> id
+        self._letters: list[Homog] = []
+        self._degrees: list[int] = []
+        self._g: list = []
+        self._d: list = []
         self._memo_G: dict = {}
+        self._memo_m: dict = {}
 
     def m_A(self, degrees, values):
         """The algebra-side operation of any arity: the differential, the
@@ -101,10 +121,32 @@ class Contraction:
     def unit_B(self):
         return self.f(self.one_A())
 
-    def b_basis(self) -> list[Homog]:
+    def intern(self, face, degree: int) -> int:
+        """The id of the basis letter of a face with the given degree."""
+        key = (face, degree)
+        letter_id = self._ids.get(key)
+        if letter_id is None:
+            letter = Homog(self.basis_element(face), degree)
+            letter_id = self._ids[key] = len(self._letters)
+            self._letters.append(letter)
+            self._degrees.append(degree)
+            self._g.append(self.g(letter.carrier))
+            self._d.append(self.d_B(letter.carrier))
+        return letter_id
+
+    def coordinates(self, letter: Homog):
+        """A letter as pairs (coefficient, basis letter id); a coefficient 1
+        is the int 1, so products of basis letters stay in int arithmetic."""
         return [
-            Homog(self.basis_element(face), len(face) - 2) for face in self.faces()
+            (1 if coeff == 1 else coeff, self.intern(face, letter.degree))
+            for face, coeff in letter.carrier.coeffs.items()
         ]
+
+    def basis_ids(self) -> list[int]:
+        return [self.intern(face, len(face) - 2) for face in self.faces()]
+
+    def b_basis(self) -> list[Homog]:
+        return [self._letters[i] for i in self.basis_ids()]
 
     def letter_label(self, letter: Homog) -> str:
         carrier = letter.carrier
@@ -169,48 +211,121 @@ class SimplexContraction(Contraction):
         return format_form(value)
 
 
-def _cut_products(bundle, word: tuple[Homog, ...]):
-    """sum_{i=1}^{n-1} m_2(G(word[:i]), G(word[i:])), the sum over all trees
+# -- the engine on words of basis letter ids --------------------------------
+
+
+def _cut_products(bundle, ids: tuple[int, ...]):
+    """sum_{i=1}^{n-1} m_2(G(ids[:i]), G(ids[i:])), the sum over all trees
     of the value just below the root: only binary vertices contribute, so
     the root cuts the word once.  The right block is evaluated only where
     the left one is nonzero."""
+    degrees = bundle._degrees
     total = bundle.zero_A()
-    whole = word_degree(word)
+    whole = sum(degrees[i] for i in ids)
     left_degree = 0
-    for i in range(1, len(word)):
-        left_degree += word[i - 1].degree
-        left = morphism_G(bundle, word[:i])
+    for cut in range(1, len(ids)):
+        left_degree += degrees[ids[cut - 1]]
+        left = _G(bundle, ids[:cut])
         if not left:
             continue
-        right = morphism_G(bundle, word[i:])
+        right = _G(bundle, ids[cut:])
         if right:
             total = total + bundle.m_A((left_degree, whole - left_degree), (left, right))
     return total
 
 
+def _G(bundle, ids: tuple[int, ...]):
+    """G_1 = g and G_n = H(cut products), memoised per basis word."""
+    if len(ids) == 1:
+        return bundle._g[ids[0]]
+    value = bundle._memo_G.get(ids)
+    if value is None:
+        value = bundle._memo_G[ids] = bundle.H(_cut_products(bundle, ids))
+    return value
+
+
+def _m(bundle, ids: tuple[int, ...]):
+    """m_1 = the coboundary and m_n = f(cut products), memoised per basis
+    word."""
+    if len(ids) == 1:
+        return bundle._d[ids[0]]
+    value = bundle._memo_m.get(ids)
+    if value is None:
+        value = bundle._memo_m[ids] = bundle.f(_cut_products(bundle, ids))
+    return value
+
+
+def _plus(total, coeff, value):
+    """total + coeff * value, with no scaling pass for coeff = +-1."""
+    if coeff == 1:
+        return total + value
+    if coeff == -1:
+        return total - value
+    return total + coeff * value
+
+
+def _insertions(bundle, ids: tuple[int, ...], outer, zero):
+    """sum_{k,j} +- outer(b_1..b_j, m_k(b_{j+1}..b_{j+k}), ..., b_n), with
+    ``outer`` either _m or _G and ``zero`` its zero.  Each inner m_k is
+    expanded in the cochain basis, so ``outer`` only sees basis words; the
+    Koszul sign slides the odd m_k past b_1..b_j."""
+    degrees = bundle._degrees
+    n = len(ids)
+    total = zero
+    head_degree = 0
+    for j in range(n):
+        head = ids[:j]
+        sign = -1 if bundle.koszul_signs and head_degree % 2 else 1
+        inner_degree = 1
+        for end in range(j + 1, n + 1):
+            inner_degree += degrees[ids[end - 1]]
+            tail = ids[end:]
+            for face, coeff in _m(bundle, ids[j:end]).coeffs.items():
+                term = outer(bundle, head + (bundle.intern(face, inner_degree),) + tail)
+                if term:
+                    total = _plus(total, sign * coeff, term)
+        head_degree += degrees[ids[j]]
+    return total
+
+
+def _relation(bundle, ids: tuple[int, ...]):
+    """Left side of the structure relation on a basis word."""
+    return _insertions(bundle, ids, _m, bundle.zero_B())
+
+
+def _multilinear(bundle, word: tuple[Homog, ...], op, zero):
+    """op, given on words of basis ids, extended multilinearly to a word of
+    letters."""
+    if not word:
+        raise ValueError("empty word")
+    total = None
+    for combo in product(*map(bundle.coordinates, word)):
+        coeff = 1
+        ids = []
+        for c, letter_id in combo:
+            coeff *= c
+            ids.append(letter_id)
+        value = op(bundle, tuple(ids))
+        if total is not None:
+            total = _plus(total, coeff, value)
+        else:
+            total = value if coeff == 1 else coeff * value
+    return zero() if total is None else total
+
+
+# -- the operations on words of letters -------------------------------------
+
+
 def morphism_G(bundle, word: tuple[Homog, ...]) -> "Form":
     """The morphism component on a word of cochain letters; G_1 = g and
-    G_n = H(cut products), memoised per word."""
-    n = len(word)
-    if n == 0:
-        raise ValueError("empty word")
-    if n == 1:
-        return bundle.g(word[0].carrier)
-    cached = bundle._memo_G.get(word)
-    if cached is None:
-        cached = bundle._memo_G[word] = bundle.H(_cut_products(bundle, word))
-    return cached
+    G_n = H(cut products)."""
+    return _multilinear(bundle, word, _G, bundle.zero_A)
 
 
 def transferred_m(bundle, word: tuple[Homog, ...]):
     """The transferred n-ary operation on a word of cochain letters; arity 1
     is the cochain differential and m_n = f(cut products) above."""
-    n = len(word)
-    if n == 0:
-        raise ValueError("empty word")
-    if n == 1:
-        return bundle.d_B(word[0].carrier)
-    return bundle.f(_cut_products(bundle, word))
+    return _multilinear(bundle, word, _m, bundle.zero_B)
 
 
 def transferred_m_trees(bundle, word: tuple[Homog, ...]):
@@ -226,39 +341,19 @@ def transferred_m_trees(bundle, word: tuple[Homog, ...]):
     return total
 
 
-def _insertions(bundle, word, outer, zero):
-    """sum_{k,j} +- outer(b_1..b_j, m_k(b_{j+1}..b_{j+k}), ..., b_n), with
-    ``outer`` either transferred_m or morphism_G and ``zero`` its zero; the
-    Koszul sign slides the odd m_k past b_1..b_j."""
-    n = len(word)
-    total = zero
-    for k in range(1, n + 1):
-        for j in range(0, n - k + 1):
-            inner_word = word[j : j + k]
-            inner = transferred_m(bundle, inner_word)
-            if not inner:
-                continue
-            inner_letter = Homog(inner, word_degree(inner_word) + 1)
-            term = outer(bundle, word[:j] + (inner_letter,) + word[j + k :])
-            if bundle.koszul_signs and word_degree(word[:j]) % 2:
-                term = -term
-            total = total + term
-    return total
-
-
 def _relation_value(bundle, word) -> "Cochain":
     """Left side of the structure relation at the word's arity."""
-    return _insertions(bundle, word, transferred_m, bundle.zero_B())
+    return _multilinear(bundle, word, _relation, bundle.zero_B)
 
 
-def _word_label(bundle, word) -> str:
-    return "(" + ", ".join(bundle.letter_label(h) for h in word) + ")"
+def _word_label(bundle, ids) -> str:
+    return "(" + ", ".join(bundle.letter_label(bundle._letters[i]) for i in ids) + ")"
 
 
-def check_a_infinity(bundle, max_arity: int, basis=None) -> VerificationReport:
+def check_a_infinity(bundle, max_arity: int) -> VerificationReport:
     """Structure relations: the signed sum of nested transferred operations
     vanishes on every basis word of each arity."""
-    basis = list(basis if basis is not None else bundle.b_basis())
+    basis = bundle.basis_ids()
     report = VerificationReport(
         family="structure relations",
         arity_range=(1, max_arity),
@@ -269,7 +364,7 @@ def check_a_infinity(bundle, max_arity: int, basis=None) -> VerificationReport:
         count = 0
         for word in product(basis, repeat=n):
             count += 1
-            value = _relation_value(bundle, word)
+            value = _relation(bundle, word)
             if value:
                 failure = (
                     f"word={_word_label(bundle, word)} residual={bundle.render_B(value)}"
@@ -286,10 +381,10 @@ def check_a_infinity(bundle, max_arity: int, basis=None) -> VerificationReport:
     return report
 
 
-def check_morphism(bundle, max_arity: int, basis=None) -> VerificationReport:
+def check_morphism(bundle, max_arity: int) -> VerificationReport:
     """Morphism relations: the algebra-side combination of G components
     equals the G image of the cochain-side operations, word by word."""
-    basis = list(basis if basis is not None else bundle.b_basis())
+    basis = bundle.basis_ids()
     report = VerificationReport(
         family="morphism relations",
         arity_range=(1, max_arity),
@@ -300,8 +395,8 @@ def check_morphism(bundle, max_arity: int, basis=None) -> VerificationReport:
         count = 0
         for word in product(basis, repeat=n):
             count += 1
-            lhs = bundle.d_A(morphism_G(bundle, word)) + _cut_products(bundle, word)
-            rhs = _insertions(bundle, word, morphism_G, bundle.zero_A())
+            lhs = bundle.d_A(_G(bundle, word)) + _cut_products(bundle, word)
+            rhs = _insertions(bundle, word, _G, bundle.zero_A())
             if lhs != rhs:
                 failure = (
                     f"word={_word_label(bundle, word)} "
@@ -319,15 +414,16 @@ def check_morphism(bundle, max_arity: int, basis=None) -> VerificationReport:
     return report
 
 
-def check_c_infinity(bundle, max_arity: int, basis=None) -> VerificationReport:
+def check_c_infinity(bundle, max_arity: int) -> VerificationReport:
     """Shuffle vanishing: every transferred operation and every morphism
     component kills shuffles of nonempty words."""
-    basis = list(basis if basis is not None else bundle.b_basis())
+    basis = bundle.basis_ids()
     report = VerificationReport(
         family="shuffle vanishing",
         arity_range=(2, max_arity),
         basis=f"{len(basis)} basis letters",
     )
+    degree_of = bundle._degrees.__getitem__
     for n in range(2, max_arity + 1):
         failure_m = None
         failure_g = None
@@ -337,16 +433,16 @@ def check_c_infinity(bundle, max_arity: int, basis=None) -> VerificationReport:
             for u in product(basis, repeat=p):
                 for v in product(basis, repeat=q):
                     count += 1
-                    sh = shuffle(u, v)
+                    sh = shuffle(u, v, degree_of)
                     total_m = bundle.zero_B()
                     total_g = bundle.zero_A()
                     for word, coeff in sh.items():
-                        m_val = transferred_m(bundle, word)
+                        m_val = _m(bundle, word)
                         if m_val:
-                            total_m = total_m + coeff * m_val
-                        g_val = morphism_G(bundle, word)
+                            total_m = _plus(total_m, coeff, m_val)
+                        g_val = _G(bundle, word)
                         if g_val:
-                            total_g = total_g + coeff * g_val
+                            total_g = _plus(total_g, coeff, g_val)
                     label = f"{_word_label(bundle, u)} shuffle {_word_label(bundle, v)}"
                     if failure_m is None and total_m:
                         failure_m = f"{label} gives {bundle.render_B(total_m)}"

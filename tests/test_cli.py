@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -68,12 +73,64 @@ def test_verify_command(capsys):
     assert "overall: pass" in out
 
 
+def test_verify_interval_to_arity_6(capsys):
+    code, out, _ = run(capsys, "verify", "--dim", "1", "--max-arity", "6", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["all_passed"] is True
+    assert [c["basis_size"] for c in payload["reports"][0]["checks"]] == [3**n for n in range(1, 7)]
+
+
 def test_verify_break_signs(capsys):
     code, out, _ = run(
         capsys, "verify", "--dim", "1", "--max-arity", "2", "--break-signs"
     )
     assert code == 1
     assert "counterexample" in out
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "e39a660ff8802c240b9fd97a4a99fc6928deac19d36cb8785eb1f5b1001e71c4"),
+        ("json", "277e89b3e4a5a4c87b6a821edc32423d027e74c214920f2ed2b955754d983265"),
+    ],
+    ids=["text", "json"],
+)
+def test_verify_break_signs_report_is_unchanged(capsys, fmt, digest):
+    # sha256 of the report as the letter-by-letter insertion sum wrote it:
+    # expanding m_k in the cochain basis must not move a counterexample
+    code, out, _ = run(
+        capsys, "verify", "--dim", "2", "--max-arity", "3", "--break-signs", "--format", fmt
+    )
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("trees", "--leaves", "3"), ("interval", "--max-arity", "10", "--format", "json")],
+    ids=["short-report", "long-report"],
+)
+def test_closed_stdout_exits_2_with_one_line(argv):
+    # the read end closes before the child writes anything; a short report
+    # fails at the final flush, a long one inside print
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-m", "simplicial_transfer.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert "stdout was closed" in err
 
 
 def test_complex_commands(tmp_path, capsys):

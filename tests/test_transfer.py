@@ -12,8 +12,12 @@ from simplicial_transfer.complexes import OrderedComplex
 from simplicial_transfer.forms import parse_form
 from simplicial_transfer.rationals import UniPoly, bernoulli_number, factorial
 from simplicial_transfer.tensorwords import Homog
+from simplicial_transfer.tensorwords import word_degree
 from simplicial_transfer.transfer import (
     SimplexContraction,
+    _G,
+    _insertions,
+    _relation_value,
     check_a_infinity,
     check_c_infinity,
     check_morphism,
@@ -225,3 +229,68 @@ def test_memoization_is_shared_within_a_bundle():
     transferred_m(bundle, (t, dt, dt, dt, dt))
     assert mid > before
     assert len(bundle._memo_G) == mid
+
+
+def test_memo_holds_only_basis_words():
+    # the batteries put no one-off letter into the memos: every key is a
+    # word of basis ids, so each memo holds at most 7^2 + 7^3 = 392 words
+    bundle = SimplexContraction(2)
+    for battery in (check_a_infinity, check_morphism, check_c_infinity, check_unital):
+        assert battery(bundle, 3).all_passed
+    basis = set(bundle.basis_ids())
+    assert len(basis) == 7
+    for memo in (bundle._memo_G, bundle._memo_m):
+        assert 0 < len(memo) <= 392
+        for key in memo:
+            assert 2 <= len(key) <= 3 and set(key) <= basis, key
+
+
+# -- the insertion sum on letters, as before the basis expansion ------------
+
+
+def _trees_G(bundle, word):
+    if len(word) == 1:
+        return bundle.g(word[0].carrier)
+    total = bundle.zero_A()
+    for tree in enumerate_trees(len(word)):
+        total = total + evaluate_tree_G(tree, word, bundle)
+    return total
+
+
+def _insertions_by_letters(bundle, word, outer, zero):
+    """sum_{k,j} +- outer(b_1..b_j, m_k(b_{j+1}..b_{j+k}), ..., b_n) with
+    m_k(...) inserted as one letter; tree sums stand for m and G, so no
+    memo of the engine is read."""
+    n = len(word)
+    total = zero
+    for k in range(1, n + 1):
+        for j in range(0, n - k + 1):
+            inner_word = word[j : j + k]
+            inner = transferred_m_trees(bundle, inner_word)
+            if not inner:
+                continue
+            inner_letter = Homog(inner, word_degree(inner_word) + 1)
+            term = outer(bundle, word[:j] + (inner_letter,) + word[j + k :])
+            if bundle.koszul_signs and word_degree(word[:j]) % 2:
+                term = -term
+            total = total + term
+    return total
+
+
+@pytest.mark.parametrize("koszul_signs", [True, False], ids=["signs", "no-signs"])
+@pytest.mark.parametrize("dim, max_arity", [(1, 4), (2, 3)])
+def test_insertions_match_the_sum_over_letters(dim, max_arity, koszul_signs):
+    bundle = SimplexContraction(dim, koszul_signs=koszul_signs)
+    oracle = SimplexContraction(dim, koszul_signs=koszul_signs)
+    letters = bundle.b_basis()
+    ids = bundle.basis_ids()
+    for n in range(1, max_arity + 1):
+        for picks in product(range(len(ids)), repeat=n):
+            word = tuple(letters[p] for p in picks)
+            id_word = tuple(ids[p] for p in picks)
+            assert _relation_value(bundle, word) == _insertions_by_letters(
+                oracle, word, transferred_m_trees, oracle.zero_B()
+            ), word
+            assert _insertions(bundle, id_word, _G, bundle.zero_A()) == (
+                _insertions_by_letters(oracle, word, _trees_G, oracle.zero_A())
+            ), word
