@@ -1,7 +1,8 @@
 """Command-line drivers for the verification sweeps and table reproduction.
 
 Exit codes: 0 when every check passes, 1 on a verification failure, 2 on a
-usage or input error or when stdout closes before the report is written.
+usage or input error or when stdout closes before the report is written,
+each with one line on stderr.
 Reports are deterministic for fixed inputs and flags; JSON carries every
 rational as a string.
 """
@@ -39,8 +40,16 @@ FAIL = 1
 USAGE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors, in the subcommands too, are one
+    stderr line and exit code 2."""
+
+    def error(self, message):
+        self.exit(USAGE, f"simplicial-transfer: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="simplicial-transfer",
         description="exact verification of the transferred cochain products",
     )

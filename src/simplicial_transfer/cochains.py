@@ -17,8 +17,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .forms import Form, _accumulate, _check_face, generator, wedge
-from .rationals import exact, factorial, parse_rational, rational_str
+from .forms import Form, _check_dim, _check_face, generator, wedge
+from .rationals import (
+    SparseVector,
+    _accumulate,
+    exact,
+    factorial,
+    parse_rational,
+    rational_str,
+)
 
 __all__ = [
     "Cochain",
@@ -48,100 +55,22 @@ def basis_faces(dim: int) -> tuple[Face, ...]:
     return tuple(out)
 
 
-class Cochain:
+class Cochain(SparseVector, space="dim", mismatch="dimension mismatch"):
     """Rational coefficients on nondegenerate faces; zeros never stored."""
 
-    __slots__ = ("dim", "coeffs", "_hash")
+    __slots__ = ("dim",)
+    _check_space = staticmethod(_check_dim)
 
-    def __init__(self, dim: int, coeffs=None):
-        if dim < 0:
-            raise ValueError("dimension must be >= 0")
-        clean: dict[Face, Fraction] = {}
-        if coeffs:
-            for face, coeff in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                coeff = exact(coeff)
-                if coeff == 0:
-                    continue
-                face = _check_face(face, dim)
-                new = clean.get(face, Fraction(0)) + coeff
-                if new == 0:
-                    clean.pop(face, None)
-                else:
-                    clean[face] = new
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_hash", None)
+    @staticmethod
+    def _check_key(dim: int, face) -> Face:
+        return _check_face(face, dim)
 
-    @classmethod
-    def _trusted(cls, dim: int, coeffs: dict) -> "Cochain":
-        """Wrap a dict that is already clean: valid faces, nonzero Fraction
-        values, owned by the new Cochain alone."""
-        cochain = object.__new__(cls)
-        object.__setattr__(cochain, "dim", dim)
-        object.__setattr__(cochain, "coeffs", coeffs)
-        object.__setattr__(cochain, "_hash", None)
-        return cochain
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cochain is immutable")
-
-    @classmethod
-    def zero(cls, dim: int) -> "Cochain":
-        return cls(dim)
-
-    @classmethod
-    def basis_element(cls, dim: int, face) -> "Cochain":
-        return cls(dim, {tuple(face): Fraction(1)})
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.coeffs)
-        _accumulate(out, other.coeffs.items(), 1)
-        return Cochain._trusted(self.dim, out)
-
-    def __neg__(self) -> "Cochain":
-        return Cochain._trusted(self.dim, {f: -c for f, c in self.coeffs.items()})
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.coeffs)
-        _accumulate(out, other.coeffs.items(), -1)
-        return Cochain._trusted(self.dim, out)
-
-    def __rmul__(self, scalar) -> "Cochain":
-        scalar = exact(scalar)
-        if scalar == 0:
-            return Cochain(self.dim)
-        return Cochain(self.dim, {f: scalar * c for f, c in self.coeffs.items()})
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cochain)
-            and self.dim == other.dim
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.dim, frozenset(self.coeffs.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+    @staticmethod
+    def _degree(face: Face) -> int:
+        return len(face) - 1
 
     def __repr__(self) -> str:
         return f"Cochain({self.dim}, {format_cochain(self)!r})"
-
-    def cochain_degrees(self) -> set[int]:
-        return {len(f) - 1 for f in self.coeffs}
-
-    def homogeneous_degree(self) -> int | None:
-        degs = self.cochain_degrees()
-        return degs.pop() if len(degs) == 1 else None
 
 
 def coboundary(c: Cochain) -> Cochain:
@@ -153,12 +82,12 @@ def coboundary(c: Cochain) -> Cochain:
         acc = Fraction(0)
         for j in range(len(face)):
             sub = face[:j] + face[j + 1 :]
-            coeff = c.coeffs.get(sub)
+            coeff = c.terms.get(sub)
             if coeff is not None:
                 acc += -coeff if j % 2 else coeff
         if acc != 0:
             out[face] = acc
-    return Cochain(c.dim, out)
+    return Cochain._trusted(c.dim, out)
 
 
 def elementary_form(face, dim: int) -> Form:
@@ -217,19 +146,14 @@ def project_f(a: Form) -> Cochain:
     """Integrate over every face: the cochain side of the contraction."""
     out: dict[Face, Fraction] = {}
     for (exps, dts), coeff in a.terms.items():
-        for face, value in _face_integrals(a.dim, exps, dts):
-            new = out.get(face, 0) + coeff * value
-            if new:
-                out[face] = new
-            else:
-                del out[face]
+        _accumulate(out, _face_integrals(a.dim, exps, dts), coeff)
     return Cochain._trusted(a.dim, out)
 
 
 def include_g(c: Cochain) -> Form:
     """Linear extension of face -> elementary form."""
     out: dict = {}
-    for face, coeff in c.coeffs.items():
+    for face, coeff in c.terms.items():
         _accumulate(out, _elementary_form(face, c.dim).terms.items(), coeff)
     return Form._trusted(c.dim, out)
 
@@ -245,10 +169,10 @@ def restrict_cochain(c: Cochain, face) -> Cochain:
     k = len(face) - 1
     out: dict[Face, Fraction] = {}
     for local in basis_faces(k):
-        coeff = c.coeffs.get(tuple(face[j] for j in local))
+        coeff = c.terms.get(tuple(face[j] for j in local))
         if coeff is not None:
             out[local] = coeff
-    return Cochain(k, out)
+    return Cochain._trusted(k, out)
 
 
 # -- interval identification N_1 = span{1, t, dt} ------------------------
@@ -259,9 +183,9 @@ def interval_basis_components(c: Cochain) -> tuple[Fraction, Fraction, Fraction]
     1 = x(0)+x(1), t = x(1), dt = x(01)."""
     if c.dim != 1:
         raise ValueError("interval basis applies to dimension 1")
-    a = c.coeffs.get((0,), Fraction(0))
-    b = c.coeffs.get((1,), Fraction(0))
-    e = c.coeffs.get((0, 1), Fraction(0))
+    a = c.terms.get((0,), Fraction(0))
+    b = c.terms.get((1,), Fraction(0))
+    e = c.terms.get((0, 1), Fraction(0))
     return a, b - a, e
 
 
@@ -276,7 +200,7 @@ def cochain_from_interval_basis(c_one, c_t, c_dt) -> Cochain:
 def cochain_records(c: Cochain) -> list[dict]:
     return [
         {"face": list(face), "coeff": rational_str(coeff)}
-        for face, coeff in sorted(c.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        for face, coeff in sorted(c.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
     ]
 
 
@@ -287,9 +211,9 @@ def cochain_from_records(records, dim: int) -> Cochain:
 
 
 def format_cochain(c: Cochain) -> str:
-    if not c.coeffs:
+    if not c.terms:
         return "0"
     entries = []
-    for face, coeff in sorted(c.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0])):
+    for face, coeff in sorted(c.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
         entries.append(f"face=[{','.join(map(str, face))}] coeff={rational_str(coeff)}")
     return "; ".join(entries)

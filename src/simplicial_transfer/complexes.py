@@ -46,7 +46,7 @@ from itertools import combinations
 
 from .cochains import Cochain, _elementary_form
 from .forms import integrate_top, wedge
-from .rationals import exact, parse_rational, rational_str
+from .rationals import SparseVector, _accumulate, parse_rational, rational_str
 from .reporting import CheckRecord, VerificationReport
 from .tensorwords import Homog
 from .transfer import SimplexContraction, transferred_m, _relation_value
@@ -127,10 +127,10 @@ class OrderedComplex:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def cofaces(self) -> dict[Simplex, tuple[tuple[Simplex, int], ...]]:
+    def cofaces(self) -> dict[Simplex, tuple[tuple[Simplex, Fraction], ...]]:
         """Every simplex of the closure mapped to its codimension-one cofaces,
-        each with the sign (-1)^j of the vertex position j it adds; built on
-        first use."""
+        each with the sign (-1)^j of the vertex position j it adds, as a
+        Fraction; built on first use."""
         table = self._cofaces
         if table is None:
             lists: dict[Simplex, list] = {s: [] for s in self.simplices}
@@ -139,19 +139,23 @@ class OrderedComplex:
                     continue
                 for j in range(len(simplex)):
                     face = simplex[:j] + simplex[j + 1 :]
-                    lists[face].append((simplex, -1 if j % 2 else 1))
+                    lists[face].append((simplex, Fraction(-1 if j % 2 else 1)))
             table = {s: tuple(c) for s, c in lists.items()}
             object.__setattr__(self, "_cofaces", table)
         return table
 
     def star(self, simplices) -> set[Simplex]:
-        """All simplices having some member of the given set as a face."""
-        base = set(simplices)
-        return {
-            s
-            for s in self.simplices
-            if any(set(b) <= set(s) for b in base)
-        }
+        """All simplices having some member of the given set as a face,
+        found by walking up the coface table."""
+        cofaces = self.cofaces()
+        found = {tuple(s) for s in simplices} & cofaces.keys()
+        frontier = list(found)
+        while frontier:
+            for coface, _ in cofaces[frontier.pop()]:
+                if coface not in found:
+                    found.add(coface)
+                    frontier.append(coface)
+        return found
 
     def __repr__(self) -> str:
         return f"OrderedComplex(vertices={list(self.vertices)}, maximal={[list(m) for m in self.maximal]})"
@@ -201,39 +205,21 @@ def _positions(sub: Simplex, ambient: Simplex) -> Simplex:
     return tuple(ambient.index(v) for v in sub)
 
 
-class GlobalCochain:
+class GlobalCochain(SparseVector, space="complex", mismatch="complex mismatch"):
     """Rational coefficients on the simplices of a complex."""
 
-    __slots__ = ("complex", "coeffs", "_hash")
+    __slots__ = ("complex",)
 
-    def __init__(self, complex_: OrderedComplex, coeffs=None):
-        clean: dict[Simplex, Fraction] = {}
-        if coeffs:
-            known = set(complex_.simplices)
-            for simplex, coeff in (
-                coeffs.items() if isinstance(coeffs, dict) else coeffs
-            ):
-                simplex = tuple(simplex)
-                if simplex not in known:
-                    raise ValueError(f"simplex {list(simplex)} not in the complex")
-                coeff = exact(coeff)
-                if coeff == 0:
-                    continue
-                new = clean.get(simplex, Fraction(0)) + coeff
-                if new == 0:
-                    clean.pop(simplex, None)
-                else:
-                    clean[simplex] = new
-        object.__setattr__(self, "complex", complex_)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_hash", None)
+    @staticmethod
+    def _check_key(complex_: OrderedComplex, simplex) -> Simplex:
+        simplex = tuple(simplex)
+        if simplex not in complex_.cofaces():  # keyed by every simplex
+            raise ValueError(f"simplex {list(simplex)} not in the complex")
+        return simplex
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GlobalCochain is immutable")
-
-    @classmethod
-    def basis_element(cls, complex_: OrderedComplex, simplex) -> "GlobalCochain":
-        return cls(complex_, {tuple(simplex): Fraction(1)})
+    @staticmethod
+    def _degree(simplex: Simplex) -> int:
+        return len(simplex) - 1
 
     @classmethod
     def unit(cls, complex_: OrderedComplex) -> "GlobalCochain":
@@ -241,64 +227,14 @@ class GlobalCochain:
             complex_, {s: Fraction(1) for s in complex_.simplices if len(s) == 1}
         )
 
-    def __add__(self, other: "GlobalCochain") -> "GlobalCochain":
-        if self.complex != other.complex:
-            raise ValueError("complex mismatch")
-        out = dict(self.coeffs)
-        for simplex, coeff in other.coeffs.items():
-            new = out.get(simplex, Fraction(0)) + coeff
-            if new == 0:
-                out.pop(simplex, None)
-            else:
-                out[simplex] = new
-        return GlobalCochain(self.complex, out)
-
-    def __neg__(self) -> "GlobalCochain":
-        return GlobalCochain(self.complex, {s: -c for s, c in self.coeffs.items()})
-
-    def __sub__(self, other: "GlobalCochain") -> "GlobalCochain":
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> "GlobalCochain":
-        scalar = exact(scalar)
-        if scalar == 0:
-            return GlobalCochain(self.complex)
-        return GlobalCochain(
-            self.complex, {s: scalar * c for s, c in self.coeffs.items()}
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GlobalCochain)
-            and self.complex == other.complex
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.coeffs.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def support(self) -> set[Simplex]:
-        return set(self.coeffs)
-
-    def degrees(self) -> set[int]:
-        return {len(s) - 1 for s in self.coeffs}
-
-    def homogeneous_degree(self) -> int | None:
-        degs = self.degrees()
-        return degs.pop() if len(degs) == 1 else None
+        return set(self.terms)
 
     def restrict_to(self, simplex: Simplex) -> Cochain:
         """The local cochain induced on one simplex of the closure."""
         vertices = set(simplex)
         out = {}
-        for face, coeff in self.coeffs.items():
+        for face, coeff in self.terms.items():
             if vertices.issuperset(face):
                 out[_positions(face, simplex)] = coeff
         # positions of a face of an increasing simplex increase, and the
@@ -308,7 +244,7 @@ class GlobalCochain:
     def __repr__(self) -> str:
         entries = ", ".join(
             f"{list(s)}: {rational_str(c)}"
-            for s, c in sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
+            for s, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
         )
         return f"GlobalCochain({{{entries}}})"
 
@@ -318,14 +254,9 @@ def global_coboundary(c: GlobalCochain) -> GlobalCochain:
     by pushing each coefficient of c to the cofaces of its simplex."""
     cofaces = c.complex.cofaces()
     out: dict[Simplex, Fraction] = {}
-    for simplex, coeff in c.coeffs.items():
-        for coface, sign in cofaces[simplex]:
-            new = out.get(coface, 0) + sign * coeff
-            if new:
-                out[coface] = new
-            else:
-                del out[coface]
-    return GlobalCochain(c.complex, out)
+    for simplex, coeff in c.terms.items():
+        _accumulate(out, cofaces[simplex], coeff)
+    return GlobalCochain._trusted(c.complex, out)
 
 
 @lru_cache(maxsize=None)
@@ -348,8 +279,8 @@ def cup(a: GlobalCochain, b: GlobalCochain) -> GlobalCochain:
         raise ValueError("complex mismatch")
     known = a.complex.cofaces()  # keyed by every simplex of the closure
     out: dict[Simplex, Fraction] = {}
-    for sigma, x in a.coeffs.items():
-        for tau, y in b.coeffs.items():
+    for sigma, x in a.terms.items():
+        for tau, y in b.terms.items():
             union = set(sigma).union(tau)
             if len(union) != len(sigma) + len(tau) - 1:
                 continue
@@ -364,19 +295,26 @@ def cup(a: GlobalCochain, b: GlobalCochain) -> GlobalCochain:
                 out[simplex] = new
             else:
                 del out[simplex]
-    return GlobalCochain(a.complex, out)
+    return GlobalCochain._trusted(a.complex, out)
 
 
 def _levelwise(complex_: OrderedComplex, word, op) -> GlobalCochain:
     """op(word) on the complex, assembled simplex by simplex by naturality:
     the value on s is the top-face coefficient of op on the restricted word
     over the standard simplex of dimension dim s.  op is transferred_m or
-    _relation_value; both are multilinear, so a simplex on which some letter
-    restricts to zero is skipped.  One single-simplex bundle per dimension
-    serves the whole call, so its memo is shared across simplices."""
+    _relation_value; both are multilinear, and a letter restricts to zero
+    off the star of its support, so only the common star of the letters is
+    visited, and a simplex on which some letter restricts to zero is
+    skipped.  One single-simplex bundle per dimension serves the whole call,
+    so its memo is shared across simplices."""
+    common = set(complex_.simplices)
+    for letter in word:
+        common &= complex_.star(letter.carrier.support())
     bundles: dict[int, SimplexContraction] = {}
     out = {}
     for simplex in complex_.simplices:
+        if simplex not in common:
+            continue
         local = []
         for letter in word:
             restricted = letter.carrier.restrict_to(simplex)
@@ -388,10 +326,10 @@ def _levelwise(complex_: OrderedComplex, word, op) -> GlobalCochain:
             bundle = bundles.get(n)
             if bundle is None:
                 bundle = bundles[n] = SimplexContraction(n)
-            value = op(bundle, tuple(local)).coeffs.get(tuple(range(n + 1)))
+            value = op(bundle, tuple(local)).terms.get(tuple(range(n + 1)))
             if value:
                 out[simplex] = value
-    return GlobalCochain(complex_, out)
+    return GlobalCochain._trusted(complex_, out)
 
 
 def transferred_global_m(cochains) -> GlobalCochain:
@@ -544,7 +482,7 @@ def global_cochain_records(c: GlobalCochain) -> dict:
     return {
         "entries": [
             {"simplex": list(s), "coeff": rational_str(coeff)}
-            for s, coeff in sorted(c.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
+            for s, coeff in sorted(c.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
         ]
     }
 

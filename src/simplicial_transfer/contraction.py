@@ -55,14 +55,13 @@ from .cochains import (
 )
 from .forms import (
     Form,
-    _accumulate,
     differential,
     format_form,
     monomial_basis,
     vertex_evaluate,
     wedge,
 )
-from .rationals import binomial, factorial
+from .rationals import _accumulate, binomial, factorial
 from .reporting import CheckRecord, ContractionReport
 
 __all__ = [

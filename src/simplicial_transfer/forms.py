@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 import re
 
-from .rationals import exact, factorial, rational_str
+from .rationals import SparseVector, factorial, rational_str
 
 __all__ = [
     "Form",
@@ -68,63 +68,25 @@ def _merge_dts(s: tuple[int, ...], t: tuple[int, ...]):
     return (-1 if inversions % 2 else 1), tuple(merged)
 
 
-def _accumulate(out: dict, terms, scale) -> None:
-    """Add scale * coeff into out[key] for each (key, coeff) in terms,
-    dropping keys whose sum cancels to zero.  With Fraction coefficients the
-    result is a clean term dict for ``Form._trusted``."""
-    unit = scale == 1
-    for key, coeff in terms:
-        value = coeff if unit else scale * coeff
-        held = out.get(key)
-        if held is not None:
-            value += held
-            if not value:
-                del out[key]
-                continue
-        out[key] = value
+def _check_dim(dim: int) -> None:
+    if dim < 0:
+        raise ValueError("dimension must be >= 0")
 
 
-class Form:
+class Form(SparseVector, space="dim", mismatch="dimension mismatch"):
     """Sparse rational combination of simplex monomials; may mix form degrees."""
 
-    __slots__ = ("dim", "terms", "_hash")
+    __slots__ = ("dim",)
+    _check_space = staticmethod(_check_dim)
 
-    def __init__(self, dim: int, terms=None):
-        if dim < 0:
-            raise ValueError("dimension must be >= 0")
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                coeff = exact(coeff)
-                if coeff == 0:
-                    continue
-                exps, dts = key
-                acc = clean.get((tuple(exps), tuple(dts)))
-                new = coeff if acc is None else acc + coeff
-                if new == 0:
-                    clean.pop((tuple(exps), tuple(dts)), None)
-                else:
-                    clean[(tuple(exps), tuple(dts))] = new
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+    @staticmethod
+    def _check_key(dim: int, key) -> Monomial:
+        exps, dts = key
+        return tuple(exps), tuple(dts)
 
-    @classmethod
-    def _trusted(cls, dim: int, terms: dict) -> "Form":
-        """Wrap a dict that is already clean: tuple keys in normal form,
-        nonzero Fraction values, owned by the new Form alone."""
-        form = object.__new__(cls)
-        object.__setattr__(form, "dim", dim)
-        object.__setattr__(form, "terms", terms)
-        object.__setattr__(form, "_hash", None)
-        return form
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Form is immutable")
-
-    @classmethod
-    def zero(cls, dim: int) -> "Form":
-        return cls(dim)
+    @staticmethod
+    def _degree(key: Monomial) -> int:
+        return len(key[1])
 
     @classmethod
     def one(cls, dim: int) -> "Form":
@@ -134,60 +96,8 @@ class Form:
     def monomial(cls, dim: int, exps, dts, coeff=1) -> "Form":
         return cls(dim, {(tuple(exps), tuple(dts)): coeff})
 
-    # -- linear structure ------------------------------------------------
-
-    def __add__(self, other: "Form") -> "Form":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.terms)
-        _accumulate(out, other.terms.items(), 1)
-        return Form._trusted(self.dim, out)
-
-    def __neg__(self) -> "Form":
-        return Form._trusted(self.dim, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "Form") -> "Form":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.terms)
-        _accumulate(out, other.terms.items(), -1)
-        return Form._trusted(self.dim, out)
-
-    def __rmul__(self, scalar) -> "Form":
-        scalar = exact(scalar)
-        if scalar == 0:
-            return Form(self.dim)
-        return Form._trusted(self.dim, {k: scalar * c for k, c in self.terms.items()})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Form)
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.dim, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def __repr__(self) -> str:
         return f"Form({self.dim}, {format_form(self)!r})"
-
-    # -- degree bookkeeping ----------------------------------------------
-
-    def form_degrees(self) -> set[int]:
-        return {len(dts) for _, dts in self.terms}
-
-    def homogeneous_degree(self) -> int | None:
-        """Form degree when homogeneous and nonzero, else None."""
-        degs = self.form_degrees()
-        return degs.pop() if len(degs) == 1 else None
 
 
 def generator(dim: int, kind: str, index: int) -> Form:

@@ -1,9 +1,12 @@
-"""Exact scalar arithmetic: rationals, Bernoulli numbers and polynomials.
+"""Exact scalar arithmetic: rationals, sparse rational vectors, Bernoulli
+numbers and polynomials.
 
 Every scalar in this package is a ``fractions.Fraction``, which already
 guarantees the canonical-form invariants we rely on (lowest terms, positive
-denominator, zero stored as 0/1).  The checking constructors of forms and
-cochains accept only ints and Fractions (see ``exact``).  The Bernoulli
+denominator, zero stored as 0/1).  Forms, cochains and tensor words are all
+finite sparse vectors over Q and share the linear structure of
+``SparseVector``, whose checking constructor accepts only ints and Fractions
+(see ``exact``).  The Bernoulli
 convention throughout is B_n = B_n(0), so B_1 = -1/2; the higher interval
 products computed by the transfer engine are compared against B_n/n! under
 this convention.
@@ -21,6 +24,7 @@ __all__ = [
     "rational_str",
     "parse_rational",
     "exact",
+    "SparseVector",
     "factorial",
     "binomial",
     "bernoulli_number",
@@ -63,6 +67,147 @@ def exact(x) -> Fraction:
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"coefficient {x!r} is not exact; use int or Fraction")
     return Fraction(x)
+
+
+def _accumulate(out: dict, terms, scale) -> None:
+    """Add scale * coeff into out[key] for each (key, coeff) in terms,
+    dropping keys whose sum cancels to zero.  With nonzero Fraction
+    coefficients the result is a clean term dict for ``_trusted``."""
+    unit = scale == 1
+    for key, coeff in terms:
+        value = coeff if unit else scale * coeff
+        held = out.get(key)
+        if held is not None:
+            value += held
+            if not value:
+                del out[key]
+                continue
+        out[key] = value
+
+
+_set = object.__setattr__
+
+
+class SparseVector:
+    """A finite sparse vector over Q: a dict ``terms`` from keys to nonzero
+    Fractions, in a space that only vectors of the same space may be added
+    to.  Instances are immutable and hash by value.
+
+    A subclass names the slot that holds its space with the class keyword
+    ``space`` (none for a vector without one) and the message of a space
+    mismatch with ``mismatch``.  It may override ``_check_space`` and
+    ``_check_key``, which the checking constructor applies to the space and
+    to every key, and ``_degree``, the degree of a key.  ``_trusted`` wraps
+    a dict that is already clean."""
+
+    __slots__ = ("terms", "_hash")
+    _space = None  # the space slot's descriptor, so self._space reads it
+    _mismatch = "space mismatch"
+
+    def __init_subclass__(cls, space=None, mismatch=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if space is not None:
+            cls._space = cls.__dict__[space]
+        if mismatch is not None:
+            cls._mismatch = mismatch
+
+    def __init__(self, space, terms=None):
+        self._check_space(space)
+        clean: dict = {}
+        if terms:
+            check = self._check_key
+            pairs = terms.items() if isinstance(terms, dict) else terms
+            pairs = ((check(space, key), exact(coeff)) for key, coeff in pairs)
+            _accumulate(clean, ((key, coeff) for key, coeff in pairs if coeff), 1)
+        self._fill(space, clean)
+
+    def _fill(self, space, terms: dict) -> None:
+        slot = type(self)._space
+        if slot is not None:
+            slot.__set__(self, space)
+        _set(self, "terms", terms)
+        _set(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, space, terms: dict):
+        """Wrap a dict that is already clean: checked keys, nonzero Fraction
+        values, owned by the new vector alone."""
+        vec = object.__new__(cls)
+        vec._fill(space, terms)
+        return vec
+
+    @staticmethod
+    def _check_space(space) -> None:
+        pass
+
+    @staticmethod
+    def _check_key(space, key):
+        return key
+
+    @classmethod
+    def zero(cls, space):
+        return cls(space)
+
+    @classmethod
+    def basis_element(cls, space, key):
+        return cls(space, [(key, 1)])
+
+    def homogeneous_degree(self) -> int | None:
+        """The degree that every term shares, read off its key by the
+        subclass's ``_degree``; None for zero or a mixed vector."""
+        degrees = {self._degree(key) for key in self.terms}
+        return degrees.pop() if len(degrees) == 1 else None
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _combine(self, other, scale):
+        """self + scale * other, for two vectors of one type and space."""
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
+        space = self._space
+        if space is not other._space and space != other._space:
+            raise ValueError(self._mismatch)
+        out = dict(self.terms)
+        _accumulate(out, other.terms.items(), scale)
+        return self._trusted(space, out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._trusted(self._space, {k: -c for k, c in self.terms.items()})
+
+    def __rmul__(self, scalar):
+        scalar = exact(scalar)
+        if not scalar:
+            return self._trusted(self._space, {})
+        return self._trusted(self._space, {k: scalar * c for k, c in self.terms.items()})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def items(self):
+        return self.terms.items()
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._space == other._space
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self._space, frozenset(self.terms.items())))
+            _set(self, "_hash", h)
+        return h
 
 
 def factorial(n: int) -> int:

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Any, Callable, Sequence
 
-from .rationals import exact
+from .rationals import SparseVector, _accumulate, exact
 
 __all__ = [
     "Homog",
@@ -59,58 +59,13 @@ def formal_word(names: str | Sequence[str], degrees: Sequence[int]) -> Word:
     return tuple(Homog(n, d) for n, d in zip(names, degrees))
 
 
-class TensorSum:
+class TensorSum(SparseVector):
     """Sparse rational combination of hashable keys (words or word tuples)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        clean: dict[Any, Fraction] = {}
-        if terms:
-            for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                coeff = exact(coeff)
-                if coeff == 0:
-                    continue
-                new = clean.get(key, Fraction(0)) + coeff
-                if new == 0:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = new
-        self.terms = clean
-
-    def __add__(self, other: "TensorSum") -> "TensorSum":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = out.get(key, Fraction(0)) + coeff
-            if new == 0:
-                out.pop(key, None)
-            else:
-                out[key] = new
-        return TensorSum(out)
-
-    def __neg__(self) -> "TensorSum":
-        return TensorSum({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorSum") -> "TensorSum":
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> "TensorSum":
-        scalar = exact(scalar)
-        if scalar == 0:
-            return TensorSum()
-        return TensorSum({k: scalar * c for k, c in self.terms.items()})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TensorSum) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def items(self):
-        return self.terms.items()
+        super().__init__(None, terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -147,21 +102,27 @@ def koszul_apply(
             slots.append([(Fraction(1), image)])
         else:
             slots.append([(exact(c), h) for c, h in image])
-    out = TensorSum()
+    terms = []
     for combo in product(*slots):
         coeff = Fraction(sign)
         for c, _ in combo:
             coeff *= c
-        out = out + TensorSum({tuple(h for _, h in combo): coeff})
-    return out
+        if coeff:
+            terms.append((tuple(h for _, h in combo), coeff))
+    out: dict = {}
+    _accumulate(out, terms, 1)
+    return TensorSum._trusted(None, out)
 
 
 def _interleavings(p: int, q: int):
     return combinations(range(p + q), p)
 
 
+_SIGNS = (Fraction(1), Fraction(-1))
+
+
 def _shuffle_terms(u: Sequence, v: Sequence, degree_of: Callable[[Any], int]):
-    """Yield (sign, merged tuple) over all order-preserving interleavings."""
+    """Yield (merged tuple, sign) over all order-preserving interleavings."""
     p, q = len(u), len(v)
     vdeg = [degree_of(x) for x in v]
     udeg = [degree_of(x) for x in u]
@@ -180,7 +141,7 @@ def _shuffle_terms(u: Sequence, v: Sequence, degree_of: Callable[[Any], int]):
                 seen_v_degree += vdeg[vi]
                 merged.append(v[vi])
                 vi += 1
-        yield (-1 if exponent % 2 else 1), tuple(merged)
+        yield tuple(merged), _SIGNS[exponent % 2]
 
 
 def _homog_degree(h: Homog) -> int:
@@ -191,13 +152,8 @@ def shuffle(u: Word, v: Word, degree_of: Callable[[Any], int] = _homog_degree) -
     """Shuffle product of two words; the sign counts inversions weighted by
     the letter degrees, which ``degree_of`` reads off a letter."""
     out: dict[Word, Fraction] = {}
-    for sign, merged in _shuffle_terms(u, v, degree_of):
-        new = out.get(merged, Fraction(0)) + sign
-        if new == 0:
-            out.pop(merged, None)
-        else:
-            out[merged] = new
-    return TensorSum(out)
+    _accumulate(out, _shuffle_terms(u, v, degree_of), 1)
+    return TensorSum._trusted(None, out)
 
 
 def word_degree(word: Word) -> int:
@@ -208,13 +164,8 @@ def outer_shuffle(xs: Sequence[Word], ys: Sequence[Word]) -> TensorSum:
     """Shuffle two tuples of words as words-of-words; each inner word acts as
     a single letter whose degree is the sum of its letters' degrees."""
     out: dict[tuple, Fraction] = {}
-    for sign, merged in _shuffle_terms(tuple(xs), tuple(ys), word_degree):
-        new = out.get(merged, Fraction(0)) + sign
-        if new == 0:
-            out.pop(merged, None)
-        else:
-            out[merged] = new
-    return TensorSum(out)
+    _accumulate(out, _shuffle_terms(tuple(xs), tuple(ys), word_degree), 1)
+    return TensorSum._trusted(None, out)
 
 
 def compositions(n: int, k: int):

@@ -84,7 +84,7 @@ class Contraction:
     ``one_A``, ``zero_A``), the cochain side (``d_B``, ``zero_B`` and the
     ``expected_unit`` that f(1) must equal), the contraction (``f``, ``g``,
     ``H``), the cochain basis (``faces`` and ``basis_element``, with every
-    cochain-side value exposing its coordinates as ``coeffs``, a dict from
+    cochain-side value exposing its coordinates as ``terms``, a dict from
     face to coefficient), and the text renderers of counterexamples
     (``render_A``, ``render_B``).  The operations, the unit, the basis
     letters and their labels are shared.
@@ -139,7 +139,7 @@ class Contraction:
         is the int 1, so products of basis letters stay in int arithmetic."""
         return [
             (1 if coeff == 1 else coeff, self.intern(face, letter.degree))
-            for face, coeff in letter.carrier.coeffs.items()
+            for face, coeff in letter.carrier.terms.items()
         ]
 
     def basis_ids(self) -> list[int]:
@@ -150,8 +150,8 @@ class Contraction:
 
     def letter_label(self, letter: Homog) -> str:
         carrier = letter.carrier
-        if len(carrier.coeffs) == 1:
-            (face, coeff), = carrier.coeffs.items()
+        if len(carrier.terms) == 1:
+            (face, coeff), = carrier.terms.items()
             if coeff == 1:
                 return "x(" + ",".join(map(str, face)) + ")"
         return repr(carrier)
@@ -280,7 +280,7 @@ def _insertions(bundle, ids: tuple[int, ...], outer, zero):
         for end in range(j + 1, n + 1):
             inner_degree += degrees[ids[end - 1]]
             tail = ids[end:]
-            for face, coeff in _m(bundle, ids[j:end]).coeffs.items():
+            for face, coeff in _m(bundle, ids[j:end]).terms.items():
                 term = outer(bundle, head + (bundle.intern(face, inner_degree),) + tail)
                 if term:
                     total = _plus(total, sign * coeff, term)

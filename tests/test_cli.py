@@ -322,3 +322,94 @@ def test_fuzzed_cochain_file(tmp_path, capsys, payload):
         "cup", "--a", str(cochain), "--b", str(cochain),
     )
     _assert_clean_exit(code, out, err)
+
+
+# -- argument errors, and fuzzing every subcommand's argv through main() ------
+
+
+def _main_exit(capsys, argv):
+    """main(argv) as (exit code, stdout, stderr), a parser's exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("contraction", "--max-poly-degree", "0"),
+        ("trees", "--leaves", "0"),
+        ("interval", "--max-arity", "x"),
+        ("verify", "--dim", "-1"),
+        ("verify", "--dim", "x"),
+        ("complex", "--file", "complex.json", "bogus-operation"),
+    ],
+    ids=["contraction", "trees", "interval", "verify-negative", "verify-not-a-number", "complex"],
+)
+def test_argument_error_is_one_line(capsys, argv):
+    code, out, err = _main_exit(capsys, argv)
+    assert code == 2 and not out
+    assert err.startswith("simplicial-transfer: error: ")
+    assert err.count("\n") == 1, err
+
+
+_MALFORMED = st.sampled_from(["x", "", "1.5", "1e3", "--", "0x1"])
+
+
+def _size(flag, low, high, omittable=True):
+    """A size flag with a small or malformed value; omitted only where the
+    default run is small too."""
+    pair = (st.integers(low, high).map(str) | _MALFORMED).map(lambda v: [flag, v])
+    return pair | st.just([]) if omittable else pair
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda lists: [token for part in lists for token in part])
+
+
+# files stand as placeholders, which the test replaces by paths
+_FILE = st.sampled_from(["@complex", "@cochain", "@broken", "@missing"])
+_OPERATION = st.sampled_from([["whitney-check"], ["bogus"], []]) | st.tuples(_FILE, _FILE).map(
+    lambda ab: ["cup", "--a", ab[0], "--b", ab[1]]
+)
+_SUBCOMMANDS = st.one_of(
+    _argv(st.just(["contraction"]), _size("--dim", -1, 2), _size("--max-poly-degree", -1, 3)),
+    _argv(st.just(["trees"]), _size("--leaves", -1, 5)),
+    _argv(st.just(["interval"]), _size("--max-arity", -1, 4)),
+    _argv(
+        st.just(["verify"]), _size("--dim", -1, 2), _size("--max-arity", -1, 3, omittable=False)
+    ),
+    _argv(st.just(["complex"]), _FILE.map(lambda f: ["--file", f]) | st.just([]), _OPERATION),
+)
+_EXTRA = st.lists(
+    st.sampled_from(
+        ["--format", "json", "text", "xml", "--bogus", "--count-only", "--break-signs", "-q", "cup"]
+    ),
+    max_size=3,
+)
+_ARGV = _argv(st.lists(st.sampled_from(["--bogus", "-q"]), max_size=1), _SUBCOMMANDS, _EXTRA)
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_ARGV)
+def test_fuzzed_argv(tmp_path, capsys, argv):
+    files = {
+        "@complex": json.dumps({"vertices": [0, 1, 2], "simplices": [[0, 1, 2]]}),
+        "@cochain": json.dumps({"entries": [{"simplex": [0, 1], "coeff": "1/2"}]}),
+        "@broken": "{",
+    }
+    for name, text in files.items():
+        (tmp_path / name[1:]).write_text(text)
+    argv = [str(tmp_path / token[1:]) if token.startswith("@") else token for token in argv]
+    code, out, err = _main_exit(capsys, argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.count("\n") == 1, err
+    else:
+        assert out and not err

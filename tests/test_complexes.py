@@ -121,7 +121,7 @@ def test_global_forms_stay_compatible():
 
 def test_coboundary_matches_star_shape():
     dc = global_coboundary(chi(BOUNDARY2, 0))
-    assert dc.coeffs == {(0, 1): Fraction(-1), (0, 2): Fraction(-1)}
+    assert dc.terms == {(0, 1): Fraction(-1), (0, 2): Fraction(-1)}
     assert not global_coboundary(GlobalCochain.unit(BOUNDARY2))
 
 
@@ -288,7 +288,7 @@ def _coboundary_by_definition(c):
     for simplex in c.complex.simplices:
         if len(simplex) > 1:
             out[simplex] = sum(
-                (-1) ** j * c.coeffs.get(simplex[:j] + simplex[j + 1 :], 0)
+                (-1) ** j * c.terms.get(simplex[:j] + simplex[j + 1 :], 0)
                 for j in range(len(simplex))
             )
     return GlobalCochain(c.complex, out)
@@ -418,6 +418,26 @@ def test_levelwise_matches_the_oracle_around_the_torus_witness():
         x0.carrier, cup(x0.carrier, x01.carrier)
     )
     _assert_levelwise_matches_the_oracle(TORUS, product(letters, repeat=3))
+
+
+def test_levelwise_visits_only_the_common_star(monkeypatch):
+    # off the star of its support a letter restricts to zero, so on the
+    # torus witness only the edge (0,1) and its two triangles are visited,
+    # with one restriction per letter each
+    calls = []
+    restrict_to = GlobalCochain.restrict_to
+
+    def counted(self, simplex):
+        calls.append(simplex)
+        return restrict_to(self, simplex)
+
+    monkeypatch.setattr(GlobalCochain, "restrict_to", counted)
+    word = tuple(Homog(chi(TORUS, *s), len(s) - 2) for s in ((0,), (0,), (0, 1)))
+    residual = _levelwise(TORUS, word, _relation_value)
+    star = TORUS.star([(0, 1)])
+    assert star == {(0, 1), (0, 1, 3), (0, 1, 5)}
+    assert set(calls) == star and len(calls) == 3 * len(star)
+    assert not residual
 
 
 def test_deeply_nested_json_is_a_format_error():

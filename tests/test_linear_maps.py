@@ -39,7 +39,7 @@ def test_cached_f_matches_face_integration():
 def test_cached_maps_drop_cancelled_terms():
     # dt1 and 2 t1 dt1 both integrate to 1 over the interval
     a = Form(1, {((0,), (1,)): 1, ((1,), (1,)): -2, ((1,), ()): 1})
-    assert project_f(a).coeffs == {(1,): 1}
+    assert project_f(a).terms == {(1,): 1}
     # g(x(0)) = 1 - t1 and g(x(1)) = t1
     assert include_g(Cochain(1, {(0,): 1, (1,): 1})).terms == {((0,), ()): 1}
 
