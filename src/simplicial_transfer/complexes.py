@@ -47,7 +47,7 @@ from itertools import combinations
 from .cochains import Cochain, _elementary_form
 from .forms import integrate_top, wedge
 from .rationals import SparseVector, _accumulate, parse_rational, rational_str
-from .reporting import CheckRecord, VerificationReport
+from .reporting import VerificationReport
 from .tensorwords import Homog
 from .transfer import SimplexContraction, transferred_m, _relation_value
 
@@ -352,126 +352,99 @@ def transferred_global_m(cochains) -> GlobalCochain:
     return _levelwise(complex_, tuple(word), transferred_m)
 
 
-def check_whitney_conditions(
-    complex_: OrderedComplex, require_nonassociativity_witness: bool | None = None
-) -> VerificationReport:
+def check_whitney_conditions(complex_: OrderedComplex) -> VerificationReport:
     """The classical product conditions for a ⊔ b = f(ga ^ gb), checked over
     every pair of basis cochains, plus the homotopy certificate for its
-    failure of associativity.
+    failure of associativity.  The products of all pairs of basis cochains
+    are computed once and every check reads them from that table.
 
-    By default a nonassociative triple is demanded exactly when the complex
-    has an edge; on a discrete complex the product is honestly associative.
+    A nonassociative triple is demanded exactly when the complex has an
+    edge; on a discrete complex the product is honestly associative.
     """
-    if require_nonassociativity_witness is None:
-        require_nonassociativity_witness = any(
-            len(s) >= 2 for s in complex_.simplices
-        )
     basis = [GlobalCochain.basis_element(complex_, s) for s in complex_.simplices]
     report = VerificationReport(
         family="cup product conditions",
         arity_range=(2, 3),
         basis=f"{len(basis)} basis cochains on {len(complex_.simplices)} simplices",
     )
+    products = {(a, b): cup(a, b) for a in basis for b in basis}
 
     def label(c: GlobalCochain) -> str:
         (simplex,) = c.support()
         return "x(" + ",".join(map(str, simplex)) + ")"
 
-    def record(name, size, failure):
-        report.checks.append(
-            CheckRecord(name=name, basis_size=size, passed=failure is None, counterexample=failure)
-        )
-
     # locality: the product lives in the star of both supports
-    failure = None
-    count = 0
-    stars = [complex_.star(c.support()) for c in basis]
-    for a, star_a in zip(basis, stars):
-        for b, star_b in zip(basis, stars):
-            count += 1
-            if not cup(a, b).support() <= star_a & star_b:
-                failure = f"{label(a)} cup {label(b)} leaves the common star"
-                break
-        if failure:
-            break
-    record("product is supported on common stars", count, failure)
+    stars = {c: complex_.star(c.support()) for c in basis}
+    report.check(
+        "product is supported on common stars",
+        (
+            None
+            if products[a, b].support() <= stars[a] & stars[b]
+            else f"{label(a)} cup {label(b)} leaves the common star"
+            for a in basis
+            for b in basis
+        ),
+    )
 
     # Leibniz with the sign of the left degree
-    failure = None
-    count = 0
-    for a in basis:
-        i = a.homogeneous_degree()
-        sign = -1 if i % 2 else 1
-        for b in basis:
-            count += 1
-            lhs = global_coboundary(cup(a, b))
-            rhs = cup(global_coboundary(a), b) + sign * cup(a, global_coboundary(b))
-            if lhs != rhs:
-                failure = f"delta({label(a)} cup {label(b)}) mismatch"
-                break
-        if failure:
-            break
-    record("coboundary is a signed derivation of the product", count, failure)
+    def leibniz_cases():
+        for a in basis:
+            sign = -1 if a.homogeneous_degree() % 2 else 1
+            for b in basis:
+                lhs = global_coboundary(products[a, b])
+                rhs = cup(global_coboundary(a), b) + sign * cup(a, global_coboundary(b))
+                yield None if lhs == rhs else f"delta({label(a)} cup {label(b)}) mismatch"
 
-    # unit law
+    report.check("coboundary is a signed derivation of the product", leibniz_cases())
+
     one = GlobalCochain.unit(complex_)
-    failure = None
-    count = 0
-    for b in basis:
-        count += 1
-        if cup(one, b) != b or cup(b, one) != b:
-            failure = f"unit law fails on {label(b)}"
-            break
-    record("constant 0-cochain is the identity", count, failure)
+    report.check(
+        "constant 0-cochain is the identity",
+        (
+            None if cup(one, b) == b and cup(b, one) == b else f"unit law fails on {label(b)}"
+            for b in basis
+        ),
+    )
 
     # graded commutativity (unshifted degrees)
-    failure = None
-    count = 0
-    for a in basis:
-        i = a.homogeneous_degree()
-        for b in basis:
-            count += 1
-            j = b.homogeneous_degree()
-            sign = -1 if (i * j) % 2 else 1
-            if cup(a, b) != sign * cup(b, a):
-                failure = f"{label(a)} cup {label(b)} not graded commutative"
-                break
-        if failure:
-            break
-    record("product is graded commutative", count, failure)
+    def commutativity_cases():
+        for a in basis:
+            i = a.homogeneous_degree()
+            for b in basis:
+                sign = -1 if (i * b.homogeneous_degree()) % 2 else 1
+                yield (
+                    None
+                    if products[a, b] == sign * products[b, a]
+                    else f"{label(a)} cup {label(b)} not graded commutative"
+                )
+
+    report.check("product is graded commutative", commutativity_cases())
 
     # nonassociativity witness plus its homotopy certificate
-    witness = None
-    for a in basis:
-        for b in basis:
-            for c in basis:
-                if cup(cup(a, b), c) != cup(a, cup(b, c)):
-                    witness = (a, b, c)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    name = "nonassociativity witness with homotopy certificate"
+    witness = next(
+        (
+            (a, b, c)
+            for a in basis
+            for b in basis
+            for c in basis
+            if cup(products[a, b], c) != cup(a, products[b, c])
+        ),
+        None,
+    )
     if witness is None:
+        has_edge = any(len(s) >= 2 for s in complex_.simplices)
+        failure = "no nonassociative triple found" if has_edge else None
+    else:
+        name += " (" + ", ".join(map(label, witness)) + ")"
+        word = tuple(Homog(x, x.homogeneous_degree() - 1) for x in witness)
+        residual = _levelwise(complex_, word, _relation_value)
         failure = (
-            "no nonassociative triple found"
-            if require_nonassociativity_witness
+            f"structure relation fails on the witness {tuple(map(label, witness))}"
+            if residual
             else None
         )
-        record("nonassociativity witness with homotopy certificate", len(basis) ** 3, failure)
-    else:
-        a, b, c = witness
-        word = tuple(Homog(x, x.homogeneous_degree() - 1) for x in (a, b, c))
-        residual = _levelwise(complex_, word, _relation_value)
-        failure = None
-        if residual:
-            failure = f"structure relation fails on the witness {tuple(map(label, witness))}"
-        record(
-            "nonassociativity witness with homotopy certificate "
-            f"({label(a)}, {label(b)}, {label(c)})",
-            len(basis) ** 3,
-            failure,
-        )
+    report.check(name, [failure], len(basis) ** 3)
     return report
 
 

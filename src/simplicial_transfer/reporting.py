@@ -1,8 +1,8 @@
 """Report containers shared by the identity-check batteries.
 
 Every battery evaluates a named identity over a complete enumerated basis
-and records pass/fail with the first counterexample; reports render to JSON
-(rationals as strings) and to aligned text.
+and records pass/fail with the first counterexample through ``Report.check``;
+reports render to JSON (rationals as strings) and to aligned text.
 """
 
 from __future__ import annotations
@@ -40,14 +40,35 @@ def _render_checks(checks) -> str:
 
 
 @dataclass
-class ContractionReport:
-    dimension: int
-    poly_degree_bound: int
-    checks: list[CheckRecord] = field(default_factory=list)
+class Report:
+    """The check records of one battery, added one identity at a time."""
+
+    checks: list[CheckRecord] = field(default_factory=list, kw_only=True)
 
     @property
     def all_passed(self) -> bool:
         return all(rec.passed for rec in self.checks)
+
+    def check(self, name: str, cases, size: int | None = None) -> None:
+        """Record one identity from its cases: each item is None where the
+        identity holds and the counterexample text where it fails.  The
+        sweep stops at the first failure.  The basis size is the number of
+        cases consumed, or ``size`` for a record that reports a fixed one."""
+        count = 0
+        failure = None
+        for failure in cases:
+            count += 1
+            if failure is not None:
+                break
+        self.checks.append(
+            CheckRecord(name, count if size is None else size, failure is None, failure)
+        )
+
+
+@dataclass
+class ContractionReport(Report):
+    dimension: int
+    poly_degree_bound: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -66,15 +87,10 @@ class ContractionReport:
 
 
 @dataclass
-class VerificationReport:
+class VerificationReport(Report):
     family: str
     arity_range: tuple[int, int]
     basis: str
-    checks: list[CheckRecord] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(rec.passed for rec in self.checks)
 
     def to_json_dict(self) -> dict:
         return {

@@ -56,7 +56,7 @@ from .contraction import homotopy_H, s_operator
 from .forms import Form, differential, format_form, integrate_top, wedge
 from .rationals import UniPoly, bernoulli_number, bernoulli_polynomial, binomial
 from .rationals import factorial, rational_str
-from .reporting import CheckRecord, VerificationReport
+from .reporting import Report, VerificationReport
 from .tensorwords import Homog, shuffle
 from .trees import enumerate_trees, evaluate_tree_m
 
@@ -346,38 +346,39 @@ def _relation_value(bundle, word) -> "Cochain":
     return _multilinear(bundle, word, _relation, bundle.zero_B)
 
 
+def _letters_label(bundle, letters) -> str:
+    return "(" + ", ".join(map(bundle.letter_label, letters)) + ")"
+
+
 def _word_label(bundle, ids) -> str:
-    return "(" + ", ".join(bundle.letter_label(bundle._letters[i]) for i in ids) + ")"
+    return _letters_label(bundle, (bundle._letters[i] for i in ids))
+
+
+def _letter_report(family: str, first_arity: int, max_arity: int, basis) -> VerificationReport:
+    return VerificationReport(
+        family=family,
+        arity_range=(first_arity, max_arity),
+        basis=f"{len(basis)} basis letters",
+    )
 
 
 def check_a_infinity(bundle, max_arity: int) -> VerificationReport:
     """Structure relations: the signed sum of nested transferred operations
     vanishes on every basis word of each arity."""
     basis = bundle.basis_ids()
-    report = VerificationReport(
-        family="structure relations",
-        arity_range=(1, max_arity),
-        basis=f"{len(basis)} basis letters",
-    )
-    for n in range(1, max_arity + 1):
-        failure = None
-        count = 0
+    report = _letter_report("structure relations", 1, max_arity, basis)
+
+    def cases(n):
         for word in product(basis, repeat=n):
-            count += 1
             value = _relation(bundle, word)
-            if value:
-                failure = (
-                    f"word={_word_label(bundle, word)} residual={bundle.render_B(value)}"
-                )
-                break
-        report.checks.append(
-            CheckRecord(
-                name=f"relation at arity {n}",
-                basis_size=count,
-                passed=failure is None,
-                counterexample=failure,
+            yield (
+                f"word={_word_label(bundle, word)} residual={bundle.render_B(value)}"
+                if value
+                else None
             )
-        )
+
+    for n in range(1, max_arity + 1):
+        report.check(f"relation at arity {n}", cases(n))
     return report
 
 
@@ -385,32 +386,19 @@ def check_morphism(bundle, max_arity: int) -> VerificationReport:
     """Morphism relations: the algebra-side combination of G components
     equals the G image of the cochain-side operations, word by word."""
     basis = bundle.basis_ids()
-    report = VerificationReport(
-        family="morphism relations",
-        arity_range=(1, max_arity),
-        basis=f"{len(basis)} basis letters",
-    )
-    for n in range(1, max_arity + 1):
-        failure = None
-        count = 0
+    report = _letter_report("morphism relations", 1, max_arity, basis)
+
+    def cases(n):
         for word in product(basis, repeat=n):
-            count += 1
             lhs = bundle.d_A(_G(bundle, word)) + _cut_products(bundle, word)
             rhs = _insertions(bundle, word, _G, bundle.zero_A())
-            if lhs != rhs:
-                failure = (
-                    f"word={_word_label(bundle, word)} "
-                    f"lhs={bundle.render_A(lhs)} rhs={bundle.render_A(rhs)}"
-                )
-                break
-        report.checks.append(
-            CheckRecord(
-                name=f"morphism relation at arity {n}",
-                basis_size=count,
-                passed=failure is None,
-                counterexample=failure,
+            yield None if lhs == rhs else (
+                f"word={_word_label(bundle, word)} "
+                f"lhs={bundle.render_A(lhs)} rhs={bundle.render_A(rhs)}"
             )
-        )
+
+    for n in range(1, max_arity + 1):
+        report.check(f"morphism relation at arity {n}", cases(n))
     return report
 
 
@@ -418,53 +406,36 @@ def check_c_infinity(bundle, max_arity: int) -> VerificationReport:
     """Shuffle vanishing: every transferred operation and every morphism
     component kills shuffles of nonempty words."""
     basis = bundle.basis_ids()
-    report = VerificationReport(
-        family="shuffle vanishing",
-        arity_range=(2, max_arity),
-        basis=f"{len(basis)} basis letters",
-    )
+    report = _letter_report("shuffle vanishing", 2, max_arity, basis)
     degree_of = bundle._degrees.__getitem__
+
+    def cases(shuffles, op, zero, render):
+        for u, v, sh in shuffles:
+            total = zero()
+            for word, coeff in sh.items():
+                value = op(bundle, word)
+                if value:
+                    total = _plus(total, coeff, value)
+            yield (
+                f"{_word_label(bundle, u)} shuffle {_word_label(bundle, v)} gives {render(total)}"
+                if total
+                else None
+            )
+
     for n in range(2, max_arity + 1):
-        failure_m = None
-        failure_g = None
-        count = 0
-        for p in range(1, n):
-            q = n - p
-            for u in product(basis, repeat=p):
-                for v in product(basis, repeat=q):
-                    count += 1
-                    sh = shuffle(u, v, degree_of)
-                    total_m = bundle.zero_B()
-                    total_g = bundle.zero_A()
-                    for word, coeff in sh.items():
-                        m_val = _m(bundle, word)
-                        if m_val:
-                            total_m = _plus(total_m, coeff, m_val)
-                        g_val = _G(bundle, word)
-                        if g_val:
-                            total_g = _plus(total_g, coeff, g_val)
-                    label = f"{_word_label(bundle, u)} shuffle {_word_label(bundle, v)}"
-                    if failure_m is None and total_m:
-                        failure_m = f"{label} gives {bundle.render_B(total_m)}"
-                    if failure_g is None and total_g:
-                        failure_g = f"{label} gives {bundle.render_A(total_g)}"
-                if failure_m and failure_g:
-                    break
-        report.checks.append(
-            CheckRecord(
-                name=f"operation vanishes on shuffles, arity {n}",
-                basis_size=count,
-                passed=failure_m is None,
-                counterexample=failure_m,
-            )
+        shuffles = [
+            (u, v, shuffle(u, v, degree_of))
+            for p in range(1, n)
+            for u in product(basis, repeat=p)
+            for v in product(basis, repeat=n - p)
+        ]
+        report.check(
+            f"operation vanishes on shuffles, arity {n}",
+            cases(shuffles, _m, bundle.zero_B, bundle.render_B),
         )
-        report.checks.append(
-            CheckRecord(
-                name=f"morphism vanishes on shuffles, arity {n}",
-                basis_size=count,
-                passed=failure_g is None,
-                counterexample=failure_g,
-            )
+        report.check(
+            f"morphism vanishes on shuffles, arity {n}",
+            cases(shuffles, _G, bundle.zero_A, bundle.render_A),
         )
     return report
 
@@ -474,66 +445,57 @@ def check_unital(bundle, max_arity: int) -> VerificationReport:
     basis = bundle.b_basis()
     e = bundle.unit_B()
     e_letter = Homog(e, -1)
-    report = VerificationReport(
-        family="unitality",
-        arity_range=(1, max_arity),
-        basis=f"{len(basis)} basis letters",
-    )
+    report = _letter_report("unitality", 1, max_arity, basis)
 
-    def record(name, size, failure):
-        report.checks.append(
-            CheckRecord(name=name, basis_size=size, passed=failure is None, counterexample=failure)
-        )
-
-    def vanish_on_unit(what, outer, render, first_arity):
-        for n in range(first_arity, max_arity + 1):
-            failure = None
-            count = 0
-            for slot in range(n):
-                for rest in product(basis, repeat=n - 1):
-                    count += 1
-                    word = rest[:slot] + (e_letter,) + rest[slot:]
-                    value = outer(bundle, word)
-                    if value:
-                        failure = f"word={_word_label(bundle, word)} gives {render(value)}"
-                        break
-                if failure:
-                    break
-            record(f"{what} of arity {n} vanish on the unit", count, failure)
-
-    failure = None
-    if e != bundle.expected_unit():
-        failure = f"f(1) = {bundle.render_B(e)}"
-    record("unit is the sum of vertex indicators", 1, failure)
-
-    failure = None
-    if transferred_m(bundle, (e_letter,)):
-        failure = "differential of the unit is nonzero"
-    record("unit is closed", 1, failure)
-
-    failure = None
-    for b in basis:
-        left = transferred_m(bundle, (e_letter, b))
-        sign = 1 if (b.degree + 1) % 2 == 0 else -1
-        right = transferred_m(bundle, (b, e_letter))
-        right = right if sign == 1 else sign * right
-        if left != b.carrier or right != b.carrier:
-            failure = (
+    def binary_cases():
+        for b in basis:
+            left = transferred_m(bundle, (e_letter, b))
+            sign = 1 if (b.degree + 1) % 2 == 0 else -1
+            right = transferred_m(bundle, (b, e_letter))
+            right = right if sign == 1 else sign * right
+            yield None if left == b.carrier and right == b.carrier else (
                 f"letter {bundle.letter_label(b)}: e*b={bundle.render_B(left)}, "
                 f"signed b*e={bundle.render_B(right)}"
             )
-            break
-    record("binary unit laws", len(basis), failure)
 
-    vanish_on_unit("operations", transferred_m, bundle.render_B, 3)
+    def on_unit_cases(outer, render, n):
+        for slot in range(n):
+            for rest in product(basis, repeat=n - 1):
+                word = rest[:slot] + (e_letter,) + rest[slot:]
+                value = outer(bundle, word)
+                yield (
+                    f"word={_letters_label(bundle, word)} gives {render(value)}"
+                    if value
+                    else None
+                )
 
-    failure = None
-    if morphism_G(bundle, (e_letter,)) != bundle.one_A():
-        failure = "g does not send the unit to 1"
-    record("morphism sends unit to 1", 1, failure)
-
-    vanish_on_unit("morphism components", morphism_G, bundle.render_A, 2)
-
+    report.check(
+        "unit is the sum of vertex indicators",
+        [None if e == bundle.expected_unit() else f"f(1) = {bundle.render_B(e)}"],
+    )
+    report.check(
+        "unit is closed",
+        ["differential of the unit is nonzero" if transferred_m(bundle, (e_letter,)) else None],
+    )
+    report.check("binary unit laws", binary_cases(), len(basis))
+    for n in range(3, max_arity + 1):
+        report.check(
+            f"operations of arity {n} vanish on the unit",
+            on_unit_cases(transferred_m, bundle.render_B, n),
+        )
+    report.check(
+        "morphism sends unit to 1",
+        [
+            None
+            if morphism_G(bundle, (e_letter,)) == bundle.one_A()
+            else "g does not send the unit to 1"
+        ],
+    )
+    for n in range(2, max_arity + 1):
+        report.check(
+            f"morphism components of arity {n} vanish on the unit",
+            on_unit_cases(morphism_G, bundle.render_A, n),
+        )
     return report
 
 
@@ -541,18 +503,13 @@ def check_unital(bundle, max_arity: int) -> VerificationReport:
 
 
 @dataclass
-class IntervalTable:
+class IntervalTable(Report):
     """Products of the interval cochains t and dt, reported in the basis
     {1, t, dt}, together with the derived Bernoulli comparisons."""
 
     max_arity: int
     entries: list[dict] = field(default_factory=list)
-    checks: list[CheckRecord] = field(default_factory=list)
     findings: list[str] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(rec.passed for rec in self.checks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -620,67 +577,47 @@ def interval_product_table(max_arity: int) -> IntervalTable:
                 {"word": ",".join(names), "value": _component_string(components)}
             )
 
-    def record(name, size, failure):
-        table.checks.append(
-            CheckRecord(name=name, basis_size=size, passed=failure is None, counterexample=failure)
-        )
+    def one_t(n, i):
+        return ("dt",) * i + ("t",) + ("dt",) * (n - i)
 
-    failure = None
-    if values[("t", "t")] != (0, 1, 0):
-        failure = f"m(t,t) = {_component_string(values[('t', 't')])}"
-    record("m(t,t) = t", 1, failure)
-
-    failure = None
-    family: dict[int, Fraction] = {}
-    count = 0
-    for n in range(1, max_arity):
-        names = ("t",) + ("dt",) * n
+    def magnitude_case(names, expected):
         c1, ct, cdt = values[names]
-        family[n] = cdt
-        expected = abs(bernoulli_number(n)) / factorial(n)
-        count += 1
         if c1 or ct or abs(cdt) != expected:
-            failure = (
+            return (
                 f"m({','.join(names)}) = {_component_string(values[names])}, "
                 f"expected magnitude {rational_str(expected)}"
             )
-            break
-    record("dt coefficient of m(t,dt,...,dt) has magnitude |B_n|/n!", count, failure)
+        return None
 
-    failure = None
-    count = 0
-    for names, components in values.items():
-        t_count = names.count("t")
-        if names == ("t", "t"):
-            continue
-        one_t_family = t_count == 1
-        if one_t_family:
-            continue
-        count += 1
-        if components != (0, 0, 0):
-            failure = f"m({','.join(names)}) = {_component_string(components)}"
-            break
-    record("all words outside the one-t family vanish", count, failure)
-
-    failure = None
-    count = 0
-    for n in range(1, min(4, max_arity - 1) + 1):
-        base = family[n]
-        if base == 0:
-            continue
-        for i in range(0, n + 1):
-            names = ("dt",) * i + ("t",) + ("dt",) * (n - i)
-            c1, ct, cdt = values[names]
-            count += 1
-            if c1 or ct or abs(cdt) != binomial(n, i) * abs(base):
-                failure = (
-                    f"m({','.join(names)}) = {_component_string(values[names])}, "
-                    f"expected magnitude {rational_str(binomial(n, i) * abs(base))}"
+    def outside_cases():
+        for names, components in values.items():
+            if names != ("t", "t") and names.count("t") != 1:
+                yield (
+                    f"m({','.join(names)}) = {_component_string(components)}"
+                    if any(components)
+                    else None
                 )
-                break
-        if failure:
-            break
-    record("one-t family scales by binomial coefficients", count, failure)
+
+    family = {n: values[one_t(n, 0)][2] for n in range(1, max_arity)}
+    scaled = [n for n in range(1, min(4, max_arity - 1) + 1) if family[n]]
+    tt = values[("t", "t")]
+    table.check("m(t,t) = t", [None if tt == (0, 1, 0) else f"m(t,t) = {_component_string(tt)}"])
+    table.check(
+        "dt coefficient of m(t,dt,...,dt) has magnitude |B_n|/n!",
+        (
+            magnitude_case(one_t(n, 0), abs(bernoulli_number(n)) / factorial(n))
+            for n in range(1, max_arity)
+        ),
+    )
+    table.check("all words outside the one-t family vanish", outside_cases())
+    table.check(
+        "one-t family scales by binomial coefficients",
+        (
+            magnitude_case(one_t(n, i), binomial(n, i) * abs(family[n]))
+            for n in scaled
+            for i in range(n + 1)
+        ),
+    )
 
     # findings: the literal sign patterns, computed exactly
     signed = []
@@ -698,15 +635,10 @@ def interval_product_table(max_arity: int) -> IntervalTable:
         + " (the computed values follow (-1)^n B_n/n!)"
     )
     ratio_notes = []
-    for n in range(1, min(4, max_arity - 1) + 1):
-        base = family[n]
-        if base == 0:
-            continue
-        pattern = []
-        for i in range(0, n + 1):
-            names = ("dt",) * i + ("t",) + ("dt",) * (n - i)
-            ratio = values[names][2] / base
-            pattern.append(f"i={i}: {rational_str(ratio)}")
+    for n in scaled:
+        pattern = [
+            f"i={i}: {rational_str(values[one_t(n, i)][2] / family[n])}" for i in range(n + 1)
+        ]
         ratio_notes.append(f"n={n} [{', '.join(pattern)}]")
     table.findings.append(
         "ratio m(dt^i,t,dt^(n-i)) / m(t,dt^n): "

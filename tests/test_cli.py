@@ -89,22 +89,74 @@ def test_verify_break_signs(capsys):
     assert "counterexample" in out
 
 
-@pytest.mark.parametrize(
-    "fmt, digest",
-    [
-        ("text", "e39a660ff8802c240b9fd97a4a99fc6928deac19d36cb8785eb1f5b1001e71c4"),
-        ("json", "277e89b3e4a5a4c87b6a821edc32423d027e74c214920f2ed2b955754d983265"),
-    ],
-    ids=["text", "json"],
+# the minimal 7-vertex triangulation of the torus
+_TORUS = {
+    "vertices": list(range(7)),
+    "simplices": [sorted({i, (i + 1) % 7, (i + 3) % 7}) for i in range(7)]
+    + [sorted({i, (i + 2) % 7, (i + 3) % 7}) for i in range(7)],
+}
+_OCTAHEDRON = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "octahedron.json").read_text()
 )
-def test_verify_break_signs_report_is_unchanged(capsys, fmt, digest):
-    # sha256 of the report as the letter-by-letter insertion sum wrote it:
-    # expanding m_k in the cochain basis must not move a counterexample
-    code, out, _ = run(
-        capsys, "verify", "--dim", "2", "--max-arity", "3", "--break-signs", "--format", fmt
-    )
-    assert code == 1
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+_PINNED = {
+    "verify-break-signs": ("verify", "--dim", "2", "--max-arity", "3", "--break-signs"),
+    "verify": ("verify", "--dim", "2", "--max-arity", "3"),
+    "contraction": ("contraction", "--dim", "3", "--max-poly-degree", "2"),
+    "interval": ("interval", "--max-arity", "6"),
+    "whitney-octahedron": _OCTAHEDRON,
+    "whitney-torus": _TORUS,
+    "whitney-discrete": {"vertices": [0, 1, 2], "simplices": [[0], [1], [2]]},
+}
+
+
+# sha256 of each report's stdout, recorded before every battery went through
+# one recorder
+_DIGESTS = {
+    ("verify-break-signs", "text"):
+        "e39a660ff8802c240b9fd97a4a99fc6928deac19d36cb8785eb1f5b1001e71c4",
+    ("verify-break-signs", "json"):
+        "277e89b3e4a5a4c87b6a821edc32423d027e74c214920f2ed2b955754d983265",
+    ("verify", "text"):
+        "fe36e4a04e2150847643743b83b339d7d7344deb749b305e00a83b02450c15c4",
+    ("verify", "json"):
+        "514531f18b7d089b9ad2a1905f90f50e0f2236a4b889502b4a562eb497ab645e",
+    ("contraction", "text"):
+        "24a488964670a7ed5e666b150936067b3ce39f48ae901076836c69c5bf0f650e",
+    ("contraction", "json"):
+        "dc30ed017e38153b9f2a1fe08d132b88b6f3c6e407822caea81e8903163547a8",
+    ("interval", "text"):
+        "30feda8aa4b5a5b91dd7d8e6726370766232cb53c8519ca97ed7f1a073ed9581",
+    ("interval", "json"):
+        "527119ce5f2036f5e1d0d9e5c4598cdfcdc474c2082a8e17a4779dc4b53d3cf3",
+    ("whitney-octahedron", "text"):
+        "534e4b3a0b4f7cd028f37c190a3c8990351122350def7ea2813f7cf9429dfbd0",
+    ("whitney-octahedron", "json"):
+        "f7b08b4f9454b3c08609bf2ae85051513e169fa37e89d568b304e284a6dfd5b0",
+    ("whitney-torus", "text"):
+        "609f0787b90a9f581fe7ee17f530e71b864852f115a7edfdb2305be6011e30e1",
+    ("whitney-torus", "json"):
+        "ffae7d883c2ee5c9c4e8f797491f44e96862b40c753aed24fd489eaa9e8bc06b",
+    ("whitney-discrete", "text"):
+        "112b7ffe416debec1abe107b298671dec968fc39b5fa210d329b3ce35d3d7e6d",
+    ("whitney-discrete", "json"):
+        "fe502ce93bea24e1a8c746f2fa789fba8bd4ccc7af66ce02f96d06cc0d4ac785",
+}
+
+
+@pytest.mark.parametrize("case, fmt", list(_DIGESTS), ids=[f"{c}-{f}" for c, f in _DIGESTS])
+def test_report_is_unchanged(tmp_path, capsys, case, fmt):
+    # the break-signs digests date from the letter-by-letter insertion sum:
+    # expanding m_k in the cochain basis did not move a counterexample
+    argv = _PINNED[case]
+    if isinstance(argv, dict):
+        complex_file = tmp_path / "complex.json"
+        complex_file.write_text(json.dumps(argv))
+        argv = ("complex", "--file", str(complex_file), "--format", fmt, "whitney-check")
+    else:
+        argv += ("--format", fmt)
+    code, out, _ = run(capsys, *argv)
+    assert code == (1 if case == "verify-break-signs" else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == _DIGESTS[case, fmt]
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simplicial_transfer import complexes
 from simplicial_transfer.complexes import (
     ComplexFormatError,
     GlobalCochain,
@@ -150,6 +151,22 @@ def test_whitney_conditions():
     for X in (DELTA2, BOUNDARY2):
         report = check_whitney_conditions(X)
         assert report.all_passed, report.to_text()
+
+
+def test_doubled_cup_fails_at_the_first_counterexample(monkeypatch):
+    # the product doubled whenever its left factor touches an edge; each
+    # record counts the pairs up to and including its first failure
+    def doubled(a, b):
+        value = cup(a, b)
+        return 2 * value if any(len(s) == 2 for s in a.terms) else value
+
+    monkeypatch.setattr(complexes, "cup", doubled)
+    report = check_whitney_conditions(DELTA2)
+    assert [(c.name, c.basis_size, c.counterexample) for c in report.checks if not c.passed] == [
+        ("coboundary is a signed derivation of the product", 1, "delta(x(0) cup x(0)) mismatch"),
+        ("constant 0-cochain is the identity", 4, "unit law fails on x(0,1)"),
+        ("product is graded commutative", 4, "x(0) cup x(0,1) not graded commutative"),
+    ]
 
 
 def test_nonassociativity_witness_present():

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
+from simplicial_transfer import contraction
 from simplicial_transfer.cochains import basis_faces, Cochain, include_g, project_f
 from simplicial_transfer.contraction import (
     check_contraction,
@@ -115,6 +116,15 @@ def test_report_serialization():
     json.dumps(payload)  # serializable
     text = report.to_text()
     assert "f o g = 1" in text and "PASS" in text
+
+
+def test_doubled_s_fails_the_homotopy_record(monkeypatch):
+    # a failing record still reports the size of the whole monomial basis
+    monkeypatch.setattr(contraction, "s_operator", lambda a: 2 * s_operator(a))
+    report = check_contraction(2, 2)
+    assert [(c.name, c.basis_size, c.counterexample) for c in report.checks if not c.passed] == [
+        ("1 - g o f = ds + sd", 24, "1 t2^2"),
+    ]
 
 
 def test_check_contraction_on_the_4_simplex():

@@ -11,7 +11,8 @@ from simplicial_transfer.cochains import (
 from simplicial_transfer.complexes import OrderedComplex
 from simplicial_transfer.forms import parse_form
 from simplicial_transfer.rationals import UniPoly, bernoulli_number, factorial
-from simplicial_transfer.tensorwords import Homog
+from simplicial_transfer import transfer
+from simplicial_transfer.tensorwords import Homog, TensorSum, shuffle
 from simplicial_transfer.tensorwords import word_degree
 from simplicial_transfer.transfer import (
     SimplexContraction,
@@ -194,6 +195,77 @@ def test_broken_signs_fail_with_counterexample():
     assert not report.all_passed
     failing = [c for c in report.checks if not c.passed]
     assert failing and failing[0].counterexample
+
+
+def _failing(report):
+    return [(c.name, c.basis_size, c.counterexample) for c in report.checks if not c.passed]
+
+
+def test_truncated_shuffle_fails_at_the_first_counterexample(monkeypatch):
+    # each record counts the cases up to and including its first failure
+    def first_term(u, v, degree_of):
+        return TensorSum._trusted(None, dict(list(shuffle(u, v, degree_of).terms.items())[:1]))
+
+    monkeypatch.setattr(transfer, "shuffle", first_term)
+    assert _failing(check_c_infinity(SimplexContraction(1), 3)) == [
+        (
+            "operation vanishes on shuffles, arity 2",
+            3,
+            "(x(0)) shuffle (x(0,1)) gives face=[0,1] coeff=1/2",
+        ),
+        (
+            "morphism vanishes on shuffles, arity 2",
+            3,
+            "(x(0)) shuffle (x(0,1)) gives -1/2 t1 + 1/2 t1^2",
+        ),
+        (
+            "operation vanishes on shuffles, arity 3",
+            9,
+            "(x(0)) shuffle (x(0,1), x(0,1)) gives face=[0,1] coeff=-1/12",
+        ),
+        (
+            "morphism vanishes on shuffles, arity 3",
+            9,
+            "(x(0)) shuffle (x(0,1), x(0,1)) gives -1/12 t1 + 1/4 t1^2 + -1/6 t1^3",
+        ),
+    ]
+
+
+def test_unit_word_counterexample_names_its_letters(monkeypatch):
+    m = transfer.transferred_m
+
+    def off_by_the_unit(bundle, word):
+        value = m(bundle, word)
+        return value + bundle.unit_B() if len(word) == 3 else value
+
+    monkeypatch.setattr(transfer, "transferred_m", off_by_the_unit)
+    unit = "face=[0] coeff=1; face=[1] coeff=1"
+    assert _failing(check_unital(SimplexContraction(1), 3)) == [
+        (
+            "operations of arity 3 vanish on the unit",
+            1,
+            f"word=(Cochain(1, '{unit}'), x(0), x(0)) gives {unit}",
+        ),
+    ]
+
+
+def test_interval_table_reports_a_failing_bernoulli_check(monkeypatch):
+    m = transfer.transferred_m
+
+    def tripled(bundle, word):
+        value = m(bundle, word)
+        return 3 * value if len(word) == 3 else value
+
+    monkeypatch.setattr(transfer, "transferred_m", tripled)
+    table = interval_product_table(5)
+    assert not table.all_passed
+    assert _failing(table) == [
+        (
+            "dt coefficient of m(t,dt,...,dt) has magnitude |B_n|/n!",
+            2,
+            "m(t,dt,dt) = 1/4 dt, expected magnitude 1/12",
+        ),
+    ]
 
 
 def test_interval_table():
