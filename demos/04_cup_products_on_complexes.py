@@ -43,10 +43,10 @@ print("  (x0 cup x0) cup e01 =", lhs)
 print("  x0 cup (x0 cup e01) =", rhs)
 print()
 
-print("The transferred ternary operation repairs the failure.  It is assembled")
-print("simplex by simplex from the operation on a single simplex; it vanishes")
-print("on the witness itself, and its values with a coboundary inserted carry")
-print("the associator:")
+print("The transferred ternary operation repairs the failure.  On basis")
+print("cochains it lives on the join of their supports, with its coefficient")
+print("read from the operation on a single simplex; it vanishes on the witness")
+print("itself, and its values with a coboundary inserted carry the associator:")
 dx0 = global_coboundary(x0)
 m3 = transferred_global_m([x0, x0, e01])
 m3_left = transferred_global_m([dx0, x0, e01])

@@ -1,23 +1,19 @@
 """Finite ordered simplicial complexes: global cochains, the cup-like
-product, and the transferred operations assembled from single simplices.
+product, and the transferred operations read off single simplices.
 
 A complex is given by totally ordered vertices and maximal simplices; the
-closure stores every face.  Forms, Whitney's inclusion g, integration f and
-Dupont's homotopy H are levelwise on a complex and natural for face
-inclusions (Dupont 1976; Cheng-Getzler, section 3), so every transferred
-operation commutes with restriction to a simplex.  Its value on a simplex s
-of dimension n is read off the standard n-simplex,
+closure stores every face.  Forms, g, f and Dupont's homotopy H are
+levelwise and natural for face inclusions (Dupont 1976; Cheng-Getzler,
+section 3), so no form on the whole complex is needed: for k >= 2,
 
-    m_k(c_1, ..., c_k)(s) = m_k^n(c_1|s, ..., c_k|s)(0 1 ... n),
+    m_k(e_{F_1}, ..., e_{F_k}) = mu * e_U,    U = F_1 u ... u F_k,
 
-where c|s is the cochain that c induces on s in local vertex positions and
-m_k^n is the operation of the single-simplex engine.  The left side of each
-structure relation is assembled the same way; no form on the whole complex
-is ever built.
+zero unless U is a simplex with dim U = sum_j dim F_j + 2 - k, where mu is
+the top-face coefficient of m_k on the standard simplex of dimension dim U
+at the positions of the F_j in U (the join rule).
 
-The product of two cochains is f(ga ^ gb).  f reads only the top-degree part
-of the form on each simplex, so the product is bilinear in the Whitney
-structure constants of one n-simplex,
+The product f(ga ^ gb) = (-1)^{deg a} m_2(a, b) is the arity-2 case, summed
+by bilinearity; on basis cochains it is the Whitney structure constant
 
     c_n(sigma, tau) = integral over the n-simplex of w_sigma ^ w_tau,
     (a cup b)(s) = sum of a(sigma) b(tau) c_{dim s}(sigma, tau)
@@ -41,19 +37,17 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
-from .cochains import Cochain, _elementary_form
-from .forms import integrate_top, wedge
 from .rationals import SparseVector, _accumulate, parse_rational, rational_str
 from .reporting import VerificationReport
 from .tensorwords import Homog
-from .transfer import SimplexContraction, transferred_m, _relation_value
+from .transfer import Contraction, SimplexContraction, _m, _relation_value, transferred_m
 
 __all__ = [
     "OrderedComplex",
     "GlobalCochain",
+    "ComplexContraction",
     "ComplexFormatError",
     "load_complex",
     "complex_from_data",
@@ -81,7 +75,7 @@ class OrderedComplex:
     nonempty face of every maximal simplex.
     """
 
-    __slots__ = ("vertices", "maximal", "simplices", "_hash", "_cofaces")
+    __slots__ = ("vertices", "maximal", "simplices", "_hash", "_cofaces", "_contraction")
 
     def __init__(self, vertices, maximal):
         vertices = tuple(vertices)
@@ -109,6 +103,7 @@ class OrderedComplex:
         )
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_cofaces", None)
+        object.__setattr__(self, "_contraction", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrderedComplex is immutable")
@@ -143,6 +138,14 @@ class OrderedComplex:
             table = {s: tuple(c) for s, c in lists.items()}
             object.__setattr__(self, "_cofaces", table)
         return table
+
+    def contraction(self) -> "ComplexContraction":
+        """The cochain-side bundle of the complex, built on first use."""
+        bundle = self._contraction
+        if bundle is None:
+            bundle = ComplexContraction(self)
+            object.__setattr__(self, "_contraction", bundle)
+        return bundle
 
     def star(self, simplices) -> set[Simplex]:
         """All simplices having some member of the given set as a face,
@@ -230,17 +233,6 @@ class GlobalCochain(SparseVector, space="complex", mismatch="complex mismatch"):
     def support(self) -> set[Simplex]:
         return set(self.terms)
 
-    def restrict_to(self, simplex: Simplex) -> Cochain:
-        """The local cochain induced on one simplex of the closure."""
-        vertices = set(simplex)
-        out = {}
-        for face, coeff in self.terms.items():
-            if vertices.issuperset(face):
-                out[_positions(face, simplex)] = coeff
-        # positions of a face of an increasing simplex increase, and the
-        # coefficients are already clean
-        return Cochain._trusted(len(simplex) - 1, out)
-
     def __repr__(self) -> str:
         entries = ", ".join(
             f"{list(s)}: {rational_str(c)}"
@@ -259,82 +251,71 @@ def global_coboundary(c: GlobalCochain) -> GlobalCochain:
     return GlobalCochain._trusted(c.complex, out)
 
 
-@lru_cache(maxsize=None)
-def _cup_constant(n: int, sigma: Simplex, tau: Simplex) -> Fraction:
-    """The Whitney structure constant: the integral of w_sigma ^ w_tau over
-    the n-simplex, for faces sigma, tau with deg sigma + deg tau = n."""
-    return integrate_top(wedge(_elementary_form(sigma, n), _elementary_form(tau, n)))
+class ComplexContraction(Contraction):
+    """The cochain side of the transfer on a complex: the basis of
+    simplices, the coboundary as m_1, and m_k for k >= 2 by the join rule
+    (module docstring), with one single-simplex engine per dimension."""
+
+    def __init__(self, complex_: OrderedComplex):
+        super().__init__()
+        self.complex = complex_
+        self._zero = GlobalCochain(complex_)
+        dims = range(max(map(len, complex_.simplices), default=0))
+        self._engines = [SimplexContraction(n) for n in dims]
+
+    def d_B(self, c: GlobalCochain) -> GlobalCochain:
+        return global_coboundary(c)
+
+    def zero_B(self) -> GlobalCochain:
+        return self._zero
+
+    def faces(self):
+        return self.complex.simplices
+
+    def basis_element(self, simplex) -> GlobalCochain:
+        return GlobalCochain.basis_element(self.complex, simplex)
+
+    render_B = staticmethod(repr)
+
+    def m_word(self, ids: tuple[int, ...]) -> GlobalCochain:
+        """m_k on a basis word by the join rule."""
+        faces = [self._faces[i] for i in ids]
+        union = tuple(sorted(set().union(*faces)))
+        n = len(union) - 1
+        if n != sum(len(face) - 1 for face in faces) + 2 - len(ids):
+            return self._zero
+        if union not in self.complex.cofaces():  # keyed by every simplex
+            return self._zero
+        engine = self._engines[n]
+        local = tuple(
+            engine.intern(_positions(face, union), self._degrees[i])
+            for face, i in zip(faces, ids)
+        )
+        mu = _m(engine, local).terms.get(tuple(range(n + 1)))
+        return GlobalCochain._trusted(self.complex, {union: mu}) if mu else self._zero
 
 
 def cup(a: GlobalCochain, b: GlobalCochain) -> GlobalCochain:
-    """The product f(ga ^ gb), by bilinearity from the structure constants:
-
-        (a cup b)(s) = sum a(sigma) b(tau) c_{dim s}(pos sigma, pos tau)
-
-    over faces sigma, tau of s with deg sigma + deg tau = dim s.  The
-    constant is nonzero only when sigma and tau share exactly one vertex and
-    s is their union (see the module docstring), so each pair of simplices
-    contributes at most to their join, and only if it is in the complex."""
+    """The product f(ga ^ gb) = (-1)^{deg sigma} m_2(e_sigma, e_tau) on basis
+    cochains, summed by bilinearity; by the join rule each pair of simplices
+    contributes at most to their join (see the module docstring)."""
     if a.complex != b.complex:
         raise ValueError("complex mismatch")
-    known = a.complex.cofaces()  # keyed by every simplex of the closure
+    bundle = a.complex.contraction()
     out: dict[Simplex, Fraction] = {}
     for sigma, x in a.terms.items():
+        left = bundle.intern(sigma, len(sigma) - 2)
+        x = x if len(sigma) % 2 else -x
         for tau, y in b.terms.items():
-            union = set(sigma).union(tau)
-            if len(union) != len(sigma) + len(tau) - 1:
-                continue
-            simplex = tuple(sorted(union))
-            if simplex not in known:
-                continue
-            value = _cup_constant(
-                len(simplex) - 1, _positions(sigma, simplex), _positions(tau, simplex)
-            )
-            new = out.get(simplex, 0) + x * y * value
-            if new:
-                out[simplex] = new
-            else:
-                del out[simplex]
+            value = _m(bundle, (left, bundle.intern(tau, len(tau) - 2)))
+            _accumulate(out, value.terms.items(), x * y)
     return GlobalCochain._trusted(a.complex, out)
 
 
-def _levelwise(complex_: OrderedComplex, word, op) -> GlobalCochain:
-    """op(word) on the complex, assembled simplex by simplex by naturality:
-    the value on s is the top-face coefficient of op on the restricted word
-    over the standard simplex of dimension dim s.  op is transferred_m or
-    _relation_value; both are multilinear, and a letter restricts to zero
-    off the star of its support, so only the common star of the letters is
-    visited, and a simplex on which some letter restricts to zero is
-    skipped.  One single-simplex bundle per dimension serves the whole call,
-    so its memo is shared across simplices."""
-    common = set(complex_.simplices)
-    for letter in word:
-        common &= complex_.star(letter.carrier.support())
-    bundles: dict[int, SimplexContraction] = {}
-    out = {}
-    for simplex in complex_.simplices:
-        if simplex not in common:
-            continue
-        local = []
-        for letter in word:
-            restricted = letter.carrier.restrict_to(simplex)
-            if not restricted:
-                break
-            local.append(Homog(restricted, letter.degree))
-        else:
-            n = len(simplex) - 1
-            bundle = bundles.get(n)
-            if bundle is None:
-                bundle = bundles[n] = SimplexContraction(n)
-            value = op(bundle, tuple(local)).terms.get(tuple(range(n + 1)))
-            if value:
-                out[simplex] = value
-    return GlobalCochain._trusted(complex_, out)
-
-
 def transferred_global_m(cochains) -> GlobalCochain:
-    """The transferred operation on a word of homogeneous global cochains;
-    a word holding a zero cochain gives zero, by multilinearity."""
+    """The transferred operation on a word of homogeneous global cochains,
+    through the complex's bundle; a word holding a zero cochain gives zero,
+    by multilinearity."""
     cochains = tuple(cochains)
     if not cochains:
         raise ValueError("empty word")
@@ -349,7 +330,7 @@ def transferred_global_m(cochains) -> GlobalCochain:
         if degree is None:
             raise ValueError("inputs must be homogeneous (or zero)")
         word.append(Homog(c, degree - 1))
-    return _levelwise(complex_, tuple(word), transferred_m)
+    return transferred_m(complex_.contraction(), tuple(word))
 
 
 def check_whitney_conditions(complex_: OrderedComplex) -> VerificationReport:
@@ -386,13 +367,21 @@ def check_whitney_conditions(complex_: OrderedComplex) -> VerificationReport:
         ),
     )
 
-    # Leibniz with the sign of the left degree
+    # Leibniz with the sign of the left degree; the coboundaries of the
+    # basis are computed once, and their products read from the table
+    of = dict(zip(complex_.simplices, basis))
+    delta = {c: global_coboundary(c).items() for c in basis}
+
     def leibniz_cases():
         for a in basis:
             sign = -1 if a.homogeneous_degree() % 2 else 1
             for b in basis:
-                lhs = global_coboundary(products[a, b])
-                rhs = cup(global_coboundary(a), b) + sign * cup(a, global_coboundary(b))
+                rhs: dict[Simplex, Fraction] = {}
+                for s, x in delta[a]:
+                    _accumulate(rhs, products[of[s], b].terms.items(), x)
+                for s, y in delta[b]:
+                    _accumulate(rhs, products[a, of[s]].terms.items(), sign * y)
+                lhs = global_coboundary(products[a, b]).terms
                 yield None if lhs == rhs else f"delta({label(a)} cup {label(b)}) mismatch"
 
     report.check("coboundary is a signed derivation of the product", leibniz_cases())
@@ -438,7 +427,7 @@ def check_whitney_conditions(complex_: OrderedComplex) -> VerificationReport:
     else:
         name += " (" + ", ".join(map(label, witness)) + ")"
         word = tuple(Homog(x, x.homogeneous_degree() - 1) for x in witness)
-        residual = _levelwise(complex_, word, _relation_value)
+        residual = _relation_value(complex_.contraction(), word)
         failure = (
             f"structure relation fails on the witness {tuple(map(label, witness))}"
             if residual

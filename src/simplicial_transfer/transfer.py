@@ -90,8 +90,10 @@ class Contraction:
     letters and their labels are shared.
 
     The bundle interns each basis letter it meets, a basis cochain with the
-    degree that drives signs, as a small int, and keeps its degree, g and
-    coboundary per id.  G_n and m_n are memoised per word of ids.
+    degree that drives signs, as a small int.  G_n, m_n and the cut products
+    are memoised per word of ids.  The hook ``m_word`` gives m_n for n >= 2,
+    by default f(cut products); a cochain-only bundle overrides it and needs
+    only the basis, ``d_B``, ``zero_B`` and ``render_B`` besides.
 
     ``koszul_signs=False`` drops every slotwise sign; it exists only so the
     verification commands can demonstrate a failing battery.
@@ -101,11 +103,11 @@ class Contraction:
         self.koszul_signs = koszul_signs
         self._ids: dict = {}  # (face, degree) -> id
         self._letters: list[Homog] = []
+        self._faces: list = []
         self._degrees: list[int] = []
-        self._g: list = []
-        self._d: list = []
         self._memo_G: dict = {}
         self._memo_m: dict = {}
+        self._memo_cut: dict = {}
 
     def m_A(self, degrees, values):
         """The algebra-side operation of any arity: the differential, the
@@ -121,6 +123,10 @@ class Contraction:
     def unit_B(self):
         return self.f(self.one_A())
 
+    def m_word(self, ids: tuple[int, ...]):
+        """m_n on a basis word of n >= 2 ids: f of the cut products."""
+        return self.f(_cut_products(self, ids))
+
     def intern(self, face, degree: int) -> int:
         """The id of the basis letter of a face with the given degree."""
         key = (face, degree)
@@ -129,9 +135,8 @@ class Contraction:
             letter = Homog(self.basis_element(face), degree)
             letter_id = self._ids[key] = len(self._letters)
             self._letters.append(letter)
+            self._faces.append(face)
             self._degrees.append(degree)
-            self._g.append(self.g(letter.carrier))
-            self._d.append(self.d_B(letter.carrier))
         return letter_id
 
     def coordinates(self, letter: Homog):
@@ -218,7 +223,9 @@ def _cut_products(bundle, ids: tuple[int, ...]):
     """sum_{i=1}^{n-1} m_2(G(ids[:i]), G(ids[i:])), the sum over all trees
     of the value just below the root: only binary vertices contribute, so
     the root cuts the word once.  The right block is evaluated only where
-    the left one is nonzero."""
+    the left one is nonzero.  m_n, G_n and the morphism battery share it."""
+    if ids in bundle._memo_cut:
+        return bundle._memo_cut[ids]
     degrees = bundle._degrees
     total = bundle.zero_A()
     whole = sum(degrees[i] for i in ids)
@@ -231,27 +238,30 @@ def _cut_products(bundle, ids: tuple[int, ...]):
         right = _G(bundle, ids[cut:])
         if right:
             total = total + bundle.m_A((left_degree, whole - left_degree), (left, right))
+    bundle._memo_cut[ids] = total
     return total
 
 
 def _G(bundle, ids: tuple[int, ...]):
     """G_1 = g and G_n = H(cut products), memoised per basis word."""
-    if len(ids) == 1:
-        return bundle._g[ids[0]]
     value = bundle._memo_G.get(ids)
     if value is None:
-        value = bundle._memo_G[ids] = bundle.H(_cut_products(bundle, ids))
+        value = bundle._memo_G[ids] = (
+            bundle.H(_cut_products(bundle, ids))
+            if len(ids) > 1
+            else bundle.g(bundle._letters[ids[0]].carrier)
+        )
     return value
 
 
 def _m(bundle, ids: tuple[int, ...]):
-    """m_1 = the coboundary and m_n = f(cut products), memoised per basis
+    """m_1 = the coboundary and m_n = ``bundle.m_word``, memoised per basis
     word."""
-    if len(ids) == 1:
-        return bundle._d[ids[0]]
     value = bundle._memo_m.get(ids)
     if value is None:
-        value = bundle._memo_m[ids] = bundle.f(_cut_products(bundle, ids))
+        value = bundle._memo_m[ids] = (
+            bundle.m_word(ids) if len(ids) > 1 else bundle.d_B(bundle._letters[ids[0]].carrier)
+        )
     return value
 
 

@@ -1,6 +1,6 @@
 """The transfer on a complex through families of forms over the whole
-closure: the reference that the levelwise assembly in ``complexes`` is
-tested against.
+closure: the reference that the join rule of ``complexes`` is tested
+against.
 
 A global form assigns a polynomial form to every simplex of the closure,
 compatibly with face restriction.  g, f, H, the wedge and d act simplex by
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from simplicial_transfer.cochains import include_g
+from simplicial_transfer.cochains import Cochain, include_g
 from simplicial_transfer.complexes import (
     GlobalCochain,
     OrderedComplex,
@@ -104,11 +104,23 @@ class GlobalForm:
         return f"GlobalForm({{{entries}}})"
 
 
+def restrict(c: GlobalCochain, simplex) -> Cochain:
+    """The local cochain that c induces on one simplex of the closure, in
+    vertex positions of that simplex."""
+    vertices = set(simplex)
+    # positions of a face of an increasing simplex increase, and the
+    # coefficients are already clean
+    return Cochain._trusted(
+        len(simplex) - 1,
+        {_positions(face, simplex): x for face, x in c.terms.items() if vertices.issuperset(face)},
+    )
+
+
 def global_g(c: GlobalCochain) -> GlobalForm:
     """Whitney's inclusion on each simplex."""
     return GlobalForm(
         c.complex,
-        {s: include_g(c.restrict_to(s)) for s in c.complex.simplices},
+        {s: include_g(restrict(c, s)) for s in c.complex.simplices},
         validate=False,
     )
 

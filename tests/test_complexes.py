@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from simplicial_transfer import complexes
 from simplicial_transfer.complexes import (
+    ComplexContraction,
     ComplexFormatError,
     GlobalCochain,
-    _cup_constant,
-    _levelwise,
     OrderedComplex,
     check_whitney_conditions,
     cup,
@@ -22,8 +21,8 @@ from simplicial_transfer.complexes import (
     load_global_cochain,
     transferred_global_m,
 )
-from simplicial_transfer.cochains import basis_faces
-from simplicial_transfer.forms import parse_form
+from simplicial_transfer.cochains import basis_faces, include_g, project_f
+from simplicial_transfer.forms import parse_form, wedge
 from simplicial_transfer.rationals import factorial
 from simplicial_transfer.tensorwords import Homog
 from simplicial_transfer.transfer import (
@@ -31,6 +30,7 @@ from simplicial_transfer.transfer import (
     check_c_infinity,
     check_morphism,
     check_unital,
+    SimplexContraction,
     _relation_value,
     transferred_m,
     transferred_m_trees,
@@ -44,6 +44,7 @@ from global_oracle import (
     global_f,
     global_g,
     global_wedge,
+    restrict,
 )
 
 DELTA1 = OrderedComplex([0, 1], [[0, 1]])
@@ -212,18 +213,16 @@ def test_letters_on_different_complexes_are_rejected():
 def test_global_m2_restricts_to_the_local_product():
     # on the full triangle the global binary operation restricted to the top
     # simplex agrees with the single-simplex operation
-    from simplicial_transfer.transfer import SimplexContraction
-
     bundle = GlobalFormContraction(DELTA2)
     local = SimplexContraction(2)
     for a in bundle.b_basis():
         for b in bundle.b_basis():
             global_value = transferred_m(bundle, (a, b))
             local_word = tuple(
-                Homog(h.carrier.restrict_to((0, 1, 2)), h.degree) for h in (a, b)
+                Homog(restrict(h.carrier, (0, 1, 2)), h.degree) for h in (a, b)
             )
             local_value = transferred_m(local, local_word)
-            assert global_value.restrict_to((0, 1, 2)) == local_value
+            assert restrict(global_value, (0, 1, 2)) == local_value
 
 
 def test_global_homotopy_identity_on_wedges():
@@ -350,16 +349,24 @@ def test_cup_equals_f_of_wedge_on_mixed_cochains(data):
 
 
 def test_structure_constants_vanish_off_joins():
-    # the closed form in the module docstring, against the kernels
+    # the closed form in the module docstring, against (-1)^p m_2 of the
+    # complex bundle on the n-simplex, which lives on the top simplex alone
     def sign(seq):
         inversions = sum(x > y for i, x in enumerate(seq) for y in seq[i + 1 :])
         return -1 if inversions % 2 else 1
 
     for n in range(5):
+        simplex = _standard_simplex(n)
+        top = tuple(range(n + 1))
+        bundle = simplex.contraction()
         for sigma in basis_faces(n):
             for tau in basis_faces(n):
                 if len(sigma) + len(tau) - 2 != n:
                     continue
+                value = transferred_m(
+                    bundle, (_letter(simplex, *sigma), _letter(simplex, *tau))
+                )
+                assert value.support() <= {top}, (n, sigma, tau)
                 shared = set(sigma) & set(tau)
                 expected = 0
                 if len(shared) == 1 and set(sigma) | set(tau) == set(range(n + 1)):
@@ -367,7 +374,8 @@ def test_structure_constants_vanish_off_joins():
                     p, q = len(sigma) - 1, len(tau) - 1
                     epsilon = (-1) ** tau.index(v) * sign(sigma + tuple(x for x in tau if x != v))
                     expected = Fraction(epsilon * factorial(p) * factorial(q), factorial(n + 1))
-                assert _cup_constant(n, sigma, tau) == expected, (n, sigma, tau)
+                constant = (-1) ** (len(sigma) - 1) * value.terms.get(top, 0)
+                assert constant == expected, (n, sigma, tau)
 
 
 @pytest.mark.parametrize(
@@ -400,15 +408,15 @@ def test_whitney_conditions_on_the_torus():
     assert len(witness) == 1 and witness[0].passed
 
 
-# -- the levelwise assembly against the global-form oracle ------------------
+# -- the join rule against the global-form oracle ---------------------------
 
 
-def _assert_levelwise_matches_the_oracle(complex_, words):
+def _assert_bundle_matches_the_oracle(complex_, words):
     oracle = GlobalFormContraction(complex_)
     for word in words:
         cochains = [letter.carrier for letter in word]
         assert transferred_global_m(cochains) == transferred_m(oracle, word), word
-        residual = _levelwise(complex_, word, _relation_value)
+        residual = _relation_value(complex_.contraction(), word)
         assert residual == _relation_value(oracle, word), word
 
 
@@ -416,12 +424,12 @@ def _assert_levelwise_matches_the_oracle(complex_, words):
 def test_levelwise_matches_the_oracle_to_arity_3(complex_):
     basis = GlobalFormContraction(complex_).b_basis()
     words = [w for n in (1, 2, 3) for w in product(basis, repeat=n)]
-    _assert_levelwise_matches_the_oracle(complex_, words)
+    _assert_bundle_matches_the_oracle(complex_, words)
 
 
 def test_levelwise_matches_the_oracle_on_the_octahedron():
     basis = GlobalFormContraction(OCTAHEDRON).b_basis()
-    _assert_levelwise_matches_the_oracle(OCTAHEDRON, product(basis, repeat=2))
+    _assert_bundle_matches_the_oracle(OCTAHEDRON, product(basis, repeat=2))
 
 
 def test_levelwise_matches_the_oracle_around_the_torus_witness():
@@ -434,27 +442,52 @@ def test_levelwise_matches_the_oracle_around_the_torus_witness():
     assert cup(cup(x0.carrier, x0.carrier), x01.carrier) != cup(
         x0.carrier, cup(x0.carrier, x01.carrier)
     )
-    _assert_levelwise_matches_the_oracle(TORUS, product(letters, repeat=3))
+    _assert_bundle_matches_the_oracle(TORUS, product(letters, repeat=3))
 
 
-def test_levelwise_visits_only_the_common_star(monkeypatch):
-    # off the star of its support a letter restricts to zero, so on the
-    # torus witness only the edge (0,1) and its two triangles are visited,
-    # with one restriction per letter each
-    calls = []
-    restrict_to = GlobalCochain.restrict_to
+# -- the join rule against the single-simplex engine ------------------------
 
-    def counted(self, simplex):
-        calls.append(simplex)
-        return restrict_to(self, simplex)
 
-    monkeypatch.setattr(GlobalCochain, "restrict_to", counted)
-    word = tuple(Homog(chi(TORUS, *s), len(s) - 2) for s in ((0,), (0,), (0, 1)))
-    residual = _levelwise(TORUS, word, _relation_value)
-    star = TORUS.star([(0, 1)])
-    assert star == {(0, 1), (0, 1, 3), (0, 1, 5)}
-    assert set(calls) == star and len(calls) == 3 * len(star)
-    assert not residual
+def _standard_simplex(n):
+    return OrderedComplex(range(n + 1), [range(n + 1)])
+
+
+def _letter(complex_, *simplex):
+    return Homog(chi(complex_, *simplex), len(simplex) - 2)
+
+
+@pytest.mark.parametrize(
+    "n, arity", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]
+)
+def test_join_rule_matches_the_simplex_engine(n, arity):
+    # on the n-simplex the complex bundle reads a word whose supports span a
+    # proper face from a smaller simplex; it must agree with the engine of
+    # the n-simplex itself on every basis word
+    bundle = _standard_simplex(n).contraction()
+    engine = SimplexContraction(n)
+    pairs = list(zip(bundle.b_basis(), engine.b_basis()))
+    for word in product(pairs, repeat=arity):
+        value = transferred_m(bundle, tuple(w for w, _ in word))
+        expected = transferred_m(engine, tuple(e for _, e in word))
+        assert value.terms == expected.terms, word
+        if arity == 2:
+            (a, x), (b, y) = word
+            by_forms = project_f(wedge(include_g(x.carrier), include_g(y.carrier)))
+            assert cup(a.carrier, b.carrier).terms == by_forms.terms, word
+
+
+@pytest.mark.parametrize(
+    "complex_, max_arity",
+    [(BOUNDARY3, 4), (OCTAHEDRON, 3), (TORUS, 3)],
+    ids=["boundary3", "octahedron", "torus"],
+)
+def test_structure_relations_hold_on_the_complex_bundle(complex_, max_arity):
+    bundle = ComplexContraction(complex_)
+    report = check_a_infinity(bundle, max_arity)
+    assert report.all_passed, report.to_text()
+    assert [c.basis_size for c in report.checks] == [
+        len(complex_.simplices) ** n for n in range(1, max_arity + 1)
+    ]
 
 
 def test_deeply_nested_json_is_a_format_error():

@@ -305,16 +305,17 @@ def test_memoization_is_shared_within_a_bundle():
 
 def test_memo_holds_only_basis_words():
     # the batteries put no one-off letter into the memos: every key is a
-    # word of basis ids, so each memo holds at most 7^2 + 7^3 = 392 words
+    # word of basis ids, one-letter words included, so each memo holds at
+    # most 7 + 7^2 + 7^3 = 399 words
     bundle = SimplexContraction(2)
     for battery in (check_a_infinity, check_morphism, check_c_infinity, check_unital):
         assert battery(bundle, 3).all_passed
     basis = set(bundle.basis_ids())
     assert len(basis) == 7
-    for memo in (bundle._memo_G, bundle._memo_m):
-        assert 0 < len(memo) <= 392
+    for memo in (bundle._memo_G, bundle._memo_m, bundle._memo_cut):
+        assert 0 < len(memo) <= 399
         for key in memo:
-            assert 2 <= len(key) <= 3 and set(key) <= basis, key
+            assert 1 <= len(key) <= 3 and set(key) <= basis, key
 
 
 # -- the insertion sum on letters, as before the basis expansion ------------
