@@ -13,7 +13,6 @@ from .rationals import (
     bernoulli_number,
     bernoulli_polynomial,
     binomial,
-    exp_series_ratio,
     factorial,
     parse_rational,
     rational_str,
@@ -35,15 +34,11 @@ from .cochains import (
     Cochain,
     basis_faces,
     coboundary,
-    cochain_from_interval_basis,
-    cochain_from_records,
-    cochain_records,
     elementary_form,
     format_cochain,
     include_g,
     interval_basis_components,
     project_f,
-    restrict_cochain,
     unit_cochain,
 )
 from .contraction import check_contraction, h_operator, homotopy_H, s_operator

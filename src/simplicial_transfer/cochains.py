@@ -8,7 +8,8 @@ elementary forms give the section g with f o g = 1.
 
 f and g are linear maps on finite bases and are applied through cached
 tables: f by the face integrals of each monomial, g by the elementary form
-of each face.
+of each face.  Both tables hold vectors of integer numerators over one
+denominator, and f, g and the coboundary work on those numerators.
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .forms import Form, _check_dim, _check_face, generator, wedge
-from .rationals import (
-    SparseVector,
-    _accumulate,
-    exact,
-    factorial,
-    parse_rational,
-    rational_str,
-)
+from .rationals import SparseVector, factorial, rational_str
 
 __all__ = [
     "Cochain",
@@ -35,11 +29,7 @@ __all__ = [
     "project_f",
     "include_g",
     "unit_cochain",
-    "restrict_cochain",
     "interval_basis_components",
-    "cochain_from_interval_basis",
-    "cochain_records",
-    "cochain_from_records",
     "format_cochain",
 ]
 
@@ -75,19 +65,19 @@ class Cochain(SparseVector, space="dim", mismatch="dimension mismatch"):
 
 def coboundary(c: Cochain) -> Cochain:
     """(delta c)(i_0...i_k) = sum_j (-1)^j c(i_0...omit j...i_k)."""
-    out: dict[Face, Fraction] = {}
+    num = c.num
+    out: dict[Face, int] = {}
     for face in basis_faces(c.dim):
         if len(face) < 2:
             continue
-        acc = Fraction(0)
+        acc = 0
         for j in range(len(face)):
-            sub = face[:j] + face[j + 1 :]
-            coeff = c.terms.get(sub)
+            coeff = num.get(face[:j] + face[j + 1 :])
             if coeff is not None:
                 acc += -coeff if j % 2 else coeff
-        if acc != 0:
+        if acc:
             out[face] = acc
-    return Cochain._trusted(c.dim, out)
+    return Cochain._reduced(c.dim, out, c.den)
 
 
 def elementary_form(face, dim: int) -> Form:
@@ -113,10 +103,8 @@ def _elementary_form(face: Face, dim: int) -> Form:
 
 
 @lru_cache(maxsize=None)
-def _face_integrals(
-    dim: int, exps: tuple[int, ...], dts: tuple[int, ...]
-) -> tuple[tuple[Face, Fraction], ...]:
-    """The nonzero integrals of t^exps dt_dts over the faces of the simplex.
+def _face_integrals(dim: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> Cochain:
+    """f(t^exps dt_dts): the integrals over the faces of the simplex.
 
     A face F = (i_0 < ... < i_k) contributes only when F holds every t_j
     with a positive exponent and every dt_s, and dts is F minus exactly one
@@ -127,52 +115,41 @@ def _face_integrals(
     """
     k = len(dts)
     support = set(dts).union(j for j, e in enumerate(exps, 1) if e)
+    out: dict[Face, int] = {}
     if len(support) > k + 1:
-        return ()
+        return Cochain._trusted(dim, out)
     numer = 1
     for e in exps:
         numer *= factorial(e)
-    value = Fraction(numer, factorial(sum(exps) + k))
-    out = []
     for vertex in range(dim + 1):
         if vertex in dts or not support <= set(dts) | {vertex}:
             continue
         face = tuple(sorted(dts + (vertex,)))
-        out.append((face, -value if face.index(vertex) % 2 else value))
-    return tuple(out)
+        out[face] = -numer if face.index(vertex) % 2 else numer
+    return Cochain._reduced(dim, out, factorial(sum(exps) + k))
 
 
 def project_f(a: Form) -> Cochain:
     """Integrate over every face: the cochain side of the contraction."""
-    out: dict[Face, Fraction] = {}
-    for (exps, dts), coeff in a.terms.items():
-        _accumulate(out, _face_integrals(a.dim, exps, dts), coeff)
-    return Cochain._trusted(a.dim, out)
+    dim = a.dim
+    return Cochain._sum(
+        dim,
+        [(coeff, _face_integrals(dim, exps, dts)) for (exps, dts), coeff in a.num.items()],
+        a.den,
+    )
 
 
 def include_g(c: Cochain) -> Form:
     """Linear extension of face -> elementary form."""
-    out: dict = {}
-    for face, coeff in c.terms.items():
-        _accumulate(out, _elementary_form(face, c.dim).terms.items(), coeff)
-    return Form._trusted(c.dim, out)
+    dim = c.dim
+    return Form._sum(
+        dim, [(coeff, _elementary_form(face, dim)) for face, coeff in c.num.items()], c.den
+    )
 
 
 def unit_cochain(dim: int) -> Cochain:
     """The 0-cochain with value 1 at every vertex; equals f(1)."""
-    return Cochain(dim, {(i,): Fraction(1) for i in range(dim + 1)})
-
-
-def restrict_cochain(c: Cochain, face) -> Cochain:
-    """Pull back along the face inclusion: local face J -> global face(J)."""
-    face = _check_face(face, c.dim)
-    k = len(face) - 1
-    out: dict[Face, Fraction] = {}
-    for local in basis_faces(k):
-        coeff = c.terms.get(tuple(face[j] for j in local))
-        if coeff is not None:
-            out[local] = coeff
-    return Cochain._trusted(k, out)
+    return Cochain(dim, {(i,): 1 for i in range(dim + 1)})
 
 
 # -- interval identification N_1 = span{1, t, dt} ------------------------
@@ -183,35 +160,15 @@ def interval_basis_components(c: Cochain) -> tuple[Fraction, Fraction, Fraction]
     1 = x(0)+x(1), t = x(1), dt = x(01)."""
     if c.dim != 1:
         raise ValueError("interval basis applies to dimension 1")
-    a = c.terms.get((0,), Fraction(0))
-    b = c.terms.get((1,), Fraction(0))
-    e = c.terms.get((0, 1), Fraction(0))
+    a, b, e = (Fraction(c.num.get(face, 0), c.den) for face in ((0,), (1,), (0, 1)))
     return a, b - a, e
 
 
-def cochain_from_interval_basis(c_one, c_t, c_dt) -> Cochain:
-    c_one, c_t, c_dt = exact(c_one), exact(c_t), exact(c_dt)
-    return Cochain(1, {(0,): c_one, (1,): c_one + c_t, (0, 1): c_dt})
-
-
-# -- serialization -------------------------------------------------------
-
-
-def cochain_records(c: Cochain) -> list[dict]:
-    return [
-        {"face": list(face), "coeff": rational_str(coeff)}
-        for face, coeff in sorted(c.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ]
-
-
-def cochain_from_records(records, dim: int) -> Cochain:
-    return Cochain(
-        dim, [(tuple(r["face"]), parse_rational(r["coeff"])) for r in records]
-    )
+# -- rendering -----------------------------------------------------------
 
 
 def format_cochain(c: Cochain) -> str:
-    if not c.terms:
+    if not c:
         return "0"
     entries = []
     for face, coeff in sorted(c.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):

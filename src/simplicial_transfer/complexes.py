@@ -36,7 +36,6 @@ which the battery checks through the structure relation at arity three.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import combinations
 
 from .rationals import SparseVector, _accumulate, parse_rational, rational_str
@@ -122,10 +121,10 @@ class OrderedComplex:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def cofaces(self) -> dict[Simplex, tuple[tuple[Simplex, Fraction], ...]]:
+    def cofaces(self) -> dict[Simplex, tuple[tuple[Simplex, int], ...]]:
         """Every simplex of the closure mapped to its codimension-one cofaces,
-        each with the sign (-1)^j of the vertex position j it adds, as a
-        Fraction; built on first use."""
+        each with the sign (-1)^j of the vertex position j it adds; built on
+        first use."""
         table = self._cofaces
         if table is None:
             lists: dict[Simplex, list] = {s: [] for s in self.simplices}
@@ -134,7 +133,7 @@ class OrderedComplex:
                     continue
                 for j in range(len(simplex)):
                     face = simplex[:j] + simplex[j + 1 :]
-                    lists[face].append((simplex, Fraction(-1 if j % 2 else 1)))
+                    lists[face].append((simplex, -1 if j % 2 else 1))
             table = {s: tuple(c) for s, c in lists.items()}
             object.__setattr__(self, "_cofaces", table)
         return table
@@ -226,12 +225,10 @@ class GlobalCochain(SparseVector, space="complex", mismatch="complex mismatch"):
 
     @classmethod
     def unit(cls, complex_: OrderedComplex) -> "GlobalCochain":
-        return cls(
-            complex_, {s: Fraction(1) for s in complex_.simplices if len(s) == 1}
-        )
+        return cls(complex_, {s: 1 for s in complex_.simplices if len(s) == 1})
 
     def support(self) -> set[Simplex]:
-        return set(self.terms)
+        return set(self.num)
 
     def __repr__(self) -> str:
         entries = ", ".join(
@@ -245,10 +242,10 @@ def global_coboundary(c: GlobalCochain) -> GlobalCochain:
     """(delta c)(v_0...v_k) = sum_j (-1)^j c(v_0...omit j...v_k), computed
     by pushing each coefficient of c to the cofaces of its simplex."""
     cofaces = c.complex.cofaces()
-    out: dict[Simplex, Fraction] = {}
-    for simplex, coeff in c.terms.items():
+    out: dict[Simplex, int] = {}
+    for simplex, coeff in c.num.items():
         _accumulate(out, cofaces[simplex], coeff)
-    return GlobalCochain._trusted(c.complex, out)
+    return GlobalCochain._reduced(c.complex, out, c.den)
 
 
 class ComplexContraction(Contraction):
@@ -257,7 +254,7 @@ class ComplexContraction(Contraction):
     (module docstring), with one single-simplex engine per dimension."""
 
     def __init__(self, complex_: OrderedComplex):
-        super().__init__()
+        super().__init__(complex_)
         self.complex = complex_
         self._zero = GlobalCochain(complex_)
         dims = range(max(map(len, complex_.simplices), default=0))
@@ -291,8 +288,11 @@ class ComplexContraction(Contraction):
             engine.intern(_positions(face, union), self._degrees[i])
             for face, i in zip(faces, ids)
         )
-        mu = _m(engine, local).terms.get(tuple(range(n + 1)))
-        return GlobalCochain._trusted(self.complex, {union: mu}) if mu else self._zero
+        value = _m(engine, local)
+        mu = value.num.get(tuple(range(n + 1)))
+        if not mu:
+            return self._zero
+        return GlobalCochain._reduced(self.complex, {union: mu}, value.den)
 
 
 def cup(a: GlobalCochain, b: GlobalCochain) -> GlobalCochain:
@@ -302,14 +302,13 @@ def cup(a: GlobalCochain, b: GlobalCochain) -> GlobalCochain:
     if a.complex != b.complex:
         raise ValueError("complex mismatch")
     bundle = a.complex.contraction()
-    out: dict[Simplex, Fraction] = {}
-    for sigma, x in a.terms.items():
+    parts = []
+    for sigma, x in a.num.items():
         left = bundle.intern(sigma, len(sigma) - 2)
         x = x if len(sigma) % 2 else -x
-        for tau, y in b.terms.items():
-            value = _m(bundle, (left, bundle.intern(tau, len(tau) - 2)))
-            _accumulate(out, value.terms.items(), x * y)
-    return GlobalCochain._trusted(a.complex, out)
+        for tau, y in b.num.items():
+            parts.append((x * y, _m(bundle, (left, bundle.intern(tau, len(tau) - 2)))))
+    return GlobalCochain._sum(a.complex, parts, a.den * b.den)
 
 
 def transferred_global_m(cochains) -> GlobalCochain:
@@ -368,20 +367,19 @@ def check_whitney_conditions(complex_: OrderedComplex) -> VerificationReport:
     )
 
     # Leibniz with the sign of the left degree; the coboundaries of the
-    # basis are computed once, and their products read from the table
+    # basis are computed once, integral, and their products read from the
+    # table
     of = dict(zip(complex_.simplices, basis))
-    delta = {c: global_coboundary(c).items() for c in basis}
+    delta = {c: global_coboundary(c).num.items() for c in basis}
 
     def leibniz_cases():
         for a in basis:
             sign = -1 if a.homogeneous_degree() % 2 else 1
             for b in basis:
-                rhs: dict[Simplex, Fraction] = {}
-                for s, x in delta[a]:
-                    _accumulate(rhs, products[of[s], b].terms.items(), x)
-                for s, y in delta[b]:
-                    _accumulate(rhs, products[a, of[s]].terms.items(), sign * y)
-                lhs = global_coboundary(products[a, b]).terms
+                parts = [(x, products[of[s], b]) for s, x in delta[a]]
+                parts += [(sign * y, products[a, of[s]]) for s, y in delta[b]]
+                rhs = GlobalCochain._sum(complex_, parts)
+                lhs = global_coboundary(products[a, b])
                 yield None if lhs == rhs else f"delta({label(a)} cup {label(b)}) mismatch"
 
     report.check("coboundary is a signed derivation of the product", leibniz_cases())

@@ -25,8 +25,9 @@ B(p, q) = int_0^1 (1-u)^p u^q du = p! q! / (p+q+1)!.  Then
 
 where the r-th dt factor supplies the du, the binomial sum expands
 ((1-u)t_i + u)^{a_i}, and (-1)^r moves du to the front with the global
-sign.  h^i of a 0-form is 0.  The tests keep the pullback itself as the
-oracle.
+sign.  h^i of a 0-form is 0.  Every beta value in the sum shares the
+denominator (|a| + k)!, so the image is built in int numerators over it.
+The tests keep the pullback itself as the oracle.
 
 The degree-lowering operator assembles dilations weighted by elementary
 forms,
@@ -42,7 +43,6 @@ The chain homotopy used by the transfer engine is H = -s.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -82,8 +82,8 @@ def _h_monomial(n: int, i: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> 
     rest = sum(exps) - a_i + len(dts) - 1
     terms = []
     for m in range(a_i + 1):
-        p, q = rest + m, a_i - m
-        weight = binomial(a_i, m) * Fraction(factorial(p) * factorial(q), factorial(p + q + 1))
+        # B(p, q) = p! q! / (p + q + 1)! with p + q = rest + a_i for every m
+        weight = binomial(a_i, m) * factorial(rest + m) * factorial(a_i - m)
         base = exps[: i - 1] + (m,) + exps[i:] if i else exps
         for r, s in enumerate(dts, 1):
             signed = -weight if r % 2 else weight
@@ -94,22 +94,24 @@ def _h_monomial(n: int, i: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> 
                 terms.append(((base, others), signed))
     out: dict = {}
     _accumulate(out, terms, 1)
-    return Form._trusted(n, out)
+    return Form._reduced(n, out, factorial(rest + a_i + 1))
 
 
 def h_operator(a: Form, i: int) -> Form:
     """Dilation homotopy toward vertex i; lowers form degree by one."""
-    if not 0 <= i <= a.dim:
-        raise ValueError(f"vertex index {i} out of range for dimension {a.dim}")
-    out: dict = {}
-    for (exps, dts), coeff in a.terms.items():
-        _accumulate(out, _h_monomial(a.dim, i, exps, dts).terms.items(), coeff)
-    return Form._trusted(a.dim, out)
+    n = a.dim
+    if not 0 <= i <= n:
+        raise ValueError(f"vertex index {i} out of range for dimension {n}")
+    return Form._sum(
+        n,
+        [(coeff, _h_monomial(n, i, exps, dts)) for (exps, dts), coeff in a.num.items()],
+        a.den,
+    )
 
 
 @lru_cache(maxsize=None)
 def _s_monomial(n: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> Form:
-    out: dict = {}
+    parts = []
     # chains[face] = h^{i_k}...h^{i_0}(m) for face = (i_0 < ... < i_k), kept
     # only when nonzero; each longer chain is one h applied to its prefix's
     chains = {(): Form.monomial(n, exps, dts)}
@@ -128,19 +130,19 @@ def _s_monomial(n: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> Form:
             chain = h_operator(prefix, face[-1])
             if chain:
                 longer[face] = chain
-                _accumulate(out, wedge(elementary_form(face, n), chain).terms.items(), sign)
+                parts.append((sign, wedge(elementary_form(face, n), chain)))
         chains = longer
         if not chains:
             break
-    return Form._trusted(n, out)
+    return Form._sum(n, parts)
 
 
 def s_operator(a: Form) -> Form:
     """Dupont's degree-lowering operator s_n; s_0 = 0."""
-    out: dict = {}
-    for (exps, dts), coeff in a.terms.items():
-        _accumulate(out, _s_monomial(a.dim, exps, dts).terms.items(), coeff)
-    return Form._trusted(a.dim, out)
+    n = a.dim
+    return Form._sum(
+        n, [(coeff, _s_monomial(n, exps, dts)) for (exps, dts), coeff in a.num.items()], a.den
+    )
 
 
 def homotopy_H(a: Form) -> Form:

@@ -11,9 +11,11 @@ normal form that eliminates the 0-indexed generators, so a monomial is
     t_1^{a_1} ... t_n^{a_n} dt_{s_1} ... dt_{s_m},    s_1 < ... < s_m,
 
 keyed by the pair (exponent tuple, dt index tuple).  Coefficients are exact
-rationals, zero terms are never stored, and reordering of dt factors is
+rationals, stored as integer numerators over one denominator per form in
+lowest terms (``SparseVector``), so wedge and d multiply ints and reduce
+once; zero terms are never stored, and reordering of dt factors is
 resolved into a sign at construction time; equality of forms is therefore
-literal equality of term maps.
+literal equality of numerator maps and denominators.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 import re
 
 from .rationals import SparseVector, factorial, rational_str
@@ -90,7 +93,8 @@ class Form(SparseVector, space="dim", mismatch="dimension mismatch"):
 
     @classmethod
     def one(cls, dim: int) -> "Form":
-        return cls(dim, {((0,) * dim, ()): Fraction(1)})
+        _check_dim(dim)
+        return cls._trusted(dim, {((0,) * dim, ()): 1})
 
     @classmethod
     def monomial(cls, dim: int, exps, dts, coeff=1) -> "Form":
@@ -127,30 +131,31 @@ def generator(dim: int, kind: str, index: int) -> Form:
 
 
 def wedge(a: Form, b: Form) -> Form:
-    """Graded commutative product; dt factors anticommute and square to zero."""
+    """Graded commutative product; dt factors anticommute and square to zero.
+    Numerators multiply over the product of the two denominators."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    out: dict[Monomial, Fraction] = {}
-    for (ae, ad), ac in a.terms.items():
-        for (be, bd), bc in b.terms.items():
+    out: dict[Monomial, int] = {}
+    b_terms = b.num.items()
+    for (ae, ad), ac in a.num.items():
+        for (be, bd), bc in b_terms:
             merged = _merge_dts(ad, bd)
             if merged is None:
                 continue
             sign, dts = merged
-            exps = tuple(x + y for x, y in zip(ae, be))
-            key = (exps, dts)
-            new = out.get(key, Fraction(0)) + sign * ac * bc
-            if new == 0:
-                out.pop(key, None)
-            else:
+            key = (tuple(map(add, ae, be)), dts)
+            new = out.get(key, 0) + sign * ac * bc
+            if new:
                 out[key] = new
-    return Form._trusted(a.dim, out)
+            else:
+                del out[key]
+    return Form._reduced(a.dim, out, a.den * b.den)
 
 
 def differential(a: Form) -> Form:
     """Graded Leibniz extension of d(t_i) = dt_i, d(dt_i) = 0."""
-    out: dict[Monomial, Fraction] = {}
-    for (exps, dts), coeff in a.terms.items():
+    out: dict[Monomial, int] = {}
+    for (exps, dts), coeff in a.num.items():
         for pos, e in enumerate(exps):
             if e == 0:
                 continue
@@ -163,25 +168,25 @@ def differential(a: Form) -> Form:
             new_exps = exps[:pos] + (e - 1,) + exps[pos + 1 :]
             new_dts = tuple(sorted(dts + (j,)))
             key = (new_exps, new_dts)
-            new = out.get(key, Fraction(0)) + sign * e * coeff
-            if new == 0:
-                out.pop(key, None)
-            else:
+            new = out.get(key, 0) + sign * e * coeff
+            if new:
                 out[key] = new
-    return Form._trusted(a.dim, out)
+            else:
+                del out[key]
+    return Form._reduced(a.dim, out, a.den)
 
 
 def vertex_evaluate(a: Form, index: int) -> Fraction:
     """Evaluate at vertex e_index: t_index -> 1, other t -> 0, dt -> 0."""
     if not 0 <= index <= a.dim:
         raise ValueError(f"vertex index {index} out of range for dimension {a.dim}")
-    total = Fraction(0)
-    for (exps, dts), coeff in a.terms.items():
+    total = 0
+    for (exps, dts), coeff in a.num.items():
         if dts:
             continue
         if all(e == 0 for pos, e in enumerate(exps) if pos + 1 != index):
             total += coeff
-    return total
+    return Fraction(total, a.den)
 
 
 def _check_face(face: tuple[int, ...], dim: int) -> tuple[int, ...]:
@@ -221,7 +226,7 @@ def face_restrict(a: Form, face) -> Form:
     t_img, dt_img = _restriction_images(a.dim, face)
     in_face = set(face)
     out = Form.zero(k)
-    for (exps, dts), coeff in a.terms.items():
+    for (exps, dts), coeff in a.num.items():
         if any(exps[j - 1] > 0 and j not in in_face for j in range(1, a.dim + 1)):
             continue
         if any(s not in in_face for s in dts):
@@ -241,7 +246,7 @@ def face_restrict(a: Form, face) -> Form:
                 break
             acc = wedge(acc, dt_img[s])
         out = out + acc
-    return out
+    return Fraction(1, a.den) * out
 
 
 def integrate_top(a: Form) -> Fraction:
@@ -255,14 +260,14 @@ def integrate_top(a: Form) -> Fraction:
     n = a.dim
     full = tuple(range(1, n + 1))
     total = Fraction(0)
-    for (exps, dts), coeff in a.terms.items():
+    for (exps, dts), coeff in a.num.items():
         if dts != full:
             continue
         numer = 1
         for e in exps:
             numer *= factorial(e)
-        total += coeff * Fraction(numer, factorial(sum(exps) + n))
-    return total
+        total += Fraction(coeff * numer, factorial(sum(exps) + n))
+    return total / a.den
 
 
 def integrate_face(a: Form, face) -> Fraction:
@@ -300,7 +305,7 @@ _DT_TOKEN = re.compile(r"^dt(\d+)$")
 
 def format_form(a: Form) -> str:
     """Render as '+'-separated terms like "3/2 t1^2 t2 dt1 dt3"."""
-    if not a.terms:
+    if not a:
         return "0"
     parts = []
     for (exps, dts), coeff in sorted(a.terms.items()):

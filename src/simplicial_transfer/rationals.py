@@ -1,22 +1,26 @@
 """Exact scalar arithmetic: rationals, sparse rational vectors, Bernoulli
 numbers and polynomials.
 
-Every scalar in this package is a ``fractions.Fraction``, which already
-guarantees the canonical-form invariants we rely on (lowest terms, positive
-denominator, zero stored as 0/1).  Forms, cochains and tensor words are all
+Scalars at the boundary (coefficients handed to a constructor, values
+read back for reports, Bernoulli numbers and the polynomials of the
+interval recursion) are ``fractions.Fraction``s or ints; a float is a
+``TypeError`` (see ``exact``).  Forms, cochains and tensor words are all
 finite sparse vectors over Q and share the linear structure of
-``SparseVector``, whose checking constructor accepts only ints and Fractions
-(see ``exact``).  The Bernoulli
-convention throughout is B_n = B_n(0), so B_1 = -1/2; the higher interval
-products computed by the transfer engine are compared against B_n/n! under
-this convention.
+``SparseVector``, which stores integer numerators over one positive
+denominator in lowest terms, so the kernels on them run in int arithmetic
+and normalise each result by one gcd pass.  The Bernoulli convention
+throughout is B_n = B_n(0), so B_1 = -1/2; the higher interval products
+computed by the transfer engine are compared against B_n/n! under this
+convention.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial as _int_factorial
+from math import comb, factorial as _int_factorial, gcd, lcm
+from types import MappingProxyType
 import re
 
 __all__ = [
@@ -30,7 +34,6 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_polynomial",
     "UniPoly",
-    "exp_series_ratio",
 ]
 
 Rational = Fraction
@@ -69,10 +72,9 @@ def exact(x) -> Fraction:
     return Fraction(x)
 
 
-def _accumulate(out: dict, terms, scale) -> None:
-    """Add scale * coeff into out[key] for each (key, coeff) in terms,
-    dropping keys whose sum cancels to zero.  With nonzero Fraction
-    coefficients the result is a clean term dict for ``_trusted``."""
+def _accumulate(out: dict, terms, scale: int) -> None:
+    """Add scale * coeff into out[key] for each (key, coeff) in terms, all
+    ints, dropping keys whose sum cancels to zero."""
     unit = scale == 1
     for key, coeff in terms:
         value = coeff if unit else scale * coeff
@@ -89,18 +91,26 @@ _set = object.__setattr__
 
 
 class SparseVector:
-    """A finite sparse vector over Q: a dict ``terms`` from keys to nonzero
-    Fractions, in a space that only vectors of the same space may be added
-    to.  Instances are immutable and hash by value.
+    """A finite sparse vector over Q, stored as integer numerators over one
+    shared denominator: ``num`` maps keys to nonzero ints and ``den`` is a
+    positive int with gcd(den, every numerator) = 1.  That form is unique,
+    so equality and hashing compare plain ints, and the zero vector is the
+    empty dict over 1.  ``terms`` is the read-only view of the coordinates
+    as Fractions, for rendering and reports.  A vector lives in a space
+    that only vectors of the same space may be added to.  Instances are
+    immutable and hash by value.
 
     A subclass names the slot that holds its space with the class keyword
     ``space`` (none for a vector without one) and the message of a space
     mismatch with ``mismatch``.  It may override ``_check_space`` and
     ``_check_key``, which the checking constructor applies to the space and
     to every key, and ``_degree``, the degree of a key.  ``_trusted`` wraps
-    a dict that is already clean."""
+    numerators already in that form; ``_reduced`` first divides out their
+    common factor with the denominator, and ``_sum`` forms an integer
+    combination of vectors in one pass.  The kernels build results through
+    these three, in int arithmetic."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("num", "den", "_hash")
     _space = None  # the space slot's descriptor, so self._space reads it
     _mismatch = "space mismatch"
 
@@ -113,28 +123,52 @@ class SparseVector:
 
     def __init__(self, space, terms=None):
         self._check_space(space)
-        clean: dict = {}
+        num: dict = {}
+        den = 1
         if terms:
             check = self._check_key
-            pairs = terms.items() if isinstance(terms, dict) else terms
-            pairs = ((check(space, key), exact(coeff)) for key, coeff in pairs)
-            _accumulate(clean, ((key, coeff) for key, coeff in pairs if coeff), 1)
-        self._fill(space, clean)
+            pairs = terms.items() if isinstance(terms, Mapping) else terms
+            pairs = [(check(space, key), exact(coeff)) for key, coeff in pairs]
+            den = lcm(*(coeff.denominator for _, coeff in pairs))
+            _accumulate(
+                num,
+                ((key, c.numerator * (den // c.denominator)) for key, c in pairs if c),
+                1,
+            )
+        self._fill(space, *_lowest(num, den))
 
-    def _fill(self, space, terms: dict) -> None:
+    def _fill(self, space, num: dict, den: int) -> None:
         slot = type(self)._space
         if slot is not None:
             slot.__set__(self, space)
-        _set(self, "terms", terms)
+        _set(self, "num", num)
+        _set(self, "den", den)
         _set(self, "_hash", None)
 
     @classmethod
-    def _trusted(cls, space, terms: dict):
-        """Wrap a dict that is already clean: checked keys, nonzero Fraction
-        values, owned by the new vector alone."""
+    def _trusted(cls, space, num: dict, den: int = 1):
+        """Wrap numerators in lowest terms over ``den``: checked keys,
+        nonzero ints, a dict owned by the new vector alone."""
         vec = object.__new__(cls)
-        vec._fill(space, terms)
+        vec._fill(space, num, den)
         return vec
+
+    @classmethod
+    def _reduced(cls, space, num: dict, den: int):
+        """num / den, with nonzero int numerators, brought to lowest terms by
+        one gcd over the denominator and every numerator."""
+        return cls._trusted(space, *_lowest(num, den))
+
+    @classmethod
+    def _sum(cls, space, parts, den: int = 1):
+        """(sum of p * v) / den over the pairs (p, v) of a nonzero int p and
+        a vector v, a list: each v is brought to the least common multiple
+        of their denominators, and the result is reduced once."""
+        common = lcm(*[v.den for _, v in parts])
+        out: dict = {}
+        for p, v in parts:
+            _accumulate(out, v.num.items(), p * (common // v.den))
+        return cls._reduced(space, out, den * common)
 
     @staticmethod
     def _check_space(space) -> None:
@@ -146,22 +180,29 @@ class SparseVector:
 
     @classmethod
     def zero(cls, space):
-        return cls(space)
+        cls._check_space(space)
+        return cls._trusted(space, {})
 
     @classmethod
     def basis_element(cls, space, key):
         return cls(space, [(key, 1)])
 
+    @property
+    def terms(self):
+        """The coordinates as a read-only mapping from key to Fraction."""
+        den = self.den
+        return MappingProxyType({key: Fraction(n, den) for key, n in self.num.items()})
+
     def homogeneous_degree(self) -> int | None:
         """The degree that every term shares, read off its key by the
         subclass's ``_degree``; None for zero or a mixed vector."""
-        degrees = {self._degree(key) for key in self.terms}
+        degrees = {self._degree(key) for key in self.num}
         return degrees.pop() if len(degrees) == 1 else None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _combine(self, other, scale):
+    def _combine(self, other, scale: int):
         """self + scale * other, for two vectors of one type and space."""
         if type(other) is not type(self):
             raise TypeError(
@@ -170,9 +211,16 @@ class SparseVector:
         space = self._space
         if space is not other._space and space != other._space:
             raise ValueError(self._mismatch)
-        out = dict(self.terms)
-        _accumulate(out, other.terms.items(), scale)
-        return self._trusted(space, out)
+        p, q = self.den, other.den
+        if p == q:
+            out = dict(self.num)
+        else:
+            g = gcd(p, q)
+            out = {key: n * (q // g) for key, n in self.num.items()}
+            scale *= p // g
+            p = p // g * q
+        _accumulate(out, other.num.items(), scale)
+        return self._reduced(space, out, p)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -181,16 +229,19 @@ class SparseVector:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return self._trusted(self._space, {k: -c for k, c in self.terms.items()})
+        return self._trusted(self._space, {k: -n for k, n in self.num.items()}, self.den)
 
     def __rmul__(self, scalar):
         scalar = exact(scalar)
         if not scalar:
             return self._trusted(self._space, {})
-        return self._trusted(self._space, {k: scalar * c for k, c in self.terms.items()})
+        p = scalar.numerator
+        return self._reduced(
+            self._space, {k: p * n for k, n in self.num.items()}, scalar.denominator * self.den
+        )
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def items(self):
         return self.terms.items()
@@ -199,15 +250,30 @@ class SparseVector:
         return (
             type(other) is type(self)
             and self._space == other._space
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self._space, frozenset(self.terms.items())))
+            h = hash((self._space, self.den, frozenset(self.num.items())))
             _set(self, "_hash", h)
         return h
+
+
+def _lowest(num: dict, den: int) -> tuple[dict, int]:
+    """Divide the common factor of den and the numerators out of both, in
+    place; the empty dict goes over 1."""
+    if not num:
+        return num, 1
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            for key, n in num.items():
+                num[key] = n // g
+            den //= g
+    return num, den
 
 
 def factorial(n: int) -> int:
@@ -333,28 +399,3 @@ def bernoulli_polynomial(n: int) -> UniPoly:
     for k in range(n + 1):
         coeffs[n - k] += binomial(n, k) * bernoulli_number(k)
     return UniPoly(coeffs)
-
-
-def exp_series_ratio(max_order: int) -> list[UniPoly]:
-    """Coefficients in z of z*(e^{zt} - 1)/(e^z - 1), up to z^max_order.
-
-    Entry n is a polynomial in t, obtained by formal division of truncated
-    exponential series.  These polynomials equal (B_n(t) - B_n)/n!, which is
-    how they serve as an independent oracle for the homotopy recursion that
-    produces the same sequence.
-    """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    # z*(e^{zt}-1)/(e^z-1) = N(z)/Q(z) with N_n = t^n/n! (n >= 1) and
-    # Q_m = 1/(m+1)!, after cancelling one factor of z.
-    numer = [UniPoly()] + [
-        UniPoly.monomial(n, Fraction(1, factorial(n))) for n in range(1, max_order + 1)
-    ]
-    q = [Fraction(1, factorial(m + 1)) for m in range(max_order + 1)]
-    out: list[UniPoly] = []
-    for k in range(max_order + 1):
-        acc = numer[k]
-        for j in range(k):
-            acc = acc - q[k - j] * out[j]
-        out.append(acc)  # q[0] == 1, no division needed
-    return out

@@ -68,7 +68,7 @@ class TensorSum(SparseVector):
         super().__init__(None, terms)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self:
             return "TensorSum(0)"
         return "TensorSum(" + " + ".join(f"{c}*{k}" for k, c in self.terms.items()) + ")"
 
@@ -107,18 +107,12 @@ def koszul_apply(
         coeff = Fraction(sign)
         for c, _ in combo:
             coeff *= c
-        if coeff:
-            terms.append((tuple(h for _, h in combo), coeff))
-    out: dict = {}
-    _accumulate(out, terms, 1)
-    return TensorSum._trusted(None, out)
+        terms.append((tuple(h for _, h in combo), coeff))
+    return TensorSum(terms)
 
 
 def _interleavings(p: int, q: int):
     return combinations(range(p + q), p)
-
-
-_SIGNS = (Fraction(1), Fraction(-1))
 
 
 def _shuffle_terms(u: Sequence, v: Sequence, degree_of: Callable[[Any], int]):
@@ -141,7 +135,7 @@ def _shuffle_terms(u: Sequence, v: Sequence, degree_of: Callable[[Any], int]):
                 seen_v_degree += vdeg[vi]
                 merged.append(v[vi])
                 vi += 1
-        yield tuple(merged), _SIGNS[exponent % 2]
+        yield tuple(merged), -1 if exponent % 2 else 1
 
 
 def _homog_degree(h: Homog) -> int:
@@ -151,7 +145,7 @@ def _homog_degree(h: Homog) -> int:
 def shuffle(u: Word, v: Word, degree_of: Callable[[Any], int] = _homog_degree) -> TensorSum:
     """Shuffle product of two words; the sign counts inversions weighted by
     the letter degrees, which ``degree_of`` reads off a letter."""
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, int] = {}
     _accumulate(out, _shuffle_terms(u, v, degree_of), 1)
     return TensorSum._trusted(None, out)
 
@@ -163,7 +157,7 @@ def word_degree(word: Word) -> int:
 def outer_shuffle(xs: Sequence[Word], ys: Sequence[Word]) -> TensorSum:
     """Shuffle two tuples of words as words-of-words; each inner word acts as
     a single letter whose degree is the sum of its letters' degrees."""
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, int] = {}
     _accumulate(out, _shuffle_terms(tuple(xs), tuple(ys), word_degree), 1)
     return TensorSum._trusted(None, out)
 
@@ -315,7 +309,7 @@ def shuffle_span_membership(x: TensorSum, max_letters: int = 5) -> bool:
     """
     if not x:
         return True
-    keys = list(x.terms)
+    keys = list(x.num)
     k = len(keys[0])
     if any(len(key) != k for key in keys):
         raise ValueError("terms must share the block count")

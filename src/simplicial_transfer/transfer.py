@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .cochains import (
     Cochain,
@@ -83,11 +84,12 @@ class Contraction:
     A bundle supplies its maps: the algebra side (``d_A``, ``wedge_A``,
     ``one_A``, ``zero_A``), the cochain side (``d_B``, ``zero_B`` and the
     ``expected_unit`` that f(1) must equal), the contraction (``f``, ``g``,
-    ``H``), the cochain basis (``faces`` and ``basis_element``, with every
-    cochain-side value exposing its coordinates as ``terms``, a dict from
-    face to coefficient), and the text renderers of counterexamples
-    (``render_A``, ``render_B``).  The operations, the unit, the basis
-    letters and their labels are shared.
+    ``H``), the cochain basis (``faces`` and ``basis_element``), and the
+    text renderers of counterexamples (``render_A``, ``render_B``).  Values
+    on both sides offer the integer linear combination ``_sum`` of
+    ``SparseVector``, and the cochain side is made of ``SparseVector``s of
+    the bundle's ``space``, whose numerators the engine reads.  The
+    operations, the unit, the basis letters and their labels are shared.
 
     The bundle interns each basis letter it meets, a basis cochain with the
     degree that drives signs, as a small int.  G_n, m_n and the cut products
@@ -99,7 +101,8 @@ class Contraction:
     verification commands can demonstrate a failing battery.
     """
 
-    def __init__(self, koszul_signs: bool = True):
+    def __init__(self, space, koszul_signs: bool = True):
+        self.space = space
         self.koszul_signs = koszul_signs
         self._ids: dict = {}  # (face, degree) -> id
         self._letters: list[Homog] = []
@@ -140,12 +143,14 @@ class Contraction:
         return letter_id
 
     def coordinates(self, letter: Homog):
-        """A letter as pairs (coefficient, basis letter id); a coefficient 1
-        is the int 1, so products of basis letters stay in int arithmetic."""
-        return [
-            (1 if coeff == 1 else coeff, self.intern(face, letter.degree))
-            for face, coeff in letter.carrier.terms.items()
-        ]
+        """A letter as pairs (numerator, basis letter id), over the
+        denominator of its carrier.  A carrier of another space than the
+        bundle's raises ``ValueError``."""
+        carrier = letter.carrier
+        space = carrier._space
+        if space is not self.space and space != self.space:
+            raise ValueError(carrier._mismatch)
+        return [(n, self.intern(face, letter.degree)) for face, n in carrier.num.items()]
 
     def basis_ids(self) -> list[int]:
         return [self.intern(face, len(face) - 2) for face in self.faces()]
@@ -155,9 +160,9 @@ class Contraction:
 
     def letter_label(self, letter: Homog) -> str:
         carrier = letter.carrier
-        if len(carrier.terms) == 1:
-            (face, coeff), = carrier.terms.items()
-            if coeff == 1:
+        if len(carrier.num) == 1 and carrier.den == 1:
+            (face, n), = carrier.num.items()
+            if n == 1:
                 return "x(" + ",".join(map(str, face)) + ")"
         return repr(carrier)
 
@@ -166,7 +171,7 @@ class SimplexContraction(Contraction):
     """The contraction data on a fixed simplex dimension."""
 
     def __init__(self, dim: int, koszul_signs: bool = True):
-        super().__init__(koszul_signs)
+        super().__init__(dim, koszul_signs)
         self.dim = dim
 
     # algebra side
@@ -265,37 +270,41 @@ def _m(bundle, ids: tuple[int, ...]):
     return value
 
 
-def _plus(total, coeff, value):
-    """total + coeff * value, with no scaling pass for coeff = +-1."""
-    if coeff == 1:
-        return total + value
-    if coeff == -1:
-        return total - value
-    return total + coeff * value
+def _sum(zero, parts, den: int = 1):
+    """(sum of p * v over the pairs (p, v)) / den, in the space of zero."""
+    return type(zero)._sum(zero._space, parts, den)
 
 
 def _insertions(bundle, ids: tuple[int, ...], outer, zero):
     """sum_{k,j} +- outer(b_1..b_j, m_k(b_{j+1}..b_{j+k}), ..., b_n), with
     ``outer`` either _m or _G and ``zero`` its zero.  Each inner m_k is
-    expanded in the cochain basis, so ``outer`` only sees basis words; the
-    Koszul sign slides the odd m_k past b_1..b_j."""
+    expanded in the cochain basis, so ``outer`` only sees basis words, and
+    its numerators are brought to the common denominator of all inner m_k;
+    the Koszul sign slides the odd m_k past b_1..b_j."""
     degrees = bundle._degrees
     n = len(ids)
-    total = zero
+    inner = []  # (sign, j, end, degree of m_k, m_k)
     head_degree = 0
     for j in range(n):
-        head = ids[:j]
         sign = -1 if bundle.koszul_signs and head_degree % 2 else 1
         inner_degree = 1
         for end in range(j + 1, n + 1):
             inner_degree += degrees[ids[end - 1]]
-            tail = ids[end:]
-            for face, coeff in _m(bundle, ids[j:end]).terms.items():
-                term = outer(bundle, head + (bundle.intern(face, inner_degree),) + tail)
-                if term:
-                    total = _plus(total, sign * coeff, term)
+            value = _m(bundle, ids[j:end])
+            if value:
+                inner.append((sign, j, end, inner_degree, value))
         head_degree += degrees[ids[j]]
-    return total
+    den = lcm(*(value.den for *_, value in inner))
+    intern = bundle.intern
+    parts = [
+        (
+            sign * coeff * (den // value.den),
+            outer(bundle, ids[:j] + (intern(face, degree),) + ids[end:]),
+        )
+        for sign, j, end, degree, value in inner
+        for face, coeff in value.num.items()
+    ]
+    return _sum(zero, parts, den)
 
 
 def _relation(bundle, ids: tuple[int, ...]):
@@ -308,19 +317,18 @@ def _multilinear(bundle, word: tuple[Homog, ...], op, zero):
     letters."""
     if not word:
         raise ValueError("empty word")
-    total = None
+    parts = []
     for combo in product(*map(bundle.coordinates, word)):
         coeff = 1
         ids = []
         for c, letter_id in combo:
             coeff *= c
             ids.append(letter_id)
-        value = op(bundle, tuple(ids))
-        if total is not None:
-            total = _plus(total, coeff, value)
-        else:
-            total = value if coeff == 1 else coeff * value
-    return zero() if total is None else total
+        parts.append((coeff, op(bundle, tuple(ids))))
+    den = 1
+    for letter in word:
+        den *= letter.carrier.den
+    return _sum(zero(), parts, den)
 
 
 # -- the operations on words of letters -------------------------------------
@@ -421,11 +429,8 @@ def check_c_infinity(bundle, max_arity: int) -> VerificationReport:
 
     def cases(shuffles, op, zero, render):
         for u, v, sh in shuffles:
-            total = zero()
-            for word, coeff in sh.items():
-                value = op(bundle, word)
-                if value:
-                    total = _plus(total, coeff, value)
+            parts = [(coeff, op(bundle, word)) for word, coeff in sh.num.items()]
+            total = _sum(zero(), parts, sh.den)
             yield (
                 f"{_word_label(bundle, u)} shuffle {_word_label(bundle, v)} gives {render(total)}"
                 if total
@@ -571,16 +576,14 @@ def interval_product_table(max_arity: int) -> IntervalTable:
     if max_arity < 2:
         raise ValueError("max_arity must be >= 2")
     bundle = SimplexContraction(1)
-    t = Homog(Cochain.basis_element(1, (1,)), -1)
-    dt = Homog(Cochain.basis_element(1, (0, 1)), 0)
-    letters = {"t": t, "dt": dt}
+    # t = x(1) and dt = x(0,1) are basis letters, so each word is a word of ids
+    letters = {"t": bundle.intern((1,), -1), "dt": bundle.intern((0, 1), 0)}
 
     table = IntervalTable(max_arity=max_arity)
     values: dict[tuple[str, ...], tuple[Fraction, Fraction, Fraction]] = {}
     for n in range(2, max_arity + 1):
         for names in product(("t", "dt"), repeat=n):
-            word = tuple(letters[name] for name in names)
-            value = transferred_m(bundle, word)
+            value = _m(bundle, tuple(letters[name] for name in names))
             components = interval_basis_components(value)
             values[names] = components
             table.entries.append(

@@ -11,6 +11,7 @@ engine, so every battery runs on a complex exactly as on one simplex.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from simplicial_transfer.cochains import Cochain, include_g
@@ -90,6 +91,19 @@ class GlobalForm:
     def __bool__(self) -> bool:
         return any(self.assign.values())
 
+    @property
+    def _space(self):
+        return self.complex
+
+    @classmethod
+    def _sum(cls, complex_: OrderedComplex, parts, den: int = 1) -> "GlobalForm":
+        """(sum of p * v over the pairs (p, v)) / den, the linear
+        combination the transfer engine forms of algebra-side values."""
+        total = GlobalForm(complex_, {}, validate=False)
+        for p, v in parts:
+            total = total + Fraction(p, den) * v
+        return total
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GlobalForm)
@@ -108,9 +122,8 @@ def restrict(c: GlobalCochain, simplex) -> Cochain:
     """The local cochain that c induces on one simplex of the closure, in
     vertex positions of that simplex."""
     vertices = set(simplex)
-    # positions of a face of an increasing simplex increase, and the
-    # coefficients are already clean
-    return Cochain._trusted(
+    # positions of a face of an increasing simplex increase
+    return Cochain(
         len(simplex) - 1,
         {_positions(face, simplex): x for face, x in c.terms.items() if vertices.issuperset(face)},
     )
@@ -158,7 +171,7 @@ class GlobalFormContraction(Contraction):
     maps; the basis letters are the indicator cochains of the closure."""
 
     def __init__(self, complex_: OrderedComplex):
-        super().__init__()
+        super().__init__(complex_)
         self.complex = complex_
 
     def d_A(self, x: GlobalForm) -> GlobalForm:

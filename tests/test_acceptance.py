@@ -18,7 +18,6 @@ from simplicial_transfer.rationals import (
     UniPoly,
     bernoulli_number,
     bernoulli_polynomial,
-    exp_series_ratio,
     factorial,
 )
 from simplicial_transfer.tensorwords import (
@@ -41,6 +40,8 @@ from simplicial_transfer.transfer import (
     transferred_m_trees,
 )
 from simplicial_transfer.trees import tree_count
+
+from helpers import exp_series_ratio
 
 
 def report(number: int, ok: bool, detail: str) -> None:

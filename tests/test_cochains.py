@@ -9,15 +9,11 @@ from simplicial_transfer.cochains import (
     Cochain,
     basis_faces,
     coboundary,
-    cochain_from_interval_basis,
-    cochain_from_records,
-    cochain_records,
     elementary_form,
     format_cochain,
     include_g,
     interval_basis_components,
     project_f,
-    restrict_cochain,
     unit_cochain,
 )
 from simplicial_transfer.forms import (
@@ -28,6 +24,13 @@ from simplicial_transfer.forms import (
     parse_form,
 )
 from simplicial_transfer.tensorwords import Homog, TensorSum, koszul_apply
+
+from helpers import (
+    cochain_from_interval_basis,
+    cochain_from_records,
+    cochain_records,
+    restrict_cochain,
+)
 
 
 def chi(dim, *face):

@@ -210,6 +210,18 @@ def test_letters_on_different_complexes_are_rejected():
             transferred_global_m(word)
 
 
+def test_a_letter_of_another_complex_is_rejected_by_the_bundle():
+    # x(0) of the boundary names a simplex of the solid triangle too
+    bundle = DELTA2.contraction()
+    foreign = Homog(chi(BOUNDARY2, 0), -1)
+    for word in [(foreign,), (Homog(chi(DELTA2, 0), -1), foreign)]:
+        with pytest.raises(ValueError, match="complex mismatch"):
+            transferred_m(bundle, word)
+    # an equal complex built apart is the same space
+    twin = OrderedComplex([0, 1, 2], [[0, 1, 2]])
+    assert transferred_m(bundle, (Homog(chi(twin, 0), -1),)) == global_coboundary(chi(DELTA2, 0))
+
+
 def test_global_m2_restricts_to_the_local_product():
     # on the full triangle the global binary operation restricted to the top
     # simplex agrees with the single-simplex operation

@@ -9,11 +9,12 @@ from simplicial_transfer.rationals import (
     bernoulli_number,
     bernoulli_polynomial,
     binomial,
-    exp_series_ratio,
     factorial,
     parse_rational,
     rational_str,
 )
+
+from helpers import exp_series_ratio
 
 
 def akiyama_tanigawa(n):

@@ -57,6 +57,15 @@ def test_arity_one_is_the_coboundary():
     assert transferred_m(bundle, (x0,)) == -1 * Cochain.basis_element(1, (0, 1))
 
 
+def test_a_letter_of_another_dimension_is_rejected():
+    bundle = SimplexContraction(2)
+    x0 = Homog(Cochain.basis_element(1, (0,)), -1)
+    for word in [(x0,), (Homog(Cochain.basis_element(2, (0,)), -1), x0)]:
+        for op in (transferred_m, morphism_G, _relation_value):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                op(bundle, word)
+
+
 def test_binary_product_on_interval():
     bundle = SimplexContraction(1)
     t, dt = interval_letters()
@@ -204,7 +213,7 @@ def _failing(report):
 def test_truncated_shuffle_fails_at_the_first_counterexample(monkeypatch):
     # each record counts the cases up to and including its first failure
     def first_term(u, v, degree_of):
-        return TensorSum._trusted(None, dict(list(shuffle(u, v, degree_of).terms.items())[:1]))
+        return TensorSum(dict(list(shuffle(u, v, degree_of).terms.items())[:1]))
 
     monkeypatch.setattr(transfer, "shuffle", first_term)
     assert _failing(check_c_infinity(SimplexContraction(1), 3)) == [
@@ -250,13 +259,13 @@ def test_unit_word_counterexample_names_its_letters(monkeypatch):
 
 
 def test_interval_table_reports_a_failing_bernoulli_check(monkeypatch):
-    m = transfer.transferred_m
+    m = transfer._m
 
-    def tripled(bundle, word):
-        value = m(bundle, word)
-        return 3 * value if len(word) == 3 else value
+    def tripled(bundle, ids):
+        value = m(bundle, ids)
+        return 3 * value if len(ids) == 3 else value
 
-    monkeypatch.setattr(transfer, "transferred_m", tripled)
+    monkeypatch.setattr(transfer, "_m", tripled)
     table = interval_product_table(5)
     assert not table.all_passed
     assert _failing(table) == [

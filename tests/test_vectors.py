@@ -2,6 +2,7 @@
 share through ``SparseVector``: one set of vector laws, checked on each."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -85,3 +86,49 @@ def test_vector_laws(case):
     with pytest.raises(AttributeError):
         a.label = "a"
     assert a == make(space, a_terms)
+
+
+def _is_canonical(vec):
+    return (
+        type(vec.den) is int
+        and vec.den > 0
+        and all(type(n) is int and n for n in vec.num.values())
+        and gcd(vec.den, *vec.num.values()) == 1
+    )
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_vectors_are_stored_in_lowest_terms(case):
+    make, (space, _), a_terms, b_terms, _ = case
+    a, b = make(space, a_terms), make(space, b_terms)
+    for vec in (a, b, a + b, a - b, -a, Fraction(6, 5) * a, 4 * b, a - a, make(space)):
+        assert _is_canonical(vec), vec
+        assert dict(vec.terms) == {k: Fraction(n, vec.den) for k, n in vec.num.items()}
+    # the zero vector is unique: no numerators over 1
+    for zero in (a - a, 0 * b, make(space), make(space, {k: 0 for k in a_terms})):
+        assert (zero.num, zero.den) == ({}, 1)
+        assert zero == make(space) and hash(zero) == hash(make(space))
+
+
+def test_equal_rationals_give_equal_vectors():
+    key = ((1,), ())
+    half = Form(1, {key: Fraction(1, 2)})
+    assert Form(1, {key: Fraction(2, 4)}) == half
+    assert hash(Form(1, {key: Fraction(2, 4)})) == hash(half)
+    assert (half.num, half.den) == ({key: 1}, 2)
+    # 1/2 + 1/2 = 1 reduces to one over one; 2/3 * 3/4 = 1/2
+    assert ((half + half).num, (half + half).den) == ({key: 1}, 1)
+    assert Fraction(3, 4) * Form(1, {key: Fraction(2, 3)}) == half
+    # a common factor of all numerators and the denominator is divided out
+    pair = Cochain(1, {(0,): Fraction(2, 6), (1,): Fraction(4, 6)})
+    assert (pair.num, pair.den) == ({(0,): 1, (1,): 2}, 3)
+
+
+def test_terms_is_a_read_only_fraction_view():
+    a = Cochain(1, {(0,): Fraction(1, 2), (0, 1): 3})
+    terms = a.terms
+    assert terms == {(0,): Fraction(1, 2), (0, 1): Fraction(3)}
+    assert all(type(c) is Fraction for c in terms.values())
+    with pytest.raises(TypeError):
+        terms[(1,)] = Fraction(1)
+    assert a == Cochain(1, terms)
