@@ -20,10 +20,8 @@ from .rationals import (
 from .forms import (
     Form,
     differential,
-    face_restrict,
     format_form,
     generator,
-    integrate_face,
     integrate_top,
     monomial_basis,
     parse_form,
@@ -45,8 +43,6 @@ from .contraction import check_contraction, h_operator, homotopy_H, s_operator
 from .tensorwords import (
     Homog,
     TensorSum,
-    deconcatenations,
-    formal_word,
     koszul_apply,
     koszul_sign,
     outer_shuffle,

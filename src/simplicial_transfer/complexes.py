@@ -4,13 +4,11 @@ product, and the transferred operations read off single simplices.
 A complex is given by totally ordered vertices and maximal simplices; the
 closure stores every face.  Forms, g, f and Dupont's homotopy H are
 levelwise and natural for face inclusions (Dupont 1976; Cheng-Getzler,
-section 3), so no form on the whole complex is needed: for k >= 2,
-
-    m_k(e_{F_1}, ..., e_{F_k}) = mu * e_U,    U = F_1 u ... u F_k,
-
-zero unless U is a simplex with dim U = sum_j dim F_j + 2 - k, where mu is
-the top-face coefficient of m_k on the standard simplex of dimension dim U
-at the positions of the F_j in U (the join rule).
+section 3), so no form on the whole complex is needed: for k >= 2, m_k on
+basis cochains e_{F_1}, ..., e_{F_k} is mu * e_U on the union U of their
+supports, zero unless U is a simplex of the right dimension, with mu read
+from the standard simplex of dimension dim U (the join rule of
+``transfer``, which the single-simplex bundle reads too).
 
 The product f(ga ^ gb) = (-1)^{deg a} m_2(a, b) is the arity-2 case, summed
 by bilinearity; on basis cochains it is the Whitney structure constant
@@ -41,7 +39,7 @@ from itertools import combinations
 from .rationals import SparseVector, _accumulate, parse_rational, rational_str
 from .reporting import VerificationReport
 from .tensorwords import Homog
-from .transfer import Contraction, SimplexContraction, _m, _relation_value, transferred_m
+from .transfer import Contraction, _join_rule, _m, _relation_value, transferred_m
 
 __all__ = [
     "OrderedComplex",
@@ -203,10 +201,6 @@ def load_complex(text: str) -> OrderedComplex:
     return _load_json(text, complex_from_data)
 
 
-def _positions(sub: Simplex, ambient: Simplex) -> Simplex:
-    return tuple(ambient.index(v) for v in sub)
-
-
 class GlobalCochain(SparseVector, space="complex", mismatch="complex mismatch"):
     """Rational coefficients on the simplices of a complex."""
 
@@ -250,15 +244,15 @@ def global_coboundary(c: GlobalCochain) -> GlobalCochain:
 
 class ComplexContraction(Contraction):
     """The cochain side of the transfer on a complex: the basis of
-    simplices, the coboundary as m_1, and m_k for k >= 2 by the join rule
-    (module docstring), with one single-simplex engine per dimension."""
+    simplices, the coboundary as m_1, and m_k for k >= 2 by the join rule,
+    every union read from the process's standard-simplex engines."""
+
+    top_dim = None  # no simplex of a complex is computed through forms
 
     def __init__(self, complex_: OrderedComplex):
         super().__init__(complex_)
         self.complex = complex_
         self._zero = GlobalCochain(complex_)
-        dims = range(max(map(len, complex_.simplices), default=0))
-        self._engines = [SimplexContraction(n) for n in dims]
 
     def d_B(self, c: GlobalCochain) -> GlobalCochain:
         return global_coboundary(c)
@@ -275,24 +269,10 @@ class ComplexContraction(Contraction):
     render_B = staticmethod(repr)
 
     def m_word(self, ids: tuple[int, ...]) -> GlobalCochain:
-        """m_k on a basis word by the join rule."""
-        faces = [self._faces[i] for i in ids]
-        union = tuple(sorted(set().union(*faces)))
-        n = len(union) - 1
-        if n != sum(len(face) - 1 for face in faces) + 2 - len(ids):
-            return self._zero
-        if union not in self.complex.cofaces():  # keyed by every simplex
-            return self._zero
-        engine = self._engines[n]
-        local = tuple(
-            engine.intern(_positions(face, union), self._degrees[i])
-            for face, i in zip(faces, ids)
-        )
-        value = _m(engine, local)
-        mu = value.num.get(tuple(range(n + 1)))
-        if not mu:
-            return self._zero
-        return GlobalCochain._reduced(self.complex, {union: mu}, value.den)
+        return _join_rule(self, ids)
+
+    def has_simplex(self, simplex) -> bool:
+        return simplex in self.complex.cofaces()  # keyed by every simplex
 
 
 def cup(a: GlobalCochain, b: GlobalCochain) -> GlobalCochain:

@@ -34,9 +34,7 @@ __all__ = [
     "wedge",
     "differential",
     "vertex_evaluate",
-    "face_restrict",
     "integrate_top",
-    "integrate_face",
     "monomial_basis",
     "format_form",
     "parse_form",
@@ -200,55 +198,6 @@ def _check_face(face: tuple[int, ...], dim: int) -> tuple[int, ...]:
     return face
 
 
-@lru_cache(maxsize=None)
-def _restriction_images(dim: int, face: tuple[int, ...]):
-    """Images of the stored generators t_1..t_n, dt_1..dt_n of the dim-simplex
-    under pullback along the face inclusion, as forms on the face simplex."""
-    k = len(face) - 1
-    t_img: dict[int, Form] = {}
-    dt_img: dict[int, Form] = {}
-    for local, vertex in enumerate(face):
-        if vertex == 0:
-            continue
-        t_img[vertex] = generator(k, "t", local)
-        dt_img[vertex] = generator(k, "dt", local)
-    return t_img, dt_img
-
-
-def face_restrict(a: Form, face) -> Form:
-    """Pull back along the inclusion of the face (i_0 < ... < i_k).
-
-    Vertex i_j becomes local vertex j; generators at vertices missing from
-    the face are sent to zero and the result is renormalized on the face.
-    """
-    face = _check_face(face, a.dim)
-    k = len(face) - 1
-    t_img, dt_img = _restriction_images(a.dim, face)
-    in_face = set(face)
-    out = Form.zero(k)
-    for (exps, dts), coeff in a.num.items():
-        if any(exps[j - 1] > 0 and j not in in_face for j in range(1, a.dim + 1)):
-            continue
-        if any(s not in in_face for s in dts):
-            continue
-        acc = coeff * Form.one(k)
-        for pos, e in enumerate(exps):
-            j = pos + 1
-            if e == 0:
-                continue
-            img = t_img[j]
-            for _ in range(e):
-                acc = wedge(acc, img)
-            if not acc:
-                break
-        for s in dts:
-            if not acc:
-                break
-            acc = wedge(acc, dt_img[s])
-        out = out + acc
-    return Fraction(1, a.den) * out
-
-
 def integrate_top(a: Form) -> Fraction:
     """Integral over the whole simplex:
 
@@ -268,11 +217,6 @@ def integrate_top(a: Form) -> Fraction:
             numer *= factorial(e)
         total += Fraction(coeff * numer, factorial(sum(exps) + n))
     return total / a.den
-
-
-def integrate_face(a: Form, face) -> Fraction:
-    """Integral over the geometric face (i_0 < ... < i_k)."""
-    return integrate_top(face_restrict(a, face))
 
 
 def monomial_basis(dim: int, max_poly_degree: int, form_degree: int | None = None):

@@ -30,11 +30,9 @@ __all__ = [
     "koszul_apply",
     "shuffle",
     "outer_shuffle",
-    "deconcatenations",
     "compositions",
     "split_word",
     "shuffle_span_membership",
-    "formal_word",
 ]
 
 
@@ -50,13 +48,6 @@ class Homog:
 
 
 Word = tuple  # tuple[Homog, ...]
-
-
-def formal_word(names: str | Sequence[str], degrees: Sequence[int]) -> Word:
-    """Build a word of formal letters, e.g. formal_word("ab", (0, 1))."""
-    if len(names) != len(degrees):
-        raise ValueError("one degree per letter")
-    return tuple(Homog(n, d) for n, d in zip(names, degrees))
 
 
 class TensorSum(SparseVector):
@@ -179,14 +170,6 @@ def split_word(word: Word, sizes: Sequence[int]) -> tuple[Word, ...]:
         blocks.append(word[start : start + size])
         start += size
     return tuple(blocks)
-
-
-def deconcatenations(word: Word, k: int) -> TensorSum:
-    """Sum of all splittings of a word into k nonempty blocks; no signs."""
-    n = len(word)
-    if not 1 <= k <= n:
-        raise ValueError(f"cannot split a word of length {n} into {k} blocks")
-    return TensorSum({split_word(word, comp): 1 for comp in compositions(n, k)})
 
 
 # -- span membership for split shuffles ----------------------------------

@@ -23,6 +23,19 @@ their agreement is itself one of the checked identities.  The blocks G_i
 have even parity and degree zero, so no slot signs arise in the recursion
 itself; all other slotwise applications are Koszul-signed.
 
+Dupont's contraction is natural for face inclusions (Dupont 1976;
+Cheng-Getzler, section 3), so for k >= 2 and basis cochains e_{F_1}, ...,
+e_{F_k} (the join rule)
+
+    m_k(e_{F_1}, ..., e_{F_k}) = mu * e_U,    U = F_1 u ... u F_k,
+
+zero unless U is a simplex with dim U = sum_j dim F_j + 2 - k, where mu is
+the top-face coefficient of m_k on the standard simplex of dimension dim U
+at the positions of the F_j in U.  Both concrete bundles, the simplex and
+the complex, read m_k this way: the simplex bundle runs f(cut products) only
+on words that span its own top simplex, and every other word is read from
+one standard-simplex engine per dimension, built once per process.
+
 Both m_n and G_n are multilinear, so they are fixed by their values on words
 of basis cochains.  A bundle interns each basis letter as a small int and
 memoises m_n and G_n per word of ids, so a memo key hashes in C and the memos
@@ -40,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import lcm
 
@@ -94,8 +108,11 @@ class Contraction:
     The bundle interns each basis letter it meets, a basis cochain with the
     degree that drives signs, as a small int.  G_n, m_n and the cut products
     are memoised per word of ids.  The hook ``m_word`` gives m_n for n >= 2,
-    by default f(cut products); a cochain-only bundle overrides it and needs
-    only the basis, ``d_B``, ``zero_B`` and ``render_B`` besides.
+    by default f(cut products), the form route that the tests' reference
+    bundles keep.  The simplex and complex bundles set it to the join rule
+    (module docstring) through ``has_simplex`` and ``top_dim``; a
+    cochain-only bundle then needs only the basis, ``d_B``, ``zero_B`` and
+    ``render_B`` besides.
 
     ``koszul_signs=False`` drops every slotwise sign; it exists only so the
     verification commands can demonstrate a failing battery.
@@ -168,11 +185,19 @@ class Contraction:
 
 
 class SimplexContraction(Contraction):
-    """The contraction data on a fixed simplex dimension."""
+    """The contraction data on a fixed simplex dimension.  m_n reads the
+    join rule: f(cut products) on words that span the simplex, the engine
+    of a face's dimension on all others."""
 
     def __init__(self, dim: int, koszul_signs: bool = True):
         super().__init__(dim, koszul_signs)
-        self.dim = dim
+        self.dim = self.top_dim = dim
+
+    def m_word(self, ids: tuple[int, ...]) -> Cochain:
+        return _join_rule(self, ids)
+
+    def has_simplex(self, simplex) -> bool:
+        return True  # every union of faces of the simplex is a face
 
     # algebra side
     def d_A(self, x: Form) -> Form:
@@ -270,6 +295,41 @@ def _m(bundle, ids: tuple[int, ...]):
     return value
 
 
+@lru_cache(maxsize=None)
+def _engine(n: int) -> SimplexContraction:
+    """The standard n-simplex bundle that the join rule reads m_k from, one
+    per dimension and process; its memos fill on first use."""
+    return SimplexContraction(n)
+
+
+def _positions(sub: tuple[int, ...], ambient: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(ambient.index(v) for v in sub)
+
+
+def _join_rule(bundle, ids: tuple[int, ...]):
+    """m_n, n >= 2, on a basis word by the join rule (module docstring): zero
+    unless the union U of the supports is a simplex of the bundle of the
+    right dimension; f(cut products) when U is the bundle's own top simplex;
+    otherwise mu * e_U with mu read from the engine of dimension dim U."""
+    faces = [bundle._faces[i] for i in ids]
+    union = tuple(sorted(set().union(*faces)))
+    n = len(union) - 1
+    zero = bundle.zero_B()
+    if n != sum(len(face) - 1 for face in faces) + 2 - len(ids) or not bundle.has_simplex(union):
+        return zero
+    if n == bundle.top_dim:
+        return bundle.f(_cut_products(bundle, ids))
+    engine = _engine(n)
+    local = tuple(
+        engine.intern(_positions(face, union), bundle._degrees[i]) for face, i in zip(faces, ids)
+    )
+    value = _m(engine, local)
+    mu = value.num.get(tuple(range(n + 1)))
+    if not mu:
+        return zero
+    return type(zero)._reduced(zero._space, {union: mu}, value.den)
+
+
 def _sum(zero, parts, den: int = 1):
     """(sum of p * v over the pairs (p, v)) / den, in the space of zero."""
     return type(zero)._sum(zero._space, parts, den)
@@ -342,7 +402,8 @@ def morphism_G(bundle, word: tuple[Homog, ...]) -> "Form":
 
 def transferred_m(bundle, word: tuple[Homog, ...]):
     """The transferred n-ary operation on a word of cochain letters; arity 1
-    is the cochain differential and m_n = f(cut products) above."""
+    is the cochain differential and m_n = f(cut products) above, which the
+    simplex and complex bundles read by the join rule."""
     return _multilinear(bundle, word, _m, bundle.zero_B)
 
 

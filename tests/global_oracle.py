@@ -15,22 +15,18 @@ from fractions import Fraction
 from itertools import combinations
 
 from simplicial_transfer.cochains import Cochain, include_g
-from simplicial_transfer.complexes import (
-    GlobalCochain,
-    OrderedComplex,
-    _positions,
-    global_coboundary,
-)
+from simplicial_transfer.complexes import GlobalCochain, OrderedComplex, global_coboundary
 from simplicial_transfer.contraction import homotopy_H
 from simplicial_transfer.forms import (
     Form,
     differential,
-    face_restrict,
     format_form,
     integrate_top,
     wedge,
 )
-from simplicial_transfer.transfer import Contraction
+from simplicial_transfer.transfer import Contraction, _positions
+
+from helpers import face_restrict
 
 
 class GlobalForm:

@@ -1,15 +1,73 @@
-"""Helpers that only the tests use: cochain restriction, the interval
-basis and the record format of single-simplex cochains, and the
+"""Helpers that only the tests use: face restriction and integration of
+forms, cochain restriction, the interval basis and the record format of
+single-simplex cochains, formal words and their deconcatenations, and the
 generating-function oracle for the interval recursion.  They go through
 the package's public constructors only."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from typing import Sequence
 
 from simplicial_transfer.cochains import Cochain, basis_faces
-from simplicial_transfer.forms import _check_face
+from simplicial_transfer.forms import Form, _check_face, generator, integrate_top, wedge
 from simplicial_transfer.rationals import UniPoly, exact, factorial, parse_rational, rational_str
+from simplicial_transfer.tensorwords import Homog, TensorSum, compositions, split_word
+
+
+@lru_cache(maxsize=None)
+def _restriction_images(dim: int, face: tuple[int, ...]):
+    """Images of the stored generators t_1..t_n, dt_1..dt_n of the dim-simplex
+    under pullback along the face inclusion, as forms on the face simplex."""
+    k = len(face) - 1
+    t_img: dict[int, Form] = {}
+    dt_img: dict[int, Form] = {}
+    for local, vertex in enumerate(face):
+        if vertex == 0:
+            continue
+        t_img[vertex] = generator(k, "t", local)
+        dt_img[vertex] = generator(k, "dt", local)
+    return t_img, dt_img
+
+
+def face_restrict(a: Form, face) -> Form:
+    """Pull back along the inclusion of the face (i_0 < ... < i_k).
+
+    Vertex i_j becomes local vertex j; generators at vertices missing from
+    the face are sent to zero and the result is renormalized on the face.
+    """
+    face = _check_face(face, a.dim)
+    k = len(face) - 1
+    t_img, dt_img = _restriction_images(a.dim, face)
+    in_face = set(face)
+    out = Form.zero(k)
+    for (exps, dts), coeff in a.num.items():
+        if any(exps[j - 1] > 0 and j not in in_face for j in range(1, a.dim + 1)):
+            continue
+        if any(s not in in_face for s in dts):
+            continue
+        acc = coeff * Form.one(k)
+        for pos, e in enumerate(exps):
+            j = pos + 1
+            if e == 0:
+                continue
+            img = t_img[j]
+            for _ in range(e):
+                acc = wedge(acc, img)
+            if not acc:
+                break
+        for s in dts:
+            if not acc:
+                break
+            acc = wedge(acc, dt_img[s])
+        out = out + acc
+    return Fraction(1, a.den) * out
+
+
+def integrate_face(a: Form, face) -> Fraction:
+    """Integral over the geometric face (i_0 < ... < i_k)."""
+    return integrate_top(face_restrict(a, face))
 
 
 def restrict_cochain(c: Cochain, face) -> Cochain:
@@ -40,6 +98,21 @@ def cochain_records(c: Cochain) -> list[dict]:
 
 def cochain_from_records(records, dim: int) -> Cochain:
     return Cochain(dim, [(tuple(r["face"]), parse_rational(r["coeff"])) for r in records])
+
+
+def formal_word(names: str | Sequence[str], degrees: Sequence[int]) -> tuple:
+    """Build a word of formal letters, e.g. formal_word("ab", (0, 1))."""
+    if len(names) != len(degrees):
+        raise ValueError("one degree per letter")
+    return tuple(Homog(n, d) for n, d in zip(names, degrees))
+
+
+def deconcatenations(word: tuple, k: int) -> TensorSum:
+    """Sum of all splittings of a word into k nonempty blocks; no signs."""
+    n = len(word)
+    if not 1 <= k <= n:
+        raise ValueError(f"cannot split a word of length {n} into {k} blocks")
+    return TensorSum({split_word(word, comp): 1 for comp in compositions(n, k)})
 
 
 def exp_series_ratio(max_order: int) -> list[UniPoly]:

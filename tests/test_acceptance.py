@@ -23,8 +23,6 @@ from simplicial_transfer.rationals import (
 from simplicial_transfer.tensorwords import (
     Homog,
     TensorSum,
-    deconcatenations,
-    formal_word,
     shuffle,
     shuffle_span_membership,
 )
@@ -41,7 +39,7 @@ from simplicial_transfer.transfer import (
 )
 from simplicial_transfer.trees import tree_count
 
-from helpers import exp_series_ratio
+from helpers import deconcatenations, exp_series_ratio, formal_word
 
 
 def report(number: int, ok: bool, detail: str) -> None:

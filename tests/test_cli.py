@@ -103,6 +103,8 @@ _PINNED = {
     "verify": ("verify", "--dim", "2", "--max-arity", "3"),
     "contraction": ("contraction", "--dim", "3", "--max-poly-degree", "2"),
     "interval": ("interval", "--max-arity", "6"),
+    "interval-deep": ("interval", "--max-arity", "12"),
+    "verify-tetra": ("verify", "--dim", "3", "--max-arity", "3"),
     "whitney-octahedron": _OCTAHEDRON,
     "whitney-torus": _TORUS,
     "whitney-discrete": {"vertices": [0, 1, 2], "simplices": [[0], [1], [2]]},
@@ -140,6 +142,11 @@ _DIGESTS = {
         "112b7ffe416debec1abe107b298671dec968fc39b5fa210d329b3ce35d3d7e6d",
     ("whitney-discrete", "json"):
         "fe502ce93bea24e1a8c746f2fa789fba8bd4ccc7af66ce02f96d06cc0d4ac785",
+    # recorded before the simplex bundle read m_k by the join rule
+    ("interval-deep", "json"):
+        "a15c0ed995339abd95aa1b76902f97a33e838d0690fd93aefbbcbceb693778ee",
+    ("verify-tetra", "json"):
+        "c26a2ee65d93575f0f4ae9163251caf8b2b6c66504473e69581e755139844d72",
 }
 
 

@@ -19,7 +19,6 @@ from simplicial_transfer.cochains import (
 from simplicial_transfer.forms import (
     Form,
     differential,
-    face_restrict,
     monomial_basis,
     parse_form,
 )
@@ -29,6 +28,7 @@ from helpers import (
     cochain_from_interval_basis,
     cochain_from_records,
     cochain_records,
+    face_restrict,
     restrict_cochain,
 )
 

@@ -26,6 +26,8 @@ from simplicial_transfer.forms import parse_form, wedge
 from simplicial_transfer.rationals import factorial
 from simplicial_transfer.tensorwords import Homog
 from simplicial_transfer.transfer import (
+    Contraction,
+    _m,
     check_a_infinity,
     check_c_infinity,
     check_morphism,
@@ -469,23 +471,29 @@ def _letter(complex_, *simplex):
 
 
 @pytest.mark.parametrize(
-    "n, arity", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]
+    "n, arity", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (1, 8)]
 )
 def test_join_rule_matches_the_simplex_engine(n, arity):
-    # on the n-simplex the complex bundle reads a word whose supports span a
-    # proper face from a smaller simplex; it must agree with the engine of
-    # the n-simplex itself on every basis word
+    # both the complex bundle of the n-simplex and the simplex bundle read
+    # m_k by the join rule, which reads a word whose supports span a proper
+    # face from a smaller simplex; it must agree with the form route, f of
+    # the cut products on the n-simplex, on every basis word
     bundle = _standard_simplex(n).contraction()
     engine = SimplexContraction(n)
-    pairs = list(zip(bundle.b_basis(), engine.b_basis()))
+    pairs = [
+        (bundle.intern(face, len(face) - 2), engine.intern(face, len(face) - 2))
+        for face in basis_faces(n)
+    ]
     for word in product(pairs, repeat=arity):
-        value = transferred_m(bundle, tuple(w for w, _ in word))
-        expected = transferred_m(engine, tuple(e for _, e in word))
-        assert value.terms == expected.terms, word
+        ids = tuple(e for _, e in word)
+        expected = Contraction.m_word(engine, ids)
+        assert _m(engine, ids) == expected, word
+        assert _m(bundle, tuple(b for b, _ in word)).terms == expected.terms, word
         if arity == 2:
-            (a, x), (b, y) = word
-            by_forms = project_f(wedge(include_g(x.carrier), include_g(y.carrier)))
-            assert cup(a.carrier, b.carrier).terms == by_forms.terms, word
+            a, b = (bundle._letters[i].carrier for i, _ in word)
+            x, y = (engine._letters[i].carrier for _, i in word)
+            by_forms = project_f(wedge(include_g(x), include_g(y)))
+            assert cup(a, b).terms == by_forms.terms, word
 
 
 @pytest.mark.parametrize(

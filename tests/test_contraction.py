@@ -13,10 +13,11 @@ from simplicial_transfer.contraction import (
 from simplicial_transfer.forms import (
     Form,
     differential,
-    face_restrict,
     monomial_basis,
     parse_form,
 )
+
+from helpers import face_restrict
 
 
 def F1(text):

@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 from simplicial_transfer.forms import (
     Form,
     differential,
-    face_restrict,
     format_form,
     generator,
-    integrate_face,
     integrate_top,
     monomial_basis,
     parse_form,
     vertex_evaluate,
     wedge,
 )
+
+from helpers import face_restrict, integrate_face
 
 
 def F1(text):

@@ -20,11 +20,12 @@ from simplicial_transfer.forms import (
     Form,
     differential,
     generator,
-    integrate_face,
     monomial_basis,
     wedge,
 )
 from simplicial_transfer.rationals import factorial
+
+from helpers import integrate_face
 
 
 def test_cached_f_matches_face_integration():

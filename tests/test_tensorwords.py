@@ -7,13 +7,13 @@ from simplicial_transfer.tensorwords import (
     Homog,
     TensorSum,
     compositions,
-    deconcatenations,
-    formal_word,
     koszul_apply,
     koszul_sign,
     shuffle,
     shuffle_span_membership,
 )
+
+from helpers import deconcatenations, formal_word
 
 
 def word_names(word):
