@@ -17,12 +17,13 @@ from simplicial_transfer import (
     interval_product_table,
     p_polynomial_sequence,
     rational_str,
+    standard_simplex,
     transferred_m,
 )
 
 bundle = SimplexContraction(1)
-t = Homog(Cochain.basis_element(1, (1,)), -1)    # the cochain "t", shifted degree -1
-dt = Homog(Cochain.basis_element(1, (0, 1)), 0)  # the cochain "dt", shifted degree 0
+t = Homog(Cochain.basis_element(standard_simplex(1), (1,)), -1)    # the cochain "t", shifted degree -1
+dt = Homog(Cochain.basis_element(standard_simplex(1), (0, 1)), 0)  # the cochain "dt", shifted degree 0
 
 print("The binary product is the classical one on the nose:")
 print("  m_2(t, t) =", interval_basis_components(transferred_m(bundle, (t, t))))

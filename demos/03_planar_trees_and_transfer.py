@@ -16,6 +16,7 @@ from simplicial_transfer import (
     enumerate_trees,
     evaluate_tree_m,
     path_trees,
+    standard_simplex,
     transferred_m,
     transferred_m_trees,
     tree_count,
@@ -32,8 +33,8 @@ for tree in enumerate_trees(3):
 print()
 
 bundle = SimplexContraction(1)
-t = Homog(Cochain.basis_element(1, (1,)), -1)
-dt = Homog(Cochain.basis_element(1, (0, 1)), 0)
+t = Homog(Cochain.basis_element(standard_simplex(1), (1,)), -1)
+dt = Homog(Cochain.basis_element(standard_simplex(1), (0, 1)), 0)
 
 print("Sum over trees versus the root-grouped recursion, on every word of")
 print("interval basis cochains of length up to 4:")

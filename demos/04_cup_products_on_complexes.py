@@ -9,11 +9,11 @@ coboundary.
 """
 
 from simplicial_transfer import (
-    GlobalCochain,
+    Cochain,
     OrderedComplex,
     check_whitney_conditions,
+    coboundary,
     cup,
-    global_coboundary,
     load_complex,
     transferred_global_m,
 )
@@ -25,15 +25,15 @@ path = OrderedComplex([0, 1, 2], [[0, 1], [1, 2]])
 print("Closure of the solid triangle:", [list(s) for s in triangle.simplices])
 print()
 
-x0 = GlobalCochain.basis_element(triangle, (0,))
-e01 = GlobalCochain.basis_element(triangle, (0, 1))
+x0 = Cochain.basis_element(triangle, (0,))
+e01 = Cochain.basis_element(triangle, (0, 1))
 
 print("Products of indicator cochains:")
 print("  x0 cup x0 =", cup(x0, x0))
 print("  x0 cup e01 =", cup(x0, e01))
 print("  far-apart vertices on a path multiply to zero:",
-      not cup(GlobalCochain.basis_element(path, (0,)),
-              GlobalCochain.basis_element(path, (2,))))
+      not cup(Cochain.basis_element(path, (0,)),
+              Cochain.basis_element(path, (2,))))
 print()
 
 print("Associativity fails:")
@@ -47,7 +47,7 @@ print("The transferred ternary operation repairs the failure.  On basis")
 print("cochains it lives on the join of their supports, with its coefficient")
 print("read from the operation on a single simplex; it vanishes on the witness")
 print("itself, and its values with a coboundary inserted carry the associator:")
-dx0 = global_coboundary(x0)
+dx0 = coboundary(x0)
 m3 = transferred_global_m([x0, x0, e01])
 m3_left = transferred_global_m([dx0, x0, e01])
 m3_middle = transferred_global_m([x0, dx0, e01])
@@ -62,7 +62,7 @@ print()
 
 print("The coboundary is the arity-one operation:")
 print("  m_1(x0) =", transferred_global_m([x0]))
-print("  delta(x0) =", global_coboundary(x0))
+print("  delta(x0) =", coboundary(x0))
 print()
 
 print("The classical product conditions, checked on the boundary triangle:")

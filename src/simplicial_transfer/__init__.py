@@ -30,14 +30,15 @@ from .forms import (
 )
 from .cochains import (
     Cochain,
-    basis_faces,
+    ComplexFormatError,
+    OrderedComplex,
     coboundary,
     elementary_form,
     format_cochain,
     include_g,
     interval_basis_components,
     project_f,
-    unit_cochain,
+    standard_simplex,
 )
 from .contraction import check_contraction, h_operator, homotopy_H, s_operator
 from .tensorwords import (
@@ -61,6 +62,7 @@ from .trees import (
     tree_to_text,
 )
 from .transfer import (
+    ComplexContraction,
     IntervalTable,
     PPolynomials,
     SimplexContraction,
@@ -75,13 +77,9 @@ from .transfer import (
     transferred_m_trees,
 )
 from .complexes import (
-    ComplexFormatError,
-    GlobalCochain,
-    OrderedComplex,
     check_whitney_conditions,
     complex_from_data,
     cup,
-    global_coboundary,
     global_cochain_from_records,
     global_cochain_records,
     load_complex,

@@ -14,8 +14,8 @@ import json
 import os
 import sys
 
+from .cochains import ComplexFormatError
 from .complexes import (
-    ComplexFormatError,
     check_whitney_conditions,
     cup,
     global_cochain_records,

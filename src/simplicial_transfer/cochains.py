@@ -1,15 +1,21 @@
-"""Normalized simplicial cochains on the n-simplex and the maps that tie
-them to polynomial forms.
+"""Simplicial cochains on finite ordered complexes, and the maps that tie
+the cochains of the standard n-simplex to polynomial forms.
 
-A cochain assigns a rational to each nondegenerate face (strictly increasing
-vertex sequence) of the simplex.  The coboundary is the Stokes dual of the
-de Rham differential, so that integration over faces is a chain map; the
-elementary forms give the section g with f o g = 1.
+A complex is given by totally ordered vertices and maximal simplices; its
+closure stores every nonempty face.  The standard n-simplex is the complex
+on the vertices 0..n with one maximal simplex, built once per dimension by
+``standard_simplex``, so a cochain on a simplex and a cochain on a complex
+are one type: rational coefficients on the simplices of a complex.  The
+coboundary pushes each coefficient to the codimension-one cofaces of its
+simplex with the sign of the vertex that the coface adds; it is the Stokes
+dual of the de Rham differential, so integration over faces is a chain map.
 
-f and g are linear maps on finite bases and are applied through cached
-tables: f by the face integrals of each monomial, g by the elementary form
-of each face.  Both tables hold vectors of integer numerators over one
-denominator, and f, g and the coboundary work on those numerators.
+f and g act on the standard simplex only: f integrates a form over every
+face, and g sends a face to its Whitney elementary form, so that f o g = 1.
+Both are linear maps on finite bases and are applied through cached tables:
+f by the face integrals of each monomial, g by the elementary form of each
+face.  Both tables hold vectors of integer numerators over one denominator,
+and f, g and the coboundary work on those numerators.
 """
 
 from __future__ import annotations
@@ -19,65 +25,172 @@ from functools import lru_cache
 from itertools import combinations
 
 from .forms import Form, _check_dim, _check_face, generator, wedge
-from .rationals import SparseVector, factorial, rational_str
+from .rationals import SparseVector, _accumulate, factorial, rational_str
 
 __all__ = [
+    "ComplexFormatError",
+    "OrderedComplex",
+    "standard_simplex",
     "Cochain",
-    "basis_faces",
     "coboundary",
     "elementary_form",
     "project_f",
     "include_g",
-    "unit_cochain",
     "interval_basis_components",
     "format_cochain",
 ]
 
-Face = tuple[int, ...]
+Simplex = tuple[int, ...]
+
+
+class ComplexFormatError(ValueError):
+    pass
+
+
+class OrderedComplex:
+    """Finite simplicial complex with totally ordered vertices.
+
+    Vertices are arbitrary labels; simplices are stored as strictly
+    increasing tuples of vertex indices, and the closure contains every
+    nonempty face of every maximal simplex.
+    """
+
+    __slots__ = ("vertices", "maximal", "simplices", "_hash", "_cofaces")
+
+    def __init__(self, vertices, maximal):
+        vertices = tuple(vertices)
+        if len(set(vertices)) != len(vertices):
+            raise ComplexFormatError("duplicate vertex labels")
+        closure: set[Simplex] = set()
+        maximal_clean: list[Simplex] = []
+        for simplex in maximal:
+            simplex = tuple(simplex)
+            if any(simplex[i] >= simplex[i + 1] for i in range(len(simplex) - 1)):
+                raise ComplexFormatError(f"simplex {list(simplex)} is not increasing")
+            if not simplex:
+                raise ComplexFormatError("empty simplex")
+            if simplex[0] < 0 or simplex[-1] >= len(vertices):
+                raise ComplexFormatError(f"simplex {list(simplex)} has unknown vertex")
+            if simplex in maximal_clean:
+                raise ComplexFormatError(f"duplicate simplex {list(simplex)}")
+            maximal_clean.append(simplex)
+            for k in range(1, len(simplex) + 1):
+                closure.update(combinations(simplex, k))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "maximal", tuple(maximal_clean))
+        object.__setattr__(
+            self, "simplices", tuple(sorted(closure, key=lambda s: (len(s), s)))
+        )
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_cofaces", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OrderedComplex is immutable")
+
+    def __eq__(self, other) -> bool:
+        return other is self or (
+            isinstance(other, OrderedComplex)
+            and self.vertices == other.vertices
+            and self.simplices == other.simplices
+        )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.vertices, self.simplices))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def cofaces(self) -> dict[Simplex, tuple[tuple[Simplex, int], ...]]:
+        """Every simplex of the closure mapped to its codimension-one cofaces,
+        each with the sign (-1)^j of the vertex position j it adds; built on
+        first use."""
+        table = self._cofaces
+        if table is None:
+            lists: dict[Simplex, list] = {s: [] for s in self.simplices}
+            for simplex in self.simplices:
+                if len(simplex) < 2:
+                    continue
+                for j in range(len(simplex)):
+                    face = simplex[:j] + simplex[j + 1 :]
+                    lists[face].append((simplex, -1 if j % 2 else 1))
+            table = {s: tuple(c) for s, c in lists.items()}
+            object.__setattr__(self, "_cofaces", table)
+        return table
+
+    def star(self, simplices) -> set[Simplex]:
+        """All simplices having some member of the given set as a face,
+        found by walking up the coface table."""
+        cofaces = self.cofaces()
+        found = {tuple(s) for s in simplices} & cofaces.keys()
+        frontier = list(found)
+        while frontier:
+            for coface, _ in cofaces[frontier.pop()]:
+                if coface not in found:
+                    found.add(coface)
+                    frontier.append(coface)
+        return found
+
+    def __repr__(self) -> str:
+        return f"OrderedComplex(vertices={list(self.vertices)}, maximal={[list(m) for m in self.maximal]})"
 
 
 @lru_cache(maxsize=None)
-def basis_faces(dim: int) -> tuple[Face, ...]:
-    """All nondegenerate faces of the dim-simplex, sorted by (size, lex)."""
-    out: list[Face] = []
-    for k in range(dim + 1):
-        out.extend(combinations(range(dim + 1), k + 1))
-    return tuple(out)
+def standard_simplex(n: int) -> OrderedComplex:
+    """The n-simplex on the vertices 0..n, one complex per dimension."""
+    _check_dim(n)
+    return OrderedComplex(range(n + 1), [range(n + 1)])
 
 
-class Cochain(SparseVector, space="dim", mismatch="dimension mismatch"):
-    """Rational coefficients on nondegenerate faces; zeros never stored."""
+class Cochain(SparseVector, space="complex", mismatch="complex mismatch"):
+    """Rational coefficients on the simplices of a complex; zeros never
+    stored."""
 
-    __slots__ = ("dim",)
-    _check_space = staticmethod(_check_dim)
+    __slots__ = ("complex",)
 
     @staticmethod
-    def _check_key(dim: int, face) -> Face:
-        return _check_face(face, dim)
+    def _check_space(complex_) -> None:
+        if not isinstance(complex_, OrderedComplex):
+            raise TypeError(f"a cochain lives on an OrderedComplex, not {complex_!r}")
 
     @staticmethod
-    def _degree(face: Face) -> int:
-        return len(face) - 1
+    def _check_key(complex_: OrderedComplex, simplex) -> Simplex:
+        simplex = tuple(simplex)
+        if simplex not in complex_.cofaces():  # keyed by every simplex
+            raise ValueError(f"simplex {list(simplex)} not in the complex")
+        return simplex
+
+    @staticmethod
+    def _degree(simplex: Simplex) -> int:
+        return len(simplex) - 1
+
+    @classmethod
+    def unit(cls, complex_: OrderedComplex) -> "Cochain":
+        """The 0-cochain with value 1 at every vertex; equals f(1) on a
+        simplex."""
+        return cls(complex_, {s: 1 for s in complex_.simplices if len(s) == 1})
+
+    @property
+    def dim(self) -> int:
+        """The top dimension of the complex, -1 when it is empty."""
+        simplices = self.complex.simplices
+        return len(simplices[-1]) - 1 if simplices else -1
+
+    def support(self) -> set[Simplex]:
+        return set(self.num)
 
     def __repr__(self) -> str:
         return f"Cochain({self.dim}, {format_cochain(self)!r})"
 
 
 def coboundary(c: Cochain) -> Cochain:
-    """(delta c)(i_0...i_k) = sum_j (-1)^j c(i_0...omit j...i_k)."""
-    num = c.num
-    out: dict[Face, int] = {}
-    for face in basis_faces(c.dim):
-        if len(face) < 2:
-            continue
-        acc = 0
-        for j in range(len(face)):
-            coeff = num.get(face[:j] + face[j + 1 :])
-            if coeff is not None:
-                acc += -coeff if j % 2 else coeff
-        if acc:
-            out[face] = acc
-    return Cochain._reduced(c.dim, out, c.den)
+    """(delta c)(v_0...v_k) = sum_j (-1)^j c(v_0...omit j...v_k), computed
+    by pushing each coefficient of c to the cofaces of its simplex."""
+    cofaces = c.complex.cofaces()
+    out: dict[Simplex, int] = {}
+    for simplex, coeff in c.num.items():
+        _accumulate(out, cofaces[simplex], coeff)
+    return Cochain._reduced(c.complex, out, c.den)
 
 
 def elementary_form(face, dim: int) -> Form:
@@ -89,7 +202,7 @@ def elementary_form(face, dim: int) -> Form:
 
 
 @lru_cache(maxsize=None)
-def _elementary_form(face: Face, dim: int) -> Form:
+def _elementary_form(face: Simplex, dim: int) -> Form:
     k = len(face) - 1
     total = Form.zero(dim)
     for j, vertex in enumerate(face):
@@ -115,9 +228,9 @@ def _face_integrals(dim: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> Co
     """
     k = len(dts)
     support = set(dts).union(j for j, e in enumerate(exps, 1) if e)
-    out: dict[Face, int] = {}
+    out: dict[Simplex, int] = {}
     if len(support) > k + 1:
-        return Cochain._trusted(dim, out)
+        return Cochain._trusted(standard_simplex(dim), out)
     numer = 1
     for e in exps:
         numer *= factorial(e)
@@ -126,30 +239,28 @@ def _face_integrals(dim: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> Co
             continue
         face = tuple(sorted(dts + (vertex,)))
         out[face] = -numer if face.index(vertex) % 2 else numer
-    return Cochain._reduced(dim, out, factorial(sum(exps) + k))
+    return Cochain._reduced(standard_simplex(dim), out, factorial(sum(exps) + k))
 
 
 def project_f(a: Form) -> Cochain:
     """Integrate over every face: the cochain side of the contraction."""
     dim = a.dim
     return Cochain._sum(
-        dim,
+        standard_simplex(dim),
         [(coeff, _face_integrals(dim, exps, dts)) for (exps, dts), coeff in a.num.items()],
         a.den,
     )
 
 
 def include_g(c: Cochain) -> Form:
-    """Linear extension of face -> elementary form."""
+    """Linear extension of face -> elementary form, on a cochain of a
+    standard simplex."""
     dim = c.dim
+    if dim < 0 or c.complex != standard_simplex(dim):
+        raise ValueError("g applies to cochains on a standard simplex")
     return Form._sum(
         dim, [(coeff, _elementary_form(face, dim)) for face, coeff in c.num.items()], c.den
     )
-
-
-def unit_cochain(dim: int) -> Cochain:
-    """The 0-cochain with value 1 at every vertex; equals f(1)."""
-    return Cochain(dim, {(i,): 1 for i in range(dim + 1)})
 
 
 # -- interval identification N_1 = span{1, t, dt} ------------------------
@@ -158,7 +269,7 @@ def unit_cochain(dim: int) -> Cochain:
 def interval_basis_components(c: Cochain) -> tuple[Fraction, Fraction, Fraction]:
     """Components of an interval cochain in the basis {1, t, dt}, under
     1 = x(0)+x(1), t = x(1), dt = x(01)."""
-    if c.dim != 1:
+    if c.complex != standard_simplex(1):
         raise ValueError("interval basis applies to dimension 1")
     a, b, e = (Fraction(c.num.get(face, 0), c.den) for face in ((0,), (1,), (0, 1)))
     return a, b - a, e

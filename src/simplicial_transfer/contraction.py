@@ -46,13 +46,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .cochains import (
-    Cochain,
-    basis_faces,
-    elementary_form,
-    include_g,
-    project_f,
-)
+from .cochains import Cochain, elementary_form, include_g, project_f, standard_simplex
 from .forms import (
     Form,
     differential,
@@ -164,11 +158,12 @@ def check_contraction(n: int, max_poly_degree: int) -> ContractionReport:
         raise ValueError("need n >= 0 and max_poly_degree >= 1")
     report = ContractionReport(dimension=n, poly_degree_bound=max_poly_degree)
     monomials = list(monomial_basis(n, max_poly_degree))
-    faces = basis_faces(n)
+    simplex = standard_simplex(n)
+    faces = simplex.simplices
 
     def face_cases(predicate):
         for face in faces:
-            cochain = Cochain.basis_element(n, face)
+            cochain = Cochain.basis_element(simplex, face)
             yield None if predicate(cochain) else f"basis cochain of face {face}"
 
     def homotopy_cases():

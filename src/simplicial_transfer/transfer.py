@@ -31,18 +31,20 @@ e_{F_k} (the join rule)
 
 zero unless U is a simplex with dim U = sum_j dim F_j + 2 - k, where mu is
 the top-face coefficient of m_k on the standard simplex of dimension dim U
-at the positions of the F_j in U.  Both concrete bundles, the simplex and
-the complex, read m_k this way: the simplex bundle runs f(cut products) only
-on words that span its own top simplex, and every other word is read from
-one standard-simplex engine per dimension, built once per process.
+at the positions of the F_j in U.  ``ComplexContraction``, the bundle of
+a complex, reads m_k this way from one standard-simplex engine per
+dimension, built once per process.  The standard n-simplex is a complex
+too, and ``SimplexContraction`` is its complex bundle plus the form side:
+it runs f(cut products) only on words that span its own top simplex.
 
 Both m_n and G_n are multilinear, so they are fixed by their values on words
-of basis cochains.  A bundle interns each basis letter as a small int and
-memoises m_n and G_n per word of ids, so a memo key hashes in C and the memos
-hold basis words only.  Everything else is expanded in the basis: a letter
-handed to ``transferred_m`` or ``morphism_G``, and the inner m_k that the
-insertion sums of the batteries plug into an outer operation, which become
-sums of coefficient times the memoised value on a basis word.
+of basis cochains.  A bundle interns each basis face as a small int, whose
+letter has the face's degree, and memoises m_n and G_n per word of ids, so a
+memo key hashes in C and the memos hold basis words only.  Everything else
+is expanded in the basis: a letter handed to ``transferred_m`` or
+``morphism_G``, face by face with each face's own degree, and the inner m_k
+that the insertion sums of the batteries plug into an outer operation, which
+become sums of coefficient times the memoised value on a basis word.
 
 The identity batteries here are the arbiter for every sign convention in the
 package: associativity-up-to-homotopy, the morphism relations, vanishing on
@@ -59,13 +61,13 @@ from math import lcm
 
 from .cochains import (
     Cochain,
-    basis_faces,
+    OrderedComplex,
     coboundary,
     format_cochain,
     include_g,
     interval_basis_components,
     project_f,
-    unit_cochain,
+    standard_simplex,
 )
 from .contraction import homotopy_H, s_operator
 from .forms import Form, differential, format_form, integrate_top, wedge
@@ -77,6 +79,7 @@ from .trees import enumerate_trees, evaluate_tree_m
 
 __all__ = [
     "Contraction",
+    "ComplexContraction",
     "SimplexContraction",
     "transferred_m",
     "transferred_m_trees",
@@ -105,14 +108,14 @@ class Contraction:
     the bundle's ``space``, whose numerators the engine reads.  The
     operations, the unit, the basis letters and their labels are shared.
 
-    The bundle interns each basis letter it meets, a basis cochain with the
-    degree that drives signs, as a small int.  G_n, m_n and the cut products
-    are memoised per word of ids.  The hook ``m_word`` gives m_n for n >= 2,
-    by default f(cut products), the form route that the tests' reference
-    bundles keep.  The simplex and complex bundles set it to the join rule
-    (module docstring) through ``has_simplex`` and ``top_dim``; a
-    cochain-only bundle then needs only the basis, ``d_B``, ``zero_B`` and
-    ``render_B`` besides.
+    The bundle interns each basis letter it meets, a face of the basis, as a
+    small int; the letter's degree, which drives signs, is the face's
+    shifted degree.  G_n, m_n and the cut products are memoised per word of
+    ids.  The hook ``m_word`` gives m_n for n >= 2, by default f(cut
+    products), the form route that the tests' reference bundles keep.
+    ``ComplexContraction`` sets it to the join rule (module docstring), so a
+    complex needs only its cochain side, and ``SimplexContraction`` adds the
+    form side of the standard simplex to it.
 
     ``koszul_signs=False`` drops every slotwise sign; it exists only so the
     verification commands can demonstrate a failing battery.
@@ -121,8 +124,7 @@ class Contraction:
     def __init__(self, space, koszul_signs: bool = True):
         self.space = space
         self.koszul_signs = koszul_signs
-        self._ids: dict = {}  # (face, degree) -> id
-        self._letters: list[Homog] = []
+        self._ids: dict = {}  # face -> id
         self._faces: list = []
         self._degrees: list[int] = []
         self._memo_G: dict = {}
@@ -147,16 +149,14 @@ class Contraction:
         """m_n on a basis word of n >= 2 ids: f of the cut products."""
         return self.f(_cut_products(self, ids))
 
-    def intern(self, face, degree: int) -> int:
-        """The id of the basis letter of a face with the given degree."""
-        key = (face, degree)
-        letter_id = self._ids.get(key)
+    def intern(self, face) -> int:
+        """The id of the basis letter of a face, whose shifted degree is
+        dim face - 1."""
+        letter_id = self._ids.get(face)
         if letter_id is None:
-            letter = Homog(self.basis_element(face), degree)
-            letter_id = self._ids[key] = len(self._letters)
-            self._letters.append(letter)
+            letter_id = self._ids[face] = len(self._faces)
             self._faces.append(face)
-            self._degrees.append(degree)
+            self._degrees.append(len(face) - 2)
         return letter_id
 
     def coordinates(self, letter: Homog):
@@ -167,37 +167,70 @@ class Contraction:
         space = carrier._space
         if space is not self.space and space != self.space:
             raise ValueError(carrier._mismatch)
-        return [(n, self.intern(face, letter.degree)) for face, n in carrier.num.items()]
+        return [(n, self.intern(face)) for face, n in carrier.num.items()]
 
     def basis_ids(self) -> list[int]:
-        return [self.intern(face, len(face) - 2) for face in self.faces()]
+        return [self.intern(face) for face in self.faces()]
 
     def b_basis(self) -> list[Homog]:
-        return [self._letters[i] for i in self.basis_ids()]
+        return [Homog(self.basis_element(face), len(face) - 2) for face in self.faces()]
 
     def letter_label(self, letter: Homog) -> str:
         carrier = letter.carrier
         if len(carrier.num) == 1 and carrier.den == 1:
             (face, n), = carrier.num.items()
             if n == 1:
-                return "x(" + ",".join(map(str, face)) + ")"
+                return _face_label(face)
         return repr(carrier)
 
 
-class SimplexContraction(Contraction):
-    """The contraction data on a fixed simplex dimension.  m_n reads the
-    join rule: f(cut products) on words that span the simplex, the engine
-    of a face's dimension on all others."""
+def _face_label(face) -> str:
+    """The name x(v_0,...,v_k) of the basis cochain of a face."""
+    return "x(" + ",".join(map(str, face)) + ")"
 
-    def __init__(self, dim: int, koszul_signs: bool = True):
-        super().__init__(dim, koszul_signs)
-        self.dim = self.top_dim = dim
+
+class ComplexContraction(Contraction):
+    """The cochain side of the transfer on a complex: the basis of
+    simplices, the coboundary as m_1, and m_k for k >= 2 by the join rule,
+    every union read from the process's standard-simplex engines."""
+
+    top_dim = None  # no simplex of a complex is computed through forms
+
+    def __init__(self, complex_: OrderedComplex):
+        super().__init__(complex_)
+        self.complex = complex_
+        self._zero = Cochain(complex_)
 
     def m_word(self, ids: tuple[int, ...]) -> Cochain:
         return _join_rule(self, ids)
 
-    def has_simplex(self, simplex) -> bool:
-        return True  # every union of faces of the simplex is a face
+    def d_B(self, c: Cochain) -> Cochain:
+        return coboundary(c)
+
+    def zero_B(self) -> Cochain:
+        return self._zero
+
+    def expected_unit(self) -> Cochain:
+        return Cochain.unit(self.complex)
+
+    def faces(self):
+        return self.complex.simplices
+
+    def basis_element(self, simplex) -> Cochain:
+        return Cochain.basis_element(self.complex, simplex)
+
+    render_B = staticmethod(format_cochain)
+
+
+class SimplexContraction(ComplexContraction):
+    """The complex bundle of the standard simplex of a fixed dimension plus
+    its form side.  m_n reads the join rule: f(cut products) on words that
+    span the simplex, the engine of a face's dimension on all others."""
+
+    def __init__(self, dim: int, koszul_signs: bool = True):
+        super().__init__(standard_simplex(dim))
+        self.koszul_signs = koszul_signs
+        self.dim = self.top_dim = dim
 
     # algebra side
     def d_A(self, x: Form) -> Form:
@@ -212,16 +245,6 @@ class SimplexContraction(Contraction):
     def zero_A(self) -> Form:
         return Form.zero(self.dim)
 
-    # cochain side
-    def d_B(self, c: Cochain) -> Cochain:
-        return coboundary(c)
-
-    def zero_B(self) -> Cochain:
-        return Cochain.zero(self.dim)
-
-    def expected_unit(self) -> Cochain:
-        return unit_cochain(self.dim)
-
     # contraction maps
     def f(self, x: Form) -> Cochain:
         return project_f(x)
@@ -231,16 +254,6 @@ class SimplexContraction(Contraction):
 
     def H(self, x: Form) -> Form:
         return homotopy_H(x)
-
-    # basis and rendering
-    def faces(self):
-        return basis_faces(self.dim)
-
-    def basis_element(self, face) -> Cochain:
-        return Cochain.basis_element(self.dim, face)
-
-    def render_B(self, value) -> str:
-        return format_cochain(value)
 
     def render_A(self, value) -> str:
         return format_form(value)
@@ -279,7 +292,7 @@ def _G(bundle, ids: tuple[int, ...]):
         value = bundle._memo_G[ids] = (
             bundle.H(_cut_products(bundle, ids))
             if len(ids) > 1
-            else bundle.g(bundle._letters[ids[0]].carrier)
+            else bundle.g(bundle.basis_element(bundle._faces[ids[0]]))
         )
     return value
 
@@ -290,7 +303,9 @@ def _m(bundle, ids: tuple[int, ...]):
     value = bundle._memo_m.get(ids)
     if value is None:
         value = bundle._memo_m[ids] = (
-            bundle.m_word(ids) if len(ids) > 1 else bundle.d_B(bundle._letters[ids[0]].carrier)
+            bundle.m_word(ids)
+            if len(ids) > 1
+            else bundle.d_B(bundle.basis_element(bundle._faces[ids[0]]))
         )
     return value
 
@@ -306,28 +321,29 @@ def _positions(sub: tuple[int, ...], ambient: tuple[int, ...]) -> tuple[int, ...
     return tuple(ambient.index(v) for v in sub)
 
 
-def _join_rule(bundle, ids: tuple[int, ...]):
+def _join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
     """m_n, n >= 2, on a basis word by the join rule (module docstring): zero
-    unless the union U of the supports is a simplex of the bundle of the
-    right dimension; f(cut products) when U is the bundle's own top simplex;
-    otherwise mu * e_U with mu read from the engine of dimension dim U."""
+    unless the union U of the supports is a simplex of the bundle's complex
+    of the right dimension; f(cut products) when U is the bundle's own top
+    simplex; otherwise mu * e_U with mu read from the engine of dimension
+    dim U."""
     faces = [bundle._faces[i] for i in ids]
     union = tuple(sorted(set().union(*faces)))
     n = len(union) - 1
     zero = bundle.zero_B()
-    if n != sum(len(face) - 1 for face in faces) + 2 - len(ids) or not bundle.has_simplex(union):
+    if n != sum(len(face) - 1 for face in faces) + 2 - len(ids):
+        return zero
+    if union not in bundle.complex.cofaces():  # keyed by every simplex
         return zero
     if n == bundle.top_dim:
         return bundle.f(_cut_products(bundle, ids))
     engine = _engine(n)
-    local = tuple(
-        engine.intern(_positions(face, union), bundle._degrees[i]) for face, i in zip(faces, ids)
-    )
+    local = tuple(engine.intern(_positions(face, union)) for face in faces)
     value = _m(engine, local)
     mu = value.num.get(tuple(range(n + 1)))
     if not mu:
         return zero
-    return type(zero)._reduced(zero._space, {union: mu}, value.den)
+    return Cochain._reduced(bundle.complex, {union: mu}, value.den)
 
 
 def _sum(zero, parts, den: int = 1):
@@ -343,25 +359,23 @@ def _insertions(bundle, ids: tuple[int, ...], outer, zero):
     the Koszul sign slides the odd m_k past b_1..b_j."""
     degrees = bundle._degrees
     n = len(ids)
-    inner = []  # (sign, j, end, degree of m_k, m_k)
+    inner = []  # (sign, j, end, m_k)
     head_degree = 0
     for j in range(n):
         sign = -1 if bundle.koszul_signs and head_degree % 2 else 1
-        inner_degree = 1
         for end in range(j + 1, n + 1):
-            inner_degree += degrees[ids[end - 1]]
             value = _m(bundle, ids[j:end])
             if value:
-                inner.append((sign, j, end, inner_degree, value))
+                inner.append((sign, j, end, value))
         head_degree += degrees[ids[j]]
     den = lcm(*(value.den for *_, value in inner))
     intern = bundle.intern
     parts = [
         (
             sign * coeff * (den // value.den),
-            outer(bundle, ids[:j] + (intern(face, degree),) + ids[end:]),
+            outer(bundle, ids[:j] + (intern(face),) + ids[end:]),
         )
-        for sign, j, end, degree, value in inner
+        for sign, j, end, value in inner
         for face, coeff in value.num.items()
     ]
     return _sum(zero, parts, den)
@@ -430,7 +444,7 @@ def _letters_label(bundle, letters) -> str:
 
 
 def _word_label(bundle, ids) -> str:
-    return _letters_label(bundle, (bundle._letters[i] for i in ids))
+    return "(" + ", ".join(_face_label(bundle._faces[i]) for i in ids) + ")"
 
 
 def _letter_report(family: str, first_arity: int, max_arity: int, basis) -> VerificationReport:
@@ -638,7 +652,7 @@ def interval_product_table(max_arity: int) -> IntervalTable:
         raise ValueError("max_arity must be >= 2")
     bundle = SimplexContraction(1)
     # t = x(1) and dt = x(0,1) are basis letters, so each word is a word of ids
-    letters = {"t": bundle.intern((1,), -1), "dt": bundle.intern((0, 1), 0)}
+    letters = {"t": bundle.intern((1,)), "dt": bundle.intern((0, 1))}
 
     table = IntervalTable(max_arity=max_arity)
     values: dict[tuple[str, ...], tuple[Fraction, Fraction, Fraction]] = {}

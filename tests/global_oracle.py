@@ -14,8 +14,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from simplicial_transfer.cochains import Cochain, include_g
-from simplicial_transfer.complexes import GlobalCochain, OrderedComplex, global_coboundary
+from simplicial_transfer.cochains import (
+    Cochain,
+    OrderedComplex,
+    coboundary,
+    include_g,
+    standard_simplex,
+)
 from simplicial_transfer.contraction import homotopy_H
 from simplicial_transfer.forms import (
     Form,
@@ -114,18 +119,18 @@ class GlobalForm:
         return f"GlobalForm({{{entries}}})"
 
 
-def restrict(c: GlobalCochain, simplex) -> Cochain:
+def restrict(c: Cochain, simplex) -> Cochain:
     """The local cochain that c induces on one simplex of the closure, in
     vertex positions of that simplex."""
     vertices = set(simplex)
     # positions of a face of an increasing simplex increase
     return Cochain(
-        len(simplex) - 1,
+        standard_simplex(len(simplex) - 1),
         {_positions(face, simplex): x for face, x in c.terms.items() if vertices.issuperset(face)},
     )
 
 
-def global_g(c: GlobalCochain) -> GlobalForm:
+def global_g(c: Cochain) -> GlobalForm:
     """Whitney's inclusion on each simplex."""
     return GlobalForm(
         c.complex,
@@ -134,9 +139,9 @@ def global_g(c: GlobalCochain) -> GlobalForm:
     )
 
 
-def global_f(a: GlobalForm) -> GlobalCochain:
+def global_f(a: GlobalForm) -> Cochain:
     """The integral of the form on each simplex over that simplex."""
-    return GlobalCochain(
+    return Cochain(
         a.complex, {s: integrate_top(x) for s, x in a.assign.items()}
     )
 
@@ -186,19 +191,19 @@ class GlobalFormContraction(Contraction):
     def zero_A(self) -> GlobalForm:
         return GlobalForm(self.complex, {}, validate=False)
 
-    def d_B(self, c: GlobalCochain) -> GlobalCochain:
-        return global_coboundary(c)
+    def d_B(self, c: Cochain) -> Cochain:
+        return coboundary(c)
 
-    def zero_B(self) -> GlobalCochain:
-        return GlobalCochain(self.complex)
+    def zero_B(self) -> Cochain:
+        return Cochain(self.complex)
 
-    def expected_unit(self) -> GlobalCochain:
-        return GlobalCochain.unit(self.complex)
+    def expected_unit(self) -> Cochain:
+        return Cochain.unit(self.complex)
 
-    def f(self, x: GlobalForm) -> GlobalCochain:
+    def f(self, x: GlobalForm) -> Cochain:
         return global_f(x)
 
-    def g(self, c: GlobalCochain) -> GlobalForm:
+    def g(self, c: Cochain) -> GlobalForm:
         return global_g(c)
 
     def H(self, x: GlobalForm) -> GlobalForm:
@@ -207,8 +212,8 @@ class GlobalFormContraction(Contraction):
     def faces(self):
         return self.complex.simplices
 
-    def basis_element(self, simplex) -> GlobalCochain:
-        return GlobalCochain.basis_element(self.complex, simplex)
+    def basis_element(self, simplex) -> Cochain:
+        return Cochain.basis_element(self.complex, simplex)
 
     def render_B(self, value) -> str:
         return repr(value)

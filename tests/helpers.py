@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from simplicial_transfer.cochains import Cochain, basis_faces
+from simplicial_transfer.cochains import Cochain, standard_simplex
 from simplicial_transfer.forms import Form, _check_face, generator, integrate_top, wedge
 from simplicial_transfer.rationals import UniPoly, exact, factorial, parse_rational, rational_str
 from simplicial_transfer.tensorwords import Homog, TensorSum, compositions, split_word
@@ -75,18 +75,18 @@ def restrict_cochain(c: Cochain, face) -> Cochain:
     face = _check_face(face, c.dim)
     terms = c.terms
     out = {}
-    for local in basis_faces(len(face) - 1):
+    for local in standard_simplex(len(face) - 1).simplices:
         coeff = terms.get(tuple(face[j] for j in local))
         if coeff is not None:
             out[local] = coeff
-    return Cochain(len(face) - 1, out)
+    return Cochain(standard_simplex(len(face) - 1), out)
 
 
 def cochain_from_interval_basis(c_one, c_t, c_dt) -> Cochain:
     """The interval cochain c_one * 1 + c_t * t + c_dt * dt, under
     1 = x(0)+x(1), t = x(1), dt = x(01)."""
     c_one, c_t, c_dt = exact(c_one), exact(c_t), exact(c_dt)
-    return Cochain(1, {(0,): c_one, (1,): c_one + c_t, (0, 1): c_dt})
+    return Cochain(standard_simplex(1), {(0,): c_one, (1,): c_one + c_t, (0, 1): c_dt})
 
 
 def cochain_records(c: Cochain) -> list[dict]:
@@ -97,7 +97,7 @@ def cochain_records(c: Cochain) -> list[dict]:
 
 
 def cochain_from_records(records, dim: int) -> Cochain:
-    return Cochain(dim, [(tuple(r["face"]), parse_rational(r["coeff"])) for r in records])
+    return Cochain(standard_simplex(dim), [(tuple(r["face"]), parse_rational(r["coeff"])) for r in records])
 
 
 def formal_word(names: str | Sequence[str], degrees: Sequence[int]) -> tuple:

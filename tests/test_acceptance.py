@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from simplicial_transfer.cochains import Cochain, interval_basis_components
+from simplicial_transfer.cochains import Cochain, interval_basis_components, standard_simplex
 from simplicial_transfer.complexes import OrderedComplex, check_whitney_conditions
 from simplicial_transfer.contraction import check_contraction, s_operator
 from simplicial_transfer.forms import Form
@@ -60,8 +60,8 @@ def triangle_bundle():
 
 def interval_letters():
     return (
-        Homog(Cochain.basis_element(1, (1,)), -1),
-        Homog(Cochain.basis_element(1, (0, 1)), 0),
+        Homog(Cochain.basis_element(standard_simplex(1), (1,)), -1),
+        Homog(Cochain.basis_element(standard_simplex(1), (0, 1)), 0),
     )
 
 

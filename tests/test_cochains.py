@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from simplicial_transfer.cochains import (
     Cochain,
-    basis_faces,
     coboundary,
     elementary_form,
     format_cochain,
     include_g,
     interval_basis_components,
     project_f,
-    unit_cochain,
+    standard_simplex,
 )
 from simplicial_transfer.forms import (
     Form,
@@ -34,13 +33,13 @@ from helpers import (
 
 
 def chi(dim, *face):
-    return Cochain.basis_element(dim, face)
+    return Cochain.basis_element(standard_simplex(dim), face)
 
 
 def test_basis_faces_counts():
-    assert len(basis_faces(1)) == 3
-    assert len(basis_faces(2)) == 7
-    assert len(basis_faces(4)) == 31
+    assert len(standard_simplex(1).simplices) == 3
+    assert len(standard_simplex(2).simplices) == 7
+    assert len(standard_simplex(4).simplices) == 31
 
 
 def test_coboundary_examples():
@@ -51,8 +50,8 @@ def test_coboundary_examples():
 
 def test_coboundary_squares_to_zero():
     for n in (1, 2, 3):
-        for face in basis_faces(n):
-            assert not coboundary(coboundary(Cochain.basis_element(n, face)))
+        for face in standard_simplex(n).simplices:
+            assert not coboundary(coboundary(Cochain.basis_element(standard_simplex(n), face)))
 
 
 def test_elementary_form_examples():
@@ -69,7 +68,7 @@ def test_project_f_examples():
     assert project_f(parse_form("t1", 1)) == chi(1, 1)
     assert project_f(parse_form("dt1", 1)) == chi(1, 0, 1)
     assert project_f(Form.one(1)) == chi(1, 0) + chi(1, 1)
-    assert project_f(Form.one(1)) == unit_cochain(1)
+    assert project_f(Form.one(1)) == Cochain.unit(standard_simplex(1))
 
 
 def test_include_g_examples():
@@ -80,8 +79,8 @@ def test_include_g_examples():
 
 def test_f_section_of_g():
     for n in range(5):
-        for face in basis_faces(n):
-            c = Cochain.basis_element(n, face)
+        for face in standard_simplex(n).simplices:
+            c = Cochain.basis_element(standard_simplex(n), face)
             assert project_f(include_g(c)) == c
 
 
@@ -90,8 +89,8 @@ def test_chain_maps():
     for n in (1, 2, 3):
         for m in monomial_basis(n, 5):
             assert project_f(differential(m)) == coboundary(project_f(m))
-        for face in basis_faces(n):
-            c = Cochain.basis_element(n, face)
+        for face in standard_simplex(n).simplices:
+            c = Cochain.basis_element(standard_simplex(n), face)
             assert include_g(coboundary(c)) == differential(include_g(c))
 
 
@@ -99,8 +98,8 @@ def test_g_natural_under_restriction():
     for n in (1, 2, 3):
         for size in range(1, n + 1):
             for face in combinations(range(n + 1), size):
-                for source in basis_faces(n):
-                    c = Cochain.basis_element(n, source)
+                for source in standard_simplex(n).simplices:
+                    c = Cochain.basis_element(standard_simplex(n), source)
                     lhs = face_restrict(include_g(c), face)
                     rhs = include_g(restrict_cochain(c, face))
                     assert lhs == rhs
@@ -117,12 +116,12 @@ def test_interval_closed_form(coeffs):
 
 
 def test_interval_basis_round_trip():
-    c = Cochain(1, {(0,): Fraction(2), (1,): Fraction(-1), (0, 1): Fraction(1, 3)})
+    c = Cochain(standard_simplex(1), {(0,): Fraction(2), (1,): Fraction(-1), (0, 1): Fraction(1, 3)})
     assert cochain_from_interval_basis(*interval_basis_components(c)) == c
 
 
 def test_records_round_trip():
-    c = Cochain(2, {(0, 1): Fraction(3, 2), (2,): Fraction(-1)})
+    c = Cochain(standard_simplex(2), {(0, 1): Fraction(3, 2), (2,): Fraction(-1)})
     records = cochain_records(c)
     assert records == [
         {"face": [2], "coeff": "-1"},
@@ -141,9 +140,9 @@ def test_constructors_reject_inexact_scalars(bad):
     with pytest.raises(TypeError):
         bad * Form.one(1)
     with pytest.raises(TypeError):
-        Cochain(1, {(0,): bad})
+        Cochain(standard_simplex(1), {(0,): bad})
     with pytest.raises(TypeError):
-        bad * Cochain.basis_element(1, (0,))
+        bad * Cochain.basis_element(standard_simplex(1), (0,))
     with pytest.raises(TypeError):
         cochain_from_interval_basis(bad, 0, 0)
     letter = Homog("a", 0)

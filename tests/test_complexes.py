@@ -7,25 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplicial_transfer import complexes
-from simplicial_transfer.complexes import (
-    ComplexContraction,
+from simplicial_transfer.cochains import (
+    Cochain,
     ComplexFormatError,
-    GlobalCochain,
     OrderedComplex,
+    coboundary,
+    include_g,
+    project_f,
+    standard_simplex,
+)
+from simplicial_transfer.complexes import (
     check_whitney_conditions,
     cup,
-    global_coboundary,
     global_cochain_from_records,
     global_cochain_records,
     load_complex,
     load_global_cochain,
     transferred_global_m,
 )
-from simplicial_transfer.cochains import basis_faces, include_g, project_f
 from simplicial_transfer.forms import parse_form, wedge
 from simplicial_transfer.rationals import factorial
 from simplicial_transfer.tensorwords import Homog
 from simplicial_transfer.transfer import (
+    ComplexContraction,
     Contraction,
     _m,
     check_a_infinity,
@@ -70,7 +74,7 @@ TORUS = OrderedComplex(
 
 
 def chi(complex_, *simplex):
-    return GlobalCochain.basis_element(complex_, simplex)
+    return Cochain.basis_element(complex_, simplex)
 
 
 def test_load_complex_examples():
@@ -106,7 +110,7 @@ def test_global_g_of_vertex_indicator():
 def test_levelwise_contraction_identities():
     for X in (DELTA2, BOUNDARY2):
         for simplex in X.simplices:
-            c = GlobalCochain.basis_element(X, simplex)
+            c = Cochain.basis_element(X, simplex)
             assert global_f(global_g(c)) == c
             assert not global_H(global_g(c))
 
@@ -114,7 +118,7 @@ def test_levelwise_contraction_identities():
 def test_global_forms_stay_compatible():
     for X in (DELTA2, BOUNDARY2):
         for simplex in X.simplices:
-            image = global_g(GlobalCochain.basis_element(X, simplex))
+            image = global_g(Cochain.basis_element(X, simplex))
             image.validate()
             global_H(image).validate()
     bad = {s: parse_form("0", len(s) - 1) for s in DELTA1.simplices}
@@ -124,13 +128,13 @@ def test_global_forms_stay_compatible():
 
 
 def test_coboundary_matches_star_shape():
-    dc = global_coboundary(chi(BOUNDARY2, 0))
+    dc = coboundary(chi(BOUNDARY2, 0))
     assert dc.terms == {(0, 1): Fraction(-1), (0, 2): Fraction(-1)}
-    assert not global_coboundary(GlobalCochain.unit(BOUNDARY2))
+    assert not coboundary(Cochain.unit(BOUNDARY2))
 
 
 def test_cup_examples():
-    one = GlobalCochain.unit(BOUNDARY2)
+    one = Cochain.unit(BOUNDARY2)
     for simplex in BOUNDARY2.simplices:
         b = chi(BOUNDARY2, *simplex)
         assert cup(one, b) == b
@@ -187,7 +191,7 @@ def test_nonassociativity_witness_present():
 def test_transferred_global_operations():
     # arity one is the global coboundary
     x0 = chi(BOUNDARY2, 0)
-    assert transferred_global_m([x0]) == global_coboundary(x0)
+    assert transferred_global_m([x0]) == coboundary(x0)
     with pytest.raises(ValueError):
         transferred_global_m([])
     mixed = chi(BOUNDARY2, 0) + chi(BOUNDARY2, 0, 1)
@@ -196,7 +200,7 @@ def test_transferred_global_operations():
 
 
 def test_a_zero_letter_gives_zero():
-    x0, zero = chi(BOUNDARY2, 0), GlobalCochain(BOUNDARY2)
+    x0, zero = chi(BOUNDARY2, 0), Cochain(BOUNDARY2)
     for word in ([zero], [x0, zero], [zero, x0, chi(BOUNDARY2, 0, 1)]):
         assert transferred_global_m(word) == zero
 
@@ -214,14 +218,14 @@ def test_letters_on_different_complexes_are_rejected():
 
 def test_a_letter_of_another_complex_is_rejected_by_the_bundle():
     # x(0) of the boundary names a simplex of the solid triangle too
-    bundle = DELTA2.contraction()
+    bundle = ComplexContraction(DELTA2)
     foreign = Homog(chi(BOUNDARY2, 0), -1)
     for word in [(foreign,), (Homog(chi(DELTA2, 0), -1), foreign)]:
         with pytest.raises(ValueError, match="complex mismatch"):
             transferred_m(bundle, word)
     # an equal complex built apart is the same space
     twin = OrderedComplex([0, 1, 2], [[0, 1, 2]])
-    assert transferred_m(bundle, (Homog(chi(twin, 0), -1),)) == global_coboundary(chi(DELTA2, 0))
+    assert transferred_m(bundle, (Homog(chi(twin, 0), -1),)) == coboundary(chi(DELTA2, 0))
 
 
 def test_global_m2_restricts_to_the_local_product():
@@ -243,7 +247,7 @@ def test_global_homotopy_identity_on_wedges():
     # nontrivial compatible families: products of two elementary-form images
     for X in (DELTA2, BOUNDARY2):
         bundle = GlobalFormContraction(X)
-        basis = [GlobalCochain.basis_element(X, s) for s in X.simplices]
+        basis = [Cochain.basis_element(X, s) for s in X.simplices]
         for a in basis:
             for b in basis:
                 w = global_wedge(global_g(a), global_g(b))
@@ -270,7 +274,7 @@ def test_global_tree_sum_agrees_with_recursion_on_the_boundary():
 
 def test_global_unit_is_the_vertex_sum():
     for X in (DELTA2, BOUNDARY2, PATH):
-        assert GlobalFormContraction(X).unit_B() == GlobalCochain.unit(X)
+        assert GlobalFormContraction(X).unit_B() == Cochain.unit(X)
 
 
 def test_global_batteries_on_the_boundary():
@@ -278,8 +282,15 @@ def test_global_batteries_on_the_boundary():
     assert check_a_infinity(bundle, 2).all_passed
 
 
+@pytest.mark.parametrize("complex_", [BOUNDARY2, OCTAHEDRON], ids=["boundary2", "octahedron"])
+def test_g_is_defined_on_a_standard_simplex_only(complex_):
+    for simplex in ((0,), complex_.maximal[0]):
+        with pytest.raises(ValueError, match="^g applies to cochains on a standard simplex$"):
+            include_g(chi(complex_, *simplex))
+
+
 def test_cochain_file_round_trip():
-    c = GlobalCochain(DELTA2, {(0, 1): Fraction(3, 2), (2,): Fraction(-1)})
+    c = Cochain(DELTA2, {(0, 1): Fraction(3, 2), (2,): Fraction(-1)})
     payload = global_cochain_records(c)
     assert payload == {
         "entries": [
@@ -299,10 +310,10 @@ def test_cochain_file_round_trip():
 @pytest.mark.parametrize("bad", [0.1, "1/2", None])
 def test_global_cochain_rejects_inexact_scalars(bad):
     with pytest.raises(TypeError):
-        GlobalCochain(DELTA1, {(0,): bad})
+        Cochain(DELTA1, {(0,): bad})
     with pytest.raises(TypeError):
         bad * chi(DELTA1, 0)
-    assert GlobalCochain(DELTA1, {(0,): 2}) == 2 * chi(DELTA1, 0)
+    assert Cochain(DELTA1, {(0,): 2}) == 2 * chi(DELTA1, 0)
 
 
 # -- the product from structure constants ----------------------------------
@@ -321,11 +332,11 @@ def _coboundary_by_definition(c):
                 (-1) ** j * c.terms.get(simplex[:j] + simplex[j + 1 :], 0)
                 for j in range(len(simplex))
             )
-    return GlobalCochain(c.complex, out)
+    return Cochain(c.complex, out)
 
 
 def _basis(complex_):
-    return [GlobalCochain.basis_element(complex_, s) for s in complex_.simplices]
+    return [Cochain.basis_element(complex_, s) for s in complex_.simplices]
 
 
 def test_f_vectors_of_the_inline_surfaces():
@@ -349,7 +360,7 @@ def test_cup_equals_f_of_wedge_on_every_basis_pair(complex_):
 def _cochains(complex_):
     coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     return st.dictionaries(st.sampled_from(complex_.simplices), coeffs, max_size=6).map(
-        lambda d: GlobalCochain(complex_, d)
+        lambda d: Cochain(complex_, d)
     )
 
 
@@ -370,11 +381,11 @@ def test_structure_constants_vanish_off_joins():
         return -1 if inversions % 2 else 1
 
     for n in range(5):
-        simplex = _standard_simplex(n)
+        simplex = standard_simplex(n)
         top = tuple(range(n + 1))
-        bundle = simplex.contraction()
-        for sigma in basis_faces(n):
-            for tau in basis_faces(n):
+        bundle = ComplexContraction(simplex)
+        for sigma in simplex.simplices:
+            for tau in simplex.simplices:
                 if len(sigma) + len(tau) - 2 != n:
                     continue
                 value = transferred_m(
@@ -393,15 +404,17 @@ def test_structure_constants_vanish_off_joins():
 
 
 @pytest.mark.parametrize(
-    "complex_", [OCTAHEDRON, BOUNDARY3, PATH, DELTA2, TORUS],
-    ids=["octahedron", "boundary3", "path", "delta2", "torus"],
+    "complex_",
+    [OCTAHEDRON, BOUNDARY3, PATH, DELTA2, TORUS] + [standard_simplex(n) for n in range(5)],
+    ids=["octahedron", "boundary3", "path", "delta2", "torus"]
+    + [f"standard-simplex-{n}" for n in range(5)],
 )
 def test_coboundary_equals_the_alternating_sum(complex_):
     for c in _basis(complex_):
-        assert global_coboundary(c) == _coboundary_by_definition(c), c
-        assert not global_coboundary(global_coboundary(c))
-    unit = GlobalCochain.unit(complex_)
-    assert not global_coboundary(unit)
+        assert coboundary(c) == _coboundary_by_definition(c), c
+        assert not coboundary(coboundary(c))
+    unit = Cochain.unit(complex_)
+    assert not coboundary(unit)
 
 
 def test_cofaces_are_the_codimension_one_cofaces_with_signs():
@@ -430,7 +443,7 @@ def _assert_bundle_matches_the_oracle(complex_, words):
     for word in words:
         cochains = [letter.carrier for letter in word]
         assert transferred_global_m(cochains) == transferred_m(oracle, word), word
-        residual = _relation_value(complex_.contraction(), word)
+        residual = _relation_value(ComplexContraction(complex_), word)
         assert residual == _relation_value(oracle, word), word
 
 
@@ -462,10 +475,6 @@ def test_levelwise_matches_the_oracle_around_the_torus_witness():
 # -- the join rule against the single-simplex engine ------------------------
 
 
-def _standard_simplex(n):
-    return OrderedComplex(range(n + 1), [range(n + 1)])
-
-
 def _letter(complex_, *simplex):
     return Homog(chi(complex_, *simplex), len(simplex) - 2)
 
@@ -478,20 +487,17 @@ def test_join_rule_matches_the_simplex_engine(n, arity):
     # m_k by the join rule, which reads a word whose supports span a proper
     # face from a smaller simplex; it must agree with the form route, f of
     # the cut products on the n-simplex, on every basis word
-    bundle = _standard_simplex(n).contraction()
+    bundle = ComplexContraction(standard_simplex(n))
     engine = SimplexContraction(n)
-    pairs = [
-        (bundle.intern(face, len(face) - 2), engine.intern(face, len(face) - 2))
-        for face in basis_faces(n)
-    ]
+    pairs = [(bundle.intern(face), engine.intern(face)) for face in standard_simplex(n).simplices]
     for word in product(pairs, repeat=arity):
         ids = tuple(e for _, e in word)
         expected = Contraction.m_word(engine, ids)
         assert _m(engine, ids) == expected, word
         assert _m(bundle, tuple(b for b, _ in word)).terms == expected.terms, word
         if arity == 2:
-            a, b = (bundle._letters[i].carrier for i, _ in word)
-            x, y = (engine._letters[i].carrier for _, i in word)
+            a, b = (bundle.basis_element(bundle._faces[i]) for i, _ in word)
+            x, y = (engine.basis_element(engine._faces[i]) for _, i in word)
             by_forms = project_f(wedge(include_g(x), include_g(y)))
             assert cup(a, b).terms == by_forms.terms, word
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from simplicial_transfer import contraction
-from simplicial_transfer.cochains import basis_faces, Cochain, include_g, project_f
+from simplicial_transfer.cochains import Cochain, include_g, project_f, standard_simplex
 from simplicial_transfer.contraction import (
     check_contraction,
     h_operator,
@@ -83,8 +83,8 @@ def test_s_kills_units_and_elementary_forms():
         assert not s_operator(Form.one(n))
     assert not s_operator(F1("dt1"))
     for n in (1, 2, 3):
-        for face in basis_faces(n):
-            assert not s_operator(include_g(Cochain.basis_element(n, face)))
+        for face in standard_simplex(n).simplices:
+            assert not s_operator(include_g(Cochain.basis_element(standard_simplex(n), face)))
 
 
 def test_homotopy_is_negated_s():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from simplicial_transfer.cochains import Cochain, basis_faces, include_g, project_f
+from simplicial_transfer.cochains import Cochain, include_g, project_f, standard_simplex
 from simplicial_transfer.contraction import h_operator, s_operator
 from simplicial_transfer.forms import Form, differential, wedge
 
@@ -37,8 +37,8 @@ def form_pairs(draw):
 @st.composite
 def cochains(draw):
     dim = draw(st.integers(0, 3))
-    terms = draw(st.dictionaries(st.sampled_from(basis_faces(dim)), COEFFS, max_size=6))
-    return Cochain(dim, terms)
+    terms = draw(st.dictionaries(st.sampled_from(standard_simplex(dim).simplices), COEFFS, max_size=6))
+    return Cochain(standard_simplex(dim), terms)
 
 
 def _canonical(vec):

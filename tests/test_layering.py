@@ -1,0 +1,66 @@
+"""The modules of the package import one another only downwards, in one
+fixed order of layers, so that, for one, the cochain layer never reaches
+up into the transfer engine or the complex drivers."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import simplicial_transfer
+
+LAYERS = (
+    "rationals",
+    "forms",
+    "cochains",
+    "reporting",
+    "contraction",
+    "tensorwords",
+    "trees",
+    "transfer",
+    "complexes",
+    "cli",
+)
+PACKAGE = Path(simplicial_transfer.__file__).parent
+
+
+def _package_imports(module: str) -> set[str]:
+    """The package modules that ``module`` imports, at any depth of its
+    source, by relative or absolute name."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level == 0:
+                if not name.startswith("simplicial_transfer"):
+                    continue
+                name = name[len("simplicial_transfer") :].lstrip(".")
+            if name:
+                found.add(name.split(".")[0])
+            else:  # from . import x
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("simplicial_transfer.")
+            )
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_go_down_the_layers(module):
+    above = set(LAYERS[LAYERS.index(module) :])
+    assert not _package_imports(module) & above, module
+
+
+def test_the_parser_finds_the_imports():
+    # so that the layer test above cannot pass by finding nothing
+    assert "forms" in _package_imports("cochains")
+    assert {"transfer", "cochains"} <= _package_imports("complexes")

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from simplicial_transfer.cochains import (
     Cochain,
-    basis_faces,
     elementary_form,
     include_g,
     project_f,
+    standard_simplex,
 )
 from simplicial_transfer.contraction import _h_monomial, h_operator, s_operator
 from simplicial_transfer.forms import (
@@ -31,7 +31,7 @@ from helpers import integrate_face
 def test_cached_f_matches_face_integration():
     for dim, max_degree in ((0, 4), (1, 4), (2, 4), (3, 4), (4, 3)):
         for m in monomial_basis(dim, max_degree):
-            oracle = Cochain(dim, {F: integrate_face(m, F) for F in basis_faces(dim)})
+            oracle = Cochain(standard_simplex(dim), {F: integrate_face(m, F) for F in standard_simplex(dim).simplices})
             assert project_f(m) == oracle, m
             # a second call reads the table
             assert project_f(m) == oracle, m
@@ -42,7 +42,7 @@ def test_cached_maps_drop_cancelled_terms():
     a = Form(1, {((0,), (1,)): 1, ((1,), (1,)): -2, ((1,), ()): 1})
     assert project_f(a).terms == {(1,): 1}
     # g(x(0)) = 1 - t1 and g(x(1)) = t1
-    assert include_g(Cochain(1, {(0,): 1, (1,): 1})).terms == {((0,), ()): 1}
+    assert include_g(Cochain(standard_simplex(1), {(0,): 1, (1,): 1})).terms == {((0,), ()): 1}
 
 
 def _wedge_built_elementary_form(face, dim):
@@ -58,11 +58,11 @@ def _wedge_built_elementary_form(face, dim):
 
 def test_cached_g_matches_wedge_built_form():
     for dim in range(5):
-        for face in basis_faces(dim):
+        for face in standard_simplex(dim).simplices:
             expected = _wedge_built_elementary_form(face, dim)
             assert elementary_form(face, dim) == expected, face
             assert elementary_form(list(face), dim) == expected, face
-            assert include_g(Cochain.basis_element(dim, face)) == expected, face
+            assert include_g(Cochain.basis_element(standard_simplex(dim), face)) == expected, face
 
 
 def test_cached_forms_are_never_mutated():
@@ -79,7 +79,7 @@ def test_cached_forms_are_never_mutated():
         2 * cached,
         wedge(cached, other),
         wedge(other, cached),
-        include_g(Cochain(dim, {face: 5, (1,): 1})),
+        include_g(Cochain(standard_simplex(dim), {face: 5, (1,): 1})),
     ]
     for result in results:
         assert result.terms is not cached.terms

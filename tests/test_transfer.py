@@ -6,7 +6,7 @@ import pytest
 from simplicial_transfer.cochains import (
     Cochain,
     interval_basis_components,
-    unit_cochain,
+    standard_simplex,
 )
 from simplicial_transfer.complexes import OrderedComplex
 from simplicial_transfer.forms import parse_form
@@ -40,8 +40,8 @@ from global_oracle import GlobalFormContraction
 
 
 def interval_letters():
-    t = Homog(Cochain.basis_element(1, (1,)), -1)
-    dt = Homog(Cochain.basis_element(1, (0, 1)), 0)
+    t = Homog(Cochain.basis_element(standard_simplex(1), (1,)), -1)
+    dt = Homog(Cochain.basis_element(standard_simplex(1), (0, 1)), 0)
     return t, dt
 
 
@@ -53,23 +53,39 @@ def dt_coefficient(cochain):
 
 def test_arity_one_is_the_coboundary():
     bundle = SimplexContraction(1)
-    x0 = Homog(Cochain.basis_element(1, (0,)), -1)
-    assert transferred_m(bundle, (x0,)) == -1 * Cochain.basis_element(1, (0, 1))
+    x0 = Homog(Cochain.basis_element(standard_simplex(1), (0,)), -1)
+    assert transferred_m(bundle, (x0,)) == -1 * Cochain.basis_element(standard_simplex(1), (0, 1))
 
 
 def test_a_letter_of_another_dimension_is_rejected():
     bundle = SimplexContraction(2)
-    x0 = Homog(Cochain.basis_element(1, (0,)), -1)
-    for word in [(x0,), (Homog(Cochain.basis_element(2, (0,)), -1), x0)]:
+    x0 = Homog(Cochain.basis_element(standard_simplex(1), (0,)), -1)
+    for word in [(x0,), (Homog(Cochain.basis_element(standard_simplex(2), (0,)), -1), x0)]:
         for op in (transferred_m, morphism_G, _relation_value):
-            with pytest.raises(ValueError, match="dimension mismatch"):
+            with pytest.raises(ValueError, match="complex mismatch"):
                 op(bundle, word)
+
+
+@pytest.mark.parametrize("op", [transferred_m, morphism_G], ids=["m", "G"])
+def test_a_mixed_letter_is_the_sum_of_its_homogeneous_parts(op):
+    # an operation is linear in each letter: every face of a mixed carrier
+    # carries its own degree, whatever degree the letter names
+    simplex = standard_simplex(2)
+
+    def x(*face):
+        return Cochain.basis_element(simplex, face)
+
+    mixed = Homog(x(0) + x(0, 1), -1)
+    parts = (Homog(x(0), -1), Homog(x(0, 1), 0))
+    for head, tail in [((), (Homog(x(1, 2), 0),)), ((Homog(x(2), -1),), (Homog(x(1, 2), 0),))]:
+        left, right = (op(SimplexContraction(2), head + (part,) + tail) for part in parts)
+        assert op(SimplexContraction(2), head + (mixed,) + tail) == left + right, (head, tail)
 
 
 def test_binary_product_on_interval():
     bundle = SimplexContraction(1)
     t, dt = interval_letters()
-    assert transferred_m(bundle, (t, t)) == Cochain.basis_element(1, (1,))
+    assert transferred_m(bundle, (t, t)) == Cochain.basis_element(standard_simplex(1), (1,))
     assert dt_coefficient(transferred_m(bundle, (t, dt))) == Fraction(1, 2)
     assert dt_coefficient(transferred_m(bundle, (dt, t))) == Fraction(-1, 2)
 
@@ -175,7 +191,7 @@ def test_unitality_interval():
     report = check_unital(SimplexContraction(1), 3)
     assert report.all_passed, report.to_text()
     bundle = SimplexContraction(1)
-    assert bundle.unit_B() == unit_cochain(1)
+    assert bundle.unit_B() == Cochain.unit(standard_simplex(1))
 
 
 @pytest.mark.parametrize(

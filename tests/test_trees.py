@@ -176,10 +176,10 @@ def test_tree_evaluation_input_validation():
 
 
 def test_higher_vertices_vanish_over_binary_algebras():
-    from simplicial_transfer.cochains import Cochain
+    from simplicial_transfer.cochains import Cochain, standard_simplex
     from simplicial_transfer.transfer import SimplexContraction
 
     bundle = SimplexContraction(1)
     ternary = PlanarTree((LEAF, LEAF, LEAF))
-    word = tuple(Homog(Cochain.basis_element(1, (0, 1)), 0) for _ in range(3))
+    word = tuple(Homog(Cochain.basis_element(standard_simplex(1), (0, 1)), 0) for _ in range(3))
     assert not evaluate_tree_m(ternary, word, bundle)

@@ -1,13 +1,13 @@
-"""The linear structure that forms, cochains, global cochains and tensor sums
-share through ``SparseVector``: one set of vector laws, checked on each."""
+"""The linear structure that forms, cochains and tensor sums share through
+``SparseVector``: one set of vector laws, checked on each, and on cochains
+of a standard simplex and of a complex."""
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from simplicial_transfer.cochains import Cochain
-from simplicial_transfer.complexes import GlobalCochain, OrderedComplex
+from simplicial_transfer.cochains import Cochain, OrderedComplex, standard_simplex
 from simplicial_transfer.forms import Form
 from simplicial_transfer.rationals import SparseVector
 from simplicial_transfer.tensorwords import Homog, TensorSum
@@ -26,13 +26,13 @@ CASES = {
         "dimension mismatch",
     ),
     "Cochain": (
-        Cochain, (2, 1),
+        Cochain, (standard_simplex(2), standard_simplex(1)),
         {(0,): 1, (0, 1): Fraction(-2, 3)},
         {(0, 1): Fraction(2, 3), (1, 2): 5},
-        "dimension mismatch",
+        "complex mismatch",
     ),
-    "GlobalCochain": (
-        GlobalCochain, (DELTA2, BOUNDARY2),
+    "CochainOnAComplex": (
+        Cochain, (DELTA2, BOUNDARY2),
         {(0,): 1, (0, 1): Fraction(-2, 3)},
         {(0, 1): Fraction(2, 3), (1, 2): 5},
         "complex mismatch",
@@ -44,7 +44,7 @@ CASES = {
         None,
     ),
 }
-ZEROS = (Form(1), Cochain(1), GlobalCochain(DELTA2), TensorSum())
+ZEROS = (Form(1), Cochain(standard_simplex(1)), TensorSum())
 
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
@@ -120,15 +120,15 @@ def test_equal_rationals_give_equal_vectors():
     assert ((half + half).num, (half + half).den) == ({key: 1}, 1)
     assert Fraction(3, 4) * Form(1, {key: Fraction(2, 3)}) == half
     # a common factor of all numerators and the denominator is divided out
-    pair = Cochain(1, {(0,): Fraction(2, 6), (1,): Fraction(4, 6)})
+    pair = Cochain(standard_simplex(1), {(0,): Fraction(2, 6), (1,): Fraction(4, 6)})
     assert (pair.num, pair.den) == ({(0,): 1, (1,): 2}, 3)
 
 
 def test_terms_is_a_read_only_fraction_view():
-    a = Cochain(1, {(0,): Fraction(1, 2), (0, 1): 3})
+    a = Cochain(standard_simplex(1), {(0,): Fraction(1, 2), (0, 1): 3})
     terms = a.terms
     assert terms == {(0,): Fraction(1, 2), (0, 1): Fraction(3)}
     assert all(type(c) is Fraction for c in terms.values())
     with pytest.raises(TypeError):
         terms[(1,)] = Fraction(1)
-    assert a == Cochain(1, terms)
+    assert a == Cochain(standard_simplex(1), terms)
