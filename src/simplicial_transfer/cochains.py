@@ -266,11 +266,16 @@ def include_g(c: Cochain) -> Form:
 # -- interval identification N_1 = span{1, t, dt} ------------------------
 
 
+_ZERO_COMPONENTS = (Fraction(0),) * 3
+
+
 def interval_basis_components(c: Cochain) -> tuple[Fraction, Fraction, Fraction]:
     """Components of an interval cochain in the basis {1, t, dt}, under
-    1 = x(0)+x(1), t = x(1), dt = x(01)."""
+    1 = x(0)+x(1), t = x(1), dt = x(01); one shared triple for zero."""
     if c.complex != standard_simplex(1):
         raise ValueError("interval basis applies to dimension 1")
+    if not c:
+        return _ZERO_COMPONENTS
     a, b, e = (Fraction(c.num.get(face, 0), c.den) for face in ((0,), (1,), (0, 1)))
     return a, b - a, e
 

@@ -6,33 +6,25 @@ degree minus one.  Words are tuples of letters, and formal sums of words
 (or of tuples of words, for split tensors) live in :class:`TensorSum`.
 
 The Koszul rule is the single source of signs: moving an odd operator past
-an element of degree d costs (-1)^d.  The shuffle product, the splitting
-maps, and the span membership oracle for split shuffles are all built on
-words; the membership oracle is the finite linear-algebra instance of the
-statement that splitting a shuffle yields outer shuffles of groupings plus
-terms with a shuffle inside one slot.
+an element of degree d costs (-1)^d.  The shuffle product and the splitting
+maps are built on words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations
 from typing import Any, Callable, Sequence
 
-from .rationals import SparseVector, _accumulate, exact
+from .rationals import SparseVector, _accumulate
 
 __all__ = [
     "Homog",
     "TensorSum",
     "koszul_sign",
-    "koszul_apply",
     "shuffle",
-    "outer_shuffle",
     "compositions",
     "split_word",
-    "shuffle_span_membership",
 ]
 
 
@@ -75,33 +67,6 @@ def koszul_sign(parities: Sequence[int], degrees: Sequence[int]) -> int:
     return -1 if exponent % 2 else 1
 
 
-def koszul_apply(
-    operators: Sequence[tuple[Callable[[Homog], Any], int]], word: Word
-) -> TensorSum:
-    """Apply one operator per letter with the Koszul sign.
-
-    Each operator is a pair (fn, parity); fn maps a letter to a letter or to
-    an iterable of (coefficient, letter) pairs.
-    """
-    if len(operators) != len(word):
-        raise ValueError("arity mismatch: one operator per letter")
-    sign = koszul_sign([p for _, p in operators], [a.degree for a in word])
-    slots: list[list[tuple[Fraction, Homog]]] = []
-    for (fn, _), letter in zip(operators, word):
-        image = fn(letter)
-        if isinstance(image, Homog):
-            slots.append([(Fraction(1), image)])
-        else:
-            slots.append([(exact(c), h) for c, h in image])
-    terms = []
-    for combo in product(*slots):
-        coeff = Fraction(sign)
-        for c, _ in combo:
-            coeff *= c
-        terms.append((tuple(h for _, h in combo), coeff))
-    return TensorSum(terms)
-
-
 def _interleavings(p: int, q: int):
     return combinations(range(p + q), p)
 
@@ -141,18 +106,6 @@ def shuffle(u: Word, v: Word, degree_of: Callable[[Any], int] = _homog_degree) -
     return TensorSum._trusted(None, out)
 
 
-def word_degree(word: Word) -> int:
-    return sum(h.degree for h in word)
-
-
-def outer_shuffle(xs: Sequence[Word], ys: Sequence[Word]) -> TensorSum:
-    """Shuffle two tuples of words as words-of-words; each inner word acts as
-    a single letter whose degree is the sum of its letters' degrees."""
-    out: dict[tuple, int] = {}
-    _accumulate(out, _shuffle_terms(tuple(xs), tuple(ys), word_degree), 1)
-    return TensorSum._trusted(None, out)
-
-
 def compositions(n: int, k: int):
     """Ordered tuples of k positive integers summing to n."""
     if k < 1 or k > n:
@@ -170,147 +123,3 @@ def split_word(word: Word, sizes: Sequence[int]) -> tuple[Word, ...]:
         blocks.append(word[start : start + size])
         start += size
     return tuple(blocks)
-
-
-# -- span membership for split shuffles ----------------------------------
-
-
-def _letter_key(h: Homog):
-    return (str(h.carrier), h.degree)
-
-
-def _grouped_key(grouped: tuple) -> tuple:
-    return tuple(tuple(_letter_key(h) for h in word) for word in grouped)
-
-
-def _sorted_vec(ts: TensorSum) -> dict:
-    return {_grouped_key(k): c for k, c in ts.items()}
-
-
-def _multiset_splits(letters: tuple, parts: int):
-    """All ways to distribute distinct letters into `parts` nonempty ordered
-    groups (as tuples of sub-multisets, order inside a group not yet fixed)."""
-    for assignment in product(range(parts), repeat=len(letters)):
-        groups = [[] for _ in range(parts)]
-        for letter, slot in zip(letters, assignment):
-            groups[slot].append(letter)
-        if all(groups):
-            yield tuple(tuple(g) for g in groups)
-
-
-def _arrangements(letters: tuple):
-    return sorted(set(permutations(letters)), key=repr)
-
-
-def _span_generators(letters: tuple, k: int) -> list[dict]:
-    """Spanning set of the target subspace inside k-fold split tensors over
-    the given letters: outer shuffles of groupings, plus split tensors with a
-    shuffle in one slot."""
-    gens: list[dict] = []
-    # (a) outer shuffles of a p-block and a q-block grouping, p + q = k
-    for p in range(1, k):
-        q = k - p
-        for assignment in product(range(2), repeat=len(letters)):
-            left = tuple(l for l, a in zip(letters, assignment) if a == 0)
-            right = tuple(l for l, a in zip(letters, assignment) if a == 1)
-            if len(left) < p or len(right) < q:
-                continue
-            for lgroups in _multiset_splits(left, p):
-                for rgroups in _multiset_splits(right, q):
-                    for lwords in product(*(_arrangements(g) for g in lgroups)):
-                        for rwords in product(*(_arrangements(g) for g in rgroups)):
-                            vec = _sorted_vec(outer_shuffle(lwords, rwords))
-                            if vec:
-                                gens.append(vec)
-    # (b) split tensors with one slot an inner shuffle
-    for groups in _multiset_splits(letters, k):
-        for j in range(k):
-            slot = groups[j]
-            if len(slot) < 2:
-                continue
-            for cut in product(range(2), repeat=len(slot)):
-                u = tuple(l for l, a in zip(slot, cut) if a == 0)
-                v = tuple(l for l, a in zip(slot, cut) if a == 1)
-                if not u or not v:
-                    continue
-                for uw in _arrangements(u):
-                    for vw in _arrangements(v):
-                        inner = shuffle(uw, vw)
-                        for others in product(
-                            *(
-                                _arrangements(g) if i != j else ((),)
-                                for i, g in enumerate(groups)
-                            )
-                        ):
-                            vec: dict = {}
-                            for word, coeff in inner.items():
-                                grouped = tuple(
-                                    word if i == j else others[i] for i in range(k)
-                                )
-                                key = _grouped_key(grouped)
-                                vec[key] = vec.get(key, Fraction(0)) + coeff
-                            vec = {kk: c for kk, c in vec.items() if c}
-                            if vec:
-                                gens.append(vec)
-    return gens
-
-
-def _reduce(vec: dict, pivots: dict) -> dict:
-    vec = {k: c for k, c in vec.items() if c}
-    while True:
-        hit = None
-        for key in vec:
-            if key in pivots:
-                if hit is None or key > hit:
-                    hit = key
-        if hit is None:
-            return vec
-        coeff = vec[hit]
-        for key, c in pivots[hit].items():
-            new = vec.get(key, Fraction(0)) - coeff * c
-            if new == 0:
-                vec.pop(key, None)
-            else:
-                vec[key] = new
-
-
-def _echelon_insert(vec: dict, pivots: dict) -> None:
-    vec = _reduce(vec, pivots)
-    if not vec:
-        return
-    pivot = max(vec)
-    inv = 1 / vec[pivot]
-    pivots[pivot] = {k: c * inv for k, c in vec.items()}
-
-
-def shuffle_span_membership(x: TensorSum, max_letters: int = 5) -> bool:
-    """Decide whether a sum of k-fold split words lies in the span of outer
-    shuffles of groupings plus split words with a shuffled slot.
-
-    Works over formal letters (string carriers).  All terms must share one
-    block count k and one letter multiset; at most ``max_letters`` letters.
-    """
-    if not x:
-        return True
-    keys = list(x.num)
-    k = len(keys[0])
-    if any(len(key) != k for key in keys):
-        raise ValueError("terms must share the block count")
-    letters = tuple(sorted((h for w in keys[0] for h in w), key=_letter_key))
-    if len(letters) > max_letters:
-        raise ValueError(f"instance too large: more than {max_letters} letters")
-    for key in keys:
-        flat = tuple(sorted((h for w in key for h in w), key=_letter_key))
-        if flat != letters:
-            raise ValueError("terms must share the letter multiset")
-    return not _reduce(_sorted_vec(x), _span_pivots(letters, k))
-
-
-@lru_cache(maxsize=256)
-def _span_pivots(letters: tuple, k: int) -> dict:
-    """Echelon pivots of the span generators for one letter multiset and
-    block count; shared by every call on the same pattern, so read only."""
-    pivots: dict = {}
-    for gen in _span_generators(letters, k):
-        _echelon_insert(gen, pivots)
-    return pivots

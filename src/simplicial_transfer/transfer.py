@@ -31,11 +31,14 @@ e_{F_k} (the join rule)
 
 zero unless U is a simplex with dim U = sum_j dim F_j + 2 - k, where mu is
 the top-face coefficient of m_k on the standard simplex of dimension dim U
-at the positions of the F_j in U.  ``ComplexContraction``, the bundle of
-a complex, reads m_k this way from one standard-simplex engine per
-dimension, built once per process.  The standard n-simplex is a complex
-too, and ``SimplexContraction`` is its complex bundle plus the form side:
-it runs f(cut products) only on words that span its own top simplex.
+at the positions of the F_j in U.  The right side of that count is 2 plus
+the sum of the letters' shifted degrees, which the bundle has interned, so
+a word whose count is no dimension of the complex is zero before any face
+or union is built; U is formed only for the others.  ``ComplexContraction``,
+the bundle of a complex, reads m_k this way from one standard-simplex
+engine per dimension, built once per process.  The standard n-simplex is a
+complex too, and ``SimplexContraction`` is its complex bundle plus the form
+side: it runs f(cut products) only on words that span its own top simplex.
 
 Both m_n and G_n are multilinear, so they are fixed by their values on words
 of basis cochains.  A bundle interns each basis face as a small int, whose
@@ -322,18 +325,24 @@ def _positions(sub: tuple[int, ...], ambient: tuple[int, ...]) -> tuple[int, ...
 
 
 def _join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
-    """m_n, n >= 2, on a basis word by the join rule (module docstring): zero
+    """m_k, k >= 2, on a basis word by the join rule (module docstring): zero
     unless the union U of the supports is a simplex of the bundle's complex
     of the right dimension; f(cut products) when U is the bundle's own top
     simplex; otherwise mu * e_U with mu read from the engine of dimension
-    dim U."""
+    dim U.
+
+    The count comes first.  The dimension U must have, sum_j dim F_j + 2 - k,
+    is 2 plus the sum of the interned shifted degrees dim F_j - 1, so a word
+    whose count lies outside 0..(top dimension of the complex) is zero
+    before any face or union is built.  Otherwise U is formed and rejected
+    unless it has count + 1 vertices: the same test as forming U first."""
+    zero = bundle.zero_B()
+    n = sum(map(bundle._degrees.__getitem__, ids)) + 2  # dim U
+    if not 0 <= n <= zero.dim:  # the top dimension of the complex
+        return zero
     faces = [bundle._faces[i] for i in ids]
     union = tuple(sorted(set().union(*faces)))
-    n = len(union) - 1
-    zero = bundle.zero_B()
-    if n != sum(len(face) - 1 for face in faces) + 2 - len(ids):
-        return zero
-    if union not in bundle.complex.cofaces():  # keyed by every simplex
+    if len(union) != n + 1 or union not in bundle.complex.cofaces():  # keyed by every simplex
         return zero
     if n == bundle.top_dim:
         return bundle.f(_cut_products(bundle, ids))
@@ -422,15 +431,22 @@ def transferred_m(bundle, word: tuple[Homog, ...]):
 
 
 def transferred_m_trees(bundle, word: tuple[Homog, ...]):
-    """The same operation as a direct sum over planar trees."""
-    n = len(word)
-    if n == 0:
-        raise ValueError("empty word")
-    if n == 1:
-        return bundle.d_B(word[0].carrier)
+    """The same operation as a direct sum over planar trees, expanded in the
+    basis like ``transferred_m``, so each face carries its own degree."""
+    return _multilinear(bundle, word, _m_trees, bundle.zero_B)
+
+
+def _m_trees(bundle, ids: tuple[int, ...]):
+    """m_n on a basis word as the sum over planar trees; not memoised, so
+    it shares nothing with ``_m``."""
+    letters = tuple(
+        Homog(bundle.basis_element(bundle._faces[i]), bundle._degrees[i]) for i in ids
+    )
+    if len(letters) == 1:
+        return bundle.d_B(letters[0].carrier)
     total = bundle.zero_B()
-    for tree in enumerate_trees(n):
-        total = total + evaluate_tree_m(tree, word, bundle)
+    for tree in enumerate_trees(len(letters)):
+        total = total + evaluate_tree_m(tree, letters, bundle)
     return total
 
 
@@ -652,43 +668,42 @@ def interval_product_table(max_arity: int) -> IntervalTable:
         raise ValueError("max_arity must be >= 2")
     bundle = SimplexContraction(1)
     # t = x(1) and dt = x(0,1) are basis letters, so each word is a word of ids
-    letters = {"t": bundle.intern((1,)), "dt": bundle.intern((0, 1))}
+    t, dt = bundle.intern((1,)), bundle.intern((0, 1))
+    name = {t: "t", dt: "dt"}
 
     table = IntervalTable(max_arity=max_arity)
-    values: dict[tuple[str, ...], tuple[Fraction, Fraction, Fraction]] = {}
+    values: dict[tuple[int, ...], tuple[Fraction, Fraction, Fraction]] = {}
+    labels: dict[tuple[int, ...], str] = {}
     for n in range(2, max_arity + 1):
-        for names in product(("t", "dt"), repeat=n):
-            value = _m(bundle, tuple(letters[name] for name in names))
-            components = interval_basis_components(value)
-            values[names] = components
-            table.entries.append(
-                {"word": ",".join(names), "value": _component_string(components)}
-            )
+        for ids in product((t, dt), repeat=n):
+            components = values[ids] = interval_basis_components(_m(bundle, ids))
+            label = labels[ids] = ",".join([name[i] for i in ids])
+            table.entries.append({"word": label, "value": _component_string(components)})
 
     def one_t(n, i):
-        return ("dt",) * i + ("t",) + ("dt",) * (n - i)
+        return (dt,) * i + (t,) + (dt,) * (n - i)
 
-    def magnitude_case(names, expected):
-        c1, ct, cdt = values[names]
+    def magnitude_case(ids, expected):
+        c1, ct, cdt = values[ids]
         if c1 or ct or abs(cdt) != expected:
             return (
-                f"m({','.join(names)}) = {_component_string(values[names])}, "
+                f"m({labels[ids]}) = {_component_string(values[ids])}, "
                 f"expected magnitude {rational_str(expected)}"
             )
         return None
 
     def outside_cases():
-        for names, components in values.items():
-            if names != ("t", "t") and names.count("t") != 1:
+        for ids, components in values.items():
+            if ids != (t, t) and ids.count(t) != 1:
                 yield (
-                    f"m({','.join(names)}) = {_component_string(components)}"
+                    f"m({labels[ids]}) = {_component_string(components)}"
                     if any(components)
                     else None
                 )
 
     family = {n: values[one_t(n, 0)][2] for n in range(1, max_arity)}
     scaled = [n for n in range(1, min(4, max_arity - 1) + 1) if family[n]]
-    tt = values[("t", "t")]
+    tt = values[(t, t)]
     table.check("m(t,t) = t", [None if tt == (0, 1, 0) else f"m(t,t) = {_component_string(tt)}"])
     table.check(
         "dt coefficient of m(t,dt,...,dt) has magnitude |B_n|/n!",

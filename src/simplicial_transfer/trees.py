@@ -185,15 +185,18 @@ def _check_inputs(tree: PlanarTree, word) -> None:
 
 
 def evaluate_tree_m(tree: PlanarTree, word: tuple[Homog, ...], bundle):
-    """The operation of a tree with f at the root, on a word of cochain
-    letters; returns a cochain."""
+    """The operation of a tree with f at the root, on a word of homogeneous
+    cochain letters; returns a cochain.  Each leaf's sign degree is its
+    letter's, so a letter mixing degrees must be split into its homogeneous
+    parts first (``transfer.transferred_m_trees`` expands in the basis)."""
     _check_inputs(tree, word)
     _, _, value = _eval_vertex(tree, word, bundle)
     return bundle.f(value)
 
 
 def evaluate_tree_G(tree: PlanarTree, word: tuple[Homog, ...], bundle):
-    """The same composite with H at the root; returns an algebra-side value."""
+    """The same composite with H at the root, on a word of homogeneous
+    letters; returns an algebra-side value."""
     _check_inputs(tree, word)
     _, _, value = _eval_vertex(tree, word, bundle)
     return bundle.H(value)

@@ -1,8 +1,9 @@
 """Helpers that only the tests use: face restriction and integration of
 forms, cochain restriction, the interval basis and the record format of
-single-simplex cochains, formal words and their deconcatenations, and the
-generating-function oracle for the interval recursion.  They go through
-the package's public constructors only."""
+single-simplex cochains, formal words and their deconcatenations, the
+generating-function oracle for the interval recursion, and the join rule
+in its union-first order.  They go through the package's public
+constructors, apart from the join rule, which reads the engine it checks."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from simplicial_transfer.cochains import Cochain, standard_simplex
 from simplicial_transfer.forms import Form, _check_face, generator, integrate_top, wedge
 from simplicial_transfer.rationals import UniPoly, exact, factorial, parse_rational, rational_str
 from simplicial_transfer.tensorwords import Homog, TensorSum, compositions, split_word
+from simplicial_transfer.transfer import _cut_products, _engine, _m, _positions
 
 
 @lru_cache(maxsize=None)
@@ -138,3 +140,25 @@ def exp_series_ratio(max_order: int) -> list[UniPoly]:
             acc = acc - q[k - j] * out[j]
         out.append(acc)  # q[0] == 1, no division needed
     return out
+
+
+def union_first_join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
+    """The join rule in the order it was first written: build the faces and
+    their union U, then compare dim U with sum_j dim F_j + 2 - k."""
+    faces = [bundle._faces[i] for i in ids]
+    union = tuple(sorted(set().union(*faces)))
+    n = len(union) - 1
+    zero = bundle.zero_B()
+    if n != sum(len(face) - 1 for face in faces) + 2 - len(ids):
+        return zero
+    if union not in bundle.complex.cofaces():  # keyed by every simplex
+        return zero
+    if n == bundle.top_dim:
+        return bundle.f(_cut_products(bundle, ids))
+    engine = _engine(n)
+    local = tuple(engine.intern(_positions(face, union)) for face in faces)
+    value = _m(engine, local)
+    mu = value.num.get(tuple(range(n + 1)))
+    if not mu:
+        return zero
+    return Cochain._reduced(bundle.complex, {union: mu}, value.den)

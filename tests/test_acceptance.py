@@ -20,12 +20,7 @@ from simplicial_transfer.rationals import (
     bernoulli_polynomial,
     factorial,
 )
-from simplicial_transfer.tensorwords import (
-    Homog,
-    TensorSum,
-    shuffle,
-    shuffle_span_membership,
-)
+from simplicial_transfer.tensorwords import Homog, TensorSum, shuffle
 from simplicial_transfer.transfer import (
     SimplexContraction,
     check_a_infinity,
@@ -40,6 +35,7 @@ from simplicial_transfer.transfer import (
 from simplicial_transfer.trees import tree_count
 
 from helpers import deconcatenations, exp_series_ratio, formal_word
+from span_oracle import shuffle_span_membership
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -21,7 +21,7 @@ from simplicial_transfer.forms import (
     monomial_basis,
     parse_form,
 )
-from simplicial_transfer.tensorwords import Homog, TensorSum, koszul_apply
+from simplicial_transfer.tensorwords import Homog, TensorSum
 
 from helpers import (
     cochain_from_interval_basis,
@@ -30,6 +30,7 @@ from helpers import (
     face_restrict,
     restrict_cochain,
 )
+from span_oracle import koszul_apply
 
 
 def chi(dim, *face):
@@ -118,6 +119,15 @@ def test_interval_closed_form(coeffs):
 def test_interval_basis_round_trip():
     c = Cochain(standard_simplex(1), {(0,): Fraction(2), (1,): Fraction(-1), (0, 1): Fraction(1, 3)})
     assert cochain_from_interval_basis(*interval_basis_components(c)) == c
+
+
+def test_interval_basis_components_of_zero_and_of_another_complex():
+    zero = interval_basis_components(Cochain(standard_simplex(1)))
+    assert zero == (0, 0, 0)
+    assert all(type(c) is Fraction for c in zero)
+    for other in (Cochain(standard_simplex(2)), chi(2, 0, 1)):
+        with pytest.raises(ValueError, match="interval basis"):
+            interval_basis_components(other)
 
 
 def test_records_round_trip():

@@ -31,6 +31,7 @@ from simplicial_transfer.tensorwords import Homog
 from simplicial_transfer.transfer import (
     ComplexContraction,
     Contraction,
+    _join_rule,
     _m,
     check_a_infinity,
     check_c_infinity,
@@ -42,6 +43,7 @@ from simplicial_transfer.transfer import (
     transferred_m_trees,
 )
 
+from helpers import union_first_join_rule
 from global_oracle import (
     GlobalForm,
     GlobalFormContraction,
@@ -500,6 +502,31 @@ def test_join_rule_matches_the_simplex_engine(n, arity):
             x, y = (engine.basis_element(engine._faces[i]) for _, i in word)
             by_forms = project_f(wedge(include_g(x), include_g(y)))
             assert cup(a, b).terms == by_forms.terms, word
+
+
+@pytest.mark.parametrize(
+    "make, max_arity",
+    [
+        (lambda: SimplexContraction(1), 10),
+        (lambda: SimplexContraction(2), 4),
+        (lambda: SimplexContraction(3), 3),
+        (lambda: ComplexContraction(BOUNDARY3), 3),
+        (lambda: ComplexContraction(OCTAHEDRON), 3),
+    ],
+    ids=["simplex1", "simplex2", "simplex3", "boundary3", "octahedron"],
+)
+def test_the_degree_count_first_is_the_union_first_join_rule(make, max_arity):
+    # the join rule reads dim U from the interned degrees before it builds
+    # the union; on every basis word it gives the cochain that building the
+    # union first gives, zeros included
+    bundle = make()
+    basis = bundle.basis_ids()
+    for arity in range(2, max_arity + 1):
+        for ids in product(basis, repeat=arity):
+            value = _join_rule(bundle, ids)
+            expected = union_first_join_rule(bundle, ids)
+            assert value.complex is expected.complex, ids
+            assert (value.num, value.den) == (expected.num, expected.den), ids
 
 
 @pytest.mark.parametrize(

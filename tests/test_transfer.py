@@ -13,7 +13,6 @@ from simplicial_transfer.forms import parse_form
 from simplicial_transfer.rationals import UniPoly, bernoulli_number, factorial
 from simplicial_transfer import transfer
 from simplicial_transfer.tensorwords import Homog, TensorSum, shuffle
-from simplicial_transfer.tensorwords import word_degree
 from simplicial_transfer.transfer import (
     SimplexContraction,
     _G,
@@ -37,6 +36,7 @@ from simplicial_transfer.trees import (
 )
 
 from global_oracle import GlobalFormContraction
+from span_oracle import word_degree
 
 
 def interval_letters():
@@ -66,7 +66,9 @@ def test_a_letter_of_another_dimension_is_rejected():
                 op(bundle, word)
 
 
-@pytest.mark.parametrize("op", [transferred_m, morphism_G], ids=["m", "G"])
+@pytest.mark.parametrize(
+    "op", [transferred_m, morphism_G, transferred_m_trees], ids=["m", "G", "trees"]
+)
 def test_a_mixed_letter_is_the_sum_of_its_homogeneous_parts(op):
     # an operation is linear in each letter: every face of a mixed carrier
     # carries its own degree, whatever degree the letter names
