@@ -1,7 +1,8 @@
 """Command-line drivers for the verification sweeps and table reproduction.
 
 Exit codes: 0 when every check passes, 1 on a verification failure, 2 on a
-usage or input error or when stdout closes before the report is written,
+usage or input error, on an exponent too large for a packed form monomial
+(``OverflowError``), or when stdout closes before the report is written,
 each with one line on stderr.
 Reports are deterministic for fixed inputs and flags; JSON carries every
 rational as a string.
@@ -229,6 +230,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         print("stdout was closed before the report was written", file=sys.stderr)
+        return USAGE
+    except OverflowError as exc:
+        print(f"simplicial-transfer: error: {exc}", file=sys.stderr)
         return USAGE
     return code
 

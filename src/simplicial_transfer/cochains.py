@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .forms import Form, _check_dim, _check_face, generator, wedge
+from .forms import Form, _check_dim, _check_face, _unpack, generator, wedge
 from .rationals import SparseVector, _accumulate, factorial, rational_str
 
 __all__ = [
@@ -216,8 +216,9 @@ def _elementary_form(face: Simplex, dim: int) -> Form:
 
 
 @lru_cache(maxsize=None)
-def _face_integrals(dim: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> Cochain:
-    """f(t^exps dt_dts): the integrals over the faces of the simplex.
+def _face_integrals(dim: int, key: int) -> Cochain:
+    """f(t^exps dt_dts), for the packed key of the monomial: the integrals
+    over the faces of the simplex.
 
     A face F = (i_0 < ... < i_k) contributes only when F holds every t_j
     with a positive exponent and every dt_s, and dts is F minus exactly one
@@ -226,6 +227,7 @@ def _face_integrals(dim: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> Co
 
         (-1)^m a_1! ... a_n! / (|a| + k)!
     """
+    exps, dts = _unpack(dim, key)
     k = len(dts)
     support = set(dts).union(j for j, e in enumerate(exps, 1) if e)
     out: dict[Simplex, int] = {}
@@ -247,7 +249,7 @@ def project_f(a: Form) -> Cochain:
     dim = a.dim
     return Cochain._sum(
         standard_simplex(dim),
-        [(coeff, _face_integrals(dim, exps, dts)) for (exps, dts), coeff in a.num.items()],
+        [(coeff, _face_integrals(dim, key)) for key, coeff in a.num.items()],
         a.den,
     )
 
@@ -271,7 +273,8 @@ _ZERO_COMPONENTS = (Fraction(0),) * 3
 
 def interval_basis_components(c: Cochain) -> tuple[Fraction, Fraction, Fraction]:
     """Components of an interval cochain in the basis {1, t, dt}, under
-    1 = x(0)+x(1), t = x(1), dt = x(01); one shared triple for zero."""
+    1 = x(0)+x(1), t = x(1), dt = x(01); zero gives one shared triple, and
+    only zero gives an all-zero triple."""
     if c.complex != standard_simplex(1):
         raise ValueError("interval basis applies to dimension 1")
     if not c:

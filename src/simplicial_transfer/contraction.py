@@ -38,24 +38,38 @@ where h^{i_0} acts first.  The (-1)^k is the orientation bookkeeping for
 iterated fiber integrations; both normalizations here are pinned down by the
 identity battery, not chosen freely.  A chain is h^{i_k} of the chain of its
 prefix face (i_0 < ... < i_{k-1}), so each face costs one application of h.
-The chain homotopy used by the transfer engine is H = -s.
+
+s_n of one monomial is fused into one sum.  h^i, wedge and s_n run on the
+same raw kernels: a form given as numerators keyed by packed monomials over
+one denominator.  Each chain stays raw, h^i of it summed from the cached
+images of its monomials over their common denominator and not reduced;
+every part w_I ^ chain is then added, in numerators over the least common
+multiple of all the parts' denominators, into one dict, and one Form is
+built and reduced at the end.  h_operator and wedge wrap the same kernels
+for a single Form.  The chain homotopy used by the transfer engine is
+H = -s.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
-from .cochains import Cochain, elementary_form, include_g, project_f, standard_simplex
+from .cochains import Cochain, _elementary_form, include_g, project_f, standard_simplex
 from .forms import (
+    FIELD,
+    _OVERFLOW,
     Form,
+    _guard,
+    _unpack,
+    _wedge_into,
     differential,
     format_form,
     monomial_basis,
     vertex_evaluate,
-    wedge,
 )
-from .rationals import _accumulate, binomial, factorial
+from .rationals import _accumulate, _linear, binomial, factorial
 from .reporting import ContractionReport
 
 __all__ = [
@@ -67,28 +81,42 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _h_monomial(n: int, i: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> Form:
-    """h^i(t^a dt_S) by the closed form of the module docstring."""
+def _h_monomial(n: int, i: int, key: int) -> Form:
+    """h^i(t^a dt_S) by the closed form of the module docstring, on the
+    packed key of the monomial."""
+    exps, dts = _unpack(n, key)
     if not dts:
         # a 0-form acquires no du part under the dilation
         return Form.zero(n)
+    shift = FIELD * n
+    guard = _guard(n)
     a_i = exps[i - 1] if i else 0
     rest = sum(exps) - a_i + len(dts) - 1
     terms = []
     for m in range(a_i + 1):
         # B(p, q) = p! q! / (p + q + 1)! with p + q = rest + a_i for every m
         weight = binomial(a_i, m) * factorial(rest + m) * factorial(a_i - m)
-        base = exps[: i - 1] + (m,) + exps[i:] if i else exps
+        base = key - ((a_i - m) << (FIELD * (i - 1))) if i else key
         for r, s in enumerate(dts, 1):
             signed = -weight if r % 2 else weight
-            others = dts[: r - 1] + dts[r:]
             # the factor (delta_{i,s} - t_s) dt_{S - s}
-            terms.append(((base[: s - 1] + (base[s - 1] + 1,) + base[s:], others), -signed))
+            others = base - (1 << (shift + s - 1))
+            raised = others + (1 << (FIELD * (s - 1)))
+            if raised & guard:
+                raise OverflowError(_OVERFLOW)
+            terms.append((raised, -signed))
             if s == i:
-                terms.append(((base, others), signed))
+                terms.append((others, signed))
     out: dict = {}
     _accumulate(out, terms, 1)
     return Form._reduced(n, out, factorial(rest + a_i + 1))
+
+
+def _h_raw(n: int, i: int, num: dict, den: int) -> tuple[dict, int]:
+    """h^i of the form num / den, as numerators over a denominator, not
+    reduced."""
+    out, common = _linear([(coeff, _h_monomial(n, i, key)) for key, coeff in num.items()])
+    return out, den * common
 
 
 def h_operator(a: Form, i: int) -> Form:
@@ -96,19 +124,17 @@ def h_operator(a: Form, i: int) -> Form:
     n = a.dim
     if not 0 <= i <= n:
         raise ValueError(f"vertex index {i} out of range for dimension {n}")
-    return Form._sum(
-        n,
-        [(coeff, _h_monomial(n, i, exps, dts)) for (exps, dts), coeff in a.num.items()],
-        a.den,
-    )
+    return Form._reduced(n, *_h_raw(n, i, a.num, a.den))
 
 
 @lru_cache(maxsize=None)
-def _s_monomial(n: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> Form:
-    parts = []
+def _s_monomial(n: int, key: int) -> Form:
+    """s_n of one monomial, fused: the chains stay raw numerators over a
+    denominator, and every w_I ^ chain adds into one dict, reduced once."""
+    parts = []  # (sign, w_I, numerators, denominator) per nonzero chain
     # chains[face] = h^{i_k}...h^{i_0}(m) for face = (i_0 < ... < i_k), kept
     # only when nonzero; each longer chain is one h applied to its prefix's
-    chains = {(): Form.monomial(n, exps, dts)}
+    chains = {(): ({key: 1}, 1)}
     for k in range(n):
         # The (-1)^k weight normalizes the orientation of the iterated
         # dilations: without it the homotopy identity and s o s = 0 fail on
@@ -121,22 +147,24 @@ def _s_monomial(n: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> Form:
             prefix = chains.get(face[:-1])
             if prefix is None:
                 continue
-            chain = h_operator(prefix, face[-1])
-            if chain:
+            num, den = chain = _h_raw(n, face[-1], *prefix)
+            if num:
                 longer[face] = chain
-                parts.append((sign, wedge(elementary_form(face, n), chain)))
+                parts.append((sign, _elementary_form(face, n), num, den))
         chains = longer
         if not chains:
             break
-    return Form._sum(n, parts)
+    common = lcm(*[w.den * den for _, w, _, den in parts])
+    out: dict = {}
+    for sign, w, num, den in parts:
+        _wedge_into(out, n, w.num, num, sign * (common // (w.den * den)))
+    return Form._reduced(n, out, common)
 
 
 def s_operator(a: Form) -> Form:
     """Dupont's degree-lowering operator s_n; s_0 = 0."""
     n = a.dim
-    return Form._sum(
-        n, [(coeff, _s_monomial(n, exps, dts)) for (exps, dts), coeff in a.num.items()], a.den
-    )
+    return Form._sum(n, [(coeff, _s_monomial(n, key)) for key, coeff in a.num.items()], a.den)
 
 
 def homotopy_H(a: Form) -> Form:

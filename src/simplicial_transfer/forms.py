@@ -8,14 +8,28 @@ dt_0..dt_n (degree 1) subject to
 with differential d(t_i) = dt_i, d(dt_i) = 0.  Elements are stored in the
 normal form that eliminates the 0-indexed generators, so a monomial is
 
-    t_1^{a_1} ... t_n^{a_n} dt_{s_1} ... dt_{s_m},    s_1 < ... < s_m,
+    t_1^{a_1} ... t_n^{a_n} dt_{s_1} ... dt_{s_m},    s_1 < ... < s_m.
 
-keyed by the pair (exponent tuple, dt index tuple).  Coefficients are exact
-rationals, stored as integer numerators over one denominator per form in
-lowest terms (``SparseVector``), so wedge and d multiply ints and reduce
-once; zero terms are never stored, and reordering of dt factors is
-resolved into a sign at construction time; equality of forms is therefore
-literal equality of numerator maps and denominators.
+Each monomial is keyed by one packed int.  Exponent a_j sits in the
+field j - 1, bits 16(j-1) .. 16(j-1)+15 (the width is the module constant
+``FIELD``), and the set S = {s_1..s_m} is a bitmask above the n fields,
+dt_s at bit 16n + s - 1.  The top bit of every field is a guard that a
+stored key never sets, so an exponent is at most 2^15 - 1: a larger one
+raises ``OverflowError`` at construction, and so does a sum of exponents
+that reaches a guard bit in wedge or h^i.  A key never wraps.  wedge of
+two monomials is then one mask test (a shared dt factor gives zero), one
+int add and the sign of merging the two masks, a popcount parity cached
+per pair of masks on first use; d moves one unit from a field to a mask
+bit, with the parity of the mask bits below it as its sign.
+
+Coefficients are exact rationals, stored as integer numerators over one
+denominator per form in lowest terms (``SparseVector``), so wedge and d
+multiply ints and reduce once; zero terms are never stored, and reordering
+of dt factors is resolved into a sign at construction time; equality of
+forms is therefore literal equality of numerator maps and denominators.
+The checking constructor takes keys as pairs (exponent tuple, ascending dt
+index tuple) and packs them, and ``Form.terms`` unpacks, so the public view
+and every rendering keep the pair form.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import add
+from types import MappingProxyType
 import re
 
 from .rationals import SparseVector, factorial, rational_str
@@ -40,33 +54,73 @@ __all__ = [
     "parse_form",
 ]
 
-Monomial = tuple[tuple[int, ...], tuple[int, ...]]
+FIELD = 16  # bits per exponent field
+_TOP = 1 << (FIELD - 1)  # the guard bit of field 0; exponents stay below it
+_LOW = (1 << FIELD) - 1  # field 0
 
 
-def _merge_dts(s: tuple[int, ...], t: tuple[int, ...]):
-    """Merge two ascending dt index tuples; returns (sign, merged) or None
-    when an index repeats (the product is zero)."""
-    if not s:
-        return 1, t
-    if not t:
-        return 1, s
-    inversions = 0
-    merged = []
-    i = j = 0
-    while i < len(s) and j < len(t):
-        if s[i] == t[j]:
-            return None
-        if s[i] < t[j]:
-            merged.append(s[i])
-            i += 1
-        else:
-            # t[j] moves past the remaining factors of s
-            inversions += len(s) - i
-            merged.append(t[j])
-            j += 1
-    merged.extend(s[i:])
-    merged.extend(t[j:])
-    return (-1 if inversions % 2 else 1), tuple(merged)
+def _pack(dim: int, exps: tuple[int, ...], dts: tuple[int, ...]) -> int:
+    """The key of t^exps dt_dts on the dim-simplex (module docstring)."""
+    if len(exps) != dim:
+        raise ValueError(f"{len(exps)} exponents on the {dim}-simplex")
+    key = 0
+    for j, e in enumerate(exps):
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        if e >= _TOP:
+            raise OverflowError(f"exponent {e} exceeds {_TOP - 1}, the largest a monomial holds")
+        key |= e << (FIELD * j)
+    shift = FIELD * dim
+    previous = 0
+    for s in dts:
+        if not previous < s <= dim:
+            raise ValueError(f"dt indices {dts} are not increasing within 1..{dim}")
+        key |= 1 << (shift + s - 1)
+        previous = s
+    return key
+
+
+def _unpack(dim: int, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair (exponent tuple, dt index tuple) of a key."""
+    mask = key >> (FIELD * dim)
+    return (
+        tuple((key >> (FIELD * j)) & _LOW for j in range(dim)),
+        tuple(s for s in range(1, dim + 1) if mask >> (s - 1) & 1),
+    )
+
+
+@lru_cache(maxsize=None)
+def _guard(dim: int) -> int:
+    """The guard bits of the dim exponent fields."""
+    return _TOP * (((1 << (FIELD * dim)) - 1) // _LOW)
+
+
+_OVERFLOW = f"an exponent exceeds {_TOP - 1}, the largest a monomial holds"
+
+
+class _MergeSigns(dict):
+    """(-1)^inversions of dt_S dt_T -> dt_{S u T}, keyed by the masks
+    (m_S << dim) | m_T of disjoint S and T; filled on first use."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, pair: int) -> int:
+        ma, mb = pair >> self.dim, pair & ((1 << self.dim) - 1)
+        inversions = 0
+        while mb:
+            low = mb & -mb
+            # every factor of S above dt_t moves past it
+            inversions += (ma & -low).bit_count()
+            mb ^= low
+        sign = self[pair] = -1 if inversions % 2 else 1
+        return sign
+
+
+@lru_cache(maxsize=None)
+def _merge_signs(dim: int) -> _MergeSigns:
+    return _MergeSigns(dim)
 
 
 def _check_dim(dim: int) -> None:
@@ -81,18 +135,26 @@ class Form(SparseVector, space="dim", mismatch="dimension mismatch"):
     _check_space = staticmethod(_check_dim)
 
     @staticmethod
-    def _check_key(dim: int, key) -> Monomial:
+    def _check_key(dim: int, key) -> int:
         exps, dts = key
-        return tuple(exps), tuple(dts)
+        return _pack(dim, tuple(exps), tuple(dts))
 
-    @staticmethod
-    def _degree(key: Monomial) -> int:
-        return len(key[1])
+    def _degree(self, key: int) -> int:
+        return (key >> (FIELD * self.dim)).bit_count()
+
+    @property
+    def terms(self):
+        """The coordinates as a read-only mapping from (exponent tuple, dt
+        index tuple) to Fraction."""
+        dim, den = self.dim, self.den
+        return MappingProxyType(
+            {_unpack(dim, key): Fraction(n, den) for key, n in self.num.items()}
+        )
 
     @classmethod
     def one(cls, dim: int) -> "Form":
         _check_dim(dim)
-        return cls._trusted(dim, {((0,) * dim, ()): 1})
+        return cls._trusted(dim, {0: 1})
 
     @classmethod
     def monomial(cls, dim: int, exps, dts, coeff=1) -> "Form":
@@ -133,56 +195,72 @@ def wedge(a: Form, b: Form) -> Form:
     Numerators multiply over the product of the two denominators."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    out: dict[Monomial, int] = {}
-    b_terms = b.num.items()
-    for (ae, ad), ac in a.num.items():
-        for (be, bd), bc in b_terms:
-            merged = _merge_dts(ad, bd)
-            if merged is None:
-                continue
-            sign, dts = merged
-            key = (tuple(map(add, ae, be)), dts)
-            new = out.get(key, 0) + sign * ac * bc
-            if new:
-                out[key] = new
-            else:
-                del out[key]
+    out: dict[int, int] = {}
+    _wedge_into(out, a.dim, a.num, b.num, 1)
     return Form._reduced(a.dim, out, a.den * b.den)
+
+
+def _wedge_into(out: dict, dim: int, a_num: dict, b_num: dict, scale: int) -> None:
+    """Add scale * (a ^ b) into out, for the numerator maps of two forms on
+    the dim-simplex, dropping keys whose sum cancels to zero."""
+    shift = FIELD * dim
+    guard = _guard(dim)
+    signs = _merge_signs(dim)
+    b_terms = [(kb, kb >> shift, scale * cb) for kb, cb in b_num.items()]
+    for ka, ca in a_num.items():
+        ma = ka >> shift
+        high = ma << dim
+        for kb, mb, cb in b_terms:
+            if ma & mb:
+                continue
+            key = ka + kb
+            if key & guard:
+                raise OverflowError(_OVERFLOW)
+            value = ca * cb if signs[high | mb] > 0 else -ca * cb
+            held = out.get(key)
+            if held is not None:
+                value += held
+                if not value:
+                    del out[key]
+                    continue
+            out[key] = value
 
 
 def differential(a: Form) -> Form:
     """Graded Leibniz extension of d(t_i) = dt_i, d(dt_i) = 0."""
-    out: dict[Monomial, int] = {}
-    for (exps, dts), coeff in a.num.items():
-        for pos, e in enumerate(exps):
-            if e == 0:
+    dim = a.dim
+    shift = FIELD * dim
+    out: dict[int, int] = {}
+    for key, coeff in a.num.items():
+        mask = key >> shift
+        for j in range(dim):  # the field and mask bit of t_{j+1}
+            e = (key >> (FIELD * j)) & _LOW
+            if not e or mask >> j & 1:
                 continue
-            j = pos + 1
-            if j in dts:
-                continue
-            # dt_j moves into ascending position past the smaller indices
-            below = sum(1 for s in dts if s < j)
-            sign = -1 if below % 2 else 1
-            new_exps = exps[:pos] + (e - 1,) + exps[pos + 1 :]
-            new_dts = tuple(sorted(dts + (j,)))
-            key = (new_exps, new_dts)
-            new = out.get(key, 0) + sign * e * coeff
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return Form._reduced(a.dim, out, a.den)
+            # dt_{j+1} moves into ascending position past the smaller indices
+            value = e * coeff
+            if (mask & ((1 << j) - 1)).bit_count() % 2:
+                value = -value
+            new = key - (1 << (FIELD * j)) + (1 << (shift + j))
+            held = out.get(new)
+            if held is not None:
+                value += held
+                if not value:
+                    del out[new]
+                    continue
+            out[new] = value
+    return Form._reduced(dim, out, a.den)
 
 
 def vertex_evaluate(a: Form, index: int) -> Fraction:
     """Evaluate at vertex e_index: t_index -> 1, other t -> 0, dt -> 0."""
     if not 0 <= index <= a.dim:
         raise ValueError(f"vertex index {index} out of range for dimension {a.dim}")
+    # a surviving key has no dt bit and no exponent but t_index's
+    others = ~(_LOW << (FIELD * (index - 1))) if index else -1
     total = 0
-    for (exps, dts), coeff in a.num.items():
-        if dts:
-            continue
-        if all(e == 0 for pos, e in enumerate(exps) if pos + 1 != index):
+    for key, coeff in a.num.items():
+        if not key & others:
             total += coeff
     return Fraction(total, a.den)
 
@@ -207,15 +285,18 @@ def integrate_top(a: Form) -> Fraction:
     0-simplex this is evaluation of the constant.
     """
     n = a.dim
-    full = tuple(range(1, n + 1))
+    full = (1 << n) - 1
     total = Fraction(0)
-    for (exps, dts), coeff in a.num.items():
-        if dts != full:
+    for key, coeff in a.num.items():
+        if key >> (FIELD * n) != full:
             continue
         numer = 1
-        for e in exps:
+        degree = n
+        for j in range(n):
+            e = (key >> (FIELD * j)) & _LOW
             numer *= factorial(e)
-        total += Fraction(coeff * numer, factorial(sum(exps) + n))
+            degree += e
+        total += Fraction(coeff * numer, factorial(degree))
     return total / a.den
 
 

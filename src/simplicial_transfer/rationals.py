@@ -87,6 +87,17 @@ def _accumulate(out: dict, terms, scale: int) -> None:
         out[key] = value
 
 
+def _linear(parts) -> tuple[dict, int]:
+    """(sum of p * v) as numerators over the least common multiple of the
+    denominators of the vectors v, for a list of pairs (p, v) of an int p
+    and a vector v; not reduced."""
+    common = lcm(*[v.den for _, v in parts])
+    out: dict = {}
+    for p, v in parts:
+        _accumulate(out, v.num.items(), p * (common // v.den))
+    return out, common
+
+
 _set = object.__setattr__
 
 
@@ -164,10 +175,7 @@ class SparseVector:
         """(sum of p * v) / den over the pairs (p, v) of a nonzero int p and
         a vector v, a list: each v is brought to the least common multiple
         of their denominators, and the result is reduced once."""
-        common = lcm(*[v.den for _, v in parts])
-        out: dict = {}
-        for p, v in parts:
-            _accumulate(out, v.num.items(), p * (common // v.den))
+        out, common = _linear(parts)
         return cls._reduced(space, out, den * common)
 
     @staticmethod

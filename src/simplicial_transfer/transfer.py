@@ -34,11 +34,12 @@ the top-face coefficient of m_k on the standard simplex of dimension dim U
 at the positions of the F_j in U.  The right side of that count is 2 plus
 the sum of the letters' shifted degrees, which the bundle has interned, so
 a word whose count is no dimension of the complex is zero before any face
-or union is built; U is formed only for the others.  ``ComplexContraction``,
-the bundle of a complex, reads m_k this way from one standard-simplex
-engine per dimension, built once per process.  The standard n-simplex is a
-complex too, and ``SimplexContraction`` is its complex bundle plus the form
-side: it runs f(cut products) only on words that span its own top simplex.
+or union is built, and the memo of m_k stores nothing for it; U is formed
+only for the others.  ``ComplexContraction``, the bundle of a complex,
+reads m_k this way from one standard-simplex engine per dimension, built
+once per process.  The standard n-simplex is a complex too, and
+``SimplexContraction`` is its complex bundle plus the form side: it runs
+f(cut products) only on words that span its own top simplex.
 
 Both m_n and G_n are multilinear, so they are fixed by their values on words
 of basis cochains.  A bundle interns each basis face as a small int, whose
@@ -63,6 +64,7 @@ from itertools import product
 from math import lcm
 
 from .cochains import (
+    _ZERO_COMPONENTS,
     Cochain,
     OrderedComplex,
     coboundary,
@@ -148,6 +150,11 @@ class Contraction:
     def unit_B(self):
         return self.f(self.one_A())
 
+    def zero_by_count(self, ids: tuple[int, ...]) -> bool:
+        """Whether m_k is zero on a basis word by degrees alone; the form
+        route counts nothing."""
+        return False
+
     def m_word(self, ids: tuple[int, ...]):
         """m_n on a basis word of n >= 2 ids: f of the cut products."""
         return self.f(_cut_products(self, ids))
@@ -206,6 +213,12 @@ class ComplexContraction(Contraction):
 
     def m_word(self, ids: tuple[int, ...]) -> Cochain:
         return _join_rule(self, ids)
+
+    def zero_by_count(self, ids: tuple[int, ...]) -> bool:
+        """Whether the count zeroes m_k, k >= 2, on a basis word: the
+        dimension its union must have, 2 plus the sum of the interned
+        shifted degrees, lies outside 0..(top dimension of the complex)."""
+        return not 0 <= sum(map(self._degrees.__getitem__, ids)) + 2 <= self._zero.dim
 
     def d_B(self, c: Cochain) -> Cochain:
         return coboundary(c)
@@ -302,14 +315,17 @@ def _G(bundle, ids: tuple[int, ...]):
 
 def _m(bundle, ids: tuple[int, ...]):
     """m_1 = the coboundary and m_n = ``bundle.m_word``, memoised per basis
-    word."""
+    word; a word that the bundle's count zeroes is answered with zero and
+    stored nowhere."""
     value = bundle._memo_m.get(ids)
     if value is None:
-        value = bundle._memo_m[ids] = (
-            bundle.m_word(ids)
-            if len(ids) > 1
-            else bundle.d_B(bundle.basis_element(bundle._faces[ids[0]]))
-        )
+        if len(ids) == 1:
+            value = bundle.d_B(bundle.basis_element(bundle._faces[ids[0]]))
+        elif bundle.zero_by_count(ids):
+            return bundle.zero_B()
+        else:
+            value = bundle.m_word(ids)
+        bundle._memo_m[ids] = value
     return value
 
 
@@ -331,15 +347,13 @@ def _join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
     simplex; otherwise mu * e_U with mu read from the engine of dimension
     dim U.
 
-    The count comes first.  The dimension U must have, sum_j dim F_j + 2 - k,
-    is 2 plus the sum of the interned shifted degrees dim F_j - 1, so a word
-    whose count lies outside 0..(top dimension of the complex) is zero
-    before any face or union is built.  Otherwise U is formed and rejected
+    The dimension U must have, sum_j dim F_j + 2 - k, is 2 plus the sum of
+    the interned shifted degrees dim F_j - 1.  ``_m`` asks the bundle's
+    ``zero_by_count`` first, so a word whose count lies outside 0..(top
+    dimension of the complex) never gets here.  U is formed and rejected
     unless it has count + 1 vertices: the same test as forming U first."""
     zero = bundle.zero_B()
     n = sum(map(bundle._degrees.__getitem__, ids)) + 2  # dim U
-    if not 0 <= n <= zero.dim:  # the top dimension of the complex
-        return zero
     faces = [bundle._faces[i] for i in ids]
     union = tuple(sorted(set().union(*faces)))
     if len(union) != n + 1 or union not in bundle.complex.cofaces():  # keyed by every simplex
@@ -674,11 +688,18 @@ def interval_product_table(max_arity: int) -> IntervalTable:
     table = IntervalTable(max_arity=max_arity)
     values: dict[tuple[int, ...], tuple[Fraction, Fraction, Fraction]] = {}
     labels: dict[tuple[int, ...], str] = {}
+    # a zero cochain has the one shared triple, rendered once
+    zero_string = _component_string(_ZERO_COMPONENTS)
     for n in range(2, max_arity + 1):
         for ids in product((t, dt), repeat=n):
             components = values[ids] = interval_basis_components(_m(bundle, ids))
             label = labels[ids] = ",".join([name[i] for i in ids])
-            table.entries.append({"word": label, "value": _component_string(components)})
+            value = (
+                zero_string
+                if components is _ZERO_COMPONENTS
+                else _component_string(components)
+            )
+            table.entries.append({"word": label, "value": value})
 
     def one_t(n, i):
         return (dt,) * i + (t,) + (dt,) * (n - i)
@@ -696,9 +717,9 @@ def interval_product_table(max_arity: int) -> IntervalTable:
         for ids, components in values.items():
             if ids != (t, t) and ids.count(t) != 1:
                 yield (
-                    f"m({labels[ids]}) = {_component_string(components)}"
-                    if any(components)
-                    else None
+                    None
+                    if components is _ZERO_COMPONENTS
+                    else f"m({labels[ids]}) = {_component_string(components)}"
                 )
 
     family = {n: values[one_t(n, 0)][2] for n in range(1, max_arity)}

@@ -1,11 +1,13 @@
 """The form kernels in Fraction arithmetic, as an oracle for the package's
 integer-numerator kernels.
 
-Each function takes and returns plain term dicts, keyed as the package keys
-them (a form by (exponent tuple, dt index tuple), a cochain by face), with
-nonzero Fraction values; a vector's ``terms`` view is such a dict.  The code
-is the package's Fraction code from before forms stored one denominator
-per vector; the tests require equal results term for term.
+Each function takes and returns plain term dicts, keyed as a vector's
+``terms`` view keys them (a form by (exponent tuple, dt index tuple), a
+cochain by face), with nonzero Fraction values; ``terms`` is such a dict.
+The code is the package's Fraction code from before forms stored one
+denominator per vector, on tuple keys (``_merge_dts`` included), from before
+monomials were packed into ints; the tests require equal results term for
+term.
 """
 
 from __future__ import annotations
@@ -13,8 +15,34 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from simplicial_transfer.forms import _merge_dts, generator
+from simplicial_transfer.forms import generator
 from simplicial_transfer.rationals import binomial, factorial
+
+
+def _merge_dts(s: tuple[int, ...], t: tuple[int, ...]):
+    """Merge two ascending dt index tuples; returns (sign, merged) or None
+    when an index repeats (the product is zero)."""
+    if not s:
+        return 1, t
+    if not t:
+        return 1, s
+    inversions = 0
+    merged = []
+    i = j = 0
+    while i < len(s) and j < len(t):
+        if s[i] == t[j]:
+            return None
+        if s[i] < t[j]:
+            merged.append(s[i])
+            i += 1
+        else:
+            # t[j] moves past the remaining factors of s
+            inversions += len(s) - i
+            merged.append(t[j])
+            j += 1
+    merged.extend(s[i:])
+    merged.extend(t[j:])
+    return (-1 if inversions % 2 else 1), tuple(merged)
 
 
 def _add(out: dict, key, value) -> None:

@@ -44,7 +44,7 @@ def face_restrict(a: Form, face) -> Form:
     t_img, dt_img = _restriction_images(a.dim, face)
     in_face = set(face)
     out = Form.zero(k)
-    for (exps, dts), coeff in a.num.items():
+    for (exps, dts), coeff in a.terms.items():
         if any(exps[j - 1] > 0 and j not in in_face for j in range(1, a.dim + 1)):
             continue
         if any(s not in in_face for s in dts):
@@ -64,7 +64,7 @@ def face_restrict(a: Form, face) -> Form:
                 break
             acc = wedge(acc, dt_img[s])
         out = out + acc
-    return Fraction(1, a.den) * out
+    return out
 
 
 def integrate_face(a: Form, face) -> Fraction:

@@ -43,6 +43,16 @@ def test_contraction_rejects_bad_dimension(capsys):
     assert exc.value.code == 2
 
 
+def test_exponent_overflow_exits_2_with_one_line(capsys):
+    # t1^40000 does not fit a packed monomial, whose exponents stop at
+    # 2^15 - 1: the run stops while the monomial basis is built, before any
+    # battery, instead of wrapping or printing a traceback
+    code, out, err = run(capsys, "contraction", "--dim", "1", "--max-poly-degree", "40000")
+    assert code == 2 and not out
+    assert err.startswith("simplicial-transfer: error: ")
+    assert err.count("\n") == 1, err
+
+
 def test_trees_command(capsys):
     code, out, _ = run(capsys, "trees", "--leaves", "4", "--count-only")
     assert code == 0
@@ -102,6 +112,7 @@ _PINNED = {
     "verify-break-signs": ("verify", "--dim", "2", "--max-arity", "3", "--break-signs"),
     "verify": ("verify", "--dim", "2", "--max-arity", "3"),
     "contraction": ("contraction", "--dim", "3", "--max-poly-degree", "2"),
+    "contraction-4": ("contraction", "--dim", "4", "--max-poly-degree", "2"),
     "interval": ("interval", "--max-arity", "6"),
     "interval-deep": ("interval", "--max-arity", "12"),
     "verify-tetra": ("verify", "--dim", "3", "--max-arity", "3"),
@@ -147,6 +158,9 @@ _DIGESTS = {
         "a15c0ed995339abd95aa1b76902f97a33e838d0690fd93aefbbcbceb693778ee",
     ("verify-tetra", "json"):
         "c26a2ee65d93575f0f4ae9163251caf8b2b6c66504473e69581e755139844d72",
+    # recorded before form monomials were packed into one int each
+    ("contraction-4", "text"):
+        "40583f49e7ab1da68b41637cd2527d6892935ed40aba2df446559205c2bccaea",
 }
 
 

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simplicial_transfer.contraction import h_operator
 from simplicial_transfer.forms import (
     Form,
     differential,
@@ -47,6 +48,38 @@ def test_wedge_basics():
     assert wedge(generator(2, "dt", 2), generator(2, "dt", 1)) == F2("-1 dt1 dt2")
     with pytest.raises(ValueError):
         wedge(t1, generator(2, "t", 1))
+
+
+def test_exponents_overflow_instead_of_wrapping():
+    top = 2**15 - 1  # the largest exponent a packed monomial holds
+    assert dict(Form.monomial(2, (top, 0), ()).terms) == {((top, 0), ()): 1}
+    with pytest.raises(OverflowError):
+        Form.monomial(2, (0, top + 1), ())
+    with pytest.raises(OverflowError):
+        parse_form(f"t1^{top} t1", 1)
+    half = Form.monomial(2, (2**14, 0), (2,))
+    assert wedge(half, Form.monomial(2, (2**14 - 1, 1), ())) == Form.monomial(2, (top, 1), (2,))
+    # a carry out of the t1 field would read as t2: it raises instead
+    with pytest.raises(OverflowError):
+        wedge(half, Form.monomial(2, (2**14, 0), (1,)))
+    with pytest.raises(OverflowError):
+        wedge(Form.monomial(1, (top,), ()), generator(1, "t", 1))
+    # h^0 raises the exponent of t1 by one
+    with pytest.raises(OverflowError):
+        h_operator(Form.monomial(1, (top,), (1,)), 0)
+
+
+def test_malformed_monomial_keys_are_rejected():
+    for exps, dts in (
+        ((1,), ()),  # two exponents on the 2-simplex
+        ((-1, 0), ()),
+        ((0, 0), (2, 1)),  # dt indices must ascend
+        ((0, 0), (1, 1)),
+        ((0, 0), (0,)),
+        ((0, 0), (3,)),
+    ):
+        with pytest.raises(ValueError):
+            Form.monomial(2, exps, dts)
 
 
 def test_differential_examples():

@@ -1,7 +1,8 @@
 """The form kernels on integer numerators against their Fraction versions
 (tests/fraction_oracle.py): on random forms and cochains on the simplices of
-dimension 0 to 3, with coefficients over non-unit denominators, every
-kernel's Fraction view equals the oracle's result term for term."""
+dimension 0 to 4, with coefficients over non-unit denominators, every
+kernel's Fraction view equals the oracle's result term for term.  The
+packed monomial keys round-trip through the public (exponents, dts) view."""
 
 from fractions import Fraction
 from math import gcd
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import fraction_oracle as oracle
 from simplicial_transfer.cochains import Cochain, include_g, project_f, standard_simplex
 from simplicial_transfer.contraction import h_operator, s_operator
-from simplicial_transfer.forms import Form, differential, wedge
+from simplicial_transfer.forms import Form, _pack, _unpack, differential, wedge
 
 COEFFS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 36))
 
@@ -30,19 +31,42 @@ def _forms(dim, max_size=5):
 
 @st.composite
 def form_pairs(draw):
-    dim = draw(st.integers(0, 3))
+    dim = draw(st.integers(0, 4))
     return draw(_forms(dim)), draw(_forms(dim))
 
 
 @st.composite
 def cochains(draw):
-    dim = draw(st.integers(0, 3))
+    dim = draw(st.integers(0, 4))
     terms = draw(st.dictionaries(st.sampled_from(standard_simplex(dim).simplices), COEFFS, max_size=6))
     return Cochain(standard_simplex(dim), terms)
 
 
 def _canonical(vec):
     return vec.den > 0 and 0 not in vec.num.values() and gcd(vec.den, *vec.num.values()) == 1
+
+
+@st.composite
+def packed_monomials(draw):
+    dim = draw(st.integers(0, 4))
+    exps = draw(st.tuples(*([st.integers(0, 2**15 - 1)] * dim)))
+    dts = tuple(sorted(draw(st.sets(st.integers(1, dim))))) if dim else ()
+    return dim, exps, dts
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_monomials(), COEFFS.filter(bool))
+def test_packed_keys_round_trip(monomial, coeff):
+    dim, exps, dts = monomial
+    key = _pack(dim, exps, dts)
+    assert _unpack(dim, key) == (exps, dts)
+    # a_j in the 16-bit field j - 1, dt_s at mask bit s - 1 above the fields
+    fields = sum(e << (16 * j) for j, e in enumerate(exps))
+    assert key == fields + sum(1 << (16 * dim + s - 1) for s in dts)
+    form = Form.monomial(dim, exps, dts, coeff)
+    assert list(form.num) == [key]
+    assert dict(form.terms) == {(exps, dts): coeff}
+    assert form.homogeneous_degree() == len(dts)
 
 
 @settings(max_examples=100, deadline=None)
@@ -62,7 +86,7 @@ def test_form_kernels_equal_the_fraction_oracle(pair):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 3).flatmap(lambda dim: _forms(dim, max_size=3)))
+@given(st.integers(0, 4).flatmap(lambda dim: _forms(dim, max_size=3)))
 def test_s_equals_the_fraction_oracle(a):
     result = s_operator(a)
     assert dict(result.terms) == oracle.s_operator(a.terms, a.dim)

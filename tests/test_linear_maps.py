@@ -169,7 +169,8 @@ def test_closed_form_h_matches_the_pullback():
         for m in monomial_basis(dim, max_degree):
             ((exps, dts),) = m.terms
             for i in range(dim + 1):
-                assert _h_monomial(dim, i, exps, dts) == _pullback_h(dim, i, exps, dts), (m, i)
+                (key,) = m.num
+                assert _h_monomial(dim, i, key) == _pullback_h(dim, i, exps, dts), (m, i)
                 cases += 1
     assert cases == 2521
 

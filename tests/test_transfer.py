@@ -330,6 +330,20 @@ def test_memoization_is_shared_within_a_bundle():
     assert len(bundle._memo_G) == mid
 
 
+def test_a_word_zeroed_by_the_count_is_not_memoised():
+    # on the interval m_3(dt, dt, dt) would be a 2-cochain and m_3(t, t, t) a
+    # (-1)-cochain: the degree count zeroes both before the memo of m is read,
+    # and nothing is stored for them
+    bundle = SimplexContraction(1)
+    t, dt = interval_letters()
+    assert transferred_m(bundle, (t, dt, dt))
+    before = dict(bundle._memo_m)
+    assert before
+    for word in ((dt, dt, dt), (t, t, t)):
+        assert not transferred_m(bundle, word)
+        assert bundle._memo_m == before
+
+
 def test_memo_holds_only_basis_words():
     # the batteries put no one-off letter into the memos: every key is a
     # word of basis ids, one-letter words included, so each memo holds at
