@@ -7,15 +7,13 @@ reports render to JSON (rationals as strings) and to aligned text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class CheckRecord:
-    name: str
-    basis_size: int
-    passed: bool
-    counterexample: str | None = None
+    def __init__(self, name: str, basis_size: int, passed: bool, counterexample: str | None = None):
+        self.name = name
+        self.basis_size = basis_size
+        self.passed = passed
+        self.counterexample = counterexample
 
     def to_json_dict(self) -> dict:
         out = {
@@ -39,11 +37,11 @@ def _render_checks(checks) -> str:
     return "\n".join(rec.to_text() for rec in checks)
 
 
-@dataclass
 class Report:
     """The check records of one battery, added one identity at a time."""
 
-    checks: list[CheckRecord] = field(default_factory=list, kw_only=True)
+    def __init__(self):
+        self.checks: list[CheckRecord] = []
 
     @property
     def all_passed(self) -> bool:
@@ -65,10 +63,11 @@ class Report:
         )
 
 
-@dataclass
 class ContractionReport(Report):
-    dimension: int
-    poly_degree_bound: int
+    def __init__(self, dimension: int, poly_degree_bound: int):
+        super().__init__()
+        self.dimension = dimension
+        self.poly_degree_bound = poly_degree_bound
 
     def to_json_dict(self) -> dict:
         return {
@@ -86,11 +85,12 @@ class ContractionReport(Report):
         return "\n".join([header, _render_checks(self.checks)])
 
 
-@dataclass
 class VerificationReport(Report):
-    family: str
-    arity_range: tuple[int, int]
-    basis: str
+    def __init__(self, family: str, arity_range: tuple[int, int], basis: str):
+        super().__init__()
+        self.family = family
+        self.arity_range = arity_range
+        self.basis = basis
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,7 +12,6 @@ maps are built on words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Callable, Sequence
 
@@ -28,12 +27,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Homog:
     """A homogeneous letter: a carrier plus the degree that drives signs."""
 
-    carrier: Any
-    degree: int
+    __slots__ = ("carrier", "degree")
+
+    def __init__(self, carrier: Any, degree: int):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "degree", degree)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is Homog and (
+            (self.carrier, self.degree) == (other.carrier, other.degree)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.carrier, self.degree))
 
     def __repr__(self) -> str:
         return f"{self.carrier}:{self.degree}"

@@ -57,7 +57,6 @@ shuffles, and unitality are checked exactly on complete word bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -622,14 +621,15 @@ def check_unital(bundle, max_arity: int) -> VerificationReport:
 # -- the interval product table ------------------------------------------
 
 
-@dataclass
 class IntervalTable(Report):
     """Products of the interval cochains t and dt, reported in the basis
     {1, t, dt}, together with the derived Bernoulli comparisons."""
 
-    max_arity: int
-    entries: list[dict] = field(default_factory=list)
-    findings: list[str] = field(default_factory=list)
+    def __init__(self, max_arity: int):
+        super().__init__()
+        self.max_arity = max_arity
+        self.entries: list[dict] = []
+        self.findings: list[str] = []
 
     def to_json_dict(self) -> dict:
         return {
@@ -776,14 +776,14 @@ def interval_product_table(max_arity: int) -> IntervalTable:
 # -- the polynomial recursion behind the table ----------------------------
 
 
-@dataclass
 class PPolynomials:
     """The polynomials p_n produced by the homotopy recursion on the
     interval, with their closed forms and integrals."""
 
-    polys: list[UniPoly]
-    closed_forms: list[UniPoly]
-    integrals: list[Fraction]  # b_n = (-1)^{n-1} integral of p_n
+    def __init__(self, polys: list[UniPoly], closed_forms: list[UniPoly], integrals: list[Fraction]):
+        self.polys = polys
+        self.closed_forms = closed_forms
+        self.integrals = integrals  # b_n = (-1)^{n-1} integral of p_n
 
     def matches_closed_form(self) -> bool:
         return self.polys == self.closed_forms

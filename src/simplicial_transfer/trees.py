@@ -14,11 +14,10 @@ canonical encoding, unique per planar isomorphism class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-from .tensorwords import Homog, compositions, koszul_sign, split_word
+from .tensorwords import Homog, _immutable, compositions, koszul_sign, split_word
 
 __all__ = [
     "PlanarTree",
@@ -33,13 +32,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class PlanarTree:
-    children: tuple["PlanarTree", ...] = ()
+    __slots__ = ("children",)
 
-    def __post_init__(self):
-        if len(self.children) == 1:
+    def __init__(self, children: tuple[PlanarTree, ...] = ()):
+        if len(children) == 1:
             raise ValueError("internal vertices need arity >= 2")
+        object.__setattr__(self, "children", children)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is PlanarTree and self.children == other.children
+
+    def __hash__(self) -> int:
+        return hash(self.children)
 
     @property
     def is_leaf(self) -> bool:

@@ -46,11 +46,19 @@ def test_contraction_rejects_bad_dimension(capsys):
 def test_exponent_overflow_exits_2_with_one_line(capsys):
     # t1^40000 does not fit a packed monomial, whose exponents stop at
     # 2^15 - 1: the run stops while the monomial basis is built, before any
-    # battery, instead of wrapping or printing a traceback
-    code, out, err = run(capsys, "contraction", "--dim", "1", "--max-poly-degree", "40000")
-    assert code == 2 and not out
-    assert err.startswith("simplicial-transfer: error: ")
-    assert err.count("\n") == 1, err
+    # battery, instead of wrapping or printing a traceback.  At dim >= 2 the
+    # bound is refused before any exponent tuple is built: the basis would
+    # hold ~bound^dim of them
+    for dim, bound in (("1", "40000"), ("3", "32768")):
+        code, out, err = run(capsys, "contraction", "--dim", dim, "--max-poly-degree", bound)
+        assert code == 2 and not out
+        assert err == (
+            "simplicial-transfer: error: exponent 32768 exceeds 32767, "
+            "the largest a monomial holds\n"
+        ), err
+    # the 0-simplex has no exponents, so any bound fits
+    code, out, _ = run(capsys, "contraction", "--dim", "0", "--max-poly-degree", "40000")
+    assert code == 0 and "[FAIL]" not in out
 
 
 def test_trees_command(capsys):

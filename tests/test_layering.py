@@ -3,6 +3,9 @@ fixed order of layers, so that, for one, the cochain layer never reaches
 up into the transfer engine or the complex drivers."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,20 @@ def test_the_parser_finds_the_imports():
     # so that the layer test above cannot pass by finding nothing
     assert "forms" in _package_imports("cochains")
     assert {"transfer", "cochains"} <= _package_imports("complexes")
+
+
+def test_the_import_loads_no_introspection_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which no command
+    # runs, and the package import is most of a cold CLI run's setup
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import simplicial_transfer.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    added = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "simplicial_transfer.cli" in added
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added)

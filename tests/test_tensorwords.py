@@ -36,6 +36,15 @@ def test_koszul_apply_examples():
     assert out == TensorSum({(Homog("Ha", 0), b): Fraction(1)})
     with pytest.raises(ValueError):
         koszul_apply([(ident, 0)], (a, b))
+    # letters are immutable values that key dicts: equal letters hash equal
+    assert Homog("Hb", -1) == Homog("Hb", -1)
+    assert hash(Homog("Hb", -1)) == hash(Homog("Hb", -1))
+    assert a != Homog("a", 0) and a != ("a", 1)
+    with pytest.raises(AttributeError):
+        a.degree = 0
+    with pytest.raises(AttributeError):
+        del a.carrier
+    assert a == Homog("a", 1)
 
 
 def test_koszul_apply_composes():

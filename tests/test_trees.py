@@ -50,6 +50,12 @@ def test_text_round_trip():
     text = tree_to_text(nested)
     assert text == "(* (* * * *) *)"
     assert tree_from_text(text) == nested
+    # trees are immutable values: equal trees hash equal
+    assert hash(tree_from_text(text)) == hash(nested)
+    assert nested != LEAF and LEAF != ()
+    with pytest.raises(AttributeError):
+        nested.children = (LEAF, LEAF)
+    assert tree_to_text(nested) == text
     assert tree_from_text("( ( * * * * ) * * )") == PlanarTree(
         (PlanarTree((LEAF,) * 4), LEAF, LEAF)
     )
