@@ -11,7 +11,6 @@ rational as a string.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -24,6 +23,7 @@ from .complexes import (
     load_global_cochain,
 )
 from .contraction import check_contraction
+from .reporting import dumps
 from .transfer import (
     SimplexContraction,
     check_a_infinity,
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(report, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+        print(dumps(report.to_json_dict(), sort_keys=True))
     else:
         print(report.to_text())
 
@@ -117,7 +117,7 @@ def cmd_trees(args, parser) -> int:
         return PASS
     encodings = [tree_to_text(t) for t in trees]
     if args.format == "json":
-        print(json.dumps({"leaves": args.leaves, "count": len(trees), "trees": encodings}, indent=2))
+        print(dumps({"leaves": args.leaves, "count": len(trees), "trees": encodings}))
     else:
         for line in encodings:
             print(line)
@@ -129,21 +129,18 @@ def cmd_interval(args, parser) -> int:
         parser.error("need --max-arity >= 2")
     table = interval_product_table(args.max_arity)
     polys = p_polynomial_sequence(max(2, args.max_arity - 1))
-    ok = (
-        table.all_passed
-        and polys.matches_closed_form()
-        and polys.integral_identities()
-    )
+    closed_form = polys.matches_closed_form()
+    ok = table.all_passed and closed_form and polys.integral_identities()
     if args.format == "json":
         payload = table.to_json_dict()
         payload["recursion_polynomials"] = [repr(p) for p in polys.polys]
-        payload["recursion_matches_closed_form"] = polys.matches_closed_form()
+        payload["recursion_matches_closed_form"] = closed_form
         payload["signed_integrals"] = [rational_str(b) for b in polys.integrals]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(dumps(payload, sort_keys=True))
     else:
         print(table.to_text())
         print()
-        print("recursion polynomials match the Bernoulli closed form:", polys.matches_closed_form())
+        print("recursion polynomials match the Bernoulli closed form:", closed_form)
         print("signed integrals:", ", ".join(rational_str(b) for b in polys.integrals))
     return PASS if ok else FAIL
 
@@ -160,13 +157,8 @@ def cmd_verify(args, parser) -> int:
     ]
     ok = all(r.all_passed for r in reports)
     if args.format == "json":
-        print(
-            json.dumps(
-                {"all_passed": ok, "reports": [r.to_json_dict() for r in reports]},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        payload = {"all_passed": ok, "reports": [r.to_json_dict() for r in reports]}
+        print(dumps(payload, sort_keys=True))
     else:
         for r in reports:
             print(r.to_text())
@@ -197,7 +189,7 @@ def cmd_complex(args, parser) -> int:
             return USAGE
         result = cup(a, b)
         if args.format == "json":
-            print(json.dumps(global_cochain_records(result), indent=2))
+            print(dumps(global_cochain_records(result)))
         else:
             for entry in global_cochain_records(result)["entries"]:
                 print(f"simplex={entry['simplex']} coeff={entry['coeff']}")

@@ -2,10 +2,37 @@
 
 Every battery evaluates a named identity over a complete enumerated basis
 and records pass/fail with the first counterexample through ``Report.check``;
-reports render to JSON (rationals as strings) and to aligned text.
+reports render to JSON (rationals as strings) and to aligned text.  Every
+JSON report is written by ``dumps``.
 """
 
 from __future__ import annotations
+
+from json import dumps as _scalar
+from json.encoder import encode_basestring_ascii as _string
+
+
+def dumps(obj, sort_keys: bool = False, _indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=sort_keys)`` byte for byte.
+    With an indent set, ``json.dumps`` runs its pure-Python encoder, one
+    generator step per token; this walk encodes each string in C instead.
+    Dict keys must be ``str``: the C string encoder raises ``TypeError`` on
+    any other."""
+    if isinstance(obj, str):
+        return _string(obj)
+    inner = _indent + "  "
+    if isinstance(obj, dict):
+        items = sorted(obj.items()) if sort_keys else obj.items()
+        parts = [f"{_string(key)}: {dumps(value, sort_keys, inner)}" for key, value in items]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        parts = [dumps(value, sort_keys, inner) for value in obj]
+        brackets = "[]"
+    else:
+        return _scalar(obj)
+    if not parts:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(parts) + _indent + brackets[1]
 
 
 class CheckRecord:

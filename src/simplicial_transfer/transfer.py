@@ -688,17 +688,22 @@ def interval_product_table(max_arity: int) -> IntervalTable:
     table = IntervalTable(max_arity=max_arity)
     values: dict[tuple[int, ...], tuple[Fraction, Fraction, Fraction]] = {}
     labels: dict[tuple[int, ...], str] = {}
-    # a zero cochain has the one shared triple, rendered once
+    # a zero cochain has the one shared triple, rendered once; the words of
+    # arity n extend those of arity n - 1 by t, then dt, in the order of
+    # product((t, dt), repeat=n), and only a word the count leaves nonzero
+    # (one or two t's) reaches the engine
     zero_string = _component_string(_ZERO_COMPONENTS)
+    words = {(t,): "t", (dt,): "dt"}
     for n in range(2, max_arity + 1):
-        for ids in product((t, dt), repeat=n):
-            components = values[ids] = interval_basis_components(_m(bundle, ids))
-            label = labels[ids] = ",".join([name[i] for i in ids])
-            value = (
-                zero_string
-                if components is _ZERO_COMPONENTS
-                else _component_string(components)
+        words = {w + (i,): label + "," + name[i] for w, label in words.items() for i in (t, dt)}
+        labels.update(words)
+        for ids, label in words.items():
+            components = values[ids] = (
+                _ZERO_COMPONENTS
+                if bundle.zero_by_count(ids)
+                else interval_basis_components(_m(bundle, ids))
             )
+            value = zero_string if components is _ZERO_COMPONENTS else _component_string(components)
             table.entries.append({"word": label, "value": value})
 
     def one_t(n, i):

@@ -127,6 +127,15 @@ _PINNED = {
     "whitney-octahedron": _OCTAHEDRON,
     "whitney-torus": _TORUS,
     "whitney-discrete": {"vertices": [0, 1, 2], "simplices": [[0], [1], [2]]},
+    "trees-4": ("trees", "--leaves", "4"),
+    # a complex case with cochain files a and b runs cup, any other whitney-check
+    "cup-triangle": {
+        "complex": {"vertices": [0, 1, 2], "simplices": [[0, 1, 2]]},
+        "a": {"entries": [{"simplex": [0], "coeff": "1"}, {"simplex": [1], "coeff": "2"}]},
+        "b": {
+            "entries": [{"simplex": [0, 1], "coeff": "1"}, {"simplex": [1, 2], "coeff": "-1/2"}]
+        },
+    },
 }
 
 
@@ -169,6 +178,14 @@ _DIGESTS = {
     # recorded before form monomials were packed into one int each
     ("contraction-4", "text"):
         "40583f49e7ab1da68b41637cd2527d6892935ed40aba2df446559205c2bccaea",
+    # recorded before every JSON report went through reporting.dumps; the
+    # trees and cup reports keep their keys in insertion order
+    ("trees-4", "json"):
+        "2e6b19fdcdf572f3408be75ccb89508b11d76b1bd49583b7e68b785d64d1a706",
+    ("cup-triangle", "json"):
+        "5c3821c79cd0f629745d4106677ba8fb44c79990aac163429bdc6157f3e3eb8c",
+    ("interval-deep", "text"):
+        "5f5f11693e9995d3add779a68ce6e1f9709a77991b2866a45bd96f16bf9fbd8a",
 }
 
 
@@ -178,9 +195,16 @@ def test_report_is_unchanged(tmp_path, capsys, case, fmt):
     # expanding m_k in the cochain basis did not move a counterexample
     argv = _PINNED[case]
     if isinstance(argv, dict):
-        complex_file = tmp_path / "complex.json"
-        complex_file.write_text(json.dumps(argv))
-        argv = ("complex", "--file", str(complex_file), "--format", fmt, "whitney-check")
+        files = argv if "complex" in argv else {"complex": argv}
+        paths = {}
+        for name, data in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(data))
+        argv = ("complex", "--file", str(paths["complex"]), "--format", fmt)
+        if "a" in paths:
+            argv += ("cup", "--a", str(paths["a"]), "--b", str(paths["b"]))
+        else:
+            argv += ("whitney-check",)
     else:
         argv += ("--format", fmt)
     code, out, _ = run(capsys, *argv)

@@ -84,3 +84,17 @@ def test_the_import_loads_no_introspection_modules():
     ).stdout.split()
     assert "simplicial_transfer.cli" in added
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added)
+
+
+def test_the_cli_has_one_json_writer():
+    # every JSON report goes through reporting.dumps; a json.dumps call or
+    # a json import in the CLI would be a second writer
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert "json.dumps(" not in source
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "json" not in imported

@@ -308,6 +308,57 @@ def test_interval_table():
         interval_product_table(1)
 
 
+def test_interval_table_sends_only_the_counted_words_to_the_engine(monkeypatch):
+    # the table's own calls are the outermost ones; the join rule's calls on
+    # the standard-simplex engines nest inside them
+    m = transfer._m
+    top_level = []
+    depth = [0]
+
+    def traced(bundle, ids):
+        if not depth[0]:
+            top_level.append((bundle, ids))
+        depth[0] += 1
+        try:
+            return m(bundle, ids)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(transfer, "_m", traced)
+    table = interval_product_table(12)
+    (bundle,) = {id(b): b for b, _ in top_level}.values()
+    words = [ids for _, ids in top_level]
+    assert not any(bundle.zero_by_count(ids) for ids in words)
+    # one or two t's among n letters, n = 2..12
+    assert len(words) == len(set(words)) == 363
+    assert len(table.entries) == 8188
+    assert [rec.basis_size for rec in table.checks] == [1, 11, 8110, 10]
+    assert table.all_passed
+
+
+@pytest.mark.parametrize(
+    "max_arity, sizes", [(2, [1, 1, 1, 2]), (5, [1, 4, 45, 10]), (8, [1, 7, 472, 10])]
+)
+def test_interval_table_skip_agrees_with_the_full_route(max_arity, sizes):
+    # every word, the count-zeroed ones too, through _m as the table
+    # evaluated it before it asked the count
+    bundle = SimplexContraction(1)
+    t, dt = bundle.intern((1,)), bundle.intern((0, 1))
+    expected = [
+        {
+            "word": ",".join("t" if i == t else "dt" for i in ids),
+            "value": transfer._component_string(
+                interval_basis_components(transfer._m(bundle, ids))
+            ),
+        }
+        for n in range(2, max_arity + 1)
+        for ids in product((t, dt), repeat=n)
+    ]
+    table = interval_product_table(max_arity)
+    assert table.entries == expected
+    assert [rec.basis_size for rec in table.checks] == sizes
+
+
 def test_p_polynomials():
     seq = p_polynomial_sequence(8)
     assert seq.polys[0] == UniPoly((0, 1))
