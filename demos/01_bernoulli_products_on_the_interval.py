@@ -9,7 +9,6 @@ exactly and compares it with B_n/n!.
 
 from simplicial_transfer import (
     Cochain,
-    Homog,
     SimplexContraction,
     bernoulli_number,
     factorial,
@@ -22,8 +21,8 @@ from simplicial_transfer import (
 )
 
 bundle = SimplexContraction(1)
-t = Homog(Cochain.basis_element(standard_simplex(1), (1,)), -1)    # the cochain "t", shifted degree -1
-dt = Homog(Cochain.basis_element(standard_simplex(1), (0, 1)), 0)  # the cochain "dt", shifted degree 0
+t = Cochain.basis_element(standard_simplex(1), (1,))      # the cochain "t", shifted degree -1
+dt = Cochain.basis_element(standard_simplex(1), (0, 1))  # the cochain "dt", shifted degree 0
 
 print("The binary product is the classical one on the nose:")
 print("  m_2(t, t) =", interval_basis_components(transferred_m(bundle, (t, t))))

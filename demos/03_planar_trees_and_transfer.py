@@ -33,12 +33,15 @@ for tree in enumerate_trees(3):
 print()
 
 bundle = SimplexContraction(1)
-t = Homog(Cochain.basis_element(standard_simplex(1), (1,)), -1)
-dt = Homog(Cochain.basis_element(standard_simplex(1), (0, 1)), 0)
+t = Cochain.basis_element(standard_simplex(1), (1,))
+dt = Cochain.basis_element(standard_simplex(1), (0, 1))
+# tree evaluation reads each letter's degree for its signs: the basis
+# cochain of a face F is a letter of shifted degree dim F - 1
+letter = {t: Homog(t, -1), dt: Homog(dt, 0)}
 
 print("Sum over trees versus the root-grouped recursion, on every word of")
 print("interval basis cochains of length up to 4:")
-basis = bundle.b_basis()
+basis = [bundle.basis_element(face) for face in bundle.faces()]
 agree = all(
     transferred_m(bundle, word) == transferred_m_trees(bundle, word)
     for n in range(1, 5)
@@ -53,7 +56,8 @@ base = transferred_m(bundle, (t, dt, dt))
 for i in range(3):
     word = (dt,) * i + (t,) + (dt,) * (2 - i)
     trees = path_trees(3, i + 1)
-    contributions = [evaluate_tree_m(tree, word, bundle) for tree in trees]
+    letters = tuple(map(letter.get, word))
+    contributions = [evaluate_tree_m(tree, letters, bundle) for tree in trees]
     print(
         f"  t in slot {i + 1}: {len(trees)} path trees "
         f"{[tree_to_text(tr) for tr in trees]}, "

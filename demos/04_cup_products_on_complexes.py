@@ -10,12 +10,13 @@ coboundary.
 
 from simplicial_transfer import (
     Cochain,
+    ComplexContraction,
     OrderedComplex,
     check_whitney_conditions,
     coboundary,
     cup,
     load_complex,
-    transferred_global_m,
+    transferred_m,
 )
 
 triangle = OrderedComplex([0, 1, 2], [[0, 1, 2]])
@@ -47,10 +48,11 @@ print("The transferred ternary operation repairs the failure.  On basis")
 print("cochains it lives on the join of their supports, with its coefficient")
 print("read from the operation on a single simplex; it vanishes on the witness")
 print("itself, and its values with a coboundary inserted carry the associator:")
+bundle = ComplexContraction(triangle)
 dx0 = coboundary(x0)
-m3 = transferred_global_m([x0, x0, e01])
-m3_left = transferred_global_m([dx0, x0, e01])
-m3_middle = transferred_global_m([x0, dx0, e01])
+m3 = transferred_m(bundle, (x0, x0, e01))
+m3_left = transferred_m(bundle, (dx0, x0, e01))
+m3_middle = transferred_m(bundle, (x0, dx0, e01))
 print("  m_3(x0, x0, e01) =", m3)
 print("  m_3(dx0, x0, e01) =", m3_left)
 print("  m_3(x0, dx0, e01) =", m3_middle)
@@ -61,7 +63,7 @@ print(" ", check_whitney_conditions(triangle).checks[-1].to_text())
 print()
 
 print("The coboundary is the arity-one operation:")
-print("  m_1(x0) =", transferred_global_m([x0]))
+print("  m_1(x0) =", transferred_m(bundle, (x0,)))
 print("  delta(x0) =", coboundary(x0))
 print()
 

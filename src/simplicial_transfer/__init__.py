@@ -8,7 +8,6 @@ interval the higher products reproduce the Bernoulli numbers.
 """
 
 from .rationals import (
-    Rational,
     UniPoly,
     bernoulli_number,
     bernoulli_polynomial,
@@ -76,7 +75,6 @@ from .complexes import (
     global_cochain_records,
     load_complex,
     load_global_cochain,
-    transferred_global_m,
 )
 from .reporting import CheckRecord, ContractionReport, VerificationReport
 

@@ -143,8 +143,8 @@ def standard_simplex(n: int) -> OrderedComplex:
 
 
 class Cochain(SparseVector, space="complex", mismatch="complex mismatch"):
-    """Rational coefficients on the simplices of a complex; zeros never
-    stored."""
+    """Exact rational coefficients on the simplices of a complex; zeros
+    never stored."""
 
     __slots__ = ("complex",)
 

@@ -1,6 +1,6 @@
 """Finite ordered simplicial complexes as input: the JSON formats of a
-complex and of a cochain on it, the cup-like product, the transferred
-operations, and the classical product conditions.
+complex and of a cochain on it, the cup-like product, and the classical
+product conditions.
 
 Complexes and their cochains are those of ``cochains``.  Forms, g, f and
 Dupont's homotopy H are levelwise and natural for face inclusions (Dupont
@@ -8,8 +8,10 @@ Dupont's homotopy H are levelwise and natural for face inclusions (Dupont
 for k >= 2, m_k on basis cochains e_{F_1}, ..., e_{F_k} is mu * e_U on the
 union U of their supports, zero unless U is a simplex of the right
 dimension, with mu read from the standard simplex of dimension dim U (the
-join rule of ``transfer``).  Each complex gets one ``ComplexContraction``
-per process, which holds the memos of those reads.
+join rule of ``transfer``).  ``cup`` and the product conditions share one
+``ComplexContraction`` per complex and process, which holds the memos of
+those reads; the transferred operations on any word of cochains are
+``transfer.transferred_m`` on ``ComplexContraction(K)``.
 
 The product f(ga ^ gb) = (-1)^{deg a} m_2(a, b) is the arity-2 case, summed
 by bilinearity; on basis cochains it is the Whitney structure constant
@@ -40,14 +42,12 @@ from functools import lru_cache
 from .cochains import Cochain, ComplexFormatError, OrderedComplex, coboundary
 from .rationals import parse_rational, rational_str
 from .reporting import VerificationReport
-from .tensorwords import Homog
-from .transfer import ComplexContraction, _face_label, _m, _relation_value, transferred_m
+from .transfer import ComplexContraction, _face_label, _m, _relation_value
 
 __all__ = [
     "load_complex",
     "complex_from_data",
     "cup",
-    "transferred_global_m",
     "check_whitney_conditions",
     "global_cochain_records",
     "global_cochain_from_records",
@@ -115,27 +115,6 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
         for tau, y in b.num.items():
             parts.append((x * y, _m(bundle, (left, bundle.intern(tau)))))
     return Cochain._sum(a.complex, parts, a.den * b.den)
-
-
-def transferred_global_m(cochains) -> Cochain:
-    """The transferred operation on a word of homogeneous global cochains,
-    through the complex's bundle; a word holding a zero cochain gives zero,
-    by multilinearity."""
-    cochains = tuple(cochains)
-    if not cochains:
-        raise ValueError("empty word")
-    complex_ = cochains[0].complex
-    if any(c.complex != complex_ for c in cochains):
-        raise ValueError("complex mismatch")
-    if not all(cochains):
-        return Cochain(complex_)
-    word = []
-    for c in cochains:
-        degree = c.homogeneous_degree()
-        if degree is None:
-            raise ValueError("inputs must be homogeneous (or zero)")
-        word.append(Homog(c, degree - 1))
-    return transferred_m(_bundle(complex_), tuple(word))
 
 
 def check_whitney_conditions(complex_: OrderedComplex) -> VerificationReport:
@@ -230,8 +209,7 @@ def check_whitney_conditions(complex_: OrderedComplex) -> VerificationReport:
         failure = "no nonassociative triple found" if has_edge else None
     else:
         name += " (" + ", ".join(map(label, witness)) + ")"
-        word = tuple(Homog(x, x.homogeneous_degree() - 1) for x in witness)
-        residual = _relation_value(_bundle(complex_), word)
+        residual = _relation_value(_bundle(complex_), witness)
         failure = (
             f"structure relation fails on the witness {tuple(map(label, witness))}"
             if residual

@@ -24,7 +24,6 @@ from types import MappingProxyType
 import re
 
 __all__ = [
-    "Rational",
     "rational_str",
     "parse_rational",
     "exact",
@@ -35,8 +34,6 @@ __all__ = [
     "bernoulli_polynomial",
     "UniPoly",
 ]
-
-Rational = Fraction
 
 
 def rational_str(x: Fraction | int) -> str:

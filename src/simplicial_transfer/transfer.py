@@ -45,10 +45,12 @@ Both m_n and G_n are multilinear, so they are fixed by their values on words
 of basis cochains.  A bundle interns each basis face as a small int, whose
 letter has the face's degree, and memoises m_n and G_n per word of ids, so a
 memo key hashes in C and the memos hold basis words only.  Everything else
-is expanded in the basis: a letter handed to ``transferred_m`` or
-``morphism_G``, face by face with each face's own degree, and the inner m_k
-that the insertion sums of the batteries plug into an outer operation, which
-become sums of coefficient times the memoised value on a basis word.
+is expanded in the basis, face by face with each face's own degree: a
+cochain handed to ``transferred_m`` or ``morphism_G``, which may mix degrees
+and names none, the unit f(1) that the unit laws plug into a word, and the
+inner m_k that the insertion sums of the batteries plug into an outer
+operation.  Each becomes a sum of coefficient times the memoised value on a
+basis word.
 
 The identity batteries here are the arbiter for every sign convention in the
 package: associativity-up-to-homotopy, the morphism relations, vanishing on
@@ -110,7 +112,7 @@ class Contraction:
     on both sides offer the integer linear combination ``_sum`` of
     ``SparseVector``, and the cochain side is made of ``SparseVector``s of
     the bundle's ``space``, whose numerators the engine reads.  The
-    operations, the unit, the basis letters and their labels are shared.
+    operations, the unit and the basis letters are shared.
 
     The bundle interns each basis letter it meets, a face of the basis, as a
     small int; the letter's degree, which drives signs, is the face's
@@ -168,29 +170,17 @@ class Contraction:
             self._degrees.append(len(face) - 2)
         return letter_id
 
-    def coordinates(self, letter: Homog):
-        """A letter as pairs (numerator, basis letter id), over the
-        denominator of its carrier.  A carrier of another space than the
-        bundle's raises ``ValueError``."""
-        carrier = letter.carrier
-        space = carrier._space
+    def coordinates(self, c: Cochain):
+        """A cochain as pairs (numerator, basis letter id), over its
+        denominator.  A cochain of another space than the bundle's raises
+        ``ValueError``."""
+        space = c._space
         if space is not self.space and space != self.space:
-            raise ValueError(carrier._mismatch)
-        return [(n, self.intern(face)) for face, n in carrier.num.items()]
+            raise ValueError(c._mismatch)
+        return [(n, self.intern(face)) for face, n in c.num.items()]
 
     def basis_ids(self) -> list[int]:
         return [self.intern(face) for face in self.faces()]
-
-    def b_basis(self) -> list[Homog]:
-        return [Homog(self.basis_element(face), len(face) - 2) for face in self.faces()]
-
-    def letter_label(self, letter: Homog) -> str:
-        carrier = letter.carrier
-        if len(carrier.num) == 1 and carrier.den == 1:
-            (face, n), = carrier.num.items()
-            if n == 1:
-                return _face_label(face)
-        return repr(carrier)
 
 
 def _face_label(face) -> str:
@@ -408,9 +398,9 @@ def _relation(bundle, ids: tuple[int, ...]):
     return _insertions(bundle, ids, _m, bundle.zero_B())
 
 
-def _multilinear(bundle, word: tuple[Homog, ...], op, zero):
+def _multilinear(bundle, word: tuple[Cochain, ...], op, zero):
     """op, given on words of basis ids, extended multilinearly to a word of
-    letters."""
+    cochains."""
     if not word:
         raise ValueError("empty word")
     parts = []
@@ -422,28 +412,28 @@ def _multilinear(bundle, word: tuple[Homog, ...], op, zero):
             ids.append(letter_id)
         parts.append((coeff, op(bundle, tuple(ids))))
     den = 1
-    for letter in word:
-        den *= letter.carrier.den
+    for c in word:
+        den *= c.den
     return _sum(zero(), parts, den)
 
 
-# -- the operations on words of letters -------------------------------------
+# -- the operations on words of cochains ------------------------------------
 
 
-def morphism_G(bundle, word: tuple[Homog, ...]) -> "Form":
-    """The morphism component on a word of cochain letters; G_1 = g and
-    G_n = H(cut products)."""
+def morphism_G(bundle, word: tuple[Cochain, ...]) -> "Form":
+    """The morphism component on a word of cochains; G_1 = g and G_n =
+    H(cut products)."""
     return _multilinear(bundle, word, _G, bundle.zero_A)
 
 
-def transferred_m(bundle, word: tuple[Homog, ...]):
-    """The transferred n-ary operation on a word of cochain letters; arity 1
-    is the cochain differential and m_n = f(cut products) above, which the
+def transferred_m(bundle, word: tuple[Cochain, ...]):
+    """The transferred n-ary operation on a word of cochains; arity 1 is
+    the cochain differential and m_n = f(cut products) above, which the
     simplex and complex bundles read by the join rule."""
     return _multilinear(bundle, word, _m, bundle.zero_B)
 
 
-def transferred_m_trees(bundle, word: tuple[Homog, ...]):
+def transferred_m_trees(bundle, word: tuple[Cochain, ...]):
     """The same operation as a direct sum over planar trees, expanded in the
     basis like ``transferred_m``, so each face carries its own degree."""
     return _multilinear(bundle, word, _m_trees, bundle.zero_B)
@@ -463,13 +453,9 @@ def _m_trees(bundle, ids: tuple[int, ...]):
     return total
 
 
-def _relation_value(bundle, word) -> "Cochain":
+def _relation_value(bundle, word: tuple[Cochain, ...]) -> Cochain:
     """Left side of the structure relation at the word's arity."""
     return _multilinear(bundle, word, _relation, bundle.zero_B)
-
-
-def _letters_label(bundle, letters) -> str:
-    return "(" + ", ".join(map(bundle.letter_label, letters)) + ")"
 
 
 def _word_label(bundle, ids) -> str:
@@ -560,33 +546,41 @@ def check_c_infinity(bundle, max_arity: int) -> VerificationReport:
 
 
 def check_unital(bundle, max_arity: int) -> VerificationReport:
-    """Unit laws for the transferred structure, with unit f(1)."""
-    basis = bundle.b_basis()
+    """Unit laws for the transferred structure, with unit e = f(1).  e
+    enters a word through its coordinates, so each unit word is a sum of
+    coefficient times the value on a basis word."""
+    basis = bundle.basis_ids()
     e = bundle.unit_B()
-    e_letter = Homog(e, -1)
+    unit = bundle.coordinates(e)
+    e_label = _face_label(*e.num) if e.den == 1 and list(e.num.values()) == [1] else repr(e)
     report = _letter_report("unitality", 1, max_arity, basis)
 
+    def on_unit(op, zero, head=(), tail=()):
+        return _sum(zero, [(n, op(bundle, head + (u,) + tail)) for n, u in unit], e.den)
+
     def binary_cases():
+        zero = bundle.zero_B()
         for b in basis:
-            left = transferred_m(bundle, (e_letter, b))
-            sign = 1 if (b.degree + 1) % 2 == 0 else -1
-            right = transferred_m(bundle, (b, e_letter))
-            right = right if sign == 1 else sign * right
-            yield None if left == b.carrier and right == b.carrier else (
-                f"letter {bundle.letter_label(b)}: e*b={bundle.render_B(left)}, "
+            face = bundle._faces[b]
+            left = on_unit(_m, zero, tail=(b,))
+            right = on_unit(_m, zero, head=(b,))
+            right = right if bundle._degrees[b] % 2 else -right
+            cochain = bundle.basis_element(face)
+            yield None if left == cochain and right == cochain else (
+                f"letter {_face_label(face)}: e*b={bundle.render_B(left)}, "
                 f"signed b*e={bundle.render_B(right)}"
             )
 
-    def on_unit_cases(outer, render, n):
+    def on_unit_cases(op, zero, render, n):
         for slot in range(n):
             for rest in product(basis, repeat=n - 1):
-                word = rest[:slot] + (e_letter,) + rest[slot:]
-                value = outer(bundle, word)
-                yield (
-                    f"word={_letters_label(bundle, word)} gives {render(value)}"
-                    if value
-                    else None
-                )
+                value = on_unit(op, zero, rest[:slot], rest[slot:])
+                if value:
+                    labels = [_face_label(bundle._faces[i]) for i in rest]
+                    labels.insert(slot, e_label)
+                    yield f"word=({', '.join(labels)}) gives {render(value)}"
+                else:
+                    yield None
 
     report.check(
         "unit is the sum of vertex indicators",
@@ -594,26 +588,26 @@ def check_unital(bundle, max_arity: int) -> VerificationReport:
     )
     report.check(
         "unit is closed",
-        ["differential of the unit is nonzero" if transferred_m(bundle, (e_letter,)) else None],
+        ["differential of the unit is nonzero" if on_unit(_m, bundle.zero_B()) else None],
     )
     report.check("binary unit laws", binary_cases(), len(basis))
     for n in range(3, max_arity + 1):
         report.check(
             f"operations of arity {n} vanish on the unit",
-            on_unit_cases(transferred_m, bundle.render_B, n),
+            on_unit_cases(_m, bundle.zero_B(), bundle.render_B, n),
         )
     report.check(
         "morphism sends unit to 1",
         [
             None
-            if morphism_G(bundle, (e_letter,)) == bundle.one_A()
+            if on_unit(_G, bundle.zero_A()) == bundle.one_A()
             else "g does not send the unit to 1"
         ],
     )
     for n in range(2, max_arity + 1):
         report.check(
             f"morphism components of arity {n} vanish on the unit",
-            on_unit_cases(morphism_G, bundle.render_A, n),
+            on_unit_cases(_G, bundle.zero_A(), bundle.render_A, n),
         )
     return report
 

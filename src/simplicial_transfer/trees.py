@@ -195,7 +195,8 @@ def evaluate_tree_m(tree: PlanarTree, word: tuple[Homog, ...], bundle):
     """The operation of a tree with f at the root, on a word of homogeneous
     cochain letters; returns a cochain.  Each leaf's sign degree is its
     letter's, so a letter mixing degrees must be split into its homogeneous
-    parts first (``transfer.transferred_m_trees`` expands in the basis)."""
+    parts first.  ``transfer.transferred_m_trees`` takes plain cochains and
+    does that: each basis face becomes a letter of its own degree."""
     _check_inputs(tree, word)
     _, _, value = _eval_vertex(tree, word, bundle)
     return bundle.f(value)

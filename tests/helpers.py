@@ -1,6 +1,7 @@
 """Helpers that only the tests use: face restriction and integration of
 forms, cochain restriction, the interval basis and the record format of
-single-simplex cochains, formal words and their deconcatenations, the
+single-simplex cochains, the basis cochains of a bundle and their graded
+letters for tree evaluation, formal words and their deconcatenations, the
 generating-function oracle for the interval recursion, and the join rule
 in its union-first order.  They go through the package's public
 constructors, apart from the join rule, which reads the engine it checks."""
@@ -107,6 +108,18 @@ def formal_word(names: str | Sequence[str], degrees: Sequence[int]) -> tuple:
     if len(names) != len(degrees):
         raise ValueError("one degree per letter")
     return tuple(Homog(n, d) for n, d in zip(names, degrees))
+
+
+def basis_cochains(bundle) -> list[Cochain]:
+    """The basis cochains of a bundle, in the order of its faces."""
+    return [bundle.basis_element(face) for face in bundle.faces()]
+
+
+def tree_letters(word) -> tuple[Homog, ...]:
+    """A word of homogeneous cochains as the graded letters that tree
+    evaluation reads, each of shifted degree dim - 1; on a basis cochain
+    that is len(face) - 2."""
+    return tuple(Homog(c, c.homogeneous_degree() - 1) for c in word)
 
 
 def deconcatenations(word: tuple, k: int) -> TensorSum:

@@ -20,7 +20,7 @@ from simplicial_transfer.rationals import (
     bernoulli_polynomial,
     factorial,
 )
-from simplicial_transfer.tensorwords import Homog, TensorSum, shuffle
+from simplicial_transfer.tensorwords import TensorSum, shuffle
 from simplicial_transfer.transfer import (
     SimplexContraction,
     check_a_infinity,
@@ -34,7 +34,7 @@ from simplicial_transfer.transfer import (
 )
 from simplicial_transfer.trees import tree_count
 
-from helpers import deconcatenations, exp_series_ratio, formal_word
+from helpers import basis_cochains, deconcatenations, exp_series_ratio, formal_word
 from span_oracle import shuffle_span_membership
 
 
@@ -56,8 +56,8 @@ def triangle_bundle():
 
 def interval_letters():
     return (
-        Homog(Cochain.basis_element(standard_simplex(1), (1,)), -1),
-        Homog(Cochain.basis_element(standard_simplex(1), (0, 1)), 0),
+        Cochain.basis_element(standard_simplex(1), (1,)),
+        Cochain.basis_element(standard_simplex(1), (0, 1)),
     )
 
 
@@ -90,7 +90,7 @@ def test_criterion_02_dupont_closed_form():
 def test_criterion_03_tree_combinatorics(interval_bundle):
     counts_ok = [tree_count(n) for n in range(1, 7)] == [1, 1, 3, 11, 45, 197]
     agree_ok = True
-    basis = interval_bundle.b_basis()
+    basis = basis_cochains(interval_bundle)
     for n in range(1, 6):
         for word in product(basis, repeat=n):
             if transferred_m(interval_bundle, word) != transferred_m_trees(

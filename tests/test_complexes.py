@@ -23,11 +23,9 @@ from simplicial_transfer.complexes import (
     global_cochain_records,
     load_complex,
     load_global_cochain,
-    transferred_global_m,
 )
 from simplicial_transfer.forms import parse_form, wedge
 from simplicial_transfer.rationals import factorial
-from simplicial_transfer.tensorwords import Homog
 from simplicial_transfer.transfer import (
     ComplexContraction,
     Contraction,
@@ -191,43 +189,67 @@ def test_nonassociativity_witness_present():
 
 
 def test_transferred_global_operations():
-    # arity one is the global coboundary
+    # arity one is the global coboundary, also on a letter of mixed degrees
+    bundle = ComplexContraction(BOUNDARY2)
     x0 = chi(BOUNDARY2, 0)
-    assert transferred_global_m([x0]) == coboundary(x0)
-    with pytest.raises(ValueError):
-        transferred_global_m([])
+    assert transferred_m(bundle, (x0,)) == coboundary(x0)
+    with pytest.raises(ValueError, match="empty word"):
+        transferred_m(bundle, ())
     mixed = chi(BOUNDARY2, 0) + chi(BOUNDARY2, 0, 1)
-    with pytest.raises(ValueError):
-        transferred_global_m([mixed])
+    assert transferred_m(bundle, (mixed,)) == coboundary(mixed)
+
+
+@pytest.mark.parametrize(
+    "complex_, edge", [(BOUNDARY2, (0, 1)), (OCTAHEDRON, (0, 2))], ids=["boundary2", "octahedron"]
+)
+def test_a_mixed_letter_on_a_complex_is_the_sum_of_its_parts(complex_, edge):
+    # every face of x(v) + x(v,w) carries its own degree, on the join rule
+    # and on the global-form oracle alike
+    bundle = ComplexContraction(complex_)
+    oracle = GlobalFormContraction(complex_)
+    v, w = edge
+    parts = (chi(complex_, v), chi(complex_, v, w))
+    mixed = parts[0] + parts[1]
+    e = chi(complex_, v, w)
+    values = []
+    for head, tail in [((), ()), ((), (e,)), ((chi(complex_, w),), (e,)), ((e,), (e, e))]:
+        value = transferred_m(bundle, head + (mixed,) + tail)
+        left, right = (transferred_m(bundle, head + (part,) + tail) for part in parts)
+        assert value == left + right, (head, tail)
+        assert value == transferred_m(oracle, head + (mixed,) + tail), (head, tail)
+        values.append(value)
+    assert all(values[:3])
 
 
 def test_a_zero_letter_gives_zero():
+    bundle = ComplexContraction(BOUNDARY2)
     x0, zero = chi(BOUNDARY2, 0), Cochain(BOUNDARY2)
-    for word in ([zero], [x0, zero], [zero, x0, chi(BOUNDARY2, 0, 1)]):
-        assert transferred_global_m(word) == zero
+    for word in ((zero,), (x0, zero), (zero, x0, chi(BOUNDARY2, 0, 1))):
+        assert transferred_m(bundle, word) == zero
 
 
 def test_letters_on_different_complexes_are_rejected():
     # the two complexes share their vertices, so restricting alone would
     # accept the foreign letter
+    bundle = ComplexContraction(DELTA2)
     for word in (
-        [chi(DELTA2, 0), chi(BOUNDARY2, 0)],
-        [chi(DELTA2, 0), chi(DELTA2, 0, 1), chi(BOUNDARY2, 0, 1)],
+        (chi(DELTA2, 0), chi(BOUNDARY2, 0)),
+        (chi(DELTA2, 0), chi(DELTA2, 0, 1), chi(BOUNDARY2, 0, 1)),
     ):
         with pytest.raises(ValueError, match="complex mismatch"):
-            transferred_global_m(word)
+            transferred_m(bundle, word)
 
 
 def test_a_letter_of_another_complex_is_rejected_by_the_bundle():
     # x(0) of the boundary names a simplex of the solid triangle too
     bundle = ComplexContraction(DELTA2)
-    foreign = Homog(chi(BOUNDARY2, 0), -1)
-    for word in [(foreign,), (Homog(chi(DELTA2, 0), -1), foreign)]:
+    foreign = chi(BOUNDARY2, 0)
+    for word in [(foreign,), (chi(DELTA2, 0), foreign)]:
         with pytest.raises(ValueError, match="complex mismatch"):
             transferred_m(bundle, word)
     # an equal complex built apart is the same space
     twin = OrderedComplex([0, 1, 2], [[0, 1, 2]])
-    assert transferred_m(bundle, (Homog(chi(twin, 0), -1),)) == coboundary(chi(DELTA2, 0))
+    assert transferred_m(bundle, (chi(twin, 0),)) == coboundary(chi(DELTA2, 0))
 
 
 def test_global_m2_restricts_to_the_local_product():
@@ -235,12 +257,10 @@ def test_global_m2_restricts_to_the_local_product():
     # simplex agrees with the single-simplex operation
     bundle = GlobalFormContraction(DELTA2)
     local = SimplexContraction(2)
-    for a in bundle.b_basis():
-        for b in bundle.b_basis():
+    for a in _basis(DELTA2):
+        for b in _basis(DELTA2):
             global_value = transferred_m(bundle, (a, b))
-            local_word = tuple(
-                Homog(restrict(h.carrier, (0, 1, 2)), h.degree) for h in (a, b)
-            )
+            local_word = tuple(restrict(c, (0, 1, 2)) for c in (a, b))
             local_value = transferred_m(local, local_word)
             assert restrict(global_value, (0, 1, 2)) == local_value
 
@@ -270,7 +290,7 @@ def test_global_batteries_on_the_triangle():
 
 def test_global_tree_sum_agrees_with_recursion_on_the_boundary():
     bundle = GlobalFormContraction(BOUNDARY2)
-    for word in product(bundle.b_basis(), repeat=3):
+    for word in product(_basis(BOUNDARY2), repeat=3):
         assert transferred_m(bundle, word) == transferred_m_trees(bundle, word)
 
 
@@ -390,9 +410,7 @@ def test_structure_constants_vanish_off_joins():
             for tau in simplex.simplices:
                 if len(sigma) + len(tau) - 2 != n:
                     continue
-                value = transferred_m(
-                    bundle, (_letter(simplex, *sigma), _letter(simplex, *tau))
-                )
+                value = transferred_m(bundle, (chi(simplex, *sigma), chi(simplex, *tau)))
                 assert value.support() <= {top}, (n, sigma, tau)
                 shared = set(sigma) & set(tau)
                 expected = 0
@@ -441,44 +459,35 @@ def test_whitney_conditions_on_the_torus():
 
 
 def _assert_bundle_matches_the_oracle(complex_, words):
+    bundle = ComplexContraction(complex_)
     oracle = GlobalFormContraction(complex_)
     for word in words:
-        cochains = [letter.carrier for letter in word]
-        assert transferred_global_m(cochains) == transferred_m(oracle, word), word
-        residual = _relation_value(ComplexContraction(complex_), word)
-        assert residual == _relation_value(oracle, word), word
+        assert transferred_m(bundle, word) == transferred_m(oracle, word), word
+        assert _relation_value(bundle, word) == _relation_value(oracle, word), word
 
 
 @pytest.mark.parametrize("complex_", [DELTA2, BOUNDARY2], ids=["delta2", "boundary2"])
 def test_levelwise_matches_the_oracle_to_arity_3(complex_):
-    basis = GlobalFormContraction(complex_).b_basis()
+    basis = _basis(complex_)
     words = [w for n in (1, 2, 3) for w in product(basis, repeat=n)]
     _assert_bundle_matches_the_oracle(complex_, words)
 
 
 def test_levelwise_matches_the_oracle_on_the_octahedron():
-    basis = GlobalFormContraction(OCTAHEDRON).b_basis()
+    basis = _basis(OCTAHEDRON)
     _assert_bundle_matches_the_oracle(OCTAHEDRON, product(basis, repeat=2))
 
 
 def test_levelwise_matches_the_oracle_around_the_torus_witness():
     # every arity-3 word in a vertex, an edge and a triangle around the
     # whitney-check witness (x(0), x(0), x(0,1))
-    letters = [
-        Homog(chi(TORUS, *s), len(s) - 2) for s in ((0,), (1,), (0, 1), (0, 1, 3))
-    ]
+    letters = [chi(TORUS, *s) for s in ((0,), (1,), (0, 1), (0, 1, 3))]
     x0, _, x01, _ = letters
-    assert cup(cup(x0.carrier, x0.carrier), x01.carrier) != cup(
-        x0.carrier, cup(x0.carrier, x01.carrier)
-    )
+    assert cup(cup(x0, x0), x01) != cup(x0, cup(x0, x01))
     _assert_bundle_matches_the_oracle(TORUS, product(letters, repeat=3))
 
 
 # -- the join rule against the single-simplex engine ------------------------
-
-
-def _letter(complex_, *simplex):
-    return Homog(chi(complex_, *simplex), len(simplex) - 2)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from simplicial_transfer.complexes import OrderedComplex
 from simplicial_transfer.forms import parse_form
 from simplicial_transfer.rationals import UniPoly, bernoulli_number, factorial
 from simplicial_transfer import transfer
-from simplicial_transfer.tensorwords import Homog, TensorSum, shuffle
+from simplicial_transfer.tensorwords import TensorSum, shuffle
 from simplicial_transfer.transfer import (
     SimplexContraction,
     _G,
@@ -36,12 +36,12 @@ from simplicial_transfer.trees import (
 )
 
 from global_oracle import GlobalFormContraction
-from span_oracle import word_degree
+from helpers import basis_cochains, tree_letters
 
 
 def interval_letters():
-    t = Homog(Cochain.basis_element(standard_simplex(1), (1,)), -1)
-    dt = Homog(Cochain.basis_element(standard_simplex(1), (0, 1)), 0)
+    t = Cochain.basis_element(standard_simplex(1), (1,))
+    dt = Cochain.basis_element(standard_simplex(1), (0, 1))
     return t, dt
 
 
@@ -53,14 +53,14 @@ def dt_coefficient(cochain):
 
 def test_arity_one_is_the_coboundary():
     bundle = SimplexContraction(1)
-    x0 = Homog(Cochain.basis_element(standard_simplex(1), (0,)), -1)
+    x0 = Cochain.basis_element(standard_simplex(1), (0,))
     assert transferred_m(bundle, (x0,)) == -1 * Cochain.basis_element(standard_simplex(1), (0, 1))
 
 
 def test_a_letter_of_another_dimension_is_rejected():
     bundle = SimplexContraction(2)
-    x0 = Homog(Cochain.basis_element(standard_simplex(1), (0,)), -1)
-    for word in [(x0,), (Homog(Cochain.basis_element(standard_simplex(2), (0,)), -1), x0)]:
+    x0 = Cochain.basis_element(standard_simplex(1), (0,))
+    for word in [(x0,), (Cochain.basis_element(standard_simplex(2), (0,)), x0)]:
         for op in (transferred_m, morphism_G, _relation_value):
             with pytest.raises(ValueError, match="complex mismatch"):
                 op(bundle, word)
@@ -70,16 +70,16 @@ def test_a_letter_of_another_dimension_is_rejected():
     "op", [transferred_m, morphism_G, transferred_m_trees], ids=["m", "G", "trees"]
 )
 def test_a_mixed_letter_is_the_sum_of_its_homogeneous_parts(op):
-    # an operation is linear in each letter: every face of a mixed carrier
-    # carries its own degree, whatever degree the letter names
+    # an operation is linear in each letter: every face of a mixed cochain
+    # carries its own degree
     simplex = standard_simplex(2)
 
     def x(*face):
         return Cochain.basis_element(simplex, face)
 
-    mixed = Homog(x(0) + x(0, 1), -1)
-    parts = (Homog(x(0), -1), Homog(x(0, 1), 0))
-    for head, tail in [((), (Homog(x(1, 2), 0),)), ((Homog(x(2), -1),), (Homog(x(1, 2), 0),))]:
+    mixed = x(0) + x(0, 1)
+    parts = (x(0), x(0, 1))
+    for head, tail in [((), (x(1, 2),)), ((x(2),), (x(1, 2),))]:
         left, right = (op(SimplexContraction(2), head + (part,) + tail) for part in parts)
         assert op(SimplexContraction(2), head + (mixed,) + tail) == left + right, (head, tail)
 
@@ -110,7 +110,7 @@ def test_morphism_components():
 
 def test_tree_sum_agrees_with_recursion():
     bundle = SimplexContraction(1)
-    basis = bundle.b_basis()
+    basis = basis_cochains(bundle)
     for n in range(1, 5):
         for word in product(basis, repeat=n):
             assert transferred_m(bundle, word) == transferred_m_trees(bundle, word)
@@ -118,7 +118,7 @@ def test_tree_sum_agrees_with_recursion():
 
 def test_tree_sum_agrees_with_recursion_on_the_triangle():
     bundle = SimplexContraction(2)
-    basis = bundle.b_basis()
+    basis = basis_cochains(bundle)
     for n in range(1, 4):
         for word in product(basis, repeat=n):
             assert transferred_m(bundle, word) == transferred_m_trees(bundle, word)
@@ -127,12 +127,13 @@ def test_tree_sum_agrees_with_recursion_on_the_triangle():
 @pytest.mark.parametrize("dim, max_arity", [(1, 4), (2, 3)])
 def test_morphism_components_equal_the_H_rooted_tree_sum(dim, max_arity):
     bundle = SimplexContraction(dim)
-    basis = bundle.b_basis()
+    basis = basis_cochains(bundle)
     for n in range(2, max_arity + 1):
         for word in product(basis, repeat=n):
+            letters = tree_letters(word)
             total = bundle.zero_A()
             for tree in enumerate_trees(n):
-                total = total + evaluate_tree_G(tree, word, bundle)
+                total = total + evaluate_tree_G(tree, letters, bundle)
             assert morphism_G(bundle, word) == total
 
 
@@ -140,13 +141,13 @@ def test_single_vertex_tree_matches_morphism_component():
     bundle = SimplexContraction(1)
     (two_leaf,) = enumerate_trees(2)
     t, dt = interval_letters()
-    assert not evaluate_tree_G(two_leaf, (t, t), bundle)
-    assert evaluate_tree_G(two_leaf, (t, dt), bundle) == parse_form(
+    assert not evaluate_tree_G(two_leaf, tree_letters((t, t)), bundle)
+    assert evaluate_tree_G(two_leaf, tree_letters((t, dt)), bundle) == parse_form(
         "1/2 t1 + -1/2 t1^2", 1
     )
-    for a in bundle.b_basis():
-        for b in bundle.b_basis():
-            assert evaluate_tree_G(two_leaf, (a, b), bundle) == morphism_G(
+    for a in basis_cochains(bundle):
+        for b in basis_cochains(bundle):
+            assert evaluate_tree_G(two_leaf, tree_letters((a, b)), bundle) == morphism_G(
                 bundle, (a, b)
             )
 
@@ -163,7 +164,7 @@ def test_path_trees_carry_the_product():
             expected_sign = -1 if i % 2 else 1
             total = bundle.zero_B()
             for tree in path_trees(n + 1, i + 1):
-                contribution = evaluate_tree_m(tree, word, bundle)
+                contribution = evaluate_tree_m(tree, tree_letters(word), bundle)
                 assert contribution == expected_sign * base
                 total = total + contribution
             assert total == transferred_m(bundle, word)
@@ -217,6 +218,34 @@ def test_wrong_unit_fails_the_unit_record(make_bundle):
     assert record.counterexample.startswith("f(1) = ")
 
 
+def _unit_failures(unit: str, letters: int):
+    return [
+        ("unit is the sum of vertex indicators", 1, f"f(1) = {unit}"),
+        (
+            "binary unit laws",
+            letters,
+            "letter x(0): e*b=face=[0] coeff=2, signed b*e=face=[0] coeff=2",
+        ),
+        ("morphism sends unit to 1", 1, "g does not send the unit to 1"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "dim, expected",
+    [
+        (0, _unit_failures("face=[0] coeff=2", 1)),
+        (1, _unit_failures("face=[0] coeff=2; face=[1] coeff=2", 3)),
+        (2, _unit_failures("face=[0] coeff=2; face=[1] coeff=2; face=[2] coeff=2", 7)),
+    ],
+)
+def test_a_doubled_unit_fails_with_these_counterexamples(dim, expected):
+    # the unit enters every word linearly, so the arity >= 3 records still
+    # vanish on twice the unit; the f(1), binary and g(e) records do not
+    bundle = SimplexContraction(dim)
+    bundle.unit_B = lambda: 2 * bundle.expected_unit()
+    assert _failing(check_unital(bundle, 3)) == expected
+
+
 def test_broken_signs_fail_with_counterexample():
     report = check_a_infinity(SimplexContraction(1, koszul_signs=False), 2)
     assert not report.all_passed
@@ -258,20 +287,38 @@ def test_truncated_shuffle_fails_at_the_first_counterexample(monkeypatch):
     ]
 
 
+def _patch_m_off_by_the_first_letter(monkeypatch):
+    # summed over the vertices of the unit in the first slot, the extra
+    # letters add up to the unit
+    m = transfer._m
+
+    def off_by_the_first_letter(bundle, ids):
+        value = m(bundle, ids)
+        return value + bundle.basis_element(bundle._faces[ids[0]]) if len(ids) == 3 else value
+
+    monkeypatch.setattr(transfer, "_m", off_by_the_first_letter)
+
+
 def test_unit_word_counterexample_names_its_letters(monkeypatch):
-    m = transfer.transferred_m
-
-    def off_by_the_unit(bundle, word):
-        value = m(bundle, word)
-        return value + bundle.unit_B() if len(word) == 3 else value
-
-    monkeypatch.setattr(transfer, "transferred_m", off_by_the_unit)
+    _patch_m_off_by_the_first_letter(monkeypatch)
     unit = "face=[0] coeff=1; face=[1] coeff=1"
     assert _failing(check_unital(SimplexContraction(1), 3)) == [
         (
             "operations of arity 3 vanish on the unit",
             1,
             f"word=(Cochain(1, '{unit}'), x(0), x(0)) gives {unit}",
+        ),
+    ]
+
+
+def test_a_unit_that_is_one_basis_letter_is_named_by_it(monkeypatch):
+    # on the 0-simplex f(1) is x(0) itself
+    _patch_m_off_by_the_first_letter(monkeypatch)
+    assert _failing(check_unital(SimplexContraction(0), 3)) == [
+        (
+            "operations of arity 3 vanish on the unit",
+            1,
+            "word=(x(0), x(0), x(0)) gives face=[0] coeff=1",
         ),
     ]
 
@@ -415,28 +462,28 @@ def test_memo_holds_only_basis_words():
 
 def _trees_G(bundle, word):
     if len(word) == 1:
-        return bundle.g(word[0].carrier)
+        return bundle.g(word[0])
+    letters = tree_letters(word)
     total = bundle.zero_A()
     for tree in enumerate_trees(len(word)):
-        total = total + evaluate_tree_G(tree, word, bundle)
+        total = total + evaluate_tree_G(tree, letters, bundle)
     return total
 
 
 def _insertions_by_letters(bundle, word, outer, zero):
     """sum_{k,j} +- outer(b_1..b_j, m_k(b_{j+1}..b_{j+k}), ..., b_n) with
-    m_k(...) inserted as one letter; tree sums stand for m and G, so no
+    m_k(...) inserted as one cochain; tree sums stand for m and G, so no
     memo of the engine is read."""
     n = len(word)
+    degrees = [letter.degree for letter in tree_letters(word)]
     total = zero
     for k in range(1, n + 1):
         for j in range(0, n - k + 1):
-            inner_word = word[j : j + k]
-            inner = transferred_m_trees(bundle, inner_word)
+            inner = transferred_m_trees(bundle, word[j : j + k])
             if not inner:
                 continue
-            inner_letter = Homog(inner, word_degree(inner_word) + 1)
-            term = outer(bundle, word[:j] + (inner_letter,) + word[j + k :])
-            if bundle.koszul_signs and word_degree(word[:j]) % 2:
+            term = outer(bundle, word[:j] + (inner,) + word[j + k :])
+            if bundle.koszul_signs and sum(degrees[:j]) % 2:
                 term = -term
             total = total + term
     return total
@@ -447,7 +494,7 @@ def _insertions_by_letters(bundle, word, outer, zero):
 def test_insertions_match_the_sum_over_letters(dim, max_arity, koszul_signs):
     bundle = SimplexContraction(dim, koszul_signs=koszul_signs)
     oracle = SimplexContraction(dim, koszul_signs=koszul_signs)
-    letters = bundle.b_basis()
+    letters = basis_cochains(bundle)
     ids = bundle.basis_ids()
     for n in range(1, max_arity + 1):
         for picks in product(range(len(ids)), repeat=n):
