@@ -12,6 +12,7 @@ from simplicial_transfer import (
     SimplexContraction,
     bernoulli_number,
     factorial,
+    format_form,
     interval_basis_components,
     interval_product_table,
     p_polynomial_sequence,
@@ -52,8 +53,8 @@ print()
 
 print("Behind the scenes sits a polynomial recursion p_n = s(p_{n-1} dt):")
 seq = p_polynomial_sequence(6)
-for n, poly in enumerate(seq.polys, start=1):
-    print(f"  p_{n} = {poly}")
+for n, poly in enumerate(seq.polys, start=1):  # a 0-form in t = t1
+    print(f"  p_{n} = {format_form(poly)}")
 print("  closed form (B_n(t) - B_n)/n! matches:", seq.matches_closed_form())
 print()
 

@@ -7,15 +7,7 @@ defining identities of that structure on complete finite bases.  On the
 interval the higher products reproduce the Bernoulli numbers.
 """
 
-from .rationals import (
-    UniPoly,
-    bernoulli_number,
-    bernoulli_polynomial,
-    binomial,
-    factorial,
-    parse_rational,
-    rational_str,
-)
+from .rationals import bernoulli_number, binomial, factorial, parse_rational, rational_str
 from .forms import (
     Form,
     differential,
@@ -57,6 +49,7 @@ from .transfer import (
     IntervalTable,
     PPolynomials,
     SimplexContraction,
+    bernoulli_polynomial,
     check_a_infinity,
     check_c_infinity,
     check_morphism,

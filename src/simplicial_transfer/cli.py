@@ -124,6 +124,15 @@ def cmd_trees(args, parser) -> int:
     return PASS
 
 
+def _interval_poly_text(p) -> str:
+    # the sha256 pins of the interval JSON fix this text, old type name and all
+    terms = sorted((exps[0], c) for (exps, _), c in p.terms.items())
+    text = " + ".join(
+        rational_str(c) + ("" if k == 0 else "*t" if k == 1 else f"*t^{k}") for k, c in terms
+    )
+    return f"UniPoly({text})"
+
+
 def cmd_interval(args, parser) -> int:
     if args.max_arity < 2:
         parser.error("need --max-arity >= 2")
@@ -133,7 +142,7 @@ def cmd_interval(args, parser) -> int:
     ok = table.all_passed and closed_form and polys.integral_identities()
     if args.format == "json":
         payload = table.to_json_dict()
-        payload["recursion_polynomials"] = [repr(p) for p in polys.polys]
+        payload["recursion_polynomials"] = [_interval_poly_text(p) for p in polys.polys]
         payload["recursion_matches_closed_form"] = closed_form
         payload["signed_integrals"] = [rational_str(b) for b in polys.integrals]
         print(dumps(payload, sort_keys=True))

@@ -40,7 +40,7 @@ from itertools import combinations
 from types import MappingProxyType
 import re
 
-from .rationals import SparseVector, factorial, rational_str
+from .rationals import SparseVector, factorial, parse_rational, rational_str
 
 __all__ = [
     "Form",
@@ -350,7 +350,8 @@ def parse_form(text: str, dim: int) -> Form:
     """Parse the textual syntax produced by :func:`format_form`.
 
     dt factors may appear in any order (a sign is tracked); a repeated dt
-    index makes the term vanish.
+    index makes the term vanish.  A coefficient is read by
+    ``parse_rational``, so it is ``p/q`` or ``p``.
     """
     text = text.strip()
     if text in ("0", ""):
@@ -381,7 +382,7 @@ def parse_form(text: str, dim: int) -> Form:
                 continue
             if saw_coeff:
                 raise ValueError(f"unrecognized token {token!r}")
-            coeff = Fraction(token)
+            coeff = parse_rational(token)
             saw_coeff = True
         if len(set(dts)) != len(dts):
             continue

@@ -1,14 +1,15 @@
-"""Exact scalar arithmetic: rationals, sparse rational vectors, Bernoulli
-numbers and polynomials.
+"""Exact scalar arithmetic: rationals, sparse rational vectors and
+Bernoulli numbers.
 
 Scalars at the boundary (coefficients handed to a constructor, values
-read back for reports, Bernoulli numbers and the polynomials of the
-interval recursion) are ``fractions.Fraction``s or ints; a float is a
-``TypeError`` (see ``exact``).  Forms, cochains and tensor words are all
-finite sparse vectors over Q and share the linear structure of
-``SparseVector``, which stores integer numerators over one positive
-denominator in lowest terms, so the kernels on them run in int arithmetic
-and normalise each result by one gcd pass.  The Bernoulli convention
+read back for reports, Bernoulli numbers) are ``fractions.Fraction``s or
+ints; a float is a ``TypeError`` (see ``exact``).  Forms, cochains and
+tensor words are all finite sparse vectors over Q and share the linear
+structure of ``SparseVector``, which stores integer numerators over one
+positive denominator in lowest terms, so the kernels on them run in int
+arithmetic and normalise each result by one gcd pass.  The Bernoulli
+polynomials of the interval recursion are 0-forms on the 1-simplex, built
+in ``transfer``.  The Bernoulli convention
 throughout is B_n = B_n(0), so B_1 = -1/2; the higher interval products
 computed by the transfer engine are compared against B_n/n! under this
 convention.
@@ -31,8 +32,6 @@ __all__ = [
     "factorial",
     "binomial",
     "bernoulli_number",
-    "bernoulli_polynomial",
-    "UniPoly",
 ]
 
 
@@ -305,102 +304,3 @@ def bernoulli_number(n: int) -> Fraction:
     for k in range(n):
         acc += binomial(n + 1, k) * bernoulli_number(k)
     return -acc / (n + 1)
-
-
-class UniPoly:
-    """Dense univariate polynomial over the rationals.
-
-    Coefficients are indexed by power of the variable; trailing zeros are
-    trimmed so equality of polynomials is equality of coefficient tuples.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    @classmethod
-    def monomial(cls, power: int, coeff=1) -> "UniPoly":
-        return cls([0] * power + [coeff])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("UniPoly", self.coeffs))
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            if not self.coeffs or not other.coeffs:
-                return UniPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(out)
-        return UniPoly([c * Fraction(other) for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def integral_01(self) -> Fraction:
-        """Definite integral over the unit interval."""
-        return sum((c / (k + 1) for k, c in enumerate(self.coeffs)), Fraction(0))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "UniPoly(0)"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(rational_str(c))
-            elif k == 1:
-                parts.append(f"{rational_str(c)}*t")
-            else:
-                parts.append(f"{rational_str(c)}*t^{k}")
-        return "UniPoly(" + " + ".join(parts) + ")"
-
-
-def bernoulli_polynomial(n: int) -> UniPoly:
-    """B_n(t) = sum_k C(n, k) B_k t^{n-k}."""
-    if n < 0:
-        raise ValueError("bernoulli_polynomial requires n >= 0")
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] += binomial(n, k) * bernoulli_number(k)
-    return UniPoly(coeffs)

@@ -77,8 +77,7 @@ from .cochains import (
 )
 from .contraction import homotopy_H, s_operator
 from .forms import Form, differential, format_form, integrate_top, wedge
-from .rationals import UniPoly, bernoulli_number, bernoulli_polynomial, binomial
-from .rationals import factorial, rational_str
+from .rationals import bernoulli_number, binomial, factorial, rational_str
 from .reporting import Report, VerificationReport
 from .tensorwords import Homog, shuffle
 from .trees import enumerate_trees, evaluate_tree_m
@@ -98,6 +97,7 @@ __all__ = [
     "IntervalTable",
     "p_polynomial_sequence",
     "PPolynomials",
+    "bernoulli_polynomial",
 ]
 
 
@@ -777,9 +777,10 @@ def interval_product_table(max_arity: int) -> IntervalTable:
 
 class PPolynomials:
     """The polynomials p_n produced by the homotopy recursion on the
-    interval, with their closed forms and integrals."""
+    interval, with their closed forms (B_n(t) - B_n)/n! and their integrals;
+    each polynomial is a 0-form on the 1-simplex, in t = t_1."""
 
-    def __init__(self, polys: list[UniPoly], closed_forms: list[UniPoly], integrals: list[Fraction]):
+    def __init__(self, polys: list[Form], closed_forms: list[Form], integrals: list[Fraction]):
         self.polys = polys
         self.closed_forms = closed_forms
         self.integrals = integrals  # b_n = (-1)^{n-1} integral of p_n
@@ -794,18 +795,11 @@ class PPolynomials:
         )
 
 
-def _interval_poly_form(p: UniPoly) -> Form:
-    return Form(1, {((k,), ()): c for k, c in enumerate(p.coeffs)})
-
-
-def _form_to_unipoly(x: Form) -> UniPoly:
-    coeffs: dict[int, Fraction] = {}
-    for (exps, dts), coeff in x.terms.items():
-        if dts:
-            raise ValueError("not a polynomial 0-form")
-        coeffs[exps[0]] = coeff
-    size = max(coeffs, default=-1) + 1
-    return UniPoly([coeffs.get(k, Fraction(0)) for k in range(size)])
+def bernoulli_polynomial(n: int) -> Form:
+    """B_n(t) = sum_k C(n, k) B_k t^{n-k}, a 0-form on the 1-simplex."""
+    if n < 0:
+        raise ValueError("bernoulli_polynomial requires n >= 0")
+    return Form(1, {((n - k,), ()): binomial(n, k) * bernoulli_number(k) for k in range(n + 1)})
 
 
 def p_polynomial_sequence(n_max: int) -> PPolynomials:
@@ -814,16 +808,15 @@ def p_polynomial_sequence(n_max: int) -> PPolynomials:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     dt = Form.monomial(1, (0,), (1,))
-    polys: list[UniPoly] = [UniPoly((0, 1))]
+    polys = [Form.monomial(1, (1,), ())]
     while len(polys) < n_max:
-        current = _interval_poly_form(polys[-1])
-        polys.append(_form_to_unipoly(s_operator(wedge(current, dt))))
+        polys.append(s_operator(wedge(polys[-1], dt)))
     closed = [
-        Fraction(1, factorial(n)) * (bernoulli_polynomial(n) - UniPoly((bernoulli_number(n),)))
+        Fraction(1, factorial(n)) * (bernoulli_polynomial(n) - bernoulli_number(n) * Form.one(1))
         for n in range(1, n_max + 1)
     ]
     integrals = []
     for n, p in enumerate(polys, start=1):
-        raw = integrate_top(wedge(_interval_poly_form(p), dt))
+        raw = integrate_top(wedge(p, dt))
         integrals.append(raw if n % 2 == 1 else -raw)
     return PPolynomials(polys=polys, closed_forms=closed, integrals=integrals)

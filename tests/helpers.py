@@ -2,9 +2,10 @@
 forms, cochain restriction, the interval basis and the record format of
 single-simplex cochains, the basis cochains of a bundle and their graded
 letters for tree evaluation, formal words and their deconcatenations, the
-generating-function oracle for the interval recursion, and the join rule
-in its union-first order.  They go through the package's public
-constructors, apart from the join rule, which reads the engine it checks."""
+polynomials of the interval as 0-forms and the generating-function oracle
+for the interval recursion on them, and the join rule in its union-first
+order.  They go through the package's public constructors, apart from the
+join rule, which reads the engine it checks."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Sequence
 
 from simplicial_transfer.cochains import Cochain, standard_simplex
 from simplicial_transfer.forms import Form, _check_face, generator, integrate_top, wedge
-from simplicial_transfer.rationals import UniPoly, exact, factorial, parse_rational, rational_str
+from simplicial_transfer.rationals import exact, factorial, parse_rational, rational_str
 from simplicial_transfer.tensorwords import Homog, TensorSum, compositions, split_word
 from simplicial_transfer.transfer import _cut_products, _engine, _m, _positions
 
@@ -130,23 +131,28 @@ def deconcatenations(word: tuple, k: int) -> TensorSum:
     return TensorSum({split_word(word, comp): 1 for comp in compositions(n, k)})
 
 
-def exp_series_ratio(max_order: int) -> list[UniPoly]:
+def poly(*coeffs) -> Form:
+    """The 0-form sum_k coeffs[k] t^k on the 1-simplex, t = t_1."""
+    return Form(1, {((k,), ()): c for k, c in enumerate(coeffs)})
+
+
+def exp_series_ratio(max_order: int) -> list[Form]:
     """Coefficients in z of z*(e^{zt} - 1)/(e^z - 1), up to z^max_order.
 
-    Entry n is a polynomial in t, obtained by formal division of truncated
-    exponential series.  These polynomials equal (B_n(t) - B_n)/n!, which is
-    how they serve as an independent oracle for the homotopy recursion that
-    produces the same sequence.
+    Entry n is a polynomial in t, a 0-form on the 1-simplex, obtained by
+    formal division of truncated exponential series.  These polynomials
+    equal (B_n(t) - B_n)/n!, which is how they serve as an independent
+    oracle for the homotopy recursion that produces the same sequence.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     # z*(e^{zt}-1)/(e^z-1) = N(z)/Q(z) with N_n = t^n/n! (n >= 1) and
     # Q_m = 1/(m+1)!, after cancelling one factor of z.
-    numer = [UniPoly()] + [
-        UniPoly.monomial(n, Fraction(1, factorial(n))) for n in range(1, max_order + 1)
+    numer = [Form.zero(1)] + [
+        Form.monomial(1, (n,), (), Fraction(1, factorial(n))) for n in range(1, max_order + 1)
     ]
     q = [Fraction(1, factorial(m + 1)) for m in range(max_order + 1)]
-    out: list[UniPoly] = []
+    out: list[Form] = []
     for k in range(max_order + 1):
         acc = numer[k]
         for j in range(k):

@@ -14,15 +14,11 @@ from simplicial_transfer.cochains import Cochain, interval_basis_components, sta
 from simplicial_transfer.complexes import OrderedComplex, check_whitney_conditions
 from simplicial_transfer.contraction import check_contraction, s_operator
 from simplicial_transfer.forms import Form
-from simplicial_transfer.rationals import (
-    UniPoly,
-    bernoulli_number,
-    bernoulli_polynomial,
-    factorial,
-)
+from simplicial_transfer.rationals import bernoulli_number, factorial
 from simplicial_transfer.tensorwords import TensorSum, shuffle
 from simplicial_transfer.transfer import (
     SimplexContraction,
+    bernoulli_polynomial,
     check_a_infinity,
     check_c_infinity,
     check_morphism,
@@ -174,7 +170,7 @@ def test_criterion_09_p_polynomial_oracle():
     bern_ok = all(
         seq.closed_forms[n - 1]
         == Fraction(1, factorial(n))
-        * (bernoulli_polynomial(n) - UniPoly((bernoulli_number(n),)))
+        * (bernoulli_polynomial(n) - bernoulli_number(n) * Form.one(1))
         for n in range(1, 9)
     )
     report(

@@ -195,11 +195,19 @@ def test_stokes():
 
 
 def test_text_round_trip():
-    sample = F2("3/2 t1^2 t2 dt1 + -1 dt2 + 4")
+    sample = F2("3/2 t1^2 t2 dt1 + -1 dt2 + 4 + -7/3 t2^3")
     assert parse_form(format_form(sample), 2) == sample
     assert format_form(Form.zero(2)) == "0"
     assert parse_form("dt2 dt1", 2) == F2("-1 dt1 dt2")
     assert not parse_form("dt1 dt1", 2)
+
+
+def test_coefficients_parse_as_rationals_only():
+    # Fraction reads the first three ("1e1000000" as a 3.3-million-bit int)
+    # and raises ZeroDivisionError on the last
+    for text in ("1e1000000 t1", "1.5 t1", "1_0 t1", "1/0 t1"):
+        with pytest.raises(ValueError):
+            parse_form(text, 1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,8 +1,10 @@
 """The modules of the package import one another only downwards, in one
 fixed order of layers, so that, for one, the cochain layer never reaches
-up into the transfer engine or the complex drivers."""
+up into the transfer engine or the complex drivers; and ``SparseVector``
+is the one vector type the layers share."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -67,6 +69,18 @@ def test_the_parser_finds_the_imports():
     # so that the layer test above cannot pass by finding nothing
     assert "forms" in _package_imports("cochains")
     assert {"transfer", "cochains"} <= _package_imports("complexes")
+
+
+def test_sparse_vector_is_the_one_vector_type():
+    # forms, cochains and tensor sums inherit their + from SparseVector; a
+    # class of its own with an __add__ would be a second vector type
+    adders = set()
+    for module in LAYERS:
+        mod = importlib.import_module(f"simplicial_transfer.{module}")
+        for obj in vars(mod).values():
+            if isinstance(obj, type) and obj.__module__ == mod.__name__ and "__add__" in vars(obj):
+                adders.add(obj.__qualname__)
+    assert adders == {"SparseVector"}
 
 
 def test_the_import_loads_no_introspection_modules():

@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from simplicial_transfer.forms import Form, integrate_top, vertex_evaluate, wedge
 from simplicial_transfer.rationals import (
-    UniPoly,
     bernoulli_number,
-    bernoulli_polynomial,
     binomial,
     factorial,
     parse_rational,
     rational_str,
 )
+from simplicial_transfer.transfer import bernoulli_polynomial
 
-from helpers import exp_series_ratio
+from helpers import exp_series_ratio, poly
 
 
 def akiyama_tanigawa(n):
@@ -67,40 +67,42 @@ def test_odd_bernoulli_vanish():
 
 
 def test_bernoulli_polynomial_small():
-    assert bernoulli_polynomial(0) == UniPoly((1,))
-    assert bernoulli_polynomial(1) == UniPoly((Fraction(-1, 2), 1))
-    assert bernoulli_polynomial(2) == UniPoly((Fraction(1, 6), -1, 1))
+    assert bernoulli_polynomial(0) == poly(1)
+    assert bernoulli_polynomial(1) == poly(Fraction(-1, 2), 1)
+    assert bernoulli_polynomial(2) == poly(Fraction(1, 6), -1, 1)
 
 
 def test_bernoulli_polynomial_at_zero():
     for n in range(17):
-        assert bernoulli_polynomial(n)(0) == bernoulli_number(n)
+        assert vertex_evaluate(bernoulli_polynomial(n), 0) == bernoulli_number(n)
 
 
 def test_exp_series_ratio_low_orders():
     series = exp_series_ratio(2)
-    assert series[0] == UniPoly()
-    assert series[1] == UniPoly((0, 1))
-    assert series[2] == UniPoly((0, Fraction(-1, 2), Fraction(1, 2)))
+    assert series[0] == poly()
+    assert series[1] == poly(0, 1)
+    assert series[2] == poly(0, Fraction(-1, 2), Fraction(1, 2))
 
 
 def test_exp_series_ratio_matches_bernoulli():
     series = exp_series_ratio(8)
     for n in range(1, 9):
         closed = Fraction(1, factorial(n)) * (
-            bernoulli_polynomial(n) - UniPoly((bernoulli_number(n),))
+            bernoulli_polynomial(n) - bernoulli_number(n) * Form.one(1)
         )
         assert series[n] == closed
 
 
-def test_unipoly_arithmetic():
-    p = UniPoly((1, 2))
-    q = UniPoly((0, 0, 3))
-    assert p + q == UniPoly((1, 2, 3))
-    assert p * q == UniPoly((0, 0, 3, 6))
-    assert (p - p) == UniPoly()
-    assert not UniPoly((0, 0))
-    assert UniPoly((1, 1)).integral_01() == Fraction(3, 2)
+def test_interval_polynomial_arithmetic():
+    # the polynomials of the interval are 0-forms on the 1-simplex
+    p = poly(1, 2)
+    q = poly(0, 0, 3)
+    dt = Form.monomial(1, (0,), (1,))
+    assert p + q == poly(1, 2, 3)
+    assert wedge(p, q) == poly(0, 0, 3, 6)
+    assert (p - p) == poly()
+    assert not poly(0, 0)
+    assert integrate_top(wedge(poly(1, 1), dt)) == Fraction(3, 2)
 
 
 def test_rational_round_trip():

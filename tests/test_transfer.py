@@ -10,7 +10,7 @@ from simplicial_transfer.cochains import (
 )
 from simplicial_transfer.complexes import OrderedComplex
 from simplicial_transfer.forms import parse_form
-from simplicial_transfer.rationals import UniPoly, bernoulli_number, factorial
+from simplicial_transfer.rationals import bernoulli_number, factorial
 from simplicial_transfer import transfer
 from simplicial_transfer.tensorwords import TensorSum, shuffle
 from simplicial_transfer.transfer import (
@@ -36,7 +36,7 @@ from simplicial_transfer.trees import (
 )
 
 from global_oracle import GlobalFormContraction
-from helpers import basis_cochains, tree_letters
+from helpers import basis_cochains, poly, tree_letters
 
 
 def interval_letters():
@@ -408,8 +408,8 @@ def test_interval_table_skip_agrees_with_the_full_route(max_arity, sizes):
 
 def test_p_polynomials():
     seq = p_polynomial_sequence(8)
-    assert seq.polys[0] == UniPoly((0, 1))
-    assert seq.polys[1] == UniPoly((0, Fraction(-1, 2), Fraction(1, 2)))
+    assert seq.polys[0] == poly(0, 1)
+    assert seq.polys[1] == poly(0, Fraction(-1, 2), Fraction(1, 2))
     assert seq.matches_closed_form()
     assert seq.integral_identities()
     # b_2 = -(the raw integral of p_2) = 1/12 = B_2/2!
