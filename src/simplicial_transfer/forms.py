@@ -353,10 +353,11 @@ def parse_form(text: str, dim: int) -> Form:
     index makes the term vanish.  A coefficient is read by
     ``parse_rational``, so it is ``p/q`` or ``p``.
     """
+    _check_dim(dim)
     text = text.strip()
     if text in ("0", ""):
         return Form.zero(dim)
-    result = Form.zero(dim)
+    terms = []
     for raw_term in text.split("+"):
         raw_term = raw_term.strip()
         if not raw_term:
@@ -391,5 +392,5 @@ def parse_form(text: str, dim: int) -> Form:
         )
         if inversions % 2:
             coeff = -coeff
-        result = result + Form.monomial(dim, tuple(exps), tuple(sorted(dts)), coeff)
-    return result
+        terms.append(((tuple(exps), tuple(sorted(dts))), coeff))
+    return Form(dim, terms)

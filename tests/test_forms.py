@@ -217,3 +217,30 @@ def test_text_round_trip_random(monomials):
     for i, m in enumerate(monomials):
         total = total + (i + 1) * m
     assert parse_form(format_form(total), 2) == total
+
+
+def test_parsed_terms_are_added_in_one_form():
+    # repeated monomials add up and cancelling ones drop out
+    assert parse_form("t1 + 2 t1 + 1/2 t1", 1) == Form.monomial(1, (1,), (), Fraction(7, 2))
+    both = parse_form("t1 dt1 + 3 + -1 t1 dt1 + t1^2 + -1 t1^2", 1)
+    assert both == 3 * Form.one(1) and both.num == {0: 3}
+    assert not parse_form("1/2 t1 + -1/2 t1", 1)
+    # a repeated dt index kills its term alone; an unsorted dt order keeps
+    # the sign of its permutation
+    assert parse_form("5 t1 dt1 dt1 + t1", 1) == F1("t1")
+    assert parse_form("2 dt2 dt1 + dt1 dt2", 2) == F2("-1 dt1 dt2")
+    assert parse_form("dt3 dt1 dt2 + dt2 dt1 dt3", 3) == Form.zero(3)
+    assert parse_form("dt3 dt1 dt2", 3) == Form.monomial(3, (0, 0, 0), (1, 2, 3))
+    # an exponent of 2^15 overflows wherever its term stands
+    with pytest.raises(OverflowError):
+        parse_form(f"1 + t1^{2**15} dt1 + t1", 1)
+    with pytest.raises(OverflowError):
+        parse_form(f"t1^{2**14} t2 t1^{2**14}", 2)
+
+
+def test_a_long_form_round_trips():
+    total = Form.zero(2)
+    for k, m in enumerate(monomial_basis(2, 12)):
+        total = total + Fraction(k - 40, 7) * m
+    assert len(total.num) > 300
+    assert parse_form(format_form(total), 2) == total

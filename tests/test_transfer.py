@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from simplicial_transfer.cochains import (
     Cochain,
@@ -17,6 +19,7 @@ from simplicial_transfer.transfer import (
     SimplexContraction,
     _G,
     _insertions,
+    _m,
     _relation_value,
     check_a_infinity,
     check_c_infinity,
@@ -257,34 +260,148 @@ def _failing(report):
     return [(c.name, c.basis_size, c.counterexample) for c in report.checks if not c.passed]
 
 
-def test_truncated_shuffle_fails_at_the_first_counterexample(monkeypatch):
-    # each record counts the cases up to and including its first failure
-    def first_term(u, v, degree_of):
-        return TensorSum(dict(list(shuffle(u, v, degree_of).terms.items())[:1]))
+def _doubled_on(op, bundle, faces):
+    """op, doubled on the one basis word of ``bundle`` with these faces."""
 
-    monkeypatch.setattr(transfer, "shuffle", first_term)
-    assert _failing(check_c_infinity(SimplexContraction(1), 3)) == [
+    def doubled(b, ids):
+        value = op(b, ids)
+        if b is bundle and tuple(b._faces[i] for i in ids) == faces:
+            return value + value
+        return value
+
+    return doubled
+
+
+def _records(report):
+    return [(c.name, c.basis_size, c.passed, c.counterexample) for c in report.checks]
+
+
+def test_a_doubled_value_fails_at_the_first_shuffle_counterexample(monkeypatch):
+    # m_2 is doubled on one word and G_3 on another, so exactly their two
+    # records fail; a failing record counts the shuffle pairs up to and
+    # including its first failure, as the shuffle sweep names it, and a
+    # passing one all (n - 1) 3^n pairs
+    bundle = SimplexContraction(1)
+    monkeypatch.setattr(transfer, "_m", _doubled_on(transfer._m, bundle, ((0,), (0, 1))))
+    monkeypatch.setattr(transfer, "_G", _doubled_on(transfer._G, bundle, ((0,), (0, 1), (0, 1))))
+    assert _records(check_c_infinity(bundle, 3)) == [
         (
             "operation vanishes on shuffles, arity 2",
             3,
+            False,
             "(x(0)) shuffle (x(0,1)) gives face=[0,1] coeff=1/2",
         ),
-        (
-            "morphism vanishes on shuffles, arity 2",
-            3,
-            "(x(0)) shuffle (x(0,1)) gives -1/2 t1 + 1/2 t1^2",
-        ),
-        (
-            "operation vanishes on shuffles, arity 3",
-            9,
-            "(x(0)) shuffle (x(0,1), x(0,1)) gives face=[0,1] coeff=-1/12",
-        ),
+        ("morphism vanishes on shuffles, arity 2", 9, True, None),
+        ("operation vanishes on shuffles, arity 3", 54, True, None),
         (
             "morphism vanishes on shuffles, arity 3",
             9,
+            False,
             "(x(0)) shuffle (x(0,1), x(0,1)) gives -1/12 t1 + 1/4 t1^2 + -1/6 t1^3",
         ),
     ]
+
+
+def test_a_failure_is_never_reported_as_a_pass(monkeypatch):
+    # with every shuffle emptied the shuffle sums all vanish; the record
+    # still fails, on the word where theta^T phi != n phi, after all 9 pairs
+    bundle = SimplexContraction(1)
+    monkeypatch.setattr(transfer, "_m", _doubled_on(transfer._m, bundle, ((0,), (0, 1))))
+    monkeypatch.setattr(transfer, "shuffle", lambda u, v, degree_of: TensorSum())
+    assert _failing(check_c_infinity(bundle, 2)) == [
+        (
+            "operation vanishes on shuffles, arity 2",
+            10,
+            "word=(x(0), x(0,1)) theta^T phi - 2 phi = face=[0,1] coeff=-1/2",
+        )
+    ]
+
+
+def test_a_passing_record_forms_no_shuffle(monkeypatch):
+    # the (n - 1) B^n shuffle sums run only to name a failure
+    calls = []
+
+    def counted(u, v, degree_of):
+        calls.append((u, v))
+        return shuffle(u, v, degree_of)
+
+    monkeypatch.setattr(transfer, "shuffle", counted)
+    assert check_c_infinity(SimplexContraction(2), 3).all_passed
+    assert calls == []
+    bundle = SimplexContraction(2)
+    monkeypatch.setattr(transfer, "_m", _doubled_on(transfer._m, bundle, ((0,), (0, 1, 2))))
+    assert not check_c_infinity(bundle, 3).all_passed
+    assert calls
+
+
+def _bracketing_rows(degrees, n):
+    """theta^T - n, as rows {word: coefficient} indexed by word."""
+    rows = {w: {w: -n} for w in product(range(len(degrees)), repeat=n)}
+    for w in rows:
+        for target, sign in transfer._bracketing(w, degrees):
+            row = rows[target]
+            row[w] = row.get(w, 0) + sign
+    return list(rows.values())
+
+
+def _shuffle_rows(degrees, n):
+    letters = range(len(degrees))
+    return [
+        dict(shuffle(u, v, degrees.__getitem__).num)
+        for p in range(1, n)
+        for u in product(letters, repeat=p)
+        for v in product(letters, repeat=n - p)
+    ]
+
+
+def _rank(rows, n_letters, n):
+    columns = {w: j for j, w in enumerate(product(range(n_letters), repeat=n))}
+    # the sparse rank takes no empty row, such as that of a sh a for an odd a
+    rows = [{columns[w]: QQ(c) for w, c in row.items() if c} for row in rows]
+    rows = [row for row in rows if row]
+    return DomainMatrix(dict(enumerate(rows)), (len(rows), len(columns)), QQ).rank()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("degrees", [(0, 0), (0, 1), (1, 1), (1, 0, 1), (0, 0, 1, 1)])
+def test_dynkin_equations_have_the_solutions_of_the_shuffle_equations(degrees, n):
+    # Ree and Dynkin-Specht-Wever: phi kills every shuffle iff theta^T phi =
+    # n phi.  Equal ranks of both systems and of the two stacked mean equal
+    # solution spaces, over Q, for the bracketing the battery expands
+    shuffles = _shuffle_rows(degrees, n)
+    dynkin = _bracketing_rows(degrees, n)
+    ranks = [_rank(rows, len(degrees), n) for rows in (shuffles, dynkin, shuffles + dynkin)]
+    assert ranks[0] == ranks[1] == ranks[2], ranks
+    # a solution is a Lie superalgebra element: 3 of them on 2 even letters
+    # at arity 4 (Witt's formula), 20 on {1, 0, 1} and 64 on {0, 0, 1, 1}
+    expected = {((0, 0), 4): 16 - 3, ((1, 0, 1), 4): 61, ((0, 0, 1, 1), 4): 192}
+    assert ranks[0] == expected.get((degrees, n), ranks[0])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_shuffle_sums_vanish_to_arity_4(dim):
+    # the definition itself, as a cross-check of the Dynkin sweep
+    bundle = SimplexContraction(dim)
+    for n in range(2, 5):
+        for op, zero, render in (
+            (_m, bundle.zero_B(), bundle.render_B),
+            (_G, bundle.zero_A(), bundle.render_A),
+        ):
+            assert transfer._dynkin_failure(bundle, n, op, zero) is None
+            assert not any(transfer._shuffle_cases(bundle, n, op, zero, render))
+
+
+def test_a_doubled_value_fails_both_sweeps():
+    bundle = SimplexContraction(2)
+    words = list(product(bundle.basis_ids(), repeat=3))
+    for op, zero, render in (
+        (_m, bundle.zero_B(), bundle.render_B),
+        (_G, bundle.zero_A(), bundle.render_A),
+    ):
+        word = next(w for w in words if op(bundle, w))
+        doubled = _doubled_on(op, bundle, tuple(bundle._faces[i] for i in word))
+        assert transfer._dynkin_failure(bundle, 3, doubled, zero) is not None
+        assert any(transfer._shuffle_cases(bundle, 3, doubled, zero, render))
 
 
 def _patch_m_off_by_the_first_letter(monkeypatch):
