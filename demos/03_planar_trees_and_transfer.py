@@ -10,13 +10,10 @@ the sum into a recursion, and the two evaluations agree exactly.
 from itertools import product
 
 from simplicial_transfer import (
-    Cochain,
-    Homog,
     SimplexContraction,
     enumerate_trees,
     evaluate_tree_m,
     path_trees,
-    standard_simplex,
     transferred_m,
     transferred_m_trees,
     tree_count,
@@ -33,11 +30,11 @@ for tree in enumerate_trees(3):
 print()
 
 bundle = SimplexContraction(1)
-t = Cochain.basis_element(standard_simplex(1), (1,))
-dt = Cochain.basis_element(standard_simplex(1), (0, 1))
-# tree evaluation reads each letter's degree for its signs: the basis
-# cochain of a face F is a letter of shifted degree dim F - 1
-letter = {t: Homog(t, -1), dt: Homog(dt, 0)}
+t = bundle.basis_element((1,))
+dt = bundle.basis_element((0, 1))
+# tree evaluation runs on words of basis letter ids; the bundle interns the
+# face F of a basis cochain with the shifted degree dim F - 1 for its signs
+letter = {t: bundle.intern((1,)), dt: bundle.intern((0, 1))}
 
 print("Sum over trees versus the root-grouped recursion, on every word of")
 print("interval basis cochains of length up to 4:")

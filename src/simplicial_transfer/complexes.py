@@ -235,12 +235,15 @@ def global_cochain_from_records(data: dict, complex_: OrderedComplex) -> Cochain
     shape = 'expected {"entries": [{"simplex": [...], "coeff": "p/q"}]}'
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise ComplexFormatError(shape)
-    pairs = []
+    pairs = {}
     for entry in data["entries"]:
         if not isinstance(entry, dict) or "simplex" not in entry or "coeff" not in entry:
             raise ComplexFormatError(f"{shape}, got entry {entry!r}")
         _check_simplex(entry["simplex"])
-        pairs.append((tuple(entry["simplex"]), parse_rational(entry["coeff"])))
+        simplex = tuple(entry["simplex"])
+        if simplex in pairs:
+            raise ComplexFormatError(f"duplicate simplex {entry['simplex']}")
+        pairs[simplex] = parse_rational(entry["coeff"])
     return Cochain(complex_, pairs)
 
 

@@ -1,13 +1,12 @@
-"""Formal tensor words over a graded vector space and the sign machinery.
+"""Words of graded letters and the sign machinery.
 
-Letters carry the degree used in every sign computation; for concrete
-carriers (forms, cochains) that is the shifted degree, form or cochain
-degree minus one.  Words are tuples of letters, and formal sums of words
-(or of tuples of words, for split tensors) live in :class:`TensorSum`.
+A word is a tuple of letters, and a caller says how to read each letter's
+degree; the degree that drives signs is the shifted one, form or cochain
+degree minus one.  The transfer engine's letters are the interned ids of
+basis faces, whose degrees the bundle holds.
 
 The Koszul rule is the single source of signs: moving an odd operator past
-an element of degree d costs (-1)^d.  The shuffle product and the splitting
-maps are built on words.
+an element of degree d costs (-1)^d.  The shuffle product is built on it.
 """
 
 from __future__ import annotations
@@ -15,60 +14,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Any, Callable, Sequence
 
-from .rationals import SparseVector, _accumulate
+from .rationals import _accumulate
 
-__all__ = [
-    "Homog",
-    "TensorSum",
-    "koszul_sign",
-    "shuffle",
-    "compositions",
-    "split_word",
-]
-
-
-def _immutable(self, *args):
-    raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class Homog:
-    """A homogeneous letter: a carrier plus the degree that drives signs."""
-
-    __slots__ = ("carrier", "degree")
-
-    def __init__(self, carrier: Any, degree: int):
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "degree", degree)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is Homog and (
-            (self.carrier, self.degree) == (other.carrier, other.degree)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.carrier, self.degree))
-
-    def __repr__(self) -> str:
-        return f"{self.carrier}:{self.degree}"
-
-
-Word = tuple  # tuple[Homog, ...]
-
-
-class TensorSum(SparseVector):
-    """Sparse rational combination of hashable keys (words or word tuples)."""
-
-    __slots__ = ()
-
-    def __init__(self, terms=None):
-        super().__init__(None, terms)
-
-    def __repr__(self) -> str:
-        if not self:
-            return "TensorSum(0)"
-        return "TensorSum(" + " + ".join(f"{c}*{k}" for k, c in self.terms.items()) + ")"
+__all__ = ["koszul_sign", "shuffle"]
 
 
 def koszul_sign(parities: Sequence[int], degrees: Sequence[int]) -> int:
@@ -109,32 +57,10 @@ def _shuffle_terms(u: Sequence, v: Sequence, degree_of: Callable[[Any], int]):
         yield tuple(merged), -1 if exponent % 2 else 1
 
 
-def _homog_degree(h: Homog) -> int:
-    return h.degree
-
-
-def shuffle(u: Word, v: Word, degree_of: Callable[[Any], int] = _homog_degree) -> TensorSum:
-    """Shuffle product of two words; the sign counts inversions weighted by
-    the letter degrees, which ``degree_of`` reads off a letter."""
-    out: dict[Word, int] = {}
+def shuffle(u: tuple, v: tuple, degree_of: Callable[[Any], int]) -> dict[tuple, int]:
+    """Shuffle product of two words as {word: integer coefficient}; the sign
+    counts inversions weighted by the letter degrees, which ``degree_of``
+    reads off a letter."""
+    out: dict[tuple, int] = {}
     _accumulate(out, _shuffle_terms(u, v, degree_of), 1)
-    return TensorSum._trusted(None, out)
-
-
-def compositions(n: int, k: int):
-    """Ordered tuples of k positive integers summing to n."""
-    if k < 1 or k > n:
-        return
-    for cuts in combinations(range(1, n), k - 1):
-        bounds = (0,) + cuts + (n,)
-        yield tuple(bounds[i + 1] - bounds[i] for i in range(k))
-
-
-def split_word(word: Word, sizes: Sequence[int]) -> tuple[Word, ...]:
-    """Cut a word into consecutive blocks of the given sizes."""
-    blocks = []
-    start = 0
-    for size in sizes:
-        blocks.append(word[start : start + size])
-        start += size
-    return tuple(blocks)
+    return out

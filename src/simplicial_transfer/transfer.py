@@ -89,11 +89,10 @@ from .contraction import homotopy_H, s_operator
 from .forms import Form, differential, format_form, integrate_top, wedge
 from .rationals import bernoulli_number, binomial, factorial, rational_str
 from .reporting import Report, VerificationReport
-from .tensorwords import Homog, shuffle
+from .tensorwords import shuffle
 from .trees import enumerate_trees, evaluate_tree_m
 
 __all__ = [
-    "Contraction",
     "ComplexContraction",
     "SimplexContraction",
     "transferred_m",
@@ -111,35 +110,45 @@ __all__ = [
 ]
 
 
-class Contraction:
-    """Contraction data packaged for the transfer engine.
+def _face_label(face) -> str:
+    """The name x(v_0,...,v_k) of the basis cochain of a face."""
+    return "x(" + ",".join(map(str, face)) + ")"
 
-    A bundle supplies its maps: the algebra side (``d_A``, ``wedge_A``,
-    ``one_A``, ``zero_A``), the cochain side (``d_B``, ``zero_B`` and the
-    ``expected_unit`` that f(1) must equal), the contraction (``f``, ``g``,
-    ``H``), the cochain basis (``faces`` and ``basis_element``), and the
-    text renderers of counterexamples (``render_A``, ``render_B``).  Values
-    on both sides offer the integer linear combination ``_sum`` of
-    ``SparseVector``, and the cochain side is made of ``SparseVector``s of
-    the bundle's ``space``, whose numerators the engine reads.  The
-    operations, the unit and the basis letters are shared.
+
+class ComplexContraction:
+    """The contraction data of a complex packaged for the transfer engine: the
+    basis of simplices, the coboundary as m_1, and m_k for k >= 2 by the
+    join rule, every union read from the process's standard-simplex
+    engines.
+
+    The engine reads a bundle's maps: the cochain side (``d_B``, ``zero_B``
+    and the ``expected_unit`` that f(1) must equal), the cochain basis
+    (``faces`` and ``basis_element``) and the counterexample renderer
+    ``render_B``, all given here; and, for the batteries and G_n, the
+    algebra side (``d_A``, ``wedge_A``, ``one_A``, ``zero_A``), the
+    contraction (``f``, ``g``, ``H``) and ``render_A``, which
+    ``SimplexContraction`` adds with the forms of the standard simplex.
+    Values on both sides offer the integer linear combination ``_sum`` of
+    ``SparseVector``, and the engine reads the numerators of cochains.
 
     The bundle interns each basis letter it meets, a face of the basis, as a
     small int; the letter's degree, which drives signs, is the face's
     shifted degree.  G_n, m_n and the cut products are memoised per word of
-    ids.  The hook ``m_word`` gives m_n for n >= 2, by default f(cut
-    products), the form route that the tests' reference bundles keep.
-    ``ComplexContraction`` sets it to the join rule (module docstring), so a
-    complex needs only its cochain side, and ``SimplexContraction`` adds the
-    form side of the standard simplex to it.
+    ids.  The hook ``m_word`` gives m_n for n >= 2, here by the join rule
+    (module docstring), and ``zero_by_count`` answers a word zero by its
+    degrees before ``m_word`` runs.
 
-    ``koszul_signs=False`` drops every slotwise sign; it exists only so the
-    verification commands can demonstrate a failing battery.
+    ``koszul_signs = False`` drops every slotwise sign; only
+    ``SimplexContraction`` sets it, so the verification commands can
+    demonstrate a failing battery.
     """
 
-    def __init__(self, space, koszul_signs: bool = True):
-        self.space = space
-        self.koszul_signs = koszul_signs
+    koszul_signs = True
+    top_dim = None  # no simplex of a complex is computed through forms
+
+    def __init__(self, complex_: OrderedComplex):
+        self.complex = complex_
+        self._zero = Cochain(complex_)
         self._ids: dict = {}  # face -> id
         self._faces: list = []
         self._degrees: list[int] = []
@@ -161,14 +170,15 @@ class Contraction:
     def unit_B(self):
         return self.f(self.one_A())
 
-    def zero_by_count(self, ids: tuple[int, ...]) -> bool:
-        """Whether m_k is zero on a basis word by degrees alone; the form
-        route counts nothing."""
-        return False
+    def m_word(self, ids: tuple[int, ...]) -> Cochain:
+        """m_n on a basis word of n >= 2 ids, by the join rule."""
+        return _join_rule(self, ids)
 
-    def m_word(self, ids: tuple[int, ...]):
-        """m_n on a basis word of n >= 2 ids: f of the cut products."""
-        return self.f(_cut_products(self, ids))
+    def zero_by_count(self, ids: tuple[int, ...]) -> bool:
+        """Whether the count zeroes m_k, k >= 2, on a basis word: the
+        dimension its union must have, 2 plus the sum of the interned
+        shifted degrees, lies outside 0..(top dimension of the complex)."""
+        return not 0 <= sum(map(self._degrees.__getitem__, ids)) + 2 <= self._zero.dim
 
     def intern(self, face) -> int:
         """The id of the basis letter of a face, whose shifted degree is
@@ -182,42 +192,15 @@ class Contraction:
 
     def coordinates(self, c: Cochain):
         """A cochain as pairs (numerator, basis letter id), over its
-        denominator.  A cochain of another space than the bundle's raises
+        denominator.  A cochain of another complex than the bundle's raises
         ``ValueError``."""
         space = c._space
-        if space is not self.space and space != self.space:
+        if space is not self.complex and space != self.complex:
             raise ValueError(c._mismatch)
         return [(n, self.intern(face)) for face, n in c.num.items()]
 
     def basis_ids(self) -> list[int]:
         return [self.intern(face) for face in self.faces()]
-
-
-def _face_label(face) -> str:
-    """The name x(v_0,...,v_k) of the basis cochain of a face."""
-    return "x(" + ",".join(map(str, face)) + ")"
-
-
-class ComplexContraction(Contraction):
-    """The cochain side of the transfer on a complex: the basis of
-    simplices, the coboundary as m_1, and m_k for k >= 2 by the join rule,
-    every union read from the process's standard-simplex engines."""
-
-    top_dim = None  # no simplex of a complex is computed through forms
-
-    def __init__(self, complex_: OrderedComplex):
-        super().__init__(complex_)
-        self.complex = complex_
-        self._zero = Cochain(complex_)
-
-    def m_word(self, ids: tuple[int, ...]) -> Cochain:
-        return _join_rule(self, ids)
-
-    def zero_by_count(self, ids: tuple[int, ...]) -> bool:
-        """Whether the count zeroes m_k, k >= 2, on a basis word: the
-        dimension its union must have, 2 plus the sum of the interned
-        shifted degrees, lies outside 0..(top dimension of the complex)."""
-        return not 0 <= sum(map(self._degrees.__getitem__, ids)) + 2 <= self._zero.dim
 
     def d_B(self, c: Cochain) -> Cochain:
         return coboundary(c)
@@ -245,7 +228,7 @@ class SimplexContraction(ComplexContraction):
     def __init__(self, dim: int, koszul_signs: bool = True):
         super().__init__(standard_simplex(dim))
         self.koszul_signs = koszul_signs
-        self.dim = self.top_dim = dim
+        self.top_dim = dim
 
     # algebra side
     def d_A(self, x: Form) -> Form:
@@ -255,10 +238,10 @@ class SimplexContraction(ComplexContraction):
         return wedge(x, y)
 
     def one_A(self) -> Form:
-        return Form.one(self.dim)
+        return Form.one(self.top_dim)
 
     def zero_A(self) -> Form:
-        return Form.zero(self.dim)
+        return Form.zero(self.top_dim)
 
     # contraction maps
     def f(self, x: Form) -> Cochain:
@@ -452,14 +435,11 @@ def transferred_m_trees(bundle, word: tuple[Cochain, ...]):
 def _m_trees(bundle, ids: tuple[int, ...]):
     """m_n on a basis word as the sum over planar trees; not memoised, so
     it shares nothing with ``_m``."""
-    letters = tuple(
-        Homog(bundle.basis_element(bundle._faces[i]), bundle._degrees[i]) for i in ids
-    )
-    if len(letters) == 1:
-        return bundle.d_B(letters[0].carrier)
+    if len(ids) == 1:
+        return bundle.d_B(bundle.basis_element(bundle._faces[ids[0]]))
     total = bundle.zero_B()
-    for tree in enumerate_trees(len(letters)):
-        total = total + evaluate_tree_m(tree, letters, bundle)
+    for tree in enumerate_trees(len(ids)):
+        total = total + evaluate_tree_m(tree, ids, bundle)
     return total
 
 
@@ -567,8 +547,7 @@ def _shuffle_cases(bundle, n: int, op, zero, render):
         for u in product(basis, repeat=p):
             for v in product(basis, repeat=n - p):
                 sh = shuffle(u, v, degree_of)
-                parts = [(coeff, op(bundle, word)) for word, coeff in sh.num.items()]
-                total = _sum(zero, parts, sh.den)
+                total = _sum(zero, [(coeff, op(bundle, word)) for word, coeff in sh.items()])
                 yield (
                     f"{_word_label(bundle, u)} shuffle {_word_label(bundle, v)} "
                     f"gives {render(total)}"

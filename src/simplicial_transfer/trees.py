@@ -6,7 +6,10 @@ inclusion g, each internal vertex of arity k receives the k-ary product of
 the algebra side, each interior edge receives the homotopy H, and the root
 receives either the projection f (product operations) or H (morphism
 operations).  Reading from the leaves to the root with Koszul signs at every
-slotwise application yields the operation.
+slotwise application yields the operation.  A tree is evaluated on a word
+of the basis letter ids of a transfer bundle: a leaf takes g of the basis
+cochain of its face, and the degree that drives its signs is the face's
+interned shifted degree.
 
 Trees are stored as nested children tuples; the preorder arity sequence is a
 canonical encoding, unique per planar isomorphism class.
@@ -17,11 +20,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .tensorwords import Homog, _immutable, compositions, koszul_sign, split_word
+from .tensorwords import koszul_sign
 
 __all__ = [
     "PlanarTree",
     "LEAF",
+    "compositions",
     "enumerate_trees",
     "tree_count",
     "path_trees",
@@ -30,6 +34,10 @@ __all__ = [
     "evaluate_tree_m",
     "evaluate_tree_G",
 ]
+
+
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class PlanarTree:
@@ -72,6 +80,15 @@ class PlanarTree:
 
 
 LEAF = PlanarTree()
+
+
+def compositions(n: int, k: int):
+    """Ordered tuples of k positive integers summing to n."""
+    if k < 1 or k > n:
+        return
+    for cuts in combinations(range(1, n), k - 1):
+        bounds = (0,) + cuts + (n,)
+        yield tuple(bounds[i + 1] - bounds[i] for i in range(k))
 
 
 @lru_cache(maxsize=None)
@@ -155,21 +172,24 @@ def tree_from_text(text: str) -> PlanarTree:
 # -- evaluation ----------------------------------------------------------
 
 
-def _eval_vertex(tree: PlanarTree, word: tuple[Homog, ...], bundle):
+def _eval_vertex(tree: PlanarTree, ids: tuple[int, ...], bundle):
     """Value of the subtree composite up to (not including) the map attached
     to the outgoing edge; returns (parity, degree, value)."""
-    blocks = split_word(word, [child.n_leaves for child in tree.children])
+    degrees = bundle._degrees
     parities: list[int] = []
     in_degrees: list[int] = []
     out_degrees: list[int] = []
     values = []
-    for child, block in zip(tree.children, blocks):
-        block_degree = sum(h.degree for h in block)
+    start = 0
+    for child in tree.children:
+        block = ids[start : start + child.n_leaves]
+        start += len(block)
+        block_degree = sum(degrees[i] for i in block)
         in_degrees.append(block_degree)
         if child.is_leaf:
             parities.append(0)
             out_degrees.append(block_degree)
-            values.append(bundle.g(block[0].carrier))
+            values.append(bundle.g(bundle.basis_element(bundle._faces[block[0]])))
         else:
             # interior edge: H caps the child vertex
             child_parity, child_degree, child_value = _eval_vertex(child, block, bundle)
@@ -184,27 +204,26 @@ def _eval_vertex(tree: PlanarTree, word: tuple[Homog, ...], bundle):
     return parity, sum(out_degrees) + 1, value
 
 
-def _check_inputs(tree: PlanarTree, word) -> None:
-    if len(word) != tree.n_leaves:
+def _check_inputs(tree: PlanarTree, ids) -> None:
+    if len(ids) != tree.n_leaves:
         raise ValueError("arity mismatch: word length must equal the leaf count")
     if tree.is_leaf:
         raise ValueError("a single leaf carries no vertex operation")
 
 
-def evaluate_tree_m(tree: PlanarTree, word: tuple[Homog, ...], bundle):
-    """The operation of a tree with f at the root, on a word of homogeneous
-    cochain letters; returns a cochain.  Each leaf's sign degree is its
-    letter's, so a letter mixing degrees must be split into its homogeneous
-    parts first.  ``transfer.transferred_m_trees`` takes plain cochains and
-    does that: each basis face becomes a letter of its own degree."""
-    _check_inputs(tree, word)
-    _, _, value = _eval_vertex(tree, word, bundle)
+def evaluate_tree_m(tree: PlanarTree, ids: tuple[int, ...], bundle):
+    """The operation of a tree with f at the root, on a word of basis letter
+    ids of the bundle; returns a cochain.  A leaf's sign degree is the
+    interned shifted degree of its face, and its value is g of the face's
+    basis cochain."""
+    _check_inputs(tree, ids)
+    _, _, value = _eval_vertex(tree, ids, bundle)
     return bundle.f(value)
 
 
-def evaluate_tree_G(tree: PlanarTree, word: tuple[Homog, ...], bundle):
-    """The same composite with H at the root, on a word of homogeneous
-    letters; returns an algebra-side value."""
-    _check_inputs(tree, word)
-    _, _, value = _eval_vertex(tree, word, bundle)
+def evaluate_tree_G(tree: PlanarTree, ids: tuple[int, ...], bundle):
+    """The same composite with H at the root, on a word of basis letter
+    ids; returns an algebra-side value."""
+    _check_inputs(tree, ids)
+    _, _, value = _eval_vertex(tree, ids, bundle)
     return bundle.H(value)

@@ -5,8 +5,9 @@ against.
 A global form assigns a polynomial form to every simplex of the closure,
 compatibly with face restriction.  g, f, H, the wedge and d act simplex by
 simplex, and H revalidates the compatibility of its output on every call.
-``GlobalFormContraction`` bundles these maps for the generic transfer
-engine, so every battery runs on a complex exactly as on one simplex.
+``GlobalFormContraction`` adds these maps to the complex bundle and reads
+m_n through them, so every battery runs on a complex exactly as on one
+simplex.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from simplicial_transfer.cochains import (
-    Cochain,
-    OrderedComplex,
-    coboundary,
-    include_g,
-    standard_simplex,
-)
+from simplicial_transfer.cochains import Cochain, OrderedComplex, include_g, standard_simplex
 from simplicial_transfer.contraction import homotopy_H
 from simplicial_transfer.forms import (
     Form,
@@ -29,7 +24,7 @@ from simplicial_transfer.forms import (
     integrate_top,
     wedge,
 )
-from simplicial_transfer.transfer import Contraction, _positions
+from simplicial_transfer.transfer import ComplexContraction, _cut_products, _positions
 
 from helpers import face_restrict
 
@@ -167,13 +162,17 @@ def global_differential(a: GlobalForm) -> GlobalForm:
     return a._map(differential)
 
 
-class GlobalFormContraction(Contraction):
-    """The levelwise contraction on a complex as one bundle of global-form
-    maps; the basis letters are the indicator cochains of the closure."""
+class GlobalFormContraction(ComplexContraction):
+    """The levelwise contraction on a complex as the complex bundle plus
+    global-form maps, with m_n read by the form route, f of the cut
+    products, on every word; the basis letters are the indicator cochains
+    of the closure."""
 
-    def __init__(self, complex_: OrderedComplex):
-        super().__init__(complex_)
-        self.complex = complex_
+    def m_word(self, ids: tuple[int, ...]) -> Cochain:
+        return self.f(_cut_products(self, ids))
+
+    def zero_by_count(self, ids: tuple[int, ...]) -> bool:
+        return False
 
     def d_A(self, x: GlobalForm) -> GlobalForm:
         return global_differential(x)
@@ -191,15 +190,6 @@ class GlobalFormContraction(Contraction):
     def zero_A(self) -> GlobalForm:
         return GlobalForm(self.complex, {}, validate=False)
 
-    def d_B(self, c: Cochain) -> Cochain:
-        return coboundary(c)
-
-    def zero_B(self) -> Cochain:
-        return Cochain(self.complex)
-
-    def expected_unit(self) -> Cochain:
-        return Cochain.unit(self.complex)
-
     def f(self, x: GlobalForm) -> Cochain:
         return global_f(x)
 
@@ -208,15 +198,6 @@ class GlobalFormContraction(Contraction):
 
     def H(self, x: GlobalForm) -> GlobalForm:
         return global_H(x)
-
-    def faces(self):
-        return self.complex.simplices
-
-    def basis_element(self, simplex) -> Cochain:
-        return Cochain.basis_element(self.complex, simplex)
-
-    def render_B(self, value) -> str:
-        return repr(value)
 
     def render_A(self, value) -> str:
         return repr(value)

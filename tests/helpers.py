@@ -1,7 +1,7 @@
 """Helpers that only the tests use: face restriction and integration of
 forms, cochain restriction, the interval basis and the record format of
-single-simplex cochains, the basis cochains of a bundle and their graded
-letters for tree evaluation, formal words and their deconcatenations, the
+single-simplex cochains, the basis cochains of a bundle and their letter
+ids for tree evaluation, formal words and their deconcatenations, the
 polynomials of the interval as 0-forms and the generating-function oracle
 for the interval recursion on them, and the join rule in its union-first
 order.  They go through the package's public constructors, apart from the
@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 from simplicial_transfer.cochains import Cochain, standard_simplex
 from simplicial_transfer.forms import Form, _check_face, generator, integrate_top, wedge
-from simplicial_transfer.rationals import exact, factorial, parse_rational, rational_str
-from simplicial_transfer.tensorwords import Homog, TensorSum, compositions, split_word
+from simplicial_transfer.rationals import SparseVector, exact, factorial, parse_rational, rational_str
 from simplicial_transfer.transfer import _cut_products, _engine, _m, _positions
 
 
@@ -105,10 +105,16 @@ def cochain_from_records(records, dim: int) -> Cochain:
 
 
 def formal_word(names: str | Sequence[str], degrees: Sequence[int]) -> tuple:
-    """Build a word of formal letters, e.g. formal_word("ab", (0, 1))."""
+    """Build a word of formal letters (name, degree), e.g.
+    formal_word("ab", (0, 1)) == (("a", 0), ("b", 1))."""
     if len(names) != len(degrees):
         raise ValueError("one degree per letter")
-    return tuple(Homog(n, d) for n, d in zip(names, degrees))
+    return tuple(zip(names, degrees))
+
+
+def letter_degree(letter: tuple) -> int:
+    """The degree of a formal letter (name, degree)."""
+    return letter[1]
 
 
 def basis_cochains(bundle) -> list[Cochain]:
@@ -116,19 +122,31 @@ def basis_cochains(bundle) -> list[Cochain]:
     return [bundle.basis_element(face) for face in bundle.faces()]
 
 
-def tree_letters(word) -> tuple[Homog, ...]:
-    """A word of homogeneous cochains as the graded letters that tree
-    evaluation reads, each of shifted degree dim - 1; on a basis cochain
-    that is len(face) - 2."""
-    return tuple(Homog(c, c.homogeneous_degree() - 1) for c in word)
+def tree_ids(bundle, word) -> tuple[int, ...]:
+    """A word of basis cochains as the word of the bundle's basis letter ids
+    that tree evaluation reads; each id carries its face's shifted degree,
+    len(face) - 2."""
+    ids = []
+    for c in word:
+        ((one, letter_id),) = bundle.coordinates(c)
+        if (one, c.den) != (1, 1):
+            raise ValueError(f"{c!r} is not a basis cochain")
+        ids.append(letter_id)
+    return tuple(ids)
 
 
-def deconcatenations(word: tuple, k: int) -> TensorSum:
+def deconcatenations(word: tuple, k: int) -> SparseVector:
     """Sum of all splittings of a word into k nonempty blocks; no signs."""
     n = len(word)
     if not 1 <= k <= n:
         raise ValueError(f"cannot split a word of length {n} into {k} blocks")
-    return TensorSum({split_word(word, comp): 1 for comp in compositions(n, k)})
+    return SparseVector(
+        None,
+        {
+            tuple(word[a:b] for a, b in zip((0,) + cuts, cuts + (n,))): 1
+            for cuts in combinations(range(1, n), k - 1)
+        },
+    )
 
 
 def poly(*coeffs) -> Form:

@@ -14,69 +14,50 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Any, Callable, Sequence
 
-from simplicial_transfer.rationals import _accumulate, exact
-from simplicial_transfer.tensorwords import (
-    Homog,
-    TensorSum,
-    Word,
-    _shuffle_terms,
-    koszul_sign,
-    shuffle,
-)
+from simplicial_transfer.rationals import SparseVector, exact
+from simplicial_transfer.tensorwords import koszul_sign, shuffle
+
+from helpers import letter_degree
 
 
 def koszul_apply(
-    operators: Sequence[tuple[Callable[[Homog], Any], int]], word: Word
-) -> TensorSum:
-    """Apply one operator per letter with the Koszul sign.
+    operators: Sequence[tuple[Callable[[tuple], Any], int]], word: tuple
+) -> SparseVector:
+    """Apply one operator per letter (name, degree) with the Koszul sign.
 
     Each operator is a pair (fn, parity); fn maps a letter to a letter or to
-    an iterable of (coefficient, letter) pairs.
+    a list of (coefficient, letter) pairs.
     """
     if len(operators) != len(word):
         raise ValueError("arity mismatch: one operator per letter")
-    sign = koszul_sign([p for _, p in operators], [a.degree for a in word])
-    slots: list[list[tuple[Fraction, Homog]]] = []
+    sign = koszul_sign([p for _, p in operators], [letter_degree(a) for a in word])
+    slots: list[list[tuple[Fraction, tuple]]] = []
     for (fn, _), letter in zip(operators, word):
         image = fn(letter)
-        if isinstance(image, Homog):
-            slots.append([(Fraction(1), image)])
-        else:
+        if isinstance(image, list):
             slots.append([(exact(c), h) for c, h in image])
+        else:
+            slots.append([(Fraction(1), image)])
     terms = []
     for combo in product(*slots):
         coeff = Fraction(sign)
         for c, _ in combo:
             coeff *= c
         terms.append((tuple(h for _, h in combo), coeff))
-    return TensorSum(terms)
+    return SparseVector(None, terms)
 
 
-def word_degree(word: Word) -> int:
-    return sum(h.degree for h in word)
+def word_degree(word: tuple) -> int:
+    return sum(map(letter_degree, word))
 
 
-def outer_shuffle(xs: Sequence[Word], ys: Sequence[Word]) -> TensorSum:
+def outer_shuffle(xs: Sequence[tuple], ys: Sequence[tuple]) -> SparseVector:
     """Shuffle two tuples of words as words-of-words; each inner word acts as
     a single letter whose degree is the sum of its letters' degrees."""
-    out: dict[tuple, int] = {}
-    _accumulate(out, _shuffle_terms(tuple(xs), tuple(ys), word_degree), 1)
-    return TensorSum._trusted(None, out)
+    return SparseVector(None, shuffle(tuple(xs), tuple(ys), word_degree))
 
 
 # -- span membership for split shuffles ----------------------------------
-
-
-def _letter_key(h: Homog):
-    return (str(h.carrier), h.degree)
-
-
-def _grouped_key(grouped: tuple) -> tuple:
-    return tuple(tuple(_letter_key(h) for h in word) for word in grouped)
-
-
-def _sorted_vec(ts: TensorSum) -> dict:
-    return {_grouped_key(k): c for k, c in ts.items()}
 
 
 def _multiset_splits(letters: tuple, parts: int):
@@ -111,7 +92,7 @@ def _span_generators(letters: tuple, k: int) -> list[dict]:
                 for rgroups in _multiset_splits(right, q):
                     for lwords in product(*(_arrangements(g) for g in lgroups)):
                         for rwords in product(*(_arrangements(g) for g in rgroups)):
-                            vec = _sorted_vec(outer_shuffle(lwords, rwords))
+                            vec = dict(outer_shuffle(lwords, rwords).terms)
                             if vec:
                                 gens.append(vec)
     # (b) split tensors with one slot an inner shuffle
@@ -127,7 +108,7 @@ def _span_generators(letters: tuple, k: int) -> list[dict]:
                     continue
                 for uw in _arrangements(u):
                     for vw in _arrangements(v):
-                        inner = shuffle(uw, vw)
+                        inner = shuffle(uw, vw, letter_degree)
                         for others in product(
                             *(
                                 _arrangements(g) if i != j else ((),)
@@ -139,8 +120,7 @@ def _span_generators(letters: tuple, k: int) -> list[dict]:
                                 grouped = tuple(
                                     word if i == j else others[i] for i in range(k)
                                 )
-                                key = _grouped_key(grouped)
-                                vec[key] = vec.get(key, Fraction(0)) + coeff
+                                vec[grouped] = vec.get(grouped, Fraction(0)) + coeff
                             vec = {kk: c for kk, c in vec.items() if c}
                             if vec:
                                 gens.append(vec)
@@ -175,11 +155,11 @@ def _echelon_insert(vec: dict, pivots: dict) -> None:
     pivots[pivot] = {k: c * inv for k, c in vec.items()}
 
 
-def shuffle_span_membership(x: TensorSum, max_letters: int = 5) -> bool:
+def shuffle_span_membership(x: SparseVector, max_letters: int = 5) -> bool:
     """Decide whether a sum of k-fold split words lies in the span of outer
     shuffles of groupings plus split words with a shuffled slot.
 
-    Works over formal letters (string carriers).  All terms must share one
+    Works over formal letters (name, degree).  All terms must share one
     block count k and one letter multiset; at most ``max_letters`` letters.
     """
     if not x:
@@ -188,14 +168,14 @@ def shuffle_span_membership(x: TensorSum, max_letters: int = 5) -> bool:
     k = len(keys[0])
     if any(len(key) != k for key in keys):
         raise ValueError("terms must share the block count")
-    letters = tuple(sorted((h for w in keys[0] for h in w), key=_letter_key))
+    letters = tuple(sorted(h for w in keys[0] for h in w))
     if len(letters) > max_letters:
         raise ValueError(f"instance too large: more than {max_letters} letters")
     for key in keys:
-        flat = tuple(sorted((h for w in key for h in w), key=_letter_key))
+        flat = tuple(sorted(h for w in key for h in w))
         if flat != letters:
             raise ValueError("terms must share the letter multiset")
-    return not _reduce(_sorted_vec(x), _span_pivots(letters, k))
+    return not _reduce(dict(x.terms), _span_pivots(letters, k))
 
 
 @lru_cache(maxsize=256)

@@ -14,8 +14,8 @@ from simplicial_transfer.cochains import Cochain, interval_basis_components, sta
 from simplicial_transfer.complexes import OrderedComplex, check_whitney_conditions
 from simplicial_transfer.contraction import check_contraction, s_operator
 from simplicial_transfer.forms import Form
-from simplicial_transfer.rationals import bernoulli_number, factorial
-from simplicial_transfer.tensorwords import TensorSum, shuffle
+from simplicial_transfer.rationals import SparseVector, bernoulli_number, factorial
+from simplicial_transfer.tensorwords import shuffle
 from simplicial_transfer.transfer import (
     SimplexContraction,
     bernoulli_polynomial,
@@ -30,7 +30,7 @@ from simplicial_transfer.transfer import (
 )
 from simplicial_transfer.trees import tree_count
 
-from helpers import basis_cochains, deconcatenations, exp_series_ratio, formal_word
+from helpers import basis_cochains, deconcatenations, exp_series_ratio, formal_word, letter_degree
 from span_oracle import shuffle_span_membership
 
 
@@ -207,9 +207,9 @@ def test_criterion_11_split_shuffle_membership():
             for ds in product(degrees, repeat=total):
                 u = formal_word(names[:p], ds[:p])
                 v = formal_word(names[p : p + q], ds[p:])
-                sh = shuffle(u, v)
+                sh = shuffle(u, v, letter_degree)
                 for k in range(2, min(3, total) + 1):
-                    x = TensorSum()
+                    x = SparseVector(None)
                     for word, coeff in sh.items():
                         x = x + coeff * deconcatenations(word, k)
                     checked += 1

@@ -314,6 +314,15 @@ def test_cochain_entry_without_coeff(tmp_path, capsys):
     _assert_one_line_usage_error(code, err, "bad cochain file")
 
 
+def test_cochain_with_a_duplicated_simplex(tmp_path, capsys):
+    # the two entries are not summed: a simplex listed twice is a format error
+    code, out, err = _cup_with(
+        tmp_path, capsys, [{"simplex": [0], "coeff": "1"}, {"simplex": [0], "coeff": "2"}]
+    )
+    _assert_one_line_usage_error(code, err, "bad cochain file: duplicate simplex [0]")
+    assert out == ""
+
+
 def test_complex_vertices_not_a_list(tmp_path, capsys):
     code, _, err = _complex_run(
         tmp_path, capsys, {"vertices": 3, "simplices": [[0, 1]]}, "whitney-check"

@@ -21,7 +21,7 @@ from simplicial_transfer.forms import (
     monomial_basis,
     parse_form,
 )
-from simplicial_transfer.tensorwords import Homog, TensorSum
+from simplicial_transfer.rationals import SparseVector
 
 from helpers import (
     cochain_from_interval_basis,
@@ -155,11 +155,11 @@ def test_constructors_reject_inexact_scalars(bad):
         bad * Cochain.basis_element(standard_simplex(1), (0,))
     with pytest.raises(TypeError):
         cochain_from_interval_basis(bad, 0, 0)
-    letter = Homog("a", 0)
+    letter = ("a", 0)
     with pytest.raises(TypeError):
-        TensorSum({(letter,): bad})
+        SparseVector(None, {(letter,): bad})
     with pytest.raises(TypeError):
-        bad * TensorSum({(letter,): 1})
+        bad * SparseVector(None, {(letter,): 1})
     with pytest.raises(TypeError):
         koszul_apply([(lambda h: [(bad, h)], 0)], (letter,))
     assert Form(1, {((1,), ()): True}) == Form.monomial(1, (1,), ())

@@ -1,7 +1,8 @@
 """The modules of the package import one another only downwards, in one
 fixed order of layers, so that, for one, the cochain layer never reaches
-up into the transfer engine or the complex drivers; and ``SparseVector``
-is the one vector type the layers share."""
+up into the transfer engine or the complex drivers; ``SparseVector`` is
+the one vector type the layers share; and the names that the benchmark
+harness looks up in the package exist."""
 
 import ast
 import importlib
@@ -27,6 +28,7 @@ LAYERS = (
     "cli",
 )
 PACKAGE = Path(simplicial_transfer.__file__).parent
+BENCH = PACKAGE.parent.parent / "bench"
 
 
 def _package_imports(module: str) -> set[str]:
@@ -72,8 +74,9 @@ def test_the_parser_finds_the_imports():
 
 
 def test_sparse_vector_is_the_one_vector_type():
-    # forms, cochains and tensor sums inherit their + from SparseVector; a
-    # class of its own with an __add__ would be a second vector type
+    # forms and cochains inherit their + from SparseVector, and a sum of
+    # words is a SparseVector without a space; a class of its own with an
+    # __add__ would be a second vector type
     adders = set()
     for module in LAYERS:
         mod = importlib.import_module(f"simplicial_transfer.{module}")
@@ -112,3 +115,32 @@ def test_the_cli_has_one_json_writer():
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert "json" not in imported
+
+
+def _bench_constants(name: str) -> dict:
+    """The module-level constants of a bench script, read from its source
+    without importing it."""
+    tree = ast.parse((BENCH / name).read_text(encoding="utf-8"))
+    return {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+        and isinstance(node.value, (ast.Dict, ast.Tuple))
+    }
+
+
+def test_the_benchmark_finds_its_modules_and_entries():
+    # the tracer wraps functions by module key and the benchmark child stamps
+    # the CLI's battery entries; a module or an entry removed from the
+    # package would crash every benchmark run
+    tracer = _bench_constants("tracer.py")
+    keys = set()
+    for table in ("TIMED", "SPANS", "COUNTED"):
+        keys.update(tracer[table])
+    assert keys and keys <= set(LAYERS), keys - set(LAYERS)
+    entries = _bench_constants("child.py")["BATTERY_ENTRIES"]
+    assert entries
+    cli = importlib.import_module("simplicial_transfer.cli")
+    assert [name for name in entries if not hasattr(cli, name)] == []

@@ -14,12 +14,13 @@ from simplicial_transfer.complexes import OrderedComplex
 from simplicial_transfer.forms import parse_form
 from simplicial_transfer.rationals import bernoulli_number, factorial
 from simplicial_transfer import transfer
-from simplicial_transfer.tensorwords import TensorSum, shuffle
+from simplicial_transfer.tensorwords import shuffle
 from simplicial_transfer.transfer import (
     SimplexContraction,
     _G,
     _insertions,
     _m,
+    _multilinear,
     _relation_value,
     check_a_infinity,
     check_c_infinity,
@@ -39,7 +40,7 @@ from simplicial_transfer.trees import (
 )
 
 from global_oracle import GlobalFormContraction
-from helpers import basis_cochains, poly, tree_letters
+from helpers import basis_cochains, poly, tree_ids
 
 
 def interval_letters():
@@ -133,10 +134,10 @@ def test_morphism_components_equal_the_H_rooted_tree_sum(dim, max_arity):
     basis = basis_cochains(bundle)
     for n in range(2, max_arity + 1):
         for word in product(basis, repeat=n):
-            letters = tree_letters(word)
+            ids = tree_ids(bundle, word)
             total = bundle.zero_A()
             for tree in enumerate_trees(n):
-                total = total + evaluate_tree_G(tree, letters, bundle)
+                total = total + evaluate_tree_G(tree, ids, bundle)
             assert morphism_G(bundle, word) == total
 
 
@@ -144,13 +145,13 @@ def test_single_vertex_tree_matches_morphism_component():
     bundle = SimplexContraction(1)
     (two_leaf,) = enumerate_trees(2)
     t, dt = interval_letters()
-    assert not evaluate_tree_G(two_leaf, tree_letters((t, t)), bundle)
-    assert evaluate_tree_G(two_leaf, tree_letters((t, dt)), bundle) == parse_form(
+    assert not evaluate_tree_G(two_leaf, tree_ids(bundle, (t, t)), bundle)
+    assert evaluate_tree_G(two_leaf, tree_ids(bundle, (t, dt)), bundle) == parse_form(
         "1/2 t1 + -1/2 t1^2", 1
     )
     for a in basis_cochains(bundle):
         for b in basis_cochains(bundle):
-            assert evaluate_tree_G(two_leaf, tree_letters((a, b)), bundle) == morphism_G(
+            assert evaluate_tree_G(two_leaf, tree_ids(bundle, (a, b)), bundle) == morphism_G(
                 bundle, (a, b)
             )
 
@@ -167,7 +168,7 @@ def test_path_trees_carry_the_product():
             expected_sign = -1 if i % 2 else 1
             total = bundle.zero_B()
             for tree in path_trees(n + 1, i + 1):
-                contribution = evaluate_tree_m(tree, tree_letters(word), bundle)
+                contribution = evaluate_tree_m(tree, tree_ids(bundle, word), bundle)
                 assert contribution == expected_sign * base
                 total = total + contribution
             assert total == transferred_m(bundle, word)
@@ -307,7 +308,7 @@ def test_a_failure_is_never_reported_as_a_pass(monkeypatch):
     # still fails, on the word where theta^T phi != n phi, after all 9 pairs
     bundle = SimplexContraction(1)
     monkeypatch.setattr(transfer, "_m", _doubled_on(transfer._m, bundle, ((0,), (0, 1))))
-    monkeypatch.setattr(transfer, "shuffle", lambda u, v, degree_of: TensorSum())
+    monkeypatch.setattr(transfer, "shuffle", lambda u, v, degree_of: {})
     assert _failing(check_c_infinity(bundle, 2)) == [
         (
             "operation vanishes on shuffles, arity 2",
@@ -347,7 +348,7 @@ def _bracketing_rows(degrees, n):
 def _shuffle_rows(degrees, n):
     letters = range(len(degrees))
     return [
-        dict(shuffle(u, v, degrees.__getitem__).num)
+        shuffle(u, v, degrees.__getitem__)
         for p in range(1, n)
         for u in product(letters, repeat=p)
         for v in product(letters, repeat=n - p)
@@ -577,14 +578,19 @@ def test_memo_holds_only_basis_words():
 # -- the insertion sum on letters, as before the basis expansion ------------
 
 
-def _trees_G(bundle, word):
-    if len(word) == 1:
-        return bundle.g(word[0])
-    letters = tree_letters(word)
+def _trees_G_on_ids(bundle, ids):
+    if len(ids) == 1:
+        return bundle.g(bundle.basis_element(bundle._faces[ids[0]]))
     total = bundle.zero_A()
-    for tree in enumerate_trees(len(word)):
-        total = total + evaluate_tree_G(tree, letters, bundle)
+    for tree in enumerate_trees(len(ids)):
+        total = total + evaluate_tree_G(tree, ids, bundle)
     return total
+
+
+def _trees_G(bundle, word):
+    """G_n on a word of cochains as the sum over H-rooted trees, expanded in
+    the basis like ``transferred_m_trees``."""
+    return _multilinear(bundle, word, _trees_G_on_ids, bundle.zero_A)
 
 
 def _insertions_by_letters(bundle, word, outer, zero):
@@ -592,7 +598,7 @@ def _insertions_by_letters(bundle, word, outer, zero):
     m_k(...) inserted as one cochain; tree sums stand for m and G, so no
     memo of the engine is read."""
     n = len(word)
-    degrees = [letter.degree for letter in tree_letters(word)]
+    degrees = [c.homogeneous_degree() - 1 for c in word]
     total = zero
     for k in range(1, n + 1):
         for j in range(0, n - k + 1):

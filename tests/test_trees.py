@@ -1,9 +1,9 @@
 import pytest
 
-from simplicial_transfer.tensorwords import Homog
 from simplicial_transfer.trees import (
     LEAF,
     PlanarTree,
+    compositions,
     enumerate_trees,
     evaluate_tree_G,
     evaluate_tree_m,
@@ -20,6 +20,12 @@ def schroeder_numbers(n_max):
     for n in range(2, n_max):
         vals.append((3 * (2 * n - 1) * vals[-1] - (n - 2) * vals[-2]) // (n + 1))
     return vals
+
+
+def test_compositions():
+    assert list(compositions(3, 2)) == [(1, 2), (2, 1)]
+    assert list(compositions(4, 1)) == [(4,)]
+    assert list(compositions(2, 3)) == []
 
 
 def test_counts_match_recurrence():
@@ -144,9 +150,18 @@ class _Token(str):
 
 
 class _TracingBundle:
-    """Records the composite an evaluation performs instead of computing."""
+    """Records the composite an evaluation performs instead of computing.
+    Its basis letters are named faces b1, b2, ... of degree zero, and the
+    basis element of a face is its name."""
 
     koszul_signs = True
+
+    def __init__(self, n_letters):
+        self._faces = [f"b{i}" for i in range(1, n_letters + 1)]
+        self._degrees = [0] * n_letters
+
+    def basis_element(self, face):
+        return face
 
     def g(self, letter):
         return _Token(f"g({letter})")
@@ -165,27 +180,26 @@ def test_tree_evaluation_composition_pattern():
     # the 6-leaf tree with a 4-ary vertex feeding the middle slot of a
     # ternary root reads f o m3 o (g, H o m4 o (g,g,g,g), g)
     tree = PlanarTree((LEAF, PlanarTree((LEAF,) * 4), LEAF))
-    word = tuple(Homog(f"b{i}", 0) for i in range(1, 7))
-    out = evaluate_tree_m(tree, word, _TracingBundle())
+    ids = tuple(range(6))
+    out = evaluate_tree_m(tree, ids, _TracingBundle(6))
     assert out == "f(m3(g(b1), H(m4(g(b2), g(b3), g(b4), g(b5))), g(b6)))"
-    out = evaluate_tree_G(tree, word, _TracingBundle())
+    out = evaluate_tree_G(tree, ids, _TracingBundle(6))
     assert out == "H(m3(g(b1), H(m4(g(b2), g(b3), g(b4), g(b5))), g(b6)))"
 
 
 def test_tree_evaluation_input_validation():
     tree = enumerate_trees(2)[0]
-    word = (Homog("a", 0),)
+    ids = (0,)
     with pytest.raises(ValueError):
-        evaluate_tree_m(tree, word, _TracingBundle())
+        evaluate_tree_m(tree, ids, _TracingBundle(1))
     with pytest.raises(ValueError):
-        evaluate_tree_m(LEAF, word, _TracingBundle())
+        evaluate_tree_m(LEAF, ids, _TracingBundle(1))
 
 
 def test_higher_vertices_vanish_over_binary_algebras():
-    from simplicial_transfer.cochains import Cochain, standard_simplex
     from simplicial_transfer.transfer import SimplexContraction
 
     bundle = SimplexContraction(1)
     ternary = PlanarTree((LEAF, LEAF, LEAF))
-    word = tuple(Homog(Cochain.basis_element(standard_simplex(1), (0, 1)), 0) for _ in range(3))
-    assert not evaluate_tree_m(ternary, word, bundle)
+    ids = (bundle.intern((0, 1)),) * 3
+    assert not evaluate_tree_m(ternary, ids, bundle)

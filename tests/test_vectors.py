@@ -1,6 +1,7 @@
-"""The linear structure that forms, cochains and tensor sums share through
-``SparseVector``: one set of vector laws, checked on each, and on cochains
-of a standard simplex and of a complex."""
+"""The linear structure that forms, cochains and sums of words share through
+``SparseVector``: one set of vector laws, checked on each, on cochains of a
+standard simplex and of a complex, and on a ``SparseVector`` without a
+space, as the tests' sums of words are."""
 
 from fractions import Fraction
 from math import gcd
@@ -10,14 +11,13 @@ import pytest
 from simplicial_transfer.cochains import Cochain, OrderedComplex, standard_simplex
 from simplicial_transfer.forms import Form, _pack, _unpack
 from simplicial_transfer.rationals import SparseVector
-from simplicial_transfer.tensorwords import Homog, TensorSum
 
 DELTA2 = OrderedComplex([0, 1, 2], [[0, 1, 2]])
 BOUNDARY2 = OrderedComplex([0, 1, 2], [[0, 1], [0, 2], [1, 2]])
-A, B = Homog("a", 0), Homog("b", 1)
+A, B = ("a", 0), ("b", 1)
 
 # (constructor, two distinct spaces, the terms of a and of b, the message of
-# a space mismatch); a tensor sum has no space
+# a space mismatch); a sum of words has no space
 CASES = {
     "Form": (
         Form, (2, 1),
@@ -37,14 +37,14 @@ CASES = {
         {(0, 1): Fraction(2, 3), (1, 2): 5},
         "complex mismatch",
     ),
-    "TensorSum": (
-        lambda space, terms=None: TensorSum(terms), (None, None),
+    "SparseVector": (
+        SparseVector, (None, None),
         {(A, B): 1, ((A,), (B, A)): Fraction(1, 2)},
         {(A, B): -1, (B,): 7},
         None,
     ),
 }
-ZEROS = (Form(1), Cochain(standard_simplex(1)), TensorSum())
+ZEROS = (Form(1), Cochain(standard_simplex(1)), SparseVector(None))
 
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
