@@ -30,15 +30,15 @@ for tree in enumerate_trees(3):
 print()
 
 bundle = SimplexContraction(1)
-t = bundle.basis_element((1,))
-dt = bundle.basis_element((0, 1))
 # tree evaluation runs on words of basis letter ids; the bundle interns the
 # face F of a basis cochain with the shifted degree dim F - 1 for its signs
-letter = {t: bundle.intern((1,)), dt: bundle.intern((0, 1))}
+t_id, dt_id = bundle.intern((1,)), bundle.intern((0, 1))
+t, dt = bundle.letter(t_id), bundle.letter(dt_id)
+letter = {t: t_id, dt: dt_id}
 
 print("Sum over trees versus the root-grouped recursion, on every word of")
 print("interval basis cochains of length up to 4:")
-basis = [bundle.basis_element(face) for face in bundle.faces()]
+basis = [bundle.letter(i) for i in bundle.basis_ids()]
 agree = all(
     transferred_m(bundle, word) == transferred_m_trees(bundle, word)
     for n in range(1, 5)

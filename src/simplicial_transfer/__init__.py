@@ -62,13 +62,13 @@ from .transfer import (
 )
 from .complexes import (
     check_whitney_conditions,
+    cochain_from_records,
+    cochain_records,
     complex_from_data,
     cup,
-    global_cochain_from_records,
-    global_cochain_records,
+    load_cochain,
     load_complex,
-    load_global_cochain,
 )
-from .reporting import CheckRecord, ContractionReport, VerificationReport
+from .reporting import CheckRecord, Report
 
 __version__ = "0.1.0"

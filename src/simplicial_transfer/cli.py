@@ -18,9 +18,9 @@ from .cochains import ComplexFormatError
 from .complexes import (
     check_whitney_conditions,
     cup,
-    global_cochain_records,
+    cochain_records,
+    load_cochain,
     load_complex,
-    load_global_cochain,
 )
 from .contraction import check_contraction
 from .reporting import dumps
@@ -188,8 +188,8 @@ def cmd_complex(args, parser) -> int:
 
     if args.operation == "cup":
         try:
-            a = load_global_cochain(_read(args.a), complex_)
-            b = load_global_cochain(_read(args.b), complex_)
+            a = load_cochain(_read(args.a), complex_)
+            b = load_cochain(_read(args.b), complex_)
         except OSError as exc:
             print(f"cannot read cochain file: {exc}", file=sys.stderr)
             return USAGE
@@ -198,9 +198,9 @@ def cmd_complex(args, parser) -> int:
             return USAGE
         result = cup(a, b)
         if args.format == "json":
-            print(dumps(global_cochain_records(result)))
+            print(dumps(cochain_records(result)))
         else:
-            for entry in global_cochain_records(result)["entries"]:
+            for entry in cochain_records(result)["entries"]:
                 print(f"simplex={entry['simplex']} coeff={entry['coeff']}")
             if not result:
                 print("0")

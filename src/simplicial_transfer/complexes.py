@@ -1,6 +1,7 @@
 """Finite ordered simplicial complexes as input: the JSON formats of a
-complex and of a cochain on it, the cup-like product, and the classical
-product conditions.
+complex (``load_complex``) and of a cochain on it (read by ``load_cochain``
+and ``cochain_from_records``, written by ``cochain_records``), the cup-like
+product, and the classical product conditions.
 
 Complexes and their cochains are those of ``cochains``.  Forms, g, f and
 Dupont's homotopy H are levelwise and natural for face inclusions (Dupont
@@ -41,17 +42,17 @@ from functools import lru_cache
 
 from .cochains import Cochain, ComplexFormatError, OrderedComplex, coboundary
 from .rationals import parse_rational, rational_str
-from .reporting import VerificationReport
-from .transfer import ComplexContraction, _face_label, _m, _relation_value
+from .reporting import Report
+from .transfer import ComplexContraction, _face_label, _family_report, _m, _relation_value
 
 __all__ = [
     "load_complex",
     "complex_from_data",
     "cup",
     "check_whitney_conditions",
-    "global_cochain_records",
-    "global_cochain_from_records",
-    "load_global_cochain",
+    "cochain_records",
+    "cochain_from_records",
+    "load_cochain",
 ]
 
 
@@ -117,7 +118,7 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
     return Cochain._sum(a.complex, parts, a.den * b.den)
 
 
-def check_whitney_conditions(complex_: OrderedComplex) -> VerificationReport:
+def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     """The classical product conditions for a ⊔ b = f(ga ^ gb), checked over
     every pair of basis cochains, plus the homotopy certificate for its
     failure of associativity.  The products of all pairs of basis cochains
@@ -127,11 +128,8 @@ def check_whitney_conditions(complex_: OrderedComplex) -> VerificationReport:
     edge; on a discrete complex the product is honestly associative.
     """
     basis = [Cochain.basis_element(complex_, s) for s in complex_.simplices]
-    report = VerificationReport(
-        family="cup product conditions",
-        arity_range=(2, 3),
-        basis=f"{len(basis)} basis cochains on {len(complex_.simplices)} simplices",
-    )
+    basis_text = f"{len(basis)} basis cochains on {len(complex_.simplices)} simplices"
+    report = _family_report("cup product conditions", 2, 3, basis_text)
     products = {(a, b): cup(a, b) for a in basis for b in basis}
 
     def label(c: Cochain) -> str:
@@ -222,7 +220,7 @@ def check_whitney_conditions(complex_: OrderedComplex) -> VerificationReport:
 # -- cochain files ---------------------------------------------------------
 
 
-def global_cochain_records(c: Cochain) -> dict:
+def cochain_records(c: Cochain) -> dict:
     return {
         "entries": [
             {"simplex": list(s), "coeff": rational_str(coeff)}
@@ -231,7 +229,7 @@ def global_cochain_records(c: Cochain) -> dict:
     }
 
 
-def global_cochain_from_records(data: dict, complex_: OrderedComplex) -> Cochain:
+def cochain_from_records(data: dict, complex_: OrderedComplex) -> Cochain:
     shape = 'expected {"entries": [{"simplex": [...], "coeff": "p/q"}]}'
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise ComplexFormatError(shape)
@@ -247,5 +245,5 @@ def global_cochain_from_records(data: dict, complex_: OrderedComplex) -> Cochain
     return Cochain(complex_, pairs)
 
 
-def load_global_cochain(text: str, complex_: OrderedComplex) -> Cochain:
-    return _load_json(text, lambda data: global_cochain_from_records(data, complex_))
+def load_cochain(text: str, complex_: OrderedComplex) -> Cochain:
+    return _load_json(text, lambda data: cochain_from_records(data, complex_))

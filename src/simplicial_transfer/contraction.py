@@ -70,7 +70,7 @@ from .forms import (
     vertex_evaluate,
 )
 from .rationals import _accumulate, _linear, binomial, factorial
-from .reporting import ContractionReport
+from .reporting import Report
 
 __all__ = [
     "h_operator",
@@ -176,7 +176,7 @@ def _vertex_projection(a: Form, i: int) -> Form:
     return vertex_evaluate(a, i) * Form.one(a.dim)
 
 
-def check_contraction(n: int, max_poly_degree: int) -> ContractionReport:
+def check_contraction(n: int, max_poly_degree: int) -> Report:
     """Evaluate the full contraction identity battery on the n-simplex over
     every monomial of polynomial degree up to the bound.
 
@@ -184,7 +184,11 @@ def check_contraction(n: int, max_poly_degree: int) -> ContractionReport:
     """
     if n < 0 or max_poly_degree < 1:
         raise ValueError("need n >= 0 and max_poly_degree >= 1")
-    report = ContractionReport(dimension=n, poly_degree_bound=max_poly_degree)
+    report = Report(
+        f"contraction identities on the {n}-simplex, polynomial degree <= {max_poly_degree}",
+        dimension=n,
+        poly_degree_bound=max_poly_degree,
+    )
     monomials = list(monomial_basis(n, max_poly_degree))
     simplex = standard_simplex(n)
     faces = simplex.simplices

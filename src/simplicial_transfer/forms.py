@@ -300,14 +300,13 @@ def integrate_top(a: Form) -> Fraction:
     return total / a.den
 
 
-def monomial_basis(dim: int, max_poly_degree: int, form_degree: int | None = None):
+def monomial_basis(dim: int, max_poly_degree: int):
     """Yield every monomial Form on the dim-simplex with polynomial degree up
-    to the bound, optionally restricted to one form degree."""
+    to the bound, form degree by form degree."""
     if dim and max_poly_degree >= _TOP:  # fail before building ~bound^dim exponent tuples
         _pack(dim, (_TOP,) * dim, ())  # raises: the basis holds t_1^_TOP
-    degrees = range(dim + 1) if form_degree is None else (form_degree,)
     exps_list = _exponents(dim, max_poly_degree)
-    for k in degrees:
+    for k in range(dim + 1):
         for dts in combinations(range(1, dim + 1), k):
             for exps in exps_list:
                 yield Form.monomial(dim, exps, dts)

@@ -2,8 +2,9 @@
 
 Every battery evaluates a named identity over a complete enumerated basis
 and records pass/fail with the first counterexample through ``Report.check``;
-reports render to JSON (rationals as strings) and to aligned text.  Every
-JSON report is written by ``dumps``.
+one ``Report`` class serves every battery, which gives it a header line and
+its JSON fields, and reports render to JSON (rationals as strings) and to
+aligned text.  Every JSON report is written by ``dumps``.
 """
 
 from __future__ import annotations
@@ -60,14 +61,13 @@ class CheckRecord:
         return line
 
 
-def _render_checks(checks) -> str:
-    return "\n".join(rec.to_text() for rec in checks)
-
-
 class Report:
-    """The check records of one battery, added one identity at a time."""
+    """The check records of one battery, added one identity at a time,
+    under a header line and the JSON fields that describe the battery."""
 
-    def __init__(self):
+    def __init__(self, header: str, **fields):
+        self.header = header
+        self.fields = fields
         self.checks: list[CheckRecord] = []
 
     @property
@@ -89,46 +89,14 @@ class Report:
             CheckRecord(name, count if size is None else size, failure is None, failure)
         )
 
-
-class ContractionReport(Report):
-    def __init__(self, dimension: int, poly_degree_bound: int):
-        super().__init__()
-        self.dimension = dimension
-        self.poly_degree_bound = poly_degree_bound
-
     def to_json_dict(self) -> dict:
         return {
-            "dimension": self.dimension,
-            "poly_degree_bound": self.poly_degree_bound,
+            **self.fields,
             "all_passed": self.all_passed,
             "checks": [rec.to_json_dict() for rec in self.checks],
         }
 
     def to_text(self) -> str:
-        header = (
-            f"contraction identities on the {self.dimension}-simplex, "
-            f"polynomial degree <= {self.poly_degree_bound}"
-        )
-        return "\n".join([header, _render_checks(self.checks)])
-
-
-class VerificationReport(Report):
-    def __init__(self, family: str, arity_range: tuple[int, int], basis: str):
-        super().__init__()
-        self.family = family
-        self.arity_range = arity_range
-        self.basis = basis
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "arity_range": list(self.arity_range),
-            "basis": self.basis,
-            "all_passed": self.all_passed,
-            "checks": [rec.to_json_dict() for rec in self.checks],
-        }
-
-    def to_text(self) -> str:
-        lo, hi = self.arity_range
-        header = f"{self.family} for arity {lo}..{hi} over {self.basis}"
-        return "\n".join([header, _render_checks(self.checks)])
+        # a report without records (verify --max-arity 1 has a shuffle
+        # report with none) keeps the newline after its header
+        return "\n".join([self.header, "\n".join(rec.to_text() for rec in self.checks)])

@@ -88,7 +88,7 @@ from .cochains import (
 from .contraction import homotopy_H, s_operator
 from .forms import Form, differential, format_form, integrate_top, wedge
 from .rationals import bernoulli_number, binomial, factorial, rational_str
-from .reporting import Report, VerificationReport
+from .reporting import Report
 from .tensorwords import shuffle
 from .trees import enumerate_trees, evaluate_tree_m
 
@@ -121,15 +121,16 @@ class ComplexContraction:
     join rule, every union read from the process's standard-simplex
     engines.
 
-    The engine reads a bundle's maps: the cochain side (``d_B``, ``zero_B``
-    and the ``expected_unit`` that f(1) must equal), the cochain basis
-    (``faces`` and ``basis_element``) and the counterexample renderer
-    ``render_B``, all given here; and, for the batteries and G_n, the
-    algebra side (``d_A``, ``wedge_A``, ``one_A``, ``zero_A``), the
-    contraction (``f``, ``g``, ``H``) and ``render_A``, which
-    ``SimplexContraction`` adds with the forms of the standard simplex.
-    Values on both sides offer the integer linear combination ``_sum`` of
-    ``SparseVector``, and the engine reads the numerators of cochains.
+    The cochain side is that of the complex, and the engine reads it
+    directly: ``coboundary``, the stored zero ``_zero``, the unit
+    ``Cochain.unit`` that f(1) must equal, the simplices of the complex and
+    ``format_cochain``.  One hook, ``letter``, gives the basis cochain of a
+    letter id.  For the batteries and G_n the engine reads the algebra side
+    (``d_A``, ``wedge_A``, ``one_A``, ``zero_A``), the contraction (``f``,
+    ``g``, ``H``) and ``render_A``, which ``SimplexContraction`` adds with
+    the forms of the standard simplex.  Values on both sides offer the
+    integer linear combination ``_sum`` of ``SparseVector``, and the engine
+    reads the numerators of cochains.
 
     The bundle interns each basis letter it meets, a face of the basis, as a
     small int; the letter's degree, which drives signs, is the face's
@@ -138,9 +139,11 @@ class ComplexContraction:
     (module docstring), and ``zero_by_count`` answers a word zero by its
     degrees before ``m_word`` runs.
 
-    ``koszul_signs = False`` drops every slotwise sign; only
-    ``SimplexContraction`` sets it, so the verification commands can
-    demonstrate a failing battery.
+    ``koszul_signs = False`` drops the Koszul sign with which the insertion
+    sums of the batteries slide an inner m_k past the letters before it.
+    No m_k, G_k or tree value reads it: their blocks have even parity, so
+    they carry no slotwise sign.  Only ``SimplexContraction`` sets it, so
+    the verification commands can demonstrate a failing battery.
     """
 
     koszul_signs = True
@@ -157,12 +160,9 @@ class ComplexContraction:
         self._memo_cut: dict = {}
 
     def m_A(self, degrees, values):
-        """The algebra-side operation of any arity: the differential, the
+        """The algebra-side operation of a tree vertex, of arity >= 2: the
         signed product, and zero from arity 3 on."""
-        k = len(values)
-        if k == 1:
-            return self.d_A(values[0])
-        if k == 2:
+        if len(values) == 2:
             prod = self.wedge_A(values[0], values[1])
             return prod if degrees[0] % 2 else -prod
         return self.zero_A()
@@ -200,24 +200,11 @@ class ComplexContraction:
         return [(n, self.intern(face)) for face, n in c.num.items()]
 
     def basis_ids(self) -> list[int]:
-        return [self.intern(face) for face in self.faces()]
+        return [self.intern(face) for face in self.complex.simplices]
 
-    def d_B(self, c: Cochain) -> Cochain:
-        return coboundary(c)
-
-    def zero_B(self) -> Cochain:
-        return self._zero
-
-    def expected_unit(self) -> Cochain:
-        return Cochain.unit(self.complex)
-
-    def faces(self):
-        return self.complex.simplices
-
-    def basis_element(self, simplex) -> Cochain:
-        return Cochain.basis_element(self.complex, simplex)
-
-    render_B = staticmethod(format_cochain)
+    def letter(self, letter_id: int) -> Cochain:
+        """The basis cochain of a letter id."""
+        return Cochain.basis_element(self.complex, self._faces[letter_id])
 
 
 class SimplexContraction(ComplexContraction):
@@ -290,7 +277,7 @@ def _G(bundle, ids: tuple[int, ...]):
         value = bundle._memo_G[ids] = (
             bundle.H(_cut_products(bundle, ids))
             if len(ids) > 1
-            else bundle.g(bundle.basis_element(bundle._faces[ids[0]]))
+            else bundle.g(bundle.letter(ids[0]))
         )
     return value
 
@@ -302,9 +289,9 @@ def _m(bundle, ids: tuple[int, ...]):
     value = bundle._memo_m.get(ids)
     if value is None:
         if len(ids) == 1:
-            value = bundle.d_B(bundle.basis_element(bundle._faces[ids[0]]))
+            value = coboundary(bundle.letter(ids[0]))
         elif bundle.zero_by_count(ids):
-            return bundle.zero_B()
+            return bundle._zero
         else:
             value = bundle.m_word(ids)
         bundle._memo_m[ids] = value
@@ -334,7 +321,7 @@ def _join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
     ``zero_by_count`` first, so a word whose count lies outside 0..(top
     dimension of the complex) never gets here.  U is formed and rejected
     unless it has count + 1 vertices: the same test as forming U first."""
-    zero = bundle.zero_B()
+    zero = bundle._zero
     n = sum(map(bundle._degrees.__getitem__, ids)) + 2  # dim U
     faces = [bundle._faces[i] for i in ids]
     union = tuple(sorted(set().union(*faces)))
@@ -388,7 +375,7 @@ def _insertions(bundle, ids: tuple[int, ...], outer, zero):
 
 def _relation(bundle, ids: tuple[int, ...]):
     """Left side of the structure relation on a basis word."""
-    return _insertions(bundle, ids, _m, bundle.zero_B())
+    return _insertions(bundle, ids, _m, bundle._zero)
 
 
 def _multilinear(bundle, word: tuple[Cochain, ...], op, zero):
@@ -407,7 +394,7 @@ def _multilinear(bundle, word: tuple[Cochain, ...], op, zero):
     den = 1
     for c in word:
         den *= c.den
-    return _sum(zero(), parts, den)
+    return _sum(zero, parts, den)
 
 
 # -- the operations on words of cochains ------------------------------------
@@ -416,28 +403,28 @@ def _multilinear(bundle, word: tuple[Cochain, ...], op, zero):
 def morphism_G(bundle, word: tuple[Cochain, ...]) -> "Form":
     """The morphism component on a word of cochains; G_1 = g and G_n =
     H(cut products)."""
-    return _multilinear(bundle, word, _G, bundle.zero_A)
+    return _multilinear(bundle, word, _G, bundle.zero_A())
 
 
 def transferred_m(bundle, word: tuple[Cochain, ...]):
     """The transferred n-ary operation on a word of cochains; arity 1 is
     the cochain differential and m_n = f(cut products) above, which the
     simplex and complex bundles read by the join rule."""
-    return _multilinear(bundle, word, _m, bundle.zero_B)
+    return _multilinear(bundle, word, _m, bundle._zero)
 
 
 def transferred_m_trees(bundle, word: tuple[Cochain, ...]):
     """The same operation as a direct sum over planar trees, expanded in the
     basis like ``transferred_m``, so each face carries its own degree."""
-    return _multilinear(bundle, word, _m_trees, bundle.zero_B)
+    return _multilinear(bundle, word, _m_trees, bundle._zero)
 
 
 def _m_trees(bundle, ids: tuple[int, ...]):
     """m_n on a basis word as the sum over planar trees; not memoised, so
     it shares nothing with ``_m``."""
     if len(ids) == 1:
-        return bundle.d_B(bundle.basis_element(bundle._faces[ids[0]]))
-    total = bundle.zero_B()
+        return coboundary(bundle.letter(ids[0]))
+    total = bundle._zero
     for tree in enumerate_trees(len(ids)):
         total = total + evaluate_tree_m(tree, ids, bundle)
     return total
@@ -445,22 +432,28 @@ def _m_trees(bundle, ids: tuple[int, ...]):
 
 def _relation_value(bundle, word: tuple[Cochain, ...]) -> Cochain:
     """Left side of the structure relation at the word's arity."""
-    return _multilinear(bundle, word, _relation, bundle.zero_B)
+    return _multilinear(bundle, word, _relation, bundle._zero)
 
 
 def _word_label(bundle, ids) -> str:
     return "(" + ", ".join(_face_label(bundle._faces[i]) for i in ids) + ")"
 
 
-def _letter_report(family: str, first_arity: int, max_arity: int, basis) -> VerificationReport:
-    return VerificationReport(
+def _family_report(family: str, first_arity: int, max_arity: int, basis: str) -> Report:
+    """A report named, in its header and its fields, by family and range."""
+    return Report(
+        f"{family} for arity {first_arity}..{max_arity} over {basis}",
         family=family,
-        arity_range=(first_arity, max_arity),
-        basis=f"{len(basis)} basis letters",
+        arity_range=[first_arity, max_arity],
+        basis=basis,
     )
 
 
-def check_a_infinity(bundle, max_arity: int) -> VerificationReport:
+def _letter_report(family: str, first_arity: int, max_arity: int, basis) -> Report:
+    return _family_report(family, first_arity, max_arity, f"{len(basis)} basis letters")
+
+
+def check_a_infinity(bundle, max_arity: int) -> Report:
     """Structure relations: the signed sum of nested transferred operations
     vanishes on every basis word of each arity."""
     basis = bundle.basis_ids()
@@ -470,7 +463,7 @@ def check_a_infinity(bundle, max_arity: int) -> VerificationReport:
         for word in product(basis, repeat=n):
             value = _relation(bundle, word)
             yield (
-                f"word={_word_label(bundle, word)} residual={bundle.render_B(value)}"
+                f"word={_word_label(bundle, word)} residual={format_cochain(value)}"
                 if value
                 else None
             )
@@ -480,7 +473,7 @@ def check_a_infinity(bundle, max_arity: int) -> VerificationReport:
     return report
 
 
-def check_morphism(bundle, max_arity: int) -> VerificationReport:
+def check_morphism(bundle, max_arity: int) -> Report:
     """Morphism relations: the algebra-side combination of G components
     equals the G image of the cochain-side operations, word by word."""
     basis = bundle.basis_ids()
@@ -556,7 +549,7 @@ def _shuffle_cases(bundle, n: int, op, zero, render):
                 )
 
 
-def check_c_infinity(bundle, max_arity: int) -> VerificationReport:
+def check_c_infinity(bundle, max_arity: int) -> Report:
     """Shuffle vanishing: every transferred operation and every morphism
     component kills the shuffles u sh v of nonempty words, one record per
     operation and arity over the (n - 1) B^n pairs (u, v) of B basis letters.
@@ -574,7 +567,7 @@ def check_c_infinity(bundle, max_arity: int) -> VerificationReport:
     report = _letter_report("shuffle vanishing", 2, max_arity, basis)
     for n in range(2, max_arity + 1):
         for kind, op, zero, render in (
-            ("operation", _m, bundle.zero_B(), bundle.render_B),
+            ("operation", _m, bundle._zero, format_cochain),
             ("morphism", _G, bundle.zero_A(), bundle.render_A),
         ):
             name = f"{kind} vanishes on shuffles, arity {n}"
@@ -588,7 +581,7 @@ def check_c_infinity(bundle, max_arity: int) -> VerificationReport:
     return report
 
 
-def check_unital(bundle, max_arity: int) -> VerificationReport:
+def check_unital(bundle, max_arity: int) -> Report:
     """Unit laws for the transferred structure, with unit e = f(1).  e
     enters a word through its coordinates, so each unit word is a sum of
     coefficient times the value on a basis word."""
@@ -602,16 +595,15 @@ def check_unital(bundle, max_arity: int) -> VerificationReport:
         return _sum(zero, [(n, op(bundle, head + (u,) + tail)) for n, u in unit], e.den)
 
     def binary_cases():
-        zero = bundle.zero_B()
+        zero = bundle._zero
         for b in basis:
-            face = bundle._faces[b]
             left = on_unit(_m, zero, tail=(b,))
             right = on_unit(_m, zero, head=(b,))
             right = right if bundle._degrees[b] % 2 else -right
-            cochain = bundle.basis_element(face)
+            cochain = bundle.letter(b)
             yield None if left == cochain and right == cochain else (
-                f"letter {_face_label(face)}: e*b={bundle.render_B(left)}, "
-                f"signed b*e={bundle.render_B(right)}"
+                f"letter {_face_label(bundle._faces[b])}: e*b={format_cochain(left)}, "
+                f"signed b*e={format_cochain(right)}"
             )
 
     def on_unit_cases(op, zero, render, n):
@@ -627,17 +619,17 @@ def check_unital(bundle, max_arity: int) -> VerificationReport:
 
     report.check(
         "unit is the sum of vertex indicators",
-        [None if e == bundle.expected_unit() else f"f(1) = {bundle.render_B(e)}"],
+        [None if e == Cochain.unit(bundle.complex) else f"f(1) = {format_cochain(e)}"],
     )
     report.check(
         "unit is closed",
-        ["differential of the unit is nonzero" if on_unit(_m, bundle.zero_B()) else None],
+        ["differential of the unit is nonzero" if on_unit(_m, bundle._zero) else None],
     )
     report.check("binary unit laws", binary_cases(), len(basis))
     for n in range(3, max_arity + 1):
         report.check(
             f"operations of arity {n} vanish on the unit",
-            on_unit_cases(_m, bundle.zero_B(), bundle.render_B, n),
+            on_unit_cases(_m, bundle._zero, format_cochain, n),
         )
     report.check(
         "morphism sends unit to 1",
@@ -660,25 +652,21 @@ def check_unital(bundle, max_arity: int) -> VerificationReport:
 
 class IntervalTable(Report):
     """Products of the interval cochains t and dt, reported in the basis
-    {1, t, dt}, together with the derived Bernoulli comparisons."""
+    {1, t, dt}, together with the derived Bernoulli comparisons; its text
+    lays the entries out before the checks and the findings after them."""
 
     def __init__(self, max_arity: int):
-        super().__init__()
-        self.max_arity = max_arity
         self.entries: list[dict] = []
         self.findings: list[str] = []
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_arity": self.max_arity,
-            "all_passed": self.all_passed,
-            "entries": self.entries,
-            "checks": [rec.to_json_dict() for rec in self.checks],
-            "findings": self.findings,
-        }
+        super().__init__(
+            f"products of t and dt up to arity {max_arity} (basis 1, t, dt)",
+            max_arity=max_arity,
+            entries=self.entries,
+            findings=self.findings,
+        )
 
     def to_text(self) -> str:
-        lines = [f"products of t and dt up to arity {self.max_arity} (basis 1, t, dt)"]
+        lines = [self.header]
         width = max(len(e["word"]) for e in self.entries) if self.entries else 0
         for e in self.entries:
             lines.append(f"  m({e['word']:<{width}}) = {e['value']}")
@@ -722,7 +710,7 @@ def interval_product_table(max_arity: int) -> IntervalTable:
     t, dt = bundle.intern((1,)), bundle.intern((0, 1))
     name = {t: "t", dt: "dt"}
 
-    table = IntervalTable(max_arity=max_arity)
+    table = IntervalTable(max_arity)
     values: dict[tuple[int, ...], tuple[Fraction, Fraction, Fraction]] = {}
     labels: dict[tuple[int, ...], str] = {}
     # a zero cochain has the one shared triple, rendered once; the words of

@@ -189,14 +189,14 @@ def _eval_vertex(tree: PlanarTree, ids: tuple[int, ...], bundle):
         if child.is_leaf:
             parities.append(0)
             out_degrees.append(block_degree)
-            values.append(bundle.g(bundle.basis_element(bundle._faces[block[0]])))
+            values.append(bundle.g(bundle.letter(block[0])))
         else:
             # interior edge: H caps the child vertex
             child_parity, child_degree, child_value = _eval_vertex(child, block, bundle)
             parities.append((child_parity + 1) % 2)
             out_degrees.append(child_degree - 1)
             values.append(bundle.H(child_value))
-    sign = koszul_sign(parities, in_degrees) if bundle.koszul_signs else 1
+    sign = koszul_sign(parities, in_degrees)
     value = bundle.m_A(out_degrees, values)
     if sign != 1:
         value = sign * value

@@ -119,7 +119,7 @@ def letter_degree(letter: tuple) -> int:
 
 def basis_cochains(bundle) -> list[Cochain]:
     """The basis cochains of a bundle, in the order of its faces."""
-    return [bundle.basis_element(face) for face in bundle.faces()]
+    return [bundle.letter(i) for i in bundle.basis_ids()]
 
 
 def tree_ids(bundle, word) -> tuple[int, ...]:
@@ -185,7 +185,7 @@ def union_first_join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
     faces = [bundle._faces[i] for i in ids]
     union = tuple(sorted(set().union(*faces)))
     n = len(union) - 1
-    zero = bundle.zero_B()
+    zero = bundle._zero
     if n != sum(len(face) - 1 for face in faces) + 2 - len(ids):
         return zero
     if union not in bundle.complex.cofaces():  # keyed by every simplex

@@ -19,10 +19,10 @@ from simplicial_transfer.cochains import (
 from simplicial_transfer.complexes import (
     check_whitney_conditions,
     cup,
-    global_cochain_from_records,
-    global_cochain_records,
+    cochain_from_records,
+    cochain_records,
     load_complex,
-    load_global_cochain,
+    load_cochain,
 )
 from simplicial_transfer.forms import parse_form, wedge
 from simplicial_transfer.rationals import factorial
@@ -313,20 +313,20 @@ def test_g_is_defined_on_a_standard_simplex_only(complex_):
 
 def test_cochain_file_round_trip():
     c = Cochain(DELTA2, {(0, 1): Fraction(3, 2), (2,): Fraction(-1)})
-    payload = global_cochain_records(c)
+    payload = cochain_records(c)
     assert payload == {
         "entries": [
             {"simplex": [2], "coeff": "-1"},
             {"simplex": [0, 1], "coeff": "3/2"},
         ]
     }
-    again = global_cochain_from_records(json.loads(json.dumps(payload)), DELTA2)
+    again = cochain_from_records(json.loads(json.dumps(payload)), DELTA2)
     assert again == c
-    assert load_global_cochain(json.dumps(payload), DELTA2) == c
+    assert load_cochain(json.dumps(payload), DELTA2) == c
     with pytest.raises(ComplexFormatError):
-        load_global_cochain("[]", DELTA2)
+        load_cochain("[]", DELTA2)
     with pytest.raises(ValueError):
-        load_global_cochain('{"entries": [{"simplex": [5], "coeff": "1"}]}', DELTA2)
+        load_cochain('{"entries": [{"simplex": [5], "coeff": "1"}]}', DELTA2)
 
 
 @pytest.mark.parametrize("bad", [0.1, "1/2", None])
@@ -507,8 +507,8 @@ def test_join_rule_matches_the_simplex_engine(n, arity):
         assert _m(engine, ids) == expected, word
         assert _m(bundle, tuple(b for b, _ in word)).terms == expected.terms, word
         if arity == 2:
-            a, b = (bundle.basis_element(bundle._faces[i]) for i, _ in word)
-            x, y = (engine.basis_element(engine._faces[i]) for _, i in word)
+            a, b = (bundle.letter(i) for i, _ in word)
+            x, y = (engine.letter(i) for _, i in word)
             by_forms = project_f(wedge(include_g(x), include_g(y)))
             assert cup(a, b).terms == by_forms.terms, word
 
@@ -559,9 +559,9 @@ def test_deeply_nested_json_is_a_format_error():
     with pytest.raises(ComplexFormatError, match="nested too deeply"):
         load_complex('{"vertices": [0], "simplices": [' + deep + "]}")
     with pytest.raises(ComplexFormatError, match="nested too deeply"):
-        load_global_cochain(deep, DELTA2)
+        load_cochain(deep, DELTA2)
     with pytest.raises(ComplexFormatError, match="nested too deeply"):
-        load_global_cochain('{"entries": [' + deep + "]}", DELTA2)
+        load_cochain('{"entries": [' + deep + "]}", DELTA2)
 
 
 def test_overlong_integer_literal_is_a_format_error():

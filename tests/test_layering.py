@@ -1,8 +1,8 @@
 """The modules of the package import one another only downwards, in one
 fixed order of layers, so that, for one, the cochain layer never reaches
 up into the transfer engine or the complex drivers; ``SparseVector`` is
-the one vector type the layers share; and the names that the benchmark
-harness looks up in the package exist."""
+the one vector type the layers share and ``Report`` the one report type;
+and the names that the benchmark harness looks up in the package exist."""
 
 import ast
 import importlib
@@ -73,17 +73,29 @@ def test_the_parser_finds_the_imports():
     assert {"transfer", "cochains"} <= _package_imports("complexes")
 
 
+def _classes_defining(attribute: str) -> set[str]:
+    """The package classes whose own ``vars()`` hold ``attribute``."""
+    owners = set()
+    for module in LAYERS:
+        mod = importlib.import_module(f"simplicial_transfer.{module}")
+        for obj in vars(mod).values():
+            if isinstance(obj, type) and obj.__module__ == mod.__name__ and attribute in vars(obj):
+                owners.add(obj.__qualname__)
+    return owners
+
+
 def test_sparse_vector_is_the_one_vector_type():
     # forms and cochains inherit their + from SparseVector, and a sum of
     # words is a SparseVector without a space; a class of its own with an
     # __add__ would be a second vector type
-    adders = set()
-    for module in LAYERS:
-        mod = importlib.import_module(f"simplicial_transfer.{module}")
-        for obj in vars(mod).values():
-            if isinstance(obj, type) and obj.__module__ == mod.__name__ and "__add__" in vars(obj):
-                adders.add(obj.__qualname__)
-    assert adders == {"SparseVector"}
+    assert _classes_defining("__add__") == {"SparseVector"}
+
+
+def test_report_is_the_one_report_type():
+    # every battery reports through reporting.Report, whose JSON is its
+    # fields, all_passed and the records; a class of its own with a
+    # to_json_dict would be a second report type
+    assert _classes_defining("to_json_dict") == {"CheckRecord", "Report"}
 
 
 def test_the_import_loads_no_introspection_modules():

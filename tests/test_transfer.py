@@ -7,6 +7,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from simplicial_transfer.cochains import (
     Cochain,
+    format_cochain,
     interval_basis_components,
     standard_simplex,
 )
@@ -166,7 +167,7 @@ def test_path_trees_carry_the_product():
         for i in range(n + 1):
             word = (dt,) * i + (t,) + (dt,) * (n - i)
             expected_sign = -1 if i % 2 else 1
-            total = bundle.zero_B()
+            total = bundle._zero
             for tree in path_trees(n + 1, i + 1):
                 contribution = evaluate_tree_m(tree, tree_ids(bundle, word), bundle)
                 assert contribution == expected_sign * base
@@ -212,7 +213,7 @@ def test_unitality_interval():
 def test_wrong_unit_fails_the_unit_record(make_bundle):
     bundle = make_bundle()
     assert check_unital(bundle, 2).all_passed
-    bundle.unit_B = lambda: 2 * bundle.expected_unit()
+    bundle.unit_B = lambda: 2 * Cochain.unit(bundle.complex)
     (record,) = [
         c
         for c in check_unital(bundle, 2).checks
@@ -246,7 +247,7 @@ def test_a_doubled_unit_fails_with_these_counterexamples(dim, expected):
     # the unit enters every word linearly, so the arity >= 3 records still
     # vanish on twice the unit; the f(1), binary and g(e) records do not
     bundle = SimplexContraction(dim)
-    bundle.unit_B = lambda: 2 * bundle.expected_unit()
+    bundle.unit_B = lambda: 2 * Cochain.unit(bundle.complex)
     assert _failing(check_unital(bundle, 3)) == expected
 
 
@@ -255,6 +256,19 @@ def test_broken_signs_fail_with_counterexample():
     assert not report.all_passed
     failing = [c for c in report.checks if not c.passed]
     assert failing and failing[0].counterexample
+
+
+@pytest.mark.parametrize("dim, max_arity", [(1, 5), (2, 3)])
+def test_the_sign_flag_changes_no_operation_or_component(dim, max_arity):
+    # koszul_signs reaches only the insertion sums of the batteries: the
+    # blocks of m_n and G_n have even parity, so they carry no slotwise sign
+    signed, unsigned = SimplexContraction(dim), SimplexContraction(dim, koszul_signs=False)
+    basis = signed.basis_ids()
+    assert unsigned.basis_ids() == basis
+    for n in range(1, max_arity + 1):
+        for word in product(basis, repeat=n):
+            assert _m(unsigned, word) == _m(signed, word), word
+            assert _G(unsigned, word) == _G(signed, word), word
 
 
 def _failing(report):
@@ -385,7 +399,7 @@ def test_the_shuffle_sums_vanish_to_arity_4(dim):
     bundle = SimplexContraction(dim)
     for n in range(2, 5):
         for op, zero, render in (
-            (_m, bundle.zero_B(), bundle.render_B),
+            (_m, bundle._zero, format_cochain),
             (_G, bundle.zero_A(), bundle.render_A),
         ):
             assert transfer._dynkin_failure(bundle, n, op, zero) is None
@@ -396,7 +410,7 @@ def test_a_doubled_value_fails_both_sweeps():
     bundle = SimplexContraction(2)
     words = list(product(bundle.basis_ids(), repeat=3))
     for op, zero, render in (
-        (_m, bundle.zero_B(), bundle.render_B),
+        (_m, bundle._zero, format_cochain),
         (_G, bundle.zero_A(), bundle.render_A),
     ):
         word = next(w for w in words if op(bundle, w))
@@ -412,7 +426,7 @@ def _patch_m_off_by_the_first_letter(monkeypatch):
 
     def off_by_the_first_letter(bundle, ids):
         value = m(bundle, ids)
-        return value + bundle.basis_element(bundle._faces[ids[0]]) if len(ids) == 3 else value
+        return value + bundle.letter(ids[0]) if len(ids) == 3 else value
 
     monkeypatch.setattr(transfer, "_m", off_by_the_first_letter)
 
@@ -580,7 +594,7 @@ def test_memo_holds_only_basis_words():
 
 def _trees_G_on_ids(bundle, ids):
     if len(ids) == 1:
-        return bundle.g(bundle.basis_element(bundle._faces[ids[0]]))
+        return bundle.g(bundle.letter(ids[0]))
     total = bundle.zero_A()
     for tree in enumerate_trees(len(ids)):
         total = total + evaluate_tree_G(tree, ids, bundle)
@@ -590,7 +604,7 @@ def _trees_G_on_ids(bundle, ids):
 def _trees_G(bundle, word):
     """G_n on a word of cochains as the sum over H-rooted trees, expanded in
     the basis like ``transferred_m_trees``."""
-    return _multilinear(bundle, word, _trees_G_on_ids, bundle.zero_A)
+    return _multilinear(bundle, word, _trees_G_on_ids, bundle.zero_A())
 
 
 def _insertions_by_letters(bundle, word, outer, zero):
@@ -624,7 +638,7 @@ def test_insertions_match_the_sum_over_letters(dim, max_arity, koszul_signs):
             word = tuple(letters[p] for p in picks)
             id_word = tuple(ids[p] for p in picks)
             assert _relation_value(bundle, word) == _insertions_by_letters(
-                oracle, word, transferred_m_trees, oracle.zero_B()
+                oracle, word, transferred_m_trees, oracle._zero
             ), word
             assert _insertions(bundle, id_word, _G, bundle.zero_A()) == (
                 _insertions_by_letters(oracle, word, _trees_G, oracle.zero_A())

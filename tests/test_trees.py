@@ -151,17 +151,15 @@ class _Token(str):
 
 class _TracingBundle:
     """Records the composite an evaluation performs instead of computing.
-    Its basis letters are named faces b1, b2, ... of degree zero, and the
-    basis element of a face is its name."""
-
-    koszul_signs = True
+    Its basis letters are named b1, b2, ..., of degree zero, and the letter
+    of an id is its name."""
 
     def __init__(self, n_letters):
-        self._faces = [f"b{i}" for i in range(1, n_letters + 1)]
+        self._names = [f"b{i}" for i in range(1, n_letters + 1)]
         self._degrees = [0] * n_letters
 
-    def basis_element(self, face):
-        return face
+    def letter(self, letter_id):
+        return self._names[letter_id]
 
     def g(self, letter):
         return _Token(f"g({letter})")
