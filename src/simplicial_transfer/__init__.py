@@ -32,7 +32,7 @@ from .cochains import (
     standard_simplex,
 )
 from .contraction import check_contraction, h_operator, homotopy_H, s_operator
-from .tensorwords import koszul_sign, shuffle
+from .tensorwords import shuffle
 from .trees import (
     LEAF,
     PlanarTree,

@@ -1,12 +1,12 @@
-"""Words of graded letters and the sign machinery.
+"""Words of graded letters and their shuffle product.
 
 A word is a tuple of letters, and a caller says how to read each letter's
 degree; the degree that drives signs is the shifted one, form or cochain
 degree minus one.  The transfer engine's letters are the interned ids of
 basis faces, whose degrees the bundle holds.
 
-The Koszul rule is the single source of signs: moving an odd operator past
-an element of degree d costs (-1)^d.  The shuffle product is built on it.
+A shuffle's sign is the Koszul rule for its interleaving: moving a letter
+of degree d past one of degree e costs (-1)^(de).
 """
 
 from __future__ import annotations
@@ -16,18 +16,7 @@ from typing import Any, Callable, Sequence
 
 from .rationals import _accumulate
 
-__all__ = ["koszul_sign", "shuffle"]
-
-
-def koszul_sign(parities: Sequence[int], degrees: Sequence[int]) -> int:
-    """Sign for slotwise application: (-1)^(sum_{i<j} parity_j * degree_i)."""
-    exponent = 0
-    for i in range(len(degrees)):
-        if degrees[i] % 2 == 0:
-            continue
-        for j in range(i + 1, len(parities)):
-            exponent += parities[j]
-    return -1 if exponent % 2 else 1
+__all__ = ["shuffle"]
 
 
 def _interleavings(p: int, q: int):

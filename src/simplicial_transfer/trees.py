@@ -5,8 +5,9 @@ A tree with n leaves encodes an n-ary operation: leaves receive the
 inclusion g, each internal vertex of arity k receives the k-ary product of
 the algebra side, each interior edge receives the homotopy H, and the root
 receives either the projection f (product operations) or H (morphism
-operations).  Reading from the leaves to the root with Koszul signs at every
-slotwise application yields the operation.  A tree is evaluated on a word
+operations).  Reading from the leaves to the root yields the operation; no
+slotwise application costs a Koszul sign, since a vertex and H are both odd
+and so every H-capped subtree is even.  A tree is evaluated on a word
 of the basis letter ids of a transfer bundle: a leaf takes g of the basis
 cochain of its face, and the degree that drives its signs is the face's
 interned shifted degree.
@@ -19,8 +20,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-
-from .tensorwords import koszul_sign
 
 __all__ = [
     "PlanarTree",
@@ -174,34 +173,23 @@ def tree_from_text(text: str) -> PlanarTree:
 
 def _eval_vertex(tree: PlanarTree, ids: tuple[int, ...], bundle):
     """Value of the subtree composite up to (not including) the map attached
-    to the outgoing edge; returns (parity, degree, value)."""
+    to the outgoing edge; returns (degree, value)."""
     degrees = bundle._degrees
-    parities: list[int] = []
-    in_degrees: list[int] = []
     out_degrees: list[int] = []
     values = []
     start = 0
     for child in tree.children:
         block = ids[start : start + child.n_leaves]
         start += len(block)
-        block_degree = sum(degrees[i] for i in block)
-        in_degrees.append(block_degree)
         if child.is_leaf:
-            parities.append(0)
-            out_degrees.append(block_degree)
+            out_degrees.append(degrees[block[0]])
             values.append(bundle.g(bundle.letter(block[0])))
         else:
             # interior edge: H caps the child vertex
-            child_parity, child_degree, child_value = _eval_vertex(child, block, bundle)
-            parities.append((child_parity + 1) % 2)
+            child_degree, child_value = _eval_vertex(child, block, bundle)
             out_degrees.append(child_degree - 1)
             values.append(bundle.H(child_value))
-    sign = koszul_sign(parities, in_degrees)
-    value = bundle.m_A(out_degrees, values)
-    if sign != 1:
-        value = sign * value
-    parity = (1 + sum(parities)) % 2
-    return parity, sum(out_degrees) + 1, value
+    return sum(out_degrees) + 1, bundle.m_A(out_degrees, values)
 
 
 def _check_inputs(tree: PlanarTree, ids) -> None:
@@ -217,7 +205,7 @@ def evaluate_tree_m(tree: PlanarTree, ids: tuple[int, ...], bundle):
     interned shifted degree of its face, and its value is g of the face's
     basis cochain."""
     _check_inputs(tree, ids)
-    _, _, value = _eval_vertex(tree, ids, bundle)
+    _, value = _eval_vertex(tree, ids, bundle)
     return bundle.f(value)
 
 
@@ -225,5 +213,5 @@ def evaluate_tree_G(tree: PlanarTree, ids: tuple[int, ...], bundle):
     """The same composite with H at the root, on a word of basis letter
     ids; returns an algebra-side value."""
     _check_inputs(tree, ids)
-    _, _, value = _eval_vertex(tree, ids, bundle)
+    _, value = _eval_vertex(tree, ids, bundle)
     return bundle.H(value)

@@ -1,11 +1,12 @@
 """Helpers that only the tests use: face restriction and integration of
 forms, cochain restriction, the interval basis and the record format of
 single-simplex cochains, the basis cochains of a bundle and their letter
-ids for tree evaluation, formal words and their deconcatenations, the
-polynomials of the interval as 0-forms and the generating-function oracle
-for the interval recursion on them, and the join rule in its union-first
-order.  They go through the package's public constructors, apart from the
-join rule, which reads the engine it checks."""
+ids for tree evaluation, formal words, their deconcatenations and the
+Koszul sign of slotwise application, the polynomials of the interval as
+0-forms and the generating-function oracle for the interval recursion on
+them, and the join rule in its union-first order.  They go through the
+package's public constructors, apart from the join rule, which reads the
+engine it checks."""
 
 from __future__ import annotations
 
@@ -115,6 +116,17 @@ def formal_word(names: str | Sequence[str], degrees: Sequence[int]) -> tuple:
 def letter_degree(letter: tuple) -> int:
     """The degree of a formal letter (name, degree)."""
     return letter[1]
+
+
+def koszul_sign(parities: Sequence[int], degrees: Sequence[int]) -> int:
+    """Sign for slotwise application: (-1)^(sum_{i<j} parity_j * degree_i)."""
+    exponent = 0
+    for i in range(len(degrees)):
+        if degrees[i] % 2 == 0:
+            continue
+        for j in range(i + 1, len(parities)):
+            exponent += parities[j]
+    return -1 if exponent % 2 else 1
 
 
 def basis_cochains(bundle) -> list[Cochain]:

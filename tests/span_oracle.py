@@ -15,9 +15,9 @@ from itertools import permutations, product
 from typing import Any, Callable, Sequence
 
 from simplicial_transfer.rationals import SparseVector, exact
-from simplicial_transfer.tensorwords import koszul_sign, shuffle
+from simplicial_transfer.tensorwords import shuffle
 
-from helpers import letter_degree
+from helpers import koszul_sign, letter_degree
 
 
 def koszul_apply(

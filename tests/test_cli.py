@@ -121,6 +121,7 @@ _PINNED = {
     "verify": ("verify", "--dim", "2", "--max-arity", "3"),
     "contraction": ("contraction", "--dim", "3", "--max-poly-degree", "2"),
     "contraction-4": ("contraction", "--dim", "4", "--max-poly-degree", "2"),
+    "contraction-4-cubic": ("contraction", "--dim", "4", "--max-poly-degree", "3"),
     "interval": ("interval", "--max-arity", "6"),
     "interval-deep": ("interval", "--max-arity", "12"),
     "verify-tetra": ("verify", "--dim", "3", "--max-arity", "3"),
@@ -186,6 +187,11 @@ _DIGESTS = {
         "5c3821c79cd0f629745d4106677ba8fb44c79990aac163429bdc6157f3e3eb8c",
     ("interval-deep", "text"):
         "5f5f11693e9995d3add779a68ce6e1f9709a77991b2866a45bd96f16bf9fbd8a",
+    # recorded before s columns were filled once per orbit of the vertices
+    ("contraction-4-cubic", "text"):
+        "f81f8f31f68c3a1da3be8e545a8b792633d663cb7edbcfb55241ee989780baa9",
+    ("contraction-4-cubic", "json"):
+        "f933ad8628f95a5291abc8c5e69bec51ae00bfacd653d74f65035fda8781a975",
 }
 
 

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from simplicial_transfer import contraction
 from simplicial_transfer.cochains import Cochain, include_g, project_f, standard_simplex
 from simplicial_transfer.contraction import (
@@ -49,7 +51,9 @@ def test_h_two_form():
 
 
 def test_h_operators_anticommute():
-    for n in (1, 2):
+    # the lemma behind s_n's invariance under vertex permutations, which
+    # lets _s_monomial fill one column per orbit
+    for n in (1, 2, 3):
         for m in monomial_basis(n, 3):
             for i in range(n + 1):
                 assert not h_operator(h_operator(m, i), i)
@@ -133,3 +137,35 @@ def test_check_contraction_on_the_4_simplex():
     assert report.all_passed, [c.name for c in report.checks if not c.passed]
     assert len(report.checks) == 11
     assert report.checks[1].basis_size == 240
+
+
+@pytest.fixture
+def cold_caches():
+    # the tests below count fills or plant wrong columns, so they start and
+    # end with empty column caches
+    caches = (contraction._s_monomial, contraction._h_monomial)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_unsigned_relabelling_fails_the_battery(cold_caches, monkeypatch):
+    relabel = contraction._relabel
+    unsigned = lambda n, key, targets: (relabel(n, key, targets)[0], 1)
+    monkeypatch.setattr(contraction, "_relabel", unsigned)
+    report = check_contraction(3, 2)
+    assert "1 - g o f = ds + sd" in [c.name for c in report.checks if not c.passed]
+
+
+def test_s_columns_are_filled_once_per_orbit(cold_caches, monkeypatch):
+    # the keys that check_contraction fills are closed under the
+    # permutations of the vertices 1..n, so the fused sum runs once per orbit
+    fused = []
+    s_fused = contraction._s_fused
+    counted = lambda n, key: fused.append(key) or s_fused(n, key)
+    monkeypatch.setattr(contraction, "_s_fused", counted)
+    assert check_contraction(3, 4).all_passed
+    assert contraction._s_monomial.cache_info().currsize == 406
+    assert len(fused) == len(set(fused)) == 91

@@ -98,6 +98,13 @@ def test_report_is_the_one_report_type():
     assert _classes_defining("to_json_dict") == {"CheckRecord", "Report"}
 
 
+def test_the_package_exports_no_koszul_sign():
+    # tree evaluation needs no slotwise sign, so the helper lives in the tests
+    assert not hasattr(simplicial_transfer, "koszul_sign")
+    tensorwords = importlib.import_module("simplicial_transfer.tensorwords")
+    assert tensorwords.__all__ == ["shuffle"] and not hasattr(tensorwords, "koszul_sign")
+
+
 def test_the_import_loads_no_introspection_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize, which no command
     # runs, and the package import is most of a cold CLI run's setup

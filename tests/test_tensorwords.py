@@ -4,9 +4,9 @@ from itertools import product
 import pytest
 
 from simplicial_transfer.rationals import SparseVector
-from simplicial_transfer.tensorwords import koszul_sign, shuffle
+from simplicial_transfer.tensorwords import shuffle
 
-from helpers import deconcatenations, formal_word, letter_degree
+from helpers import deconcatenations, formal_word, koszul_sign, letter_degree
 from span_oracle import koszul_apply, shuffle_span_membership
 
 
