@@ -30,9 +30,9 @@ for tree in enumerate_trees(3):
 print()
 
 bundle = SimplexContraction(1)
-# tree evaluation runs on words of basis letter ids; the bundle interns the
-# face F of a basis cochain with the shifted degree dim F - 1 for its signs
-t_id, dt_id = bundle.intern((1,)), bundle.intern((0, 1))
+# tree evaluation runs on words of basis letter ids; a letter id is the
+# position of its face F in the complex, and its signs read dim F - 1
+t_id, dt_id = bundle.complex.index[(1,)], bundle.complex.index[(0, 1)]
 t, dt = bundle.letter(t_id), bundle.letter(dt_id)
 letter = {t: t_id, dt: dt_id}
 

@@ -52,10 +52,11 @@ class OrderedComplex:
 
     Vertices are arbitrary labels; simplices are stored as strictly
     increasing tuples of vertex indices, and the closure contains every
-    nonempty face of every maximal simplex.
+    nonempty face of every maximal simplex, sorted by dimension and then
+    lexicographically.  ``index`` maps each simplex to its position there.
     """
 
-    __slots__ = ("vertices", "maximal", "simplices", "_hash", "_cofaces")
+    __slots__ = ("vertices", "maximal", "simplices", "index", "_hash", "_cofaces")
 
     def __init__(self, vertices, maximal):
         vertices = tuple(vertices)
@@ -78,9 +79,9 @@ class OrderedComplex:
                 closure.update(combinations(simplex, k))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "maximal", tuple(maximal_clean))
-        object.__setattr__(
-            self, "simplices", tuple(sorted(closure, key=lambda s: (len(s), s)))
-        )
+        simplices = tuple(sorted(closure, key=lambda s: (len(s), s)))
+        object.__setattr__(self, "simplices", simplices)
+        object.__setattr__(self, "index", {s: i for i, s in enumerate(simplices)})
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_cofaces", None)
 
@@ -121,8 +122,8 @@ class OrderedComplex:
     def star(self, simplices) -> set[Simplex]:
         """All simplices having some member of the given set as a face,
         found by walking up the coface table."""
+        found = {tuple(s) for s in simplices} & self.index.keys()
         cofaces = self.cofaces()
-        found = {tuple(s) for s in simplices} & cofaces.keys()
         frontier = list(found)
         while frontier:
             for coface, _ in cofaces[frontier.pop()]:
@@ -156,7 +157,7 @@ class Cochain(SparseVector, space="complex", mismatch="complex mismatch"):
     @staticmethod
     def _check_key(complex_: OrderedComplex, simplex) -> Simplex:
         simplex = tuple(simplex)
-        if simplex not in complex_.cofaces():  # keyed by every simplex
+        if simplex not in complex_.index:
             raise ValueError(f"simplex {list(simplex)} not in the complex")
         return simplex
 

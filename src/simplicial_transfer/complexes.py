@@ -109,12 +109,13 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
     if a.complex != b.complex:
         raise ValueError("complex mismatch")
     bundle = _bundle(a.complex)
+    ids = bundle._ids
     parts = []
     for sigma, x in a.num.items():
-        left = bundle.intern(sigma)
+        left = ids[sigma]
         x = x if len(sigma) % 2 else -x
         for tau, y in b.num.items():
-            parts.append((x * y, _m(bundle, (left, bundle.intern(tau)))))
+            parts.append((x * y, _m(bundle, (left, ids[tau]))))
     return Cochain._sum(a.complex, parts, a.den * b.den)
 
 
@@ -127,43 +128,41 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     A nonassociative triple is demanded exactly when the complex has an
     edge; on a discrete complex the product is honestly associative.
     """
-    basis = [Cochain.basis_element(complex_, s) for s in complex_.simplices]
-    basis_text = f"{len(basis)} basis cochains on {len(complex_.simplices)} simplices"
+    simplices = complex_.simplices
+    basis = {s: Cochain.basis_element(complex_, s) for s in simplices}
+    basis_text = f"{len(basis)} basis cochains on {len(simplices)} simplices"
     report = _family_report("cup product conditions", 2, 3, basis_text)
-    products = {(a, b): cup(a, b) for a in basis for b in basis}
-
-    def label(c: Cochain) -> str:
-        (simplex,) = c.num
-        return _face_label(simplex)
+    products = {(s, t): cup(a, b) for s, a in basis.items() for t, b in basis.items()}
 
     # locality: the product lives in the star of both supports
-    stars = {c: complex_.star(c.support()) for c in basis}
+    stars = {s: complex_.star((s,)) for s in simplices}
     report.check(
         "product is supported on common stars",
         (
             None
-            if products[a, b].support() <= stars[a] & stars[b]
-            else f"{label(a)} cup {label(b)} leaves the common star"
-            for a in basis
-            for b in basis
+            if products[s, t].support() <= stars[s] & stars[t]
+            else f"{_face_label(s)} cup {_face_label(t)} leaves the common star"
+            for s in simplices
+            for t in simplices
         ),
     )
 
     # Leibniz with the sign of the left degree; the coboundaries of the
     # basis are computed once, integral, and their products read from the
     # table
-    of = dict(zip(complex_.simplices, basis))
-    delta = {c: coboundary(c).num.items() for c in basis}
+    delta = {s: coboundary(a).num.items() for s, a in basis.items()}
 
     def leibniz_cases():
-        for a in basis:
-            sign = -1 if a.homogeneous_degree() % 2 else 1
-            for b in basis:
-                parts = [(x, products[of[s], b]) for s, x in delta[a]]
-                parts += [(sign * y, products[a, of[s]]) for s, y in delta[b]]
+        for s in simplices:
+            sign = 1 if len(s) % 2 else -1
+            for t in simplices:
+                parts = [(x, products[face, t]) for face, x in delta[s]]
+                parts += [(sign * y, products[s, face]) for face, y in delta[t]]
                 rhs = Cochain._sum(complex_, parts)
-                lhs = coboundary(products[a, b])
-                yield None if lhs == rhs else f"delta({label(a)} cup {label(b)}) mismatch"
+                lhs = coboundary(products[s, t])
+                yield None if lhs == rhs else (
+                    f"delta({_face_label(s)} cup {_face_label(t)}) mismatch"
+                )
 
     report.check("coboundary is a signed derivation of the product", leibniz_cases())
 
@@ -171,21 +170,22 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     report.check(
         "constant 0-cochain is the identity",
         (
-            None if cup(one, b) == b and cup(b, one) == b else f"unit law fails on {label(b)}"
-            for b in basis
+            None
+            if cup(one, b) == b and cup(b, one) == b
+            else f"unit law fails on {_face_label(s)}"
+            for s, b in basis.items()
         ),
     )
 
     # graded commutativity (unshifted degrees)
     def commutativity_cases():
-        for a in basis:
-            i = a.homogeneous_degree()
-            for b in basis:
-                sign = -1 if (i * b.homogeneous_degree()) % 2 else 1
+        for s in simplices:
+            for t in simplices:
+                sign = -1 if (len(s) - 1) * (len(t) - 1) % 2 else 1
                 yield (
                     None
-                    if products[a, b] == sign * products[b, a]
-                    else f"{label(a)} cup {label(b)} not graded commutative"
+                    if products[s, t] == sign * products[t, s]
+                    else f"{_face_label(s)} cup {_face_label(t)} not graded commutative"
                 )
 
     report.check("product is graded commutative", commutativity_cases())
@@ -194,25 +194,22 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     name = "nonassociativity witness with homotopy certificate"
     witness = next(
         (
-            (a, b, c)
-            for a in basis
-            for b in basis
-            for c in basis
-            if cup(products[a, b], c) != cup(a, products[b, c])
+            (r, s, t)
+            for r in simplices
+            for s in simplices
+            for t in simplices
+            if cup(products[r, s], basis[t]) != cup(basis[r], products[s, t])
         ),
         None,
     )
     if witness is None:
-        has_edge = any(len(s) >= 2 for s in complex_.simplices)
+        has_edge = any(len(s) >= 2 for s in simplices)
         failure = "no nonassociative triple found" if has_edge else None
     else:
-        name += " (" + ", ".join(map(label, witness)) + ")"
-        residual = _relation_value(_bundle(complex_), witness)
-        failure = (
-            f"structure relation fails on the witness {tuple(map(label, witness))}"
-            if residual
-            else None
-        )
+        labels = tuple(map(_face_label, witness))
+        name += " (" + ", ".join(labels) + ")"
+        residual = _relation_value(_bundle(complex_), tuple(basis[s] for s in witness))
+        failure = f"structure relation fails on the witness {labels}" if residual else None
     report.check(name, [failure], len(basis) ** 3)
     return report
 

@@ -2,8 +2,8 @@
 
 A word is a tuple of letters, and a caller says how to read each letter's
 degree; the degree that drives signs is the shifted one, form or cochain
-degree minus one.  The transfer engine's letters are the interned ids of
-basis faces, whose degrees the bundle holds.
+degree minus one.  A transfer engine's letter is the position of its
+simplex in the complex, and the bundle holds the letters' degrees.
 
 A shuffle's sign is the Koszul rule for its interleaving: moving a letter
 of degree d past one of degree e costs (-1)^(de).

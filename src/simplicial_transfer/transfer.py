@@ -32,8 +32,8 @@ e_{F_k} (the join rule)
 zero unless U is a simplex with dim U = sum_j dim F_j + 2 - k, where mu is
 the top-face coefficient of m_k on the standard simplex of dimension dim U
 at the positions of the F_j in U.  The right side of that count is 2 plus
-the sum of the letters' shifted degrees, which the bundle has interned, so
-a word whose count is no dimension of the complex is zero before any face
+the sum of the letters' shifted degrees, which the bundle holds per letter,
+so a word whose count is no dimension of the complex is zero before any face
 or union is built, and the memo of m_k stores nothing for it; U is formed
 only for the others.  ``ComplexContraction``, the bundle of a complex,
 reads m_k this way from one standard-simplex engine per dimension, built
@@ -42,15 +42,16 @@ once per process.  The standard n-simplex is a complex too, and
 f(cut products) only on words that span its own top simplex.
 
 Both m_n and G_n are multilinear, so they are fixed by their values on words
-of basis cochains.  A bundle interns each basis face as a small int, whose
-letter has the face's degree, and memoises m_n and G_n per word of ids, so a
-memo key hashes in C and the memos hold basis words only.  Everything else
-is expanded in the basis, face by face with each face's own degree: a
-cochain handed to ``transferred_m`` or ``morphism_G``, which may mix degrees
-and names none, the unit f(1) that the unit laws plug into a word, and the
-inner m_k that the insertion sums of the batteries plug into an outer
-operation.  Each becomes a sum of coefficient times the memoised value on a
-basis word.
+of basis cochains.  A letter is the position of its simplex in the complex,
+a small int of the face's degree, so a word of ids names the same faces in
+every bundle of one complex.  A bundle memoises m_n and G_n per word of
+ids, so a memo key hashes in C and the memos hold basis words only.
+Everything else is expanded in the basis, face by face with each face's
+own degree: a cochain handed to ``transferred_m`` or ``morphism_G``, which
+may mix degrees and names none, the unit f(1) that the unit laws plug into
+a word, and the inner m_k that the insertion sums of the batteries plug
+into an outer operation.  Each becomes a sum of coefficient times the
+memoised value on a basis word.
 
 The identity batteries here are the arbiter for every sign convention in the
 package: associativity-up-to-homotopy, the morphism relations, vanishing on
@@ -132,12 +133,13 @@ class ComplexContraction:
     integer linear combination ``_sum`` of ``SparseVector``, and the engine
     reads the numerators of cochains.
 
-    The bundle interns each basis letter it meets, a face of the basis, as a
-    small int; the letter's degree, which drives signs, is the face's
-    shifted degree.  G_n, m_n and the cut products are memoised per word of
-    ids.  The hook ``m_word`` gives m_n for n >= 2, here by the join rule
-    (module docstring), and ``zero_by_count`` answers a word zero by its
-    degrees before ``m_word`` runs.
+    A letter is the position of its simplex in the complex: ``_faces`` and
+    ``_ids`` are the complex's own ``simplices`` and ``index``, and
+    ``_degrees`` holds each letter's shifted degree, which drives signs.
+    G_n, m_n and the cut products are memoised per word of ids.  The hook
+    ``m_word`` gives m_n for n >= 2, here by the join rule (module
+    docstring), and ``zero_by_count`` answers a word zero by its degrees
+    before ``m_word`` runs.
 
     ``koszul_signs = False`` drops the Koszul sign with which the insertion
     sums of the batteries slide an inner m_k past the letters before it.
@@ -152,9 +154,9 @@ class ComplexContraction:
     def __init__(self, complex_: OrderedComplex):
         self.complex = complex_
         self._zero = Cochain(complex_)
-        self._ids: dict = {}  # face -> id
-        self._faces: list = []
-        self._degrees: list[int] = []
+        self._faces = complex_.simplices
+        self._ids = complex_.index
+        self._degrees = [len(face) - 2 for face in self._faces]
         self._memo_G: dict = {}
         self._memo_m: dict = {}
         self._memo_cut: dict = {}
@@ -176,19 +178,9 @@ class ComplexContraction:
 
     def zero_by_count(self, ids: tuple[int, ...]) -> bool:
         """Whether the count zeroes m_k, k >= 2, on a basis word: the
-        dimension its union must have, 2 plus the sum of the interned
+        dimension its union must have, 2 plus the sum of the letters'
         shifted degrees, lies outside 0..(top dimension of the complex)."""
         return not 0 <= sum(map(self._degrees.__getitem__, ids)) + 2 <= self._zero.dim
-
-    def intern(self, face) -> int:
-        """The id of the basis letter of a face, whose shifted degree is
-        dim face - 1."""
-        letter_id = self._ids.get(face)
-        if letter_id is None:
-            letter_id = self._ids[face] = len(self._faces)
-            self._faces.append(face)
-            self._degrees.append(len(face) - 2)
-        return letter_id
 
     def coordinates(self, c: Cochain):
         """A cochain as pairs (numerator, basis letter id), over its
@@ -197,10 +189,10 @@ class ComplexContraction:
         space = c._space
         if space is not self.complex and space != self.complex:
             raise ValueError(c._mismatch)
-        return [(n, self.intern(face)) for face, n in c.num.items()]
+        return [(n, self._ids[face]) for face, n in c.num.items()]
 
-    def basis_ids(self) -> list[int]:
-        return [self.intern(face) for face in self.complex.simplices]
+    def basis_ids(self) -> range:
+        return range(len(self._faces))
 
     def letter(self, letter_id: int) -> Cochain:
         """The basis cochain of a letter id."""
@@ -317,7 +309,7 @@ def _join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
     dim U.
 
     The dimension U must have, sum_j dim F_j + 2 - k, is 2 plus the sum of
-    the interned shifted degrees dim F_j - 1.  ``_m`` asks the bundle's
+    the letters' shifted degrees dim F_j - 1.  ``_m`` asks the bundle's
     ``zero_by_count`` first, so a word whose count lies outside 0..(top
     dimension of the complex) never gets here.  U is formed and rejected
     unless it has count + 1 vertices: the same test as forming U first."""
@@ -325,12 +317,12 @@ def _join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
     n = sum(map(bundle._degrees.__getitem__, ids)) + 2  # dim U
     faces = [bundle._faces[i] for i in ids]
     union = tuple(sorted(set().union(*faces)))
-    if len(union) != n + 1 or union not in bundle.complex.cofaces():  # keyed by every simplex
+    if len(union) != n + 1 or union not in bundle.complex.index:
         return zero
     if n == bundle.top_dim:
         return bundle.f(_cut_products(bundle, ids))
     engine = _engine(n)
-    local = tuple(engine.intern(_positions(face, union)) for face in faces)
+    local = tuple(engine._ids[_positions(face, union)] for face in faces)
     value = _m(engine, local)
     mu = value.num.get(tuple(range(n + 1)))
     if not mu:
@@ -361,11 +353,11 @@ def _insertions(bundle, ids: tuple[int, ...], outer, zero):
                 inner.append((sign, j, end, value))
         head_degree += degrees[ids[j]]
     den = lcm(*(value.den for *_, value in inner))
-    intern = bundle.intern
+    letter_ids = bundle._ids
     parts = [
         (
             sign * coeff * (den // value.den),
-            outer(bundle, ids[:j] + (intern(face),) + ids[end:]),
+            outer(bundle, ids[:j] + (letter_ids[face],) + ids[end:]),
         )
         for sign, j, end, value in inner
         for face, coeff in value.num.items()
@@ -707,7 +699,7 @@ def interval_product_table(max_arity: int) -> IntervalTable:
         raise ValueError("max_arity must be >= 2")
     bundle = SimplexContraction(1)
     # t = x(1) and dt = x(0,1) are basis letters, so each word is a word of ids
-    t, dt = bundle.intern((1,)), bundle.intern((0, 1))
+    t, dt = bundle._ids[(1,)], bundle._ids[(0, 1)]
     name = {t: "t", dt: "dt"}
 
     table = IntervalTable(max_arity)

@@ -10,7 +10,7 @@ slotwise application costs a Koszul sign, since a vertex and H are both odd
 and so every H-capped subtree is even.  A tree is evaluated on a word
 of the basis letter ids of a transfer bundle: a leaf takes g of the basis
 cochain of its face, and the degree that drives its signs is the face's
-interned shifted degree.
+shifted degree; a letter is the position of its simplex in the complex.
 
 Trees are stored as nested children tuples; the preorder arity sequence is a
 canonical encoding, unique per planar isomorphism class.
@@ -202,8 +202,8 @@ def _check_inputs(tree: PlanarTree, ids) -> None:
 def evaluate_tree_m(tree: PlanarTree, ids: tuple[int, ...], bundle):
     """The operation of a tree with f at the root, on a word of basis letter
     ids of the bundle; returns a cochain.  A leaf's sign degree is the
-    interned shifted degree of its face, and its value is g of the face's
-    basis cochain."""
+    shifted degree of its face, and its value is g of the face's basis
+    cochain."""
     _check_inputs(tree, ids)
     _, value = _eval_vertex(tree, ids, bundle)
     return bundle.f(value)

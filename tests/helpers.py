@@ -205,7 +205,7 @@ def union_first_join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
     if n == bundle.top_dim:
         return bundle.f(_cut_products(bundle, ids))
     engine = _engine(n)
-    local = tuple(engine.intern(_positions(face, union)) for face in faces)
+    local = tuple(engine._ids[_positions(face, union)] for face in faces)
     value = _m(engine, local)
     mu = value.num.get(tuple(range(n + 1)))
     if not mu:

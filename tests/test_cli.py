@@ -137,6 +137,20 @@ _PINNED = {
             "entries": [{"simplex": [0, 1], "coeff": "1"}, {"simplex": [1, 2], "coeff": "-1/2"}]
         },
     },
+    # an edge as the left factor carries the sign -x of an odd left degree
+    "cup-octahedron": {
+        "complex": _OCTAHEDRON,
+        "a": {"entries": [{"simplex": [0, 2], "coeff": "1"}, {"simplex": [1, 3], "coeff": "-1/3"}]},
+        "b": {
+            "entries": [
+                {"simplex": [2], "coeff": "1"},
+                {"simplex": [3], "coeff": "2"},
+                {"simplex": [2, 4], "coeff": "1/2"},
+                {"simplex": [0, 4], "coeff": "1"},
+                {"simplex": [1, 5], "coeff": "-3"},
+            ]
+        },
+    },
 }
 
 
@@ -192,6 +206,11 @@ _DIGESTS = {
         "f81f8f31f68c3a1da3be8e545a8b792633d663cb7edbcfb55241ee989780baa9",
     ("contraction-4-cubic", "json"):
         "f933ad8628f95a5291abc8c5e69bec51ae00bfacd653d74f65035fda8781a975",
+    # recorded while each bundle still interned its letters lazily
+    ("cup-octahedron", "text"):
+        "d26e3dc1c84542e256824827d6b7589560b45f770c800abb4ffc7246185880d1",
+    ("cup-octahedron", "json"):
+        "9ce456ef93f50a780d4f3826bdd10fc785fb16cfa8e1a052352d3b9003b78311",
 }
 
 
@@ -348,6 +367,32 @@ def test_complex_file_not_utf8(tmp_path, capsys):
     bad.write_bytes('{"vertices": ["\u00e9"], "simplices": [[0]]}'.encode("latin-1"))
     code, _, err = run(capsys, "complex", "--file", str(bad), "whitney-check")
     _assert_one_line_usage_error(code, err, "bad complex file")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"vertices": [0, 0], "simplices": [[0]]}, "duplicate vertex labels"),
+        ({"vertices": [0, 1], "simplices": [[]]}, "empty simplex"),
+        ({"vertices": [0, 1], "simplices": 5}, '"simplices" must be a list of vertex index lists'),
+    ],
+    ids=["duplicate-vertex-labels", "empty-simplex", "simplices-not-a-list"],
+)
+def test_complex_file_shape_errors(tmp_path, capsys, data, message):
+    code, out, err = _complex_run(tmp_path, capsys, data, "whitney-check")
+    _assert_one_line_usage_error(code, err, f"bad complex file: {message}")
+    assert out == ""
+
+
+def test_unreadable_cochain_file(tmp_path, capsys):
+    b_file = tmp_path / "b.json"
+    b_file.write_text(json.dumps({"entries": []}))
+    code, out, err = _complex_run(
+        tmp_path, capsys, {"vertices": [0, 1], "simplices": [[0, 1]]},
+        "cup", "--a", str(tmp_path / "absent.json"), "--b", str(b_file),
+    )
+    _assert_one_line_usage_error(code, err, "cannot read cochain file")
+    assert out == ""
 
 
 def test_deeply_nested_complex_file(tmp_path, capsys):

@@ -240,6 +240,15 @@ def test_letters_on_different_complexes_are_rejected():
             transferred_m(bundle, word)
 
 
+def test_cup_of_cochains_on_different_complexes_is_rejected():
+    # x(0) names a simplex of both complexes; an equal complex built apart
+    # is the same space
+    with pytest.raises(ValueError, match="complex mismatch"):
+        cup(chi(DELTA2, 0), chi(BOUNDARY2, 0))
+    twin = OrderedComplex([0, 1, 2], [[0, 1, 2]])
+    assert cup(chi(DELTA2, 0), chi(twin, 0, 1)) == cup(chi(DELTA2, 0), chi(DELTA2, 0, 1))
+
+
 def test_a_letter_of_another_complex_is_rejected_by_the_bundle():
     # x(0) of the boundary names a simplex of the solid triangle too
     bundle = ComplexContraction(DELTA2)
@@ -437,6 +446,44 @@ def test_coboundary_equals_the_alternating_sum(complex_):
     assert not coboundary(unit)
 
 
+# -- a letter id is the position of its simplex ------------------------------
+
+
+def test_the_bundle_has_no_intern():
+    assert not hasattr(ComplexContraction, "intern")
+
+
+def test_a_letter_id_is_the_position_of_its_simplex():
+    # the interval's simplices are (0,), (1,), (0, 1), so x(0,1) is letter 2
+    # in every bundle of the interval, whatever it met first
+    bundle = SimplexContraction(1)
+    assert bundle.coordinates(chi(standard_simplex(1), 0, 1)) == [(1, 2)]
+
+
+def test_a_checked_cochain_builds_no_coface_table():
+    complex_ = OrderedComplex([0, 1, 2], [[0, 1], [1, 2]])
+    assert Cochain(complex_, {(0, 1): 1})
+    with pytest.raises(ValueError, match="not in the complex"):
+        Cochain(complex_, {(0, 2): 1})
+    assert complex_._cofaces is None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda n=n: SimplexContraction(n) for n in range(4)]
+    + [lambda: ComplexContraction(OCTAHEDRON)],
+    ids=["simplex0", "simplex1", "simplex2", "simplex3", "octahedron"],
+)
+def test_a_bundle_reads_its_letters_from_its_complex(make):
+    bundle = make()
+    complex_ = bundle.complex
+    assert bundle._faces is complex_.simplices
+    assert bundle._ids is complex_.index
+    assert complex_.index == {s: i for i, s in enumerate(complex_.simplices)}
+    assert bundle._degrees == [len(s) - 2 for s in complex_.simplices]
+    assert list(bundle.basis_ids()) == list(range(len(complex_.simplices)))
+
+
 def test_cofaces_are_the_codimension_one_cofaces_with_signs():
     cofaces = DELTA2.cofaces()
     assert cofaces is DELTA2.cofaces()
@@ -500,7 +547,7 @@ def test_join_rule_matches_the_simplex_engine(n, arity):
     # the cut products on the n-simplex, on every basis word
     bundle = ComplexContraction(standard_simplex(n))
     engine = SimplexContraction(n)
-    pairs = [(bundle.intern(face), engine.intern(face)) for face in standard_simplex(n).simplices]
+    pairs = [(bundle._ids[face], engine._ids[face]) for face in standard_simplex(n).simplices]
     for word in product(pairs, repeat=arity):
         ids = tuple(e for _, e in word)
         expected = engine.f(_cut_products(engine, ids))
@@ -525,7 +572,7 @@ def test_join_rule_matches_the_simplex_engine(n, arity):
     ids=["simplex1", "simplex2", "simplex3", "boundary3", "octahedron"],
 )
 def test_the_degree_count_first_is_the_union_first_join_rule(make, max_arity):
-    # the join rule reads dim U from the interned degrees before it builds
+    # the join rule reads dim U from the letters' degrees before it builds
     # the union; on every basis word it gives the cochain that building the
     # union first gives, zeros included
     bundle = make()

@@ -212,6 +212,21 @@ def test_coefficients_parse_as_rationals_only():
             parse_form(text, 1)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t5", "generator 't5' out of range"),
+        ("dt5", "generator 'dt5' out of range"),
+        ("1 2 t1", "unrecognized token '2'"),
+    ],
+    ids=["t-out-of-range", "dt-out-of-range", "two-coefficients"],
+)
+def test_parse_form_token_errors(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_form(text, 2)
+    assert str(info.value) == message
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_random_monomials(2), max_size=4))
 def test_text_round_trip_random(monomials):

@@ -522,7 +522,7 @@ def test_interval_table_skip_agrees_with_the_full_route(max_arity, sizes):
     # every word, the count-zeroed ones too, through _m as the table
     # evaluated it before it asked the count
     bundle = SimplexContraction(1)
-    t, dt = bundle.intern((1,)), bundle.intern((0, 1))
+    t, dt = bundle._ids[(1,)], bundle._ids[(0, 1)]
     expected = [
         {
             "word": ",".join("t" if i == t else "dt" for i in ids),

@@ -72,6 +72,21 @@ def test_text_round_trip():
         tree_from_text("(* *")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "unexpected end of tree text"),
+        ("(* x)", "unexpected token 'x'"),
+        ("* *", "trailing tokens after tree"),
+    ],
+    ids=["empty", "unknown-token", "trailing-tokens"],
+)
+def test_tree_text_errors(text, message):
+    with pytest.raises(ValueError) as info:
+        tree_from_text(text)
+    assert str(info.value) == message
+
+
 def _is_binary(tree):
     if tree.is_leaf:
         return True
@@ -199,5 +214,5 @@ def test_higher_vertices_vanish_over_binary_algebras():
 
     bundle = SimplexContraction(1)
     ternary = PlanarTree((LEAF, LEAF, LEAF))
-    ids = (bundle.intern((0, 1)),) * 3
+    ids = (bundle._ids[(0, 1)],) * 3
     assert not evaluate_tree_m(ternary, ids, bundle)
