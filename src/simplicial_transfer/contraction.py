@@ -57,7 +57,9 @@ sigma s sigma^-1 = s.  Hence s columns are filled once per orbit: the fused
 sum runs only on a canonical key, and any other key relabels its
 representative's column over the same denominator.  The battery still
 checks every monomial of the basis, and computes d m and the s column of
-each monomial once for all of its sweeps.
+each monomial once for all of its sweeps.  Each identity on a monomial is
+one integer residual, its parts summed unreduced over a common denominator
+and tested for emptiness, so no side of it is built as a reduced Form.
 """
 
 from __future__ import annotations
@@ -219,10 +221,6 @@ def homotopy_H(a: Form) -> Form:
     return -s_operator(a)
 
 
-def _vertex_projection(a: Form, i: int) -> Form:
-    return vertex_evaluate(a, i) * Form.one(a.dim)
-
-
 def check_contraction(n: int, max_poly_degree: int) -> Report:
     """Evaluate the full contraction identity battery on the n-simplex over
     every monomial of polynomial degree up to the bound.
@@ -247,21 +245,30 @@ def check_contraction(n: int, max_poly_degree: int) -> Report:
             cochain = Cochain.basis_element(simplex, face)
             yield None if predicate(cochain) else f"basis cochain of face {face}"
 
+    # Each identity is one residual, summed unreduced by _linear and failed
+    # exactly when a numerator survives.  A row is a basis monomial (one key,
+    # coefficient 1 over 1): its s and h^i images are the cached columns of
+    # its key, and d m and eval_i(m) are integral, so every scalar is an int.
     def homotopy_cases():
         for m, _, dm, sm in rows:
-            lhs = m - include_g(project_f(m))
-            rhs = differential(sm) + s_operator(dm)
-            yield None if lhs == rhs else format_form(m)
+            # 1 - g f - d s - s d, with s d m read through s_operator
+            parts = [(1, m), (-1, include_g(project_f(m))), (-1, differential(sm)), (-1, s_operator(dm))]
+            yield format_form(m) if _linear(parts)[0] else None
 
     def zero_cases(op):
         for m, _, _, sm in rows:
             yield format_form(m) if op(sm) else None
 
     def poincare_cases(vertex):
+        one = Form.one(n)
         for m, key, dm, _ in rows:
-            lhs = m - _vertex_projection(m, vertex)
-            rhs = differential(_h_monomial(n, vertex, key)) + h_operator(dm, vertex)
-            yield None if lhs == rhs else format_form(m)
+            # 1 - eval_i - d h^i - h^i d, times den(d m) den(eval_i m), both 1
+            ev = vertex_evaluate(m, vertex)
+            scale = dm.den * ev.denominator
+            dh = differential(_h_monomial(n, vertex, key))
+            parts = [(scale, m), (-scale, dh), (-dm.den * ev.numerator, one)]
+            parts += [(-c * ev.denominator, _h_monomial(n, vertex, k)) for k, c in dm.num.items()]
+            yield format_form(m) if _linear(parts)[0] else None
 
     report.check(
         "f o g = 1 on the cochain basis",

@@ -70,7 +70,9 @@ def exact(x) -> Fraction:
 
 def _accumulate(out: dict, terms, scale: int) -> None:
     """Add scale * coeff into out[key] for each (key, coeff) in terms, all
-    ints, dropping keys whose sum cancels to zero."""
+    ints, dropping keys whose sum cancels; a zero scale adds nothing."""
+    if not scale:
+        return
     unit = scale == 1
     for key, coeff in terms:
         value = coeff if unit else scale * coeff
@@ -168,8 +170,8 @@ class SparseVector:
 
     @classmethod
     def _sum(cls, space, parts, den: int = 1):
-        """(sum of p * v) / den over the pairs (p, v) of a nonzero int p and
-        a vector v, a list: each v is brought to the least common multiple
+        """(sum of p * v) / den over the pairs (p, v) of an int p and a
+        vector v, a list: each v is brought to the least common multiple
         of their denominators, and the result is reduced once."""
         out, common = _linear(parts)
         return cls._reduced(space, out, den * common)

@@ -4,9 +4,10 @@ single-simplex cochains, the basis cochains of a bundle and their letter
 ids for tree evaluation, formal words, their deconcatenations and the
 Koszul sign of slotwise application, the polynomials of the interval as
 0-forms and the generating-function oracle for the interval recursion on
-them, and the join rule in its union-first order.  They go through the
-package's public constructors, apart from the join rule, which reads the
-engine it checks."""
+them, the join rule in its union-first order, and the two-sided route of
+the contraction battery.  They go through the package's public
+constructors, apart from the join rule and the contraction route, which
+read the engines they check."""
 
 from __future__ import annotations
 
@@ -15,9 +16,20 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from simplicial_transfer.cochains import Cochain, standard_simplex
-from simplicial_transfer.forms import Form, _check_face, generator, integrate_top, wedge
+from simplicial_transfer import contraction
+from simplicial_transfer.cochains import Cochain, include_g, project_f, standard_simplex
+from simplicial_transfer.forms import (
+    Form,
+    _check_face,
+    differential,
+    format_form,
+    generator,
+    integrate_top,
+    monomial_basis,
+    wedge,
+)
 from simplicial_transfer.rationals import SparseVector, exact, factorial, parse_rational, rational_str
+from simplicial_transfer.reporting import Report
 from simplicial_transfer.transfer import _cut_products, _engine, _m, _positions
 
 
@@ -211,3 +223,31 @@ def union_first_join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
     if not mu:
         return zero
     return Cochain._reduced(bundle.complex, {union: mu}, value.den)
+
+
+def form_route_contraction(n: int, bound: int) -> Report:
+    """The two-sided identities of check_contraction, each side reduced to a
+    Form and the sides compared by ==: 1 - g o f = ds + sd, and
+    1 - eval@i = d h^i + h^i d at each vertex, under the battery's record
+    names and over its basis.  The columns, s, h^i and the evaluation are
+    read through the contraction module, so a test that patches one of them
+    patches both routes."""
+    report = Report(f"form route on the {n}-simplex")
+    rows = [(m, key, differential(m)) for m in monomial_basis(n, bound) for key in m.num]
+
+    def homotopy_cases():
+        for m, key, dm in rows:
+            lhs = m - include_g(project_f(m))
+            rhs = differential(contraction._s_monomial(n, key)) + contraction.s_operator(dm)
+            yield None if lhs == rhs else format_form(m)
+
+    def poincare_cases(i):
+        for m, key, dm in rows:
+            lhs = m - contraction.vertex_evaluate(m, i) * Form.one(n)
+            rhs = differential(contraction._h_monomial(n, i, key)) + contraction.h_operator(dm, i)
+            yield None if lhs == rhs else format_form(m)
+
+    report.check("1 - g o f = ds + sd", homotopy_cases(), len(rows))
+    for i in range(n + 1):
+        report.check(f"1 - eval@{i} = d h^{i} + h^{i} d", poincare_cases(i), len(rows))
+    return report

@@ -19,7 +19,7 @@ from simplicial_transfer.forms import (
     parse_form,
 )
 
-from helpers import face_restrict
+from helpers import face_restrict, form_route_contraction
 
 
 def F1(text):
@@ -169,3 +169,68 @@ def test_s_columns_are_filled_once_per_orbit(cold_caches, monkeypatch):
     assert check_contraction(3, 4).all_passed
     assert contraction._s_monomial.cache_info().currsize == 406
     assert len(fused) == len(set(fused)) == 91
+
+
+def _records(report):
+    return [(c.name, c.basis_size, c.passed, c.counterexample) for c in report.checks]
+
+
+def _failures(report):
+    return [(c.name, c.basis_size, c.counterexample) for c in report.checks if not c.passed]
+
+
+def _agrees_with_the_form_route(n, bound):
+    # the oracle's records are the battery's two-sided ones, to the byte
+    oracle = _records(form_route_contraction(n, bound))
+    names = {record[0] for record in oracle}
+    assert len(oracle) == n + 2
+    return [r for r in _records(check_contraction(n, bound)) if r[0] in names] == oracle
+
+
+@pytest.mark.parametrize("n, bound", [(0, 1), (1, 6), (2, 4), (3, 3), (4, 2)])
+def test_residuals_agree_with_the_form_route(n, bound):
+    assert _agrees_with_the_form_route(n, bound)
+
+
+def test_residuals_agree_with_the_form_route_under_mutations(cold_caches, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(contraction, "s_operator", lambda a: 2 * s_operator(a))
+        assert _agrees_with_the_form_route(2, 2)
+        assert _agrees_with_the_form_route(3, 2)
+    contraction._s_monomial.cache_clear()
+    relabel = contraction._relabel
+    monkeypatch.setattr(contraction, "_relabel", lambda n, key, targets: (relabel(n, key, targets)[0], 1))
+    assert not form_route_contraction(3, 2).all_passed
+    assert _agrees_with_the_form_route(3, 2)
+
+
+def test_negated_h2_fails_the_records_that_read_it(cold_caches, monkeypatch):
+    # s is summed from the h columns, so the s records fail with the
+    # Poincare record at vertex 2, and no other
+    h = contraction._h_monomial
+    negated = lambda n, i, key: -h(n, i, key) if i == 2 else h(n, i, key)
+    monkeypatch.setattr(contraction, "_h_monomial", negated)
+    assert _failures(check_contraction(3, 2)) == [
+        ("1 - g o f = ds + sd", 80, "1 t3"),
+        ("s o s = 0", 80, "1 dt1 dt2"),
+        ("s o g = 0 on the cochain basis", 15, "basis cochain of face (0, 1)"),
+        ("1 - eval@2 = d h^2 + h^2 d", 80, "1 t3"),
+    ]
+
+
+def test_the_poincare_residual_reads_eval(cold_caches, monkeypatch):
+    evaluate = contraction.vertex_evaluate
+    monkeypatch.setattr(contraction, "vertex_evaluate", lambda a, i: 0 if i == 1 else evaluate(a, i))
+    assert _failures(check_contraction(3, 2)) == [("1 - eval@1 = d h^1 + h^1 d", 80, "1")]
+
+
+def test_the_battery_builds_no_form_per_side(cold_caches, monkeypatch):
+    # each identity is one integer residual: no two sides are compared as
+    # Forms and no h^i image is reduced to one; f o g compares Cochains
+    def refuse(*args):
+        raise AssertionError("a Form per side")
+
+    monkeypatch.setattr(Form, "__eq__", refuse)
+    monkeypatch.setattr(contraction, "h_operator", refuse)
+    report = check_contraction(3, 2)
+    assert len(report.checks) == 10 and report.all_passed

@@ -116,6 +116,17 @@ def test_vectors_are_stored_in_lowest_terms(case):
         assert zero == make(space) and hash(zero) == hash(make(space))
 
 
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_a_zero_scalar_adds_nothing(case):
+    # an integer combination with a zero scalar stores no zero numerators,
+    # so an empty numerator dict still means the zero vector
+    make, (space, _), a_terms, b_terms, _ = case
+    a, b = make(space, a_terms), make(space, b_terms)
+    assert make._sum(space, [(0, a)]).num == {}
+    mixed = make._sum(space, [(0, a), (1, b)])
+    assert _is_canonical(mixed) and mixed == b
+
+
 def test_equal_rationals_give_equal_vectors():
     key = ((1,), ())
     half = Form(1, {key: Fraction(1, 2)})
