@@ -5,7 +5,8 @@ A complex is given by totally ordered vertices and maximal simplices; its
 closure stores every nonempty face.  The standard n-simplex is the complex
 on the vertices 0..n with one maximal simplex, built once per dimension by
 ``standard_simplex``, so a cochain on a simplex and a cochain on a complex
-are one type: rational coefficients on the simplices of a complex.  The
+are one type: rational coefficients on the simplices of a complex, and a
+cochain is keyed by the position of its simplex in ``simplices``.  The
 coboundary pushes each coefficient to the codimension-one cofaces of its
 simplex with the sign of the vertex that the coface adds; it is the Stokes
 dual of the de Rham differential, so integration over faces is a chain map.
@@ -23,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 from .forms import Form, _check_dim, _check_face, _unpack, generator, wedge
 from .rationals import SparseVector, _accumulate, factorial, rational_str
@@ -102,27 +104,28 @@ class OrderedComplex:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def cofaces(self) -> dict[Simplex, tuple[tuple[Simplex, int], ...]]:
-        """Every simplex of the closure mapped to its codimension-one cofaces,
-        each with the sign (-1)^j of the vertex position j it adds; built on
-        first use."""
+    def cofaces(self) -> list[tuple[tuple[int, int], ...]]:
+        """The codimension-one cofaces of the simplex at each position, as
+        pairs (coface position, sign (-1)^j of the vertex position j it adds);
+        a cochain is keyed by the position of its simplex, so the coboundary
+        reads this table as it stands.  Built on first use."""
         table = self._cofaces
         if table is None:
-            lists: dict[Simplex, list] = {s: [] for s in self.simplices}
-            for simplex in self.simplices:
+            lists: list[list] = [[] for _ in self.simplices]
+            for position, simplex in enumerate(self.simplices):
                 if len(simplex) < 2:
                     continue
                 for j in range(len(simplex)):
                     face = simplex[:j] + simplex[j + 1 :]
-                    lists[face].append((simplex, -1 if j % 2 else 1))
-            table = {s: tuple(c) for s, c in lists.items()}
+                    lists[self.index[face]].append((position, -1 if j % 2 else 1))
+            table = [tuple(c) for c in lists]
             object.__setattr__(self, "_cofaces", table)
         return table
 
     def star(self, simplices) -> set[Simplex]:
         """All simplices having some member of the given set as a face,
-        found by walking up the coface table."""
-        found = {tuple(s) for s in simplices} & self.index.keys()
+        found by walking the positions up the coface table."""
+        found = {self.index[s] for s in map(tuple, simplices) if s in self.index}
         cofaces = self.cofaces()
         frontier = list(found)
         while frontier:
@@ -130,7 +133,7 @@ class OrderedComplex:
                 if coface not in found:
                     found.add(coface)
                     frontier.append(coface)
-        return found
+        return {self.simplices[p] for p in found}
 
     def __repr__(self) -> str:
         return f"OrderedComplex(vertices={list(self.vertices)}, maximal={[list(m) for m in self.maximal]})"
@@ -145,7 +148,8 @@ def standard_simplex(n: int) -> OrderedComplex:
 
 class Cochain(SparseVector, space="complex", mismatch="complex mismatch"):
     """Exact rational coefficients on the simplices of a complex; zeros
-    never stored."""
+    never stored.  A cochain is keyed by the position of its simplex in
+    ``complex.simplices``; ``terms`` and ``support`` give simplices back."""
 
     __slots__ = ("complex",)
 
@@ -155,15 +159,14 @@ class Cochain(SparseVector, space="complex", mismatch="complex mismatch"):
             raise TypeError(f"a cochain lives on an OrderedComplex, not {complex_!r}")
 
     @staticmethod
-    def _check_key(complex_: OrderedComplex, simplex) -> Simplex:
+    def _check_key(complex_: OrderedComplex, simplex) -> int:
         simplex = tuple(simplex)
         if simplex not in complex_.index:
             raise ValueError(f"simplex {list(simplex)} not in the complex")
-        return simplex
+        return complex_.index[simplex]
 
-    @staticmethod
-    def _degree(simplex: Simplex) -> int:
-        return len(simplex) - 1
+    def _degree(self, position: int) -> int:
+        return len(self.complex.simplices[position]) - 1
 
     @classmethod
     def unit(cls, complex_: OrderedComplex) -> "Cochain":
@@ -172,13 +175,20 @@ class Cochain(SparseVector, space="complex", mismatch="complex mismatch"):
         return cls(complex_, {s: 1 for s in complex_.simplices if len(s) == 1})
 
     @property
+    def terms(self):
+        """The coordinates as a read-only mapping from simplex to Fraction,
+        in position order: by dimension, then lexicographically."""
+        faces, den = self.complex.simplices, self.den
+        return MappingProxyType({faces[p]: Fraction(n, den) for p, n in sorted(self.num.items())})
+
+    @property
     def dim(self) -> int:
         """The top dimension of the complex, -1 when it is empty."""
         simplices = self.complex.simplices
         return len(simplices[-1]) - 1 if simplices else -1
 
     def support(self) -> set[Simplex]:
-        return set(self.num)
+        return {self.complex.simplices[p] for p in self.num}
 
     def __repr__(self) -> str:
         return f"Cochain({self.dim}, {format_cochain(self)!r})"
@@ -188,7 +198,7 @@ def coboundary(c: Cochain) -> Cochain:
     """(delta c)(v_0...v_k) = sum_j (-1)^j c(v_0...omit j...v_k), computed
     by pushing each coefficient of c to the cofaces of its simplex."""
     cofaces = c.complex.cofaces()
-    out: dict[Simplex, int] = {}
+    out: dict[int, int] = {}
     for simplex, coeff in c.num.items():
         _accumulate(out, cofaces[simplex], coeff)
     return Cochain._reduced(c.complex, out, c.den)
@@ -231,7 +241,7 @@ def _face_integrals(dim: int, key: int) -> Cochain:
     exps, dts = _unpack(dim, key)
     k = len(dts)
     support = set(dts).union(j for j, e in enumerate(exps, 1) if e)
-    out: dict[Simplex, int] = {}
+    out: dict[int, int] = {}
     if len(support) > k + 1:
         return Cochain._trusted(standard_simplex(dim), out)
     numer = 1
@@ -241,7 +251,7 @@ def _face_integrals(dim: int, key: int) -> Cochain:
         if vertex in dts or not support <= set(dts) | {vertex}:
             continue
         face = tuple(sorted(dts + (vertex,)))
-        out[face] = -numer if face.index(vertex) % 2 else numer
+        out[standard_simplex(dim).index[face]] = -numer if face.index(vertex) % 2 else numer
     return Cochain._reduced(standard_simplex(dim), out, factorial(sum(exps) + k))
 
 
@@ -261,8 +271,9 @@ def include_g(c: Cochain) -> Form:
     dim = c.dim
     if dim < 0 or c.complex != standard_simplex(dim):
         raise ValueError("g applies to cochains on a standard simplex")
+    faces = c.complex.simplices
     return Form._sum(
-        dim, [(coeff, _elementary_form(face, dim)) for face, coeff in c.num.items()], c.den
+        dim, [(coeff, _elementary_form(faces[p], dim)) for p, coeff in c.num.items()], c.den
     )
 
 
@@ -274,13 +285,13 @@ _ZERO_COMPONENTS = (Fraction(0),) * 3
 
 def interval_basis_components(c: Cochain) -> tuple[Fraction, Fraction, Fraction]:
     """Components of an interval cochain in the basis {1, t, dt}, under
-    1 = x(0)+x(1), t = x(1), dt = x(01); zero gives one shared triple, and
-    only zero gives an all-zero triple."""
+    1 = x(0)+x(1), t = x(1), dt = x(01) at the positions 0, 1, 2; zero
+    gives one shared triple, and only zero gives an all-zero triple."""
     if c.complex != standard_simplex(1):
         raise ValueError("interval basis applies to dimension 1")
     if not c:
         return _ZERO_COMPONENTS
-    a, b, e = (Fraction(c.num.get(face, 0), c.den) for face in ((0,), (1,), (0, 1)))
+    a, b, e = (Fraction(c.num.get(p, 0), c.den) for p in range(3))
     return a, b - a, e
 
 
@@ -291,6 +302,6 @@ def format_cochain(c: Cochain) -> str:
     if not c:
         return "0"
     entries = []
-    for face, coeff in sorted(c.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
+    for face, coeff in c.terms.items():
         entries.append(f"face=[{','.join(map(str, face))}] coeff={rational_str(coeff)}")
     return "; ".join(entries)

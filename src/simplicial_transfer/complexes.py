@@ -109,13 +109,12 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
     if a.complex != b.complex:
         raise ValueError("complex mismatch")
     bundle = _bundle(a.complex)
-    ids = bundle._ids
+    degrees = bundle._degrees
     parts = []
-    for sigma, x in a.num.items():
-        left = ids[sigma]
-        x = x if len(sigma) % 2 else -x
-        for tau, y in b.num.items():
-            parts.append((x * y, _m(bundle, (left, ids[tau]))))
+    for left, x in a.num.items():
+        x = x if degrees[left] % 2 else -x
+        for right, y in b.num.items():
+            parts.append((x * y, _m(bundle, (left, right))))
     return Cochain._sum(a.complex, parts, a.den * b.den)
 
 
@@ -148,16 +147,16 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     )
 
     # Leibniz with the sign of the left degree; the coboundaries of the
-    # basis are computed once, integral, and their products read from the
-    # table
+    # basis are computed once, integral, keyed by position, and their
+    # products read from the table
     delta = {s: coboundary(a).num.items() for s, a in basis.items()}
 
     def leibniz_cases():
         for s in simplices:
             sign = 1 if len(s) % 2 else -1
             for t in simplices:
-                parts = [(x, products[face, t]) for face, x in delta[s]]
-                parts += [(sign * y, products[s, face]) for face, y in delta[t]]
+                parts = [(x, products[simplices[p], t]) for p, x in delta[s]]
+                parts += [(sign * y, products[s, simplices[p]]) for p, y in delta[t]]
                 rhs = Cochain._sum(complex_, parts)
                 lhs = coboundary(products[s, t])
                 yield None if lhs == rhs else (
@@ -221,7 +220,7 @@ def cochain_records(c: Cochain) -> dict:
     return {
         "entries": [
             {"simplex": list(s), "coeff": rational_str(coeff)}
-            for s, coeff in sorted(c.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+            for s, coeff in c.terms.items()
         ]
     }
 

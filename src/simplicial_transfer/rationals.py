@@ -104,10 +104,12 @@ class SparseVector:
     shared denominator: ``num`` maps keys to nonzero ints and ``den`` is a
     positive int with gcd(den, every numerator) = 1.  That form is unique,
     so equality and hashing compare plain ints, and the zero vector is the
-    empty dict over 1.  ``terms`` is the read-only view of the coordinates
-    as Fractions, for rendering and reports.  A vector lives in a space
-    that only vectors of the same space may be added to.  Instances are
-    immutable and hash by value.
+    empty dict over 1.  A form is keyed by its packed monomial, and a
+    cochain is keyed by the position of its simplex; ``terms`` is the
+    read-only view of the coordinates as Fractions under the keys a user
+    writes, for rendering and reports.  A vector lives in a space that only
+    vectors of the same space may be added to.  Instances are immutable and
+    hash by value.
 
     A subclass names the slot that holds its space with the class keyword
     ``space`` (none for a vector without one) and the message of a space

@@ -44,14 +44,15 @@ f(cut products) only on words that span its own top simplex.
 Both m_n and G_n are multilinear, so they are fixed by their values on words
 of basis cochains.  A letter is the position of its simplex in the complex,
 a small int of the face's degree, so a word of ids names the same faces in
-every bundle of one complex.  A bundle memoises m_n and G_n per word of
-ids, so a memo key hashes in C and the memos hold basis words only.
-Everything else is expanded in the basis, face by face with each face's
-own degree: a cochain handed to ``transferred_m`` or ``morphism_G``, which
-may mix degrees and names none, the unit f(1) that the unit laws plug into
-a word, and the inner m_k that the insertion sums of the batteries plug
-into an outer operation.  Each becomes a sum of coefficient times the
-memoised value on a basis word.
+every bundle of one complex, and a cochain is keyed by the position of its
+simplex, so its keys are letters.  A bundle memoises m_n and G_n per word
+of ids, so a memo key hashes in C and the memos hold basis words only.
+Everything else is expanded in the basis, key by key with each face's own
+degree: a cochain handed to ``transferred_m`` or ``morphism_G``, which may
+mix degrees, the unit f(1) that the unit laws plug into a word, and the
+inner m_k that the insertion sums of the batteries plug into an outer
+operation.  Each becomes a sum of numerator times the memoised value on a
+basis word.
 
 The identity batteries here are the arbiter for every sign convention in the
 package: associativity-up-to-homotopy, the morphism relations, vanishing on
@@ -73,7 +74,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
-from math import lcm
+from math import lcm, prod
 
 from .cochains import (
     _ZERO_COMPONENTS,
@@ -125,13 +126,14 @@ class ComplexContraction:
     The cochain side is that of the complex, and the engine reads it
     directly: ``coboundary``, the stored zero ``_zero``, the unit
     ``Cochain.unit`` that f(1) must equal, the simplices of the complex and
-    ``format_cochain``.  One hook, ``letter``, gives the basis cochain of a
-    letter id.  For the batteries and G_n the engine reads the algebra side
-    (``d_A``, ``wedge_A``, ``one_A``, ``zero_A``), the contraction (``f``,
-    ``g``, ``H``) and ``render_A``, which ``SimplexContraction`` adds with
-    the forms of the standard simplex.  Values on both sides offer the
-    integer linear combination ``_sum`` of ``SparseVector``, and the engine
-    reads the numerators of cochains.
+    ``format_cochain``.  A cochain is keyed by the position of its simplex,
+    so its keys are letter ids; one hook, ``letter``, gives the basis
+    cochain of a letter id.  For the batteries and G_n the engine reads the
+    algebra side (``d_A``, ``wedge_A``, ``one_A``, ``zero_A``), the
+    contraction (``f``, ``g``, ``H``) and ``render_A``, which
+    ``SimplexContraction`` adds with the forms of the standard simplex.
+    Values on both sides offer the integer linear combination ``_sum`` of
+    ``SparseVector``, and the engine reads the numerators of cochains.
 
     A letter is the position of its simplex in the complex: ``_faces`` and
     ``_ids`` are the complex's own ``simplices`` and ``index``, and
@@ -182,21 +184,12 @@ class ComplexContraction:
         shifted degrees, lies outside 0..(top dimension of the complex)."""
         return not 0 <= sum(map(self._degrees.__getitem__, ids)) + 2 <= self._zero.dim
 
-    def coordinates(self, c: Cochain):
-        """A cochain as pairs (numerator, basis letter id), over its
-        denominator.  A cochain of another complex than the bundle's raises
-        ``ValueError``."""
-        space = c._space
-        if space is not self.complex and space != self.complex:
-            raise ValueError(c._mismatch)
-        return [(n, self._ids[face]) for face, n in c.num.items()]
-
     def basis_ids(self) -> range:
         return range(len(self._faces))
 
     def letter(self, letter_id: int) -> Cochain:
         """The basis cochain of a letter id."""
-        return Cochain.basis_element(self.complex, self._faces[letter_id])
+        return Cochain._trusted(self.complex, {letter_id: 1})
 
 
 class SimplexContraction(ComplexContraction):
@@ -317,17 +310,18 @@ def _join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
     n = sum(map(bundle._degrees.__getitem__, ids)) + 2  # dim U
     faces = [bundle._faces[i] for i in ids]
     union = tuple(sorted(set().union(*faces)))
-    if len(union) != n + 1 or union not in bundle.complex.index:
+    position = bundle._ids.get(union) if len(union) == n + 1 else None
+    if position is None:
         return zero
     if n == bundle.top_dim:
         return bundle.f(_cut_products(bundle, ids))
     engine = _engine(n)
     local = tuple(engine._ids[_positions(face, union)] for face in faces)
     value = _m(engine, local)
-    mu = value.num.get(tuple(range(n + 1)))
+    mu = value.num.get(len(engine._faces) - 1)  # the top simplex is last
     if not mu:
         return zero
-    return Cochain._reduced(bundle.complex, {union: mu}, value.den)
+    return Cochain._reduced(bundle.complex, {position: mu}, value.den)
 
 
 def _sum(zero, parts, den: int = 1):
@@ -338,9 +332,9 @@ def _sum(zero, parts, den: int = 1):
 def _insertions(bundle, ids: tuple[int, ...], outer, zero):
     """sum_{k,j} +- outer(b_1..b_j, m_k(b_{j+1}..b_{j+k}), ..., b_n), with
     ``outer`` either _m or _G and ``zero`` its zero.  Each inner m_k is
-    expanded in the cochain basis, so ``outer`` only sees basis words, and
-    its numerators are brought to the common denominator of all inner m_k;
-    the Koszul sign slides the odd m_k past b_1..b_j."""
+    expanded in the cochain basis, whose keys are letter ids, so ``outer``
+    only sees basis words, and its numerators are brought to the common
+    denominator of all inner m_k; the Koszul sign slides the odd m_k past b_1..b_j."""
     degrees = bundle._degrees
     n = len(ids)
     inner = []  # (sign, j, end, m_k)
@@ -353,14 +347,10 @@ def _insertions(bundle, ids: tuple[int, ...], outer, zero):
                 inner.append((sign, j, end, value))
         head_degree += degrees[ids[j]]
     den = lcm(*(value.den for *_, value in inner))
-    letter_ids = bundle._ids
     parts = [
-        (
-            sign * coeff * (den // value.den),
-            outer(bundle, ids[:j] + (letter_ids[face],) + ids[end:]),
-        )
+        (sign * coeff * (den // value.den), outer(bundle, ids[:j] + (letter,) + ids[end:]))
         for sign, j, end, value in inner
-        for face, coeff in value.num.items()
+        for letter, coeff in value.num.items()
     ]
     return _sum(zero, parts, den)
 
@@ -372,21 +362,17 @@ def _relation(bundle, ids: tuple[int, ...]):
 
 def _multilinear(bundle, word: tuple[Cochain, ...], op, zero):
     """op, given on words of basis ids, extended multilinearly to a word of
-    cochains."""
+    cochains of the bundle's complex, whose keys are letter ids."""
     if not word:
         raise ValueError("empty word")
-    parts = []
-    for combo in product(*map(bundle.coordinates, word)):
-        coeff = 1
-        ids = []
-        for c, letter_id in combo:
-            coeff *= c
-            ids.append(letter_id)
-        parts.append((coeff, op(bundle, tuple(ids))))
-    den = 1
     for c in word:
-        den *= c.den
-    return _sum(zero, parts, den)
+        if c._space != bundle.complex:  # the complex's __eq__ tests identity first
+            raise ValueError(c._mismatch)
+    parts = []
+    for combo in product(*(c.num.items() for c in word)):
+        ids, coeffs = zip(*combo)
+        parts.append((prod(coeffs), op(bundle, ids)))
+    return _sum(zero, parts, prod(c.den for c in word))
 
 
 # -- the operations on words of cochains ------------------------------------
@@ -575,16 +561,16 @@ def check_c_infinity(bundle, max_arity: int) -> Report:
 
 def check_unital(bundle, max_arity: int) -> Report:
     """Unit laws for the transferred structure, with unit e = f(1).  e
-    enters a word through its coordinates, so each unit word is a sum of
-    coefficient times the value on a basis word."""
+    enters a word through its keys, which are letter ids, so each unit word
+    is a sum of numerator times the value on a basis word."""
     basis = bundle.basis_ids()
     e = bundle.unit_B()
-    unit = bundle.coordinates(e)
-    e_label = _face_label(*e.num) if e.den == 1 and list(e.num.values()) == [1] else repr(e)
+    unit = e.num.items()
+    e_label = _face_label(*e.terms) if e.den == 1 and list(e.num.values()) == [1] else repr(e)
     report = _letter_report("unitality", 1, max_arity, basis)
 
     def on_unit(op, zero, head=(), tail=()):
-        return _sum(zero, [(n, op(bundle, head + (u,) + tail)) for n, u in unit], e.den)
+        return _sum(zero, [(n, op(bundle, head + (u,) + tail)) for u, n in unit], e.den)
 
     def binary_cases():
         zero = bundle._zero

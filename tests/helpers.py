@@ -152,7 +152,7 @@ def tree_ids(bundle, word) -> tuple[int, ...]:
     len(face) - 2."""
     ids = []
     for c in word:
-        ((one, letter_id),) = bundle.coordinates(c)
+        ((letter_id, one),) = c.num.items()
         if (one, c.den) != (1, 1):
             raise ValueError(f"{c!r} is not a basis cochain")
         ids.append(letter_id)
@@ -212,17 +212,17 @@ def union_first_join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
     zero = bundle._zero
     if n != sum(len(face) - 1 for face in faces) + 2 - len(ids):
         return zero
-    if union not in bundle.complex.cofaces():  # keyed by every simplex
+    if union not in bundle.complex.index:
         return zero
     if n == bundle.top_dim:
         return bundle.f(_cut_products(bundle, ids))
     engine = _engine(n)
     local = tuple(engine._ids[_positions(face, union)] for face in faces)
     value = _m(engine, local)
-    mu = value.num.get(tuple(range(n + 1)))
+    mu = value.num.get(len(engine._faces) - 1)
     if not mu:
         return zero
-    return Cochain._reduced(bundle.complex, {union: mu}, value.den)
+    return Cochain._reduced(bundle.complex, {bundle.complex.index[union]: mu}, value.den)
 
 
 def form_route_contraction(n: int, bound: int) -> Report:

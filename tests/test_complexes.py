@@ -456,8 +456,53 @@ def test_the_bundle_has_no_intern():
 def test_a_letter_id_is_the_position_of_its_simplex():
     # the interval's simplices are (0,), (1,), (0, 1), so x(0,1) is letter 2
     # in every bundle of the interval, whatever it met first
-    bundle = SimplexContraction(1)
-    assert bundle.coordinates(chi(standard_simplex(1), 0, 1)) == [(1, 2)]
+    x01 = chi(standard_simplex(1), 0, 1)
+    assert x01.num == {2: 1}
+    assert SimplexContraction(1).letter(2) == x01
+
+
+@pytest.mark.parametrize(
+    "complex_, edge", [(DELTA2, (0, 1)), (OCTAHEDRON, (0, 2))], ids=["delta2", "octahedron"]
+)
+def test_a_cochain_is_keyed_by_the_position_of_its_simplex(complex_, edge):
+    # (0, 1) joins antipodal vertices of the octahedron, so no edge of it
+    c = Cochain(complex_, {edge: 1})
+    assert c.num == {complex_.index[edge]: 1}
+    assert dict(c.terms) == {edge: 1} and c.support() == {edge}
+    assert c == ComplexContraction(complex_).letter(complex_.index[edge])
+
+
+def test_the_bundle_has_no_coordinates():
+    assert not hasattr(ComplexContraction, "coordinates")
+
+
+class _NoLookup(dict):
+    """An index that answers ``in`` and ``get`` but raises on subscription."""
+
+    def __getitem__(self, simplex):
+        raise AssertionError(f"index[{simplex!r}]")
+
+
+def test_the_engine_looks_up_no_simplex():
+    # the coface table is built while the index still answers; after that
+    # the relations to arity 3 and m_3 of a word of mixed cochains read
+    # cochain keys as letter ids, with no subscription of the index
+    complex_ = OrderedComplex(OCTAHEDRON.vertices, OCTAHEDRON.maximal)
+    complex_.cofaces()
+    terms = (
+        {(0,): 1, (1,): -2},
+        {(0, 2): Fraction(1, 2), (1, 3): 1},
+        {(0, 2, 4): 1, (0, 4): 3},
+    )
+    word = tuple(Cochain(complex_, t) for t in terms)
+    expected = transferred_m(
+        ComplexContraction(OCTAHEDRON), tuple(Cochain(OCTAHEDRON, t) for t in terms)
+    )
+    assert expected
+    object.__setattr__(complex_, "index", _NoLookup(complex_.index))
+    bundle = ComplexContraction(complex_)
+    assert check_a_infinity(bundle, 3).all_passed
+    assert transferred_m(bundle, word) == expected
 
 
 def test_a_checked_cochain_builds_no_coface_table():
@@ -487,11 +532,14 @@ def test_a_bundle_reads_its_letters_from_its_complex(make):
 def test_cofaces_are_the_codimension_one_cofaces_with_signs():
     cofaces = DELTA2.cofaces()
     assert cofaces is DELTA2.cofaces()
-    assert cofaces[(1,)] == (((0, 1), 1), ((1, 2), -1))
-    assert cofaces[(0, 2)] == (((0, 1, 2), -1),)
-    assert cofaces[(0, 1, 2)] == ()
-    for simplex, entries in TORUS.cofaces().items():
-        for coface, _ in entries:
+    index = DELTA2.index
+    assert cofaces[index[(1,)]] == ((index[(0, 1)], 1), (index[(1, 2)], -1))
+    assert cofaces[index[(0, 2)]] == ((index[(0, 1, 2)], -1),)
+    assert cofaces[index[(0, 1, 2)]] == ()
+    simplices = TORUS.simplices
+    for simplex, entries in zip(simplices, TORUS.cofaces()):
+        for position, _ in entries:
+            coface = simplices[position]
             assert set(simplex) < set(coface) and len(coface) == len(simplex) + 1
 
 

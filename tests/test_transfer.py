@@ -574,6 +574,30 @@ def test_a_word_zeroed_by_the_count_is_not_memoised():
         assert bundle._memo_m == before
 
 
+@pytest.mark.parametrize(
+    "dim, max_arity, words, zero_by_count",
+    [(1, 5, 363, 328), (2, 4, 2800, 1206), (3, 3, 3615, 676)],
+)
+def test_the_count_zeroes_G_or_fixes_its_form_degree(dim, max_arity, words, zero_by_count):
+    # G_n has degree 0 on shifted degrees, so G_n(w) is a form of degree
+    # sum_j (dim F_j - 1) + 1: zero when that lies outside 0..dim, and zero
+    # or homogeneous of that degree otherwise
+    bundle = SimplexContraction(dim)
+    degrees = bundle._degrees
+    seen = zeroed = 0
+    for n in range(1, max_arity + 1):
+        for word in product(bundle.basis_ids(), repeat=n):
+            degree = sum(degrees[i] for i in word) + 1
+            value = _G(bundle, word)
+            seen += 1
+            if not 0 <= degree <= dim:
+                zeroed += 1
+                assert not value, word
+            elif value:
+                assert value.homogeneous_degree() == degree, word
+    assert (seen, zeroed) == (words, zero_by_count)
+
+
 def test_memo_holds_only_basis_words():
     # the batteries put no one-off letter into the memos: every key is a
     # word of basis ids, one-letter words included, so each memo holds at

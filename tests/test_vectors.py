@@ -99,8 +99,11 @@ def _is_canonical(vec):
 
 def _view_key(vec, key):
     """The key of ``terms`` that a stored key stands for: a form stores each
-    monomial as one packed int, which ``terms`` unpacks."""
-    return _unpack(vec.dim, key) if isinstance(vec, Form) else key
+    monomial as one packed int, which ``terms`` unpacks, and a cochain each
+    simplex as its position, which ``terms`` reads through ``simplices``."""
+    if isinstance(vec, Form):
+        return _unpack(vec.dim, key)
+    return vec.complex.simplices[key] if isinstance(vec, Cochain) else key
 
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
@@ -139,7 +142,7 @@ def test_equal_rationals_give_equal_vectors():
     assert Fraction(3, 4) * Form(1, {key: Fraction(2, 3)}) == half
     # a common factor of all numerators and the denominator is divided out
     pair = Cochain(standard_simplex(1), {(0,): Fraction(2, 6), (1,): Fraction(4, 6)})
-    assert (pair.num, pair.den) == ({(0,): 1, (1,): 2}, 3)
+    assert (pair.num, pair.den) == ({0: 1, 1: 2}, 3)
 
 
 def test_terms_is_a_read_only_fraction_view():
