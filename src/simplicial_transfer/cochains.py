@@ -122,10 +122,10 @@ class OrderedComplex:
             object.__setattr__(self, "_cofaces", table)
         return table
 
-    def star(self, simplices) -> set[Simplex]:
-        """All simplices having some member of the given set as a face,
-        found by walking the positions up the coface table."""
-        found = {self.index[s] for s in map(tuple, simplices) if s in self.index}
+    def star(self, positions) -> set[int]:
+        """The positions of all simplices having the simplex at one of the
+        given positions as a face, found by walking up the coface table."""
+        found = set(positions)
         cofaces = self.cofaces()
         frontier = list(found)
         while frontier:
@@ -133,7 +133,7 @@ class OrderedComplex:
                 if coface not in found:
                     found.add(coface)
                     frontier.append(coface)
-        return {self.simplices[p] for p in found}
+        return found
 
     def __repr__(self) -> str:
         return f"OrderedComplex(vertices={list(self.vertices)}, maximal={[list(m) for m in self.maximal]})"
@@ -149,7 +149,8 @@ def standard_simplex(n: int) -> OrderedComplex:
 class Cochain(SparseVector, space="complex", mismatch="complex mismatch"):
     """Exact rational coefficients on the simplices of a complex; zeros
     never stored.  A cochain is keyed by the position of its simplex in
-    ``complex.simplices``; ``terms`` and ``support`` give simplices back."""
+    ``complex.simplices``, which is the letter id the transfer engine reads;
+    ``terms`` and the rendering give simplices back."""
 
     __slots__ = ("complex",)
 
@@ -172,7 +173,8 @@ class Cochain(SparseVector, space="complex", mismatch="complex mismatch"):
     def unit(cls, complex_: OrderedComplex) -> "Cochain":
         """The 0-cochain with value 1 at every vertex; equals f(1) on a
         simplex."""
-        return cls(complex_, {s: 1 for s in complex_.simplices if len(s) == 1})
+        simplices = complex_.simplices
+        return cls._trusted(complex_, {p: 1 for p, s in enumerate(simplices) if len(s) == 1})
 
     @property
     def terms(self):
@@ -186,9 +188,6 @@ class Cochain(SparseVector, space="complex", mismatch="complex mismatch"):
         """The top dimension of the complex, -1 when it is empty."""
         simplices = self.complex.simplices
         return len(simplices[-1]) - 1 if simplices else -1
-
-    def support(self) -> set[Simplex]:
-        return {self.complex.simplices[p] for p in self.num}
 
     def __repr__(self) -> str:
         return f"Cochain({self.dim}, {format_cochain(self)!r})"

@@ -11,7 +11,8 @@ union U of their supports, zero unless U is a simplex of the right
 dimension, with mu read from the standard simplex of dimension dim U (the
 join rule of ``transfer``).  ``cup`` and the product conditions share one
 ``ComplexContraction`` per complex and process, which holds the memos of
-those reads; the transferred operations on any word of cochains are
+those reads, and read cochains and key tables by letter id as the engine
+does; the transferred operations on any word of cochains are
 ``transfer.transferred_m`` on ``ComplexContraction(K)``.
 
 The product f(ga ^ gb) = (-1)^{deg a} m_2(a, b) is the arity-2 case, summed
@@ -43,7 +44,7 @@ from functools import lru_cache
 from .cochains import Cochain, ComplexFormatError, OrderedComplex, coboundary
 from .rationals import parse_rational, rational_str
 from .reporting import Report
-from .transfer import ComplexContraction, _face_label, _family_report, _m, _relation_value
+from .transfer import ComplexContraction, _face_label, _family_report, _m, _multilinear, _relation
 
 __all__ = [
     "load_complex",
@@ -103,19 +104,17 @@ def load_complex(text: str) -> OrderedComplex:
 
 
 def cup(a: Cochain, b: Cochain) -> Cochain:
-    """The product f(ga ^ gb) = (-1)^{deg sigma} m_2(e_sigma, e_tau) on basis
-    cochains, summed by bilinearity; by the join rule each pair of simplices
-    contributes at most to their join (see the module docstring)."""
-    if a.complex != b.complex:
-        raise ValueError("complex mismatch")
+    """The product f(ga ^ gb), expanded bilinearly through the signed m_2
+    on letter ids; by the join rule each pair of simplices contributes at
+    most to their join (see the module docstring)."""
     bundle = _bundle(a.complex)
-    degrees = bundle._degrees
-    parts = []
-    for left, x in a.num.items():
-        x = x if degrees[left] % 2 else -x
-        for right, y in b.num.items():
-            parts.append((x * y, _m(bundle, (left, right))))
-    return Cochain._sum(a.complex, parts, a.den * b.den)
+    return _multilinear(bundle, (a, b), _signed_m2, bundle._zero)
+
+
+def _signed_m2(bundle, ids: tuple[int, int]) -> Cochain:
+    """(-1)^{deg sigma} m_2(e_sigma, e_tau) on the letter ids of sigma, tau."""
+    value = _m(bundle, ids)
+    return value if not value or bundle._degrees[ids[0]] % 2 else -value
 
 
 def check_whitney_conditions(complex_: OrderedComplex) -> Report:
@@ -127,41 +126,43 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     A nonassociative triple is demanded exactly when the complex has an
     edge; on a discrete complex the product is honestly associative.
     """
+    bundle = _bundle(complex_)
     simplices = complex_.simplices
-    basis = {s: Cochain.basis_element(complex_, s) for s in simplices}
+    ids = bundle.basis_ids()
+    dims = [len(s) - 1 for s in simplices]
+    labels = [_face_label(s) for s in simplices]
+    basis = [bundle.letter(i) for i in ids]
     basis_text = f"{len(basis)} basis cochains on {len(simplices)} simplices"
     report = _family_report("cup product conditions", 2, 3, basis_text)
-    products = {(s, t): cup(a, b) for s, a in basis.items() for t, b in basis.items()}
+    products = {(s, t): cup(basis[s], basis[t]) for s in ids for t in ids}
 
     # locality: the product lives in the star of both supports
-    stars = {s: complex_.star((s,)) for s in simplices}
+    stars = [complex_.star((s,)) for s in ids]
     report.check(
         "product is supported on common stars",
         (
             None
-            if products[s, t].support() <= stars[s] & stars[t]
-            else f"{_face_label(s)} cup {_face_label(t)} leaves the common star"
-            for s in simplices
-            for t in simplices
+            if products[s, t].num.keys() <= stars[s] & stars[t]
+            else f"{labels[s]} cup {labels[t]} leaves the common star"
+            for s in ids
+            for t in ids
         ),
     )
 
     # Leibniz with the sign of the left degree; the coboundaries of the
-    # basis are computed once, integral, keyed by position, and their
+    # basis are computed once, integral, keyed by letter id, and their
     # products read from the table
-    delta = {s: coboundary(a).num.items() for s, a in basis.items()}
+    delta = [coboundary(a).num.items() for a in basis]
 
     def leibniz_cases():
-        for s in simplices:
-            sign = 1 if len(s) % 2 else -1
-            for t in simplices:
-                parts = [(x, products[simplices[p], t]) for p, x in delta[s]]
-                parts += [(sign * y, products[s, simplices[p]]) for p, y in delta[t]]
+        for s in ids:
+            sign = -1 if dims[s] % 2 else 1
+            for t in ids:
+                parts = [(x, products[p, t]) for p, x in delta[s]]
+                parts += [(sign * y, products[s, p]) for p, y in delta[t]]
                 rhs = Cochain._sum(complex_, parts)
                 lhs = coboundary(products[s, t])
-                yield None if lhs == rhs else (
-                    f"delta({_face_label(s)} cup {_face_label(t)}) mismatch"
-                )
+                yield None if lhs == rhs else f"delta({labels[s]} cup {labels[t]}) mismatch"
 
     report.check("coboundary is a signed derivation of the product", leibniz_cases())
 
@@ -169,22 +170,20 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     report.check(
         "constant 0-cochain is the identity",
         (
-            None
-            if cup(one, b) == b and cup(b, one) == b
-            else f"unit law fails on {_face_label(s)}"
-            for s, b in basis.items()
+            None if cup(one, b) == b and cup(b, one) == b else f"unit law fails on {labels[s]}"
+            for s, b in enumerate(basis)
         ),
     )
 
     # graded commutativity (unshifted degrees)
     def commutativity_cases():
-        for s in simplices:
-            for t in simplices:
-                sign = -1 if (len(s) - 1) * (len(t) - 1) % 2 else 1
+        for s in ids:
+            for t in ids:
+                swapped = -products[t, s] if dims[s] * dims[t] % 2 else products[t, s]
                 yield (
                     None
-                    if products[s, t] == sign * products[t, s]
-                    else f"{_face_label(s)} cup {_face_label(t)} not graded commutative"
+                    if products[s, t] == swapped
+                    else f"{labels[s]} cup {labels[t]} not graded commutative"
                 )
 
     report.check("product is graded commutative", commutativity_cases())
@@ -194,21 +193,21 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     witness = next(
         (
             (r, s, t)
-            for r in simplices
-            for s in simplices
-            for t in simplices
+            for r in ids
+            for s in ids
+            for t in ids
             if cup(products[r, s], basis[t]) != cup(basis[r], products[s, t])
         ),
         None,
     )
     if witness is None:
-        has_edge = any(len(s) >= 2 for s in simplices)
+        has_edge = any(dim >= 1 for dim in dims)
         failure = "no nonassociative triple found" if has_edge else None
     else:
-        labels = tuple(map(_face_label, witness))
-        name += " (" + ", ".join(labels) + ")"
-        residual = _relation_value(_bundle(complex_), tuple(basis[s] for s in witness))
-        failure = f"structure relation fails on the witness {labels}" if residual else None
+        witness_labels = tuple(labels[i] for i in witness)
+        name += " (" + ", ".join(witness_labels) + ")"
+        residual = _relation(bundle, witness)
+        failure = f"structure relation fails on the witness {witness_labels}" if residual else None
     report.check(name, [failure], len(basis) ** 3)
     return report
 

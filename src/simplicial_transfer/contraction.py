@@ -241,8 +241,8 @@ def check_contraction(n: int, max_poly_degree: int) -> Report:
     faces = simplex.simplices
 
     def face_cases(predicate):
-        for face in faces:
-            cochain = Cochain.basis_element(simplex, face)
+        for position, face in enumerate(faces):
+            cochain = Cochain._trusted(simplex, {position: 1})
             yield None if predicate(cochain) else f"basis cochain of face {face}"
 
     # Each identity is one residual, summed unreduced by _linear and failed

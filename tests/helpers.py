@@ -4,8 +4,9 @@ single-simplex cochains, the basis cochains of a bundle and their letter
 ids for tree evaluation, formal words, their deconcatenations and the
 Koszul sign of slotwise application, the polynomials of the interval as
 0-forms and the generating-function oracle for the interval recursion on
-them, the join rule in its union-first order, and the two-sided route of
-the contraction battery.  They go through the package's public
+them, the join rule in its union-first order, the normalized pullback of
+cochains along a simplicial map, and the two-sided route of the
+contraction battery.  They go through the package's public
 constructors, apart from the join rule and the contraction route, which
 read the engines they check."""
 
@@ -223,6 +224,20 @@ def union_first_join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
     if not mu:
         return zero
     return Cochain._reduced(bundle.complex, {bundle.complex.index[union]: mu}, value.den)
+
+
+def pullback(c: Cochain, source, vertex_map) -> Cochain:
+    """The normalized pullback f^*c along the order-preserving simplicial
+    map f from the complex ``source`` to c's complex that sends vertex index
+    i to ``vertex_map[i]``: (f^*c)(s) = c(f(s)), and 0 on a simplex s whose
+    image f(s) repeats a vertex, so is degenerate."""
+    terms = c.terms
+    out = {}
+    for simplex in source.simplices:
+        image = tuple(vertex_map[v] for v in simplex)
+        if len(set(image)) == len(image) and image in terms:
+            out[simplex] = terms[image]
+    return Cochain(source, out)
 
 
 def form_route_contraction(n: int, bound: int) -> Report:

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -41,7 +42,7 @@ from simplicial_transfer.transfer import (
     transferred_m_trees,
 )
 
-from helpers import union_first_join_rule
+from helpers import basis_cochains, pullback, union_first_join_rule
 from global_oracle import (
     GlobalForm,
     GlobalFormContraction,
@@ -96,7 +97,8 @@ def test_closure_of_triangle():
     assert DELTA2.simplices == (
         (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)
     )
-    assert BOUNDARY2.star({(0,)}) == {(0,), (0, 1), (0, 2)}
+    index = BOUNDARY2.index
+    assert BOUNDARY2.star({index[(0,)]}) == {index[(0,)], index[(0, 1)], index[(0, 2)]}
 
 
 def test_global_g_of_vertex_indicator():
@@ -149,8 +151,8 @@ def test_cup_examples():
 
 def test_cup_locality_on_the_path():
     x0, x2 = chi(PATH, 0), chi(PATH, 2)
-    star0 = PATH.star(x0.support())
-    star2 = PATH.star(x2.support())
+    star0 = PATH.star(x0.num)
+    star2 = PATH.star(x2.num)
     assert not (star0 & star2)
 
 
@@ -420,7 +422,7 @@ def test_structure_constants_vanish_off_joins():
                 if len(sigma) + len(tau) - 2 != n:
                     continue
                 value = transferred_m(bundle, (chi(simplex, *sigma), chi(simplex, *tau)))
-                assert value.support() <= {top}, (n, sigma, tau)
+                assert set(value.terms) <= {top}, (n, sigma, tau)
                 shared = set(sigma) & set(tau)
                 expected = 0
                 if len(shared) == 1 and set(sigma) | set(tau) == set(range(n + 1)):
@@ -468,7 +470,7 @@ def test_a_cochain_is_keyed_by_the_position_of_its_simplex(complex_, edge):
     # (0, 1) joins antipodal vertices of the octahedron, so no edge of it
     c = Cochain(complex_, {edge: 1})
     assert c.num == {complex_.index[edge]: 1}
-    assert dict(c.terms) == {edge: 1} and c.support() == {edge}
+    assert dict(c.terms) == {edge: 1} and set(c.terms) == {edge}
     assert c == ComplexContraction(complex_).letter(complex_.index[edge])
 
 
@@ -503,6 +505,32 @@ def test_the_engine_looks_up_no_simplex():
     bundle = ComplexContraction(complex_)
     assert check_a_infinity(bundle, 3).all_passed
     assert transferred_m(bundle, word) == expected
+
+
+def test_the_complex_layer_looks_up_no_simplex(monkeypatch):
+    # whitney-check, cup and the unit read cochains by letter id too, so
+    # they run on a copy of the octahedron whose index raises on
+    # subscription; a bundle cache of its own keeps an equal complex met
+    # earlier from standing in for the copy
+    complex_ = OrderedComplex(OCTAHEDRON.vertices, OCTAHEDRON.maximal)
+    complex_.cofaces()
+    a, b = chi(complex_, 0, 2), chi(complex_, 2, 4)
+    expected = cup(chi(OCTAHEDRON, 0, 2), chi(OCTAHEDRON, 2, 4))
+    assert expected
+    object.__setattr__(complex_, "index", _NoLookup(complex_.index))
+    monkeypatch.setattr(complexes, "_bundle", lru_cache(maxsize=None)(ComplexContraction))
+    report = check_whitney_conditions(complex_)
+    assert report.all_passed, report.to_text()
+    assert cup(a, b) == expected
+    assert Cochain.unit(complex_) == Cochain.unit(OCTAHEDRON)
+
+
+@pytest.mark.parametrize("complex_", [TORUS, OCTAHEDRON], ids=["torus", "octahedron"])
+def test_the_star_of_a_position_holds_the_positions_of_its_cofaces(complex_):
+    simplices = complex_.simplices
+    for p, simplex in enumerate(simplices):
+        expected = {q for q, other in enumerate(simplices) if set(simplex) <= set(other)}
+        assert complex_.star({p}) == expected, simplex
 
 
 def test_a_checked_cochain_builds_no_coface_table():
@@ -662,3 +690,63 @@ def test_deeply_nested_json_is_a_format_error():
 def test_overlong_integer_literal_is_a_format_error():
     with pytest.raises(ComplexFormatError, match="invalid JSON"):
         load_complex('{"vertices": [' + "1" * 5000 + '], "simplices": []}')
+
+
+# -- naturality under degeneracies ----------------------------------------
+
+
+def _vertex_set_pullback(c, source, vertex_map):
+    """A pullback that is not normalized: it reads a degenerate image as the
+    simplex on its vertex set."""
+    terms = c.terms
+    out = {}
+    for simplex in source.simplices:
+        image = tuple(sorted({vertex_map[v] for v in simplex}))
+        if image in terms:
+            out[simplex] = terms[image]
+    return Cochain(source, out)
+
+
+def _naturality_failures(source, target, vertex_map, max_arity, pull=pullback):
+    """The basis words w of the target, to max_arity, on which
+    m_k(f^*w_1, ..., f^*w_k) differs from f^*m_k(w), and the number of words
+    on which the left side is nonzero."""
+    source_bundle = ComplexContraction(source)
+    target_bundle = ComplexContraction(target)
+    letters = basis_cochains(target_bundle)
+    failures, nonzero = [], 0
+    for arity in range(1, max_arity + 1):
+        for word in product(letters, repeat=arity):
+            lhs = transferred_m(source_bundle, tuple(pull(c, source, vertex_map) for c in word))
+            rhs = pull(transferred_m(target_bundle, word), source, vertex_map)
+            nonzero += bool(lhs)
+            if lhs != rhs:
+                failures.append(word)
+    return failures, nonzero
+
+
+@pytest.mark.parametrize(
+    "source, target, vertex_map, max_arity",
+    [
+        (standard_simplex(3), standard_simplex(2), (0, 0, 1, 2), 3),
+        (standard_simplex(3), standard_simplex(2), (0, 1, 1, 2), 3),
+        (standard_simplex(3), standard_simplex(1), (0, 0, 1, 1), 4),
+        (standard_simplex(2), standard_simplex(1), (0, 1, 1), 4),
+        # antipodal pair i goes to vertex i, so every triangle onto the top
+        (OCTAHEDRON, standard_simplex(2), (0, 0, 1, 1, 2, 2), 3),
+    ],
+    ids=["delta3-delta2-0012", "delta3-delta2-0112", "delta3-delta1", "delta2-delta1", "octahedron-delta2"],
+)
+def test_the_normalized_pullback_commutes_with_every_m_k(source, target, vertex_map, max_arity):
+    # the canonical structure is natural: f^* of a simplicial map, zero on
+    # simplices with a degenerate image, is a strict morphism
+    failures, nonzero = _naturality_failures(source, target, vertex_map, max_arity)
+    assert not failures, failures[:3]
+    assert nonzero
+
+
+def test_a_pullback_that_keeps_degenerate_images_is_not_natural():
+    failures, _ = _naturality_failures(
+        standard_simplex(3), standard_simplex(2), (0, 0, 1, 2), 2, pull=_vertex_set_pullback
+    )
+    assert len(failures) == 26
