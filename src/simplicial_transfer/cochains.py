@@ -58,7 +58,7 @@ class OrderedComplex:
     lexicographically.  ``index`` maps each simplex to its position there.
     """
 
-    __slots__ = ("vertices", "maximal", "simplices", "index", "_hash", "_cofaces")
+    __slots__ = ("vertices", "maximal", "simplices", "index", "_hash", "_cofaces", "_bundle")
 
     def __init__(self, vertices, maximal):
         vertices = tuple(vertices)
@@ -86,6 +86,7 @@ class OrderedComplex:
         object.__setattr__(self, "index", {s: i for i, s in enumerate(simplices)})
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_cofaces", None)
+        object.__setattr__(self, "_bundle", None)  # filled by complexes._bundle
 
     def __setattr__(self, name, value):
         raise AttributeError("OrderedComplex is immutable")

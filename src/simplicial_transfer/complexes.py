@@ -10,9 +10,9 @@ for k >= 2, m_k on basis cochains e_{F_1}, ..., e_{F_k} is mu * e_U on the
 union U of their supports, zero unless U is a simplex of the right
 dimension, with mu read from the standard simplex of dimension dim U (the
 join rule of ``transfer``).  ``cup`` and the product conditions share one
-``ComplexContraction`` per complex and process, which holds the memos of
-those reads, and read cochains and key tables by letter id as the engine
-does; the transferred operations on any word of cochains are
+``ComplexContraction`` per complex object, kept on the complex, which holds
+the memos of those reads, and read cochains and key tables by letter id as
+the engine does; the transferred operations on any word of cochains are
 ``transfer.transferred_m`` on ``ComplexContraction(K)``.
 
 The product f(ga ^ gb) = (-1)^{deg a} m_2(a, b) is the arity-2 case, summed
@@ -39,10 +39,9 @@ which the battery checks through the structure relation at arity three.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 
 from .cochains import Cochain, ComplexFormatError, OrderedComplex, coboundary
-from .rationals import parse_rational, rational_str
+from .rationals import _linear, parse_rational, rational_str
 from .reporting import Report
 from .transfer import ComplexContraction, _face_label, _family_report, _m, _multilinear, _relation
 
@@ -57,10 +56,14 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def _bundle(complex_: OrderedComplex) -> ComplexContraction:
-    """The cochain-side bundle of a complex, one per complex and process."""
-    return ComplexContraction(complex_)
+    """The cochain-side bundle of a complex object, built on first use and
+    kept in its slot, so an equal complex built apart gets its own."""
+    bundle = complex_._bundle
+    if bundle is None:
+        bundle = ComplexContraction(complex_)
+        object.__setattr__(complex_, "_bundle", bundle)
+    return bundle
 
 
 def complex_from_data(data: dict) -> OrderedComplex:
@@ -149,9 +152,9 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
         ),
     )
 
-    # Leibniz with the sign of the left degree; the coboundaries of the
-    # basis are computed once, integral, keyed by letter id, and their
-    # products read from the table
+    # Leibniz with the sign of the left degree, as one unreduced integer
+    # residual rhs - lhs per pair; the coboundaries of the basis are computed
+    # once, integral, keyed by letter id, and their products read from the table
     delta = [coboundary(a).num.items() for a in basis]
 
     def leibniz_cases():
@@ -160,9 +163,8 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
             for t in ids:
                 parts = [(x, products[p, t]) for p, x in delta[s]]
                 parts += [(sign * y, products[s, p]) for p, y in delta[t]]
-                rhs = Cochain._sum(complex_, parts)
-                lhs = coboundary(products[s, t])
-                yield None if lhs == rhs else f"delta({labels[s]} cup {labels[t]}) mismatch"
+                parts.append((-1, coboundary(products[s, t])))
+                yield f"delta({labels[s]} cup {labels[t]}) mismatch" if _linear(parts)[0] else None
 
     report.check("coboundary is a signed derivation of the product", leibniz_cases())
 

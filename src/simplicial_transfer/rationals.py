@@ -174,7 +174,14 @@ class SparseVector:
     def _sum(cls, space, parts, den: int = 1):
         """(sum of p * v) / den over the pairs (p, v) of an int p and a
         vector v, a list: each v is brought to the least common multiple
-        of their denominators, and the result is reduced once."""
+        of their denominators, and the result is reduced once.  A lone
+        part (1, v) over 1, v of this class on this very space object, is
+        its own sum: v comes back uncopied, safe as vectors are immutable
+        and every kernel hands ``_reduced`` a fresh dict, never a ``num``."""
+        if den == 1 and len(parts) == 1:
+            p, v = parts[0]
+            if p == 1 and type(v) is cls and v._space is space:
+                return v
         out, common = _linear(parts)
         return cls._reduced(space, out, den * common)
 

@@ -362,17 +362,20 @@ def _relation(bundle, ids: tuple[int, ...]):
 
 def _multilinear(bundle, word: tuple[Cochain, ...], op, zero):
     """op, given on words of basis ids, extended multilinearly to a word of
-    cochains of the bundle's complex, whose keys are letter ids."""
+    cochains of the bundle's complex, whose keys are letter ids.  A cochain
+    on that very complex object passes the mismatch test without comparing
+    complexes, and a word of basis letters gets op's value itself back."""
     if not word:
         raise ValueError("empty word")
+    complex_ = bundle.complex
     for c in word:
-        if c._space != bundle.complex:  # the complex's __eq__ tests identity first
+        if c._space is not complex_ and c._space != complex_:
             raise ValueError(c._mismatch)
     parts = []
-    for combo in product(*(c.num.items() for c in word)):
+    for combo in product(*[c.num.items() for c in word]):
         ids, coeffs = zip(*combo)
         parts.append((prod(coeffs), op(bundle, ids)))
-    return _sum(zero, parts, prod(c.den for c in word))
+    return _sum(zero, parts, prod([c.den for c in word]))
 
 
 # -- the operations on words of cochains ------------------------------------

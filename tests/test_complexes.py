@@ -1,6 +1,5 @@
 import json
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -176,6 +175,80 @@ def test_doubled_cup_fails_at_the_first_counterexample(monkeypatch):
         ("constant 0-cochain is the identity", 4, "unit law fails on x(0,1)"),
         ("product is graded commutative", 4, "x(0) cup x(0,1) not graded commutative"),
     ]
+
+
+_SIGNED_M2 = complexes._signed_m2
+LEIBNIZ = "coboundary is a signed derivation of the product"
+
+
+def _halved_on_two_edges(bundle, ids):
+    value = _SIGNED_M2(bundle, ids)
+    return Fraction(1, 2) * value if all(bundle._degrees[i] == 0 for i in ids) else value
+
+
+@pytest.mark.parametrize(
+    "signed_m2, complex_, failures",
+    [
+        (_m, DELTA2, [
+            (LEIBNIZ, 1, "delta(x(0) cup x(0)) mismatch"),
+            ("constant 0-cochain is the identity", 4, "unit law fails on x(0,1)"),
+            ("product is graded commutative", 4, "x(0) cup x(0,1) not graded commutative"),
+        ]),
+        (_m, OCTAHEDRON, [
+            (LEIBNIZ, 1, "delta(x(0) cup x(0)) mismatch"),
+            ("constant 0-cochain is the identity", 7, "unit law fails on x(0,2)"),
+            ("product is graded commutative", 7, "x(0) cup x(0,2) not graded commutative"),
+        ]),
+        (_halved_on_two_edges, DELTA2, [(LEIBNIZ, 4, "delta(x(0) cup x(0,1)) mismatch")]),
+        (_halved_on_two_edges, OCTAHEDRON, [(LEIBNIZ, 7, "delta(x(0) cup x(0,2)) mismatch")]),
+        (_halved_on_two_edges, TORUS, [(LEIBNIZ, 8, "delta(x(0) cup x(0,1)) mismatch")]),
+    ],
+    ids=[
+        "unsigned-delta2", "unsigned-octahedron", "halved-delta2", "halved-octahedron", "halved-torus"
+    ],
+)
+def test_a_broken_product_fails_the_leibniz_residual(monkeypatch, signed_m2, complex_, failures):
+    # m_2 without its sign (-1)^{deg sigma}, or halved on two edges, which
+    # breaks only the Leibniz rule and over denominators 1/6 and 1/12; each
+    # record counts the pairs up to and including its first failure
+    monkeypatch.setattr(complexes, "_signed_m2", signed_m2)
+    report = check_whitney_conditions(complex_)
+    assert [(c.name, c.basis_size, c.counterexample) for c in report.checks if not c.passed] == failures
+
+
+def test_an_equal_complex_built_apart_gets_its_own_bundle():
+    product = cup(chi(DELTA2, 0), chi(DELTA2, 0, 1))
+    twin = OrderedComplex([0, 1, 2], [[0, 1, 2]])
+    twin_product = cup(chi(twin, 0), chi(twin, 0, 1))
+    assert product.complex is DELTA2 and twin_product.complex is twin
+    assert twin_product == product and product
+
+
+def test_the_extension_compares_no_complexes_on_its_own_complex(monkeypatch):
+    # with the memos warm, cup and transferred_m on cochains of the bundle's
+    # own complex object run with OrderedComplex.__eq__ raising
+    bundle = ComplexContraction(OCTAHEDRON)
+    letters = basis_cochains(bundle)
+    pairs = list(product(letters, repeat=2))
+    word = (
+        chi(OCTAHEDRON, 0, 2) + Fraction(1, 3) * chi(OCTAHEDRON, 0),
+        chi(OCTAHEDRON, 2, 4) - 2 * chi(OCTAHEDRON, 0, 2),
+        chi(OCTAHEDRON, 0, 4) + chi(OCTAHEDRON, 4),
+    )
+
+    def run():
+        values = [cup(a, b) for a, b in pairs] + [transferred_m(bundle, word)]
+        assert all(v.complex is OCTAHEDRON for v in values)
+        return [(v.num, v.den) for v in values]
+
+    expected = run()
+    assert expected[-1][0]
+
+    def refuse(self, other):
+        raise AssertionError("OrderedComplex.__eq__ called")
+
+    monkeypatch.setattr(OrderedComplex, "__eq__", refuse)
+    assert run() == expected
 
 
 def test_nonassociativity_witness_present():
@@ -507,18 +580,17 @@ def test_the_engine_looks_up_no_simplex():
     assert transferred_m(bundle, word) == expected
 
 
-def test_the_complex_layer_looks_up_no_simplex(monkeypatch):
+def test_the_complex_layer_looks_up_no_simplex():
     # whitney-check, cup and the unit read cochains by letter id too, so
     # they run on a copy of the octahedron whose index raises on
-    # subscription; a bundle cache of its own keeps an equal complex met
-    # earlier from standing in for the copy
+    # subscription; the copy gets a bundle of its own, not that of the equal
+    # OCTAHEDRON met earlier
     complex_ = OrderedComplex(OCTAHEDRON.vertices, OCTAHEDRON.maximal)
     complex_.cofaces()
     a, b = chi(complex_, 0, 2), chi(complex_, 2, 4)
     expected = cup(chi(OCTAHEDRON, 0, 2), chi(OCTAHEDRON, 2, 4))
     assert expected
     object.__setattr__(complex_, "index", _NoLookup(complex_.index))
-    monkeypatch.setattr(complexes, "_bundle", lru_cache(maxsize=None)(ComplexContraction))
     report = check_whitney_conditions(complex_)
     assert report.all_passed, report.to_text()
     assert cup(a, b) == expected

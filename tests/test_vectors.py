@@ -8,9 +8,20 @@ from math import gcd
 
 import pytest
 
-from simplicial_transfer.cochains import Cochain, OrderedComplex, standard_simplex
+from simplicial_transfer.cochains import (
+    Cochain,
+    OrderedComplex,
+    _elementary_form,
+    _face_integrals,
+    include_g,
+    project_f,
+    standard_simplex,
+)
+from simplicial_transfer.complexes import _bundle, cup
+from simplicial_transfer.contraction import _s_monomial, s_operator
 from simplicial_transfer.forms import Form, _pack, _unpack
 from simplicial_transfer.rationals import SparseVector
+from simplicial_transfer.transfer import SimplexContraction, transferred_m
 
 DELTA2 = OrderedComplex([0, 1, 2], [[0, 1, 2]])
 BOUNDARY2 = OrderedComplex([0, 1, 2], [[0, 1], [0, 2], [1, 2]])
@@ -128,6 +139,61 @@ def test_a_zero_scalar_adds_nothing(case):
     assert make._sum(space, [(0, a)]).num == {}
     mixed = make._sum(space, [(0, a), (1, b)])
     assert _is_canonical(mixed) and mixed == b
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_a_lone_unit_part_is_its_own_sum(case):
+    make, (space, _), a_terms, _, _ = case
+    a = make(space, a_terms)
+    assert make._sum(space, [(1, a)]) is a
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_every_other_sum_builds_a_new_reduced_vector(case):
+    make, (space, _), a_terms, b_terms, _ = case
+    a, b = make(space, a_terms), make(space, b_terms)
+    expected = [
+        (make._sum(space, [(p, a)]), p * a) for p in (0, -1, 2)
+    ] + [
+        (make._sum(space, [(1, a)], 3), Fraction(1, 3) * a),
+        (make._sum(space, [(1, a), (1, b)]), a + b),
+        (make._sum(space, [(1, a), (0, b)]), a),
+    ]
+    for total, value in expected:
+        assert total is not a and total == value and _is_canonical(total)
+
+
+@pytest.mark.parametrize(
+    "make, space, other, terms",
+    [
+        (Form, 1, 2, {((1,), ()): 1}),
+        (Cochain, DELTA2, standard_simplex(2), {(0, 1): Fraction(1, 2)}),
+        (Cochain, DELTA2, OrderedComplex([0, 1, 2], [[0, 1, 2]]), {(0, 1): 3}),
+    ],
+    ids=["form", "cochain", "cochain-on-an-equal-complex"],
+)
+def test_a_lone_part_of_another_space_object_takes_the_general_path(make, space, other, terms):
+    # _sum trusts its parts and checks no space, as the kernels that call it
+    # do; a lone part is handed back only on the very space object asked for,
+    # so the sum always lives in the given space
+    a = make(space, terms)
+    total = make._sum(other, [(1, a)])
+    assert total is not a and total._space is other
+    assert (total.num, total.den) == (a.num, a.den)
+
+
+def test_the_cached_value_of_a_basis_input_comes_back_as_is():
+    bundle = SimplexContraction(2)
+    e0, e01 = (bundle.letter(i) for i in (0, 3))
+    assert transferred_m(bundle, (e0, e01)) is bundle._memo_m[(0, 3)]
+    assert transferred_m(bundle, (e01,)) is bundle._memo_m[(3,)]
+    # a vertex on the left takes no sign, so cup hands on m_2 itself
+    assert cup(e0, e01) is _bundle(e0.complex)._memo_m[(0, 3)]
+    monomial = Form.monomial(2, (1, 0), (2,))
+    (key,) = monomial.num
+    assert project_f(monomial) is _face_integrals(2, key)
+    assert s_operator(monomial) is _s_monomial(2, key)
+    assert include_g(e01) is _elementary_form((0, 1), 2)
 
 
 def test_equal_rationals_give_equal_vectors():
