@@ -58,14 +58,14 @@ class OrderedComplex:
     lexicographically.  ``index`` maps each simplex to its position there.
     """
 
-    __slots__ = ("vertices", "maximal", "simplices", "index", "_hash", "_cofaces", "_bundle")
+    __slots__ = ("vertices", "maximal", "simplices", "index", "_cofaces", "_bundle")
 
     def __init__(self, vertices, maximal):
         vertices = tuple(vertices)
         if len(set(vertices)) != len(vertices):
             raise ComplexFormatError("duplicate vertex labels")
         closure: set[Simplex] = set()
-        maximal_clean: list[Simplex] = []
+        maximal_clean: dict[Simplex, None] = {}
         for simplex in maximal:
             simplex = tuple(simplex)
             if any(simplex[i] >= simplex[i + 1] for i in range(len(simplex) - 1)):
@@ -76,7 +76,7 @@ class OrderedComplex:
                 raise ComplexFormatError(f"simplex {list(simplex)} has unknown vertex")
             if simplex in maximal_clean:
                 raise ComplexFormatError(f"duplicate simplex {list(simplex)}")
-            maximal_clean.append(simplex)
+            maximal_clean[simplex] = None
             for k in range(1, len(simplex) + 1):
                 closure.update(combinations(simplex, k))
         object.__setattr__(self, "vertices", vertices)
@@ -84,7 +84,6 @@ class OrderedComplex:
         simplices = tuple(sorted(closure, key=lambda s: (len(s), s)))
         object.__setattr__(self, "simplices", simplices)
         object.__setattr__(self, "index", {s: i for i, s in enumerate(simplices)})
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_cofaces", None)
         object.__setattr__(self, "_bundle", None)  # filled by complexes._bundle
 
@@ -99,11 +98,7 @@ class OrderedComplex:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.vertices, self.simplices))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.vertices, self.simplices))
 
     def cofaces(self) -> list[tuple[tuple[int, int], ...]]:
         """The codimension-one cofaces of the simplex at each position, as

@@ -109,7 +109,8 @@ class SparseVector:
     read-only view of the coordinates as Fractions under the keys a user
     writes, for rendering and reports.  A vector lives in a space that only
     vectors of the same space may be added to.  Instances are immutable and
-    hash by value.
+    hash by value: the hash is computed from the space, the denominator and
+    the numerators on each call, and no instance caches it.
 
     A subclass names the slot that holds its space with the class keyword
     ``space`` (none for a vector without one) and the message of a space
@@ -121,7 +122,7 @@ class SparseVector:
     combination of vectors in one pass.  The kernels build results through
     these three, in int arithmetic."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
     _space = None  # the space slot's descriptor, so self._space reads it
     _mismatch = "space mismatch"
 
@@ -154,7 +155,6 @@ class SparseVector:
             slot.__set__(self, space)
         _set(self, "num", num)
         _set(self, "den", den)
-        _set(self, "_hash", None)
 
     @classmethod
     def _trusted(cls, space, num: dict, den: int = 1):
@@ -270,11 +270,7 @@ class SparseVector:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self._space, self.den, frozenset(self.num.items())))
-            _set(self, "_hash", h)
-        return h
+        return hash((self._space, self.den, frozenset(self.num.items())))
 
 
 def _lowest(num: dict, den: int) -> tuple[dict, int]:

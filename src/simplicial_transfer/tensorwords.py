@@ -19,16 +19,12 @@ from .rationals import _accumulate
 __all__ = ["shuffle"]
 
 
-def _interleavings(p: int, q: int):
-    return combinations(range(p + q), p)
-
-
 def _shuffle_terms(u: Sequence, v: Sequence, degree_of: Callable[[Any], int]):
     """Yield (merged tuple, sign) over all order-preserving interleavings."""
     p, q = len(u), len(v)
     vdeg = [degree_of(x) for x in v]
     udeg = [degree_of(x) for x in u]
-    for upos in _interleavings(p, q):
+    for upos in combinations(range(p + q), p):
         upos_set = set(upos)
         merged: list = []
         exponent = 0

@@ -411,11 +411,6 @@ def _m_trees(bundle, ids: tuple[int, ...]):
     return total
 
 
-def _relation_value(bundle, word: tuple[Cochain, ...]) -> Cochain:
-    """Left side of the structure relation at the word's arity."""
-    return _multilinear(bundle, word, _relation, bundle._zero)
-
-
 def _word_label(bundle, ids) -> str:
     return "(" + ", ".join(_face_label(bundle._faces[i]) for i in ids) + ")"
 

@@ -4,11 +4,12 @@ single-simplex cochains, the basis cochains of a bundle and their letter
 ids for tree evaluation, formal words, their deconcatenations and the
 Koszul sign of slotwise application, the polynomials of the interval as
 0-forms and the generating-function oracle for the interval recursion on
-them, the join rule in its union-first order, the normalized pullback of
+them, the left side of the structure relation on a word of cochains,
+the join rule in its union-first order, the normalized pullback of
 cochains along a simplicial map, and the two-sided route of the
 contraction battery.  They go through the package's public
-constructors, apart from the join rule and the contraction route, which
-read the engines they check."""
+constructors, apart from the relation, the join rule and the contraction
+route, which read the engines they check."""
 
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from simplicial_transfer.forms import (
 )
 from simplicial_transfer.rationals import SparseVector, exact, factorial, parse_rational, rational_str
 from simplicial_transfer.reporting import Report
-from simplicial_transfer.transfer import _cut_products, _engine, _m, _positions
+from simplicial_transfer.transfer import _cut_products, _engine, _m, _multilinear, _positions, _relation
 
 
 @lru_cache(maxsize=None)
@@ -202,6 +203,12 @@ def exp_series_ratio(max_order: int) -> list[Form]:
             acc = acc - q[k - j] * out[j]
         out.append(acc)  # q[0] == 1, no division needed
     return out
+
+
+def relation_value(bundle, word: tuple[Cochain, ...]) -> Cochain:
+    """Left side of the structure relation at the word's arity, extended
+    multilinearly to a word of cochains."""
+    return _multilinear(bundle, word, _relation, bundle._zero)
 
 
 def union_first_join_rule(bundle, ids: tuple[int, ...]) -> Cochain:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from simplicial_transfer.cochains import (
     Cochain,
+    ComplexFormatError,
+    OrderedComplex,
     coboundary,
     elementary_form,
     format_cochain,
@@ -43,6 +46,42 @@ def test_basis_faces_counts():
     assert len(standard_simplex(4).simplices) == 31
 
 
+def test_an_ordered_complex_is_immutable_and_shows_its_input():
+    complex_ = OrderedComplex(["a", "b", "c"], [[0, 1], [1, 2]])
+    with pytest.raises(AttributeError, match="OrderedComplex is immutable"):
+        complex_.vertices = ()
+    assert repr(complex_) == "OrderedComplex(vertices=['a', 'b', 'c'], maximal=[[0, 1], [1, 2]])"
+
+
+def test_maximal_simplices_keep_their_order_and_refuse_a_repeat():
+    assert OrderedComplex(range(3), [[1, 2], [0, 2], [0, 1]]).maximal == ((1, 2), (0, 2), (0, 1))
+    with pytest.raises(ComplexFormatError) as info:
+        OrderedComplex(range(3), [[0, 1], [1, 2], (0, 1)])
+    assert str(info.value) == "duplicate simplex [0, 1]"
+
+
+def test_a_complex_loads_in_time_linear_in_its_maximal_simplices():
+    # 40,000 distinct maximal edges; testing each for a repeat against a list
+    # of the simplices seen so far took about 20 s on a 2-core machine, and
+    # a dict of them takes under 1 s
+    n = 40_000
+    start = time.perf_counter()
+    path = OrderedComplex(range(n + 1), [(i, i + 1) for i in range(n)])
+    elapsed = time.perf_counter() - start
+    assert len(path.maximal) == n and len(path.simplices) == 2 * n + 1
+    assert elapsed < 10, elapsed
+
+
+def test_a_cochain_lives_on_a_complex():
+    with pytest.raises(TypeError, match="a cochain lives on an OrderedComplex, not 3"):
+        Cochain(3)
+
+
+def test_the_zero_cochain_formats_as_0():
+    assert format_cochain(Cochain(standard_simplex(1))) == "0"
+    assert repr(Cochain(standard_simplex(2))) == "Cochain(2, '0')"
+
+
 def test_coboundary_examples():
     assert coboundary(chi(1, 0)) == -1 * chi(1, 0, 1)
     assert not coboundary(chi(1, 0, 1))
@@ -63,6 +102,11 @@ def test_elementary_form_examples():
     assert elementary_form((0, 1, 2), 2) == parse_form("2 dt1 dt2", 2)
     with pytest.raises(ValueError):
         elementary_form((1, 0), 1)
+
+
+def test_an_elementary_form_needs_a_face():
+    with pytest.raises(ValueError, match="face must be nonempty"):
+        elementary_form((), 1)
 
 
 def test_project_f_examples():

@@ -36,12 +36,11 @@ from simplicial_transfer.transfer import (
     check_morphism,
     check_unital,
     SimplexContraction,
-    _relation_value,
     transferred_m,
     transferred_m_trees,
 )
 
-from helpers import basis_cochains, pullback, union_first_join_rule
+from helpers import basis_cochains, pullback, relation_value, union_first_join_rule
 from global_oracle import (
     GlobalForm,
     GlobalFormContraction,
@@ -214,6 +213,21 @@ def test_a_broken_product_fails_the_leibniz_residual(monkeypatch, signed_m2, com
     monkeypatch.setattr(complexes, "_signed_m2", signed_m2)
     report = check_whitney_conditions(complex_)
     assert [(c.name, c.basis_size, c.counterexample) for c in report.checks if not c.passed] == failures
+
+
+def test_a_product_off_the_common_star_fails_locality(monkeypatch):
+    # x(0) cup x(0) moved to the edge (1,2), which lies outside the star of
+    # vertex 0; the Leibniz record, which reads the same table, fails too
+    def moved(a, b):
+        vertex = chi(a.complex, 0)
+        return chi(a.complex, 1, 2) if a == b == vertex else cup(a, b)
+
+    monkeypatch.setattr(complexes, "cup", moved)
+    report = check_whitney_conditions(DELTA2)
+    assert [(c.name, c.basis_size, c.counterexample) for c in report.checks if not c.passed] == [
+        ("product is supported on common stars", 1, "x(0) cup x(0) leaves the common star"),
+        (LEIBNIZ, 1, "delta(x(0) cup x(0)) mismatch"),
+    ]
 
 
 def test_an_equal_complex_built_apart_gets_its_own_bundle():
@@ -658,7 +672,7 @@ def _assert_bundle_matches_the_oracle(complex_, words):
     oracle = GlobalFormContraction(complex_)
     for word in words:
         assert transferred_m(bundle, word) == transferred_m(oracle, word), word
-        assert _relation_value(bundle, word) == _relation_value(oracle, word), word
+        assert relation_value(bundle, word) == relation_value(oracle, word), word
 
 
 @pytest.mark.parametrize("complex_", [DELTA2, BOUNDARY2], ids=["delta2", "boundary2"])

@@ -234,3 +234,19 @@ def test_the_battery_builds_no_form_per_side(cold_caches, monkeypatch):
     monkeypatch.setattr(contraction, "h_operator", refuse)
     report = check_contraction(3, 2)
     assert len(report.checks) == 10 and report.all_passed
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: h_operator(Form.zero(2), 3), "vertex index 3 out of range for dimension 2"),
+        (lambda: h_operator(Form.zero(2), -1), "vertex index -1 out of range for dimension 2"),
+        (lambda: check_contraction(-1, 4), "need n >= 0 and max_poly_degree >= 1"),
+        (lambda: check_contraction(1, 0), "need n >= 0 and max_poly_degree >= 1"),
+    ],
+    ids=["h-above", "h-below", "negative-dimension", "zero-degree"],
+)
+def test_range_errors(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

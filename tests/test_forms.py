@@ -261,3 +261,29 @@ def test_a_long_form_round_trips():
         total = total + Fraction(k - 40, 7) * m
     assert len(total.num) > 300
     assert parse_form(format_form(total), 2) == total
+
+
+def test_an_empty_term_is_skipped():
+    # a "+" with nothing on one side adds no term
+    assert parse_form("t1 + + dt1", 1) == F1("t1 + dt1")
+    assert parse_form("t1 +", 1) == F1("t1")
+
+
+def test_a_form_repr_shows_its_dimension_and_text():
+    assert repr(F2("1/2 t1 dt2 + -1")) == "Form(2, '-1 + 1/2 t1 dt2')"
+    assert repr(Form.zero(1)) == "Form(1, '0')"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Form.zero(-1), "dimension must be >= 0"),
+        (lambda: generator(1, "x", 0), "unknown generator kind 'x'"),
+        (lambda: vertex_evaluate(Form.zero(1), 2), "vertex index 2 out of range for dimension 1"),
+    ],
+    ids=["negative-dimension", "generator-kind", "vertex-evaluate-range"],
+)
+def test_range_and_argument_errors(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -98,6 +98,35 @@ def test_report_is_the_one_report_type():
     assert _classes_defining("to_json_dict") == {"CheckRecord", "Report"}
 
 
+def _unused_private_functions() -> list[str]:
+    """The module-level functions named with a leading underscore that no
+    source file of the package names outside their own ``def``."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            if not any(
+                id(use) not in own
+                and (
+                    isinstance(use, ast.Name) and use.id == node.name
+                    or isinstance(use, ast.Attribute) and use.attr == node.name
+                )
+                for other in trees.values()
+                for use in ast.walk(other)
+            ):
+                unused.append(f"{module}.{node.name}")
+    return unused
+
+
+def test_every_private_function_has_a_use_in_the_package():
+    # a helper that only the tests call is a dead helper of the package; it
+    # belongs in tests/helpers.py
+    assert _unused_private_functions() == []
+
+
 def test_the_package_exports_no_koszul_sign():
     # tree evaluation needs no slotwise sign, so the helper lives in the tests
     assert not hasattr(simplicial_transfer, "koszul_sign")

@@ -119,3 +119,10 @@ def test_rational_round_trip():
 @given(st.fractions(), st.fractions())
 def test_rational_arithmetic_is_exact(a, c):
     assert (a + c) - c == a
+
+
+def test_bernoulli_indices_start_at_zero():
+    with pytest.raises(ValueError, match="bernoulli_number requires n >= 0"):
+        bernoulli_number(-1)
+    with pytest.raises(ValueError, match="bernoulli_polynomial requires n >= 0"):
+        bernoulli_polynomial(-1)

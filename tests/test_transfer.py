@@ -22,7 +22,6 @@ from simplicial_transfer.transfer import (
     _insertions,
     _m,
     _multilinear,
-    _relation_value,
     check_a_infinity,
     check_c_infinity,
     check_morphism,
@@ -41,7 +40,7 @@ from simplicial_transfer.trees import (
 )
 
 from global_oracle import GlobalFormContraction
-from helpers import basis_cochains, poly, tree_ids
+from helpers import basis_cochains, poly, relation_value, tree_ids
 
 
 def interval_letters():
@@ -66,7 +65,7 @@ def test_a_letter_of_another_dimension_is_rejected():
     bundle = SimplexContraction(2)
     x0 = Cochain.basis_element(standard_simplex(1), (0,))
     for word in [(x0,), (Cochain.basis_element(standard_simplex(2), (0,)), x0)]:
-        for op in (transferred_m, morphism_G, _relation_value):
+        for op in (transferred_m, morphism_G, relation_value):
             with pytest.raises(ValueError, match="complex mismatch"):
                 op(bundle, word)
 
@@ -474,6 +473,30 @@ def test_interval_table_reports_a_failing_bernoulli_check(monkeypatch):
     ]
 
 
+def test_interval_table_reports_a_word_outside_the_one_t_family(monkeypatch):
+    # dt added to m of every arity-3 word with two t's; the nested calls, on
+    # shorter words or on the engine of a vertex, pass unchanged
+    m = transfer._m
+
+    def with_dt(bundle, ids):
+        value = m(bundle, ids)
+        faces = [bundle._faces[i] for i in ids]
+        if len(ids) == 3 and faces.count((1,)) == 2:
+            return value + bundle.letter(bundle._ids[(0, 1)])
+        return value
+
+    monkeypatch.setattr(transfer, "_m", with_dt)
+    assert _failing(interval_product_table(4)) == [
+        ("all words outside the one-t family vanish", 3, "m(t,t,dt) = 1 dt"),
+    ]
+
+
+def test_a_component_string_names_each_nonzero_component():
+    assert transfer._component_string((Fraction(-1, 2), 0, 0)) == "-1/2"
+    assert transfer._component_string((2, 1, Fraction(3, 4))) == "2 + 1 t + 3/4 dt"
+    assert transfer._component_string((0, 0, 0)) == "0"
+
+
 def test_interval_table():
     table = interval_product_table(5)
     assert table.all_passed, table.to_text()
@@ -547,6 +570,11 @@ def test_p_polynomials():
     # b_2 = -(the raw integral of p_2) = 1/12 = B_2/2!
     assert seq.integrals[1] == Fraction(1, 12)
     assert seq.integrals[1] == bernoulli_number(2) / factorial(2)
+
+
+def test_the_p_sequence_starts_at_one():
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        p_polynomial_sequence(0)
 
 
 def test_memoization_is_shared_within_a_bundle():
@@ -661,7 +689,7 @@ def test_insertions_match_the_sum_over_letters(dim, max_arity, koszul_signs):
         for picks in product(range(len(ids)), repeat=n):
             word = tuple(letters[p] for p in picks)
             id_word = tuple(ids[p] for p in picks)
-            assert _relation_value(bundle, word) == _insertions_by_letters(
+            assert relation_value(bundle, word) == _insertions_by_letters(
                 oracle, word, transferred_m_trees, oracle._zero
             ), word
             assert _insertions(bundle, id_word, _G, bundle.zero_A()) == (

@@ -216,3 +216,21 @@ def test_higher_vertices_vanish_over_binary_algebras():
     ternary = PlanarTree((LEAF, LEAF, LEAF))
     ids = (bundle._ids[(0, 1)],) * 3
     assert not evaluate_tree_m(ternary, ids, bundle)
+
+
+def test_a_tree_repr_shows_its_text():
+    assert repr(LEAF) == "PlanarTree('*')"
+    assert [repr(t) for t in enumerate_trees(3)] == [
+        "PlanarTree('(* (* *))')",
+        "PlanarTree('((* *) *)')",
+        "PlanarTree('(* * *)')",
+    ]
+
+
+def test_one_leaf_has_one_path_tree():
+    assert path_trees(1, 1) == (LEAF,)
+
+
+def test_a_tree_needs_a_leaf():
+    with pytest.raises(ValueError, match="need at least one leaf"):
+        enumerate_trees(0)

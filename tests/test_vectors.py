@@ -219,3 +219,25 @@ def test_terms_is_a_read_only_fraction_view():
     with pytest.raises(TypeError):
         terms[(1,)] = Fraction(1)
     assert a == Cochain(standard_simplex(1), terms)
+
+
+def test_values_hash_by_value_and_keep_no_hash_slot():
+    # a vector is its numerators and denominator, and a complex its vertices
+    # and closure; hashing reads them every time
+    assert SparseVector.__slots__ == ("num", "den")
+    assert "_hash" not in OrderedComplex.__slots__
+    twin = OrderedComplex([0, 1, 2], [[0, 1, 2]])
+    assert twin is not DELTA2 and twin == DELTA2 and hash(twin) == hash(DELTA2)
+    # the closure, not the maximal simplices, decides equality
+    triangle = OrderedComplex([0, 1, 2], [[0, 1, 2], [0, 1]])
+    assert triangle == DELTA2 and hash(triangle) == hash(DELTA2)
+    terms = {(0,): Fraction(1, 3), (1, 2): -2}
+    pairs = [
+        (Form(2, {((1, 0), (2,)): Fraction(2, 4)}), Form(2, {((1, 0), (2,)): Fraction(1, 2)})),
+        (Cochain(standard_simplex(2), terms), Cochain(DELTA2, terms)),
+        (Cochain(DELTA2, terms), Cochain(twin, terms)),
+        (Cochain(DELTA2, terms) + Cochain(DELTA2, terms), 2 * Cochain(twin, terms)),
+    ]
+    for v, w in pairs:
+        assert v == w and hash(v) == hash(w)
+        assert not hasattr(v, "_hash")
