@@ -37,11 +37,9 @@ from .trees import (
     LEAF,
     PlanarTree,
     enumerate_trees,
-    evaluate_tree_G,
     evaluate_tree_m,
     path_trees,
     tree_count,
-    tree_from_text,
     tree_to_text,
 )
 from .transfer import (

@@ -54,8 +54,10 @@ class OrderedComplex:
 
     Vertices are arbitrary labels; simplices are stored as strictly
     increasing tuples of vertex indices, and the closure contains every
-    nonempty face of every maximal simplex, sorted by dimension and then
+    nonempty face of every listed simplex, sorted by dimension and then
     lexicographically.  ``index`` maps each simplex to its position there.
+    ``maximal`` keeps the listed simplices that are no face of another, in
+    the order they were listed.
     """
 
     __slots__ = ("vertices", "maximal", "simplices", "index", "_cofaces", "_bundle")
@@ -64,8 +66,8 @@ class OrderedComplex:
         vertices = tuple(vertices)
         if len(set(vertices)) != len(vertices):
             raise ComplexFormatError("duplicate vertex labels")
-        closure: set[Simplex] = set()
-        maximal_clean: dict[Simplex, None] = {}
+        faces: set[Simplex] = set()  # the proper faces of the listed simplices
+        listed: dict[Simplex, None] = {}
         for simplex in maximal:
             simplex = tuple(simplex)
             if any(simplex[i] >= simplex[i + 1] for i in range(len(simplex) - 1)):
@@ -74,14 +76,14 @@ class OrderedComplex:
                 raise ComplexFormatError("empty simplex")
             if simplex[0] < 0 or simplex[-1] >= len(vertices):
                 raise ComplexFormatError(f"simplex {list(simplex)} has unknown vertex")
-            if simplex in maximal_clean:
+            if simplex in listed:
                 raise ComplexFormatError(f"duplicate simplex {list(simplex)}")
-            maximal_clean[simplex] = None
-            for k in range(1, len(simplex) + 1):
-                closure.update(combinations(simplex, k))
+            listed[simplex] = None
+            for k in range(1, len(simplex)):
+                faces.update(combinations(simplex, k))
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "maximal", tuple(maximal_clean))
-        simplices = tuple(sorted(closure, key=lambda s: (len(s), s)))
+        object.__setattr__(self, "maximal", tuple(s for s in listed if s not in faces))
+        simplices = tuple(sorted(faces.union(listed), key=lambda s: (len(s), s)))
         object.__setattr__(self, "simplices", simplices)
         object.__setattr__(self, "index", {s: i for i, s in enumerate(simplices)})
         object.__setattr__(self, "_cofaces", None)
@@ -161,9 +163,6 @@ class Cochain(SparseVector, space="complex", mismatch="complex mismatch"):
         if simplex not in complex_.index:
             raise ValueError(f"simplex {list(simplex)} not in the complex")
         return complex_.index[simplex]
-
-    def _degree(self, position: int) -> int:
-        return len(self.complex.simplices[position]) - 1
 
     @classmethod
     def unit(cls, complex_: OrderedComplex) -> "Cochain":
@@ -275,17 +274,12 @@ def include_g(c: Cochain) -> Form:
 # -- interval identification N_1 = span{1, t, dt} ------------------------
 
 
-_ZERO_COMPONENTS = (Fraction(0),) * 3
-
-
 def interval_basis_components(c: Cochain) -> tuple[Fraction, Fraction, Fraction]:
     """Components of an interval cochain in the basis {1, t, dt}, under
-    1 = x(0)+x(1), t = x(1), dt = x(01) at the positions 0, 1, 2; zero
-    gives one shared triple, and only zero gives an all-zero triple."""
+    1 = x(0)+x(1), t = x(1), dt = x(01) at the positions 0, 1, 2; only zero
+    gives an all-zero triple."""
     if c.complex != standard_simplex(1):
         raise ValueError("interval basis applies to dimension 1")
-    if not c:
-        return _ZERO_COMPONENTS
     a, b, e = (Fraction(c.num.get(p, 0), c.den) for p in range(3))
     return a, b - a, e
 

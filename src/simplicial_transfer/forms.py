@@ -139,9 +139,6 @@ class Form(SparseVector, space="dim", mismatch="dimension mismatch"):
         exps, dts = key
         return _pack(dim, tuple(exps), tuple(dts))
 
-    def _degree(self, key: int) -> int:
-        return (key >> (FIELD * self.dim)).bit_count()
-
     @property
     def terms(self):
         """The coordinates as a read-only mapping from (exponent tuple, dt
@@ -360,7 +357,7 @@ def parse_form(text: str, dim: int) -> Form:
     for raw_term in text.split("+"):
         raw_term = raw_term.strip()
         if not raw_term:
-            continue
+            raise ValueError(f"empty term in {text!r}")
         coeff = Fraction(1)
         exps = [0] * dim
         dts: list[int] = []

@@ -116,11 +116,11 @@ class SparseVector:
     ``space`` (none for a vector without one) and the message of a space
     mismatch with ``mismatch``.  It may override ``_check_space`` and
     ``_check_key``, which the checking constructor applies to the space and
-    to every key, and ``_degree``, the degree of a key.  ``_trusted`` wraps
-    numerators already in that form; ``_reduced`` first divides out their
-    common factor with the denominator, and ``_sum`` forms an integer
-    combination of vectors in one pass.  The kernels build results through
-    these three, in int arithmetic."""
+    to every key.  ``_trusted`` wraps numerators already in that form;
+    ``_reduced`` first divides out their common factor with the
+    denominator, and ``_sum`` forms an integer combination of vectors in
+    one pass.  The kernels build results through these three, in int
+    arithmetic."""
 
     __slots__ = ("num", "den")
     _space = None  # the space slot's descriptor, so self._space reads it
@@ -207,12 +207,6 @@ class SparseVector:
         """The coordinates as a read-only mapping from key to Fraction."""
         den = self.den
         return MappingProxyType({key: Fraction(n, den) for key, n in self.num.items()})
-
-    def homogeneous_degree(self) -> int | None:
-        """The degree that every term shares, read off its key by the
-        subclass's ``_degree``; None for zero or a mixed vector."""
-        degrees = {self._degree(key) for key in self.num}
-        return degrees.pop() if len(degrees) == 1 else None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

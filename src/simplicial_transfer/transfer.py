@@ -77,7 +77,6 @@ from itertools import chain, product
 from math import lcm, prod
 
 from .cochains import (
-    _ZERO_COMPONENTS,
     Cochain,
     OrderedComplex,
     coboundary,
@@ -656,15 +655,9 @@ class IntervalTable(Report):
 
 
 def _component_string(components) -> str:
-    c1, ct, cdt = components
-    parts = []
-    if c1:
-        parts.append(rational_str(c1))
-    if ct:
-        parts.append(f"{rational_str(ct)} t")
-    if cdt:
-        parts.append(f"{rational_str(cdt)} dt")
-    return " + ".join(parts) if parts else "0"
+    return " + ".join(
+        rational_str(c) + name for c, name in zip(components, ("", " t", " dt")) if c
+    ) or "0"
 
 
 def interval_product_table(max_arity: int) -> IntervalTable:
@@ -689,48 +682,44 @@ def interval_product_table(max_arity: int) -> IntervalTable:
     table = IntervalTable(max_arity)
     values: dict[tuple[int, ...], tuple[Fraction, Fraction, Fraction]] = {}
     labels: dict[tuple[int, ...], str] = {}
-    # a zero cochain has the one shared triple, rendered once; the words of
-    # arity n extend those of arity n - 1 by t, then dt, in the order of
-    # product((t, dt), repeat=n), and only a word the count leaves nonzero
-    # (one or two t's) reaches the engine
-    zero_string = _component_string(_ZERO_COMPONENTS)
+    # values holds the nonzero words only, and an absent word is zero; the
+    # words of arity n extend those of arity n - 1 by t, then dt, in the
+    # order of product((t, dt), repeat=n), and only a word the count leaves
+    # nonzero (one or two t's) reaches the engine
     words = {(t,): "t", (dt,): "dt"}
     for n in range(2, max_arity + 1):
         words = {w + (i,): label + "," + name[i] for w, label in words.items() for i in (t, dt)}
         labels.update(words)
         for ids, label in words.items():
-            components = values[ids] = (
-                _ZERO_COMPONENTS
-                if bundle.zero_by_count(ids)
-                else interval_basis_components(_m(bundle, ids))
-            )
-            value = zero_string if components is _ZERO_COMPONENTS else _component_string(components)
+            value = "0"
+            if not bundle.zero_by_count(ids) and (cochain := _m(bundle, ids)):
+                values[ids] = interval_basis_components(cochain)
+                value = _component_string(values[ids])
             table.entries.append({"word": label, "value": value})
+
+    def components(ids):
+        return values.get(ids, (0, 0, 0))
 
     def one_t(n, i):
         return (dt,) * i + (t,) + (dt,) * (n - i)
 
     def magnitude_case(ids, expected):
-        c1, ct, cdt = values[ids]
+        c1, ct, cdt = components(ids)
         if c1 or ct or abs(cdt) != expected:
             return (
-                f"m({labels[ids]}) = {_component_string(values[ids])}, "
+                f"m({labels[ids]}) = {_component_string(components(ids))}, "
                 f"expected magnitude {rational_str(expected)}"
             )
         return None
 
     def outside_cases():
-        for ids, components in values.items():
+        for ids, label in labels.items():
             if ids != (t, t) and ids.count(t) != 1:
-                yield (
-                    None
-                    if components is _ZERO_COMPONENTS
-                    else f"m({labels[ids]}) = {_component_string(components)}"
-                )
+                yield f"m({label}) = {_component_string(values[ids])}" if ids in values else None
 
-    family = {n: values[one_t(n, 0)][2] for n in range(1, max_arity)}
+    family = {n: components(one_t(n, 0))[2] for n in range(1, max_arity)}
     scaled = [n for n in range(1, min(4, max_arity - 1) + 1) if family[n]]
-    tt = values[(t, t)]
+    tt = components((t, t))
     table.check("m(t,t) = t", [None if tt == (0, 1, 0) else f"m(t,t) = {_component_string(tt)}"])
     table.check(
         "dt coefficient of m(t,dt,...,dt) has magnitude |B_n|/n!",
@@ -767,7 +756,7 @@ def interval_product_table(max_arity: int) -> IntervalTable:
     ratio_notes = []
     for n in scaled:
         pattern = [
-            f"i={i}: {rational_str(values[one_t(n, i)][2] / family[n])}" for i in range(n + 1)
+            f"i={i}: {rational_str(components(one_t(n, i))[2] / family[n])}" for i in range(n + 1)
         ]
         ratio_notes.append(f"n={n} [{', '.join(pattern)}]")
     table.findings.append(

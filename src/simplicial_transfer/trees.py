@@ -12,8 +12,8 @@ of the basis letter ids of a transfer bundle: a leaf takes g of the basis
 cochain of its face, and the degree that drives its signs is the face's
 shifted degree; a letter is the position of its simplex in the complex.
 
-Trees are stored as nested children tuples; the preorder arity sequence is a
-canonical encoding, unique per planar isomorphism class.
+Trees are stored as nested children tuples; ``tree_to_text`` writes a
+canonical text, unique per planar isomorphism class.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ __all__ = [
     "tree_count",
     "path_trees",
     "tree_to_text",
-    "tree_from_text",
     "evaluate_tree_m",
-    "evaluate_tree_G",
 ]
 
 
@@ -64,15 +62,6 @@ class PlanarTree:
         if self.is_leaf:
             return 1
         return sum(child.n_leaves for child in self.children)
-
-    def encoding(self) -> tuple[int, ...]:
-        """Preorder arity sequence; leaves contribute 0."""
-        if self.is_leaf:
-            return (0,)
-        out: tuple[int, ...] = (len(self.children),)
-        for child in self.children:
-            out += child.encoding()
-        return out
 
     def __repr__(self) -> str:
         return f"PlanarTree({tree_to_text(self)!r})"
@@ -140,34 +129,6 @@ def tree_to_text(tree: PlanarTree) -> str:
     return "(" + " ".join(tree_to_text(c) for c in tree.children) + ")"
 
 
-def tree_from_text(text: str) -> PlanarTree:
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def parse() -> PlanarTree:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of tree text")
-        token = tokens[pos]
-        pos += 1
-        if token == "*":
-            return LEAF
-        if token != "(":
-            raise ValueError(f"unexpected token {token!r}")
-        kids = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            kids.append(parse())
-        if pos >= len(tokens):
-            raise ValueError("unbalanced parentheses")
-        pos += 1
-        return PlanarTree(tuple(kids))
-
-    tree = parse()
-    if pos != len(tokens):
-        raise ValueError("trailing tokens after tree")
-    return tree
-
-
 # -- evaluation ----------------------------------------------------------
 
 
@@ -207,11 +168,3 @@ def evaluate_tree_m(tree: PlanarTree, ids: tuple[int, ...], bundle):
     _check_inputs(tree, ids)
     _, value = _eval_vertex(tree, ids, bundle)
     return bundle.f(value)
-
-
-def evaluate_tree_G(tree: PlanarTree, ids: tuple[int, ...], bundle):
-    """The same composite with H at the root, on a word of basis letter
-    ids; returns an algebra-side value."""
-    _check_inputs(tree, ids)
-    _, value = _eval_vertex(tree, ids, bundle)
-    return bundle.H(value)

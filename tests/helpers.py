@@ -1,15 +1,17 @@
 """Helpers that only the tests use: face restriction and integration of
 forms, cochain restriction, the interval basis and the record format of
-single-simplex cochains, the basis cochains of a bundle and their letter
-ids for tree evaluation, formal words, their deconcatenations and the
-Koszul sign of slotwise application, the polynomials of the interval as
-0-forms and the generating-function oracle for the interval recursion on
-them, the left side of the structure relation on a word of cochains,
-the join rule in its union-first order, the normalized pullback of
-cochains along a simplicial map, and the two-sided route of the
-contraction battery.  They go through the package's public
-constructors, apart from the relation, the join rule and the contraction
-route, which read the engines they check."""
+single-simplex cochains, the degree of a homogeneous form or cochain,
+the basis cochains of a bundle and their letter ids for tree evaluation,
+the H-rooted tree composite behind G_n, formal words, their
+deconcatenations and the Koszul sign of slotwise application, the
+polynomials of the interval as 0-forms and the generating-function
+oracle for the interval recursion on them, the left side of the
+structure relation on a word of cochains, the join rule in its
+union-first order, the normalized pullback of cochains along a
+simplicial map, and the two-sided route of the contraction battery.
+They go through the package's public constructors, apart from the
+relation, the join rule, the contraction route and the tree composite,
+which read the engines they check."""
 
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from simplicial_transfer.forms import (
 from simplicial_transfer.rationals import SparseVector, exact, factorial, parse_rational, rational_str
 from simplicial_transfer.reporting import Report
 from simplicial_transfer.transfer import _cut_products, _engine, _m, _multilinear, _positions, _relation
+from simplicial_transfer.trees import _check_inputs, _eval_vertex
 
 
 @lru_cache(maxsize=None)
@@ -146,6 +149,23 @@ def koszul_sign(parities: Sequence[int], degrees: Sequence[int]) -> int:
 def basis_cochains(bundle) -> list[Cochain]:
     """The basis cochains of a bundle, in the order of its faces."""
     return [bundle.letter(i) for i in bundle.basis_ids()]
+
+
+def homogeneous_degree(v: Form | Cochain) -> int | None:
+    """The degree that every term of a form or a cochain shares, read off
+    its public key: the dt count of a monomial, the dimension of a simplex;
+    None for zero or a mixed vector."""
+    degrees = {len(key[1]) if isinstance(v, Form) else len(key) - 1 for key in v.terms}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+def evaluate_tree_G(tree, ids: tuple[int, ...], bundle):
+    """The composite of a tree with H at the root, on a word of basis letter
+    ids of the bundle; returns an algebra-side value.  Summed over the trees
+    of one arity, it is the oracle for the morphism component G_n."""
+    _check_inputs(tree, ids)
+    _, value = _eval_vertex(tree, ids, bundle)
+    return bundle.H(value)
 
 
 def tree_ids(bundle, word) -> tuple[int, ...]:

@@ -60,6 +60,18 @@ def test_maximal_simplices_keep_their_order_and_refuse_a_repeat():
     assert str(info.value) == "duplicate simplex [0, 1]"
 
 
+@pytest.mark.parametrize(
+    "listed", [[[0, 1, 2], [0, 1]], [[0, 1], [0, 1, 2]]], ids=["face-last", "face-first"]
+)
+def test_a_listed_face_of_another_simplex_is_not_maximal(listed):
+    complex_ = OrderedComplex([0, 1, 2], listed)
+    assert complex_.maximal == ((0, 1, 2),)
+    assert repr(complex_) == "OrderedComplex(vertices=[0, 1, 2], maximal=[[0, 1, 2]])"
+    # the closure alone decides equality and the hash
+    triangle = OrderedComplex([0, 1, 2], [[0, 1, 2]])
+    assert complex_ == triangle and hash(complex_) == hash(triangle)
+
+
 def test_a_complex_loads_in_time_linear_in_its_maximal_simplices():
     # 40,000 distinct maximal edges; testing each for a repeat against a list
     # of the simplices seen so far took about 20 s on a 2-core machine, and

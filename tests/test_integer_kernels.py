@@ -15,6 +15,8 @@ from simplicial_transfer.cochains import Cochain, include_g, project_f, standard
 from simplicial_transfer.contraction import h_operator, s_operator
 from simplicial_transfer.forms import Form, _pack, _unpack, differential, wedge
 
+from helpers import homogeneous_degree
+
 COEFFS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 36))
 
 
@@ -66,7 +68,7 @@ def test_packed_keys_round_trip(monomial, coeff):
     form = Form.monomial(dim, exps, dts, coeff)
     assert list(form.num) == [key]
     assert dict(form.terms) == {(exps, dts): coeff}
-    assert form.homogeneous_degree() == len(dts)
+    assert homogeneous_degree(form) == len(dts)
 
 
 @settings(max_examples=100, deadline=None)

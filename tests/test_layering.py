@@ -2,7 +2,9 @@
 fixed order of layers, so that, for one, the cochain layer never reaches
 up into the transfer engine or the complex drivers; ``SparseVector`` is
 the one vector type the layers share and ``Report`` the one report type;
-and the names that the benchmark harness looks up in the package exist."""
+every function, class and method of the package has a use in it, or is
+the API that the README and the demos present; and the names that the
+benchmark harness looks up in the package exist."""
 
 import ast
 import importlib
@@ -98,33 +100,90 @@ def test_report_is_the_one_report_type():
     assert _classes_defining("to_json_dict") == {"CheckRecord", "Report"}
 
 
+def _package_sources() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+
+
+def _named_elsewhere(node: ast.AST, sources: dict[str, ast.Module]) -> bool:
+    """Whether some source file of the package names ``node`` outside its
+    own ``def`` or ``class``, as a plain name or as an attribute; an import
+    or an ``__all__`` entry is no use."""
+    own = {id(inner) for inner in ast.walk(node)}
+    return any(
+        id(use) not in own
+        and (
+            isinstance(use, ast.Name) and use.id == node.name
+            or isinstance(use, ast.Attribute) and use.attr == node.name
+        )
+        for source in sources.values()
+        for use in ast.walk(source)
+    )
+
+
 def _unused_private_functions() -> list[str]:
     """The module-level functions named with a leading underscore that no
     source file of the package names outside their own ``def``."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
-    unused = []
-    for module, tree in sorted(trees.items()):
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
-                continue
-            own = {id(inner) for inner in ast.walk(node)}
-            if not any(
-                id(use) not in own
-                and (
-                    isinstance(use, ast.Name) and use.id == node.name
-                    or isinstance(use, ast.Attribute) and use.attr == node.name
-                )
-                for other in trees.values()
-                for use in ast.walk(other)
-            ):
-                unused.append(f"{module}.{node.name}")
-    return unused
+    sources = _package_sources()
+    return [
+        f"{module}.{node.name}"
+        for module, tree in sorted(sources.items())
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not _named_elsewhere(node, sources)
+    ]
 
 
 def test_every_private_function_has_a_use_in_the_package():
     # a helper that only the tests call is a dead helper of the package; it
     # belongs in tests/helpers.py
     assert _unused_private_functions() == []
+
+
+# The API that the README and the demos present and that no source file of
+# the package calls: a public name outside this list needs a use in src/.
+PRESENTED_API = {
+    "elementary_form",
+    "h_operator",
+    "parse_form",
+    "morphism_G",
+    "transferred_m",
+    "transferred_m_trees",
+    "tree_count",
+    "path_trees",
+    "SparseVector.basis_element",
+}
+
+
+def _unused_public_names() -> set[str]:
+    """The public module-level functions and classes, and the public
+    methods of the package's classes (as ``Class.method``), that no source
+    file of the package names outside their own definition."""
+    sources = _package_sources()
+    unused = set()
+    for tree in sources.values():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") and not _named_elsewhere(node, sources):
+                unused.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                unused.update(
+                    f"{node.name}.{method.name}"
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                    and not method.name.startswith("_")
+                    and not _named_elsewhere(method, sources)
+                )
+    return unused
+
+
+def test_every_public_name_has_a_use_in_the_package_or_is_presented_api():
+    # a public name that only the tests reach is a dead helper too: the
+    # tests' tools and oracles live in tests/helpers.py.  The list must hold
+    # exactly the unused names, so that it cannot go stale and the guard
+    # cannot pass by finding nothing
+    assert _unused_public_names() == PRESENTED_API
 
 
 def test_the_package_exports_no_koszul_sign():

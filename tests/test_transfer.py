@@ -32,15 +32,17 @@ from simplicial_transfer.transfer import (
     transferred_m,
     transferred_m_trees,
 )
-from simplicial_transfer.trees import (
-    enumerate_trees,
-    evaluate_tree_G,
-    evaluate_tree_m,
-    path_trees,
-)
+from simplicial_transfer.trees import enumerate_trees, evaluate_tree_m, path_trees
 
 from global_oracle import GlobalFormContraction
-from helpers import basis_cochains, poly, relation_value, tree_ids
+from helpers import (
+    basis_cochains,
+    evaluate_tree_G,
+    homogeneous_degree,
+    poly,
+    relation_value,
+    tree_ids,
+)
 
 
 def interval_letters():
@@ -622,7 +624,7 @@ def test_the_count_zeroes_G_or_fixes_its_form_degree(dim, max_arity, words, zero
                 zeroed += 1
                 assert not value, word
             elif value:
-                assert value.homogeneous_degree() == degree, word
+                assert homogeneous_degree(value) == degree, word
     assert (seen, zeroed) == (words, zero_by_count)
 
 
@@ -664,7 +666,7 @@ def _insertions_by_letters(bundle, word, outer, zero):
     m_k(...) inserted as one cochain; tree sums stand for m and G, so no
     memo of the engine is read."""
     n = len(word)
-    degrees = [c.homogeneous_degree() - 1 for c in word]
+    degrees = [homogeneous_degree(c) - 1 for c in word]
     total = zero
     for k in range(1, n + 1):
         for j in range(0, n - k + 1):

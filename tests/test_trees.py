@@ -5,13 +5,13 @@ from simplicial_transfer.trees import (
     PlanarTree,
     compositions,
     enumerate_trees,
-    evaluate_tree_G,
     evaluate_tree_m,
     path_trees,
     tree_count,
-    tree_from_text,
     tree_to_text,
 )
+
+from helpers import evaluate_tree_G
 
 
 def schroeder_numbers(n_max):
@@ -38,7 +38,7 @@ def test_counts_match_recurrence():
 def test_encodings_unique():
     for n in range(1, 7):
         trees = enumerate_trees(n)
-        encodings = {t.encoding() for t in trees}
+        encodings = {tree_to_text(t) for t in trees}
         assert len(encodings) == len(trees)
         assert all(t.n_leaves == n for t in trees)
 
@@ -55,36 +55,20 @@ def test_text_round_trip():
     nested = PlanarTree((LEAF, PlanarTree((LEAF, LEAF, LEAF, LEAF)), LEAF))
     text = tree_to_text(nested)
     assert text == "(* (* * * *) *)"
-    assert tree_from_text(text) == nested
-    # trees are immutable values: equal trees hash equal
-    assert hash(tree_from_text(text)) == hash(nested)
+    # trees are immutable values: equal trees built apart are equal and
+    # hash equal
+    apart = PlanarTree((PlanarTree(()), PlanarTree((LEAF,) * 4), PlanarTree(())))
+    assert apart is not nested and apart == nested and hash(apart) == hash(nested)
     assert nested != LEAF and LEAF != ()
     with pytest.raises(AttributeError):
         nested.children = (LEAF, LEAF)
     assert tree_to_text(nested) == text
-    assert tree_from_text("( ( * * * * ) * * )") == PlanarTree(
-        (PlanarTree((LEAF,) * 4), LEAF, LEAF)
-    )
+    # the text determines the tree: reading it back through the inverse
+    # table gives every tree again
     for n in range(1, 6):
-        for t in enumerate_trees(n):
-            assert tree_from_text(tree_to_text(t)) == t
-    with pytest.raises(ValueError):
-        tree_from_text("(* *")
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("", "unexpected end of tree text"),
-        ("(* x)", "unexpected token 'x'"),
-        ("* *", "trailing tokens after tree"),
-    ],
-    ids=["empty", "unknown-token", "trailing-tokens"],
-)
-def test_tree_text_errors(text, message):
-    with pytest.raises(ValueError) as info:
-        tree_from_text(text)
-    assert str(info.value) == message
+        trees = enumerate_trees(n)
+        by_text = {tree_to_text(t): t for t in trees}
+        assert [by_text[tree_to_text(t)] for t in trees] == list(trees)
 
 
 def _is_binary(tree):
