@@ -208,16 +208,16 @@ def elementary_form(face, dim: int) -> Form:
 
 @lru_cache(maxsize=None)
 def _elementary_form(face: Simplex, dim: int) -> Form:
-    k = len(face) - 1
-    total = Form.zero(dim)
+    scale = factorial(len(face) - 1)
+    parts = []
     for j, vertex in enumerate(face):
         term = generator(dim, "t", vertex)
         for l, other in enumerate(face):
             if l == j:
                 continue
             term = wedge(term, generator(dim, "dt", other))
-        total = total + ((-1 if j % 2 else 1) * term)
-    return factorial(k) * total
+        parts.append((-scale if j % 2 else scale, term))
+    return Form._sum(dim, parts)
 
 
 @lru_cache(maxsize=None)

@@ -120,7 +120,9 @@ class SparseVector:
     ``_reduced`` first divides out their common factor with the
     denominator, and ``_sum`` forms an integer combination of vectors in
     one pass.  The kernels build results through these three, in int
-    arithmetic."""
+    arithmetic.  ``+``, ``-``, negation and a scalar multiple are one
+    ``_sum`` each, after the type and space check of ``+`` and ``-``, so
+    no other path combines vectors."""
 
     __slots__ = ("num", "den")
     _space = None  # the space slot's descriptor, so self._space reads it
@@ -211,8 +213,8 @@ class SparseVector:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _combine(self, other, scale: int):
-        """self + scale * other, for two vectors of one type and space."""
+    def _shared_space(self, other):
+        """The space that self shares with other, a vector of its own type."""
         if type(other) is not type(self):
             raise TypeError(
                 f"cannot combine {type(self).__name__} with {type(other).__name__}"
@@ -220,40 +222,23 @@ class SparseVector:
         space = self._space
         if space is not other._space and space != other._space:
             raise ValueError(self._mismatch)
-        p, q = self.den, other.den
-        if p == q:
-            out = dict(self.num)
-        else:
-            g = gcd(p, q)
-            out = {key: n * (q // g) for key, n in self.num.items()}
-            scale *= p // g
-            p = p // g * q
-        _accumulate(out, other.num.items(), scale)
-        return self._reduced(space, out, p)
+        return space
 
     def __add__(self, other):
-        return self._combine(other, 1)
+        return self._sum(self._shared_space(other), [(1, self), (1, other)])
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self._sum(self._shared_space(other), [(1, self), (-1, other)])
 
     def __neg__(self):
-        return self._trusted(self._space, {k: -n for k, n in self.num.items()}, self.den)
+        return self._sum(self._space, [(-1, self)])
 
     def __rmul__(self, scalar):
         scalar = exact(scalar)
-        if not scalar:
-            return self._trusted(self._space, {})
-        p = scalar.numerator
-        return self._reduced(
-            self._space, {k: p * n for k, n in self.num.items()}, scalar.denominator * self.den
-        )
+        return self._sum(self._space, [(scalar.numerator, self)], scalar.denominator)
 
     def __bool__(self) -> bool:
         return bool(self.num)
-
-    def items(self):
-        return self.terms.items()
 
     def __eq__(self, other) -> bool:
         return (

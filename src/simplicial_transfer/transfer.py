@@ -235,13 +235,14 @@ def _cut_products(bundle, ids: tuple[int, ...]):
     """sum_{i=1}^{n-1} m_2(G(ids[:i]), G(ids[i:])), the sum over all trees
     of the value just below the root: only binary vertices contribute, so
     the root cuts the word once.  The right block is evaluated only where
-    the left one is nonzero.  m_n, G_n and the morphism battery share it."""
+    the left one is nonzero, and the products are summed by one ``_sum``.
+    m_n, G_n and the morphism battery share it."""
     if ids in bundle._memo_cut:
         return bundle._memo_cut[ids]
     degrees = bundle._degrees
-    total = bundle.zero_A()
     whole = sum(degrees[i] for i in ids)
     left_degree = 0
+    parts = []
     for cut in range(1, len(ids)):
         left_degree += degrees[ids[cut - 1]]
         left = _G(bundle, ids[:cut])
@@ -249,8 +250,8 @@ def _cut_products(bundle, ids: tuple[int, ...]):
             continue
         right = _G(bundle, ids[cut:])
         if right:
-            total = total + bundle.m_A((left_degree, whole - left_degree), (left, right))
-    bundle._memo_cut[ids] = total
+            parts.append((1, bundle.m_A((left_degree, whole - left_degree), (left, right))))
+    total = bundle._memo_cut[ids] = _sum(bundle.zero_A(), parts)
     return total
 
 
@@ -404,10 +405,9 @@ def _m_trees(bundle, ids: tuple[int, ...]):
     it shares nothing with ``_m``."""
     if len(ids) == 1:
         return coboundary(bundle.letter(ids[0]))
-    total = bundle._zero
-    for tree in enumerate_trees(len(ids)):
-        total = total + evaluate_tree_m(tree, ids, bundle)
-    return total
+    return _sum(
+        bundle._zero, [(1, evaluate_tree_m(tree, ids, bundle)) for tree in enumerate_trees(len(ids))]
+    )
 
 
 def _word_label(bundle, ids) -> str:

@@ -186,6 +186,23 @@ def test_every_public_name_has_a_use_in_the_package_or_is_presented_api():
     assert _unused_public_names() == PRESENTED_API
 
 
+def test_no_public_method_is_named_like_a_dict_method():
+    # the use finder matches an attribute by name, so every num.items() or
+    # dict .get() in src/ would count as a use of a method of that name,
+    # and the guard above could not see it go unused
+    shadowing = {
+        f"{node.name}.{method.name}"
+        for tree in _package_sources().values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, ast.FunctionDef)
+        and not method.name.startswith("_")
+        and method.name in vars(dict)
+    }
+    assert shadowing == set()
+
+
 def test_the_package_exports_no_koszul_sign():
     # tree evaluation needs no slotwise sign, so the helper lives in the tests
     assert not hasattr(simplicial_transfer, "koszul_sign")
@@ -251,3 +268,46 @@ def test_the_benchmark_finds_its_modules_and_entries():
     assert entries
     cli = importlib.import_module("simplicial_transfer.cli")
     assert [name for name in entries if not hasattr(cli, name)] == []
+
+
+def _bench_workloads() -> dict:
+    """The CLI argv of each workload of bench/run.py, read from its source
+    without importing it, with the fixture name ``OCTAHEDRON`` put in."""
+    assigned = {
+        node.targets[0].id: node.value
+        for node in ast.parse((BENCH / "run.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    fixture = ast.Constant(ast.literal_eval(assigned["OCTAHEDRON"]))
+    workloads = assigned["WORKLOADS"]
+    for argv in workloads.values:
+        argv.elts = [
+            fixture if isinstance(arg, ast.Name) and arg.id == "OCTAHEDRON" else arg
+            for arg in argv.elts
+        ]
+    return ast.literal_eval(workloads)
+
+
+BENCH_WORKLOADS = _bench_workloads()
+
+
+class _ReachedEntry(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS))
+def test_every_benchmark_workload_reaches_a_battery_entry(workload, monkeypatch):
+    # the benchmark child stamps the start of a battery at the first call of
+    # an entry through cli's globals and, finding no stamp, counts the whole
+    # run as set-up; a handler that stopped calling its entry there would
+    # go unnoticed, so here each entry raises on its first call
+    cli = importlib.import_module("simplicial_transfer.cli")
+
+    def entry(*args, **kwargs):
+        raise _ReachedEntry
+
+    for name in _bench_constants("child.py")["BATTERY_ENTRIES"]:
+        monkeypatch.setattr(cli, name, entry)
+    monkeypatch.chdir(BENCH.parent)  # the children run in the repository root
+    with pytest.raises(_ReachedEntry):
+        cli.main(BENCH_WORKLOADS[workload])

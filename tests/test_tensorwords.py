@@ -57,7 +57,7 @@ def test_koszul_apply_composes():
         )
         first = koszul_apply([(psi, p_psi)] * 3, letters)
         total = SparseVector(None)
-        for word, coeff in first.items():
+        for word, coeff in first.terms.items():
             total = total + coeff * koszul_apply([(phi, p_phi)] * 3, word)
         interchange = koszul_sign([p_phi] * 3, [p_psi] * 3)
         assert once == interchange * total
@@ -104,10 +104,10 @@ def test_shuffle_graded_commutative_and_associative():
         assert shuffled(pair, c) == pair_sign * shuffled(c, pair)
         # associativity: shuffle of shuffles agree termwise
         left = SparseVector(None)
-        for w, coeff in ab.items():
+        for w, coeff in ab.terms.items():
             left = left + coeff * shuffled(w, c)
         right = SparseVector(None)
-        for w, coeff in shuffled(b, c).items():
+        for w, coeff in shuffled(b, c).terms.items():
             right = right + coeff * shuffled(a, w)
         assert left == right
 

@@ -163,6 +163,36 @@ def test_every_other_sum_builds_a_new_reduced_vector(case):
         assert total is not a and total == value and _is_canonical(total)
 
 
+@pytest.mark.parametrize("name", ["Form", "Cochain"])
+def test_every_operator_is_one_sum(name, monkeypatch):
+    # _sum is the one place where vectors are combined: each operator hands
+    # its operands to it once, and no pairwise path is left beside it
+    make, (space, _), a_terms, b_terms, _ = CASES[name]
+    a, b = make(space, a_terms), make(space, b_terms)
+    general = SparseVector._sum.__func__
+    calls = []
+
+    def counted(cls, *args):
+        calls.append(cls)
+        return general(cls, *args)
+
+    monkeypatch.setattr(SparseVector, "_sum", classmethod(counted))
+    operations = {
+        "a + b": lambda: a + b,
+        "a - b": lambda: a - b,
+        "-a": lambda: -a,
+        "3 * a": lambda: 3 * a,
+        "1/2 * a": lambda: Fraction(1, 2) * a,
+    }
+    made = {}
+    for label, operation in operations.items():
+        calls.clear()
+        operation()
+        made[label] = list(calls)
+    assert made == {label: [make] for label in operations}
+    assert not hasattr(SparseVector, "_combine")
+
+
 @pytest.mark.parametrize(
     "make, space, other, terms",
     [
