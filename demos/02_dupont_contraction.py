@@ -4,7 +4,10 @@
 Forms live in barycentric coordinates with the index-0 generators eliminated;
 integration over faces projects onto cochains, elementary forms include
 cochains back, and the dilation homotopies assemble into the operator s whose
-negative is the transfer homotopy.
+negative is the transfer homotopy.  f is the one integral: a form's value at
+a vertex is its f at that 0-face, and its integral over the simplex is its f
+at the top face, so the evaluation in the Poincare identity 1 - eval = dh + hd
+is read off f.
 """
 
 from simplicial_transfer import (
@@ -19,7 +22,6 @@ from simplicial_transfer import (
     parse_form,
     project_f,
     s_operator,
-    vertex_evaluate,
     wedge,
 )
 
@@ -52,7 +54,7 @@ print()
 print("The dilation homotopy toward a vertex inverts d on exact forms:")
 print("  h^0(dt) =", format_form(h_operator(dt, 0)))
 print("  h^1(dt) =", format_form(h_operator(dt, 1)))
-print("  eval at 1 of t:", vertex_evaluate(t, 1))
+print("  eval at 1 of t:", project_f(t).terms[(1,)])
 print()
 
 print("Dupont's operator s on the interval has a closed form:")

@@ -13,10 +13,8 @@ from .forms import (
     differential,
     format_form,
     generator,
-    integrate_top,
     monomial_basis,
     parse_form,
-    vertex_evaluate,
     wedge,
 )
 from .cochains import (

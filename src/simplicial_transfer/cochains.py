@@ -13,6 +13,8 @@ dual of the de Rham differential, so integration over faces is a chain map.
 
 f and g act on the standard simplex only: f integrates a form over every
 face, and g sends a face to its Whitney elementary form, so that f o g = 1.
+f is the package's one integral: f at a vertex face is evaluation at that
+vertex, and f at the top face is the integral over the simplex.
 Both are linear maps on finite bases and are applied through cached tables:
 f by the face integrals of each monomial, g by the elementary form of each
 face.  Both tables hold vectors of integer numerators over one denominator,

@@ -56,10 +56,12 @@ and sigma w_I = w_sigma(I); the h^i anticommute and w_I alternates, so
 sigma s sigma^-1 = s.  Hence s columns are filled once per orbit: the fused
 sum runs only on a canonical key, and any other key relabels its
 representative's column over the same denominator.  The battery still
-checks every monomial of the basis, and computes d m and the s column of
-each monomial once for all of its sweeps.  Each identity on a monomial is
-one integer residual, its parts summed unreduced over a common denominator
-and tested for emptiness, so no side of it is built as a reduced Form.
+checks every monomial of the basis, and computes d m and the s and f
+columns of each monomial once for all of its sweeps.  Each identity on a
+monomial is one integer residual, its parts summed unreduced over a common
+denominator and tested for emptiness, so no side of it is built as a
+reduced Form: g f m and s d m are read from the g and s columns of the
+keys of f m and d m, and eval_i(m) is the entry of f m at the vertex i.
 """
 
 from __future__ import annotations
@@ -75,12 +77,12 @@ from .forms import (
     _OVERFLOW,
     Form,
     _guard,
+    _sort_sign,
     _unpack,
     _wedge_into,
     differential,
     format_form,
     monomial_basis,
-    vertex_evaluate,
 )
 from .rationals import _accumulate, _linear, binomial, factorial
 from .reporting import Report
@@ -151,8 +153,7 @@ def _relabel(n: int, key: int, targets: tuple[int, ...]) -> tuple[int, int]:
         if key >> (shift + j) & 1:
             out |= 1 << (shift + v - 1)
             moved.append(v)
-    inversions = sum(a > b for a, b in combinations(moved, 2))
-    return out, -1 if inversions % 2 else 1
+    return out, _sort_sign(moved)
 
 
 @lru_cache(maxsize=None)
@@ -217,8 +218,9 @@ def s_operator(a: Form) -> Form:
 
 
 def homotopy_H(a: Form) -> Form:
-    """The contraction homotopy, H = -s."""
-    return -s_operator(a)
+    """The contraction homotopy, H = -s, summed from the negated s columns."""
+    n = a.dim
+    return Form._sum(n, [(-coeff, _s_monomial(n, key)) for key, coeff in a.num.items()], a.den)
 
 
 def check_contraction(n: int, max_poly_degree: int) -> Report:
@@ -235,8 +237,13 @@ def check_contraction(n: int, max_poly_degree: int) -> Report:
         poly_degree_bound=max_poly_degree,
     )
     monomials = list(monomial_basis(n, max_poly_degree))
-    # per monomial, once for every sweep: its key, d m and its cached s column
-    rows = [(m, key, differential(m), _s_monomial(n, key)) for m in monomials for key in m.num]
+    # per monomial, once for every sweep: its key, d m, and its cached s and
+    # f columns
+    rows = [
+        (m, key, differential(m), _s_monomial(n, key), project_f(m))
+        for m in monomials
+        for key in m.num
+    ]
     simplex = standard_simplex(n)
     faces = simplex.simplices
 
@@ -247,27 +254,31 @@ def check_contraction(n: int, max_poly_degree: int) -> Report:
 
     # Each identity is one residual, summed unreduced by _linear and failed
     # exactly when a numerator survives.  A row is a basis monomial (one key,
-    # coefficient 1 over 1): its s and h^i images are the cached columns of
-    # its key, and d m and eval_i(m) are integral, so every scalar is an int.
+    # coefficient 1 over 1): its s, f and h^i images are the cached columns
+    # of its key, and eval_i(m) is the entry of f m at the vertex i, the
+    # position i of the simplex; so every scalar is an int.
     def homotopy_cases():
-        for m, _, dm, sm in rows:
-            # 1 - g f - d s - s d, with s d m read through s_operator
-            parts = [(1, m), (-1, include_g(project_f(m))), (-1, differential(sm)), (-1, s_operator(dm))]
+        for m, _, dm, sm, fm in rows:
+            # (1 - g f - d s - s d) times den(f m) den(d m): g f m and s d m
+            # read the g and s columns of the keys of f m and d m
+            scale = fm.den * dm.den
+            parts = [(scale, m), (-scale, differential(sm))]
+            parts += [(-c * dm.den, _elementary_form(faces[p], n)) for p, c in fm.num.items()]
+            parts += [(-c * fm.den, _s_monomial(n, k)) for k, c in dm.num.items()]
             yield format_form(m) if _linear(parts)[0] else None
 
     def zero_cases(op):
-        for m, _, _, sm in rows:
+        for m, _, _, sm, _ in rows:
             yield format_form(m) if op(sm) else None
 
     def poincare_cases(vertex):
         one = Form.one(n)
-        for m, key, dm, _ in rows:
-            # 1 - eval_i - d h^i - h^i d, times den(d m) den(eval_i m), both 1
-            ev = vertex_evaluate(m, vertex)
-            scale = dm.den * ev.denominator
+        for m, key, dm, _, fm in rows:
+            # (1 - eval_i - d h^i - h^i d) times den(f m) den(d m)
+            scale = fm.den * dm.den
             dh = differential(_h_monomial(n, vertex, key))
-            parts = [(scale, m), (-scale, dh), (-dm.den * ev.numerator, one)]
-            parts += [(-c * ev.denominator, _h_monomial(n, vertex, k)) for k, c in dm.num.items()]
+            parts = [(scale, m), (-scale, dh), (-dm.den * fm.num.get(vertex, 0), one)]
+            parts += [(-c * fm.den, _h_monomial(n, vertex, k)) for k, c in dm.num.items()]
             yield format_form(m) if _linear(parts)[0] else None
 
     report.check(

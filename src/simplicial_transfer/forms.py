@@ -40,15 +40,13 @@ from itertools import combinations
 from types import MappingProxyType
 import re
 
-from .rationals import SparseVector, factorial, parse_rational, rational_str
+from .rationals import SparseVector, parse_rational, rational_str
 
 __all__ = [
     "Form",
     "generator",
     "wedge",
     "differential",
-    "vertex_evaluate",
-    "integrate_top",
     "monomial_basis",
     "format_form",
     "parse_form",
@@ -121,6 +119,12 @@ class _MergeSigns(dict):
 @lru_cache(maxsize=None)
 def _merge_signs(dim: int) -> _MergeSigns:
     return _MergeSigns(dim)
+
+
+def _sort_sign(indices) -> int:
+    """(-1)^inversions of distinct dt indices: the sign of sorting their dt
+    factors into ascending order."""
+    return -1 if sum(a > b for a, b in combinations(indices, 2)) % 2 else 1
 
 
 def _check_dim(dim: int) -> None:
@@ -249,19 +253,6 @@ def differential(a: Form) -> Form:
     return Form._reduced(dim, out, a.den)
 
 
-def vertex_evaluate(a: Form, index: int) -> Fraction:
-    """Evaluate at vertex e_index: t_index -> 1, other t -> 0, dt -> 0."""
-    if not 0 <= index <= a.dim:
-        raise ValueError(f"vertex index {index} out of range for dimension {a.dim}")
-    # a surviving key has no dt bit and no exponent but t_index's
-    others = ~(_LOW << (FIELD * (index - 1))) if index else -1
-    total = 0
-    for key, coeff in a.num.items():
-        if not key & others:
-            total += coeff
-    return Fraction(total, a.den)
-
-
 def _check_face(face: tuple[int, ...], dim: int) -> tuple[int, ...]:
     face = tuple(face)
     if not face:
@@ -271,30 +262,6 @@ def _check_face(face: tuple[int, ...], dim: int) -> tuple[int, ...]:
     if face[0] < 0 or face[-1] > dim:
         raise ValueError(f"face {face} out of range for dimension {dim}")
     return face
-
-
-def integrate_top(a: Form) -> Fraction:
-    """Integral over the whole simplex:
-
-        I(t_1^{a_1}...t_n^{a_n} dt_1...dt_n) = a_1!...a_n!/(a_1+...+a_n+n)!
-
-    Monomials that do not carry every dt factor integrate to zero.  On the
-    0-simplex this is evaluation of the constant.
-    """
-    n = a.dim
-    full = (1 << n) - 1
-    total = Fraction(0)
-    for key, coeff in a.num.items():
-        if key >> (FIELD * n) != full:
-            continue
-        numer = 1
-        degree = n
-        for j in range(n):
-            e = (key >> (FIELD * j)) & _LOW
-            numer *= factorial(e)
-            degree += e
-        total += Fraction(coeff * numer, factorial(degree))
-    return total / a.den
 
 
 def monomial_basis(dim: int, max_poly_degree: int):
@@ -383,10 +350,5 @@ def parse_form(text: str, dim: int) -> Form:
             saw_coeff = True
         if len(set(dts)) != len(dts):
             continue
-        inversions = sum(
-            1 for i in range(len(dts)) for j in range(i + 1, len(dts)) if dts[i] > dts[j]
-        )
-        if inversions % 2:
-            coeff = -coeff
-        terms.append(((tuple(exps), tuple(sorted(dts))), coeff))
+        terms.append(((tuple(exps), tuple(sorted(dts))), _sort_sign(dts) * coeff))
     return Form(dim, terms)

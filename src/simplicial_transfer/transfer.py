@@ -87,7 +87,7 @@ from .cochains import (
     standard_simplex,
 )
 from .contraction import homotopy_H, s_operator
-from .forms import Form, differential, format_form, integrate_top, wedge
+from .forms import Form, differential, format_form, wedge
 from .rationals import bernoulli_number, binomial, factorial, rational_str
 from .reporting import Report
 from .tensorwords import shuffle
@@ -235,12 +235,13 @@ def _cut_products(bundle, ids: tuple[int, ...]):
     """sum_{i=1}^{n-1} m_2(G(ids[:i]), G(ids[i:])), the sum over all trees
     of the value just below the root: only binary vertices contribute, so
     the root cuts the word once.  The right block is evaluated only where
-    the left one is nonzero, and the products are summed by one ``_sum``.
-    m_n, G_n and the morphism battery share it."""
+    the left one is nonzero.  Each m_2(x, y) = (-1)^{|x|+1} x ^ y, for the
+    shifted degree |x| of the left block, is a part whose coefficient is
+    that sign, and the parts are summed by one ``_sum``.  m_n, G_n and the
+    morphism battery share it."""
     if ids in bundle._memo_cut:
         return bundle._memo_cut[ids]
     degrees = bundle._degrees
-    whole = sum(degrees[i] for i in ids)
     left_degree = 0
     parts = []
     for cut in range(1, len(ids)):
@@ -250,7 +251,7 @@ def _cut_products(bundle, ids: tuple[int, ...]):
             continue
         right = _G(bundle, ids[cut:])
         if right:
-            parts.append((1, bundle.m_A((left_degree, whole - left_degree), (left, right))))
+            parts.append((1 if left_degree % 2 else -1, bundle.wedge_A(left, right)))
     total = bundle._memo_cut[ids] = _sum(bundle.zero_A(), parts)
     return total
 
@@ -813,6 +814,6 @@ def p_polynomial_sequence(n_max: int) -> PPolynomials:
     ]
     integrals = []
     for n, p in enumerate(polys, start=1):
-        raw = integrate_top(wedge(p, dt))
+        raw = project_f(wedge(p, dt)).terms.get((0, 1), Fraction(0))
         integrals.append(raw if n % 2 == 1 else -raw)
     return PPolynomials(polys=polys, closed_forms=closed, integrals=integrals)

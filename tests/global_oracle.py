@@ -17,16 +17,10 @@ from itertools import combinations
 
 from simplicial_transfer.cochains import Cochain, OrderedComplex, include_g, standard_simplex
 from simplicial_transfer.contraction import homotopy_H
-from simplicial_transfer.forms import (
-    Form,
-    differential,
-    format_form,
-    integrate_top,
-    wedge,
-)
+from simplicial_transfer.forms import Form, differential, format_form, wedge
 from simplicial_transfer.transfer import ComplexContraction, _cut_products, _positions
 
-from helpers import face_restrict
+from helpers import face_restrict, integrate_top
 
 
 class GlobalForm:

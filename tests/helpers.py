@@ -18,17 +18,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from typing import Sequence
 
 from simplicial_transfer import contraction
-from simplicial_transfer.cochains import Cochain, include_g, project_f, standard_simplex
+from simplicial_transfer.cochains import Cochain, include_g, standard_simplex
 from simplicial_transfer.forms import (
     Form,
     _check_face,
     differential,
     format_form,
     generator,
-    integrate_top,
     monomial_basis,
     wedge,
 )
@@ -85,6 +85,22 @@ def face_restrict(a: Form, face) -> Form:
             acc = wedge(acc, dt_img[s])
         out = out + acc
     return out
+
+
+def integrate_top(a: Form) -> Fraction:
+    """Integral over the whole simplex, by the Dirichlet formula
+
+        I(t_1^{a_1}...t_n^{a_n} dt_1...dt_n) = a_1!...a_n!/(a_1+...+a_n+n)!
+
+    Monomials that do not carry every dt factor integrate to zero.  On the
+    0-simplex this is evaluation of the constant.  It reads the public
+    terms, so it is an oracle for f that bypasses f's column table."""
+    full = tuple(range(1, a.dim + 1))
+    total = Fraction(0)
+    for (exps, dts), coeff in a.terms.items():
+        if dts == full:
+            total += coeff * Fraction(prod(map(factorial, exps)), factorial(sum(exps) + a.dim))
+    return total
 
 
 def integrate_face(a: Form, face) -> Fraction:
@@ -271,21 +287,22 @@ def form_route_contraction(n: int, bound: int) -> Report:
     """The two-sided identities of check_contraction, each side reduced to a
     Form and the sides compared by ==: 1 - g o f = ds + sd, and
     1 - eval@i = d h^i + h^i d at each vertex, under the battery's record
-    names and over its basis.  The columns, s, h^i and the evaluation are
-    read through the contraction module, so a test that patches one of them
+    names and over its basis.  The columns, s, h^i and f are read through
+    the contraction module, and the evaluation at vertex i is f's entry at
+    the 0-face (i,), as in the battery; so a test that patches one of them
     patches both routes."""
     report = Report(f"form route on the {n}-simplex")
     rows = [(m, key, differential(m)) for m in monomial_basis(n, bound) for key in m.num]
 
     def homotopy_cases():
         for m, key, dm in rows:
-            lhs = m - include_g(project_f(m))
+            lhs = m - include_g(contraction.project_f(m))
             rhs = differential(contraction._s_monomial(n, key)) + contraction.s_operator(dm)
             yield None if lhs == rhs else format_form(m)
 
     def poincare_cases(i):
         for m, key, dm in rows:
-            lhs = m - contraction.vertex_evaluate(m, i) * Form.one(n)
+            lhs = m - contraction.project_f(m).terms.get((i,), 0) * Form.one(n)
             rhs = differential(contraction._h_monomial(n, i, key)) + contraction.h_operator(dm, i)
             yield None if lhs == rhs else format_form(m)
 

@@ -123,9 +123,16 @@ def test_report_serialization():
     assert "f o g = 1" in text and "PASS" in text
 
 
-def test_doubled_s_fails_the_homotopy_record(monkeypatch):
+def _doubled_s(patch):
+    # s doubled where its columns are made, the fused sum of each orbit, so
+    # every s column the battery reads is doubled
+    s_fused = contraction._s_fused
+    patch.setattr(contraction, "_s_fused", lambda n, key: 2 * s_fused(n, key))
+
+
+def test_doubled_s_fails_the_homotopy_record(cold_caches, monkeypatch):
     # a failing record still reports the size of the whole monomial basis
-    monkeypatch.setattr(contraction, "s_operator", lambda a: 2 * s_operator(a))
+    _doubled_s(monkeypatch)
     report = check_contraction(2, 2)
     assert [(c.name, c.basis_size, c.counterexample) for c in report.checks if not c.passed] == [
         ("1 - g o f = ds + sd", 24, "1 t2^2"),
@@ -194,7 +201,7 @@ def test_residuals_agree_with_the_form_route(n, bound):
 
 def test_residuals_agree_with_the_form_route_under_mutations(cold_caches, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(contraction, "s_operator", lambda a: 2 * s_operator(a))
+        _doubled_s(patch)
         assert _agrees_with_the_form_route(2, 2)
         assert _agrees_with_the_form_route(3, 2)
     contraction._s_monomial.cache_clear()
@@ -219,9 +226,19 @@ def test_negated_h2_fails_the_records_that_read_it(cold_caches, monkeypatch):
 
 
 def test_the_poincare_residual_reads_eval(cold_caches, monkeypatch):
-    evaluate = contraction.vertex_evaluate
-    monkeypatch.setattr(contraction, "vertex_evaluate", lambda a, i: 0 if i == 1 else evaluate(a, i))
-    assert _failures(check_contraction(3, 2)) == [("1 - eval@1 = d h^1 + h^1 d", 80, "1")]
+    # eval_1(m) is f m at the vertex 1, the position 1 of the simplex: drop
+    # that entry of every f image, and every record that reads f fails
+    def without_vertex_1(a):
+        c = project_f(a)
+        return Cochain._reduced(c.complex, {p: v for p, v in c.num.items() if p != 1}, c.den)
+
+    monkeypatch.setattr(contraction, "project_f", without_vertex_1)
+    assert _failures(check_contraction(3, 2)) == [
+        ("f o g = 1 on the cochain basis", 15, "basis cochain of face (1,)"),
+        ("1 - g o f = ds + sd", 80, "1"),
+        ("1 - eval@1 = d h^1 + h^1 d", 80, "1"),
+    ]
+    assert _agrees_with_the_form_route(3, 2)
 
 
 def test_the_battery_builds_no_form_per_side(cold_caches, monkeypatch):

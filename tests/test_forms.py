@@ -1,25 +1,26 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import prod
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simplicial_transfer.cochains import project_f
 from simplicial_transfer.contraction import h_operator
 from simplicial_transfer.forms import (
     Form,
     differential,
     format_form,
     generator,
-    integrate_top,
     monomial_basis,
     parse_form,
-    vertex_evaluate,
     wedge,
 )
 
-from helpers import face_restrict, homogeneous_degree, integrate_face
+from helpers import face_restrict, homogeneous_degree, integrate_face, integrate_top
 
 
 def F1(text):
@@ -112,12 +113,13 @@ def test_leibniz_rule(a, b):
     assert lhs == rhs
 
 
-def test_vertex_evaluate():
-    assert vertex_evaluate(generator(1, "t", 1), 1) == 1
-    assert vertex_evaluate(generator(1, "dt", 1), 0) == 0
-    a = F1("t1^2 + 3")
-    assert vertex_evaluate(a, 0) == 3
-    assert vertex_evaluate(a, 1) == 4
+def test_f_at_a_vertex_is_evaluation_there():
+    # the value of a form at vertex i is its f at the 0-face (i,)
+    assert project_f(generator(1, "t", 1)).terms[(1,)] == 1
+    assert (0,) not in project_f(generator(1, "dt", 1)).terms
+    a = project_f(F1("t1^2 + 3")).terms
+    assert a[(0,)] == 3
+    assert a[(1,)] == 4
 
 
 def test_face_restrict_examples():
@@ -142,6 +144,7 @@ def test_face_restrict_functorial():
                         assert face_restrict(once, local) == face_restrict(m, composite)
 
 
+@lru_cache(maxsize=None)
 def _sympy_simplex_integral(exps):
     """Iterated integral of t^exps over the standard simplex, as an
     independent quadrature oracle."""
@@ -170,6 +173,30 @@ def test_integrate_top_against_quadrature_oracle():
         n = len(exps)
         form = Form.monomial(n, exps, tuple(range(1, n + 1)))
         assert integrate_top(form) == _sympy_simplex_integral(exps)
+
+
+def _value_at_vertex(a: Form, i: int) -> Fraction:
+    """a at the vertex e_i: t_i -> 1, every other t_j -> 0, dt -> 0."""
+    point = [1 if j == i else 0 for j in range(1, a.dim + 1)]
+    return sum(
+        (c * prod(x**e for x, e in zip(point, exps)) for (exps, dts), c in a.terms.items() if not dts),
+        Fraction(0),
+    )
+
+
+@pytest.mark.parametrize("n, bound", [(0, 4), (1, 4), (2, 4), (3, 4), (4, 3)])
+def test_f_reads_the_vertex_values_and_the_top_integral(n, bound):
+    # f integrates over every face: at a 0-face that is evaluation at the
+    # vertex, at the top face the integral over the simplex
+    top = tuple(range(n + 1))
+    for m in monomial_basis(n, bound):
+        f = project_f(m).terms
+        assert [f.get((i,), 0) for i in top] == [_value_at_vertex(m, i) for i in top], m
+        ((exps, dts),) = m.terms
+        # the simplex is symmetric in its coordinates, and sympy integrates
+        # the exponents in descending order fastest
+        exps = tuple(sorted(exps, reverse=True))
+        assert f.get(top, 0) == (_sympy_simplex_integral(exps) if len(dts) == n else 0), m
 
 
 def test_integrate_face_examples():
@@ -282,9 +309,8 @@ def test_a_form_repr_shows_its_dimension_and_text():
     [
         (lambda: Form.zero(-1), "dimension must be >= 0"),
         (lambda: generator(1, "x", 0), "unknown generator kind 'x'"),
-        (lambda: vertex_evaluate(Form.zero(1), 2), "vertex index 2 out of range for dimension 1"),
     ],
-    ids=["negative-dimension", "generator-kind", "vertex-evaluate-range"],
+    ids=["negative-dimension", "generator-kind"],
 )
 def test_range_and_argument_errors(call, message):
     with pytest.raises(ValueError) as info:

@@ -210,6 +210,14 @@ def test_the_package_exports_no_koszul_sign():
     assert tensorwords.__all__ == ["shuffle"] and not hasattr(tensorwords, "koszul_sign")
 
 
+def test_f_is_the_only_integral():
+    # a form's value at a vertex and its integral over the simplex are f's
+    # coordinates at the 0-face and the top face
+    forms = importlib.import_module("simplicial_transfer.forms")
+    for name in ("integrate_top", "vertex_evaluate"):
+        assert not hasattr(simplicial_transfer, name) and not hasattr(forms, name)
+
+
 def test_the_import_loads_no_introspection_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize, which no command
     # runs, and the package import is most of a cold CLI run's setup

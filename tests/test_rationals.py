@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simplicial_transfer.forms import Form, integrate_top, vertex_evaluate, wedge
+from simplicial_transfer.cochains import project_f
+from simplicial_transfer.forms import Form, wedge
 from simplicial_transfer.rationals import (
     bernoulli_number,
     binomial,
@@ -74,7 +75,8 @@ def test_bernoulli_polynomial_small():
 
 def test_bernoulli_polynomial_at_zero():
     for n in range(17):
-        assert vertex_evaluate(bernoulli_polynomial(n), 0) == bernoulli_number(n)
+        # B_n(0) is f of the 0-form at the vertex 0
+        assert project_f(bernoulli_polynomial(n)).terms.get((0,), 0) == bernoulli_number(n)
 
 
 def test_exp_series_ratio_low_orders():
@@ -102,7 +104,8 @@ def test_interval_polynomial_arithmetic():
     assert wedge(p, q) == poly(0, 0, 3, 6)
     assert (p - p) == poly()
     assert not poly(0, 0)
-    assert integrate_top(wedge(poly(1, 1), dt)) == Fraction(3, 2)
+    # the integral over the interval is f at its top face
+    assert project_f(wedge(poly(1, 1), dt)).terms[(0, 1)] == Fraction(3, 2)
 
 
 def test_rational_round_trip():
