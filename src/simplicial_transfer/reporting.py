@@ -16,7 +16,8 @@ from json.encoder import encode_basestring_ascii as _string
 def dumps(obj, sort_keys: bool = False, _indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=sort_keys)`` byte for byte.
     With an indent set, ``json.dumps`` runs its pure-Python encoder, one
-    generator step per token; this walk encodes each string in C instead.
+    generator step per token; this walk encodes each string in C instead,
+    a string value of a dict or list in place, with no call of its own.
     Dict keys must be ``str``: the C string encoder raises ``TypeError`` on
     any other."""
     if isinstance(obj, str):
@@ -24,10 +25,17 @@ def dumps(obj, sort_keys: bool = False, _indent: str = "\n") -> str:
     inner = _indent + "  "
     if isinstance(obj, dict):
         items = sorted(obj.items()) if sort_keys else obj.items()
-        parts = [f"{_string(key)}: {dumps(value, sort_keys, inner)}" for key, value in items]
+        parts = [
+            f"{_string(key)}: "
+            f"{_string(value) if isinstance(value, str) else dumps(value, sort_keys, inner)}"
+            for key, value in items
+        ]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        parts = [dumps(value, sort_keys, inner) for value in obj]
+        parts = [
+            _string(value) if isinstance(value, str) else dumps(value, sort_keys, inner)
+            for value in obj
+        ]
         brackets = "[]"
     else:
         return _scalar(obj)

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, combinations, product
 from math import lcm, prod
 
 from .cochains import (
@@ -129,8 +129,9 @@ class ComplexContraction:
     so its keys are letter ids; one hook, ``letter``, gives the basis
     cochain of a letter id.  For the batteries and G_n the engine reads the
     algebra side (``d_A``, ``wedge_A``, ``one_A``, ``zero_A``), the
-    contraction (``f``, ``g``, ``H``) and ``render_A``, which
-    ``SimplexContraction`` adds with the forms of the standard simplex.
+    contraction (``f``, ``g``, ``H``), ``render_A`` and the count hook
+    ``vanishes_in_degree``, which ``SimplexContraction`` adds with the forms
+    of the standard simplex.
     Values on both sides offer the integer linear combination ``_sum`` of
     ``SparseVector``, and the engine reads the numerators of cochains.
 
@@ -214,6 +215,12 @@ class SimplexContraction(ComplexContraction):
     def zero_A(self) -> Form:
         return Form.zero(self.top_dim)
 
+    def vanishes_in_degree(self, degree: int) -> bool:
+        """Whether every form of this degree is zero: the degree lies
+        outside 0..top_dim.  The engine asks it with the form degree of G_n,
+        n >= 2, and of the cut products before building either."""
+        return not 0 <= degree <= self.top_dim
+
     # contraction maps
     def f(self, x: Form) -> Cochain:
         return project_f(x)
@@ -238,10 +245,16 @@ def _cut_products(bundle, ids: tuple[int, ...]):
     the left one is nonzero.  Each m_2(x, y) = (-1)^{|x|+1} x ^ y, for the
     shifted degree |x| of the left block, is a part whose coefficient is
     that sign, and the parts are summed by one ``_sum``.  m_n, G_n and the
-    morphism battery share it."""
+    morphism battery share it.  The cut products have form degree 2 plus
+    the sum of the letters' shifted degrees, 1 more than G_n; a word where
+    the bundle's ``vanishes_in_degree`` holds for it is answered with zero
+    and stored nowhere.  The degree of G_n does not serve: on the interval
+    G(t, t) is zero, while its cut product is t^2."""
     if ids in bundle._memo_cut:
         return bundle._memo_cut[ids]
     degrees = bundle._degrees
+    if bundle.vanishes_in_degree(sum(map(degrees.__getitem__, ids)) + 2):
+        return bundle.zero_A()
     left_degree = 0
     parts = []
     for cut in range(1, len(ids)):
@@ -257,14 +270,19 @@ def _cut_products(bundle, ids: tuple[int, ...]):
 
 
 def _G(bundle, ids: tuple[int, ...]):
-    """G_1 = g and G_n = H(cut products), memoised per basis word."""
+    """G_1 = g and G_n = H(cut products), memoised per basis word.  G_n has
+    form degree 1 plus the sum of the letters' shifted degrees; a word of
+    arity n >= 2 where the bundle's ``vanishes_in_degree`` holds for it is
+    answered with zero and stored nowhere."""
     value = bundle._memo_G.get(ids)
     if value is None:
-        value = bundle._memo_G[ids] = (
-            bundle.H(_cut_products(bundle, ids))
-            if len(ids) > 1
-            else bundle.g(bundle.letter(ids[0]))
-        )
+        if len(ids) == 1:
+            value = bundle.g(bundle.letter(ids[0]))
+        elif bundle.vanishes_in_degree(sum(map(bundle._degrees.__getitem__, ids)) + 1):
+            return bundle.zero_A()
+        else:
+            value = bundle.H(_cut_products(bundle, ids))
+        bundle._memo_G[ids] = value
     return value
 
 
@@ -672,31 +690,49 @@ def interval_product_table(max_arity: int) -> IntervalTable:
     emitted under findings instead of being asserted, because the two
     printed sign conventions for it contradict each other at arity 2; the
     computed products are the ground truth here.
+
+    The entries of arity n follow product(("t", "dt"), repeat=n): the word
+    at index i has dt exactly where i has a one bit, the most significant
+    bit first.  Every entry starts as "0".  The count depends only on the
+    number of t's, so it is asked once per class, and only the words of the
+    classes it leaves nonzero (one or two t's) are visited, in product
+    order, sent to the engine and patched.  The outside-family record reads
+    the stored nonzero values only.  When it passes, its basis size is the
+    number of outside words, sum_n (2^n - n) - 1 over n = 2..max_arity;
+    when it fails, it names the first failing word in (arity, product)
+    order, and its basis size is that word's rank among the outside words.
     """
     if max_arity < 2:
         raise ValueError("max_arity must be >= 2")
     bundle = SimplexContraction(1)
     # t = x(1) and dt = x(0,1) are basis letters, so each word is a word of ids
     t, dt = bundle._ids[(1,)], bundle._ids[(0, 1)]
+    letter = {"0": t, "1": dt}
     name = {t: "t", dt: "dt"}
 
+    def label(ids):
+        return ",".join(map(name.__getitem__, ids))
+
     table = IntervalTable(max_arity)
+    # the nonzero words only; an absent word is zero
     values: dict[tuple[int, ...], tuple[Fraction, Fraction, Fraction]] = {}
-    labels: dict[tuple[int, ...], str] = {}
-    # values holds the nonzero words only, and an absent word is zero; the
-    # words of arity n extend those of arity n - 1 by t, then dt, in the
-    # order of product((t, dt), repeat=n), and only a word the count leaves
-    # nonzero (one or two t's) reaches the engine
-    words = {(t,): "t", (dt,): "dt"}
     for n in range(2, max_arity + 1):
-        words = {w + (i,): label + "," + name[i] for w, label in words.items() for i in (t, dt)}
-        labels.update(words)
-        for ids, label in words.items():
-            value = "0"
-            if not bundle.zero_by_count(ids) and (cochain := _m(bundle, ids)):
+        entries = [{"word": ",".join(w), "value": "0"} for w in product(("t", "dt"), repeat=n)]
+        # the count sums the letters' degrees, so one word answers for its class
+        dt_counts = [
+            n - k for k in range(n + 1) if not bundle.zero_by_count((t,) * k + (dt,) * (n - k))
+        ]
+        visits = sorted(
+            sum(1 << (n - 1 - p) for p in dts)
+            for j in dt_counts
+            for dts in combinations(range(n), j)
+        )
+        for i in visits:
+            ids = tuple(map(letter.__getitem__, f"{i:0{n}b}"))
+            if cochain := _m(bundle, ids):
                 values[ids] = interval_basis_components(cochain)
-                value = _component_string(values[ids])
-            table.entries.append({"word": label, "value": value})
+                entries[i]["value"] = _component_string(values[ids])
+        table.entries.extend(entries)
 
     def components(ids):
         return values.get(ids, (0, 0, 0))
@@ -708,15 +744,20 @@ def interval_product_table(max_arity: int) -> IntervalTable:
         c1, ct, cdt = components(ids)
         if c1 or ct or abs(cdt) != expected:
             return (
-                f"m({labels[ids]}) = {_component_string(components(ids))}, "
+                f"m({label(ids)}) = {_component_string(components(ids))}, "
                 f"expected magnitude {rational_str(expected)}"
             )
         return None
 
+    def outside(ids):
+        return ids != (t, t) and ids.count(t) != 1
+
     def outside_cases():
-        for ids, label in labels.items():
-            if ids != (t, t) and ids.count(t) != 1:
-                yield f"m({label}) = {_component_string(values[ids])}" if ids in values else None
+        # the full sweep, run only to rank a failing word
+        for n in range(2, max_arity + 1):
+            for ids in filter(outside, product((t, dt), repeat=n)):
+                value = values.get(ids)
+                yield f"m({label(ids)}) = {_component_string(value)}" if value else None
 
     family = {n: components(one_t(n, 0))[2] for n in range(1, max_arity)}
     scaled = [n for n in range(1, min(4, max_arity - 1) + 1) if family[n]]
@@ -729,7 +770,11 @@ def interval_product_table(max_arity: int) -> IntervalTable:
             for n in range(1, max_arity)
         ),
     )
-    table.check("all words outside the one-t family vanish", outside_cases())
+    outside_name = "all words outside the one-t family vanish"
+    if any(map(outside, values)):
+        table.check(outside_name, outside_cases())
+    else:
+        table.check(outside_name, (), sum(2**n - n for n in range(2, max_arity + 1)) - 1)
     table.check(
         "one-t family scales by binomial coefficients",
         (

@@ -168,6 +168,10 @@ class GlobalFormContraction(ComplexContraction):
     def zero_by_count(self, ids: tuple[int, ...]) -> bool:
         return False
 
+    def vanishes_in_degree(self, degree: int) -> bool:
+        # the reference computes every G and cut product
+        return False
+
     def d_A(self, x: GlobalForm) -> GlobalForm:
         return global_differential(x)
 

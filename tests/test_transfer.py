@@ -17,6 +17,7 @@ from simplicial_transfer.rationals import SparseVector, bernoulli_number, factor
 from simplicial_transfer import transfer
 from simplicial_transfer.tensorwords import shuffle
 from simplicial_transfer.transfer import (
+    ComplexContraction,
     SimplexContraction,
     _G,
     _insertions,
@@ -541,7 +542,8 @@ def test_interval_table_sends_only_the_counted_words_to_the_engine(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "max_arity, sizes", [(2, [1, 1, 1, 2]), (5, [1, 4, 45, 10]), (8, [1, 7, 472, 10])]
+    "max_arity, sizes",
+    [(2, [1, 1, 1, 2]), (5, [1, 4, 45, 10]), (8, [1, 7, 472, 10]), (12, [1, 11, 8110, 10])],
 )
 def test_interval_table_skip_agrees_with_the_full_route(max_arity, sizes):
     # every word, the count-zeroed ones too, through _m as the table
@@ -561,6 +563,73 @@ def test_interval_table_skip_agrees_with_the_full_route(max_arity, sizes):
     table = interval_product_table(max_arity)
     assert table.entries == expected
     assert [rec.basis_size for rec in table.checks] == sizes
+
+
+def test_interval_table_asks_the_count_once_per_class(monkeypatch):
+    # the table's own zero_by_count calls are those outside _m: at most
+    # n + 1 per arity n, 88 to arity 12, against one per basis word
+    m, zero_by_count = transfer._m, ComplexContraction.zero_by_count
+    depth = [0]
+    calls = [0]
+
+    def traced(bundle, ids):
+        depth[0] += 1
+        try:
+            return m(bundle, ids)
+        finally:
+            depth[0] -= 1
+
+    def counted(bundle, ids):
+        if not depth[0]:
+            calls[0] += 1
+        return zero_by_count(bundle, ids)
+
+    monkeypatch.setattr(transfer, "_m", traced)
+    monkeypatch.setattr(ComplexContraction, "zero_by_count", counted)
+    assert interval_product_table(12).all_passed
+    assert 0 < calls[0] <= 88
+
+
+@pytest.mark.parametrize(
+    "word, max_arity",
+    [(("dt", "dt", "t", "dt", "t", "dt"), 8), (("dt", "dt", "dt", "t", "dt", "dt", "t"), 7)],
+)
+def test_the_outside_record_agrees_with_the_full_sweep(monkeypatch, word, max_arity):
+    # dt is added to m of one late two-t word of the interval; every other
+    # call, the engines' included, passes unchanged.  The oracle is the
+    # sweep over every word in product order, each through _m, counting the
+    # outside words up to the first nonzero one
+    m = transfer._m
+    faces = tuple((1,) if letter == "t" else (0, 1) for letter in word)
+
+    def planted(bundle, ids):
+        value = m(bundle, ids)
+        if tuple(bundle._faces[i] for i in ids) == faces:
+            return value + bundle.letter(bundle._ids[(0, 1)])
+        return value
+
+    monkeypatch.setattr(transfer, "_m", planted)
+    name = "all words outside the one-t family vanish"
+    bundle = SimplexContraction(1)
+    t, dt = bundle._ids[(1,)], bundle._ids[(0, 1)]
+
+    def sweep():
+        size = 0
+        for n in range(2, max_arity + 1):
+            for ids in product((t, dt), repeat=n):
+                if ids == (t, t) or ids.count(t) == 1:
+                    continue
+                size += 1
+                if value := transfer._m(bundle, ids):
+                    components = interval_basis_components(value)
+                    label = ",".join("t" if i == t else "dt" for i in ids)
+                    return name, size, f"m({label}) = {transfer._component_string(components)}"
+        return name, size, None
+
+    expected = sweep()
+    assert expected[2] == f"m({','.join(word)}) = 1 dt"
+    (record,) = [rec for rec in interval_product_table(max_arity).checks if rec.name == name]
+    assert (record.name, record.basis_size, record.counterexample) == expected
 
 
 def test_p_polynomials():
@@ -626,6 +695,19 @@ def test_the_count_zeroes_G_or_fixes_its_form_degree(dim, max_arity, words, zero
             elif value:
                 assert homogeneous_degree(value) == degree, word
     assert (seen, zeroed) == (words, zero_by_count)
+
+
+def test_the_memos_hold_no_word_the_count_zeroes():
+    # G_n, n >= 2, of form degree sum + 1 and the cut products of form
+    # degree sum + 2 outside 0..2 are answered with zero and not stored
+    bundle = SimplexContraction(2)
+    for battery in (check_a_infinity, check_morphism, check_c_infinity, check_unital):
+        assert battery(bundle, 4).all_passed
+    degrees = bundle._degrees
+    for memo, shift in ((bundle._memo_G, 1), (bundle._memo_cut, 2)):
+        assert memo
+        for key in memo:
+            assert len(key) == 1 or 0 <= sum(degrees[i] for i in key) + shift <= 2, key
 
 
 def test_memo_holds_only_basis_words():
