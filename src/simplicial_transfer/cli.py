@@ -33,7 +33,7 @@ from .transfer import (
     interval_product_table,
     p_polynomial_sequence,
 )
-from .trees import enumerate_trees, tree_to_text
+from .trees import enumerate_trees, tree_count, tree_to_text
 from .rationals import rational_str
 
 PASS = 0
@@ -111,10 +111,10 @@ def cmd_contraction(args, parser) -> int:
 def cmd_trees(args, parser) -> int:
     if args.leaves < 1:
         parser.error("need --leaves >= 1")
-    trees = enumerate_trees(args.leaves)
     if args.count_only:
-        print(len(trees))
+        print(tree_count(args.leaves))
         return PASS
+    trees = enumerate_trees(args.leaves)
     encodings = [tree_to_text(t) for t in trees]
     if args.format == "json":
         print(dumps({"leaves": args.leaves, "count": len(trees), "trees": encodings}))

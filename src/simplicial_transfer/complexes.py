@@ -43,7 +43,15 @@ import json
 from .cochains import Cochain, ComplexFormatError, OrderedComplex, coboundary
 from .rationals import _linear, parse_rational, rational_str
 from .reporting import Report
-from .transfer import ComplexContraction, _face_label, _family_report, _m, _multilinear, _relation
+from .transfer import (
+    ComplexContraction,
+    _face_label,
+    _family_report,
+    _m,
+    _multilinear,
+    _relation,
+    _words,
+)
 
 __all__ = [
     "load_complex",
@@ -137,7 +145,7 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     basis = [bundle.letter(i) for i in ids]
     basis_text = f"{len(basis)} basis cochains on {len(simplices)} simplices"
     report = _family_report("cup product conditions", 2, 3, basis_text)
-    products = {(s, t): cup(basis[s], basis[t]) for s in ids for t in ids}
+    products = {(s, t): cup(basis[s], basis[t]) for s, t in _words(bundle, 2)}
 
     # locality: the product lives in the star of both supports
     stars = [complex_.star((s,)) for s in ids]
@@ -147,8 +155,7 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
             None
             if products[s, t].num.keys() <= stars[s] & stars[t]
             else f"{labels[s]} cup {labels[t]} leaves the common star"
-            for s in ids
-            for t in ids
+            for s, t in _words(bundle, 2)
         ),
     )
 
@@ -158,13 +165,12 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     delta = [coboundary(a).num.items() for a in basis]
 
     def leibniz_cases():
-        for s in ids:
+        for s, t in _words(bundle, 2):
             sign = -1 if dims[s] % 2 else 1
-            for t in ids:
-                parts = [(x, products[p, t]) for p, x in delta[s]]
-                parts += [(sign * y, products[s, p]) for p, y in delta[t]]
-                parts.append((-1, coboundary(products[s, t])))
-                yield f"delta({labels[s]} cup {labels[t]}) mismatch" if _linear(parts)[0] else None
+            parts = [(x, products[p, t]) for p, x in delta[s]]
+            parts += [(sign * y, products[s, p]) for p, y in delta[t]]
+            parts.append((-1, coboundary(products[s, t])))
+            yield f"delta({labels[s]} cup {labels[t]}) mismatch" if _linear(parts)[0] else None
 
     report.check("coboundary is a signed derivation of the product", leibniz_cases())
 
@@ -179,14 +185,13 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
 
     # graded commutativity (unshifted degrees)
     def commutativity_cases():
-        for s in ids:
-            for t in ids:
-                swapped = -products[t, s] if dims[s] * dims[t] % 2 else products[t, s]
-                yield (
-                    None
-                    if products[s, t] == swapped
-                    else f"{labels[s]} cup {labels[t]} not graded commutative"
-                )
+        for s, t in _words(bundle, 2):
+            swapped = -products[t, s] if dims[s] * dims[t] % 2 else products[t, s]
+            yield (
+                None
+                if products[s, t] == swapped
+                else f"{labels[s]} cup {labels[t]} not graded commutative"
+            )
 
     report.check("product is graded commutative", commutativity_cases())
 
@@ -195,9 +200,7 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     witness = next(
         (
             (r, s, t)
-            for r in ids
-            for s in ids
-            for t in ids
+            for r, s, t in _words(bundle, 3)
             if cup(products[r, s], basis[t]) != cup(basis[r], products[s, t])
         ),
         None,

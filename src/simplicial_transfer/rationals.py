@@ -179,7 +179,10 @@ class SparseVector:
         of their denominators, and the result is reduced once.  A lone
         part (1, v) over 1, v of this class on this very space object, is
         its own sum: v comes back uncopied, safe as vectors are immutable
-        and every kernel hands ``_reduced`` a fresh dict, never a ``num``."""
+        and every kernel hands ``_reduced`` a fresh dict, never a ``num``.
+        The caller's duty: every v is a vector of ``cls`` on ``space``.
+        ``_sum`` does not check it: ``+`` and ``-`` check first, and every
+        kernel passes parts of one space, so a check here would run twice."""
         if den == 1 and len(parts) == 1:
             p, v = parts[0]
             if p == 1 and type(v) is cls and v._space is space:

@@ -72,7 +72,7 @@ failing pair.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations, product
 from math import lcm, prod
 
@@ -433,6 +433,12 @@ def _word_label(bundle, ids) -> str:
     return "(" + ", ".join(_face_label(bundle._faces[i]) for i in ids) + ")"
 
 
+def _words(bundle, n: int):
+    """The B^n basis words of arity n over the bundle's B letter ids, in
+    product order: the one sweep that every battery reads its words from."""
+    return product(bundle.basis_ids(), repeat=n)
+
+
 def _family_report(family: str, first_arity: int, max_arity: int, basis: str) -> Report:
     """A report named, in its header and its fields, by family and range."""
     return Report(
@@ -443,18 +449,24 @@ def _family_report(family: str, first_arity: int, max_arity: int, basis: str) ->
     )
 
 
-def _letter_report(family: str, first_arity: int, max_arity: int, basis) -> Report:
-    return _family_report(family, first_arity, max_arity, f"{len(basis)} basis letters")
+def _letter_report(family: str, first_arity: int, max_arity: int, bundle) -> Report:
+    letters = f"{len(bundle.basis_ids())} basis letters"
+    return _family_report(family, first_arity, max_arity, letters)
+
+
+def _arity_records(report: Report, name: str, first_arity: int, max_arity: int, cases) -> None:
+    """One record over ``cases(n)`` per arity n, named by ``name`` with n put in."""
+    for n in range(first_arity, max_arity + 1):
+        report.check(name.format(n), cases(n))
 
 
 def check_a_infinity(bundle, max_arity: int) -> Report:
     """Structure relations: the signed sum of nested transferred operations
     vanishes on every basis word of each arity."""
-    basis = bundle.basis_ids()
-    report = _letter_report("structure relations", 1, max_arity, basis)
+    report = _letter_report("structure relations", 1, max_arity, bundle)
 
     def cases(n):
-        for word in product(basis, repeat=n):
+        for word in _words(bundle, n):
             value = _relation(bundle, word)
             yield (
                 f"word={_word_label(bundle, word)} residual={format_cochain(value)}"
@@ -462,19 +474,17 @@ def check_a_infinity(bundle, max_arity: int) -> Report:
                 else None
             )
 
-    for n in range(1, max_arity + 1):
-        report.check(f"relation at arity {n}", cases(n))
+    _arity_records(report, "relation at arity {}", 1, max_arity, cases)
     return report
 
 
 def check_morphism(bundle, max_arity: int) -> Report:
     """Morphism relations: the algebra-side combination of G components
     equals the G image of the cochain-side operations, word by word."""
-    basis = bundle.basis_ids()
-    report = _letter_report("morphism relations", 1, max_arity, basis)
+    report = _letter_report("morphism relations", 1, max_arity, bundle)
 
     def cases(n):
-        for word in product(basis, repeat=n):
+        for word in _words(bundle, n):
             lhs = bundle.d_A(_G(bundle, word)) + _cut_products(bundle, word)
             rhs = _insertions(bundle, word, _G, bundle.zero_A())
             yield None if lhs == rhs else (
@@ -482,8 +492,7 @@ def check_morphism(bundle, max_arity: int) -> Report:
                 f"lhs={bundle.render_A(lhs)} rhs={bundle.render_A(rhs)}"
             )
 
-    for n in range(1, max_arity + 1):
-        report.check(f"morphism relation at arity {n}", cases(n))
+    _arity_records(report, "morphism relation at arity {}", 1, max_arity, cases)
     return report
 
 
@@ -511,7 +520,7 @@ def _dynkin_failure(bundle, n: int, op, zero):
     each term of theta(w) into the accumulators of their words."""
     degrees = bundle._degrees
     parts: dict = {}
-    for word in product(bundle.basis_ids(), repeat=n):
+    for word in _words(bundle, n):
         value = op(bundle, word)
         if value:
             parts.setdefault(word, []).append((-n, value))
@@ -525,22 +534,20 @@ def _dynkin_failure(bundle, n: int, op, zero):
 
 
 def _shuffle_cases(bundle, n: int, op, zero, render):
-    """op summed over each shuffle u sh v of nonempty words of n basis ids
-    in all, with |u| = 1, ..., n - 1 and u, v in product order: None where
-    the sum vanishes, the counterexample text where it does not."""
-    basis = bundle.basis_ids()
+    """op summed over each shuffle u sh v of nonempty words, for |u| = 1, ...,
+    n - 1 in turn u v running over the arity-n sweep cut after |u| letters:
+    None where the sum vanishes, the counterexample text where it does not."""
     degree_of = bundle._degrees.__getitem__
     for p in range(1, n):
-        for u in product(basis, repeat=p):
-            for v in product(basis, repeat=n - p):
-                sh = shuffle(u, v, degree_of)
-                total = _sum(zero, [(coeff, op(bundle, word)) for word, coeff in sh.items()])
-                yield (
-                    f"{_word_label(bundle, u)} shuffle {_word_label(bundle, v)} "
-                    f"gives {render(total)}"
-                    if total
-                    else None
-                )
+        for word in _words(bundle, n):
+            u, v = word[:p], word[p:]
+            total = _sum(zero, [(c, op(bundle, w)) for w, c in shuffle(u, v, degree_of).items()])
+            yield (
+                f"{_word_label(bundle, u)} shuffle {_word_label(bundle, v)} "
+                f"gives {render(total)}"
+                if total
+                else None
+            )
 
 
 def check_c_infinity(bundle, max_arity: int) -> Report:
@@ -557,8 +564,7 @@ def check_c_infinity(bundle, max_arity: int) -> Report:
     B^n words decides the record.  Only a failing record runs the shuffle
     sums, in their order, to name its first failing pair; should they all
     vanish, the record still fails on the word where theta^T phi != n phi."""
-    basis = bundle.basis_ids()
-    report = _letter_report("shuffle vanishing", 2, max_arity, basis)
+    report = _letter_report("shuffle vanishing", 2, max_arity, bundle)
     for n in range(2, max_arity + 1):
         for kind, op, zero, render in (
             ("operation", _m, bundle._zero, format_cochain),
@@ -567,7 +573,7 @@ def check_c_infinity(bundle, max_arity: int) -> Report:
             name = f"{kind} vanishes on shuffles, arity {n}"
             failure = _dynkin_failure(bundle, n, op, zero)
             if failure is None:
-                report.check(name, (), (n - 1) * len(basis) ** n)
+                report.check(name, (), (n - 1) * len(bundle.basis_ids()) ** n)
                 continue
             word, residual = failure
             dynkin = f"word={_word_label(bundle, word)} theta^T phi - {n} phi = {render(residual)}"
@@ -578,19 +584,19 @@ def check_c_infinity(bundle, max_arity: int) -> Report:
 def check_unital(bundle, max_arity: int) -> Report:
     """Unit laws for the transferred structure, with unit e = f(1).  e
     enters a word through its keys, which are letter ids, so each unit word
-    is a sum of numerator times the value on a basis word."""
-    basis = bundle.basis_ids()
+    is a sum of numerator times the value on a basis word: a unit slot in
+    a word of the arity-(n - 1) sweep, and the binary laws sweep arity 1."""
     e = bundle.unit_B()
     unit = e.num.items()
     e_label = _face_label(*e.terms) if e.den == 1 and list(e.num.values()) == [1] else repr(e)
-    report = _letter_report("unitality", 1, max_arity, basis)
+    report = _letter_report("unitality", 1, max_arity, bundle)
 
     def on_unit(op, zero, head=(), tail=()):
         return _sum(zero, [(n, op(bundle, head + (u,) + tail)) for u, n in unit], e.den)
 
     def binary_cases():
         zero = bundle._zero
-        for b in basis:
+        for (b,) in _words(bundle, 1):
             left = on_unit(_m, zero, tail=(b,))
             right = on_unit(_m, zero, head=(b,))
             right = right if bundle._degrees[b] % 2 else -right
@@ -602,7 +608,7 @@ def check_unital(bundle, max_arity: int) -> Report:
 
     def on_unit_cases(op, zero, render, n):
         for slot in range(n):
-            for rest in product(basis, repeat=n - 1):
+            for rest in _words(bundle, n - 1):
                 value = on_unit(op, zero, rest[:slot], rest[slot:])
                 if value:
                     labels = [_face_label(bundle._faces[i]) for i in rest]
@@ -619,12 +625,9 @@ def check_unital(bundle, max_arity: int) -> Report:
         "unit is closed",
         ["differential of the unit is nonzero" if on_unit(_m, bundle._zero) else None],
     )
-    report.check("binary unit laws", binary_cases(), len(basis))
-    for n in range(3, max_arity + 1):
-        report.check(
-            f"operations of arity {n} vanish on the unit",
-            on_unit_cases(_m, bundle._zero, format_cochain, n),
-        )
+    report.check("binary unit laws", binary_cases(), len(bundle.basis_ids()))
+    cases = partial(on_unit_cases, _m, bundle._zero, format_cochain)
+    _arity_records(report, "operations of arity {} vanish on the unit", 3, max_arity, cases)
     report.check(
         "morphism sends unit to 1",
         [
@@ -633,11 +636,9 @@ def check_unital(bundle, max_arity: int) -> Report:
             else "g does not send the unit to 1"
         ],
     )
-    for n in range(2, max_arity + 1):
-        report.check(
-            f"morphism components of arity {n} vanish on the unit",
-            on_unit_cases(_G, bundle.zero_A(), bundle.render_A, n),
-        )
+    cases = partial(on_unit_cases, _G, bundle.zero_A(), bundle.render_A)
+    name = "morphism components of arity {} vanish on the unit"
+    _arity_records(report, name, 2, max_arity, cases)
     return report
 
 

@@ -96,7 +96,15 @@ def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:
 
 
 def tree_count(n: int) -> int:
-    return len(enumerate_trees(n))
+    """The number of planar trees with n leaves, counted without building
+    one: the little Schröder number a(n - 1) (OEIS A001003), where a(0) =
+    a(1) = 1 and (k + 1) a(k) = 3 (2k - 1) a(k - 1) - (k - 2) a(k - 2)."""
+    if n < 1:
+        raise ValueError("need at least one leaf")
+    before, count = 1, 1  # a(k - 2), a(k - 1)
+    for k in range(2, n):
+        before, count = count, (3 * (2 * k - 1) * count - (k - 2) * before) // (k + 1)
+    return count
 
 
 def path_trees(n_plus_1: int, position: int) -> tuple[PlanarTree, ...]:

@@ -72,6 +72,18 @@ def test_trees_command(capsys):
     assert out.strip() == "45"
 
 
+def test_trees_count_only_builds_no_tree(capsys, monkeypatch):
+    # 14 leaves give 71,039,373 trees, which an enumeration could not hold
+    def refuse(n):
+        raise AssertionError("enumerate_trees called")
+
+    monkeypatch.setattr("simplicial_transfer.cli.enumerate_trees", refuse)
+    monkeypatch.setattr("simplicial_transfer.trees.enumerate_trees", refuse)
+    code, out, _ = run(capsys, "trees", "--leaves", "14", "--count-only")
+    assert code == 0
+    assert out == "71039373\n"
+
+
 def test_interval_command(capsys):
     code, out, _ = run(capsys, "interval", "--max-arity", "3")
     assert code == 0

@@ -149,7 +149,6 @@ PRESENTED_API = {
     "morphism_G",
     "transferred_m",
     "transferred_m_trees",
-    "tree_count",
     "path_trees",
     "SparseVector.basis_element",
 }
@@ -201,6 +200,39 @@ def test_no_public_method_is_named_like_a_dict_method():
         and method.name in vars(dict)
     }
     assert shadowing == set()
+
+
+# The functions of the battery modules that may call product(..., repeat=...):
+# the one word sweep, and the interval table, which sweeps its own t/dt basis
+WORD_SWEEPS = {"_words", "interval_product_table"}
+
+
+def _repeat_product_callers(module: str) -> list[str]:
+    """The module-level functions of ``module`` whose body, at any depth,
+    calls ``product`` with a ``repeat`` keyword, once per call."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and (
+            isinstance(call.func, ast.Name) and call.func.id == "product"
+            or isinstance(call.func, ast.Attribute) and call.func.attr == "product"
+        )
+        and any(keyword.arg == "repeat" for keyword in call.keywords)
+    ]
+
+
+def test_every_battery_reads_its_words_from_the_one_sweep():
+    # the batteries of transfer and complexes list basis words only through
+    # transfer._words, so that the word order, the basis and the size are
+    # one decision; the sweep itself must be found, so the guard cannot
+    # pass by finding nothing
+    callers = _repeat_product_callers("transfer") + _repeat_product_callers("complexes")
+    assert "_words" in callers
+    assert set(callers) <= WORD_SWEEPS, sorted(set(callers) - WORD_SWEEPS)
 
 
 def test_the_package_exports_no_koszul_sign():

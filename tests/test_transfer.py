@@ -11,10 +11,10 @@ from simplicial_transfer.cochains import (
     interval_basis_components,
     standard_simplex,
 )
-from simplicial_transfer.complexes import OrderedComplex
+from simplicial_transfer.complexes import OrderedComplex, check_whitney_conditions
 from simplicial_transfer.forms import parse_form
 from simplicial_transfer.rationals import SparseVector, bernoulli_number, factorial
-from simplicial_transfer import transfer
+from simplicial_transfer import complexes, transfer
 from simplicial_transfer.tensorwords import shuffle
 from simplicial_transfer.transfer import (
     ComplexContraction,
@@ -349,6 +349,42 @@ def test_a_passing_record_forms_no_shuffle(monkeypatch):
     monkeypatch.setattr(transfer, "_m", _doubled_on(transfer._m, bundle, ((0,), (0, 1, 2))))
     assert not check_c_infinity(bundle, 3).all_passed
     assert calls
+
+
+def test_every_battery_reads_its_words_from_the_sweep(monkeypatch):
+    # transfer._words is the one place that lists basis words, so each
+    # battery asks it for the arity of every record it writes: a unit-slot
+    # word of arity n is a slot and a word of arity n - 1, and the binary
+    # unit laws sweep arity 1
+    asked = []
+    words = transfer._words
+
+    def recorded(bundle, n):
+        asked.append(n)
+        return words(bundle, n)
+
+    monkeypatch.setattr(transfer, "_words", recorded)
+    monkeypatch.setattr(complexes, "_words", recorded)
+    bundle = SimplexContraction(1)
+    for battery, arities in (
+        (check_a_infinity, {1, 2, 3}),
+        (check_morphism, {1, 2, 3}),
+        (check_c_infinity, {2, 3}),
+        (check_unital, {1, 2}),
+    ):
+        asked.clear()
+        assert battery(bundle, 3).all_passed
+        assert set(asked) == arities, battery.__name__
+    asked.clear()
+    assert check_whitney_conditions(standard_simplex(2)).all_passed
+    assert set(asked) == {2, 3}
+    # a failing shuffle record names its pair from the sweep too: the Dynkin
+    # sweeps of m and G at arity 2, and between them the shuffle sums of m
+    failing = SimplexContraction(1)
+    monkeypatch.setattr(transfer, "_m", _doubled_on(transfer._m, failing, ((0,), (0, 1))))
+    asked.clear()
+    assert not check_c_infinity(failing, 2).all_passed
+    assert asked == [2, 2, 2]
 
 
 def _bracketing_rows(degrees, n):

@@ -35,6 +35,15 @@ def test_counts_match_recurrence():
     assert [tree_count(n) for n in range(1, 7)] == [1, 1, 3, 11, 45, 197]
 
 
+def test_count_by_recurrence_matches_the_enumeration():
+    # tree_count runs the recurrence and builds no tree; the enumeration is
+    # its independent check
+    for n in range(1, 10):
+        assert tree_count(n) == len(enumerate_trees(n))
+    with pytest.raises(ValueError):
+        tree_count(0)
+
+
 def test_encodings_unique():
     for n in range(1, 7):
         trees = enumerate_trees(n)
