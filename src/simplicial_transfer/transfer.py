@@ -31,11 +31,15 @@ e_{F_k} (the join rule)
 
 zero unless U is a simplex with dim U = sum_j dim F_j + 2 - k, where mu is
 the top-face coefficient of m_k on the standard simplex of dimension dim U
-at the positions of the F_j in U.  The right side of that count is 2 plus
-the sum of the letters' shifted degrees, which the bundle holds per letter,
-so a word whose count is no dimension of the complex is zero before any face
-or union is built, and the memo of m_k stores nothing for it; U is formed
-only for the others.  ``ComplexContraction``, the bundle of a complex,
+at the positions of the F_j in U.
+
+One rule zeroes a value before it is built.  f and g keep the degree, H
+lowers it by one, and forms on the N-simplex and cochains on an
+N-dimensional complex live in degrees 0..N.  So the bundle's one hook
+``vanishes_in_degree`` zeroes a word whose degree lies outside 0..N: 2 plus
+the sum of the letters' shifted degrees for m_k (dim U) and the cut
+products, 1 plus it for G_n.  Such a word builds no face, union or form,
+and no memo stores it.  ``ComplexContraction``, the bundle of a complex,
 reads m_k this way from one standard-simplex engine per dimension, built
 once per process.  The standard n-simplex is a complex too, and
 ``SimplexContraction`` is its complex bundle plus the form side: it runs
@@ -129,9 +133,8 @@ class ComplexContraction:
     so its keys are letter ids; one hook, ``letter``, gives the basis
     cochain of a letter id.  For the batteries and G_n the engine reads the
     algebra side (``d_A``, ``wedge_A``, ``one_A``, ``zero_A``), the
-    contraction (``f``, ``g``, ``H``), ``render_A`` and the count hook
-    ``vanishes_in_degree``, which ``SimplexContraction`` adds with the forms
-    of the standard simplex.
+    contraction (``f``, ``g``, ``H``) and ``render_A``, which
+    ``SimplexContraction`` adds with the forms of the standard simplex.
     Values on both sides offer the integer linear combination ``_sum`` of
     ``SparseVector``, and the engine reads the numerators of cochains.
 
@@ -140,8 +143,8 @@ class ComplexContraction:
     ``_degrees`` holds each letter's shifted degree, which drives signs.
     G_n, m_n and the cut products are memoised per word of ids.  The hook
     ``m_word`` gives m_n for n >= 2, here by the join rule (module
-    docstring), and ``zero_by_count`` answers a word zero by its degrees
-    before ``m_word`` runs.
+    docstring), and ``vanishes_in_degree`` is the zero rule (module
+    docstring), with ``dim`` the top dimension of the complex.
 
     ``koszul_signs = False`` drops the Koszul sign with which the insertion
     sums of the batteries slide an inner m_k past the letters before it.
@@ -156,6 +159,7 @@ class ComplexContraction:
     def __init__(self, complex_: OrderedComplex):
         self.complex = complex_
         self._zero = Cochain(complex_)
+        self.dim = self._zero.dim
         self._faces = complex_.simplices
         self._ids = complex_.index
         self._degrees = [len(face) - 2 for face in self._faces]
@@ -178,11 +182,10 @@ class ComplexContraction:
         """m_n on a basis word of n >= 2 ids, by the join rule."""
         return _join_rule(self, ids)
 
-    def zero_by_count(self, ids: tuple[int, ...]) -> bool:
-        """Whether the count zeroes m_k, k >= 2, on a basis word: the
-        dimension its union must have, 2 plus the sum of the letters'
-        shifted degrees, lies outside 0..(top dimension of the complex)."""
-        return not 0 <= sum(map(self._degrees.__getitem__, ids)) + 2 <= self._zero.dim
+    def vanishes_in_degree(self, degree: int) -> bool:
+        """Whether every value of this degree is zero: it lies outside
+        0..dim (module docstring)."""
+        return not 0 <= degree <= self.dim
 
     def basis_ids(self) -> range:
         return range(len(self._faces))
@@ -215,12 +218,6 @@ class SimplexContraction(ComplexContraction):
     def zero_A(self) -> Form:
         return Form.zero(self.top_dim)
 
-    def vanishes_in_degree(self, degree: int) -> bool:
-        """Whether every form of this degree is zero: the degree lies
-        outside 0..top_dim.  The engine asks it with the form degree of G_n,
-        n >= 2, and of the cut products before building either."""
-        return not 0 <= degree <= self.top_dim
-
     # contraction maps
     def f(self, x: Form) -> Cochain:
         return project_f(x)
@@ -245,11 +242,10 @@ def _cut_products(bundle, ids: tuple[int, ...]):
     the left one is nonzero.  Each m_2(x, y) = (-1)^{|x|+1} x ^ y, for the
     shifted degree |x| of the left block, is a part whose coefficient is
     that sign, and the parts are summed by one ``_sum``.  m_n, G_n and the
-    morphism battery share it.  The cut products have form degree 2 plus
-    the sum of the letters' shifted degrees, 1 more than G_n; a word where
-    the bundle's ``vanishes_in_degree`` holds for it is answered with zero
-    and stored nowhere.  The degree of G_n does not serve: on the interval
-    G(t, t) is zero, while its cut product is t^2."""
+    morphism battery share it.  A word that the zero rule (module docstring)
+    zeroes at their own degree is answered with zero and stored nowhere.
+    The degree of G_n, one less, does not serve: on the interval G(t, t) is
+    zero, while its cut product is t^2."""
     if ids in bundle._memo_cut:
         return bundle._memo_cut[ids]
     degrees = bundle._degrees
@@ -270,10 +266,9 @@ def _cut_products(bundle, ids: tuple[int, ...]):
 
 
 def _G(bundle, ids: tuple[int, ...]):
-    """G_1 = g and G_n = H(cut products), memoised per basis word.  G_n has
-    form degree 1 plus the sum of the letters' shifted degrees; a word of
-    arity n >= 2 where the bundle's ``vanishes_in_degree`` holds for it is
-    answered with zero and stored nowhere."""
+    """G_1 = g and G_n = H(cut products), memoised per basis word; a word of
+    arity n >= 2 that the zero rule (module docstring) zeroes is answered
+    with zero and stored nowhere."""
     value = bundle._memo_G.get(ids)
     if value is None:
         if len(ids) == 1:
@@ -288,13 +283,13 @@ def _G(bundle, ids: tuple[int, ...]):
 
 def _m(bundle, ids: tuple[int, ...]):
     """m_1 = the coboundary and m_n = ``bundle.m_word``, memoised per basis
-    word; a word that the bundle's count zeroes is answered with zero and
-    stored nowhere."""
+    word; a word of arity n >= 2 that the zero rule (module docstring)
+    zeroes is answered with zero and stored nowhere."""
     value = bundle._memo_m.get(ids)
     if value is None:
         if len(ids) == 1:
             value = coboundary(bundle.letter(ids[0]))
-        elif bundle.zero_by_count(ids):
+        elif bundle.vanishes_in_degree(sum(map(bundle._degrees.__getitem__, ids)) + 2):
             return bundle._zero
         else:
             value = bundle.m_word(ids)
@@ -320,11 +315,11 @@ def _join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
     simplex; otherwise mu * e_U with mu read from the engine of dimension
     dim U.
 
-    The dimension U must have, sum_j dim F_j + 2 - k, is 2 plus the sum of
-    the letters' shifted degrees dim F_j - 1.  ``_m`` asks the bundle's
-    ``zero_by_count`` first, so a word whose count lies outside 0..(top
-    dimension of the complex) never gets here.  U is formed and rejected
-    unless it has count + 1 vertices: the same test as forming U first."""
+    The dimension U must have, sum_j dim F_j + 2 - k, is the degree that
+    ``_m`` hands to ``vanishes_in_degree`` first, so a word that the zero
+    rule (module docstring) zeroes never gets here.  U is formed and
+    rejected unless it has count + 1 vertices: the same test as forming U
+    first."""
     zero = bundle._zero
     n = sum(map(bundle._degrees.__getitem__, ids)) + 2  # dim U
     faces = [bundle._faces[i] for i in ids]
@@ -694,8 +689,9 @@ def interval_product_table(max_arity: int) -> IntervalTable:
 
     The entries of arity n follow product(("t", "dt"), repeat=n): the word
     at index i has dt exactly where i has a one bit, the most significant
-    bit first.  Every entry starts as "0".  The count depends only on the
-    number of t's, so it is asked once per class, and only the words of the
+    bit first.  Every entry starts as "0".  The degree of m_n depends only
+    on the number k of t's, so the zero rule is asked once per class, of
+    degree 2 + k deg(t) + (n - k) deg(dt), and only the words of the
     classes it leaves nonzero (one or two t's) are visited, in product
     order, sent to the engine and patched.  The outside-family record reads
     the stored nonzero values only.  When it passes, its basis size is the
@@ -708,6 +704,7 @@ def interval_product_table(max_arity: int) -> IntervalTable:
     bundle = SimplexContraction(1)
     # t = x(1) and dt = x(0,1) are basis letters, so each word is a word of ids
     t, dt = bundle._ids[(1,)], bundle._ids[(0, 1)]
+    degrees = bundle._degrees
     letter = {"0": t, "1": dt}
     name = {t: "t", dt: "dt"}
 
@@ -719,9 +716,10 @@ def interval_product_table(max_arity: int) -> IntervalTable:
     values: dict[tuple[int, ...], tuple[Fraction, Fraction, Fraction]] = {}
     for n in range(2, max_arity + 1):
         entries = [{"word": ",".join(w), "value": "0"} for w in product(("t", "dt"), repeat=n)]
-        # the count sums the letters' degrees, so one word answers for its class
         dt_counts = [
-            n - k for k in range(n + 1) if not bundle.zero_by_count((t,) * k + (dt,) * (n - k))
+            n - k
+            for k in range(n + 1)
+            if not bundle.vanishes_in_degree(2 + k * degrees[t] + (n - k) * degrees[dt])
         ]
         visits = sorted(
             sum(1 << (n - 1 - p) for p in dts)

@@ -165,11 +165,8 @@ class GlobalFormContraction(ComplexContraction):
     def m_word(self, ids: tuple[int, ...]) -> Cochain:
         return self.f(_cut_products(self, ids))
 
-    def zero_by_count(self, ids: tuple[int, ...]) -> bool:
-        return False
-
     def vanishes_in_degree(self, degree: int) -> bool:
-        # the reference computes every G and cut product
+        # the reference computes every m_k, G and cut product
         return False
 
     def d_A(self, x: GlobalForm) -> GlobalForm:

@@ -235,6 +235,23 @@ def test_every_battery_reads_its_words_from_the_one_sweep():
     assert set(callers) <= WORD_SWEEPS, sorted(set(callers) - WORD_SWEEPS)
 
 
+def test_the_zero_rule_is_one_hook():
+    # m_k, G_n and the cut products vanish by one degree test, stated once on
+    # the complex bundle; the old m_k-only count is named nowhere, not even
+    # in a docstring
+    sources = _package_sources()
+    assert not [module for module, tree in sources.items() if "zero_by_count" in ast.dump(tree)]
+    owners = [
+        owner.name
+        for tree in sources.values()
+        for owner in ast.walk(tree)
+        if isinstance(owner, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        for node in owner.body
+        if isinstance(node, ast.FunctionDef) and node.name == "vanishes_in_degree"
+    ]
+    assert owners == ["ComplexContraction"]
+
+
 def test_the_package_exports_no_koszul_sign():
     # tree evaluation needs no slotwise sign, so the helper lives in the tests
     assert not hasattr(simplicial_transfer, "koszul_sign")

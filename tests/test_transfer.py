@@ -569,7 +569,8 @@ def test_interval_table_sends_only_the_counted_words_to_the_engine(monkeypatch):
     table = interval_product_table(12)
     (bundle,) = {id(b): b for b, _ in top_level}.values()
     words = [ids for _, ids in top_level]
-    assert not any(bundle.zero_by_count(ids) for ids in words)
+    degrees = bundle._degrees
+    assert not any(bundle.vanishes_in_degree(sum(degrees[i] for i in ids) + 2) for ids in words)
     # one or two t's among n letters, n = 2..12
     assert len(words) == len(set(words)) == 363
     assert len(table.entries) == 8188
@@ -602,9 +603,9 @@ def test_interval_table_skip_agrees_with_the_full_route(max_arity, sizes):
 
 
 def test_interval_table_asks_the_count_once_per_class(monkeypatch):
-    # the table's own zero_by_count calls are those outside _m: at most
+    # the table's own vanishes_in_degree calls are those outside _m: at most
     # n + 1 per arity n, 88 to arity 12, against one per basis word
-    m, zero_by_count = transfer._m, ComplexContraction.zero_by_count
+    m, vanishes_in_degree = transfer._m, ComplexContraction.vanishes_in_degree
     depth = [0]
     calls = [0]
 
@@ -615,13 +616,13 @@ def test_interval_table_asks_the_count_once_per_class(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def counted(bundle, ids):
+    def counted(bundle, degree):
         if not depth[0]:
             calls[0] += 1
-        return zero_by_count(bundle, ids)
+        return vanishes_in_degree(bundle, degree)
 
     monkeypatch.setattr(transfer, "_m", traced)
-    monkeypatch.setattr(ComplexContraction, "zero_by_count", counted)
+    monkeypatch.setattr(ComplexContraction, "vanishes_in_degree", counted)
     assert interval_product_table(12).all_passed
     assert 0 < calls[0] <= 88
 
@@ -695,25 +696,41 @@ def test_memoization_is_shared_within_a_bundle():
     assert len(bundle._memo_G) == mid
 
 
+# antipodal pairs (0,1), (2,3), (4,5); a triangle picks one of each pair
+OCTAHEDRON = OrderedComplex(
+    range(6), [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+)
+
+
 def test_a_word_zeroed_by_the_count_is_not_memoised():
-    # on the interval m_3(dt, dt, dt) would be a 2-cochain and m_3(t, t, t) a
-    # (-1)-cochain: the degree count zeroes both before the memo of m is read,
-    # and nothing is stored for them
-    bundle = SimplexContraction(1)
-    t, dt = interval_letters()
-    assert transferred_m(bundle, (t, dt, dt))
-    before = dict(bundle._memo_m)
-    assert before
-    for word in ((dt, dt, dt), (t, t, t)):
-        assert not transferred_m(bundle, word)
-        assert bundle._memo_m == before
+    # the degree count zeroes a word before the memo of m is read, and
+    # nothing is stored for it.  On the interval m_3(dt, dt, dt) would be a
+    # 2-cochain and m_3(t, t, t) a (-1)-cochain; on the octahedron m_3 of
+    # three vertices would be a (-1)-cochain and m_2 of two triangles a
+    # 4-cochain
+    cases = [
+        (SimplexContraction(1), [(1,), (0, 1), (0, 1)], [[(0, 1)] * 3, [(1,)] * 3]),
+        (
+            ComplexContraction(OCTAHEDRON),
+            [(0,), (0, 2)],
+            [[(0,), (2,), (4,)], [(0, 2, 4), (1, 3, 5)]],
+        ),
+    ]
+    for bundle, word, zeroed in cases:
+        letters = {face: Cochain.basis_element(bundle.complex, face) for face in bundle._faces}
+        assert transferred_m(bundle, tuple(map(letters.__getitem__, word)))
+        before = dict(bundle._memo_m)
+        assert before
+        for faces in zeroed:
+            assert not transferred_m(bundle, tuple(map(letters.__getitem__, faces)))
+            assert bundle._memo_m == before
 
 
 @pytest.mark.parametrize(
-    "dim, max_arity, words, zero_by_count",
+    "dim, max_arity, words, vanishing",
     [(1, 5, 363, 328), (2, 4, 2800, 1206), (3, 3, 3615, 676)],
 )
-def test_the_count_zeroes_G_or_fixes_its_form_degree(dim, max_arity, words, zero_by_count):
+def test_the_count_zeroes_G_or_fixes_its_form_degree(dim, max_arity, words, vanishing):
     # G_n has degree 0 on shifted degrees, so G_n(w) is a form of degree
     # sum_j (dim F_j - 1) + 1: zero when that lies outside 0..dim, and zero
     # or homogeneous of that degree otherwise
@@ -730,7 +747,7 @@ def test_the_count_zeroes_G_or_fixes_its_form_degree(dim, max_arity, words, zero
                 assert not value, word
             elif value:
                 assert homogeneous_degree(value) == degree, word
-    assert (seen, zeroed) == (words, zero_by_count)
+    assert (seen, zeroed) == (words, vanishing)
 
 
 def test_the_memos_hold_no_word_the_count_zeroes():

@@ -14,14 +14,6 @@ from simplicial_transfer.trees import (
 from helpers import evaluate_tree_G
 
 
-def schroeder_numbers(n_max):
-    """Independent oracle: (n+1) s_{n+1} = 3(2n-1) s_n - (n-2) s_{n-1}."""
-    vals = [1, 1]
-    for n in range(2, n_max):
-        vals.append((3 * (2 * n - 1) * vals[-1] - (n - 2) * vals[-2]) // (n + 1))
-    return vals
-
-
 def test_compositions():
     assert list(compositions(3, 2)) == [(1, 2), (2, 1)]
     assert list(compositions(4, 1)) == [(4,)]
@@ -29,10 +21,10 @@ def test_compositions():
 
 
 def test_counts_match_recurrence():
-    oracle = schroeder_numbers(6)
-    for n in range(1, 7):
-        assert tree_count(n) == oracle[n - 1]
-    assert [tree_count(n) for n in range(1, 7)] == [1, 1, 3, 11, 45, 197]
+    # the little Schroeder numbers, OEIS A001003, for 1..11 leaves
+    assert [tree_count(n) for n in range(1, 12)] == [
+        1, 1, 3, 11, 45, 197, 903, 4279, 20793, 103049, 518859
+    ]
 
 
 def test_count_by_recurrence_matches_the_enumeration():
