@@ -198,12 +198,14 @@ class ComplexContraction:
 class SimplexContraction(ComplexContraction):
     """The complex bundle of the standard simplex of a fixed dimension plus
     its form side.  m_n reads the join rule: f(cut products) on words that
-    span the simplex, the engine of a face's dimension on all others."""
+    span the simplex, the engine of a face's dimension on all others.  Like
+    the cochain zero ``_zero``, the zero form ``zero_A`` is built once."""
 
     def __init__(self, dim: int, koszul_signs: bool = True):
         super().__init__(standard_simplex(dim))
         self.koszul_signs = koszul_signs
         self.top_dim = dim
+        self._zero_A = Form.zero(dim)
 
     # algebra side
     def d_A(self, x: Form) -> Form:
@@ -216,7 +218,7 @@ class SimplexContraction(ComplexContraction):
         return Form.one(self.top_dim)
 
     def zero_A(self) -> Form:
-        return Form.zero(self.top_dim)
+        return self._zero_A
 
     # contraction maps
     def f(self, x: Form) -> Cochain:
@@ -343,12 +345,15 @@ def _sum(zero, parts, den: int = 1):
     return type(zero)._sum(zero._space, parts, den)
 
 
-def _insertions(bundle, ids: tuple[int, ...], outer, zero):
-    """sum_{k,j} +- outer(b_1..b_j, m_k(b_{j+1}..b_{j+k}), ..., b_n), with
-    ``outer`` either _m or _G and ``zero`` its zero.  Each inner m_k is
-    expanded in the cochain basis, whose keys are letter ids, so ``outer``
-    only sees basis words, and its numerators are brought to the common
-    denominator of all inner m_k; the Koszul sign slides the odd m_k past b_1..b_j."""
+def _insertion_parts(bundle, ids: tuple[int, ...], outer):
+    """The parts (p, v) and the denominator den of the insertion sum
+    sum_{k,j} +- outer(b_1..b_j, m_k(b_{j+1}..b_{j+k}), ..., b_n), with
+    ``outer`` either _m or _G: the sum is ``_sum`` of the parts over den.
+    Each inner m_k is expanded in the cochain basis, whose keys are letter
+    ids, so ``outer`` only sees basis words, and its numerators are brought
+    to the common denominator den of all inner m_k; the Koszul sign slides
+    the odd m_k past b_1..b_j.  A zero image is no part: it has denominator
+    1, so it changes neither the sum nor its common denominator."""
     degrees = bundle._degrees
     n = len(ids)
     inner = []  # (sign, j, end, m_k)
@@ -360,13 +365,21 @@ def _insertions(bundle, ids: tuple[int, ...], outer, zero):
             if value:
                 inner.append((sign, j, end, value))
         head_degree += degrees[ids[j]]
-    den = lcm(*(value.den for *_, value in inner))
-    parts = [
-        (sign * coeff * (den // value.den), outer(bundle, ids[:j] + (letter,) + ids[end:]))
-        for sign, j, end, value in inner
-        for letter, coeff in value.num.items()
-    ]
-    return _sum(zero, parts, den)
+    den = lcm(*[value.den for *_, value in inner])
+    parts = []
+    for sign, j, end, value in inner:
+        head, tail, scale = ids[:j], ids[end:], sign * (den // value.den)
+        for letter, coeff in value.num.items():
+            image = outer(bundle, head + (letter,) + tail)
+            if image:
+                parts.append((scale * coeff, image))
+    return parts, den
+
+
+def _insertions(bundle, ids: tuple[int, ...], outer, zero):
+    """The insertion sum of ``_insertion_parts``, in the space of ``zero``,
+    the zero of ``outer``."""
+    return _sum(zero, *_insertion_parts(bundle, ids, outer))
 
 
 def _relation(bundle, ids: tuple[int, ...]):
@@ -475,14 +488,30 @@ def check_a_infinity(bundle, max_arity: int) -> Report:
 
 def check_morphism(bundle, max_arity: int) -> Report:
     """Morphism relations: the algebra-side combination of G components
-    equals the G image of the cochain-side operations, word by word."""
+    equals the G image of the cochain-side operations, word by word.
+
+    Each word is one residual, den (lhs - rhs) for lhs = dG + cut products,
+    rhs the insertion sum and den its common denominator: one ``_sum`` of
+    the nonzero among den dG and den (cut products) and the negated
+    insertion parts.  The word passes when it is empty; d is taken of a
+    nonzero G only, and a word with no nonzero part passes without a sum.
+    Only a failing word forms lhs and rhs, for its counterexample text."""
     report = _letter_report("morphism relations", 1, max_arity, bundle)
+    zero = bundle.zero_A()
 
     def cases(n):
         for word in _words(bundle, n):
-            lhs = bundle.d_A(_G(bundle, word)) + _cut_products(bundle, word)
-            rhs = _insertions(bundle, word, _G, bundle.zero_A())
-            yield None if lhs == rhs else (
+            g = _G(bundle, word)
+            dG = bundle.d_A(g) if g else g
+            cut = _cut_products(bundle, word)
+            parts, den = _insertion_parts(bundle, word, _G)
+            residual = [(den, value) for value in (dG, cut) if value]
+            residual += [(-p, value) for p, value in parts]
+            if not residual or not _sum(zero, residual):
+                yield None
+                continue
+            lhs, rhs = dG + cut, _sum(zero, parts, den)
+            yield (
                 f"word={_word_label(bundle, word)} "
                 f"lhs={bundle.render_A(lhs)} rhs={bundle.render_A(rhs)}"
             )

@@ -10,6 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from simplicial_transfer.cli import main
+from simplicial_transfer.forms import Form
+from simplicial_transfer.rationals import SparseVector
 
 
 def run(capsys, *argv):
@@ -247,6 +249,46 @@ def test_report_is_unchanged(tmp_path, capsys, case, fmt):
     code, out, _ = run(capsys, *argv)
     assert code == (1 if case == "verify-break-signs" else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == _DIGESTS[case, fmt]
+
+
+def _checked_sum(calls):
+    """SparseVector._sum that first asserts its caller's duty, which the
+    kernel does not check: every part is a vector of cls on space."""
+    general = SparseVector._sum.__func__
+
+    def checked(cls, space, parts, den=1):
+        calls.append(cls)
+        for _, v in parts:
+            assert type(v) is cls and v._space == space, (cls.__name__, space, v)
+        return general(cls, space, parts, den)
+
+    return classmethod(checked)
+
+
+_OCTAHEDRON_FILE = str(Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "octahedron.json")
+_GUARDED = {
+    "verify": ("verify", "--dim", "2", "--max-arity", "3"),
+    "verify-break-signs": ("verify", "--dim", "2", "--max-arity", "3", "--break-signs"),
+    "contraction": ("contraction", "--dim", "2"),
+    "interval": ("interval", "--max-arity", "6"),
+    "whitney-octahedron": ("complex", "--file", _OCTAHEDRON_FILE, "whitney-check"),
+}
+
+
+@pytest.mark.parametrize("argv", list(_GUARDED.values()), ids=list(_GUARDED))
+def test_every_sum_is_handed_parts_of_its_own_type_and_space(capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(SparseVector, "_sum", _checked_sum(calls))
+    code, _, err = run(capsys, *argv)
+    assert code == (1 if "--break-signs" in argv else 0) and err == ""
+    assert calls
+
+
+def test_the_sum_guard_flags_a_part_of_another_space(monkeypatch):
+    # the negative control: a 1-form handed to a sum of 2-forms
+    monkeypatch.setattr(SparseVector, "_sum", _checked_sum([]))
+    with pytest.raises(AssertionError):
+        Form._sum(2, [(1, Form.monomial(1, (1,), ()))])
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from simplicial_transfer.cochains import (
     standard_simplex,
 )
 from simplicial_transfer.complexes import OrderedComplex, check_whitney_conditions
-from simplicial_transfer.forms import parse_form
+from simplicial_transfer.forms import Form, parse_form
 from simplicial_transfer.rationals import SparseVector, bernoulli_number, factorial
 from simplicial_transfer import complexes, transfer
 from simplicial_transfer.tensorwords import shuffle
@@ -315,6 +315,25 @@ def test_a_doubled_value_fails_at_the_first_shuffle_counterexample(monkeypatch):
             9,
             False,
             "(x(0)) shuffle (x(0,1), x(0,1)) gives -1/12 t1 + 1/4 t1^2 + -1/6 t1^3",
+        ),
+    ]
+
+
+def test_a_doubled_G_value_fails_the_morphism_record_with_its_text(monkeypatch):
+    # a word is one residual, and only a failing word forms lhs and rhs: the
+    # first word whose insertion sum reads the doubled G_3 fails the arity-3
+    # record with the text recorded while each word compared two forms
+    bundle = SimplexContraction(1)
+    monkeypatch.setattr(transfer, "_G", _doubled_on(transfer._G, bundle, ((0,), (0, 1), (0, 1))))
+    assert _records(check_morphism(bundle, 3)) == [
+        ("morphism relation at arity 1", 3, True, None),
+        ("morphism relation at arity 2", 9, True, None),
+        (
+            "morphism relation at arity 3",
+            3,
+            False,
+            "word=(x(0), x(0), x(0,1)) lhs=-1/2 t1 + 1 t1^2 + -1/2 t1^3 "
+            "rhs=-7/12 t1 + 5/4 t1^2 + -2/3 t1^3",
         ),
     ]
 
@@ -832,6 +851,29 @@ def test_insertions_match_the_sum_over_letters(dim, max_arity, koszul_signs):
             assert _insertions(bundle, id_word, _G, bundle.zero_A()) == (
                 _insertions_by_letters(oracle, word, _trees_G, oracle.zero_A())
             ), word
+
+
+def test_the_insertion_sums_hand_the_kernel_no_zero(monkeypatch):
+    # a zero image is no part of an insertion sum, and a morphism word is one
+    # residual of its nonzero parts, so on the triangle the structure
+    # relations hand Cochain._sum no zero part and the morphism relations
+    # hand Form._sum none (1,278 and 1,326 while every image was a part)
+    general = SparseVector._sum.__func__
+    zeros = {}
+
+    def counted(cls, space, parts, den=1):
+        zeros[cls] = zeros.get(cls, 0) + sum(1 for _, v in parts if not v)
+        return general(cls, space, parts, den)
+
+    monkeypatch.setattr(SparseVector, "_sum", classmethod(counted))
+    bundle = SimplexContraction(2)
+    assert check_a_infinity(bundle, 3).all_passed
+    assert zeros.get(Cochain) == 0
+    zeros.clear()
+    assert check_morphism(bundle, 3).all_passed
+    assert zeros.get(Form) == 0
+    # the algebra zero is stored once, as the cochain zero is
+    assert bundle.zero_A() is bundle.zero_A()
 
 
 def test_the_batteries_negate_no_vector(monkeypatch):
