@@ -218,9 +218,11 @@ def s_operator(a: Form) -> Form:
 
 
 def homotopy_H(a: Form) -> Form:
-    """The contraction homotopy, H = -s, summed from the negated s columns."""
+    """The contraction homotopy, H = -s, summed from the negated nonzero s
+    columns."""
     n = a.dim
-    return Form._sum(n, [(-coeff, _s_monomial(n, key)) for key, coeff in a.num.items()], a.den)
+    columns = ((-coeff, _s_monomial(n, key)) for key, coeff in a.num.items())
+    return Form._sum(n, [(c, column) for c, column in columns if column], a.den)
 
 
 def check_contraction(n: int, max_poly_degree: int) -> Report:

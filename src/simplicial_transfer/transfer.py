@@ -39,11 +39,12 @@ N-dimensional complex live in degrees 0..N.  So the bundle's one hook
 ``vanishes_in_degree`` zeroes a word whose degree lies outside 0..N: 2 plus
 the sum of the letters' shifted degrees for m_k (dim U) and the cut
 products, 1 plus it for G_n.  Such a word builds no face, union or form,
-and no memo stores it.  ``ComplexContraction``, the bundle of a complex,
-reads m_k this way from one standard-simplex engine per dimension, built
-once per process.  The standard n-simplex is a complex too, and
-``SimplexContraction`` is its complex bundle plus the form side: it runs
-f(cut products) only on words that span its own top simplex.
+and no memo stores it.  ``ComplexContraction`` is the cochain side of a
+complex: it reads m_k this way from one standard-simplex engine per
+dimension, built once per process.  The standard n-simplex is a complex
+too, and ``SimplexContraction`` is its complex bundle plus the forms and
+the contraction that G_n and the cut products need: it runs f(cut
+products) only on words that span its own top simplex.
 
 Both m_n and G_n are multilinear, so they are fixed by their values on words
 of basis cochains.  A letter is the position of its simplex in the complex,
@@ -121,30 +122,25 @@ def _face_label(face) -> str:
 
 
 class ComplexContraction:
-    """The contraction data of a complex packaged for the transfer engine: the
+    """The cochain side of a complex packaged for the transfer engine: the
     basis of simplices, the coboundary as m_1, and m_k for k >= 2 by the
     join rule, every union read from the process's standard-simplex
     engines.
 
-    The cochain side is that of the complex, and the engine reads it
-    directly: ``coboundary``, the stored zero ``_zero``, the unit
-    ``Cochain.unit`` that f(1) must equal, the simplices of the complex and
-    ``format_cochain``.  A cochain is keyed by the position of its simplex,
-    so its keys are letter ids; one hook, ``letter``, gives the basis
-    cochain of a letter id.  For the batteries and G_n the engine reads the
-    algebra side (``d_A``, ``wedge_A``, ``one_A``, ``zero_A``), the
-    contraction (``f``, ``g``, ``H``) and ``render_A``, which
-    ``SimplexContraction`` adds with the forms of the standard simplex.
-    Values on both sides offer the integer linear combination ``_sum`` of
-    ``SparseVector``, and the engine reads the numerators of cochains.
+    The engine reads the cochain side directly: ``coboundary``, the stored
+    zero ``_zero``, the unit ``Cochain.unit``, the simplices of the complex
+    and ``format_cochain``.  A cochain is keyed by the position of its
+    simplex, so its keys are letter ids; one hook, ``letter``, gives the
+    basis cochain of a letter id.  The engine sums cochains by the
+    ``SparseVector`` kernel ``_sum`` and reads their numerators.
 
     A letter is the position of its simplex in the complex: ``_faces`` and
     ``_ids`` are the complex's own ``simplices`` and ``index``, and
     ``_degrees`` holds each letter's shifted degree, which drives signs.
-    G_n, m_n and the cut products are memoised per word of ids.  The hook
-    ``m_word`` gives m_n for n >= 2, here by the join rule (module
-    docstring), and ``vanishes_in_degree`` is the zero rule (module
-    docstring), with ``dim`` the top dimension of the complex.
+    m_n is memoised per word of ids.  The hook ``m_word`` gives m_n for
+    n >= 2, here by the join rule (module docstring), and
+    ``vanishes_in_degree`` is the zero rule (module docstring), with
+    ``dim`` the top dimension of the complex.
 
     ``koszul_signs = False`` drops the Koszul sign with which the insertion
     sums of the batteries slide an inner m_k past the letters before it.
@@ -154,7 +150,6 @@ class ComplexContraction:
     """
 
     koszul_signs = True
-    top_dim = None  # no simplex of a complex is computed through forms
 
     def __init__(self, complex_: OrderedComplex):
         self.complex = complex_
@@ -163,20 +158,7 @@ class ComplexContraction:
         self._faces = complex_.simplices
         self._ids = complex_.index
         self._degrees = [len(face) - 2 for face in self._faces]
-        self._memo_G: dict = {}
         self._memo_m: dict = {}
-        self._memo_cut: dict = {}
-
-    def m_A(self, degrees, values):
-        """The algebra-side operation of a tree vertex, of arity >= 2: the
-        signed product, and zero from arity 3 on."""
-        if len(values) == 2:
-            prod = self.wedge_A(values[0], values[1])
-            return prod if degrees[0] % 2 else -prod
-        return self.zero_A()
-
-    def unit_B(self):
-        return self.f(self.one_A())
 
     def m_word(self, ids: tuple[int, ...]) -> Cochain:
         """m_n on a basis word of n >= 2 ids, by the join rule."""
@@ -197,15 +179,22 @@ class ComplexContraction:
 
 class SimplexContraction(ComplexContraction):
     """The complex bundle of the standard simplex of a fixed dimension plus
-    its form side.  m_n reads the join rule: f(cut products) on words that
-    span the simplex, the engine of a face's dimension on all others.  Like
-    the cochain zero ``_zero``, the zero form ``zero_A`` is built once."""
+    its form side: the polynomial forms of the simplex (``d_A``,
+    ``wedge_A``, ``one_A``, ``zero_A``, the tree vertex ``m_A``), the
+    contraction (``f``, ``g``, ``H``), the unit f(1) (``unit_B``) and
+    ``render_A``.  G_n and the cut products are memoised per word of ids.
+    m_n reads the join rule: f(cut products) on words that span the
+    simplex, the engine of a face's dimension on all others.  Like the
+    cochain zero ``_zero``, the zero form ``zero_A`` is built once.  Each
+    map calls its module function by name, so a traced run sees every
+    kernel call."""
 
     def __init__(self, dim: int, koszul_signs: bool = True):
         super().__init__(standard_simplex(dim))
         self.koszul_signs = koszul_signs
-        self.top_dim = dim
         self._zero_A = Form.zero(dim)
+        self._memo_G: dict = {}
+        self._memo_cut: dict = {}
 
     # algebra side
     def d_A(self, x: Form) -> Form:
@@ -214,8 +203,16 @@ class SimplexContraction(ComplexContraction):
     def wedge_A(self, x: Form, y: Form) -> Form:
         return wedge(x, y)
 
+    def m_A(self, degrees, values):
+        """The algebra-side operation of a tree vertex, of arity >= 2: the
+        signed product, and zero from arity 3 on."""
+        if len(values) == 2:
+            prod = self.wedge_A(values[0], values[1])
+            return prod if degrees[0] % 2 else -prod
+        return self.zero_A()
+
     def one_A(self) -> Form:
-        return Form.one(self.top_dim)
+        return Form.one(self.dim)
 
     def zero_A(self) -> Form:
         return self._zero_A
@@ -230,6 +227,9 @@ class SimplexContraction(ComplexContraction):
     def H(self, x: Form) -> Form:
         return homotopy_H(x)
 
+    def unit_B(self) -> Cochain:
+        return self.f(self.one_A())
+
     def render_A(self, value) -> str:
         return format_form(value)
 
@@ -241,13 +241,14 @@ def _cut_products(bundle, ids: tuple[int, ...]):
     """sum_{i=1}^{n-1} m_2(G(ids[:i]), G(ids[i:])), the sum over all trees
     of the value just below the root: only binary vertices contribute, so
     the root cuts the word once.  The right block is evaluated only where
-    the left one is nonzero.  Each m_2(x, y) = (-1)^{|x|+1} x ^ y, for the
-    shifted degree |x| of the left block, is a part whose coefficient is
-    that sign, and the parts are summed by one ``_sum``.  m_n, G_n and the
-    morphism battery share it.  A word that the zero rule (module docstring)
-    zeroes at their own degree is answered with zero and stored nowhere.
-    The degree of G_n, one less, does not serve: on the interval G(t, t) is
-    zero, while its cut product is t^2."""
+    the left one is nonzero.  Each nonzero m_2(x, y) = (-1)^{|x|+1} x ^ y,
+    for the shifted degree |x| of the left block, is a part whose
+    coefficient is that sign, and the parts are summed by one ``_sum``; a
+    product that cancels is no part.  m_n, G_n and the morphism battery
+    share it.  A word that the zero rule (module docstring) zeroes at their
+    own degree is answered with zero and stored nowhere.  The degree of
+    G_n, one less, does not serve: on the interval G(t, t) is zero, while
+    its cut product is t^2."""
     if ids in bundle._memo_cut:
         return bundle._memo_cut[ids]
     degrees = bundle._degrees
@@ -261,8 +262,8 @@ def _cut_products(bundle, ids: tuple[int, ...]):
         if not left:
             continue
         right = _G(bundle, ids[cut:])
-        if right:
-            parts.append((1 if left_degree % 2 else -1, bundle.wedge_A(left, right)))
+        if right and (wedged := bundle.wedge_A(left, right)):
+            parts.append((1 if left_degree % 2 else -1, wedged))
     total = bundle._memo_cut[ids] = _sum(bundle.zero_A(), parts)
     return total
 
@@ -313,9 +314,9 @@ def _positions(sub: tuple[int, ...], ambient: tuple[int, ...]) -> tuple[int, ...
 def _join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
     """m_k, k >= 2, on a basis word by the join rule (module docstring): zero
     unless the union U of the supports is a simplex of the bundle's complex
-    of the right dimension; f(cut products) when U is the bundle's own top
-    simplex; otherwise mu * e_U with mu read from the engine of dimension
-    dim U.
+    of the right dimension; f(cut products) when the bundle is a simplex
+    bundle and U its top simplex; otherwise mu * e_U with mu read from the
+    engine of dimension dim U.
 
     The dimension U must have, sum_j dim F_j + 2 - k, is the degree that
     ``_m`` hands to ``vanishes_in_degree`` first, so a word that the zero
@@ -329,7 +330,7 @@ def _join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
     position = bundle._ids.get(union) if len(union) == n + 1 else None
     if position is None:
         return zero
-    if n == bundle.top_dim:
+    if n == bundle.dim and isinstance(bundle, SimplexContraction):
         return bundle.f(_cut_products(bundle, ids))
     engine = _engine(n)
     local = tuple(engine._ids[_positions(face, union)] for face in faces)
@@ -376,15 +377,10 @@ def _insertion_parts(bundle, ids: tuple[int, ...], outer):
     return parts, den
 
 
-def _insertions(bundle, ids: tuple[int, ...], outer, zero):
-    """The insertion sum of ``_insertion_parts``, in the space of ``zero``,
-    the zero of ``outer``."""
-    return _sum(zero, *_insertion_parts(bundle, ids, outer))
-
-
 def _relation(bundle, ids: tuple[int, ...]):
-    """Left side of the structure relation on a basis word."""
-    return _insertions(bundle, ids, _m, bundle._zero)
+    """Left side of the structure relation on a basis word: the insertion
+    sum of ``_insertion_parts`` with m as the outer operation."""
+    return _sum(bundle._zero, *_insertion_parts(bundle, ids, _m))
 
 
 def _multilinear(bundle, word: tuple[Cochain, ...], op, zero):
@@ -608,15 +604,17 @@ def check_c_infinity(bundle, max_arity: int) -> Report:
 def check_unital(bundle, max_arity: int) -> Report:
     """Unit laws for the transferred structure, with unit e = f(1).  e
     enters a word through its keys, which are letter ids, so each unit word
-    is a sum of numerator times the value on a basis word: a unit slot in
-    a word of the arity-(n - 1) sweep, and the binary laws sweep arity 1."""
+    is a sum of numerator times the nonzero values on basis words: a unit
+    slot in a word of the arity-(n - 1) sweep, and the binary laws sweep
+    arity 1."""
     e = bundle.unit_B()
     unit = e.num.items()
     e_label = _face_label(*e.terms) if e.den == 1 and list(e.num.values()) == [1] else repr(e)
     report = _letter_report("unitality", 1, max_arity, bundle)
 
     def on_unit(op, zero, head=(), tail=()):
-        return _sum(zero, [(n, op(bundle, head + (u,) + tail)) for u, n in unit], e.den)
+        images = ((n, op(bundle, head + (u,) + tail)) for u, n in unit)
+        return _sum(zero, [(n, image) for n, image in images if image], e.den)
 
     def binary_cases():
         zero = bundle._zero

@@ -18,7 +18,12 @@ from itertools import combinations
 from simplicial_transfer.cochains import Cochain, OrderedComplex, include_g, standard_simplex
 from simplicial_transfer.contraction import homotopy_H
 from simplicial_transfer.forms import Form, differential, format_form, wedge
-from simplicial_transfer.transfer import ComplexContraction, _cut_products, _positions
+from simplicial_transfer.transfer import (
+    ComplexContraction,
+    SimplexContraction,
+    _cut_products,
+    _positions,
+)
 
 from helpers import face_restrict, integrate_top
 
@@ -160,7 +165,15 @@ class GlobalFormContraction(ComplexContraction):
     """The levelwise contraction on a complex as the complex bundle plus
     global-form maps, with m_n read by the form route, f of the cut
     products, on every word; the basis letters are the indicator cochains
-    of the closure."""
+    of the closure.  The tree vertex and the unit are the simplex bundle's."""
+
+    m_A = SimplexContraction.m_A
+    unit_B = SimplexContraction.unit_B
+
+    def __init__(self, complex_: OrderedComplex):
+        super().__init__(complex_)
+        self._memo_G: dict = {}
+        self._memo_cut: dict = {}
 
     def m_word(self, ids: tuple[int, ...]) -> Cochain:
         return self.f(_cut_products(self, ids))

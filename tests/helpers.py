@@ -34,7 +34,15 @@ from simplicial_transfer.forms import (
 )
 from simplicial_transfer.rationals import SparseVector, exact, factorial, parse_rational, rational_str
 from simplicial_transfer.reporting import Report
-from simplicial_transfer.transfer import _cut_products, _engine, _m, _multilinear, _positions, _relation
+from simplicial_transfer.transfer import (
+    SimplexContraction,
+    _cut_products,
+    _engine,
+    _m,
+    _multilinear,
+    _positions,
+    _relation,
+)
 from simplicial_transfer.trees import _check_inputs, _eval_vertex
 
 
@@ -258,7 +266,7 @@ def union_first_join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
         return zero
     if union not in bundle.complex.index:
         return zero
-    if n == bundle.top_dim:
+    if n == bundle.dim and isinstance(bundle, SimplexContraction):
         return bundle.f(_cut_products(bundle, ids))
     engine = _engine(n)
     local = tuple(engine._ids[_positions(face, union)] for face in faces)

@@ -252,6 +252,21 @@ def test_the_zero_rule_is_one_hook():
     assert owners == ["ComplexContraction"]
 
 
+def test_the_complex_bundle_keeps_only_the_cochain_side():
+    # one dimension, and the form side (forms, contraction maps, the tree
+    # vertex and the unit f(1)) is defined on the simplex bundle alone
+    sources = _package_sources()
+    assert not [module for module, tree in sources.items() if "top_dim" in ast.dump(tree)]
+    classes = {
+        node.name: {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        for node in ast.walk(sources["transfer"])
+        if isinstance(node, ast.ClassDef)
+    }
+    form_side = {"m_A", "unit_B", "d_A", "wedge_A", "one_A", "zero_A", "f", "g", "H", "render_A"}
+    assert not classes["ComplexContraction"] & form_side
+    assert form_side <= classes["SimplexContraction"]
+
+
 def test_the_package_exports_no_koszul_sign():
     # tree evaluation needs no slotwise sign, so the helper lives in the tests
     assert not hasattr(simplicial_transfer, "koszul_sign")

@@ -20,9 +20,10 @@ from simplicial_transfer.transfer import (
     ComplexContraction,
     SimplexContraction,
     _G,
-    _insertions,
+    _insertion_parts,
     _m,
     _multilinear,
+    _sum,
     check_a_infinity,
     check_c_infinity,
     check_morphism,
@@ -848,32 +849,34 @@ def test_insertions_match_the_sum_over_letters(dim, max_arity, koszul_signs):
             assert relation_value(bundle, word) == _insertions_by_letters(
                 oracle, word, transferred_m_trees, oracle._zero
             ), word
-            assert _insertions(bundle, id_word, _G, bundle.zero_A()) == (
+            assert _sum(bundle.zero_A(), *_insertion_parts(bundle, id_word, _G)) == (
                 _insertions_by_letters(oracle, word, _trees_G, oracle.zero_A())
             ), word
 
 
 def test_the_insertion_sums_hand_the_kernel_no_zero(monkeypatch):
-    # a zero image is no part of an insertion sum, and a morphism word is one
-    # residual of its nonzero parts, so on the triangle the structure
-    # relations hand Cochain._sum no zero part and the morphism relations
-    # hand Form._sum none (1,278 and 1,326 while every image was a part)
+    # a zero image is no part of an insertion sum or a unit word, a cut
+    # product that cancels and a zero s column are no part either, and a
+    # morphism word is one residual of its nonzero parts; so no battery
+    # hands Cochain._sum or Form._sum a zero part (on the triangle the unit
+    # laws alone handed them 405 and 321 while every image was a part)
     general = SparseVector._sum.__func__
-    zeros = {}
+    calls, zeros = {}, {}
 
     def counted(cls, space, parts, den=1):
+        calls[cls] = calls.get(cls, 0) + 1
         zeros[cls] = zeros.get(cls, 0) + sum(1 for _, v in parts if not v)
         return general(cls, space, parts, den)
 
     monkeypatch.setattr(SparseVector, "_sum", classmethod(counted))
-    bundle = SimplexContraction(2)
-    assert check_a_infinity(bundle, 3).all_passed
-    assert zeros.get(Cochain) == 0
-    zeros.clear()
-    assert check_morphism(bundle, 3).all_passed
-    assert zeros.get(Form) == 0
-    # the algebra zero is stored once, as the cochain zero is
-    assert bundle.zero_A() is bundle.zero_A()
+    for dim in (2, 3):
+        bundle = SimplexContraction(dim)
+        for battery in (check_a_infinity, check_morphism, check_c_infinity, check_unital):
+            assert battery(bundle, 3).all_passed
+            assert zeros == {cls: 0 for cls in zeros}, (dim, battery.__name__)
+        assert calls.pop(Cochain, 0) and calls.pop(Form, 0)
+        # the algebra zero is stored once, as the cochain zero is
+        assert bundle.zero_A() is bundle.zero_A()
 
 
 def test_the_batteries_negate_no_vector(monkeypatch):
