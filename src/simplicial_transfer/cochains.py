@@ -252,12 +252,12 @@ def _face_integrals(dim: int, key: int) -> Cochain:
 
 
 def project_f(a: Form) -> Cochain:
-    """Integrate over every face: the cochain side of the contraction."""
+    """Integrate over every face: the cochain side of the contraction,
+    summed from the nonzero face-integral columns."""
     dim = a.dim
+    columns = ((coeff, _face_integrals(dim, key)) for key, coeff in a.num.items())
     return Cochain._sum(
-        standard_simplex(dim),
-        [(coeff, _face_integrals(dim, key)) for key, coeff in a.num.items()],
-        a.den,
+        standard_simplex(dim), [(c, column) for c, column in columns if column], a.den
     )
 
 

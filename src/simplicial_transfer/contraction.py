@@ -61,7 +61,10 @@ columns of each monomial once for all of its sweeps.  Each identity on a
 monomial is one integer residual, its parts summed unreduced over a common
 denominator and tested for emptiness, so no side of it is built as a
 reduced Form: g f m and s d m are read from the g and s columns of the
-keys of f m and d m, and eval_i(m) is the entry of f m at the vertex i.
+keys of f m and d m, eval_i(m) is the entry of f m at the vertex i, and
+d s m and d h^i m are added into the residual by the raw kernel
+``forms._d_into`` from the numerators of the cached s and h^i columns.  So
+d builds a Form only for each monomial's own d m.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ from .forms import (
     _LOW,
     _OVERFLOW,
     Form,
+    _d_into,
     _guard,
     _sort_sign,
     _unpack,
@@ -212,9 +216,11 @@ def _s_fused(n: int, key: int) -> Form:
 
 
 def s_operator(a: Form) -> Form:
-    """Dupont's degree-lowering operator s_n; s_0 = 0."""
+    """Dupont's degree-lowering operator s_n, summed from the nonzero s
+    columns; s_0 = 0."""
     n = a.dim
-    return Form._sum(n, [(coeff, _s_monomial(n, key)) for key, coeff in a.num.items()], a.den)
+    columns = ((coeff, _s_monomial(n, key)) for key, coeff in a.num.items())
+    return Form._sum(n, [(c, column) for c, column in columns if column], a.den)
 
 
 def homotopy_H(a: Form) -> Form:
@@ -223,6 +229,16 @@ def homotopy_H(a: Form) -> Form:
     n = a.dim
     columns = ((-coeff, _s_monomial(n, key)) for key, coeff in a.num.items())
     return Form._sum(n, [(c, column) for c, column in columns if column], a.den)
+
+
+def _less_d(n: int, parts, scale: int, a: Form) -> dict:
+    """The numerators of (sum of p * v) - scale * d(a), for the pairs (p, v)
+    of an int p and a form v on the n-simplex, over a common denominator and
+    not reduced: the parts are brought over den(a), so d adds the raw
+    numerators of a."""
+    out, common = _linear([(p * a.den, v) for p, v in parts])
+    _d_into(out, n, a.num, -scale * common)
+    return out
 
 
 def check_contraction(n: int, max_poly_degree: int) -> Report:
@@ -254,7 +270,7 @@ def check_contraction(n: int, max_poly_degree: int) -> Report:
             cochain = Cochain._trusted(simplex, {position: 1})
             yield None if predicate(cochain) else f"basis cochain of face {face}"
 
-    # Each identity is one residual, summed unreduced by _linear and failed
+    # Each identity is one residual, summed unreduced by _less_d and failed
     # exactly when a numerator survives.  A row is a basis monomial (one key,
     # coefficient 1 over 1): its s, f and h^i images are the cached columns
     # of its key, and eval_i(m) is the entry of f m at the vertex i, the
@@ -262,12 +278,13 @@ def check_contraction(n: int, max_poly_degree: int) -> Report:
     def homotopy_cases():
         for m, _, dm, sm, fm in rows:
             # (1 - g f - d s - s d) times den(f m) den(d m): g f m and s d m
-            # read the g and s columns of the keys of f m and d m
+            # read the g and s columns of the keys of f m and d m, and d s m
+            # is taken from the s column of m
             scale = fm.den * dm.den
-            parts = [(scale, m), (-scale, differential(sm))]
+            parts = [(scale, m)]
             parts += [(-c * dm.den, _elementary_form(faces[p], n)) for p, c in fm.num.items()]
             parts += [(-c * fm.den, _s_monomial(n, k)) for k, c in dm.num.items()]
-            yield format_form(m) if _linear(parts)[0] else None
+            yield format_form(m) if _less_d(n, parts, scale, sm) else None
 
     def zero_cases(op):
         for m, _, _, sm, _ in rows:
@@ -276,12 +293,12 @@ def check_contraction(n: int, max_poly_degree: int) -> Report:
     def poincare_cases(vertex):
         one = Form.one(n)
         for m, key, dm, _, fm in rows:
-            # (1 - eval_i - d h^i - h^i d) times den(f m) den(d m)
+            # (1 - eval_i - d h^i - h^i d) times den(f m) den(d m), d h^i m
+            # taken from the h^i column of m
             scale = fm.den * dm.den
-            dh = differential(_h_monomial(n, vertex, key))
-            parts = [(scale, m), (-scale, dh), (-dm.den * fm.num.get(vertex, 0), one)]
+            parts = [(scale, m), (-dm.den * fm.num.get(vertex, 0), one)]
             parts += [(-c * fm.den, _h_monomial(n, vertex, k)) for k, c in dm.num.items()]
-            yield format_form(m) if _linear(parts)[0] else None
+            yield format_form(m) if _less_d(n, parts, scale, _h_monomial(n, vertex, key)) else None
 
     report.check(
         "f o g = 1 on the cochain basis",

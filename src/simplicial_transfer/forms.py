@@ -24,9 +24,13 @@ bit, with the parity of the mask bits below it as its sign.
 
 Coefficients are exact rationals, stored as integer numerators over one
 denominator per form in lowest terms (``SparseVector``), so wedge and d
-multiply ints and reduce once; zero terms are never stored, and reordering
-of dt factors is resolved into a sign at construction time; equality of
-forms is therefore literal equality of numerator maps and denominators.
+multiply ints and reduce once.  Both are raw kernels, ``_wedge_into`` and
+``_d_into``, that add a scaled result into a dict of numerators, so a
+residual can take a product or a d without building it as a Form;
+``wedge`` and ``differential`` wrap them for one Form.  Zero terms are
+never stored, and reordering of dt factors is resolved into a sign at
+construction time; equality of forms is therefore literal equality of
+numerator maps and denominators.
 The checking constructor takes keys as pairs (exponent tuple, ascending dt
 index tuple) and packs them, and ``Form.terms`` unpacks, so the public view
 and every rendering keep the pair form.
@@ -229,11 +233,21 @@ def _wedge_into(out: dict, dim: int, a_num: dict, b_num: dict, scale: int) -> No
 
 def differential(a: Form) -> Form:
     """Graded Leibniz extension of d(t_i) = dt_i, d(dt_i) = 0."""
-    dim = a.dim
-    shift = FIELD * dim
     out: dict[int, int] = {}
-    for key, coeff in a.num.items():
+    _d_into(out, a.dim, a.num, 1)
+    return Form._reduced(a.dim, out, a.den)
+
+
+def _d_into(out: dict, dim: int, num: dict, scale: int) -> None:
+    """Add scale * d(num) into out, for the numerator map of a form on the
+    dim-simplex, dropping keys whose sum cancels to zero; a zero scale adds
+    nothing."""
+    if not scale:
+        return
+    shift = FIELD * dim
+    for key, coeff in num.items():
         mask = key >> shift
+        coeff *= scale
         for j in range(dim):  # the field and mask bit of t_{j+1}
             e = (key >> (FIELD * j)) & _LOW
             if not e or mask >> j & 1:
@@ -250,7 +264,6 @@ def differential(a: Form) -> Form:
                     del out[new]
                     continue
             out[new] = value
-    return Form._reduced(dim, out, a.den)
 
 
 def _check_face(face: tuple[int, ...], dim: int) -> tuple[int, ...]:

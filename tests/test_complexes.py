@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplicial_transfer import complexes
+from simplicial_transfer import cochains, complexes, transfer
 from simplicial_transfer.cochains import (
     Cochain,
     ComplexFormatError,
@@ -25,7 +25,7 @@ from simplicial_transfer.complexes import (
     load_cochain,
 )
 from simplicial_transfer.forms import parse_form, wedge
-from simplicial_transfer.rationals import factorial
+from simplicial_transfer.rationals import _accumulate, factorial
 from simplicial_transfer.transfer import (
     ComplexContraction,
     _cut_products,
@@ -160,24 +160,24 @@ def test_whitney_conditions():
         assert report.all_passed, report.to_text()
 
 
-def test_doubled_cup_fails_at_the_first_counterexample(monkeypatch):
-    # the product doubled whenever its left factor touches an edge; each
-    # record counts the pairs up to and including its first failure
-    def doubled(a, b):
-        value = cup(a, b)
-        return 2 * value if any(len(s) == 2 for s in a.terms) else value
+_SIGNED_M2 = complexes._signed_m2
+LEIBNIZ = "coboundary is a signed derivation of the product"
 
-    monkeypatch.setattr(complexes, "cup", doubled)
+
+def test_doubled_cup_fails_at_the_first_counterexample(monkeypatch):
+    # the product doubled whenever its left letter is an edge; each record
+    # counts the pairs up to and including its first failure
+    def doubled(bundle, ids):
+        value = _SIGNED_M2(bundle, ids)
+        return 2 * value if len(bundle._faces[ids[0]]) == 2 else value
+
+    monkeypatch.setattr(complexes, "_signed_m2", doubled)
     report = check_whitney_conditions(DELTA2)
     assert [(c.name, c.basis_size, c.counterexample) for c in report.checks if not c.passed] == [
-        ("coboundary is a signed derivation of the product", 1, "delta(x(0) cup x(0)) mismatch"),
+        (LEIBNIZ, 1, "delta(x(0) cup x(0)) mismatch"),
         ("constant 0-cochain is the identity", 4, "unit law fails on x(0,1)"),
         ("product is graded commutative", 4, "x(0) cup x(0,1) not graded commutative"),
     ]
-
-
-_SIGNED_M2 = complexes._signed_m2
-LEIBNIZ = "coboundary is a signed derivation of the product"
 
 
 def _halved_on_two_edges(bundle, ids):
@@ -217,17 +217,68 @@ def test_a_broken_product_fails_the_leibniz_residual(monkeypatch, signed_m2, com
 
 def test_a_product_off_the_common_star_fails_locality(monkeypatch):
     # x(0) cup x(0) moved to the edge (1,2), which lies outside the star of
-    # vertex 0; the Leibniz record, which reads the same table, fails too
-    def moved(a, b):
-        vertex = chi(a.complex, 0)
-        return chi(a.complex, 1, 2) if a == b == vertex else cup(a, b)
+    # vertex 0; the Leibniz record and the unit law, which read the same
+    # table, fail too
+    def moved(bundle, ids):
+        vertex = bundle._ids[(0,)]
+        if ids == (vertex, vertex):
+            return bundle.letter(bundle._ids[(1, 2)])
+        return _SIGNED_M2(bundle, ids)
 
-    monkeypatch.setattr(complexes, "cup", moved)
+    monkeypatch.setattr(complexes, "_signed_m2", moved)
     report = check_whitney_conditions(DELTA2)
     assert [(c.name, c.basis_size, c.counterexample) for c in report.checks if not c.passed] == [
         ("product is supported on common stars", 1, "x(0) cup x(0) leaves the common star"),
         (LEIBNIZ, 1, "delta(x(0) cup x(0)) mismatch"),
+        ("constant 0-cochain is the identity", 1, "unit law fails on x(0)"),
     ]
+
+
+def test_a_flipped_coface_sign_fails_the_leibniz_residual(monkeypatch):
+    # the residual adds -delta(s cup t) from the coface lists of its terms;
+    # flip the sign of the first coface of each simplex there, and only
+    # there, and Leibniz fails at its first pair with a nonzero coboundary
+    def flipped(out, terms, scale):
+        terms = [(p, -c if i == 0 else c) for i, (p, c) in enumerate(terms)]
+        _accumulate(out, terms, scale)
+
+    monkeypatch.setattr(complexes, "_accumulate", flipped)
+    report = check_whitney_conditions(_copy(OCTAHEDRON))
+    assert [(c.name, c.basis_size, c.counterexample) for c in report.checks if not c.passed] == [
+        (LEIBNIZ, 1, "delta(x(0) cup x(0)) mismatch"),
+    ]
+
+
+def _copy(complex_):
+    """An equal complex built apart, so its bundle starts with cold memos."""
+    return OrderedComplex(complex_.vertices, complex_.maximal)
+
+
+@pytest.mark.parametrize("complex_", [OCTAHEDRON, TORUS], ids=["octahedron", "torus"])
+def test_the_whitney_check_reads_one_product_table(monkeypatch, complex_):
+    # every record reads the table of the signed m_2 on letter ids: no cochain
+    # goes through cup or the multilinear expansion, and the coboundary runs
+    # only for the letters of the certificate, far fewer than the letter
+    # pairs; each name is counted in every module that binds it
+    calls = {"cup": 0, "_multilinear": 0, "coboundary": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, count)
+
+    for name in calls:
+        for module in (cochains, complexes, transfer):
+            if hasattr(module, name):
+                counted(module, name)
+    complex_ = _copy(complex_)
+    assert check_whitney_conditions(complex_).all_passed
+    assert calls["cup"] == calls["_multilinear"] == 0
+    assert calls["coboundary"] < len(complex_.simplices) ** 2
 
 
 def test_an_equal_complex_built_apart_gets_its_own_bundle():

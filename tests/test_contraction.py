@@ -19,6 +19,8 @@ from simplicial_transfer.forms import (
     parse_form,
 )
 
+from simplicial_transfer.rationals import SparseVector
+
 from helpers import face_restrict, form_route_contraction
 
 
@@ -251,6 +253,33 @@ def test_the_battery_builds_no_form_per_side(cold_caches, monkeypatch):
     monkeypatch.setattr(contraction, "h_operator", refuse)
     report = check_contraction(3, 2)
     assert len(report.checks) == 10 and report.all_passed
+
+
+def test_the_battery_hands_the_kernel_no_zero(monkeypatch):
+    # a zero face-integral column of f and a zero s column are no part of
+    # their sums (in check_contraction(3, 4) f handed _sum 895 zero columns
+    # and s 294 while every column was a part)
+    general = SparseVector._sum.__func__
+    zeros = []
+
+    def counted(cls, space, parts, den=1):
+        zeros.extend(v for _, v in parts if not v)
+        return general(cls, space, parts, den)
+
+    monkeypatch.setattr(SparseVector, "_sum", classmethod(counted))
+    assert check_contraction(3, 4).all_passed
+    assert len(zeros) == 0
+
+
+def test_d_builds_a_form_only_for_each_row(monkeypatch):
+    # d s m and d h^i m are added into their residuals from the numerators
+    # of the cached columns, so differential runs once per basis monomial,
+    # for its own d m
+    calls = []
+    monkeypatch.setattr(contraction, "differential", lambda a: calls.append(a) or differential(a))
+    report = check_contraction(3, 2)
+    assert report.all_passed and report.checks[1].basis_size == 80
+    assert len(calls) == 80 and all(len(a.num) == 1 for a in calls)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fraction_oracle as oracle
 from simplicial_transfer.cochains import Cochain, include_g, project_f, standard_simplex
 from simplicial_transfer.contraction import h_operator, s_operator
-from simplicial_transfer.forms import Form, _pack, _unpack, differential, wedge
+from simplicial_transfer.forms import Form, _d_into, _pack, _unpack, differential, wedge
 
 from helpers import homogeneous_degree
 
@@ -85,6 +85,38 @@ def test_form_kernels_equal_the_fraction_oracle(pair):
     for result, expected in cases:
         assert dict(result.terms) == expected
         assert _canonical(result)
+
+
+@settings(max_examples=100, deadline=None)
+@given(form_pairs(), st.integers(-6, 6).filter(bool), st.data())
+def test_raw_d_adds_a_scaled_d(pair, scale, data):
+    # into an empty dict _d_into gives scale * d(a) over den(a); into a dict
+    # that holds the numerators of b and of -scale * d(head) for some terms
+    # head of a, the keys of d(head) cancel and drop out, leaving b plus
+    # scale * d of the other terms
+    a, b = pair
+    n = a.dim
+    out = {}
+    _d_into(out, n, a.num, scale)
+    assert 0 not in out.values()
+    result = Form._reduced(n, dict(out), a.den)
+    assert result == scale * differential(a)
+    assert dict(result.terms) == {k: scale * v for k, v in oracle.differential(a.terms).items()}
+
+    cut = data.draw(st.integers(0, len(a.num)))
+    head = dict(list(a.num.items())[:cut])
+    filled = dict(b.num)
+    _d_into(filled, n, head, -scale)
+    _d_into(filled, n, a.num, scale)
+    assert 0 not in filled.values()
+    tail = Form._reduced(n, dict(list(a.num.items())[cut:]), a.den)
+    expected = dict(Form._reduced(n, dict(b.num), a.den).terms)
+    for key, value in oracle.differential(tail.terms).items():
+        oracle._add(expected, key, scale * value)
+    assert dict(Form._reduced(n, filled, a.den).terms) == expected
+    # and with no b and every term of a in head, every key drops out
+    _d_into(out, n, a.num, -scale)
+    assert out == {}
 
 
 @settings(max_examples=40, deadline=None)
