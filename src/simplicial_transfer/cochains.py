@@ -59,10 +59,10 @@ class OrderedComplex:
     nonempty face of every listed simplex, sorted by dimension and then
     lexicographically.  ``index`` maps each simplex to its position there.
     ``maximal`` keeps the listed simplices that are no face of another, in
-    the order they were listed.
+    the order they were listed.  Its one cache is the coface table.
     """
 
-    __slots__ = ("vertices", "maximal", "simplices", "index", "_cofaces", "_bundle")
+    __slots__ = ("vertices", "maximal", "simplices", "index", "_cofaces")
 
     def __init__(self, vertices, maximal):
         vertices = tuple(vertices)
@@ -89,7 +89,6 @@ class OrderedComplex:
         object.__setattr__(self, "simplices", simplices)
         object.__setattr__(self, "index", {s: i for i, s in enumerate(simplices)})
         object.__setattr__(self, "_cofaces", None)
-        object.__setattr__(self, "_bundle", None)  # filled by complexes._bundle
 
     def __setattr__(self, name, value):
         raise AttributeError("OrderedComplex is immutable")
@@ -121,19 +120,6 @@ class OrderedComplex:
             table = [tuple(c) for c in lists]
             object.__setattr__(self, "_cofaces", table)
         return table
-
-    def star(self, positions) -> set[int]:
-        """The positions of all simplices having the simplex at one of the
-        given positions as a face, found by walking up the coface table."""
-        found = set(positions)
-        cofaces = self.cofaces()
-        frontier = list(found)
-        while frontier:
-            for coface, _ in cofaces[frontier.pop()]:
-                if coface not in found:
-                    found.add(coface)
-                    frontier.append(coface)
-        return found
 
     def __repr__(self) -> str:
         return f"OrderedComplex(vertices={list(self.vertices)}, maximal={[list(m) for m in self.maximal]})"

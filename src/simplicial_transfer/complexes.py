@@ -9,10 +9,11 @@ Dupont's homotopy H are levelwise and natural for face inclusions (Dupont
 for k >= 2, m_k on basis cochains e_{F_1}, ..., e_{F_k} is mu * e_U on the
 union U of their supports, zero unless U is a simplex of the right
 dimension, with mu read from the standard simplex of dimension dim U (the
-join rule of ``transfer``).  ``cup`` and the product conditions share one
-``ComplexContraction`` per complex object, kept on the complex, which holds
-the memos of those reads, and read cochains and key tables by letter id as
-the engine does; the transferred operations on any word of cochains are
+join rule of ``transfer``).  ``cup`` and the product conditions each build
+one ``ComplexContraction`` of their complex, which memoises m_k per word
+(the reads of mu stay memoised per process in the standard-simplex
+engines), and read cochains and key tables by letter id as the engine
+does; the transferred operations on any word of cochains are
 ``transfer.transferred_m`` on ``ComplexContraction(K)``.
 
 The product f(ga ^ gb) = (-1)^{deg a} m_2(a, b) is the arity-2 case, summed
@@ -64,16 +65,6 @@ __all__ = [
 ]
 
 
-def _bundle(complex_: OrderedComplex) -> ComplexContraction:
-    """The cochain-side bundle of a complex object, built on first use and
-    kept in its slot, so an equal complex built apart gets its own."""
-    bundle = complex_._bundle
-    if bundle is None:
-        bundle = ComplexContraction(complex_)
-        object.__setattr__(complex_, "_bundle", bundle)
-    return bundle
-
-
 def complex_from_data(data: dict) -> OrderedComplex:
     if not isinstance(data, dict) or "vertices" not in data or "simplices" not in data:
         raise ComplexFormatError('expected {"vertices": [...], "simplices": [[...]]}')
@@ -118,7 +109,7 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
     """The product f(ga ^ gb), expanded bilinearly through the signed m_2
     on letter ids; by the join rule each pair of simplices contributes at
     most to their join (see the module docstring)."""
-    bundle = _bundle(a.complex)
+    bundle = ComplexContraction(a.complex)
     return _multilinear(bundle, (a, b), _signed_m2, bundle._zero)
 
 
@@ -141,7 +132,7 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     A nonassociative triple is demanded exactly when the complex has an
     edge; on a discrete complex the product is honestly associative.
     """
-    bundle = _bundle(complex_)
+    bundle = ComplexContraction(complex_)
     simplices = complex_.simplices
     ids = bundle.basis_ids()
     dims = [len(s) - 1 for s in simplices]
@@ -150,13 +141,14 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     report = _family_report("cup product conditions", 2, 3, basis_text)
     products = {word: _signed_m2(bundle, word) for word in _words(bundle, 2)}
 
-    # locality: the product lives in the star of both supports
-    stars = [complex_.star((s,)) for s in ids]
+    # locality: the product lives in the star of both supports, that is on
+    # simplices that contain the vertices of both
+    vertex_sets = [frozenset(s) for s in simplices]
     report.check(
         "product is supported on common stars",
         (
             None
-            if products[s, t].num.keys() <= stars[s] & stars[t]
+            if all(vertex_sets[s] | vertex_sets[t] <= vertex_sets[p] for p in products[s, t].num)
             else f"{labels[s]} cup {labels[t]} leaves the common star"
             for s, t in _words(bundle, 2)
         ),
@@ -164,16 +156,20 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
 
     # Leibniz with the sign of the left degree, as one unreduced integer
     # residual rhs - lhs per pair over den(s cup t): the coboundary of a
-    # basis cochain is its coface list, the products are read from the
-    # table, and -delta(s cup t) is added from the coface lists of its terms
+    # basis cochain is its coface list, the nonzero products are read from
+    # the table, and -delta(s cup t) is added from the coface lists of its
+    # terms; a pair with no nonzero part and a zero product passes as is
     cofaces = complex_.cofaces()
 
     def leibniz_cases():
         for s, t in _words(bundle, 2):
             value = products[s, t]
             sign = -1 if dims[s] % 2 else 1
-            parts = [(x * value.den, products[p, t]) for p, x in cofaces[s]]
-            parts += [(sign * y * value.den, products[s, p]) for p, y in cofaces[t]]
+            parts = [(x * value.den, v) for p, x in cofaces[s] if (v := products[p, t])]
+            parts += [(sign * y * value.den, v) for p, y in cofaces[t] if (v := products[s, p])]
+            if not parts and not value:
+                yield None
+                continue
             out, common = _linear(parts)
             for p, c in value.num.items():
                 _accumulate(out, cofaces[p], -c * common)
@@ -193,13 +189,14 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
 
     report.check("constant 0-cochain is the identity", unit_cases())
 
-    # graded commutativity (unshifted degrees)
+    # graded commutativity (unshifted degrees); two zero products commute
     def commutativity_cases():
         for s, t in _words(bundle, 2):
+            left, right = products[s, t], products[t, s]
             sign = -1 if dims[s] * dims[t] % 2 else 1
             yield (
                 f"{labels[s]} cup {labels[t]} not graded commutative"
-                if _linear([(1, products[s, t]), (-sign, products[t, s])])[0]
+                if (left or right) and _linear([(1, left), (-sign, right)])[0]
                 else None
             )
 

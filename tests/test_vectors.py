@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from simplicial_transfer import complexes
 from simplicial_transfer.cochains import (
     Cochain,
     OrderedComplex,
@@ -17,7 +18,7 @@ from simplicial_transfer.cochains import (
     project_f,
     standard_simplex,
 )
-from simplicial_transfer.complexes import _bundle, cup
+from simplicial_transfer.complexes import cup
 from simplicial_transfer.contraction import _s_monomial, s_operator
 from simplicial_transfer.forms import Form, _pack, _unpack
 from simplicial_transfer.rationals import SparseVector
@@ -212,13 +213,24 @@ def test_a_lone_part_of_another_space_object_takes_the_general_path(make, space,
     assert (total.num, total.den) == (a.num, a.den)
 
 
-def test_the_cached_value_of_a_basis_input_comes_back_as_is():
+def test_the_cached_value_of_a_basis_input_comes_back_as_is(monkeypatch):
     bundle = SimplexContraction(2)
     e0, e01 = (bundle.letter(i) for i in (0, 3))
     assert transferred_m(bundle, (e0, e01)) is bundle._memo_m[(0, 3)]
     assert transferred_m(bundle, (e01,)) is bundle._memo_m[(3,)]
-    # a vertex on the left takes no sign, so cup hands on m_2 itself
-    assert cup(e0, e01) is _bundle(e0.complex)._memo_m[(0, 3)]
+    # a vertex on the left takes no sign, so cup hands on m_2 itself, as
+    # memoised in the one bundle that cup builds
+    built = []
+
+    class Recorded(complexes.ComplexContraction):
+        def __init__(self, complex_):
+            super().__init__(complex_)
+            built.append(self)
+
+    monkeypatch.setattr(complexes, "ComplexContraction", Recorded)
+    product = cup(e0, e01)
+    assert len(built) == 1 and built[0].complex is e0.complex
+    assert product is built[0]._memo_m[(0, 3)]
     monomial = Form.monomial(2, (1, 0), (2,))
     (key,) = monomial.num
     assert project_f(monomial) is _face_integrals(2, key)
