@@ -23,7 +23,7 @@ from .complexes import (
     load_complex,
 )
 from .contraction import check_contraction
-from .reporting import dumps
+from .reporting import dump
 from .transfer import (
     SimplexContraction,
     check_a_infinity,
@@ -88,9 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(obj, sort_keys: bool = True) -> None:
+    dump(obj, sys.stdout.write, sort_keys)
+    print()
+
+
 def _emit(report, fmt: str) -> None:
     if fmt == "json":
-        print(dumps(report.to_json_dict(), sort_keys=True))
+        _print_json(report.to_json_dict())
     else:
         print(report.to_text())
 
@@ -117,7 +122,7 @@ def cmd_trees(args, parser) -> int:
     trees = enumerate_trees(args.leaves)
     encodings = [tree_to_text(t) for t in trees]
     if args.format == "json":
-        print(dumps({"leaves": args.leaves, "count": len(trees), "trees": encodings}))
+        _print_json({"leaves": args.leaves, "count": len(trees), "trees": encodings}, False)
     else:
         for line in encodings:
             print(line)
@@ -145,10 +150,10 @@ def cmd_interval(args, parser) -> int:
         payload["recursion_polynomials"] = [_interval_poly_text(p) for p in polys.polys]
         payload["recursion_matches_closed_form"] = closed_form
         payload["signed_integrals"] = [rational_str(b) for b in polys.integrals]
-        print(dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
-        print(table.to_text())
-        print()
+        table.write_text(sys.stdout.write)
+        print("\n")
         print("recursion polynomials match the Bernoulli closed form:", closed_form)
         print("signed integrals:", ", ".join(rational_str(b) for b in polys.integrals))
     return PASS if ok else FAIL
@@ -166,8 +171,7 @@ def cmd_verify(args, parser) -> int:
     ]
     ok = all(r.all_passed for r in reports)
     if args.format == "json":
-        payload = {"all_passed": ok, "reports": [r.to_json_dict() for r in reports]}
-        print(dumps(payload, sort_keys=True))
+        _print_json({"all_passed": ok, "reports": [r.to_json_dict() for r in reports]})
     else:
         for r in reports:
             print(r.to_text())
@@ -198,7 +202,7 @@ def cmd_complex(args, parser) -> int:
             return USAGE
         result = cup(a, b)
         if args.format == "json":
-            print(dumps(cochain_records(result)))
+            _print_json(cochain_records(result), False)
         else:
             for entry in cochain_records(result)["entries"]:
                 print(f"simplex={entry['simplex']} coeff={entry['coeff']}")

@@ -38,7 +38,8 @@ lowers it by one, and forms on the N-simplex and cochains on an
 N-dimensional complex live in degrees 0..N.  So the bundle's one hook
 ``vanishes_in_degree`` zeroes a word whose degree lies outside 0..N: 2 plus
 the sum of the letters' shifted degrees for m_k (dim U) and the cut
-products, 1 plus it for G_n.  Such a word builds no face, union or form,
+products, 1 plus it for G_n; and G_n = H(cut products) is zero also where
+its cut products are.  Such a word builds no face, union or form,
 and no memo stores it.  ``ComplexContraction`` is the cochain side of a
 complex: it reads m_k this way from one standard-simplex engine per
 dimension, built once per process.  The standard n-simplex is a complex
@@ -78,7 +79,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, repeat, starmap
 from math import lcm, prod
 
 from .cochains import (
@@ -94,7 +95,7 @@ from .cochains import (
 from .contraction import homotopy_H, s_operator
 from .forms import Form, differential, format_form, wedge
 from .rationals import bernoulli_number, binomial, factorial, rational_str
-from .reporting import Report
+from .reporting import Records, Report, _batches
 from .tensorwords import shuffle
 from .trees import enumerate_trees, evaluate_tree_m
 
@@ -248,7 +249,8 @@ def _cut_products(bundle, ids: tuple[int, ...]):
     share it.  A word that the zero rule (module docstring) zeroes at their
     own degree is answered with zero and stored nowhere.  The degree of
     G_n, one less, does not serve: on the interval G(t, t) is zero, while
-    its cut product is t^2."""
+    its cut product is t^2.  Conversely, the cut products' degree bounds
+    G_n from above: above N they vanish, and so does G_n = H(0)."""
     if ids in bundle._memo_cut:
         return bundle._memo_cut[ids]
     degrees = bundle._degrees
@@ -270,13 +272,16 @@ def _cut_products(bundle, ids: tuple[int, ...]):
 
 def _G(bundle, ids: tuple[int, ...]):
     """G_1 = g and G_n = H(cut products), memoised per basis word; a word of
-    arity n >= 2 that the zero rule (module docstring) zeroes is answered
+    arity n >= 2 that the zero rule (module docstring) zeroes, at its own
+    degree or at its cut products' degree one above (H(0) = 0), is answered
     with zero and stored nowhere."""
     value = bundle._memo_G.get(ids)
     if value is None:
         if len(ids) == 1:
             value = bundle.g(bundle.letter(ids[0]))
-        elif bundle.vanishes_in_degree(sum(map(bundle._degrees.__getitem__, ids)) + 1):
+        elif bundle.vanishes_in_degree(
+            degree := sum(map(bundle._degrees.__getitem__, ids)) + 1
+        ) or bundle.vanishes_in_degree(degree + 1):
             return bundle.zero_A()
         else:
             value = bundle.H(_cut_products(bundle, ids))
@@ -670,10 +675,16 @@ def check_unital(bundle, max_arity: int) -> Report:
 class IntervalTable(Report):
     """Products of the interval cochains t and dt, reported in the basis
     {1, t, dt}, together with the derived Bernoulli comparisons; its text
-    lays the entries out before the checks and the findings after them."""
+    lays the entries out before the checks and the findings after them.
+
+    ``entries`` is a ``Records`` of (word, value) rows, generated in product
+    order on each read from ``nonzero``, which holds, per arity, the index
+    and component string of each nonzero entry: every other entry is "0"."""
 
     def __init__(self, max_arity: int):
-        self.entries: list[dict] = []
+        self.max_arity = max_arity
+        self.nonzero: dict[int, list[tuple[int, str]]] = {}
+        self.entries = Records(("word", "value"), self._rows)
         self.findings: list[str] = []
         super().__init__(
             f"products of t and dt up to arity {max_arity} (basis 1, t, dt)",
@@ -682,18 +693,45 @@ class IntervalTable(Report):
             findings=self.findings,
         )
 
-    def to_text(self) -> str:
-        lines = [self.header]
-        width = max(len(e["word"]) for e in self.entries) if self.entries else 0
-        for e in self.entries:
-            lines.append(f"  m({e['word']:<{width}}) = {e['value']}")
-        lines.append("")
-        lines.extend(rec.to_text() for rec in self.checks)
+    def _rows(self):
+        return chain.from_iterable(map(self._arity_rows, range(2, self.max_arity + 1)))
+
+    def _arity_rows(self, n: int):
+        pieces: list = []
+        at = 0
+        for i, value in self.nonzero.get(n, ()):
+            pieces += (repeat("0", i - at), (value,))
+            at = i + 1
+        pieces.append(repeat("0", 2**n - at))
+        return zip(_labels(n), chain.from_iterable(pieces))
+
+    def write_text(self, write) -> None:
+        """Write the text, a batch of entry lines per ``write``; the label
+        of the longest word, dt repeated, has 3 max_arity - 1 characters."""
+        write(self.header)
+        line = f"\n  m(%-{3 * self.max_arity - 1}s) = %s"
+        for batch in _batches(self.entries):
+            write("".join(map(line.__mod__, batch)))
+        lines = ["", *(rec.to_text() for rec in self.checks)]
         if self.findings:
-            lines.append("")
-            lines.append("findings (reported, not asserted):")
-            lines.extend(f"  - {finding}" for finding in self.findings)
-        return "\n".join(lines)
+            lines += ["", "findings (reported, not asserted):"]
+            lines += (f"  - {finding}" for finding in self.findings)
+        write("\n" + "\n".join(lines))
+
+    def to_text(self) -> str:
+        parts: list[str] = []
+        self.write_text(parts.append)
+        return "".join(parts)
+
+
+def _labels(n: int):
+    """The labels "t,dt,..." of the arity-n words in product order: a label
+    of the first n - n // 2 letters followed by one of the last n // 2, so
+    that about 2^(n/2 + 1) labels are held, not 2^n."""
+    if n == 1:
+        return ("t", "dt")
+    tails = ["," + label for label in _labels(n // 2)]
+    return starmap(str.__add__, product(_labels(n - n // 2), tails))
 
 
 def _component_string(components) -> str:
@@ -716,11 +754,12 @@ def interval_product_table(max_arity: int) -> IntervalTable:
 
     The entries of arity n follow product(("t", "dt"), repeat=n): the word
     at index i has dt exactly where i has a one bit, the most significant
-    bit first.  Every entry starts as "0".  The degree of m_n depends only
+    bit first.  Every entry is "0" unless the table stores its nonzero
+    value (``IntervalTable``).  The degree of m_n depends only
     on the number k of t's, so the zero rule is asked once per class, of
     degree 2 + k deg(t) + (n - k) deg(dt), and only the words of the
     classes it leaves nonzero (one or two t's) are visited, in product
-    order, sent to the engine and patched.  The outside-family record reads
+    order, and sent to the engine.  The outside-family record reads
     the stored nonzero values only.  When it passes, its basis size is the
     number of outside words, sum_n (2^n - n) - 1 over n = 2..max_arity;
     when it fails, it names the first failing word in (arity, product)
@@ -742,7 +781,6 @@ def interval_product_table(max_arity: int) -> IntervalTable:
     # the nonzero words only; an absent word is zero
     values: dict[tuple[int, ...], tuple[Fraction, Fraction, Fraction]] = {}
     for n in range(2, max_arity + 1):
-        entries = [{"word": ",".join(w), "value": "0"} for w in product(("t", "dt"), repeat=n)]
         dt_counts = [
             n - k
             for k in range(n + 1)
@@ -753,12 +791,12 @@ def interval_product_table(max_arity: int) -> IntervalTable:
             for j in dt_counts
             for dts in combinations(range(n), j)
         )
+        nonzero = table.nonzero[n] = []
         for i in visits:
             ids = tuple(map(letter.__getitem__, f"{i:0{n}b}"))
             if cochain := _m(bundle, ids):
                 values[ids] = interval_basis_components(cochain)
-                entries[i]["value"] = _component_string(values[ids])
-        table.entries.extend(entries)
+                nonzero.append((i, _component_string(values[ids])))
 
     def components(ids):
         return values.get(ids, (0, 0, 0))

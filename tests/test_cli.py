@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,7 @@ _PINNED = {
     "contraction-4-cubic": ("contraction", "--dim", "4", "--max-poly-degree", "3"),
     "interval": ("interval", "--max-arity", "6"),
     "interval-deep": ("interval", "--max-arity", "12"),
+    "interval-16": ("interval", "--max-arity", "16"),
     "verify-tetra": ("verify", "--dim", "3", "--max-arity", "3"),
     "whitney-octahedron": _OCTAHEDRON,
     "whitney-torus": _TORUS,
@@ -225,6 +227,11 @@ _DIGESTS = {
         "d26e3dc1c84542e256824827d6b7589560b45f770c800abb4ffc7246185880d1",
     ("cup-octahedron", "json"):
         "9ce456ef93f50a780d4f3826bdd10fc785fb16cfa8e1a052352d3b9003b78311",
+    # recorded while the interval table held every entry as a dict
+    ("interval-16", "json"):
+        "4d260f92e5c2102b47eab056476a567d7517ba274f348bfe36b05732e8254a5d",
+    ("interval-16", "text"):
+        "c6d5713c8e5f7c2accd0b28b9555c671fad53d44040a285857eb16760d786a82",
 }
 
 
@@ -292,13 +299,18 @@ def test_the_sum_guard_flags_a_part_of_another_space(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("trees", "--leaves", "3"), ("interval", "--max-arity", "10", "--format", "json")],
-    ids=["short-report", "long-report"],
+    "argv, read",
+    [
+        (("trees", "--leaves", "3"), 0),
+        (("interval", "--max-arity", "10", "--format", "json"), 0),
+        (("interval", "--max-arity", "16", "--format", "json"), 4096),
+    ],
+    ids=["short-report", "long-report", "mid-stream"],
 )
-def test_closed_stdout_exits_2_with_one_line(argv):
-    # the read end closes before the child writes anything; a short report
-    # fails at the final flush, a long one inside print
+def test_closed_stdout_exits_2_with_one_line(argv, read):
+    # the read end closes after the first read bytes; a short report fails
+    # at the final flush, a long one inside a write, and one closed after
+    # its first 4 KiB in the middle of its stream of entries
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
@@ -309,12 +321,38 @@ def test_closed_stdout_exits_2_with_one_line(argv):
         stderr=subprocess.PIPE,
         env=env,
     )
+    assert len(child.stdout.read(read)) == read
     child.stdout.close()
     err = child.stderr.read().decode()
     child.stderr.close()
     assert child.wait(timeout=60) == 2
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert "stdout was closed" in err
+
+
+class _Discard:
+    """A stdout that keeps nothing."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_interval_16_is_written_in_bounded_memory(monkeypatch, fmt):
+    # 131,068 entries, 11.3 MB of JSON and 7.5 MB of text; a table that
+    # held its entries, or a report held whole, peaked at 56-74 MiB
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        code = main(["interval", "--max-arity", "16", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20
 
 
 def test_complex_commands(tmp_path, capsys):

@@ -300,7 +300,7 @@ def test_the_import_loads_no_introspection_modules():
 
 
 def test_the_cli_has_one_json_writer():
-    # every JSON report goes through reporting.dumps; a json.dumps call or
+    # every JSON report goes through reporting.dump; a json.dumps call or
     # a json import in the CLI would be a second writer
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert "json.dumps(" not in source

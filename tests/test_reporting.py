@@ -1,6 +1,7 @@
-"""``reporting.dumps`` writes every JSON report; it must agree byte for byte
-with ``json.dumps(indent=2)``, whose output the pinned report digests fix,
-and its calls must not grow with the rows of a record list."""
+"""``reporting.dump`` writes every JSON report, and ``dumps`` is the join of
+what it writes; they must agree byte for byte with ``json.dumps(indent=2)``,
+whose output the pinned report digests fix, write a list one batch of rows
+at a time, and make no more calls as the rows of a record list grow."""
 
 import json
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplicial_transfer import reporting
-from simplicial_transfer.reporting import dumps
+from simplicial_transfer.reporting import _BATCH, Records, dump, dumps
 from simplicial_transfer.transfer import interval_product_table
 
 # quotes, backslashes, control characters, non-ASCII and astral text
@@ -83,23 +84,73 @@ def test_record_list_edge_cases(value):
         assert dumps(value, sort_keys) == json.dumps(value, indent=2, sort_keys=sort_keys)
 
 
+def _listed(payload: dict) -> dict:
+    """The interval payload with its generated entries as a list of dicts,
+    which ``json.dumps`` can write."""
+    entries = payload["entries"]
+    return {**payload, "entries": [dict(zip(entries.names, row)) for row in entries]}
+
+
 def test_the_writer_makes_as_many_calls_at_arity_8_as_at_12(monkeypatch):
-    # the recursion reads dumps from the module's globals, so rebinding it
-    # there counts every call; the entries grow 16-fold, the calls must not
+    # the recursion reads dump and dumps from the module's globals, so
+    # rebinding them there counts every call; the entries grow 16-fold and
+    # from one batch to eight, the calls must not
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return dumps(*args)
+    def counted(writer):
+        def call(*args):
+            calls.append(args)
+            return writer(*args)
 
-    monkeypatch.setattr(reporting, "dumps", counted)
+        return call
+
+    monkeypatch.setattr(reporting, "dump", counted(dump))
+    monkeypatch.setattr(reporting, "dumps", counted(dumps))
     counts = []
     for arity in (8, 12):
         calls.clear()
         payload = interval_product_table(arity).to_json_dict()
-        assert counted(payload, True) == json.dumps(payload, indent=2, sort_keys=True)
+        assert reporting.dumps(payload, True) == json.dumps(
+            _listed(payload), indent=2, sort_keys=True
+        )
         counts.append(len(calls))
     assert counts[0] == counts[1] < 50
+
+
+def _rows(count: int) -> list[dict]:
+    # a string column, an int column and a nested one, the order unsorted
+    return [{"w": f"%{i}", "n": i, "v": [i, {"b": None, "a": "x"}]} for i in range(count)]
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1], ids=lambda c: f"rows{c}"
+)
+def test_dump_writes_json_dumps_in_batches(count):
+    rows = _rows(count)
+    for sort_keys in (False, True):
+        expected = json.dumps(rows, indent=2, sort_keys=sort_keys)
+        for value in (rows, tuple(rows), iter(rows), (row for row in rows)):
+            parts = []
+            dump(value, parts.append, sort_keys)
+            assert "".join(parts) == expected
+            # one write per batch of rows, the first with the opening
+            # bracket, and one for the closing bracket
+            assert len(parts) == 1 + -(-count // _BATCH)
+        records = Records(("w", "n", "v"), lambda: (tuple(row.values()) for row in rows))
+        assert dumps(records, sort_keys) == expected
+        nested = json.dumps({"rows": rows}, indent=2, sort_keys=sort_keys)
+        assert dumps({"rows": records}, sort_keys) == nested
+
+
+def test_a_batch_of_other_shapes_is_written_item_by_item():
+    # the template comes from the first item; a later batch that breaks its
+    # shape, or holds an item that is no dict, is written as one column
+    rows = _rows(_BATCH + 2)
+    rows[_BATCH] = {"n": 0, "w": "permuted", "v": []}
+    rows[-1] = ["no", "dict"]
+    for sort_keys in (False, True):
+        expected = json.dumps(rows, indent=2, sort_keys=sort_keys)
+        assert dumps(iter(rows), sort_keys) == expected
 
 
 @pytest.mark.parametrize("value", [{}, [], (), {"a": []}, [{}, [[]], ""], {"b": 1, "a": {}}])

@@ -559,7 +559,7 @@ def test_a_component_string_names_each_nonzero_component():
 def test_interval_table():
     table = interval_product_table(5)
     assert table.all_passed, table.to_text()
-    lookup = {e["word"]: e["value"] for e in table.entries}
+    lookup = dict(table.entries)
     assert lookup["t,t"] == "1 t"
     assert lookup["t,dt,dt"] == "1/12 dt"
     assert lookup["t,t,dt"] == "0"
@@ -593,7 +593,8 @@ def test_interval_table_sends_only_the_counted_words_to_the_engine(monkeypatch):
     assert not any(bundle.vanishes_in_degree(sum(degrees[i] for i in ids) + 2) for ids in words)
     # one or two t's among n letters, n = 2..12
     assert len(words) == len(set(words)) == 363
-    assert len(table.entries) == 8188
+    # the rows are generated on each read, as often as they are read
+    assert sum(1 for _ in table.entries) == sum(1 for _ in table.entries) == 8188
     assert [rec.basis_size for rec in table.checks] == [1, 11, 8110, 10]
     assert table.all_passed
 
@@ -608,17 +609,16 @@ def test_interval_table_skip_agrees_with_the_full_route(max_arity, sizes):
     bundle = SimplexContraction(1)
     t, dt = bundle._ids[(1,)], bundle._ids[(0, 1)]
     expected = [
-        {
-            "word": ",".join("t" if i == t else "dt" for i in ids),
-            "value": transfer._component_string(
-                interval_basis_components(transfer._m(bundle, ids))
-            ),
-        }
+        (
+            ",".join("t" if i == t else "dt" for i in ids),
+            transfer._component_string(interval_basis_components(transfer._m(bundle, ids))),
+        )
         for n in range(2, max_arity + 1)
         for ids in product((t, dt), repeat=n)
     ]
     table = interval_product_table(max_arity)
-    assert table.entries == expected
+    assert table.entries.names == ("word", "value")
+    assert list(table.entries) == expected
     assert [rec.basis_size for rec in table.checks] == sizes
 
 
@@ -771,16 +771,23 @@ def test_the_count_zeroes_G_or_fixes_its_form_degree(dim, max_arity, words, vani
 
 
 def test_the_memos_hold_no_word_the_count_zeroes():
-    # G_n, n >= 2, of form degree sum + 1 and the cut products of form
-    # degree sum + 2 outside 0..2 are answered with zero and not stored
-    bundle = SimplexContraction(2)
-    for battery in (check_a_infinity, check_morphism, check_c_infinity, check_unital):
-        assert battery(bundle, 4).all_passed
-    degrees = bundle._degrees
-    for memo, shift in ((bundle._memo_G, 1), (bundle._memo_cut, 2)):
-        assert memo
-        for key in memo:
-            assert len(key) == 1 or 0 <= sum(degrees[i] for i in key) + shift <= 2, key
+    # G_n, n >= 2, is answered with zero and not stored where its form
+    # degree sum + 1 or its cut products' form degree sum + 2 lies outside
+    # 0..N, and so are the cut products of degree sum + 2 outside it.  The
+    # G memo sizes are those after the four batteries; storing every G word
+    # of degree sum + 1 in 0..N gives 1,594 and 2,939
+    for dim, max_arity, g_words in ((2, 4, 1336), (3, 3, 2419)):
+        bundle = SimplexContraction(dim)
+        for battery in (check_a_infinity, check_morphism, check_c_infinity, check_unital):
+            assert battery(bundle, max_arity).all_passed
+        degrees = bundle._degrees
+        assert len(bundle._memo_G) == g_words
+        for key in bundle._memo_G:
+            total = sum(degrees[i] for i in key)
+            assert len(key) == 1 or 0 <= total + 1 and total + 2 <= dim, key
+        assert bundle._memo_cut
+        for key in bundle._memo_cut:
+            assert 0 <= sum(degrees[i] for i in key) + 2 <= dim, key
 
 
 def test_memo_holds_only_basis_words():
