@@ -4,23 +4,19 @@ Every battery evaluates a named identity over a complete enumerated basis
 and records pass/fail with the first counterexample through ``Report.check``;
 one ``Report`` class serves every battery, which gives it a header line and
 its JSON fields, and reports render to JSON (rationals as strings) and to
-aligned text.  Every JSON report is written by ``dump``, which pays per
-record shape, not per record, and holds one batch of items at a time: a
-list is written ``_BATCH`` items per ``write``, a record list column by
-column, and either may be generated rather than held.  The interval table's
-thousands of entries are such a list, a ``Records`` of value tuples under
-one key tuple.  ``dumps`` is the join of what ``dump`` writes.
+aligned text.  Every JSON report is written by ``dump``, which streams a
+``Records``, the interval table's thousands of entries as value tuples under
+one key tuple, in batches of ``_BATCH`` rows and hands every other value to
+``json.dumps``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from itertools import chain, islice, repeat
-from json import dumps as _scalar
+from json import dumps as _json_dumps
 from json.encoder import encode_basestring_ascii as _string
-from operator import itemgetter
 
-# the items of a list that one write holds
+# the rows of a Records that one write holds
 _BATCH = 1024
 
 
@@ -44,34 +40,20 @@ def _batches(items):
         yield batch
 
 
-def dumps(obj, sort_keys: bool = False, _indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=sort_keys)`` byte for byte: the
-    join of what ``dump`` writes."""
-    parts: list[str] = []
-    dump(obj, parts.append, sort_keys, _indent)
-    return "".join(parts)
-
-
 def dump(obj, write, sort_keys: bool = False, _indent: str = "\n") -> None:
     """Write ``json.dumps(obj, indent=2, sort_keys=sort_keys)`` through
-    ``write``, piece by piece; an iterator is written as the list of its
-    items, and a ``Records`` as its list of dicts.
+    ``write``, a ``Records`` as its list of dicts.
 
-    With an indent set, ``json.dumps`` runs its pure-Python encoder, one
-    generator step per token.  This walk writes a dict key by key, and a
-    list, tuple or iterator in batches of ``_BATCH`` items, one ``write``
-    each.  A batch of a record list (dicts with the first item's key set
-    and, under ``sort_keys=False``, its insertion order, as each dict is
-    written in its own; or the tuples of a ``Records``) is one ``%`` on
-    copies of a row template, a ``%s`` per key and a ``%`` in a key
-    doubled, with its cells encoded column by column: a column of strings
-    is one pass of the C string encoder, any other one ``dumps`` call per
-    value, so the calls grow with the shapes and the batches, not with the
-    rows.  Any other batch is one column.  Dict keys must be ``str``: the C
-    string encoder raises ``TypeError`` on any other."""
-    if isinstance(obj, str):
-        write(_string(obj))
-    elif isinstance(obj, dict):
+    A dict is written key by key, so that the walk reaches a ``Records``
+    inside it; its keys must be ``str``, as the C string encoder raises
+    ``TypeError`` on any other.  A ``Records`` is written ``_BATCH`` rows
+    per ``write``, each batch one ``%`` on copies of a row template (a
+    ``%s`` per key, a ``%`` in a key doubled) with its cells encoded column
+    by column: a column of strings in one pass of the C string encoder, any
+    other one ``json.dumps`` call per value.  Any other value is one
+    ``json.dumps`` call, its newlines indented to the depth of the walk,
+    which is exact because JSON strings never hold a raw newline."""
+    if isinstance(obj, dict):
         inner = _indent + "  "
         lead = "{" + inner
         for key in sorted(obj) if sort_keys else obj:
@@ -79,65 +61,32 @@ def dump(obj, write, sort_keys: bool = False, _indent: str = "\n") -> None:
             dump(obj[key], write, sort_keys, inner)
             lead = "," + inner
         write(_indent + "}" if obj else "{}")
-    elif isinstance(obj, (list, tuple, Iterator, Records)):
+    elif isinstance(obj, Records):
         inner = _indent + "  "
+        cell = inner + "  "
+        names = obj.names
+        order = sorted(range(len(names)), key=names.__getitem__) if sort_keys else range(len(names))
+        fields = ("," + cell).join(_string(names[i]).replace("%", "%%") + ": %s" for i in order)
+        template = "{" + cell + fields + inner + "}"
+        separator = "," + inner
         lead = "[" + inner
-        texts = None
         for batch in _batches(obj):
-            texts = texts or _item_texts(obj, batch[0], sort_keys, inner)
-            write(lead + texts(batch))
-            lead = "," + inner
-        write(_indent + "]" if texts else "[]")
-    else:
-        write(_scalar(obj))
-
-
-def _item_texts(obj, first, sort_keys: bool, indent: str):
-    """The writer of the text of a batch of the items of ``obj`` at one
-    indent, as a record list if ``obj`` is a ``Records`` or its first item a
-    nonempty dict; ``first`` is that item."""
-    separator = "," + indent
-    if isinstance(obj, Records):
-        keys = obj.names
-    elif isinstance(first, dict) and first:
-        keys = tuple(first)
-    else:
-        return lambda batch: separator.join(_column(batch, sort_keys, indent))
-    order = sorted(range(len(keys)), key=keys.__getitem__) if sort_keys else range(len(keys))
-    inner = indent + "  "
-    fields = ("," + inner).join(_string(keys[i]).replace("%", "%%") + ": %s" for i in order)
-    template = "{" + inner + fields + indent + "}"
-
-    def texts(batch):
-        if isinstance(obj, Records):
             columns = list(zip(*batch))
-            columns = [columns[i] for i in order]
-        elif _shaped_like(first, batch, sort_keys):
-            columns = [list(map(itemgetter(keys[i]), batch)) for i in order]
-        else:
-            return separator.join(_column(batch, sort_keys, indent))
-        # one % for the batch: its templates joined, its cells row by row
-        cells = chain.from_iterable(zip(*[_column(c, sort_keys, inner) for c in columns]))
-        return separator.join(repeat(template, len(batch))) % tuple(cells)
-
-    return texts
-
-
-def _shaped_like(first: dict, batch, sort_keys: bool) -> bool:
-    """Whether every item of ``batch`` is a dict with the keys of ``first``,
-    in its order unless ``sort_keys``."""
-    if not all(map(isinstance, batch, repeat(dict))):
-        return False
-    if sort_keys:
-        return all(map(first.keys().__eq__, map(dict.keys, batch)))
-    return all(map(list(first).__eq__, map(list, batch)))
+            texts = [_column(columns[i], sort_keys, cell) for i in order]
+            # one % for the batch: its templates joined, its cells row by row
+            rows = separator.join(repeat(template, len(batch)))
+            write(lead + rows % tuple(chain.from_iterable(zip(*texts))))
+            lead = separator
+        write(_indent + "]" if lead == separator else "[]")
+    else:
+        write(_json_dumps(obj, indent=2, sort_keys=sort_keys).replace("\n", _indent))
 
 
 def _column(values, sort_keys: bool, indent: str):
     """The texts of ``values`` at one indent."""
     if all(map(isinstance, values, repeat(str))):
         return map(_string, values)
-    return map(dumps, values, repeat(sort_keys), repeat(indent))
+    return (_json_dumps(v, indent=2, sort_keys=sort_keys).replace("\n", indent) for v in values)
 
 
 class CheckRecord:

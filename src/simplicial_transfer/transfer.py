@@ -64,15 +64,15 @@ The identity batteries here are the arbiter for every sign convention in the
 package: associativity-up-to-homotopy, the morphism relations, vanishing on
 shuffles, and unitality are checked exactly on complete word bases.
 
-Vanishing on shuffles is decided without forming a shuffle.  By Ree's
-theorem (R. Ree, Ann. of Math. 68, 1958) and Dynkin-Specht-Wever (C.
-Reutenauer, Free Lie Algebras, 1993, ch. 1 and 3), an arity-n operation phi
-kills every shuffle u sh v of nonempty words iff theta^T phi = n phi, where
-theta is the left-normed graded bracketing [...[[b_1, b_2], b_3], ..., b_n].
-theta of a word expands into 2^(n-1) signed words, so one sweep of the B^n
-basis words decides a record, against the (n - 1) B^n shuffle sums of the
-definition.  Those sums run only on a failing record, to name its first
-failing pair.
+Vanishing on shuffles is decided without forming a shuffle, by the Dynkin
+criterion.  By Ree's theorem (R. Ree, Ann. of Math. 68, 1958) a
+multilinear phi of arity n kills every shuffle u sh v of nonempty words iff
+it is a Lie element of the dual, and by Dynkin-Specht-Wever (C. Reutenauer,
+Free Lie Algebras, 1993, ch. 1 and 3) that holds iff theta^T phi = n phi,
+where theta is the left-normed graded bracketing
+[...[[b_1, b_2], b_3], ..., b_n].  theta of a word expands into 2^(n-1)
+signed words (``_bracketing``), so one sweep of the B^n basis words decides
+a record, against the (n - 1) B^n shuffle sums of the definition.
 """
 
 from __future__ import annotations
@@ -580,13 +580,8 @@ def check_c_infinity(bundle, max_arity: int) -> Report:
     component kills the shuffles u sh v of nonempty words, one record per
     operation and arity over the (n - 1) B^n pairs (u, v) of B basis letters.
 
-    A record is decided by the Dynkin criterion.  By Ree's theorem (R. Ree,
-    Ann. of Math. 68, 1958) a multilinear phi of arity n kills every shuffle
-    iff it is a Lie element of the dual, and by Dynkin-Specht-Wever (C.
-    Reutenauer, Free Lie Algebras, 1993, ch. 1 and 3) that holds iff
-    theta^T phi = n phi, theta the left-normed graded bracketing.  theta(w)
-    expands into 2^(n-1) signed words (``_bracketing``), so one sweep of the
-    B^n words decides the record.  Only a failing record runs the shuffle
+    A record is decided by the Dynkin criterion of the module docstring, in
+    one sweep of the B^n words.  Only a failing record runs the shuffle
     sums, in their order, to name its first failing pair; should they all
     vanish, the record still fails on the word where theta^T phi != n phi."""
     report = _letter_report("shuffle vanishing", 2, max_arity, bundle)

@@ -209,7 +209,7 @@ _DIGESTS = {
     # recorded before form monomials were packed into one int each
     ("contraction-4", "text"):
         "40583f49e7ab1da68b41637cd2527d6892935ed40aba2df446559205c2bccaea",
-    # recorded before every JSON report went through reporting.dumps; the
+    # recorded before every JSON report went through one writer; the
     # trees and cup reports keep their keys in insertion order
     ("trees-4", "json"):
         "2e6b19fdcdf572f3408be75ccb89508b11d76b1bd49583b7e68b785d64d1a706",

@@ -299,18 +299,39 @@ def test_the_import_loads_no_introspection_modules():
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added)
 
 
-def test_the_cli_has_one_json_writer():
-    # every JSON report goes through reporting.dump; a json.dumps call or
-    # a json import in the CLI would be a second writer
-    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
-    assert "json.dumps(" not in source
-    imported = set()
-    for node in ast.walk(ast.parse(source)):
+def _json_uses(module: str) -> set[str]:
+    """What ``module`` takes from ``json`` and its submodules: each module
+    it imports whole, each name it imports from one, and each attribute it
+    reads of a whole import, as ``json.loads``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    aliases, uses = {}, set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported.update(alias.name.split(".")[0] for alias in node.names)
+            for alias in node.names:
+                if alias.name.split(".")[0] == "json":
+                    aliases[alias.asname or alias.name] = alias.name
+                    uses.add(alias.name)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            imported.add(node.module.split(".")[0])
-    assert "json" not in imported
+            if node.module.split(".")[0] == "json":
+                uses.update(f"{node.module}.{alias.name}" for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                uses.add(f"{aliases[node.value.id]}.{node.attr}")
+    return uses
+
+
+def test_the_cli_has_one_json_writer():
+    # every JSON report goes through reporting.dump, the one module of the
+    # package that calls json.dumps; complexes parses its files with
+    # json.loads, and any other json use in the package would be a second
+    # writer
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py"))
+    uses = {module: _json_uses(module) for module in modules}
+    assert {module: names for module, names in uses.items() if names} == {
+        "reporting": {"json.dumps", "json.encoder.encode_basestring_ascii"},
+        "complexes": {"json", "json.loads"},
+    }
 
 
 def _bench_constants(name: str) -> dict:
