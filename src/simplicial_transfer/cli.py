@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 
-from .cochains import ComplexFormatError
 from .complexes import (
     check_whitney_conditions,
     cup,
@@ -180,25 +179,30 @@ def cmd_verify(args, parser) -> int:
     return PASS if ok else FAIL
 
 
-def cmd_complex(args, parser) -> int:
+def _load(kind: str, load, path: str, *args):
+    """load(text of the file at path, *args), or None after one line on
+    stderr: an OSError cannot read the file, a ValueError (a
+    ComplexFormatError or a UnicodeDecodeError) is a bad file."""
     try:
-        complex_ = load_complex(_read(args.file))
+        return load(_read(path), *args)
     except OSError as exc:
-        print(f"cannot read complex file: {exc}", file=sys.stderr)
-        return USAGE
-    except (ComplexFormatError, UnicodeDecodeError) as exc:
-        print(f"bad complex file: {exc}", file=sys.stderr)
+        print(f"cannot read {kind} file: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"bad {kind} file: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_complex(args, parser) -> int:
+    complex_ = _load("complex", load_complex, args.file)
+    if complex_ is None:
         return USAGE
 
     if args.operation == "cup":
-        try:
-            a = load_cochain(_read(args.a), complex_)
-            b = load_cochain(_read(args.b), complex_)
-        except OSError as exc:
-            print(f"cannot read cochain file: {exc}", file=sys.stderr)
+        a = _load("cochain", load_cochain, args.a, complex_)
+        if a is None:
             return USAGE
-        except (ComplexFormatError, ValueError) as exc:
-            print(f"bad cochain file: {exc}", file=sys.stderr)
+        b = _load("cochain", load_cochain, args.b, complex_)
+        if b is None:
             return USAGE
         result = cup(a, b)
         if args.format == "json":

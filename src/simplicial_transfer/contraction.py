@@ -215,20 +215,21 @@ def _s_fused(n: int, key: int) -> Form:
     return Form._reduced(n, out, common)
 
 
-def s_operator(a: Form) -> Form:
-    """Dupont's degree-lowering operator s_n, summed from the nonzero s
-    columns; s_0 = 0."""
+def _s_sum(a: Form, sign: int) -> Form:
+    """sign * s_n(a), summed from the nonzero s columns."""
     n = a.dim
-    columns = ((coeff, _s_monomial(n, key)) for key, coeff in a.num.items())
+    columns = ((sign * coeff, _s_monomial(n, key)) for key, coeff in a.num.items())
     return Form._sum(n, [(c, column) for c, column in columns if column], a.den)
+
+
+def s_operator(a: Form) -> Form:
+    """Dupont's degree-lowering operator s_n; s_0 = 0."""
+    return _s_sum(a, 1)
 
 
 def homotopy_H(a: Form) -> Form:
-    """The contraction homotopy, H = -s, summed from the negated nonzero s
-    columns."""
-    n = a.dim
-    columns = ((-coeff, _s_monomial(n, key)) for key, coeff in a.num.items())
-    return Form._sum(n, [(c, column) for c, column in columns if column], a.den)
+    """The contraction homotopy, H = -s."""
+    return _s_sum(a, -1)
 
 
 def _less_d(n: int, parts, scale: int, a: Form) -> dict:

@@ -3,11 +3,17 @@ fixed order of layers, so that, for one, the cochain layer never reaches
 up into the transfer engine or the complex drivers; ``SparseVector`` is
 the one vector type the layers share and ``Report`` the one report type;
 every function, class and method of the package has a use in it, or is
-the API that the README and the demos present; and the names that the
-benchmark harness looks up in the package exist."""
+the API that the README and the demos present; the package needs nothing
+beyond the standard library; the names that the benchmark harness looks up
+in the package exist; and each benchmark workload prints the stdout that
+bench/references.json records for it."""
 
 import ast
+import contextlib
+import hashlib
 import importlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -282,9 +288,9 @@ def test_f_is_the_only_integral():
         assert not hasattr(simplicial_transfer, name) and not hasattr(forms, name)
 
 
-def test_the_import_loads_no_introspection_modules():
-    # dataclasses pulls in inspect, ast, dis and tokenize, which no command
-    # runs, and the package import is most of a cold CLI run's setup
+def _modules_the_cli_import_adds() -> list[str]:
+    """The modules that ``import simplicial_transfer.cli`` adds to a fresh
+    interpreter."""
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -292,11 +298,26 @@ def test_the_import_loads_no_introspection_modules():
         "print(*sorted(set(sys.modules) - before))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    added = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
+
+
+def test_the_import_loads_no_introspection_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which no command
+    # runs, and the package import is most of a cold CLI run's setup
+    added = _modules_the_cli_import_adds()
     assert "simplicial_transfer.cli" in added
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added)
+
+
+def test_the_cli_needs_only_the_standard_library():
+    # the package declares no dependency, so every command runs on a bare
+    # interpreter; a third-party import anywhere below cli would break that
+    added = _modules_the_cli_import_adds()
+    assert "simplicial_transfer.cli" in added
+    allowed = {*sys.stdlib_module_names, "simplicial_transfer"}
+    assert [name for name in added if name.split(".")[0] not in allowed] == []
 
 
 def _json_uses(module: str) -> set[str]:
@@ -404,3 +425,23 @@ def test_every_benchmark_workload_reaches_a_battery_entry(workload, monkeypatch)
     monkeypatch.chdir(BENCH.parent)  # the children run in the repository root
     with pytest.raises(_ReachedEntry):
         cli.main(BENCH_WORKLOADS[workload])
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS))
+def test_every_benchmark_workload_matches_its_reference(workload, monkeypatch):
+    # bench/run.py counts a run whose stdout leaves the digest recorded in
+    # bench/references.json as failed; run each workload as bench/child.py
+    # does, in-process from the repository root with stdout captured, and
+    # compare the same exit code, byte count and sha256
+    cli = importlib.import_module("simplicial_transfer.cli")
+    reference = json.loads((BENCH / "references.json").read_text(encoding="utf-8"))[workload]
+    monkeypatch.chdir(BENCH.parent)
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        code = cli.main(BENCH_WORKLOADS[workload])
+    out = captured.getvalue().encode("utf-8")
+    assert {
+        "exit_code": code,
+        "stdout_bytes": len(out),
+        "stdout_sha256": hashlib.sha256(out).hexdigest(),
+    } == reference
