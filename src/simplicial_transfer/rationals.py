@@ -120,9 +120,10 @@ class SparseVector:
     ``_reduced`` first divides out their common factor with the
     denominator, and ``_sum`` forms an integer combination of vectors in
     one pass.  The kernels build results through these three, in int
-    arithmetic.  ``+``, ``-``, negation and a scalar multiple are one
-    ``_sum`` each, after the type and space check of ``+`` and ``-``, so
-    no other path combines vectors."""
+    arithmetic; ``_cancels`` only decides whether a combination is zero.
+    ``+``, ``-``, negation and a scalar multiple are one ``_sum`` each,
+    after the type and space check of ``+`` and ``-``, so no other path
+    combines vectors."""
 
     __slots__ = ("num", "den")
     _space = None  # the space slot's descriptor, so self._space reads it
@@ -189,6 +190,14 @@ class SparseVector:
                 return v
         out, common = _linear(parts)
         return cls._reduced(space, out, den * common)
+
+    @classmethod
+    def _cancels(cls, parts) -> bool:
+        """Whether (sum of p * v) over the pairs (p, v) is zero: the
+        numerators of ``_linear`` tested for emptiness, never reduced, so a
+        residual that passes builds no vector.  The caller's duty is that
+        of ``_sum``."""
+        return not _linear(parts)[0]
 
     @staticmethod
     def _check_space(space) -> None:

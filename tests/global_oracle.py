@@ -99,6 +99,12 @@ class GlobalForm:
             total = total + Fraction(p, den) * v
         return total
 
+    @classmethod
+    def _cancels(cls, parts) -> bool:
+        """Whether the sum of p * v over the pairs (p, v) is zero, the
+        residual test the transfer engine applies to algebra-side values."""
+        return not parts or not cls._sum(parts[0][1].complex, parts)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GlobalForm)

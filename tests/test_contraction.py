@@ -258,17 +258,27 @@ def test_the_battery_builds_no_form_per_side(cold_caches, monkeypatch):
 def test_the_battery_hands_the_kernel_no_zero(monkeypatch):
     # a zero face-integral column of f and a zero s column are no part of
     # their sums (in check_contraction(3, 4) f handed _sum 895 zero columns
-    # and s 294 while every column was a part)
-    general = SparseVector._sum.__func__
-    zeros = []
+    # and s 294 while every column was a part); f o s = 0 and s o s = 0 hand
+    # _cancels the nonzero f and s columns of the keys of s m only
+    general, cancels = SparseVector._sum.__func__, SparseVector._cancels.__func__
+    zeros, tests = [], []
 
     def counted(cls, space, parts, den=1):
         zeros.extend(v for _, v in parts if not v)
         return general(cls, space, parts, den)
 
+    def counted_cancels(cls, parts):
+        tests.append(cls)
+        zeros.extend(v for _, v in parts if not v)
+        return cancels(cls, parts)
+
     monkeypatch.setattr(SparseVector, "_sum", classmethod(counted))
-    assert check_contraction(3, 4).all_passed
+    monkeypatch.setattr(SparseVector, "_cancels", classmethod(counted_cancels))
+    report = check_contraction(3, 4)
+    assert report.all_passed
     assert len(zeros) == 0
+    size = report.checks[2].basis_size
+    assert tests == [Cochain] * size + [Form] * size
 
 
 def test_d_builds_a_form_only_for_each_row(monkeypatch):

@@ -866,22 +866,30 @@ def test_the_insertion_sums_hand_the_kernel_no_zero(monkeypatch):
     # product that cancels and a zero s column are no part either, and a
     # morphism word is one residual of its nonzero parts; so no battery
     # hands Cochain._sum or Form._sum a zero part (on the triangle the unit
-    # laws alone handed them 405 and 321 while every image was a part)
-    general = SparseVector._sum.__func__
-    calls, zeros = {}, {}
+    # laws alone handed them 405 and 321 while every image was a part); the
+    # residual test _cancels is handed no zero part either
+    general, cancels = SparseVector._sum.__func__, SparseVector._cancels.__func__
+    calls, tests, zeros = {}, {}, {}
 
     def counted(cls, space, parts, den=1):
         calls[cls] = calls.get(cls, 0) + 1
         zeros[cls] = zeros.get(cls, 0) + sum(1 for _, v in parts if not v)
         return general(cls, space, parts, den)
 
+    def counted_cancels(cls, parts):
+        tests[cls] = tests.get(cls, 0) + 1
+        zeros[cls] = zeros.get(cls, 0) + sum(1 for _, v in parts if not v)
+        return cancels(cls, parts)
+
     monkeypatch.setattr(SparseVector, "_sum", classmethod(counted))
+    monkeypatch.setattr(SparseVector, "_cancels", classmethod(counted_cancels))
     for dim in (2, 3):
         bundle = SimplexContraction(dim)
         for battery in (check_a_infinity, check_morphism, check_c_infinity, check_unital):
             assert battery(bundle, 3).all_passed
             assert zeros == {cls: 0 for cls in zeros}, (dim, battery.__name__)
         assert calls.pop(Cochain, 0) and calls.pop(Form, 0)
+        assert tests.pop(Cochain, 0) and tests.pop(Form, 0)
         # the algebra zero is stored once, as the cochain zero is
         assert bundle.zero_A() is bundle.zero_A()
 
@@ -896,3 +904,106 @@ def test_the_batteries_negate_no_vector(monkeypatch):
     bundle = SimplexContraction(2)
     assert check_a_infinity(bundle, 3).all_passed and check_morphism(bundle, 3).all_passed
     assert len(negations) == 0
+
+
+def _live_words(bundle, max_arity, offset):
+    """The words of arity 1..max_arity whose degree, offset plus the sum of
+    the letters' shifted degrees, lies in 0..dim, read from the degree
+    table alone."""
+    degrees = bundle._degrees
+    return [
+        word
+        for n in range(1, max_arity + 1)
+        for word in product(bundle.basis_ids(), repeat=n)
+        if 0 <= sum(degrees[i] for i in word) + offset <= bundle.dim
+    ]
+
+
+@pytest.mark.parametrize(
+    "dim, words, structure, morphism, shortcut",
+    [(2, 399, 246, 318, 99), (3, 3615, 1958, 2722, 828)],
+)
+def test_a_relation_reaches_a_residual_only_on_words_of_a_live_degree(
+    monkeypatch, dim, words, structure, morphism, shortcut
+):
+    # every term of the structure relation on w has degree Sigma(w) + 3 and
+    # every term of the morphism relation Sigma(w) + 2, so a battery asks
+    # the zero rule once per word and builds a residual only where that
+    # degree lies in 0..N; where the morphism relation's Sigma(w) + 3 lies
+    # above N, every outer G of arity >= 2 is zero, and the insertion sum is
+    # g(m_n(w)), read without a slice sweep
+    residuals, sweeps = [], []
+    cancels, insertion_parts = SparseVector._cancels.__func__, transfer._insertion_parts
+
+    def counted_cancels(cls, parts):
+        residuals.append(cls)
+        return cancels(cls, parts)
+
+    def counted_parts(bundle, ids, outer):
+        sweeps.append(ids)
+        return insertion_parts(bundle, ids, outer)
+
+    monkeypatch.setattr(SparseVector, "_cancels", classmethod(counted_cancels))
+    monkeypatch.setattr(transfer, "_insertion_parts", counted_parts)
+    bundle = SimplexContraction(dim)
+    live = {offset: _live_words(bundle, 3, offset) for offset in (2, 3)}
+    swept = set(live[3])
+    assert len(live[3]) == structure
+    assert len(live[2]) == morphism
+    assert len(set(live[2]) - swept) == shortcut
+    report = check_a_infinity(bundle, 3)
+    assert report.all_passed and sum(rec.basis_size for rec in report.checks) == words
+    assert residuals == [Cochain] * structure and sweeps == live[3]
+    residuals.clear()
+    sweeps.clear()
+    report = check_morphism(bundle, 3)
+    assert report.all_passed and sum(rec.basis_size for rec in report.checks) == words
+    assert residuals == [Form] * morphism
+    assert sweeps == [word for word in live[2] if word in swept]
+
+
+class _NoZeroRule(SimplexContraction):
+    """The simplex bundle with a zero rule that zeroes nothing: every word
+    of every battery reaches its residual, and every value is built."""
+
+    def vanishes_in_degree(self, degree: int) -> bool:
+        return False
+
+
+@pytest.mark.parametrize("koszul_signs", [True, False], ids=["signs", "no-signs"])
+@pytest.mark.parametrize("dim, max_arity", [(1, 5), (2, 3)])
+def test_the_zero_rule_moves_no_record(dim, max_arity, koszul_signs):
+    # a word the zero rule passes would pass its residual too: each record
+    # has the same name, basis size, verdict and counterexample with the
+    # rule switched off, the failing ones of the unsigned insertion sums
+    # included
+    verdicts = []
+    for battery in (check_a_infinity, check_morphism, check_c_infinity, check_unital):
+        ruled = battery(SimplexContraction(dim, koszul_signs=koszul_signs), max_arity)
+        unruled = battery(_NoZeroRule(dim, koszul_signs=koszul_signs), max_arity)
+        assert _records(ruled) == _records(unruled), battery.__name__
+        verdicts.append(ruled.all_passed)
+    assert all(verdicts) == koszul_signs
+
+
+def test_a_warm_battery_reduces_nothing(monkeypatch):
+    # once the memos are filled, a passing word is decided by _cancels alone:
+    # a second run of the four batteries builds no sum.  The unit f(1) is
+    # the bundle's own map f, one project_f, so it is taken from the first
+    # run
+    bundle = SimplexContraction(2)
+    batteries = (check_a_infinity, check_morphism, check_c_infinity, check_unital)
+    first = [battery(bundle, 3).to_json_dict() for battery in batteries]
+    unit = bundle.unit_B()
+    monkeypatch.setattr(bundle, "unit_B", lambda: unit)
+    general = SparseVector._sum.__func__
+    calls = []
+
+    def counted(cls, space, parts, den=1):
+        calls.append(cls)
+        return general(cls, space, parts, den)
+
+    monkeypatch.setattr(SparseVector, "_sum", classmethod(counted))
+    for battery, report in zip(batteries, first):
+        assert battery(bundle, 3).to_json_dict() == report
+        assert calls == [], battery.__name__

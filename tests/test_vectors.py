@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplicial_transfer import complexes
 from simplicial_transfer.cochains import (
@@ -140,6 +142,34 @@ def test_a_zero_scalar_adds_nothing(case):
     assert make._sum(space, [(0, a)]).num == {}
     mixed = make._sum(space, [(0, a), (1, b)])
     assert _is_canonical(mixed) and mixed == b
+
+
+def _cancelling_parts(name):
+    """Parts (p, v) of vectors of one case: few keys, so that keys meet
+    and cancel, coefficients with mixed denominators and zeros, zero scalars
+    and zero vectors, and at times the negated parts appended, whose sum is
+    zero."""
+    make, (space, _), a_terms, b_terms, _ = CASES[name]
+    keys = sorted({*a_terms, *b_terms})
+    coeffs = st.integers(-2, 2).map(Fraction) | st.fractions(-2, 2, max_denominator=6)
+    vectors = st.dictionaries(st.sampled_from(keys), coeffs, max_size=len(keys)).map(
+        lambda terms: make(space, terms)
+    )
+    parts = st.lists(st.tuples(st.integers(-3, 3), vectors), max_size=5)
+    return st.tuples(parts, st.booleans()).map(
+        lambda drawn: drawn[0] + [(-p, v) for p, v in drawn[0]] if drawn[1] else drawn[0]
+    )
+
+
+@pytest.mark.parametrize("name", ["Form", "Cochain"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cancels_is_the_zero_test_of_the_sum(name, data):
+    # _cancels decides the residual of a sum without reducing it, so it
+    # agrees with testing the reduced sum for zero
+    make, (space, _), *_ = CASES[name]
+    parts = data.draw(_cancelling_parts(name))
+    assert make._cancels(parts) == (not make._sum(space, parts))
 
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
