@@ -31,7 +31,12 @@ e_{F_k} (the join rule)
 
 zero unless U is a simplex with dim U = sum_j dim F_j + 2 - k, where mu is
 the top-face coefficient of m_k on the standard simplex of dimension dim U
-at the positions of the F_j in U.
+at the positions of the F_j in U.  Read the other way round, every nonzero
+m_k of a basis word lives on one simplex x, the union of its letters, and
+is mu times e_x for a word of the mu table of dimension dim x (``_mu_table``:
+the words of the standard simplex that span it in the degree of m_k, with
+their nonzero mu), mapped into x by x's face table; a complex bundle's
+``local_sweep`` visits exactly these words.
 
 One rule zeroes a value before it is built.  f and g keep the degree, H
 lowers it by one, and forms on the N-simplex and cochains on an
@@ -89,7 +94,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, combinations, product, repeat, starmap
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .cochains import (
     Cochain,
@@ -151,7 +156,11 @@ class ComplexContraction:
     m_n is memoised per word of ids.  The hook ``m_word`` gives m_n for
     n >= 2, here by the join rule (module docstring), and
     ``vanishes_in_degree`` is the zero rule (module docstring), with
-    ``dim`` the top dimension of the complex.
+    ``dim`` the top dimension of the complex.  ``face_table`` lists the
+    faces of each simplex in the letter order of a standard simplex, and
+    ``local_sweep`` fills the m memo from it and the mu tables, simplex by
+    simplex, with every nonzero m_k of a basis word; ``m_word`` stays the
+    lookup of a single word.
 
     ``koszul_signs = False`` drops the Koszul sign with which the insertion
     sums of the batteries slide an inner m_k past the letters before it.
@@ -170,6 +179,7 @@ class ComplexContraction:
         self._ids = complex_.index
         self._degrees = [len(face) - 2 for face in self._faces]
         self._memo_m: dict = {}
+        self._face_table = None
 
     def m_word(self, ids: tuple[int, ...]) -> Cochain:
         """m_n on a basis word of n >= 2 ids, by the join rule."""
@@ -186,6 +196,38 @@ class ComplexContraction:
     def letter(self, letter_id: int) -> Cochain:
         """The basis cochain of a letter id."""
         return Cochain._trusted(self.complex, {letter_id: 1})
+
+    def face_table(self) -> list[tuple[int, ...]]:
+        """For each letter x, the letter ids of the faces of its simplex in
+        the letter order of the standard simplex of its dimension: entry i
+        is the face at the positions of that simplex's letter i.  Built on
+        first use."""
+        if self._face_table is None:
+            get = self._ids.get
+            self._face_table = [
+                tuple(
+                    get(tuple(map(x.__getitem__, local)))
+                    for local in standard_simplex(len(x) - 1).simplices
+                )
+                for x in self._faces
+            ]
+        return self._face_table
+
+    def local_sweep(self, k: int) -> list[tuple[int, ...]]:
+        """The local sweep of m_k, k >= 2: simplex by simplex, each word of
+        the mu table of its dimension is mapped through the simplex's face
+        table, and mu * e_x is stored in the m memo for the simplex x.  A
+        word spans one simplex only, the union of its letters, so this
+        visits each word whose m_k is nonzero exactly once (the join rule,
+        module docstring), and returns them."""
+        memo, complex_, degrees = self._memo_m, self.complex, self._degrees
+        swept = []
+        for x, faces in enumerate(self.face_table()):
+            for local, num, den in _mu_table(degrees[x] + 1, k):
+                word = tuple(map(faces.__getitem__, local))
+                memo[word] = Cochain._trusted(complex_, {x: num}, den)
+                swept.append(word)
+        return swept
 
 
 class SimplexContraction(ComplexContraction):
@@ -320,6 +362,29 @@ def _engine(n: int) -> SimplexContraction:
     """The standard n-simplex bundle that the join rule reads m_k from, one
     per dimension and process; its memos fill on first use."""
     return SimplexContraction(n)
+
+
+@lru_cache(maxsize=None)
+def _mu_table(d: int, k: int) -> tuple:
+    """The mu table of arity k >= 2 on the standard d-simplex, one per
+    (d, k) and process: the words of ``_engine(d)``'s letter ids that span
+    the simplex in the degree of m_k (2 plus the sum of the letters'
+    shifted degrees is d), each as (word, num, den) with its nonzero top
+    coefficient mu = num/den in lowest terms, read from ``_m``.  For k = 2
+    these are the (d + 1) 2^d pairs of faces that share one vertex."""
+    engine = _engine(d)
+    faces, degrees = engine._faces, engine._degrees
+    rows = []
+    for ids in _words(engine, k):
+        if sum(map(degrees.__getitem__, ids)) + 2 != d:
+            continue
+        if len(set().union(*map(faces.__getitem__, ids))) != d + 1:
+            continue
+        value = _m(engine, ids)
+        if mu := value.num.get(len(faces) - 1):  # the top simplex is last
+            common = gcd(mu, value.den)
+            rows.append((ids, mu // common, value.den // common))
+    return tuple(rows)
 
 
 def _positions(sub: tuple[int, ...], ambient: tuple[int, ...]) -> tuple[int, ...]:

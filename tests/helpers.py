@@ -8,13 +8,15 @@ polynomials of the interval as 0-forms and the generating-function
 oracle for the interval recursion on them, the left side of the
 structure relation on a word of cochains, the join rule in its
 union-first order, the normalized pullback of cochains along a
-simplicial map, and the two-sided route of the contraction battery.
+simplicial map, seeded flag complexes, and the two-sided route of the
+contraction battery.
 They go through the package's public constructors, apart from the
 relation, the join rule, the contraction route and the tree composite,
 which read the engines they check."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -22,7 +24,7 @@ from math import prod
 from typing import Sequence
 
 from simplicial_transfer import contraction
-from simplicial_transfer.cochains import Cochain, include_g, standard_simplex
+from simplicial_transfer.cochains import Cochain, OrderedComplex, include_g, standard_simplex
 from simplicial_transfer.forms import (
     Form,
     _check_face,
@@ -289,6 +291,26 @@ def pullback(c: Cochain, source, vertex_map) -> Cochain:
         if len(set(image)) == len(image) and image in terms:
             out[simplex] = terms[image]
     return Cochain(source, out)
+
+
+def flag_complex(seed: int, vertices: int = 7) -> OrderedComplex:
+    """The flag complex of a seeded random graph on 1 to 7 vertices: the
+    edge probability and the edges are drawn from ``random.Random(seed)``,
+    and every clique of the graph is a simplex.  The same seed gives the
+    same complex on every run and Python version."""
+    if not 1 <= vertices <= 7:
+        raise ValueError("a flag complex here has 1 to 7 vertices")
+    rng = random.Random(seed)
+    vertices = range(vertices)
+    density = rng.random()
+    edges = {pair for pair in combinations(vertices, 2) if rng.random() < density}
+    cliques = [
+        clique
+        for size in range(1, len(vertices) + 1)
+        for clique in combinations(vertices, size)
+        if all(pair in edges for pair in combinations(clique, 2))
+    ]
+    return OrderedComplex(vertices, cliques)
 
 
 def form_route_contraction(n: int, bound: int) -> Report:

@@ -1,6 +1,7 @@
 import ast
 import json
 from fractions import Fraction
+from hashlib import sha256
 from itertools import product
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from simplicial_transfer.transfer import (
     transferred_m_trees,
 )
 
-from helpers import basis_cochains, pullback, relation_value, union_first_join_rule
+from helpers import basis_cochains, flag_complex, pullback, relation_value, union_first_join_rule
 from global_oracle import (
     GlobalForm,
     GlobalFormContraction,
@@ -682,14 +683,20 @@ def test_the_whitney_check_sums_no_all_zero_residual(monkeypatch):
     # a Leibniz residual whose table entries are all zero, and a pair of
     # zero products for commutativity, pass without a call to _linear; on
     # the octahedron 150 of the 676 products are nonzero, and the check
-    # makes 431 calls where a sum over every pair made 1,411
+    # makes 431 residual sums where a sum over every pair made 1,411: the
+    # Leibniz sums through _linear, the unit, commutativity and associator
+    # residuals through _cancels
     calls = []
 
-    def counted(parts):
-        calls.append(len(parts))
-        return _linear(parts)
+    def counted(kernel):
+        def count(*args):
+            calls.append(kernel.__name__)
+            return kernel(*args)
 
-    monkeypatch.setattr(complexes, "_linear", counted)
+        return count
+
+    monkeypatch.setattr(complexes, "_linear", counted(_linear))
+    monkeypatch.setattr(complexes, "_cancels", counted(transfer._cancels))
     assert check_whitney_conditions(OCTAHEDRON).all_passed
     assert len(calls) == 431
 
@@ -812,6 +819,141 @@ def test_the_degree_count_first_is_the_union_first_join_rule(make, max_arity):
             expected = union_first_join_rule(bundle, ids)
             assert value.complex is expected.complex, ids
             assert (value.num, value.den) == (expected.num, expected.den), ids
+
+
+# -- the local sweep against the join rule ----------------------------------
+
+DISCRETE = OrderedComplex([0, 1, 2], [[0], [1], [2]])
+SWEPT = {
+    "delta2": DELTA2,
+    "boundary2": BOUNDARY2,
+    "path": PATH,
+    "boundary3": BOUNDARY3,
+    "octahedron": OCTAHEDRON,
+    "torus": TORUS,
+    "discrete": DISCRETE,
+    **{f"flag{seed}": flag_complex(seed, 4 + seed % 4) for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("complex_", SWEPT.values(), ids=SWEPT.keys())
+def test_the_local_sweep_is_the_join_rule_on_every_letter_pair(complex_):
+    # the sweep stores mu * e_x for the (d + 1) 2^d words of each d-simplex
+    # x, each once; every letter pair that it does not visit is zero by the
+    # join rule, and every one it visits has the join rule's value
+    swept_bundle = ComplexContraction(complex_)
+    swept = swept_bundle.local_sweep(2)
+    local_words = sum(len(s) * 2 ** (len(s) - 1) for s in complex_.simplices)
+    assert len(set(swept)) == len(swept) == local_words
+    values = swept_bundle._memo_m
+    assert set(values) == set(swept)
+    bundle = ComplexContraction(complex_)
+    for word in product(bundle.basis_ids(), repeat=2):
+        expected = _m(bundle, word)
+        value = values.get(word, swept_bundle._zero)
+        assert value.complex is expected.complex is complex_, word
+        assert (value.num, value.den) == (expected.num, expected.den), word
+
+
+@pytest.mark.parametrize(
+    "complex_", [DELTA2, BOUNDARY3, OCTAHEDRON], ids=["delta2", "boundary3", "octahedron"]
+)
+def test_the_local_sweep_is_the_join_rule_at_arity_3(complex_):
+    # the mu tables of arity 3 read the same way: every nonzero m_3 of a
+    # letter triple is swept once, with the join rule's value
+    swept_bundle = ComplexContraction(complex_)
+    swept = swept_bundle.local_sweep(3)
+    assert len(set(swept)) == len(swept)
+    bundle = ComplexContraction(complex_)
+    for word in product(bundle.basis_ids(), repeat=3):
+        expected = _m(bundle, word)
+        value = swept_bundle._memo_m.get(word, swept_bundle._zero)
+        assert (value.num, value.den) == (expected.num, expected.den), word
+
+
+def test_the_swept_words_are_counted_by_the_f_vector():
+    # sum_d f_d (d + 1) 2^d: 6 + 12 * 4 + 8 * 12 on the octahedron,
+    # 7 + 21 * 4 + 14 * 12 on the torus
+    assert len(ComplexContraction(OCTAHEDRON).local_sweep(2)) == 150
+    assert len(ComplexContraction(TORUS).local_sweep(2)) == 259
+
+
+def test_the_mu_tables_of_m2_are_pinned():
+    # the digest was recorded from the join rule's values, _join_rule on the
+    # engine of dimension d for every spanning word of the right degree,
+    # before the tables existed
+    tables = [transfer._mu_table(d, 2) for d in range(4)]
+    assert [len(table) for table in tables] == [(d + 1) * 2**d for d in range(4)] == [1, 4, 12, 32]
+    assert all(num and den > 0 for table in tables for _, num, den in table)
+    digest = sha256(repr(tables).encode()).hexdigest()
+    assert digest == "9359d8209ef0bdb3aa52f0030204d261903273b4ea81973b35ff55901a2538b6"
+
+
+def test_a_whitney_check_reads_the_join_rule_for_mu_and_the_certificate(monkeypatch):
+    # from cold engines: the mu tables of dimensions 0..2 read their 17
+    # spanning pairs on the engines, and the certificate's structure
+    # relation makes the other 13 calls, at arity 3; every letter pair
+    # through the join rule made 450 calls
+    transfer._engine.cache_clear()
+    transfer._mu_table.cache_clear()
+    calls = []
+    rule = transfer._join_rule
+
+    def counted(bundle, ids):
+        calls.append(len(ids))
+        return rule(bundle, ids)
+
+    monkeypatch.setattr(transfer, "_join_rule", counted)
+    assert check_whitney_conditions(OCTAHEDRON).all_passed
+    assert len(calls) == 30 and calls.count(2) == 17
+
+
+UNIT = "constant 0-cochain is the identity"
+COMMUTATIVE = "product is graded commutative"
+
+
+@pytest.mark.parametrize(
+    "dim, complex_, failures",
+    [
+        (1, DELTA2, [
+            (LEIBNIZ, 1, "delta(x(0) cup x(0)) mismatch"),
+            (UNIT, 4, "unit law fails on x(0,1)"),
+            (COMMUTATIVE, 4, "x(0) cup x(0,1) not graded commutative"),
+        ]),
+        (1, OCTAHEDRON, [
+            (LEIBNIZ, 1, "delta(x(0) cup x(0)) mismatch"),
+            (UNIT, 7, "unit law fails on x(0,2)"),
+            (COMMUTATIVE, 7, "x(0) cup x(0,2) not graded commutative"),
+        ]),
+        (2, DELTA2, [
+            (LEIBNIZ, 4, "delta(x(0) cup x(0,1)) mismatch"),
+            (UNIT, 7, "unit law fails on x(0,1,2)"),
+            (COMMUTATIVE, 7, "x(0) cup x(0,1,2) not graded commutative"),
+        ]),
+        (2, TORUS, [
+            (LEIBNIZ, 8, "delta(x(0) cup x(0,1)) mismatch"),
+            (UNIT, 29, "unit law fails on x(0,1,3)"),
+            (COMMUTATIVE, 29, "x(0) cup x(0,1,3) not graded commutative"),
+        ]),
+    ],
+    ids=["edge-delta2", "edge-octahedron", "triangle-delta2", "triangle-torus"],
+)
+def test_a_doubled_mu_fails_a_named_whitney_record(monkeypatch, dim, complex_, failures):
+    # the first entry of the mu table of dimension dim doubled on every
+    # simplex of that dimension: m_2(e_0, e_01) = 1/2 e_01 on an edge,
+    # m_2(e_0, e_012) = 1/3 e_012 on a triangle
+    table = transfer._mu_table
+
+    def doubled(d, k):
+        rows = table(d, k)
+        if d != dim:
+            return rows
+        (word, num, den), *rest = rows
+        return ((word, 2 * num, den), *rest)
+
+    monkeypatch.setattr(transfer, "_mu_table", doubled)
+    report = check_whitney_conditions(complex_)
+    assert [(c.name, c.basis_size, c.counterexample) for c in report.checks if not c.passed] == failures
 
 
 @pytest.mark.parametrize(
