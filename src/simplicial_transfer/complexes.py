@@ -8,11 +8,11 @@ Dupont's homotopy H are levelwise and natural for face inclusions (Dupont
 1976; Cheng-Getzler, section 3), so no form on the whole complex is needed:
 for k >= 2, m_k on basis cochains e_{F_1}, ..., e_{F_k} is mu * e_U on the
 union U of their supports, zero unless U is a simplex of the right
-dimension, with mu read from the standard simplex of dimension dim U (the
-join rule of ``transfer``).  ``cup`` and the product conditions each build
-one ``ComplexContraction`` of their complex, which memoises m_k per word,
-and read cochains and key tables by letter id as the engine does; the
-transferred operations on any word of cochains are
+dimension, with mu read from the standard simplex of dimension dim U
+through U's face table (the join rule of ``transfer``).  ``cup`` and the
+product conditions each build one ``ComplexContraction`` of their complex,
+which memoises m_k per word, and read cochains and key tables by letter id
+as the engine does; the transferred operations on any word of cochains are
 ``transfer.transferred_m`` on ``ComplexContraction(K)``, and a caller who
 multiplies many cochains on one complex calls it on one bundle, whose memo
 then serves every product.
@@ -121,10 +121,10 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
     """The product f(ga ^ gb), expanded bilinearly through the signed m_2
     on letter ids; by the join rule each pair of simplices contributes at
     most to their join (see the module docstring).  Each call builds one
-    bundle of the complex, so nothing is shared between calls: to multiply
-    many cochains on one complex, call ``transfer.transferred_m`` on one
-    ``ComplexContraction`` (m_2 there is unsigned, cup = (-1)^{deg a} m_2
-    for a of one degree)."""
+    bundle of the complex, with its face table on the first engine read,
+    so nothing is shared between calls: to multiply many cochains on one
+    complex, call ``transfer.transferred_m`` on one ``ComplexContraction``
+    (m_2 there is unsigned, cup = (-1)^{deg a} m_2 for a of one degree)."""
     bundle = ComplexContraction(a.complex)
     return _multilinear(bundle, (a, b), _signed_m2, bundle._zero)
 

@@ -29,14 +29,14 @@ e_{F_k} (the join rule)
 
     m_k(e_{F_1}, ..., e_{F_k}) = mu * e_U,    U = F_1 u ... u F_k,
 
-zero unless U is a simplex with dim U = sum_j dim F_j + 2 - k, where mu is
-the top-face coefficient of m_k on the standard simplex of dimension dim U
-at the positions of the F_j in U.  Read the other way round, every nonzero
-m_k of a basis word lives on one simplex x, the union of its letters, and
-is mu times e_x for a word of the mu table of dimension dim x (``_mu_table``:
-the words of the standard simplex that span it in the degree of m_k, with
-their nonzero mu), mapped into x by x's face table; a complex bundle's
-``local_sweep`` visits exactly these words.
+zero unless U is a simplex with dim U = sum_j dim F_j + 2 - k, where mu
+(read by ``_mu``) is the top-face coefficient of m_k on the standard
+simplex of dimension dim U on the word of the F_j read through U's face
+table (``face_table``).  Read the other way round, every nonzero m_k of a
+basis word lives on one simplex x, the union of its letters, and is mu
+times e_x for a word of the mu table of dimension dim x (``_mu_table``),
+mapped into x by x's face table; a complex bundle's ``local_sweep``
+visits exactly these words.
 
 One rule zeroes a value before it is built.  f and g keep the degree, H
 lowers it by one, and forms on the N-simplex and cochains on an
@@ -92,7 +92,7 @@ a record, against the (n - 1) B^n shuffle sums of the definition.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations, product, repeat, starmap
 from math import gcd, lcm, prod
 
@@ -156,11 +156,11 @@ class ComplexContraction:
     m_n is memoised per word of ids.  The hook ``m_word`` gives m_n for
     n >= 2, here by the join rule (module docstring), and
     ``vanishes_in_degree`` is the zero rule (module docstring), with
-    ``dim`` the top dimension of the complex.  ``face_table`` lists the
-    faces of each simplex in the letter order of a standard simplex, and
-    ``local_sweep`` fills the m memo from it and the mu tables, simplex by
-    simplex, with every nonzero m_k of a basis word; ``m_word`` stays the
-    lookup of a single word.
+    ``dim`` the top dimension of the complex.  ``face_table``, built on
+    first read, lists the faces of each simplex in the letter order of a
+    standard simplex.  The join rule maps a single word into its simplex
+    through it, and ``local_sweep`` fills the m memo from it and the mu
+    tables, simplex by simplex, with every nonzero m_k of a basis word.
 
     ``koszul_signs = False`` drops the Koszul sign with which the insertion
     sums of the batteries slide an inner m_k past the letters before it.
@@ -179,7 +179,6 @@ class ComplexContraction:
         self._ids = complex_.index
         self._degrees = [len(face) - 2 for face in self._faces]
         self._memo_m: dict = {}
-        self._face_table = None
 
     def m_word(self, ids: tuple[int, ...]) -> Cochain:
         """m_n on a basis word of n >= 2 ids, by the join rule."""
@@ -197,21 +196,20 @@ class ComplexContraction:
         """The basis cochain of a letter id."""
         return Cochain._trusted(self.complex, {letter_id: 1})
 
+    @cached_property
     def face_table(self) -> list[tuple[int, ...]]:
         """For each letter x, the letter ids of the faces of its simplex in
         the letter order of the standard simplex of its dimension: entry i
         is the face at the positions of that simplex's letter i.  Built on
-        first use."""
-        if self._face_table is None:
-            get = self._ids.get
-            self._face_table = [
-                tuple(
-                    get(tuple(map(x.__getitem__, local)))
-                    for local in standard_simplex(len(x) - 1).simplices
-                )
-                for x in self._faces
-            ]
-        return self._face_table
+        first read."""
+        get = self._ids.get
+        return [
+            tuple(
+                get(tuple(map(x.__getitem__, local)))
+                for local in standard_simplex(len(x) - 1).simplices
+            )
+            for x in self._faces
+        ]
 
     def local_sweep(self, k: int) -> list[tuple[int, ...]]:
         """The local sweep of m_k, k >= 2: simplex by simplex, each word of
@@ -222,7 +220,7 @@ class ComplexContraction:
         module docstring), and returns them."""
         memo, complex_, degrees = self._memo_m, self.complex, self._degrees
         swept = []
-        for x, faces in enumerate(self.face_table()):
+        for x, faces in enumerate(self.face_table):
             for local, num, den in _mu_table(degrees[x] + 1, k):
                 word = tuple(map(faces.__getitem__, local))
                 memo[word] = Cochain._trusted(complex_, {x: num}, den)
@@ -364,61 +362,58 @@ def _engine(n: int) -> SimplexContraction:
     return SimplexContraction(n)
 
 
+def _mu(d: int, local: tuple[int, ...]):
+    """The top coefficient mu of m_k on a word of ``_engine(d)``'s letter
+    ids, as (num, den) in lowest terms, or None where it is zero."""
+    engine = _engine(d)
+    value = _m(engine, local)
+    num = value.num.get(len(engine._faces) - 1)  # the top simplex is last
+    if not num:
+        return None
+    common = gcd(num, value.den)
+    return num // common, value.den // common
+
+
 @lru_cache(maxsize=None)
 def _mu_table(d: int, k: int) -> tuple:
     """The mu table of arity k >= 2 on the standard d-simplex, one per
-    (d, k) and process: the words of ``_engine(d)``'s letter ids that span
-    the simplex in the degree of m_k (2 plus the sum of the letters'
-    shifted degrees is d), each as (word, num, den) with its nonzero top
-    coefficient mu = num/den in lowest terms, read from ``_m``.  For k = 2
-    these are the (d + 1) 2^d pairs of faces that share one vertex."""
+    (d, k) and process: the words of ``_engine(d)``'s letter ids in the
+    degree of m_k (2 plus the sum of the letters' shifted degrees is d)
+    whose mu (``_mu``) is nonzero, each as (word, num, den).  A word that
+    does not span the simplex is zero by the join rule.  For k = 2 these
+    are the (d + 1) 2^d pairs of faces that share one vertex."""
     engine = _engine(d)
-    faces, degrees = engine._faces, engine._degrees
-    rows = []
-    for ids in _words(engine, k):
-        if sum(map(degrees.__getitem__, ids)) + 2 != d:
-            continue
-        if len(set().union(*map(faces.__getitem__, ids))) != d + 1:
-            continue
-        value = _m(engine, ids)
-        if mu := value.num.get(len(faces) - 1):  # the top simplex is last
-            common = gcd(mu, value.den)
-            rows.append((ids, mu // common, value.den // common))
-    return tuple(rows)
-
-
-def _positions(sub: tuple[int, ...], ambient: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(ambient.index(v) for v in sub)
+    degrees = engine._degrees
+    return tuple(
+        (ids, *mu)
+        for ids in _words(engine, k)
+        if sum(map(degrees.__getitem__, ids)) + 2 == d and (mu := _mu(d, ids))
+    )
 
 
 def _join_rule(bundle, ids: tuple[int, ...]) -> Cochain:
     """m_k, k >= 2, on a basis word by the join rule (module docstring): zero
-    unless the union U of the supports is a simplex of the bundle's complex
+    unless the union x of the supports is a simplex of the bundle's complex
     of the right dimension; f(cut products) when the bundle is a simplex
-    bundle and U its top simplex; otherwise mu * e_U with mu read from the
-    engine of dimension dim U.
+    bundle and x its top simplex; otherwise mu * e_x, with mu read by
+    ``_mu`` on the word mapped into x through x's face table.
 
-    The dimension U must have, sum_j dim F_j + 2 - k, is the degree that
+    The dimension x must have, sum_j dim F_j + 2 - k, is the degree that
     ``_m`` hands to ``vanishes_in_degree`` first, so a word that the zero
-    rule (module docstring) zeroes never gets here.  U is formed and
-    rejected unless it has count + 1 vertices: the same test as forming U
-    first."""
-    zero = bundle._zero
-    n = sum(map(bundle._degrees.__getitem__, ids)) + 2  # dim U
-    faces = [bundle._faces[i] for i in ids]
-    union = tuple(sorted(set().union(*faces)))
-    position = bundle._ids.get(union) if len(union) == n + 1 else None
-    if position is None:
-        return zero
+    rule (module docstring) zeroes never gets here.  The union names x: it
+    is rejected unless it has dim x + 1 vertices, the same test as forming
+    it first."""
+    n = sum(map(bundle._degrees.__getitem__, ids)) + 2  # dim x
+    union = tuple(sorted(set().union(*map(bundle._faces.__getitem__, ids))))
+    x = bundle._ids.get(union) if len(union) == n + 1 else None
+    if x is None:
+        return bundle._zero
     if n == bundle.dim and isinstance(bundle, SimplexContraction):
         return bundle.f(_cut_products(bundle, ids))
-    engine = _engine(n)
-    local = tuple(engine._ids[_positions(face, union)] for face in faces)
-    value = _m(engine, local)
-    mu = value.num.get(len(engine._faces) - 1)  # the top simplex is last
-    if not mu:
-        return zero
-    return Cochain._reduced(bundle.complex, {position: mu}, value.den)
+    mu = _mu(n, tuple(map(bundle.face_table[x].index, ids)))
+    if mu is None:
+        return bundle._zero
+    return Cochain._trusted(bundle.complex, {x: mu[0]}, mu[1])
 
 
 def _sum(zero, parts, den: int = 1):

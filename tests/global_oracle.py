@@ -22,10 +22,13 @@ from simplicial_transfer.transfer import (
     ComplexContraction,
     SimplexContraction,
     _cut_products,
-    _positions,
 )
 
 from helpers import face_restrict, integrate_top
+
+
+def _positions(sub: tuple[int, ...], ambient: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(ambient.index(v) for v in sub)
 
 
 class GlobalForm:

@@ -42,7 +42,6 @@ from simplicial_transfer.transfer import (
     _engine,
     _m,
     _multilinear,
-    _positions,
     _relation,
 )
 from simplicial_transfer.trees import _check_inputs, _eval_vertex
@@ -255,6 +254,10 @@ def relation_value(bundle, word: tuple[Cochain, ...]) -> Cochain:
     """Left side of the structure relation at the word's arity, extended
     multilinearly to a word of cochains."""
     return _multilinear(bundle, word, _relation, bundle._zero)
+
+
+def _positions(sub: tuple[int, ...], ambient: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(ambient.index(v) for v in sub)
 
 
 def union_first_join_rule(bundle, ids: tuple[int, ...]) -> Cochain:

@@ -650,6 +650,35 @@ def test_the_complex_layer_looks_up_no_simplex():
     assert Cochain.unit(complex_) == Cochain.unit(OCTAHEDRON)
 
 
+def test_the_engines_look_up_no_simplex(monkeypatch):
+    # the join rule maps a word into its simplex through the face table,
+    # which is built by ``get``, so no engine's index is ever subscripted
+    for n in range(4):
+        engine = transfer._engine(n)
+        monkeypatch.setattr(engine, "_ids", _NoLookup(engine._ids))
+    assert check_a_infinity(ComplexContraction(OCTAHEDRON), 3).all_passed
+    report = check_whitney_conditions(TORUS)
+    assert report.all_passed, report.to_text()
+    assert cup(chi(TORUS, 0), chi(TORUS, 0, 1)) == Fraction(1, 2) * chi(TORUS, 0, 1)
+
+
+def test_a_swapped_face_table_entry_fails_the_structure_relations():
+    # the join rule reads a word's local letters from the face table, so
+    # two edges swapped in the row of the last triangle break m_2 and m_3
+    # on it, and the structure relations fail at the first word that reads
+    # them
+    bundle = ComplexContraction(OCTAHEDRON)
+    table = bundle.face_table
+    row = list(table[-1])
+    row[3], row[4] = row[4], row[3]
+    table[-1] = tuple(row)
+    report = check_a_infinity(bundle, 3)
+    assert [(c.name, c.basis_size) for c in report.checks if not c.passed] == [
+        ("relation at arity 2", 38),
+        ("relation at arity 3", 974),
+    ]
+
+
 def test_a_checked_cochain_builds_no_coface_table():
     complex_ = OrderedComplex([0, 1, 2], [[0, 1], [1, 2]])
     assert Cochain(complex_, {(0, 1): 1})
@@ -804,13 +833,23 @@ def test_join_rule_matches_the_simplex_engine(n, arity):
         (lambda: SimplexContraction(3), 3),
         (lambda: ComplexContraction(BOUNDARY3), 3),
         (lambda: ComplexContraction(OCTAHEDRON), 3),
+        (lambda: ComplexContraction(TORUS), 2),
+        (lambda: ComplexContraction(flag_complex(58, 7)), 3),
+        (lambda: ComplexContraction(flag_complex(53, 7)), 3),
+        (lambda: ComplexContraction(flag_complex(42, 6)), 3),
     ],
-    ids=["simplex1", "simplex2", "simplex3", "boundary3", "octahedron"],
+    ids=[
+        "simplex1", "simplex2", "simplex3", "boundary3", "octahedron", "torus",
+        "flag58", "flag53", "flag42",
+    ],
 )
 def test_the_degree_count_first_is_the_union_first_join_rule(make, max_arity):
     # the join rule reads dim U from the letters' degrees before it builds
-    # the union; on every basis word it gives the cochain that building the
-    # union first gives, zeros included
+    # the union, and maps the word into U through U's face table; on every
+    # basis word it gives the cochain that building the union first and
+    # reading the positions of the F_j in U gives, zeros included.  The
+    # torus (14 triangles) and the flag complexes (6 to 8 maximal simplices
+    # on 6 or 7 vertices) have many simplices of the top dimension
     bundle = make()
     basis = bundle.basis_ids()
     for arity in range(2, max_arity + 1):
@@ -890,10 +929,12 @@ def test_the_mu_tables_of_m2_are_pinned():
 
 
 def test_a_whitney_check_reads_the_join_rule_for_mu_and_the_certificate(monkeypatch):
-    # from cold engines: the mu tables of dimensions 0..2 read their 17
-    # spanning pairs on the engines, and the certificate's structure
-    # relation makes the other 13 calls, at arity 3; every letter pair
-    # through the join rule made 450 calls
+    # from cold engines: the mu tables of dimensions 0..2 read their 20
+    # pairs in the degree of m_2 on the engines, the 17 spanning ones and
+    # the 3 pairs of an edge with itself on the triangle, which the join
+    # rule zeroes; the certificate's structure relation makes the other 13
+    # calls, at arity 3; every letter pair through the join rule made 450
+    # calls
     transfer._engine.cache_clear()
     transfer._mu_table.cache_clear()
     calls = []
@@ -905,7 +946,7 @@ def test_a_whitney_check_reads_the_join_rule_for_mu_and_the_certificate(monkeypa
 
     monkeypatch.setattr(transfer, "_join_rule", counted)
     assert check_whitney_conditions(OCTAHEDRON).all_passed
-    assert len(calls) == 30 and calls.count(2) == 17
+    assert len(calls) == 33 and calls.count(2) == 20
 
 
 UNIT = "constant 0-cochain is the identity"
