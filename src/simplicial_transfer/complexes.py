@@ -25,7 +25,9 @@ the letter ids of its faces in that simplex's letter order, so the sweep
 maps each simplex's mu table to words of the complex and stores mu * e_x
 for each: sum_d f_d (d + 1) 2^d words, every nonzero product exactly once
 (150 of the 676 letter pairs on the octahedron).  Every other pair is zero
-by the join rule.
+by the join rule, so locality skips it, commutativity too unless its
+transpose is swept, and Leibniz unless it is a swept word with one factor
+cut to a facet (``check_whitney_conditions``); unit law and witness do not.
 
 The product f(ga ^ gb) = (-1)^{deg a} m_2(a, b) is the arity-2 case, summed
 by bilinearity; on basis cochains it is the Whitney structure constant
@@ -121,8 +123,8 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
     """The product f(ga ^ gb), expanded bilinearly through the signed m_2
     on letter ids; by the join rule each pair of simplices contributes at
     most to their join (see the module docstring).  Each call builds one
-    bundle of the complex, with its face table on the first engine read,
-    so nothing is shared between calls: to multiply many cochains on one
+    bundle of the complex, and of its face table only the rows it reads,
+    and shares nothing with other calls: to multiply many cochains on one
     complex, call ``transfer.transferred_m`` on one ``ComplexContraction``
     (m_2 there is unsigned, cup = (-1)^{deg a} m_2 for a of one degree)."""
     bundle = ComplexContraction(a.complex)
@@ -138,14 +140,21 @@ def _signed_m2(bundle, ids: tuple[int, int]) -> Cochain:
 def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     """The classical product conditions for a ⊔ b = f(ga ^ gb), checked over
     every pair of basis cochains, plus the homotopy certificate for its
-    failure of associativity.  The products of all pairs of basis cochains
-    are read once into one table: it starts at zero, and the bundle's local
-    sweep of m_2 (module docstring) names the pairs whose product is
-    nonzero, whose signed m_2 is read from the memo that the sweep fills.
-    Every check reads that table: the unit law, graded commutativity and
-    the associativity test are integer combinations of its entries decided
-    by ``_cancels``, and Leibniz adds the coboundary of an entry from the
-    coface lists of the complex.
+    failure of associativity.  The products are read once into one sparse
+    table, the signed m_2 of the words that the bundle's local sweep names
+    (module docstring), and every other pair reads zero.  The unit law,
+    graded commutativity and the associativity test are integer
+    combinations of its entries decided by ``_cancels``, and Leibniz adds
+    the coboundary of an entry from the coface lists of the complex.
+
+    A residual on (s, t) reads (s, t), for commutativity also (t, s), for
+    Leibniz also (p, t) and (s, p) for the cofaces p of s and of t: it is
+    zero unless one of these was swept.  So each record walks in product
+    order only the swept words, commutativity also their transposes, and
+    Leibniz also (f, b) and (a, f) for each swept (a, b) and facet f of a
+    or of b (a face-table entry one degree below its simplex).  It reports
+    all B^2 pairs if it passes, else the rank s B + t + 1 of its first
+    failing pair (s, t) in ``_words(bundle, 2)``, where a full sweep stops.
 
     A nonassociative triple is demanded exactly when the complex has an
     edge; on a discrete complex the product is honestly associative.
@@ -158,45 +167,43 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     basis_text = f"{len(ids)} basis cochains on {len(simplices)} simplices"
     report = _family_report("cup product conditions", 2, 3, basis_text)
     zero = bundle._zero
-    products = dict.fromkeys(_words(bundle, 2), zero)
-    for word in bundle.local_sweep(2):
-        products[word] = _signed_m2(bundle, word)
+    swept = bundle.local_sweep(2)
+    products = {word: _signed_m2(bundle, word) for word in swept}
+    get = products.get
 
     # locality: the product lives in the star of both supports, that is on
     # simplices that contain the vertices of both
     vertex_sets = [frozenset(s) for s in simplices]
-    report.check(
-        "product is supported on common stars",
-        (
-            None
-            if all(vertex_sets[s] | vertex_sets[t] <= vertex_sets[p] for p in products[s, t].num)
-            else f"{labels[s]} cup {labels[t]} leaves the common star"
-            for s, t in _words(bundle, 2)
-        ),
-    )
+
+    def locality_case(s, t):
+        star = vertex_sets[s] | vertex_sets[t]
+        holds = all(star <= vertex_sets[p] for p in get((s, t), zero).num)
+        return None if holds else f"{labels[s]} cup {labels[t]} leaves the common star"
+
+    _check_pairs(report, "product is supported on common stars", swept, locality_case, len(ids))
 
     # Leibniz with the sign of the left degree, as one unreduced integer
     # residual rhs - lhs per pair over den(s cup t): the coboundary of a
     # basis cochain is its coface list, the nonzero products are read from
     # the table, and -delta(s cup t) is added from the coface lists of its
-    # terms; a pair with no nonzero part and a zero product passes as is
+    # terms; with no nonzero part that is the whole residual
     cofaces = complex_.cofaces()
+    facets = [[f for f in bundle.face_table[x] if dims[f] == dims[x] - 1] for x in ids]
+    near = [[(f, b) for f in facets[a]] + [(a, f) for f in facets[b]] for a, b in swept]
+    leibniz_words = set(swept).union(*near)
 
-    def leibniz_cases():
-        for s, t in _words(bundle, 2):
-            value = products[s, t]
-            sign = -1 if dims[s] % 2 else 1
-            parts = [(x * value.den, v) for p, x in cofaces[s] if (v := products[p, t])]
-            parts += [(sign * y * value.den, v) for p, y in cofaces[t] if (v := products[s, p])]
-            if not parts and not value:
-                yield None
-                continue
-            out, common = _linear(parts)
-            for p, c in value.num.items():
-                _accumulate(out, cofaces[p], -c * common)
-            yield f"delta({labels[s]} cup {labels[t]}) mismatch" if out else None
+    def leibniz_case(s, t):
+        value = get((s, t), zero)
+        sign = -1 if dims[s] % 2 else 1
+        parts = [(x * value.den, v) for p, x in cofaces[s] if (v := get((p, t)))]
+        parts += [(sign * y * value.den, v) for p, y in cofaces[t] if (v := get((s, p)))]
+        out, common = _linear(parts) if parts else ({}, 1)
+        for p, c in value.num.items():
+            _accumulate(out, cofaces[p], -c * common)
+        return f"delta({labels[s]} cup {labels[t]}) mismatch" if out else None
 
-    report.check("coboundary is a signed derivation of the product", leibniz_cases())
+    name = "coboundary is a signed derivation of the product"
+    _check_pairs(report, name, leibniz_words, leibniz_case, len(ids))
 
     # the unit is the sum of the vertices: sum_v v cup b - b and its mirror
     vertices = [v for v in ids if dims[v] == 0]
@@ -204,32 +211,29 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
     def unit_cases():
         for s in ids:
             letter = (-1, bundle.letter(s))
-            left = [(1, products[v, s]) for v in vertices] + [letter]
-            right = [(1, products[s, v]) for v in vertices] + [letter]
+            left = [(1, get((v, s), zero)) for v in vertices] + [letter]
+            right = [(1, get((s, v), zero)) for v in vertices] + [letter]
             holds = _cancels(zero, left) and _cancels(zero, right)
             yield None if holds else f"unit law fails on {labels[s]}"
 
     report.check("constant 0-cochain is the identity", unit_cases())
 
-    # graded commutativity (unshifted degrees); two zero products commute
-    def commutativity_cases():
-        for s, t in _words(bundle, 2):
-            left, right = products[s, t], products[t, s]
-            sign = -1 if dims[s] * dims[t] % 2 else 1
-            yield (
-                f"{labels[s]} cup {labels[t]} not graded commutative"
-                if (left or right) and not _cancels(zero, [(1, left), (-sign, right)])
-                else None
-            )
+    # graded commutativity (unshifted degrees)
+    def commutativity_case(s, t):
+        left, right = get((s, t), zero), get((t, s), zero)
+        sign = -1 if dims[s] * dims[t] % 2 else 1
+        holds = _cancels(zero, [(1, left), (-sign, right)])
+        return None if holds else f"{labels[s]} cup {labels[t]} not graded commutative"
 
-    report.check("product is graded commutative", commutativity_cases())
+    words = {(t, s) for s, t in swept}.union(swept)
+    _check_pairs(report, "product is graded commutative", words, commutativity_case, len(ids))
 
     # nonassociativity witness plus its homotopy certificate: (r cup s) cup t
     # and r cup (s cup t) expanded through the table
     def associator(r, s, t):
-        left, right = products[r, s], products[s, t]
-        parts = [(c * right.den, products[p, t]) for p, c in left.num.items()]
-        parts += [(-c * left.den, products[r, p]) for p, c in right.num.items()]
+        left, right = get((r, s), zero), get((s, t), zero)
+        parts = [(c * right.den, get((p, t), zero)) for p, c in left.num.items()]
+        parts += [(-c * left.den, get((r, p), zero)) for p, c in right.num.items()]
         return not _cancels(zero, parts)
 
     name = "nonassociativity witness with homotopy certificate"
@@ -244,6 +248,16 @@ def check_whitney_conditions(complex_: OrderedComplex) -> Report:
         failure = f"structure relation fails on the witness {witness_labels}" if residual else None
     report.check(name, [failure], len(ids) ** 3)
     return report
+
+
+def _check_pairs(report: Report, name: str, words, case, letters: int) -> None:
+    """Record ``case`` on ``words`` in product order, by the rank rule above."""
+    for s, t in sorted(words):
+        failure = case(s, t)
+        if failure is not None:
+            report.check(name, [failure], s * letters + t + 1)
+            return
+    report.check(name, (), letters * letters)
 
 
 # -- cochain files ---------------------------------------------------------

@@ -170,29 +170,22 @@ class Form(SparseVector, space="dim", mismatch="dimension mismatch"):
 
 
 def generator(dim: int, kind: str, index: int) -> Form:
-    """Normal form of the generator t_index or dt_index on the dim-simplex.
+    """Normal form of the generator t_index or dt_index on the dim-simplex,
+    on packed keys: t_i is field i - 1 at exponent 1, dt_i mask bit i - 1.
 
     Index 0 is rewritten through the barycentric relations
     t_0 = 1 - (t_1 + ... + t_n) and dt_0 = -(dt_1 + ... + dt_n).
     """
     if not 0 <= index <= dim:
         raise ValueError(f"vertex index {index} out of range for dimension {dim}")
-    n = dim
     if kind == "t":
-        if index == 0:
-            terms = {((0,) * n, ()): Fraction(1)}
-            for j in range(1, n + 1):
-                exps = tuple(1 if i == j else 0 for i in range(1, n + 1))
-                terms[(exps, ())] = Fraction(-1)
-            return Form(n, terms)
-        exps = tuple(1 if i == index else 0 for i in range(1, n + 1))
-        return Form(n, {(exps, ()): Fraction(1)})
-    if kind == "dt":
-        zero_exps = (0,) * n
-        if index == 0:
-            return Form(n, {(zero_exps, (j,)): Fraction(-1) for j in range(1, n + 1)})
-        return Form(n, {(zero_exps, (index,)): Fraction(1)})
-    raise ValueError(f"unknown generator kind {kind!r}")
+        keys, constant = [1 << (FIELD * j) for j in range(dim)], {0: 1}
+    elif kind == "dt":
+        keys, constant = [1 << (FIELD * dim + j) for j in range(dim)], {}
+    else:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    num = {keys[index - 1]: 1} if index else {**constant, **dict.fromkeys(keys, -1)}
+    return Form._trusted(dim, num)
 
 
 def wedge(a: Form, b: Form) -> Form:

@@ -92,7 +92,7 @@ a record, against the (n - 1) B^n shuffle sums of the definition.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import chain, combinations, product, repeat, starmap
 from math import gcd, lcm, prod
 
@@ -136,6 +136,21 @@ def _face_label(face) -> str:
     return "x(" + ",".join(map(str, face)) + ")"
 
 
+class _FaceTable(dict):
+    """A face table (``ComplexContraction``) that builds row x on its first
+    read, so a caller pays only for the simplices it reads."""
+
+    def __init__(self, faces, ids):
+        super().__init__()
+        self.faces, self.ids = faces, ids
+
+    def __missing__(self, x: int) -> tuple[int, ...]:
+        simplex, get = self.faces[x], self.ids.get
+        local = standard_simplex(len(simplex) - 1).simplices
+        row = self[x] = tuple(get(tuple(map(simplex.__getitem__, face))) for face in local)
+        return row
+
+
 class ComplexContraction:
     """The cochain side of a complex packaged for the transfer engine: the
     basis of simplices, the coboundary as m_1, and m_k for k >= 2 by the
@@ -156,11 +171,11 @@ class ComplexContraction:
     m_n is memoised per word of ids.  The hook ``m_word`` gives m_n for
     n >= 2, here by the join rule (module docstring), and
     ``vanishes_in_degree`` is the zero rule (module docstring), with
-    ``dim`` the top dimension of the complex.  ``face_table``, built on
-    first read, lists the faces of each simplex in the letter order of a
-    standard simplex.  The join rule maps a single word into its simplex
-    through it, and ``local_sweep`` fills the m memo from it and the mu
-    tables, simplex by simplex, with every nonzero m_k of a basis word.
+    ``dim`` the top dimension of the complex.  ``face_table`` row x lists
+    the ids of the faces of simplex x, entry i at the positions of letter i
+    of the standard simplex of dim x.  The join rule maps a single word
+    into its simplex through one row, and ``local_sweep`` fills the m memo
+    from every row and the mu tables with every nonzero m_k of a basis word.
 
     ``koszul_signs = False`` drops the Koszul sign with which the insertion
     sums of the batteries slide an inner m_k past the letters before it.
@@ -179,6 +194,7 @@ class ComplexContraction:
         self._ids = complex_.index
         self._degrees = [len(face) - 2 for face in self._faces]
         self._memo_m: dict = {}
+        self.face_table = _FaceTable(self._faces, self._ids)
 
     def m_word(self, ids: tuple[int, ...]) -> Cochain:
         """m_n on a basis word of n >= 2 ids, by the join rule."""
@@ -196,21 +212,6 @@ class ComplexContraction:
         """The basis cochain of a letter id."""
         return Cochain._trusted(self.complex, {letter_id: 1})
 
-    @cached_property
-    def face_table(self) -> list[tuple[int, ...]]:
-        """For each letter x, the letter ids of the faces of its simplex in
-        the letter order of the standard simplex of its dimension: entry i
-        is the face at the positions of that simplex's letter i.  Built on
-        first read."""
-        get = self._ids.get
-        return [
-            tuple(
-                get(tuple(map(x.__getitem__, local)))
-                for local in standard_simplex(len(x) - 1).simplices
-            )
-            for x in self._faces
-        ]
-
     def local_sweep(self, k: int) -> list[tuple[int, ...]]:
         """The local sweep of m_k, k >= 2: simplex by simplex, each word of
         the mu table of its dimension is mapped through the simplex's face
@@ -218,10 +219,11 @@ class ComplexContraction:
         word spans one simplex only, the union of its letters, so this
         visits each word whose m_k is nonzero exactly once (the join rule,
         module docstring), and returns them."""
-        memo, complex_, degrees = self._memo_m, self.complex, self._degrees
+        memo, complex_, table = self._memo_m, self.complex, self.face_table
         swept = []
-        for x, faces in enumerate(self.face_table):
-            for local, num, den in _mu_table(degrees[x] + 1, k):
+        for x, degree in enumerate(self._degrees):
+            faces = table[x]
+            for local, num, den in _mu_table(degree + 1, k):
                 word = tuple(map(faces.__getitem__, local))
                 memo[word] = Cochain._trusted(complex_, {x: num}, den)
                 swept.append(word)

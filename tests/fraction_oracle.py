@@ -15,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from simplicial_transfer.forms import generator
 from simplicial_transfer.rationals import binomial, factorial
 
 
@@ -143,13 +142,31 @@ def project_f(a: dict, dim: int) -> dict:
     return out
 
 
+def generator(dim: int, kind: str, index: int) -> dict:
+    """t_index or dt_index on the dim-simplex, index 0 rewritten through
+    t_0 = 1 - (t_1 + ... + t_n) and dt_0 = -(dt_1 + ... + dt_n)."""
+    zero_exps = (0,) * dim
+    if kind == "t":
+        if index == 0:
+            terms = {(zero_exps, ()): Fraction(1)}
+            for j in range(1, dim + 1):
+                exps = tuple(1 if i == j else 0 for i in range(1, dim + 1))
+                terms[(exps, ())] = Fraction(-1)
+            return terms
+        exps = tuple(1 if i == index else 0 for i in range(1, dim + 1))
+        return {(exps, ()): Fraction(1)}
+    if index == 0:
+        return {(zero_exps, (j,)): Fraction(-1) for j in range(1, dim + 1)}
+    return {(zero_exps, (index,)): Fraction(1)}
+
+
 def elementary_form(face: tuple[int, ...], dim: int) -> dict:
     total: dict = {}
     for j, vertex in enumerate(face):
-        term = dict(generator(dim, "t", vertex).terms)
+        term = generator(dim, "t", vertex)
         for l, other in enumerate(face):
             if l != j:
-                term = wedge(term, dict(generator(dim, "dt", other).terms))
+                term = wedge(term, generator(dim, "dt", other))
         for key, value in term.items():
             _add(total, key, (-1 if j % 2 else 1) * factorial(len(face) - 1) * value)
     return total

@@ -8,11 +8,12 @@ polynomials of the interval as 0-forms and the generating-function
 oracle for the interval recursion on them, the left side of the
 structure relation on a word of cochains, the join rule in its
 union-first order, the normalized pullback of cochains along a
-simplicial map, seeded flag complexes, and the two-sided route of the
-contraction battery.
+simplicial map, seeded flag complexes, the two-sided route of the
+contraction battery, and the whitney-check records swept over every
+letter pair.
 They go through the package's public constructors, apart from the
-relation, the join rule, the contraction route and the tree composite,
-which read the engines they check."""
+relation, the join rule, the contraction route, the tree composite and
+the whitney-check sweep, which read the engines they check."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from itertools import combinations
 from math import prod
 from typing import Sequence
 
-from simplicial_transfer import contraction
+from simplicial_transfer import complexes, contraction
 from simplicial_transfer.cochains import Cochain, OrderedComplex, include_g, standard_simplex
 from simplicial_transfer.forms import (
     Form,
@@ -34,15 +35,28 @@ from simplicial_transfer.forms import (
     monomial_basis,
     wedge,
 )
-from simplicial_transfer.rationals import SparseVector, exact, factorial, parse_rational, rational_str
+from simplicial_transfer.rationals import (
+    SparseVector,
+    _accumulate,
+    _linear,
+    exact,
+    factorial,
+    parse_rational,
+    rational_str,
+)
 from simplicial_transfer.reporting import Report
 from simplicial_transfer.transfer import (
+    ComplexContraction,
     SimplexContraction,
+    _cancels,
     _cut_products,
     _engine,
+    _face_label,
+    _family_report,
     _m,
     _multilinear,
     _relation,
+    _words,
 )
 from simplicial_transfer.trees import _check_inputs, _eval_vertex
 
@@ -342,4 +356,96 @@ def form_route_contraction(n: int, bound: int) -> Report:
     report.check("1 - g o f = ds + sd", homotopy_cases(), len(rows))
     for i in range(n + 1):
         report.check(f"1 - eval@{i} = d h^{i} + h^{i} d", poincare_cases(i), len(rows))
+    return report
+
+
+def full_sweep_whitney_conditions(complex_: OrderedComplex) -> Report:
+    """``check_whitney_conditions`` as it was written before its records
+    walked only the words where they can fail: a product table over all B^2
+    letter pairs, zero where the local sweep names no product, and the
+    locality, Leibniz and commutativity records each swept over every pair.
+    The signed m_2 is read through ``complexes._signed_m2`` at call time,
+    so a test that patches it patches both checks."""
+    bundle = ComplexContraction(complex_)
+    simplices = complex_.simplices
+    ids = bundle.basis_ids()
+    dims = [len(s) - 1 for s in simplices]
+    labels = [_face_label(s) for s in simplices]
+    basis_text = f"{len(ids)} basis cochains on {len(simplices)} simplices"
+    report = _family_report("cup product conditions", 2, 3, basis_text)
+    zero = bundle._zero
+    products = dict.fromkeys(_words(bundle, 2), zero)
+    for word in bundle.local_sweep(2):
+        products[word] = complexes._signed_m2(bundle, word)
+
+    vertex_sets = [frozenset(s) for s in simplices]
+    report.check(
+        "product is supported on common stars",
+        (
+            None
+            if all(vertex_sets[s] | vertex_sets[t] <= vertex_sets[p] for p in products[s, t].num)
+            else f"{labels[s]} cup {labels[t]} leaves the common star"
+            for s, t in _words(bundle, 2)
+        ),
+    )
+
+    cofaces = complex_.cofaces()
+
+    def leibniz_cases():
+        for s, t in _words(bundle, 2):
+            value = products[s, t]
+            sign = -1 if dims[s] % 2 else 1
+            parts = [(x * value.den, v) for p, x in cofaces[s] if (v := products[p, t])]
+            parts += [(sign * y * value.den, v) for p, y in cofaces[t] if (v := products[s, p])]
+            if not parts and not value:
+                yield None
+                continue
+            out, common = _linear(parts)
+            for p, c in value.num.items():
+                _accumulate(out, cofaces[p], -c * common)
+            yield f"delta({labels[s]} cup {labels[t]}) mismatch" if out else None
+
+    report.check("coboundary is a signed derivation of the product", leibniz_cases())
+
+    vertices = [v for v in ids if dims[v] == 0]
+
+    def unit_cases():
+        for s in ids:
+            letter = (-1, bundle.letter(s))
+            left = [(1, products[v, s]) for v in vertices] + [letter]
+            right = [(1, products[s, v]) for v in vertices] + [letter]
+            holds = _cancels(zero, left) and _cancels(zero, right)
+            yield None if holds else f"unit law fails on {labels[s]}"
+
+    report.check("constant 0-cochain is the identity", unit_cases())
+
+    def commutativity_cases():
+        for s, t in _words(bundle, 2):
+            left, right = products[s, t], products[t, s]
+            sign = -1 if dims[s] * dims[t] % 2 else 1
+            yield (
+                f"{labels[s]} cup {labels[t]} not graded commutative"
+                if (left or right) and not _cancels(zero, [(1, left), (-sign, right)])
+                else None
+            )
+
+    report.check("product is graded commutative", commutativity_cases())
+
+    def associator(r, s, t):
+        left, right = products[r, s], products[s, t]
+        parts = [(c * right.den, products[p, t]) for p, c in left.num.items()]
+        parts += [(-c * left.den, products[r, p]) for p, c in right.num.items()]
+        return not _cancels(zero, parts)
+
+    name = "nonassociativity witness with homotopy certificate"
+    witness = next((word for word in _words(bundle, 3) if associator(*word)), None)
+    if witness is None:
+        has_edge = any(dim >= 1 for dim in dims)
+        failure = "no nonassociative triple found" if has_edge else None
+    else:
+        witness_labels = tuple(labels[i] for i in witness)
+        name += " (" + ", ".join(witness_labels) + ")"
+        residual = _relation(bundle, witness)
+        failure = f"structure relation fails on the witness {witness_labels}" if residual else None
+    report.check(name, [failure], len(ids) ** 3)
     return report

@@ -43,7 +43,14 @@ from simplicial_transfer.transfer import (
     transferred_m_trees,
 )
 
-from helpers import basis_cochains, flag_complex, pullback, relation_value, union_first_join_rule
+from helpers import (
+    basis_cochains,
+    flag_complex,
+    full_sweep_whitney_conditions,
+    pullback,
+    relation_value,
+    union_first_join_rule,
+)
 from global_oracle import (
     GlobalForm,
     GlobalFormContraction,
@@ -662,16 +669,33 @@ def test_the_engines_look_up_no_simplex(monkeypatch):
     assert cup(chi(TORUS, 0), chi(TORUS, 0, 1)) == Fraction(1, 2) * chi(TORUS, 0, 1)
 
 
+def test_a_cup_builds_only_the_face_table_rows_it_reads(monkeypatch):
+    # each cup builds a bundle of its own, whose face table builds a row on
+    # its first read: the product of two letters reads the row of their
+    # join alone, not the 42 rows of the torus
+    rows = []
+    missing = transfer._FaceTable.__missing__
+
+    def counted(table, x):
+        if table.faces is TORUS.simplices:
+            rows.append(x)
+        return missing(table, x)
+
+    monkeypatch.setattr(transfer._FaceTable, "__missing__", counted)
+    assert cup(chi(TORUS, 0), chi(TORUS, 0, 1)) == Fraction(1, 2) * chi(TORUS, 0, 1)
+    assert rows == [TORUS.index[(0, 1)]]
+
+
 def test_a_swapped_face_table_entry_fails_the_structure_relations():
     # the join rule reads a word's local letters from the face table, so
     # two edges swapped in the row of the last triangle break m_2 and m_3
     # on it, and the structure relations fail at the first word that reads
-    # them
+    # them; the table is keyed by letter id, the last triangle's is B - 1
     bundle = ComplexContraction(OCTAHEDRON)
-    table = bundle.face_table
-    row = list(table[-1])
+    table, last = bundle.face_table, len(OCTAHEDRON.simplices) - 1
+    row = list(table[last])
     row[3], row[4] = row[4], row[3]
-    table[-1] = tuple(row)
+    table[last] = tuple(row)
     report = check_a_infinity(bundle, 3)
     assert [(c.name, c.basis_size) for c in report.checks if not c.passed] == [
         ("relation at arity 2", 38),
@@ -709,12 +733,14 @@ def test_the_complex_holds_only_its_simplices_and_coface_table():
 
 
 def test_the_whitney_check_sums_no_all_zero_residual(monkeypatch):
-    # a Leibniz residual whose table entries are all zero, and a pair of
-    # zero products for commutativity, pass without a call to _linear; on
-    # the octahedron 150 of the 676 products are nonzero, and the check
-    # makes 431 residual sums where a sum over every pair made 1,411: the
-    # Leibniz sums through _linear, the unit, commutativity and associator
-    # residuals through _cancels
+    # a pair whose residual reads only zero table entries is never visited,
+    # and a Leibniz residual with no nonzero part is the coboundary of its
+    # product alone, summed without a call to _linear; on the octahedron 150
+    # of the 676 products are nonzero, and the check makes 335 residual sums
+    # where a sum over every pair made 1,411: 126 Leibniz sums through
+    # _linear (222 pairs less the 96 products on the 8 triangles, which have
+    # no coface), 209 unit, commutativity and associator residuals through
+    # _cancels
     calls = []
 
     def counted(kernel):
@@ -727,7 +753,7 @@ def test_the_whitney_check_sums_no_all_zero_residual(monkeypatch):
     monkeypatch.setattr(complexes, "_linear", counted(_linear))
     monkeypatch.setattr(complexes, "_cancels", counted(transfer._cancels))
     assert check_whitney_conditions(OCTAHEDRON).all_passed
-    assert len(calls) == 431
+    assert (calls.count("_linear"), calls.count("_cancels")) == (126, 209)
 
 
 @pytest.mark.parametrize(
@@ -1086,3 +1112,108 @@ def test_a_pullback_that_keeps_degenerate_images_is_not_natural():
         standard_simplex(3), standard_simplex(2), (0, 0, 1, 2), 2, pull=_vertex_set_pullback
     )
     assert len(failures) == 26
+
+
+# -- the records on live words against the full sweep -----------------------
+
+
+def _mu_mutant(dim, drop=False):
+    """The first row of the mu table of dimension dim doubled, or dropped.
+    Dropped on edges, m_2(e_0, e_01) is zero while m_2(e_01, e_0) is not, so
+    commutativity first fails on a pair that the sweep does not name, reached
+    only as the transpose of a swept word."""
+    table = transfer._mu_table
+
+    def changed(d, k):
+        rows = table(d, k)
+        if d != dim:
+            return rows
+        (word, num, den), *rest = rows
+        return tuple(rest) if drop else ((word, 2 * num, den), *rest)
+
+    return "_mu_table", changed
+
+
+def _doubled_on_edge_paths(bundle, ids):
+    # m_2 of two edges (i, j), (j, k) doubled: on a triangle it leaves the
+    # Leibniz residual of that swept pair, which has no coface term, intact,
+    # and first breaks the residual of (i, (j, k)), a pair that the sweep
+    # does not name but a facet of (i, j) reaches
+    value = _SIGNED_M2(bundle, ids)
+    a, b = (bundle._faces[i] for i in ids)
+    return 2 * value if len(a) == len(b) == 2 and a[1] == b[0] else value
+
+
+PRODUCT_MUTANTS = {
+    "intact": None,
+    "doubled-mu-edge": _mu_mutant(1),
+    "doubled-mu-triangle": _mu_mutant(2),
+    "dropped-mu-edge": _mu_mutant(1, drop=True),
+    "sign-drop": ("_signed_m2", _m),
+    "doubled-edge-path": ("_signed_m2", _doubled_on_edge_paths),
+}
+EQUIVALENT = {
+    "delta2": DELTA2,
+    "boundary3": BOUNDARY3,
+    "octahedron": OCTAHEDRON,
+    "torus": TORUS,
+    **{f"flag{seed}": flag_complex(seed, 4 + seed % 4) for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("mutant", PRODUCT_MUTANTS.values(), ids=PRODUCT_MUTANTS.keys())
+@pytest.mark.parametrize("complex_", EQUIVALENT.values(), ids=EQUIVALENT.keys())
+def test_the_records_on_live_words_report_what_the_full_sweep_reports(
+    monkeypatch, complex_, mutant
+):
+    # each record walks only the pairs where its residual can be nonzero and
+    # reports the rank of its first failure among all B^2 pairs, so its
+    # report is that of the sweep over every pair, also for a broken product
+    if mutant is not None:
+        name, value = mutant
+        monkeypatch.setattr(transfer if name == "_mu_table" else complexes, name, value)
+    report = check_whitney_conditions(complex_)
+    assert report.to_json_dict() == full_sweep_whitney_conditions(complex_).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "complex_, rank, pair",
+    [(DELTA2, 6, ((0,), (1, 2))), (OCTAHEDRON, 15, ((0,), (2, 4)))],
+    ids=["delta2", "octahedron"],
+)
+def test_a_leibniz_failure_can_lie_off_the_sweep(monkeypatch, complex_, rank, pair):
+    # with m_2 doubled on edge paths, Leibniz first fails on a vertex and
+    # the edge opposite it in a triangle: a pair whose product is zero,
+    # which the sweep does not name, reached only as a facet neighbour
+    monkeypatch.setattr(complexes, "_signed_m2", _doubled_on_edge_paths)
+    report = check_whitney_conditions(complex_)
+    labels = " cup ".join(transfer._face_label(face) for face in pair)
+    assert [(c.name, c.basis_size, c.counterexample) for c in report.checks if not c.passed][:1] == [
+        (LEIBNIZ, rank, f"delta({labels}) mismatch")
+    ]
+    ids = tuple(complex_.index[face] for face in pair)
+    assert ids not in ComplexContraction(complex_).local_sweep(2)
+
+
+@pytest.mark.parametrize(
+    "complex_, counts",
+    [(OCTAHEDRON, (150, 222, 150)), (TORUS, (259, 385, 259))],
+    ids=["octahedron", "torus"],
+)
+def test_each_whitney_record_walks_only_its_live_words(monkeypatch, complex_, counts):
+    # locality walks the swept words, Leibniz adds their facet neighbours
+    # and commutativity their transposes (the same words, as the product is
+    # graded commutative); a sweep over every pair would walk 676 or 1,764
+    walked = []
+    check_pairs = complexes._check_pairs
+
+    def counted(report, name, words, case, letters):
+        walked.append((name, len(words)))
+        return check_pairs(report, name, words, case, letters)
+
+    monkeypatch.setattr(complexes, "_check_pairs", counted)
+    report = check_whitney_conditions(complex_)
+    assert report.all_passed
+    names = ["product is supported on common stars", LEIBNIZ, COMMUTATIVE]
+    assert walked == list(zip(names, counts))
+    assert [c.basis_size for c in report.checks if c.name in names] == [len(complex_.simplices) ** 2] * 3

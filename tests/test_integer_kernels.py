@@ -2,7 +2,9 @@
 (tests/fraction_oracle.py): on random forms and cochains on the simplices of
 dimension 0 to 4, with coefficients over non-unit denominators, every
 kernel's Fraction view equals the oracle's result term for term.  The
-packed monomial keys round-trip through the public (exponents, dts) view."""
+packed monomial keys round-trip through the public (exponents, dts) view,
+and the generators and Whitney elementary forms, built on packed keys, are
+the oracle's."""
 
 from fractions import Fraction
 from math import gcd
@@ -11,9 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from simplicial_transfer.cochains import Cochain, include_g, project_f, standard_simplex
+from simplicial_transfer.cochains import (
+    Cochain,
+    _elementary_form,
+    include_g,
+    project_f,
+    standard_simplex,
+)
 from simplicial_transfer.contraction import h_operator, s_operator
-from simplicial_transfer.forms import Form, _d_into, _pack, _unpack, differential, wedge
+from simplicial_transfer.forms import Form, _d_into, _pack, _unpack, differential, generator, wedge
 
 from helpers import homogeneous_degree
 
@@ -69,6 +77,28 @@ def test_packed_keys_round_trip(monomial, coeff):
     assert list(form.num) == [key]
     assert dict(form.terms) == {(exps, dts): coeff}
     assert homogeneous_degree(form) == len(dts)
+
+
+def test_the_packed_generators_are_the_fraction_generators():
+    # every t_i and dt_i on the simplices of dimension 0 to 4, key order
+    # included, so a kernel that walks a generator meets its terms in the
+    # order the checking constructor stored them
+    for dim in range(5):
+        for kind in ("t", "dt"):
+            for index in range(dim + 1):
+                terms = oracle.generator(dim, kind, index)
+                value = generator(dim, kind, index)
+                assert dict(value.terms) == terms, (dim, kind, index)
+                assert list(value.num) == list(Form(dim, terms).num), (dim, kind, index)
+                assert _canonical(value)
+
+
+def test_the_elementary_forms_are_the_fraction_elementary_forms():
+    for dim in range(4):
+        for face in standard_simplex(dim).simplices:
+            value = _elementary_form(face, dim)
+            assert dict(value.terms) == oracle.elementary_form(face, dim), (dim, face)
+            assert _canonical(value)
 
 
 @settings(max_examples=100, deadline=None)

@@ -375,7 +375,8 @@ def test_every_battery_reads_its_words_from_the_sweep(monkeypatch):
     # transfer._words is the one place that lists basis words, so each
     # battery asks it for the arity of every record it writes: a unit-slot
     # word of arity n is a slot and a word of arity n - 1, and the binary
-    # unit laws sweep arity 1
+    # unit laws sweep arity 1.  whitney-check reads its letter pairs from
+    # the local sweep of m_2 instead and asks _words for the triples only
     asked = []
     words = transfer._words
 
@@ -396,8 +397,17 @@ def test_every_battery_reads_its_words_from_the_sweep(monkeypatch):
         assert battery(bundle, 3).all_passed
         assert set(asked) == arities, battery.__name__
     asked.clear()
+    sweep = ComplexContraction.local_sweep
+    swept = []
+
+    def recorded_sweep(bundle, k):
+        swept.append(k)
+        return sweep(bundle, k)
+
+    monkeypatch.setattr(ComplexContraction, "local_sweep", recorded_sweep)
     assert check_whitney_conditions(standard_simplex(2)).all_passed
-    assert set(asked) == {2, 3}
+    assert set(asked) == {3}
+    assert swept == [2]
     # a failing shuffle record names its pair from the sweep too: the Dynkin
     # sweeps of m and G at arity 2, and between them the shuffle sums of m
     failing = SimplexContraction(1)
