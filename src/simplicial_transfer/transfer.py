@@ -32,11 +32,12 @@ e_{F_k} (the join rule)
 zero unless U is a simplex with dim U = sum_j dim F_j + 2 - k, where mu
 (read by ``_mu``) is the top-face coefficient of m_k on the standard
 simplex of dimension dim U on the word of the F_j read through U's face
-table (``face_table``).  Read the other way round, every nonzero m_k of a
-basis word lives on one simplex x, the union of its letters, and is mu
-times e_x for a word of the mu table of dimension dim x (``_mu_table``),
-mapped into x by x's face table; a complex bundle's ``local_sweep``
-visits exactly these words.
+table (``face_table``); that value mu * e_top is stored in lowest terms,
+so ``_mu`` reduces nothing.  Read the other way round, every nonzero
+m_k of a basis word lives on one simplex x, the union of its letters, and
+is mu times e_x for a word of the mu table of dimension dim x
+(``_mu_table``), mapped into x by x's face table; a complex bundle's
+``local_sweep`` visits exactly these words.
 
 One rule zeroes a value before it is built.  f and g keep the degree, H
 lowers it by one, and forms on the N-simplex and cochains on an
@@ -58,8 +59,8 @@ degrees for the structure relation, 2 plus it for the morphism relation.
 A word it zeroes passes before any inner m_k, G or insertion part is
 built, and still counts in its record.  Any other word is decided by
 ``SparseVector._cancels``, which tests the unreduced numerators of its
-residual for emptiness, and only a failing word builds a reduced value,
-for its counterexample text.
+residual for emptiness; so are a shuffle pair and whitney-check's
+certificate.  Only a failing case sums its value, for its text.
 
 Both m_n and G_n are multilinear, so they are fixed by their values on words
 of basis cochains.  A letter is the position of its simplex in the complex,
@@ -94,7 +95,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, combinations, product, repeat, starmap
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from .cochains import (
     Cochain,
@@ -366,14 +367,12 @@ def _engine(n: int) -> SimplexContraction:
 
 def _mu(d: int, local: tuple[int, ...]):
     """The top coefficient mu of m_k on a word of ``_engine(d)``'s letter
-    ids, as (num, den) in lowest terms, or None where it is zero."""
+    ids, as (num, den) read off its value mu * e_top, which is in lowest
+    terms, or None where it is zero or of another degree."""
     engine = _engine(d)
     value = _m(engine, local)
     num = value.num.get(len(engine._faces) - 1)  # the top simplex is last
-    if not num:
-        return None
-    common = gcd(num, value.den)
-    return num // common, value.den // common
+    return (num, value.den) if num else None
 
 
 @lru_cache(maxsize=None)
@@ -458,12 +457,6 @@ def _insertion_parts(bundle, ids: tuple[int, ...], outer):
             if image:
                 parts.append((scale * coeff, image))
     return parts, den
-
-
-def _relation(bundle, ids: tuple[int, ...]):
-    """Left side of the structure relation on a basis word: the insertion
-    sum of ``_insertion_parts`` with m as the outer operation."""
-    return _sum(bundle._zero, *_insertion_parts(bundle, ids, _m))
 
 
 def _multilinear(bundle, word: tuple[Cochain, ...], op, zero):
@@ -669,17 +662,16 @@ def _dynkin_failure(bundle, n: int, op, zero):
 def _shuffle_cases(bundle, n: int, op, zero, render):
     """op summed over each shuffle u sh v of nonempty words, for |u| = 1, ...,
     n - 1 in turn u v running over the arity-n sweep cut after |u| letters:
-    None where the sum vanishes, the counterexample text where it does not."""
+    None where ``_cancels`` finds the parts cancel, else the counterexample
+    text, the one place that sums them."""
     degree_of = bundle._degrees.__getitem__
     for p in range(1, n):
         for word in _words(bundle, n):
             u, v = word[:p], word[p:]
-            total = _sum(zero, [(c, op(bundle, w)) for w, c in shuffle(u, v, degree_of).items()])
-            yield (
+            parts = [(c, op(bundle, w)) for w, c in shuffle(u, v, degree_of).items()]
+            yield None if _cancels(zero, parts) else (
                 f"{_word_label(bundle, u)} shuffle {_word_label(bundle, v)} "
-                f"gives {render(total)}"
-                if total
-                else None
+                f"gives {render(_sum(zero, parts))}"
             )
 
 

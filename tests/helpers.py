@@ -53,9 +53,10 @@ from simplicial_transfer.transfer import (
     _engine,
     _face_label,
     _family_report,
+    _insertion_parts,
     _m,
     _multilinear,
-    _relation,
+    _sum,
     _words,
 )
 from simplicial_transfer.trees import _check_inputs, _eval_vertex
@@ -262,6 +263,12 @@ def exp_series_ratio(max_order: int) -> list[Form]:
             acc = acc - q[k - j] * out[j]
         out.append(acc)  # q[0] == 1, no division needed
     return out
+
+
+def _relation(bundle, ids: tuple[int, ...]) -> Cochain:
+    """Left side of the structure relation on a basis word: the insertion
+    sum with m as the outer operation, summed and reduced."""
+    return _sum(bundle._zero, *_insertion_parts(bundle, ids, _m))
 
 
 def relation_value(bundle, word: tuple[Cochain, ...]) -> Cochain:

@@ -482,14 +482,25 @@ def test_complex_file_shape_errors(tmp_path, capsys, data, message):
     assert out == ""
 
 
-def test_unreadable_cochain_file(tmp_path, capsys):
-    b_file = tmp_path / "b.json"
-    b_file.write_text(json.dumps({"entries": []}))
+@pytest.mark.parametrize("bad", ["--a", "--b"])
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "cannot read cochain file"), ("{", "bad cochain file")],
+    ids=["absent", "malformed"],
+)
+def test_unreadable_cochain_file(tmp_path, capsys, bad, content, message):
+    # the other factor is a valid cochain file, so the bad one is the one
+    # that stops the command, whichever slot it fills
+    good, broken = tmp_path / "good.json", tmp_path / "broken.json"
+    good.write_text(json.dumps({"entries": []}))
+    if content is not None:
+        broken.write_text(content)
+    files = {"--a": good, "--b": good, bad: broken}
     code, out, err = _complex_run(
         tmp_path, capsys, {"vertices": [0, 1], "simplices": [[0, 1]]},
-        "cup", "--a", str(tmp_path / "absent.json"), "--b", str(b_file),
+        "cup", "--a", str(files["--a"]), "--b", str(files["--b"]),
     )
-    _assert_one_line_usage_error(code, err, "cannot read cochain file")
+    _assert_one_line_usage_error(code, err, message)
     assert out == ""
 
 

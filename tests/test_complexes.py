@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 from hashlib import sha256
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from simplicial_transfer.complexes import (
     load_cochain,
 )
 from simplicial_transfer.forms import parse_form, wedge
-from simplicial_transfer.rationals import _accumulate, _linear, factorial
+from simplicial_transfer.rationals import SparseVector, _accumulate, _linear, factorial
 from simplicial_transfer.transfer import (
     ComplexContraction,
     _cut_products,
@@ -736,11 +737,11 @@ def test_the_whitney_check_sums_no_all_zero_residual(monkeypatch):
     # a pair whose residual reads only zero table entries is never visited,
     # and a Leibniz residual with no nonzero part is the coboundary of its
     # product alone, summed without a call to _linear; on the octahedron 150
-    # of the 676 products are nonzero, and the check makes 335 residual sums
+    # of the 676 products are nonzero, and the check makes 336 residual sums
     # where a sum over every pair made 1,411: 126 Leibniz sums through
     # _linear (222 pairs less the 96 products on the 8 triangles, which have
-    # no coface), 209 unit, commutativity and associator residuals through
-    # _cancels
+    # no coface), 209 unit, commutativity and associator residuals and the
+    # certificate's structure relation through _cancels
     calls = []
 
     def counted(kernel):
@@ -753,7 +754,49 @@ def test_the_whitney_check_sums_no_all_zero_residual(monkeypatch):
     monkeypatch.setattr(complexes, "_linear", counted(_linear))
     monkeypatch.setattr(complexes, "_cancels", counted(transfer._cancels))
     assert check_whitney_conditions(OCTAHEDRON).all_passed
-    assert (calls.count("_linear"), calls.count("_cancels")) == (126, 209)
+    assert (calls.count("_linear"), calls.count("_cancels")) == (126, 210)
+
+
+def test_a_warm_whitney_check_sums_only_the_signed_products(monkeypatch):
+    # every residual, the certificate's structure relation included, is
+    # decided by _cancels on unreduced numerators, so once the engines and
+    # mu tables are warm the only vector sums are the negations of
+    # _signed_m2: one per swept word whose left factor has an even shifted
+    # degree
+    check_whitney_conditions(OCTAHEDRON)
+    bundle = ComplexContraction(OCTAHEDRON)
+    negated = sum(1 for s, _ in bundle.local_sweep(2) if bundle._degrees[s] % 2 == 0)
+    calls = []
+    kernel = SparseVector._sum.__func__
+
+    def counted(cls, space, parts, den=1):
+        calls.append(cls)
+        return kernel(cls, space, parts, den)
+
+    monkeypatch.setattr(SparseVector, "_sum", classmethod(counted))
+    assert check_whitney_conditions(OCTAHEDRON).all_passed
+    assert negated and len(calls) == negated
+
+
+@pytest.mark.parametrize(
+    "complex_, witness, basis_size",
+    [
+        (DELTA2, ("x(0)", "x(0)", "x(0,1)"), 7**3),
+        (OCTAHEDRON, ("x(0)", "x(0)", "x(0,2)"), 26**3),
+    ],
+    ids=["delta2", "octahedron"],
+)
+def test_the_certificate_fails_without_the_koszul_signs(monkeypatch, complex_, witness, basis_size):
+    # dropping the Koszul sign of the insertion sums breaks the structure
+    # relation on the witness, which the certificate reports on the B^3
+    # triples; the product records, which have no insertion sum, still pass
+    monkeypatch.setattr(ComplexContraction, "koszul_signs", False)
+    report = check_whitney_conditions(complex_)
+    name = "nonassociativity witness with homotopy certificate (" + ", ".join(witness) + ")"
+    assert [(c.name, c.basis_size, c.counterexample) for c in report.checks if not c.passed] == [
+        (name, basis_size, f"structure relation fails on the witness {witness}")
+    ]
+    assert report.to_json_dict() == full_sweep_whitney_conditions(complex_).to_json_dict()
 
 
 @pytest.mark.parametrize(
@@ -943,15 +986,25 @@ def test_the_swept_words_are_counted_by_the_f_vector():
     assert len(ComplexContraction(TORUS).local_sweep(2)) == 259
 
 
-def test_the_mu_tables_of_m2_are_pinned():
-    # the digest was recorded from the join rule's values, _join_rule on the
-    # engine of dimension d for every spanning word of the right degree,
-    # before the tables existed
-    tables = [transfer._mu_table(d, 2) for d in range(4)]
-    assert [len(table) for table in tables] == [(d + 1) * 2**d for d in range(4)] == [1, 4, 12, 32]
-    assert all(num and den > 0 for table in tables for _, num, den in table)
-    digest = sha256(repr(tables).encode()).hexdigest()
-    assert digest == "9359d8209ef0bdb3aa52f0030204d261903273b4ea81973b35ff55901a2538b6"
+@pytest.mark.parametrize(
+    "arity, sizes, pinned",
+    [
+        (2, [1, 4, 12, 32], "9359d8209ef0bdb3aa52f0030204d261903273b4ea81973b35ff55901a2538b6"),
+        (3, [0, 6, 54, 324], "23bc519b519779ba0e0fd1c6b801bd10390d41cad2f8363916ceb9af3148f5a0"),
+    ],
+    ids=["arity2", "arity3"],
+)
+def test_the_mu_tables_of_m2_are_pinned(arity, sizes, pinned):
+    # the arity-2 digest was recorded from the join rule's values, _join_rule
+    # on the engine of dimension d for every spanning word of the right
+    # degree, before the tables existed; the arity-3 one while _mu still
+    # reduced each mu by a gcd, which the engine's lowest terms make 1
+    tables = [transfer._mu_table(d, arity) for d in range(4)]
+    assert [len(table) for table in tables] == sizes
+    if arity == 2:
+        assert sizes == [(d + 1) * 2**d for d in range(4)]
+    assert all(num and den > 0 and gcd(num, den) == 1 for table in tables for _, num, den in table)
+    assert sha256(repr(tables).encode()).hexdigest() == pinned
 
 
 def test_a_whitney_check_reads_the_join_rule_for_mu_and_the_certificate(monkeypatch):

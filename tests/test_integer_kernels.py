@@ -117,6 +117,21 @@ def test_form_kernels_equal_the_fraction_oracle(pair):
         assert _canonical(result)
 
 
+@settings(max_examples=50, deadline=None)
+@given(form_pairs())
+def test_raw_d_with_scale_zero_adds_nothing(pair):
+    # the zero scale returns before the first term: a filled dict, even one
+    # that holds keys of d(a), keeps every key and value
+    a, b = pair
+    n = a.dim
+    out = dict(b.num)
+    _d_into(out, n, a.num, 1)
+    out.setdefault(0, 1)
+    before = dict(out)
+    _d_into(out, n, a.num, 0)
+    assert out == before
+
+
 @settings(max_examples=100, deadline=None)
 @given(form_pairs(), st.integers(-6, 6).filter(bool), st.data())
 def test_raw_d_adds_a_scaled_d(pair, scale, data):

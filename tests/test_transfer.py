@@ -1,3 +1,5 @@
+import io
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -320,6 +322,26 @@ def test_a_doubled_value_fails_at_the_first_shuffle_counterexample(monkeypatch):
     ]
 
 
+def test_a_failing_shuffle_record_sums_only_its_failing_pair(monkeypatch):
+    # the shuffle sweep of a failing record decides each pair by _cancels
+    # and sums the parts of its first failing pair alone, for the text
+    bundle = SimplexContraction(1)
+    monkeypatch.setattr(transfer, "_m", _doubled_on(transfer._m, bundle, ((0,), (0, 1))))
+    monkeypatch.setattr(transfer, "_G", _doubled_on(transfer._G, bundle, ((0,), (0, 1), (0, 1))))
+    check_c_infinity(bundle, 3)
+    calls = []
+    sweep = transfer._shuffle_cases.__code__
+
+    def counted(zero, parts, den=1):
+        if sys._getframe(1).f_code is sweep:
+            calls.append(len(parts))
+        return _sum(zero, parts, den)
+
+    monkeypatch.setattr(transfer, "_sum", counted)
+    report = check_c_infinity(bundle, 3)
+    assert len(calls) == sum(not c.passed for c in report.checks) == 2
+
+
 def test_a_doubled_G_value_fails_the_morphism_record_with_its_text(monkeypatch):
     # a word is one residual, and only a failing word forms lhs and rhs: the
     # first word whose insertion sum reads the doubled G_3 fails the arity-3
@@ -521,6 +543,19 @@ def test_a_unit_that_is_one_basis_letter_is_named_by_it(monkeypatch):
             "word=(x(0), x(0), x(0)) gives face=[0] coeff=1",
         ),
     ]
+
+
+@pytest.mark.parametrize("max_arity", range(2, 7))
+def test_the_interval_text_is_what_write_text_writes(max_arity):
+    # the table's text, read twice, is the streamed text: the header, one
+    # line per word of arity 2..max_arity, then the records
+    table = interval_product_table(max_arity)
+    stream = io.StringIO()
+    table.write_text(stream.write)
+    text = table.to_text()
+    assert text == stream.getvalue() == table.to_text()
+    assert text.startswith(table.header + "\n")
+    assert text.count("\n  m(") == sum(2**n for n in range(2, max_arity + 1))
 
 
 def test_interval_table_reports_a_failing_bernoulli_check(monkeypatch):
