@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 
-from .forms import Form, _check_dim, _check_face, _unpack, generator, wedge
+from .forms import FIELD, _LOW, Form, _check_dim, _check_face, generator, wedge
 from .rationals import SparseVector, _accumulate, factorial, rational_str
 
 __all__ = [
@@ -219,22 +219,30 @@ def _face_integrals(dim: int, key: int) -> Cochain:
     Dirichlet integral of the barycentric monomial gives
 
         (-1)^m a_1! ... a_n! / (|a| + k)!
+
+    The key is read as vertex bits (vertex v at bit v): the support is the
+    dt mask shifted up by one plus a bit per positive exponent, i_m is its
+    one bit outside dts or, with none, any vertex outside dts, and m counts
+    the dts bits below i_m.
     """
-    exps, dts = _unpack(dim, key)
-    k = len(dts)
-    support = set(dts).union(j for j, e in enumerate(exps, 1) if e)
+    simplex = standard_simplex(dim)
+    dts = key >> (FIELD * dim) << 1
+    support, numer, total = dts, 1, 0
+    for j in range(dim):
+        e = key >> (FIELD * j) & _LOW
+        if e:
+            support |= 2 << j
+            numer *= factorial(e)
+            total += e
+    free = support & ~dts  # the vertices of the support that carry no dt
+    if free & (free - 1):
+        return Cochain._trusted(simplex, {})
     out: dict[int, int] = {}
-    if len(support) > k + 1:
-        return Cochain._trusted(standard_simplex(dim), out)
-    numer = 1
-    for e in exps:
-        numer *= factorial(e)
-    for vertex in range(dim + 1):
-        if vertex in dts or not support <= set(dts) | {vertex}:
-            continue
-        face = tuple(sorted(dts + (vertex,)))
-        out[standard_simplex(dim).index[face]] = -numer if face.index(vertex) % 2 else numer
-    return Cochain._reduced(standard_simplex(dim), out, factorial(sum(exps) + k))
+    for bit in [free] if free else [1 << v for v in range(dim + 1) if not dts >> v & 1]:
+        face = dts | bit
+        position = simplex.index[tuple(v for v in range(dim + 1) if face >> v & 1)]
+        out[position] = -numer if (dts & (bit - 1)).bit_count() % 2 else numer
+    return Cochain._reduced(simplex, out, factorial(total + dts.bit_count()))
 
 
 def project_f(a: Form) -> Cochain:

@@ -51,9 +51,9 @@ H = -s.
 
 The permutations sigma of the vertices 1..n fix vertex 0, so they act on
 the normal form by permuting exponent fields and dt bits, with the sign of
-re-sorting the dt factors.  By naturality sigma h^i sigma^-1 = h^sigma(i)
-and sigma w_I = w_sigma(I); the h^i anticommute and w_I alternates, so
-sigma s sigma^-1 = s.  Hence s columns are filled once per orbit: the fused
+re-sorting the dt factors, both read per dt mask from a table of sigma.
+By naturality sigma h^i sigma^-1 = h^sigma(i) and sigma w_I = w_sigma(I);
+the h^i anticommute and w_I alternates, so sigma s sigma^-1 = s.  Hence s columns are filled once per orbit: the fused
 sum runs only on a canonical key, and any other key relabels its
 representative's column over the same denominator.  The battery still
 checks every monomial of the basis, and computes d m and the s and f
@@ -90,13 +90,13 @@ from .forms import (
     _d_into,
     _guard,
     _sort_sign,
-    _unpack,
+    _table,
     _wedge_into,
     differential,
     format_form,
     monomial_basis,
 )
-from .rationals import _accumulate, _linear, binomial, factorial
+from .rationals import _linear, binomial, factorial
 from .reporting import Report
 
 __all__ = [
@@ -108,34 +108,44 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
+def _weights(a_i: int, rest: int) -> tuple[int, ...]:
+    """C(a_i, m) B(rest + m, a_i - m) (rest + a_i + 1)! for m = 0..a_i: the
+    weights of h^i's closed form over its denominator, B(p, q) = p! q! / (p + q + 1)!."""
+    return tuple(binomial(a_i, m) * factorial(rest + m) * factorial(a_i - m) for m in range(a_i + 1))
+
+
+@lru_cache(maxsize=None)
 def _h_monomial(n: int, i: int, key: int) -> Form:
     """h^i(t^a dt_S) by the closed form of the module docstring, on the
     packed key of the monomial."""
-    exps, dts = _unpack(n, key)
-    if not dts:
+    shift = FIELD * n
+    mask = key >> shift
+    if not mask:
         # a 0-form acquires no du part under the dilation
         return Form.zero(n)
-    shift = FIELD * n
-    guard = _guard(n)
-    a_i = exps[i - 1] if i else 0
-    rest = sum(exps) - a_i + len(dts) - 1
-    terms = []
-    for m in range(a_i + 1):
-        # B(p, q) = p! q! / (p + q + 1)! with p + q = rest + a_i for every m
-        weight = binomial(a_i, m) * factorial(rest + m) * factorial(a_i - m)
-        base = key - ((a_i - m) << (FIELD * (i - 1))) if i else key
-        for r, s in enumerate(dts, 1):
-            signed = -weight if r % 2 else weight
-            # the factor (delta_{i,s} - t_s) dt_{S - s}
-            others = base - (1 << (shift + s - 1))
-            raised = others + (1 << (FIELD * (s - 1)))
-            if raised & guard:
-                raise OverflowError(_OVERFLOW)
-            terms.append((raised, -signed))
-            if s == i:
-                terms.append((others, signed))
+    a_i = key >> (FIELD * (i - 1)) & _LOW if i else 0
+    dts = [j for j in range(n) if mask >> j & 1]  # dt_{j+1}, field j
+    if (key + sum(1 << (FIELD * j) for j in dts)) & _guard(n):
+        raise OverflowError(_OVERFLOW)
+    rest = sum(key >> (FIELD * j) & _LOW for j in range(n)) - a_i + len(dts) - 1
+    # per dt_s at position r: (-1)^r, the step from t^a dt_S to t_s dt_{S - s},
+    # and to dt_{S - s} when s = i, the two terms of (delta_{i,s} - t_s) dt_{S - s}
+    steps = [
+        (r % 2, (1 << (FIELD * j)) - (1 << (shift + j)), j == i - 1 and -(1 << (shift + j)))
+        for r, j in enumerate(dts, 1)
+    ]
     out: dict = {}
-    _accumulate(out, terms, 1)
+    for m, weight in enumerate(_weights(a_i, rest)):
+        base = key - ((a_i - m) << (FIELD * (i - 1))) if i else key
+        for odd, raised, others in steps:
+            signed = -weight if odd else weight
+            # raised terms have distinct keys, but for s = i the raised term
+            # of m - 1 is t_i^m dt_{S - i}, which the others term adds to
+            out[base + raised] = -signed
+            if others:
+                value = out.pop(base + others, 0) + signed
+                if value:
+                    out[base + others] = value
     return Form._reduced(n, out, factorial(rest + a_i + 1))
 
 
@@ -154,18 +164,24 @@ def h_operator(a: Form, i: int) -> Form:
     return Form._reduced(n, *_h_raw(n, i, a.num, a.den))
 
 
+def _renamed_mask(n: int, targets: tuple[int, ...], mask: int) -> tuple[int, int, tuple[int, ...]]:
+    """The dt bits of the mask with vertex j + 1 renamed targets[j], in place
+    above the n fields, the sign of sorting the renamed dt factors, and the
+    shift that takes each exponent field to its renamed place."""
+    moved = [v for j, v in enumerate(targets) if mask >> j & 1]
+    shifts = tuple(FIELD * (v - 1) for v in targets)
+    return sum(1 << (FIELD * n + v - 1) for v in moved), _sort_sign(moved), shifts
+
+
 def _relabel(n: int, key: int, targets: tuple[int, ...]) -> tuple[int, int]:
     """The key with vertex j + 1 renamed targets[j] for j < n, and the sign
-    of sorting its renamed dt factors into ascending order."""
-    shift = FIELD * n
-    out = 0
-    moved = []
-    for j, v in enumerate(targets):
-        out |= (key >> (FIELD * j) & _LOW) << (FIELD * (v - 1))
-        if key >> (shift + j) & 1:
-            out |= 1 << (shift + v - 1)
-            moved.append(v)
-    return out, _sort_sign(moved)
+    of sorting its renamed dt factors into ascending order, read from a
+    table per renaming keyed by the dt mask."""
+    out, sign, shifts = _table(_renamed_mask, n, targets)[key >> (FIELD * n)]
+    for to in shifts:
+        out |= (key & _LOW) << to
+        key >>= FIELD
+    return out, sign
 
 
 @lru_cache(maxsize=None)

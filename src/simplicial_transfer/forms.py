@@ -18,9 +18,10 @@ stored key never sets, so an exponent is at most 2^15 - 1: a larger one
 raises ``OverflowError`` at construction, and so does a sum of exponents
 that reaches a guard bit in wedge or h^i.  A key never wraps.  wedge of
 two monomials is then one mask test (a shared dt factor gives zero), one
-int add and the sign of merging the two masks, a popcount parity cached
-per pair of masks on first use; d moves one unit from a field to a mask
-bit, with the parity of the mask bits below it as its sign.
+int add and the sign of merging the two masks, read per pair of masks from
+a table (``_Rows``) that fills a row on first use; d reads a row of moves
+per dt mask from such a table, each move one unit from a field to a clear
+mask bit with the parity of the mask bits below it as its sign.
 
 Coefficients are exact rationals, stored as integer numerators over one
 denominator per form in lowest terms (``SparseVector``), so wedge and d
@@ -39,7 +40,7 @@ and every rendering keep the pair form.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from types import MappingProxyType
 import re
@@ -100,29 +101,48 @@ def _guard(dim: int) -> int:
 _OVERFLOW = f"an exponent exceeds {_TOP - 1}, the largest a monomial holds"
 
 
-class _MergeSigns(dict):
-    """(-1)^inversions of dt_S dt_T -> dt_{S u T}, keyed by the masks
-    (m_S << dim) | m_T of disjoint S and T; filled on first use."""
+class _Rows(dict):
+    """A table keyed by int whose row for a key is fill(key), built on its
+    first read and kept, so a table keyed by dt masks holds only the masks
+    read, though a mask on Δ^40 has 2^40 values."""
 
-    def __init__(self, dim: int):
-        super().__init__()
-        self.dim = dim
+    def __init__(self, fill):
+        self.fill = fill
 
-    def __missing__(self, pair: int) -> int:
-        ma, mb = pair >> self.dim, pair & ((1 << self.dim) - 1)
-        inversions = 0
-        while mb:
-            low = mb & -mb
-            # every factor of S above dt_t moves past it
-            inversions += (ma & -low).bit_count()
-            mb ^= low
-        sign = self[pair] = -1 if inversions % 2 else 1
-        return sign
+    def __missing__(self, key: int):
+        row = self[key] = self.fill(key)
+        return row
 
 
 @lru_cache(maxsize=None)
-def _merge_signs(dim: int) -> _MergeSigns:
-    return _MergeSigns(dim)
+def _table(fill, *args) -> _Rows:
+    """The table of the rows fill(*args, key), one per args."""
+    return _Rows(partial(fill, *args))
+
+
+def _merge_sign(dim: int, pair: int) -> int:
+    """(-1)^inversions of dt_S dt_T -> dt_{S u T}, for the masks
+    pair = (m_S << dim) | m_T of disjoint S and T."""
+    ma, mb = pair >> dim, pair & ((1 << dim) - 1)
+    inversions = 0
+    while mb:
+        low = mb & -mb
+        # every factor of S above dt_t moves past it
+        inversions += (ma & -low).bit_count()
+        mb ^= low
+    return -1 if inversions % 2 else 1
+
+
+def _d_moves(dim: int, mask: int) -> tuple[tuple[int, int, int], ...]:
+    """The moves of d on a monomial with the dt mask, one per j whose mask bit
+    is clear: (the shift of field j, the key step from one unit of field j to
+    mask bit j, the sign of moving dt_{j+1} past the mask bits below j)."""
+    shift = FIELD * dim
+    return tuple(
+        (FIELD * j, (1 << (shift + j)) - (1 << (FIELD * j)), -1 if (mask & ((1 << j) - 1)).bit_count() % 2 else 1)
+        for j in range(dim)
+        if not mask >> j & 1
+    )
 
 
 def _sort_sign(indices) -> int:
@@ -203,7 +223,7 @@ def _wedge_into(out: dict, dim: int, a_num: dict, b_num: dict, scale: int) -> No
     the dim-simplex, dropping keys whose sum cancels to zero."""
     shift = FIELD * dim
     guard = _guard(dim)
-    signs = _merge_signs(dim)
+    signs = _table(_merge_sign, dim)
     b_terms = [(kb, kb >> shift, scale * cb) for kb, cb in b_num.items()]
     for ka, ca in a_num.items():
         ma = ka >> shift
@@ -238,18 +258,15 @@ def _d_into(out: dict, dim: int, num: dict, scale: int) -> None:
     if not scale:
         return
     shift = FIELD * dim
+    moves = _table(_d_moves, dim)
     for key, coeff in num.items():
-        mask = key >> shift
         coeff *= scale
-        for j in range(dim):  # the field and mask bit of t_{j+1}
-            e = (key >> (FIELD * j)) & _LOW
-            if not e or mask >> j & 1:
+        for at, step, sign in moves[key >> shift]:
+            e = key >> at & _LOW
+            if not e:
                 continue
-            # dt_{j+1} moves into ascending position past the smaller indices
-            value = e * coeff
-            if (mask & ((1 << j) - 1)).bit_count() % 2:
-                value = -value
-            new = key - (1 << (FIELD * j)) + (1 << (shift + j))
+            value = sign * e * coeff
+            new = key + step
             held = out.get(new)
             if held is not None:
                 value += held
@@ -275,11 +292,12 @@ def monomial_basis(dim: int, max_poly_degree: int):
     to the bound, form degree by form degree."""
     if dim and max_poly_degree >= _TOP:  # fail before building ~bound^dim exponent tuples
         _pack(dim, (_TOP,) * dim, ())  # raises: the basis holds t_1^_TOP
-    exps_list = _exponents(dim, max_poly_degree)
+    fields = [_pack(dim, exps, ()) for exps in _exponents(dim, max_poly_degree)]
     for k in range(dim + 1):
-        for dts in combinations(range(1, dim + 1), k):
-            for exps in exps_list:
-                yield Form.monomial(dim, exps, dts)
+        for dts in combinations(range(FIELD * dim, FIELD * dim + dim), k):
+            mask = sum(1 << bit for bit in dts)
+            for key in fields:
+                yield Form._trusted(dim, {key | mask: 1})
 
 
 @lru_cache(maxsize=None)

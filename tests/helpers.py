@@ -9,8 +9,9 @@ oracle for the interval recursion on them, the left side of the
 structure relation on a word of cochains, the join rule in its
 union-first order, the normalized pullback of cochains along a
 simplicial map, seeded flag complexes, the two-sided route of the
-contraction battery, and the whitney-check records swept over every
-letter pair.
+contraction battery, d and the vertex relabelling of packed keys by their
+per-field and per-term loops, and the whitney-check records swept over
+every letter pair.
 They go through the package's public constructors, apart from the
 relation, the join rule, the contraction route, the tree composite and
 the whitney-check sweep, which read the engines they check."""
@@ -27,6 +28,8 @@ from typing import Sequence
 from simplicial_transfer import complexes, contraction
 from simplicial_transfer.cochains import Cochain, OrderedComplex, include_g, standard_simplex
 from simplicial_transfer.forms import (
+    FIELD,
+    _LOW,
     Form,
     _check_face,
     differential,
@@ -364,6 +367,49 @@ def form_route_contraction(n: int, bound: int) -> Report:
     for i in range(n + 1):
         report.check(f"1 - eval@{i} = d h^{i} + h^{i} d", poincare_cases(i), len(rows))
     return report
+
+
+def per_field_d_into(out: dict, dim: int, num: dict, scale: int) -> None:
+    """``forms._d_into`` as it was written before its per-mask move table:
+    every field of every key is read, and the sign of each move is a
+    popcount of the mask bits below it."""
+    if not scale:
+        return
+    shift = FIELD * dim
+    for key, coeff in num.items():
+        mask = key >> shift
+        coeff *= scale
+        for j in range(dim):  # the field and mask bit of t_{j+1}
+            e = (key >> (FIELD * j)) & _LOW
+            if not e or mask >> j & 1:
+                continue
+            # dt_{j+1} moves into ascending position past the smaller indices
+            value = e * coeff
+            if (mask & ((1 << j) - 1)).bit_count() % 2:
+                value = -value
+            new = key - (1 << (FIELD * j)) + (1 << (shift + j))
+            held = out.get(new)
+            if held is not None:
+                value += held
+                if not value:
+                    del out[new]
+                    continue
+            out[new] = value
+
+
+def per_term_relabel(n: int, key: int, targets: tuple[int, ...]) -> tuple[int, int]:
+    """``contraction._relabel`` as it was written before its per-mask table:
+    the key with vertex j + 1 renamed targets[j], and the sign of sorting
+    the renamed dt factors, one field and one mask bit at a time."""
+    shift = FIELD * n
+    out = 0
+    moved = []
+    for j, v in enumerate(targets):
+        out |= (key >> (FIELD * j) & _LOW) << (FIELD * (v - 1))
+        if key >> (shift + j) & 1:
+            out |= 1 << (shift + v - 1)
+            moved.append(v)
+    return out, -1 if sum(a > b for a, b in combinations(moved, 2)) % 2 else 1
 
 
 def full_sweep_whitney_conditions(complex_: OrderedComplex) -> Report:

@@ -4,26 +4,47 @@ dimension 0 to 4, with coefficients over non-unit denominators, every
 kernel's Fraction view equals the oracle's result term for term.  The
 packed monomial keys round-trip through the public (exponents, dts) view,
 and the generators and Whitney elementary forms, built on packed keys, are
-the oracle's."""
+the oracle's.  The per-mask tables of d and of the vertex relabelling
+agree with the per-field and per-term loops they replaced (tests/helpers.py)
+on whole bases, f's face integrals with a digest of their old values, and
+the tables build only the rows they read, even on Δ^40."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import gcd
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
+from simplicial_transfer import forms
 from simplicial_transfer.cochains import (
     Cochain,
     _elementary_form,
+    _face_integrals,
     include_g,
     project_f,
     standard_simplex,
 )
-from simplicial_transfer.contraction import h_operator, s_operator
-from simplicial_transfer.forms import Form, _d_into, _pack, _unpack, differential, generator, wedge
+from simplicial_transfer.contraction import _relabel, check_contraction, h_operator, s_operator
+from simplicial_transfer.forms import (
+    Form,
+    _d_into,
+    _exponents,
+    _pack,
+    _unpack,
+    differential,
+    generator,
+    monomial_basis,
+    wedge,
+)
 
-from helpers import homogeneous_degree
+from helpers import homogeneous_degree, per_field_d_into, per_term_relabel
 
 COEFFS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 36))
 
@@ -178,3 +199,117 @@ def test_g_equals_the_fraction_oracle(c):
     result = include_g(c)
     assert dict(result.terms) == oracle.include_g(c.terms, c.dim)
     assert _canonical(result)
+
+
+def _basis_keys(n, bound):
+    return [key for m in monomial_basis(n, bound) for key in m.num]
+
+
+def test_d_reads_its_move_table_as_the_per_field_loop_did():
+    # every key of the basis alone, and the whole basis at once with mixed
+    # coefficients, where the images of different keys meet and cancel
+    for n in range(5):
+        keys = _basis_keys(n, 4)
+        for key in keys:
+            out, expected = {}, {}
+            _d_into(out, n, {key: 5}, -3)
+            per_field_d_into(expected, n, {key: 5}, -3)
+            assert out == expected, (n, key)
+        num = {key: (-1) ** p * (p % 7 + 1) for p, key in enumerate(keys)}
+        out, expected = {7: 1}, {7: 1}
+        _d_into(out, n, num, 2)
+        per_field_d_into(expected, n, num, 2)
+        assert out == expected and list(out) == list(expected), n
+
+
+def test_relabel_reads_its_mask_table_as_the_per_term_loop_did():
+    for n in range(1, 5):
+        keys = _basis_keys(n, 4)
+        for targets in permutations(range(1, n + 1)):
+            for key in keys:
+                assert _relabel(n, key, targets) == per_term_relabel(n, key, targets), (n, targets, key)
+
+
+def test_the_face_integrals_are_pinned():
+    # (dim, key, sorted numerators, denominator) of f on every monomial of
+    # polynomial degree <= 5 on the simplices of dimension 0 to 4, hashed
+    # as the per-vertex set loop computed them before f read vertex bits
+    lines = []
+    for n in range(5):
+        for key in _basis_keys(n, 5):
+            column = _face_integrals(n, key)
+            lines.append(repr((n, key, sorted(column.num.items()), column.den)))
+    assert len(lines) == 2561
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "a7b7ba75de69045053141afe7989d3c12e44e81af32a05091fd885091f450bc9"
+
+
+def test_monomial_basis_is_the_checked_monomials_in_order():
+    # form degree by form degree, dt sets in combinations order, exponent
+    # tuples sorted; each a checked monomial with its one key over 1
+    for n in range(5):
+        for bound in range(1, 5):
+            expected = [
+                Form.monomial(n, exps, dts)
+                for k in range(n + 1)
+                for dts in combinations(range(1, n + 1), k)
+                for exps in _exponents(n, bound)
+            ]
+            basis = list(monomial_basis(n, bound))
+            assert basis == expected, (n, bound)
+            assert [(list(m.num.items()), m.den) for m in basis] == [
+                (list(m.num.items()), m.den) for m in expected
+            ]
+            assert basis == [Form.monomial(n, *_unpack(n, key)) for m in basis for key in m.num]
+
+
+def test_a_sign_flipped_d_move_row_fails_the_battery(monkeypatch):
+    # the row of the mask of dt1 on the 3-simplex moves t2 and t3 past dt1,
+    # each with sign -1; with both signs flipped, every record that adds a
+    # d fails at the first monomial whose d reads that row
+    table = forms._table(forms._d_moves, 3)
+    mask = 0b001
+    monkeypatch.setitem(table, mask, tuple((at, step, -sign) for at, step, sign in table[mask]))
+    assert [(c.name, c.counterexample) for c in check_contraction(3, 2).checks if not c.passed] == [
+        ("1 - g o f = ds + sd", "1 t3^2 dt1"),
+        *[(f"1 - eval@{i} = d h^{i} + h^{i} d", "1 t3 dt1") for i in range(4)],
+    ]
+
+
+LAZY_TABLES = """
+import resource, tracemalloc
+# an eager table of 2^40 rows fails here at once, not by exhausting the host
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+limit = 1 << 28 if hard == resource.RLIM_INFINITY else min(1 << 28, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+from simplicial_transfer.contraction import _relabel
+from simplicial_transfer.forms import Form, differential, generator, wedge
+
+m = Form.monomial(40, (2,) + (0,) * 38 + (1,), (3, 7))
+(key,) = m.num
+dt5 = generator(40, "dt", 5)
+transposition = (2, 1) + tuple(range(3, 41))
+for name, run in [
+    ("differential", lambda: differential(m)),
+    ("wedge", lambda: wedge(m, dt5)),
+    ("relabel", lambda: _relabel(40, key, transposition)),
+]:
+    tracemalloc.start()
+    run()
+    print(name, tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+"""
+
+
+def test_the_tables_stay_lazy_on_a_40_simplex():
+    # a dt mask on the 40-simplex has 2^40 values, so a table that built a
+    # row per mask up front could not finish; run in a child process whose
+    # address space is capped
+    env = {**os.environ, "PYTHONPATH": str(Path(forms.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", LAZY_TABLES], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    peaks = dict(line.split() for line in child.stdout.splitlines())
+    assert list(peaks) == ["differential", "wedge", "relabel"]
+    assert all(int(peak) < 1 << 20 for peak in peaks.values()), peaks

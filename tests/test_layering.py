@@ -5,8 +5,9 @@ the one vector type the layers share and ``Report`` the one report type;
 every function, class and method of the package has a use in it, or is
 the API that the README and the demos present; the package needs nothing
 beyond the standard library; the names that the benchmark harness looks up
-in the package exist; and each benchmark workload prints the stdout that
-bench/references.json records for it."""
+in the package exist; each benchmark workload prints the stdout that
+bench/references.json records for it; and every BENCH_*.json snapshot at
+the root holds the medians of every declared workload and metric."""
 
 import ast
 import contextlib
@@ -445,3 +446,32 @@ def test_every_benchmark_workload_matches_its_reference(workload, monkeypatch):
         "stdout_bytes": len(out),
         "stdout_sha256": hashlib.sha256(out).hexdigest(),
     } == reference
+
+
+def _bench_snapshots() -> dict[str, dict]:
+    """Every BENCH_*.json at the repository root, by file name."""
+    paths = sorted(BENCH.parent.glob("BENCH_*.json"))
+    return {path.name: json.loads(path.read_text(encoding="utf-8")) for path in paths}
+
+
+def test_every_bench_snapshot_holds_the_declared_metrics():
+    # a snapshot is a point of the performance trajectory: for every
+    # workload and end-to-end metric that BENCHMARK.json declares, the
+    # parent's and the change's medians over at least ten pairs, the two
+    # commits, and the net LOC of src/
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in declared["workloads"]]
+    metrics = [m["name"] for m in declared["end_to_end"]]
+    snapshots = _bench_snapshots()
+    assert snapshots
+    for name, snapshot in snapshots.items():
+        commits = snapshot["commits"]
+        assert all(isinstance(commits[side], str) and commits[side] for side in ("parent", "change")), name
+        assert isinstance(snapshot["src_loc"]["net"], int), name
+        for workload in workloads:
+            row = snapshot["workloads"][workload]
+            assert row["pairs"] >= 10, (name, workload)
+            for metric in metrics:
+                for side in ("parent", "change"):
+                    median = row["metrics"][metric][side]["median"]
+                    assert isinstance(median, (int, float)) and median > 0, (name, workload, metric, side)
