@@ -53,24 +53,29 @@ The permutations sigma of the vertices 1..n fix vertex 0, so they act on
 the normal form by permuting exponent fields and dt bits, with the sign of
 re-sorting the dt factors, both read per dt mask from a table of sigma.
 By naturality sigma h^i sigma^-1 = h^sigma(i) and sigma w_I = w_sigma(I);
-the h^i anticommute and w_I alternates, so sigma s sigma^-1 = s.  Hence s columns are filled once per orbit: the fused
-sum runs only on a canonical key, and any other key relabels its
-representative's column over the same denominator.  The battery still
-checks every monomial of the basis, and computes d m and the s and f
-columns of each monomial once for all of its sweeps.  Each identity on a
-monomial is one integer residual, its parts summed unreduced over a common
-denominator and tested for emptiness, so no side of it is built as a
-reduced Form: g f m and s d m are read from the g and s columns of the
-keys of f m and d m, f s m and s s m from the f and s columns of the keys
-of s m, eval_i(m) is the entry of f m at the vertex i, and
-d s m and d h^i m are added into the residual by the raw kernel
-``forms._d_into`` from the numerators of the cached s and h^i columns.  So
-d builds a Form only for each monomial's own d m.
+the h^i anticommute and w_I alternates, so sigma s sigma^-1 = s.  Hence s
+columns are filled once per orbit: the fused sum runs only on a canonical
+key, and any other key relabels its representative's column over the same
+denominator.
+
+The battery checks every monomial of the basis, and computes d m and f m
+of each monomial once for all of its sweeps.  The homotopy record and the
+n + 1 Poincare records check one identity, 1 - pi = dK + Kd, for the pairs
+(pi, K) = (g f, s) and (eval_i, h^i), and one loop decides them all.  Each
+identity on a monomial is one integer residual, its parts summed
+unreduced over a common denominator and tested for emptiness, so no side
+of it is built as a reduced Form: K m and K d m are read from the cached K
+columns of the key of m and of the keys of d m, pi m off f m (g f m from
+the elementary forms of the faces of f m, eval_i(m) as the entry of f m at
+the vertex i), f s m and s s m from the f and s columns of the keys of s m,
+and d K m is added into the residual by the raw kernel ``forms._d_into``
+from the numerators of the cached K column.  So d builds a Form only for
+each monomial's own d m.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import lcm
 
@@ -256,16 +261,6 @@ def homotopy_H(a: Form) -> Form:
     return _s_sum(a, -1)
 
 
-def _less_d(n: int, parts, scale: int, a: Form) -> dict:
-    """The numerators of (sum of p * v) - scale * d(a), for the pairs (p, v)
-    of an int p and a form v on the n-simplex, over a common denominator and
-    not reduced: the parts are brought over den(a), so d adds the raw
-    numerators of a."""
-    out, common = _linear([(p * a.den, v) for p, v in parts])
-    _d_into(out, n, a.num, -scale * common)
-    return out
-
-
 def check_contraction(n: int, max_poly_degree: int) -> Report:
     """Evaluate the full contraction identity battery on the n-simplex over
     every monomial of polynomial degree up to the bound.
@@ -280,60 +275,51 @@ def check_contraction(n: int, max_poly_degree: int) -> Report:
         poly_degree_bound=max_poly_degree,
     )
     monomials = list(monomial_basis(n, max_poly_degree))
-    # per monomial, once for every sweep: its key, d m, and its cached s and
-    # f columns
-    rows = [
-        (m, key, differential(m), _s_monomial(n, key), project_f(m))
-        for m in monomials
-        for key in m.num
-    ]
+    # per monomial, once for every sweep: its key, d m and f m
+    rows = [(m, key, differential(m), project_f(m)) for m in monomials for key in m.num]
     simplex = standard_simplex(n)
     faces = simplex.simplices
+    one = Form.one(n)
 
     def face_cases(predicate):
         for position, face in enumerate(faces):
             cochain = Cochain._trusted(simplex, {position: 1})
             yield None if predicate(cochain) else f"basis cochain of face {face}"
 
-    # Each identity is one residual, summed unreduced by _less_d and failed
-    # exactly when a numerator survives.  A row is a basis monomial (one key,
-    # coefficient 1 over 1): its s, f and h^i images are the cached columns
-    # of its key, and eval_i(m) is the entry of f m at the vertex i, the
-    # position i of the simplex; so every scalar is an int.
-    def homotopy_cases():
-        for m, _, dm, sm, fm in rows:
-            # (1 - g f - d s - s d) times den(f m) den(d m): g f m and s d m
-            # read the g and s columns of the keys of f m and d m, and d s m
-            # is taken from the s column of m
-            scale = fm.den * dm.den
-            parts = [(scale, m)]
-            parts += [(-c * dm.den, _elementary_form(faces[p], n)) for p, c in fm.num.items()]
-            parts += [(-c * fm.den, _s_monomial(n, k)) for k, c in dm.num.items()]
-            yield format_form(m) if _less_d(n, parts, scale, sm) else None
+    # 1 - pi = dK + Kd (module docstring) as one residual per row,
+    # (1 - pi - dK - Kd) m times den(f m) den(d m), failed exactly when a
+    # numerator survives.  A row is a basis monomial (one key, coefficient 1
+    # over 1), so every scalar is an int; pi(f m) is pi m times den(f m).
+    def homotopy_cases(pi, column):
+        for m, key, dm, fm in rows:
+            scale, km = fm.den * dm.den, column(key)
+            parts = [(scale, m)] + [(-c * dm.den, v) for c, v in pi(fm)]
+            parts += [(-c * fm.den, column(k)) for k, c in dm.num.items()]
+            out, common = _linear([(p * km.den, v) for p, v in parts])
+            _d_into(out, n, km.num, -scale * common)
+            yield format_form(m) if out else None
+
+    def g_f(fm):
+        return [(c, _elementary_form(faces[p], n)) for p, c in fm.num.items()]
+
+    def evaluation(vertex):
+        # eval_i(m) is the entry of f m at the vertex i, the position i of
+        # the simplex
+        return lambda fm: [(fm.num.get(vertex, 0), one)]
 
     # f s m and s s m: the nonzero f and s columns of the keys of s m, summed
     # unreduced by _cancels of the vector type of the column
     def zero_cases(kind, column):
-        for m, _, _, sm, _ in rows:
-            parts = [(c, v) for k, c in sm.num.items() if (v := column(n, k))]
+        for m, key, _, _ in rows:
+            parts = [(c, v) for k, c in _s_monomial(n, key).num.items() if (v := column(n, k))]
             yield None if kind._cancels(parts) else format_form(m)
-
-    def poincare_cases(vertex):
-        one = Form.one(n)
-        for m, key, dm, _, fm in rows:
-            # (1 - eval_i - d h^i - h^i d) times den(f m) den(d m), d h^i m
-            # taken from the h^i column of m
-            scale = fm.den * dm.den
-            parts = [(scale, m), (-dm.den * fm.num.get(vertex, 0), one)]
-            parts += [(-c * fm.den, _h_monomial(n, vertex, k)) for k, c in dm.num.items()]
-            yield format_form(m) if _less_d(n, parts, scale, _h_monomial(n, vertex, key)) else None
 
     report.check(
         "f o g = 1 on the cochain basis",
         face_cases(lambda c: project_f(include_g(c)) == c),
         len(faces),
     )
-    report.check("1 - g o f = ds + sd", homotopy_cases(), len(monomials))
+    report.check("1 - g o f = ds + sd", homotopy_cases(g_f, partial(_s_monomial, n)), len(monomials))
     report.check("f o s = 0", zero_cases(Cochain, _face_integrals), len(monomials))
     report.check("s o s = 0", zero_cases(Form, _s_monomial), len(monomials))
     report.check(
@@ -341,8 +327,9 @@ def check_contraction(n: int, max_poly_degree: int) -> Report:
         face_cases(lambda c: not s_operator(include_g(c))),
         len(faces),
     )
-    report.check("s(1) = 0", ["the constant form 1" if s_operator(Form.one(n)) else None])
+    report.check("s(1) = 0", ["the constant form 1" if s_operator(one) else None])
     for i in range(n + 1):
-        report.check(f"1 - eval@{i} = d h^{i} + h^{i} d", poincare_cases(i), len(monomials))
+        cases = homotopy_cases(evaluation(i), partial(_h_monomial, n, i))
+        report.check(f"1 - eval@{i} = d h^{i} + h^{i} d", cases, len(monomials))
 
     return report

@@ -21,7 +21,8 @@ two monomials is then one mask test (a shared dt factor gives zero), one
 int add and the sign of merging the two masks, read per pair of masks from
 a table (``_Rows``) that fills a row on first use; d reads a row of moves
 per dt mask from such a table, each move one unit from a field to a clear
-mask bit with the parity of the mask bits below it as its sign.
+mask bit with the parity of the mask bits below it as its sign.  A complex
+bundle's face table (``transfer``) is a ``_Rows`` too, keyed by simplex.
 
 Coefficients are exact rationals, stored as integer numerators over one
 denominator per form in lowest terms (``SparseVector``), so wedge and d
@@ -104,7 +105,8 @@ _OVERFLOW = f"an exponent exceeds {_TOP - 1}, the largest a monomial holds"
 class _Rows(dict):
     """A table keyed by int whose row for a key is fill(key), built on its
     first read and kept, so a table keyed by dt masks holds only the masks
-    read, though a mask on Δ^40 has 2^40 values."""
+    read, though a mask on Δ^40 has 2^40 values, and a face table only the
+    rows of the simplices read."""
 
     def __init__(self, fill):
         self.fill = fill

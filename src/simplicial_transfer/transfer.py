@@ -108,7 +108,7 @@ from .cochains import (
     standard_simplex,
 )
 from .contraction import homotopy_H, s_operator
-from .forms import Form, differential, format_form, wedge
+from .forms import Form, _Rows, differential, format_form, wedge
 from .rationals import bernoulli_number, binomial, factorial, rational_str
 from .reporting import Records, Report, _batches
 from .tensorwords import shuffle
@@ -137,19 +137,12 @@ def _face_label(face) -> str:
     return "x(" + ",".join(map(str, face)) + ")"
 
 
-class _FaceTable(dict):
-    """A face table (``ComplexContraction``) that builds row x on its first
-    read, so a caller pays only for the simplices it reads."""
-
-    def __init__(self, faces, ids):
-        super().__init__()
-        self.faces, self.ids = faces, ids
-
-    def __missing__(self, x: int) -> tuple[int, ...]:
-        simplex, get = self.faces[x], self.ids.get
-        local = standard_simplex(len(simplex) - 1).simplices
-        row = self[x] = tuple(get(tuple(map(simplex.__getitem__, face))) for face in local)
-        return row
+def _face_row(faces, ids, x: int) -> tuple[int, ...]:
+    """Row x of a face table (``ComplexContraction``): the ids of the faces
+    of simplex x, in the order of the simplices of the standard simplex."""
+    simplex, get = faces[x], ids.get
+    local = standard_simplex(len(simplex) - 1).simplices
+    return tuple(get(tuple(map(simplex.__getitem__, face))) for face in local)
 
 
 class ComplexContraction:
@@ -174,7 +167,8 @@ class ComplexContraction:
     ``vanishes_in_degree`` is the zero rule (module docstring), with
     ``dim`` the top dimension of the complex.  ``face_table`` row x lists
     the ids of the faces of simplex x, entry i at the positions of letter i
-    of the standard simplex of dim x.  The join rule maps a single word
+    of the standard simplex of dim x; it is a ``forms._Rows`` of
+    ``_face_row``, so a row is built on its first read.  The join rule maps a single word
     into its simplex through one row, and ``local_sweep`` fills the m memo
     from every row and the mu tables with every nonzero m_k of a basis word.
 
@@ -195,7 +189,7 @@ class ComplexContraction:
         self._ids = complex_.index
         self._degrees = [len(face) - 2 for face in self._faces]
         self._memo_m: dict = {}
-        self.face_table = _FaceTable(self._faces, self._ids)
+        self.face_table = _Rows(partial(_face_row, self._faces, self._ids))
 
     def m_word(self, ids: tuple[int, ...]) -> Cochain:
         """m_n on a basis word of n >= 2 ids, by the join rule."""

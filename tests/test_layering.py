@@ -100,6 +100,13 @@ def test_sparse_vector_is_the_one_vector_type():
     assert _classes_defining("__add__") == {"SparseVector"}
 
 
+def test_rows_is_the_one_lazy_table():
+    # the kernels' per-mask tables and a bundle's face table build a row on
+    # its first read through forms._Rows; a class of its own with a
+    # __missing__ would be a second lazy table
+    assert _classes_defining("__missing__") == {"_Rows"}
+
+
 def test_report_is_the_one_report_type():
     # every battery reports through reporting.Report, whose JSON is its
     # fields, all_passed and the records; a class of its own with a
