@@ -1,5 +1,30 @@
 """Command-line drivers for the verification sweeps and table reproduction.
 
+The command line is read against one table, ``COMMANDS``, which is also
+the one source of the usage and help text.  Each command has a help line,
+its options and its operations (only ``complex`` has any: ``cup`` and
+``whitney-check``), which are commands of the same shape.  An option has
+a type (``int``, ``str``, ``bool`` for a flag that stores True, or a tuple
+of choices), a default or ``REQUIRED`` in its place, and a help line.  The
+grammar is argparse's for this table:
+
+* ``simplicial-transfer COMMAND [options]``, and for ``complex``,
+  ``complex [options] OPERATION [options]``: each option belongs to the
+  command or operation that it follows;
+* ``--name value`` or ``--name=value``; a flag takes no value;
+* a long option may be shortened to a prefix that names one option of its
+  command (``--max-a 3``), and a prefix that names several is an error;
+* the last occurrence of an option wins;
+* a value may be ``-``, a negative number (``--dim -1``) or a token with
+  a space, but no other token that starts with ``-``; ints are read by
+  ``int()``, so `` 2`` and ``1_0`` are read as 2 and 10;
+* ``--`` ends the options, and no command takes a token after it;
+* ``-h`` or ``--help`` prints the help of the command or operation that it
+  follows, on stdout, and exits 0, unless an earlier token, or an ambiguous
+  prefix anywhere in its command, is an error;
+* any other misuse exits 2 with one line ``simplicial-transfer: error: …``
+  on stderr; an unknown token is reported once the whole line is read.
+
 Exit codes: 0 when every check passes, 1 on a verification failure, 2 on a
 usage or input error, on an exponent too large for a packed form monomial
 (``OverflowError``), or when stdout closes before the report is written,
@@ -10,9 +35,10 @@ rational as a string.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .complexes import (
     check_whitney_conditions,
@@ -39,52 +65,188 @@ PASS = 0
 FAIL = 1
 USAGE = 2
 
+REQUIRED = object()
+_FORMAT = {"--format": (("json", "text"), "text", "report format")}
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors, in the subcommands too, are one
-    stderr line and exit code 2."""
+# name: (help line, options, operations); an option is name: (type,
+# default, help line), and an operation is a command of the same shape
+COMMANDS = {
+    "contraction": ("run the contraction identity battery", {
+        "--dim": (int, 2, "dimension of the simplex"),
+        "--max-poly-degree": (int, 4, "largest polynomial degree of the forms checked"),
+        **_FORMAT,
+    }, {}),
+    "trees": ("enumerate planar trees", {
+        "--leaves": (int, REQUIRED, "number of leaves"),
+        "--count-only": (bool, False, "print the number of trees only"),
+        **_FORMAT,
+    }, {}),
+    "interval": ("products of t and dt on the interval", {
+        "--max-arity": (int, 4, "largest arity of the products"),
+        **_FORMAT,
+    }, {}),
+    "verify": ("structure, morphism, shuffle, unit batteries", {
+        "--dim": (int, 2, "dimension of the simplex"),
+        "--max-arity": (int, 4, "largest arity of the words checked"),
+        "--break-signs": (bool, False, "drop the slotwise signs to demonstrate a failing battery"),
+        **_FORMAT,
+    }, {}),
+    "complex": ("operations on a simplicial complex file", {
+        "--file": (str, REQUIRED, "the complex file"),
+        **_FORMAT,
+    }, {
+        "cup": ("product of two cochain files", {
+            "--a": (str, REQUIRED, "the left factor's cochain file"),
+            "--b": (str, REQUIRED, "the right factor's cochain file"),
+        }, {}),
+        "whitney-check": ("product condition battery", {}, {}),
+    }),
+}
+_TOP = ("exact verification of the transferred cochain products", {}, COMMANDS)
+_HELP = ("-h", "--help")
+# the attribute that names the command chosen at each depth
+_CHOSEN = ("command", "operation")
+# the form of "--" and of every token after it: a positional that is no value
+_END = "--"
+_METAVARS = {int: "N", str: "FILE"}
 
-    def error(self, message):
-        self.exit(USAGE, f"simplicial-transfer: error: {message}\n")
+
+def _attribute(option: str) -> str:
+    return option[2:].replace("-", "_")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="simplicial-transfer",
-        description="exact verification of the transferred cochain products",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _choices(names) -> str:
+    return "choose from " + ", ".join(map(repr, names))
 
-    p = sub.add_parser("contraction", help="run the contraction identity battery")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--max-poly-degree", type=int, default=4)
-    p.add_argument("--format", choices=("json", "text"), default="text")
 
-    p = sub.add_parser("trees", help="enumerate planar trees")
-    p.add_argument("--leaves", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--format", choices=("json", "text"), default="text")
+def _rows(title: str, rows: list[tuple[str, str]]) -> str:
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([title] + [f"  {left:<{width}}{right}" for left, right in rows])
 
-    p = sub.add_parser("interval", help="products of t and dt on the interval")
-    p.add_argument("--max-arity", type=int, default=4)
-    p.add_argument("--format", choices=("json", "text"), default="text")
 
-    p = sub.add_parser("verify", help="structure, morphism, shuffle, unit batteries")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--max-arity", type=int, default=4)
-    p.add_argument("--break-signs", action="store_true", help="drop the slotwise signs to demonstrate a failing battery")
-    p.add_argument("--format", choices=("json", "text"), default="text")
+class CommandLine:
+    """argv read against ``COMMANDS`` by the grammar of the module
+    docstring; ``error`` is the one exit of a usage error."""
 
-    p = sub.add_parser("complex", help="operations on a simplicial complex file")
-    p.add_argument("--file", required=True)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    op = p.add_subparsers(dest="operation", required=True)
-    cup_p = op.add_parser("cup", help="product of two cochain files")
-    cup_p.add_argument("--a", required=True)
-    cup_p.add_argument("--b", required=True)
-    op.add_parser("whitney-check", help="product condition battery")
+    prog = "simplicial-transfer"
 
-    return parser
+    def error(self, message: str):
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise SystemExit(USAGE)
+
+    def parse_args(self, argv) -> SimpleNamespace:
+        values, extras = {}, []
+        self._parse(list(argv), _TOP, (), values, extras)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return SimpleNamespace(**values)
+
+    def _parse(self, tokens, command, path, values, extras) -> None:
+        """Read tokens into values as the command of the table at path: its
+        options in order, until the first positional token, which names an
+        operation that reads the rest, or, where there is none, joins the
+        unknown tokens in extras."""
+        _, options, operations = command
+        end = tokens.index(_END) if _END in tokens else len(tokens)
+        names = (*_HELP, *options)
+        forms = [self._form(token, names) for token in tokens[:end]] + [_END] * (len(tokens) - end)
+        values.update((_attribute(o), d) for o, (_, d, _) in options.items() if d is not REQUIRED)
+        chosen = _CHOSEN[len(path)] if operations else None
+        i = 0
+        while i < len(tokens):
+            token, form = tokens[i], forms[i]
+            i += 1
+            if form is None or form is _END:
+                if not operations:
+                    extras.append(token)
+                    continue
+                if token not in operations:
+                    choices = _choices(operations)
+                    self.error(f"argument {chosen}: invalid choice: {token!r} ({choices})")
+                values[chosen] = token
+                self._parse(tokens[i:], operations[token], (*path, token), values, extras)
+                break
+            option, explicit = form
+            if option is None:
+                extras.append(token)
+            elif option in _HELP:
+                # -h may repeat within one token: -hh is -h twice
+                cluster = option == "-h" and explicit and not explicit.strip("h")
+                if explicit is not None and not cluster:
+                    self.error(f"argument -h/--help: ignored explicit argument {explicit!r}")
+                print(self._help(command, path))
+                raise SystemExit(PASS)
+            elif options[option][0] is bool:
+                if explicit is not None:
+                    self.error(f"argument {option}: ignored explicit argument {explicit!r}")
+                values[_attribute(option)] = True
+            else:
+                if explicit is None:
+                    if i == len(tokens) or forms[i] is not None:
+                        self.error(f"argument {option}: expected one argument")
+                    explicit = tokens[i]
+                    i += 1
+                values[_attribute(option)] = self._value(option, options[option][0], explicit)
+        missing = [option for option in options if _attribute(option) not in values]
+        missing += [chosen] if operations and chosen not in values else []
+        if missing:
+            self.error("the following arguments are required: " + ", ".join(missing))
+
+    def _form(self, token: str, names):
+        """None for a positional, or (option, explicit value or None), where
+        the option is None for a token of option form that names none."""
+        if token[:1] != "-" or token == "-":
+            return None
+        if token in names:
+            return token, None
+        name, equals, value = token.partition("=")
+        explicit = value if equals else None
+        if equals and name in names:
+            return name, explicit
+        if token[1] == "-":
+            matches = [option for option in names if option.startswith(name)]
+            if len(matches) > 1:
+                self.error(f"ambiguous option: {token} could match {', '.join(matches)}")
+            if matches:
+                return matches[0], explicit
+        elif token[1] == "h":
+            return "-h", token[2:]
+        if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+            return None
+        return None, None
+
+    def _value(self, option: str, kind, text: str):
+        if kind is int:
+            try:
+                return int(text)
+            except ValueError:
+                self.error(f"argument {option}: invalid int value: {text!r}")
+        if kind is not str and text not in kind:
+            self.error(f"argument {option}: invalid choice: {text!r} ({_choices(kind)})")
+        return text
+
+    def _help(self, command, path) -> str:
+        text, options, operations = command
+        usage = [f"usage: {self.prog}", *path, "[-h]"]
+        rows = [("-h, --help", "show this help message and exit")]
+        for option, (kind, default, line) in options.items():
+            if kind is bool:
+                usage.append(f"[{option}]")
+                rows.append((option, line))
+                continue
+            metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else _METAVARS[kind]
+            given = f"{option} {metavar}"
+            required = default is REQUIRED
+            usage.append(given if required else f"[{given}]")
+            rows.append((given, f"{line} ({'required' if required else f'default: {default}'})"))
+        sections = [" ".join(usage), text]
+        if operations:
+            chosen = _CHOSEN[len(path)]
+            sections[0] += f" {chosen.upper()} ..."
+            listed = [(name, operation[0]) for name, operation in operations.items()]
+            sections.append(_rows(f"{chosen}s:", listed))
+        sections.append(_rows("options:", rows))
+        return "\n\n".join(sections)
 
 
 def _print_json(obj, sort_keys: bool = True) -> None:
@@ -220,8 +382,8 @@ def cmd_complex(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser = CommandLine()
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     handlers = {
         "contraction": cmd_contraction,
         "trees": cmd_trees,

@@ -10,14 +10,16 @@ structure relation on a word of cochains, the join rule in its
 union-first order, the normalized pullback of cochains along a
 simplicial map, seeded flag complexes, the two-sided route of the
 contraction battery, d and the vertex relabelling of packed keys by their
-per-field and per-term loops, and the whitney-check records swept over
-every letter pair.
+per-field and per-term loops, the whitney-check records swept over
+every letter pair, and the argparse parser that the CLI's command table
+replaced, kept as the reference its parse is compared with.
 They go through the package's public constructors, apart from the
 relation, the join rule, the contraction route, the tree composite and
 the whitney-check sweep, which read the engines they check."""
 
 from __future__ import annotations
 
+import argparse
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -26,6 +28,7 @@ from math import prod
 from typing import Sequence
 
 from simplicial_transfer import complexes, contraction
+from simplicial_transfer.cli import USAGE
 from simplicial_transfer.cochains import Cochain, OrderedComplex, include_g, standard_simplex
 from simplicial_transfer.forms import (
     FIELD,
@@ -502,3 +505,50 @@ def full_sweep_whitney_conditions(complex_: OrderedComplex) -> Report:
         failure = f"structure relation fails on the witness {witness_labels}" if residual else None
     report.check(name, [failure], len(ids) ** 3)
     return report
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors, in the subcommands too, are one
+    stderr line and exit code 2."""
+
+    def error(self, message):
+        self.exit(USAGE, f"simplicial-transfer: error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="simplicial-transfer",
+        description="exact verification of the transferred cochain products",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("contraction", help="run the contraction identity battery")
+    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--max-poly-degree", type=int, default=4)
+    p.add_argument("--format", choices=("json", "text"), default="text")
+
+    p = sub.add_parser("trees", help="enumerate planar trees")
+    p.add_argument("--leaves", type=int, required=True)
+    p.add_argument("--count-only", action="store_true")
+    p.add_argument("--format", choices=("json", "text"), default="text")
+
+    p = sub.add_parser("interval", help="products of t and dt on the interval")
+    p.add_argument("--max-arity", type=int, default=4)
+    p.add_argument("--format", choices=("json", "text"), default="text")
+
+    p = sub.add_parser("verify", help="structure, morphism, shuffle, unit batteries")
+    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--max-arity", type=int, default=4)
+    p.add_argument("--break-signs", action="store_true", help="drop the slotwise signs to demonstrate a failing battery")
+    p.add_argument("--format", choices=("json", "text"), default="text")
+
+    p = sub.add_parser("complex", help="operations on a simplicial complex file")
+    p.add_argument("--file", required=True)
+    p.add_argument("--format", choices=("json", "text"), default="text")
+    op = p.add_subparsers(dest="operation", required=True)
+    cup_p = op.add_parser("cup", help="product of two cochain files")
+    cup_p.add_argument("--a", required=True)
+    cup_p.add_argument("--b", required=True)
+    op.add_parser("whitney-check", help="product condition battery")
+
+    return parser

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from simplicial_transfer.cli import main
+from helpers import build_parser
+from simplicial_transfer.cli import COMMANDS, CommandLine, main
 from simplicial_transfer.forms import Form
 from simplicial_transfer.rationals import SparseVector
+from test_layering import BENCH_WORKLOADS
 
 
 def run(capsys, *argv):
@@ -620,8 +622,14 @@ def _main_exit(capsys, argv):
         ("verify", "--dim", "-1"),
         ("verify", "--dim", "x"),
         ("complex", "--file", "complex.json", "bogus-operation"),
+        (),
+        ("complex", "whitney-check"),
+        ("complex", "--f", "x", "whitney-check"),
     ],
-    ids=["contraction", "trees", "interval", "verify-negative", "verify-not-a-number", "complex"],
+    ids=[
+        "contraction", "trees", "interval", "verify-negative", "verify-not-a-number", "complex",
+        "no-command", "complex-without-file", "ambiguous-prefix",
+    ],
 )
 def test_argument_error_is_one_line(capsys, argv):
     code, out, err = _main_exit(capsys, argv)
@@ -687,3 +695,172 @@ def test_fuzzed_argv(tmp_path, capsys, argv):
         assert err.count("\n") == 1, err
     else:
         assert out and not err
+
+
+# -- the command table against the argparse parser it replaced ---------------
+
+
+def _parse(capsys, parse, argv):
+    """parse(argv) as (the namespace's attributes as name: (type, value),
+    None, "") or, when it exits, (None, exit code, stderr)."""
+    try:
+        namespace = parse(list(argv))
+    except SystemExit as exc:
+        return None, exc.code, capsys.readouterr().err
+    capsys.readouterr()
+    return {name: (type(value), value) for name, value in vars(namespace).items()}, None, ""
+
+
+# argparse before 3.13 reads an explicit value "--" (--file=--) as an empty
+# list, which --dim=-- then handed to a handler as its dimension; 3.13 reads
+# it as any other value, and so does the table.  So there the reference
+# parser is handed a stand-in for that value, read back as "--"
+_DASHES = "<dashes>" if sys.version_info < (3, 13) else "--"
+
+
+def _renamed(token: str) -> str:
+    name, equals, value = token.partition("=")
+    return f"{name}={_DASHES}" if name.startswith("--") and equals and value == "--" else token
+
+
+def _assert_same_parse(capsys, argv):
+    table = _parse(capsys, CommandLine().parse_args, argv)
+    renamed = [_renamed(token) for token in argv]
+    reference = _parse(capsys, build_parser().parse_args, renamed)
+    if reference[0] is not None:
+        dashes = {(str, _DASHES): (str, "--")}
+        reference = ({k: dashes.get(v, v) for k, v in reference[0].items()}, None, "")
+    if table[1] == reference[1] == 2:
+        assert table[2].count("\n") == reference[2].count("\n") == 1, (argv, table, reference)
+    else:
+        assert table == reference, argv
+
+
+@st.composite
+def _spelled(draw, argv):
+    """An argv of _ARGV with its long options spelled in the other ways the
+    grammar admits: an option and the token after it as --name=value, a
+    name cut to a prefix (unique, ambiguous or matching nothing), and an
+    option repeated with a later value."""
+    tokens = draw(argv)
+    out = []
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if not token.startswith("--") or token == "--":
+            out.append(token)
+            continue
+        name = token[: draw(st.integers(3, len(token)))] if draw(st.booleans()) else token
+        if i < len(tokens) and draw(st.booleans()):
+            out.append(f"{name}={tokens[i]}")
+            i += 1
+        else:
+            out.append(name)
+    if draw(st.booleans()):
+        options = [(n, t) for n, t in enumerate(out) if t.startswith("--") and t != "--"]
+        if options:
+            n, option = draw(st.sampled_from(options))
+            value = draw(st.sampled_from(["3", "-1", "json", "text", "x", "=", ""]))
+            at = draw(st.integers(n + 1, len(out)))
+            out[at:at] = [option, value]
+    return out
+
+
+_CASES = {
+    "equals": ("contraction", "--dim=1", "--max-poly-degree=-2", "--format=json"),
+    "equals-empty": ("complex", "--file=", "whitney-check"),
+    "equals-dash": ("complex", "--file=-x", "cup", "--a=--b", "--b", "-3"),
+    "equals-on-flag": ("trees", "--leaves", "3", "--count-only=x"),
+    "unique-prefixes": ("verify", "--d", "1", "--max-a", "3", "--b", "--fo", "json"),
+    "ambiguous-prefix": ("complex", "--f", "x", "whitney-check"),
+    "ambiguous-after-operation": ("complex", "--file", "x", "whitney-check", "--f", "y"),
+    "ambiguous-equals": ("complex", "--file", "f", "cup", "--=x"),
+    "equals-end": ("complex", "--file=--", "cup", "--a=--", "--b", "x"),
+    "equals-end-int": ("contraction", "--dim=--"),
+    "repeated": ("complex", "--file", "f", "cup", "--a", "x", "--b", "y", "--a", "z"),
+    "repeated-flag": ("verify", "--break-signs", "--dim", "1", "--break-signs", "--dim", "0"),
+    "negative": ("contraction", "--dim", "-1"),
+    "negative-non-int": ("contraction", "--dim", "-1.5"),
+    "negative-decimal-file": ("complex", "--file", "-1.5", "whitney-check"),
+    "negative-underscore": ("contraction", "--dim", "-1_0"),
+    "int-spaces": ("contraction", "--dim", " 2"),
+    "int-underscore": ("contraction", "--dim", "1_0"),
+    "dash-value-with-space": ("complex", "--file", "-x y", "whitney-check"),
+    "option-as-value": ("complex", "--file", "--format", "whitney-check"),
+    "complex-option-after-operation": ("complex", "--file", "f", "whitney-check", "--fo", "json"),
+    "cup-option-before-operation": ("complex", "--a", "x", "--file", "f", "cup", "--b", "y"),
+    "end-of-options": ("contraction", "--dim", "1", "--"),
+    "end-before-value": ("contraction", "--dim", "--", "3"),
+    "end-before-command": ("--", "contraction"),
+    "end-before-operation": ("complex", "--file", "f", "--", "whitney-check"),
+    "help-after-end": ("contraction", "--", "--help"),
+    "help-before-end": ("trees", "--help", "--"),
+    "help-prefix": ("verify", "--he"),
+    "help-repeated": ("interval", "-hh"),
+    "help-with-value": ("interval", "--help=x"),
+    "help-before-error": ("trees", "--bogus", "-h", "--leaves", "x"),
+    "error-before-help": ("trees", "--leaves", "x", "-h"),
+    "ambiguous-before-help": ("complex", "-h", "--f"),
+    "unknown-before-command": ("-q", "contraction"),
+    "command-prefix": ("contr",),
+    "single-dash": ("-",),
+    **{f"workload-{name}": tuple(argv) for name, argv in BENCH_WORKLOADS.items()},
+}
+
+
+@pytest.mark.parametrize("argv", list(_CASES.values()), ids=list(_CASES))
+def test_the_table_parses_as_argparse_did(capsys, argv):
+    _assert_same_parse(capsys, argv)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_ARGV | _spelled(_ARGV) | st.sampled_from(list(BENCH_WORKLOADS.values())))
+def test_fuzzed_argv_parses_as_argparse_did(capsys, argv):
+    # on one argv both parsers accept with the same attributes, both print
+    # help, or both exit 2 with one line; files are never opened here
+    _assert_same_parse(capsys, argv)
+
+
+# -h takes no value, so argparse reads the rest of a token -h... as more
+# one-letter options: -hh is -h twice, and -hx an error.  Python 3.13's
+# argparse prints the help for -hx and rejects -h=h; the table keeps the
+# reading of 3.10 to 3.12
+_CLUSTERS = {"-hh": 0, "-h=h": 0, "-hx": 2, "-h=x": 2, "-h=": 2}
+
+
+@pytest.mark.parametrize("token", list(_CLUSTERS))
+def test_a_help_cluster_reads_as_before_python_3_13(capsys, token):
+    assert _parse(capsys, CommandLine().parse_args, ["interval", token])[1] == _CLUSTERS[token]
+    if sys.version_info < (3, 13):
+        _assert_same_parse(capsys, ["interval", token])
+
+
+def _help_lines(command) -> list[str]:
+    """The names and help lines that the help of a command of the table
+    must show: its options', and its operations' (the top level's commands)."""
+    _, options, operations = command
+    return [
+        *options,
+        *(line for _, _, line in options.values()),
+        *operations,
+        *(entry[0] for entry in operations.values()),
+    ]
+
+
+_HELPED = {
+    "top": ((), (None, {}, COMMANDS)),
+    **{name: ((name,), entry) for name, entry in COMMANDS.items()},
+    "cup": (("complex", "--file", "f", "cup"), COMMANDS["complex"][2]["cup"]),
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("argv, command", list(_HELPED.values()), ids=list(_HELPED))
+def test_help_lists_the_table(capsys, argv, command, flag):
+    code, out, err = _main_exit(capsys, (*argv, flag))
+    assert code == 0 and err == ""
+    missing = [text for text in _help_lines(command) if text not in out]
+    assert out.startswith("usage: simplicial-transfer") and missing == [], missing

@@ -313,10 +313,12 @@ def _modules_the_cli_import_adds() -> list[str]:
 
 def test_the_import_loads_no_introspection_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize, which no command
-    # runs, and the package import is most of a cold CLI run's setup
+    # runs, and argparse pulls in gettext; the package import is most of a
+    # cold CLI run's setup
     added = _modules_the_cli_import_adds()
     assert "simplicial_transfer.cli" in added
-    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added)
+    forbidden = {"dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext"}
+    assert not forbidden & set(added)
 
 
 def test_the_cli_needs_only_the_standard_library():
@@ -411,6 +413,26 @@ def _bench_workloads() -> dict:
 
 
 BENCH_WORKLOADS = _bench_workloads()
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS))
+def test_a_workload_run_loads_no_argparse_gettext_or_locale(workload):
+    # argparse built eight parsers in every run, each message through
+    # gettext, whose first lookup imported locale: a third of the
+    # whitney-octahedron workload's wall time
+    probe = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import simplicial_transfer.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({BENCH_WORKLOADS[workload]!r})\n"
+        "print(code, *sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    child = subprocess.run(
+        [sys.executable, "-c", probe], cwd=BENCH.parent, env=env, capture_output=True, text=True
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "0\n", "")
 
 
 class _ReachedEntry(Exception):
